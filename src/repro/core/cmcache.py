@@ -405,12 +405,10 @@ class CMCacheXlator(Xlator):
         else:
             # Several disjoint runs: fetch them concurrently (the server
             # io-threads pipeline them; wall time ~ largest, not sum).
-            procs = [
-                self.sim.process(self._down().read(path, aoff, asize), name="cm-fill")
-                for aoff, asize in ranges
-            ]
-            got = yield self.sim.all_of(procs)
-            results = [got[p] for p in procs]
+            results = yield self.sim.gather(
+                [self._down().read(path, aoff, asize) for aoff, asize in ranges],
+                name="cm-fill",
+            )
         for r in results:
             if r is None or r.size <= 0:
                 continue

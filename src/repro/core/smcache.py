@@ -137,11 +137,9 @@ class SMCacheXlator(Xlator):
             if ok:
                 pushed.add(bv.block_offset)
 
-        procs = [
-            self.sim.process(one(key, bv, hint), name="smcache-push")
-            for key, bv, hint in todo
-        ]
-        yield self.sim.all_of(procs)
+        yield self.sim.gather(
+            [one(key, bv, hint) for key, bv, hint in todo], name="smcache-push"
+        )
 
     def _purge_data(self, path: str) -> Generator:
         offsets = self._pushed.pop(path, None)

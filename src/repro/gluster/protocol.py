@@ -31,16 +31,10 @@ class ClientProtocol(Xlator):
         self.retry = retry
 
     def _call(self, fop: str, args: tuple) -> Generator:
-        if self.retry is None:
-            reply = yield from self.endpoint.call(
-                self.server.node, SERVICE, (fop, args), req_size=request_size(fop, args)
-            )
-        else:
-            reply = yield from self.endpoint.call_retry(
-                self.server.node, SERVICE, (fop, args),
-                req_size=request_size(fop, args), policy=self.retry,
-            )
-        return reply
+        return self.endpoint.call_retry(
+            self.server.node, SERVICE, (fop, args),
+            req_size=request_size(fop, args), policy=self.retry,
+        )
 
     def lookup(self, path):
         result = yield from self._call("lookup", (path,))

@@ -263,38 +263,44 @@ class MemcacheClient:
         return self._health_at(idx).ejected_until >= 0.0
 
     def _call(self, idx: int, op: str, payload: Any) -> Generator:
+        """One MCD RPC.  With no health policy there is nothing to wrap:
+        the generator returned is :meth:`Endpoint.call`'s own."""
+        if self.health is None:
+            return self.endpoint.call(
+                self._server_at(idx).node, SERVICE, (op, payload), request_size(op, payload)
+            )
+        return self._call_tracked(idx, op, payload)
+
+    def _call_tracked(self, idx: int, op: str, payload: Any) -> Generator:
+        """:meth:`_call` under a health policy: skip an ejected server,
+        probe it back in after the cooldown, count consecutive errors."""
         server = self._server_at(idx)
-        policy = self.health
-        h: Optional[_ServerHealth] = None
-        if policy is not None:
-            h = self._health_at(idx)
-            if h.ejected_until >= 0.0:
-                if self.endpoint.net.sim.now < h.ejected_until or h.probing:
-                    # Fast degraded path: no RPC, no simulated time —
-                    # the caller sees a miss instantly.  ``probing``
-                    # keeps concurrent batches from racing into a
-                    # second half-open probe of the same server.
-                    self.stats.inc("ejected_skips")
-                    if self.tracer.oplog is not None:
-                        self.tracer.op_count("ejected_skips")
-                    raise RpcUnavailable(
-                        f"{server.node.name} ejected (cooldown in progress)"
-                    )
-                yield from self._probe_rejoin(idx, op)
+        h = self._health_at(idx)
+        if h.ejected_until >= 0.0:
+            if self.endpoint.net.sim.now < h.ejected_until or h.probing:
+                # Fast degraded path: no RPC, no simulated time —
+                # the caller sees a miss instantly.  ``probing``
+                # keeps concurrent batches from racing into a
+                # second half-open probe of the same server.
+                self.stats.inc("ejected_skips")
+                if self.tracer.oplog is not None:
+                    self.tracer.op_count("ejected_skips")
+                raise RpcUnavailable(
+                    f"{server.node.name} ejected (cooldown in progress)"
+                )
+            yield from self._probe_rejoin(idx, op)
         try:
             reply = yield from self.endpoint.call_retry(
                 server.node,
                 SERVICE,
                 (op, payload),
                 req_size=request_size(op, payload),
-                policy=policy.retry if policy is not None else None,
+                policy=self.health.retry,
             )
         except RpcError:
-            if h is not None:
-                self._note_failure(h)
+            self._note_failure(h)
             raise
-        if h is not None:
-            h.consecutive_errors = 0
+        h.consecutive_errors = 0
         return reply
 
     def _note_failure(self, h: _ServerHealth) -> None:
@@ -506,20 +512,19 @@ class MemcacheClient:
         failed_keys: Optional[set] = set() if inflight is not None else None
         completed = False
         try:
-            pending = []
-            for idx, batch in by_server.items():
-                pending.append(
-                    sim.process(
-                        self._get_batch(idx, batch, failed_keys), name="mc-multiget"
-                    )
-                )
-            if self.tracer.enabled:
-                with self.tracer.span("mcd", "mc.get_multi"):
-                    results = yield sim.all_of(pending)
-            else:
-                results = yield sim.all_of(pending)
-            for partial in results.values():
-                out.update(partial)
+            # Nothing left to fetch (every key rides a flight): no join.
+            if by_server:
+                batches = [
+                    self._get_batch(idx, batch, failed_keys)
+                    for idx, batch in by_server.items()
+                ]
+                if self.tracer.enabled:
+                    with self.tracer.span("mcd", "mc.get_multi"):
+                        results = yield sim.gather(batches, name="mc-multiget")
+                else:
+                    results = yield sim.gather(batches, name="mc-multiget")
+                for partial in results:
+                    out.update(partial)
             if (
                 self.membership is not None
                 and self._ketama is not None
@@ -608,11 +613,10 @@ class MemcacheClient:
         if len(idxs) == 1:
             result = yield from one(idxs[0])
             return [result]
-        procs = [sim.process(one(i), name="mc-fanout") for i in idxs]
-        results = yield sim.all_of(procs)
+        results = yield sim.gather([one(i) for i in idxs], name="mc-fanout")
         if count_replicas:
             self.stats.inc("replica_writes", len(idxs) - 1)
-        return [results[p] for p in procs]
+        return results
 
     # -- storage ---------------------------------------------------------------
     def set(
@@ -825,28 +829,25 @@ class MemcacheClient:
     def delete(self, key: str, hint: Optional[int] = None) -> Generator:
         """Remove *key*; with replication the delete reaches **every**
         replica — a skipped replica would keep serving the stale value."""
-        if self._replication is not None:
-            with self.tracer.span("mcd", "mc.delete"):
-                results = yield from self._fanout(
-                    self._replicas_for(key, hint), "delete", key
-                )
-            ok = any(bool(r) for r in results)
-            if ok:
-                self.stats.inc("deletes")
-            return ok
-        widxs = self._window_targets(key, hint)
-        if widxs is not None:
-            with self.tracer.span("mcd", "mc.delete"):
-                results = yield from self._fanout(
-                    widxs, "delete", key, count_replicas=False
-                )
+        tracer = self.tracer
+        replicated = self._replication is not None
+        idxs = self._replicas_for(key, hint) if replicated else self._window_targets(key, hint)
+        if idxs is not None:
+            if tracer.enabled:
+                with tracer.span("mcd", "mc.delete"):
+                    results = yield from self._fanout(idxs, "delete", key, count_replicas=replicated)
+            else:
+                results = yield from self._fanout(idxs, "delete", key, count_replicas=replicated)
             ok = any(bool(r) for r in results)
             if ok:
                 self.stats.inc("deletes")
             return ok
         idx = self._idx_for(key, hint)
         try:
-            with self.tracer.span("mcd", "mc.delete"):
+            if tracer.enabled:
+                with tracer.span("mcd", "mc.delete"):
+                    ok = yield from self._call(idx, "delete", key)
+            else:
                 ok = yield from self._call(idx, "delete", key)
         except RpcError:
             self.stats.inc("errors")
@@ -879,20 +880,29 @@ class MemcacheClient:
             primary.setdefault(idxs[0], []).append(key)
             for i in idxs[1:]:
                 extras.setdefault(i, []).append(key)
-        deleted = 0
-        with self.tracer.span("mcd", "mc.delete_multi"):
-            for idx, batch in primary.items():
-                try:
-                    deleted += yield from self._call(idx, "delete_multi", batch)
-                except RpcError:
-                    self.stats.inc("errors")
-            for idx, batch in extras.items():
-                try:
-                    n = yield from self._call(idx, "delete_multi", batch)
-                    self.stats.inc("replica_deletes", n)
-                except RpcError:
-                    self.stats.inc("errors")
+        if self.tracer.enabled:
+            with self.tracer.span("mcd", "mc.delete_multi"):
+                deleted = yield from self._delete_batches(primary, extras)
+        else:
+            deleted = yield from self._delete_batches(primary, extras)
         self.stats.inc("deletes", deleted)
+        return deleted
+
+    def _delete_batches(
+        self, primary: dict[int, list[str]], extras: dict[int, list[str]]
+    ) -> Generator:
+        deleted = 0
+        for idx, batch in primary.items():
+            try:
+                deleted += yield from self._call(idx, "delete_multi", batch)
+            except RpcError:
+                self.stats.inc("errors")
+        for idx, batch in extras.items():
+            try:
+                n = yield from self._call(idx, "delete_multi", batch)
+                self.stats.inc("replica_deletes", n)
+            except RpcError:
+                self.stats.inc("errors")
         return deleted
 
     def flush_all(self) -> Generator:

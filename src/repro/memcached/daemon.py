@@ -113,11 +113,15 @@ class MemcachedDaemon:
 
     # -- RPC handler ---------------------------------------------------------
     def _handle(self, call: RpcCall):
+        """The RPC handler: :meth:`_serve`'s own generator unless a
+        tracer needs a span held open around it."""
         if self.tracer.enabled:
-            with self.tracer.span("mcd", f"mcd.{call.args[0]}"):
-                result = yield from self._serve(call)
-            return result
-        result = yield from self._serve(call)
+            return self._serve_traced(call)
+        return self._serve(call)
+
+    def _serve_traced(self, call: RpcCall):
+        with self.tracer.span("mcd", f"mcd.{call.args[0]}"):
+            result = yield from self._serve(call)
         return result
 
     def _serve(self, call: RpcCall):

@@ -159,20 +159,65 @@ class Endpoint:
         treats a dead MCD as a cache miss), or :class:`RpcTimeout` when
         a *timeout* is given and the call runs past the deadline.
 
-        Without a timeout the call runs inline via ``yield from`` — no
-        per-RPC process is created (the hot path).  With one, the call
-        body runs as a child process raced against the deadline; on
+        Without a timeout the whole call — request transfer, handler,
+        response transfer — runs in this one generator frame via
+        ``yield from`` on the handler: no per-RPC process, no wrapper
+        frames to walk on every resume (the hot path).  With one, the
+        same body runs as a child process raced against the deadline; on
         timeout the in-flight call is *abandoned*, not cancelled: the
         server keeps doing the work, the caller just stops waiting —
         which is how a real timed-out RPC behaves.
         """
-        if timeout is None:
-            reply = yield from self._invoke(dst, service, args, req_size)
+        if timeout is not None:
+            reply = yield from self._call_deadlined(dst, service, args, req_size, timeout)
             return reply
+        if dst.alive and service not in dst.services:
+            raise RpcUnavailable(f"no service {service!r} on {dst.name}")
+        self.stats.inc("calls")
+        tracer = self.tracer
+        net = self.net
+        node = self.node
+        frame_size = HEADER_SIZE + req_size
+        # A coalescing endpoint may deliver the request inside a burst;
+        # alone in its window it takes the scalar chain like any other.
+        delivered = False
+        if self._pending is not None:
+            delivered = yield from self._coalesce(dst, service, frame_size)
+        if not delivered:
+            try:
+                if tracer.enabled:
+                    with tracer.span("network", f"net.req.{service}"):
+                        yield net.transfer(node, dst, frame_size)
+                else:
+                    yield net.transfer(node, dst, frame_size)
+            except NetworkError as e:
+                self.stats.inc("errors")
+                raise RpcUnavailable(str(e)) from None
+            if not dst.alive:
+                # Died while the request was in flight.
+                self.stats.inc("errors")
+                raise RpcUnavailable(f"{dst.name} died during call")
+
+        # Request delivered: run the handler, return the response.
+        handler = dst.services[service]
+        reply, resp_size = yield from handler(RpcCall(node, dst, service, args, req_size))
+        try:
+            if tracer.enabled:
+                with tracer.span("network", f"net.resp.{service}"):
+                    yield net.transfer(dst, node, HEADER_SIZE + int(resp_size))
+            else:
+                yield net.transfer(dst, node, HEADER_SIZE + int(resp_size))
+        except NetworkError as e:
+            self.stats.inc("errors")
+            raise RpcUnavailable(str(e)) from None
+        return reply
+
+    def _call_deadlined(
+        self, dst: Node, service: str, args: Any, req_size: int, timeout: float
+    ) -> Generator[Any, Any, Any]:
+        """:meth:`call` raced against a deadline as a child process."""
         sim = self.net.sim
-        proc = sim.process(
-            self._invoke(dst, service, args, req_size), name=f"rpc.{service}"
-        )
+        proc = sim.process(self.call(dst, service, args, req_size), name=f"rpc.{service}")
         deadline = sim.timeout(timeout)
         # A failed sub-event fails the AnyOf, which throws into *this*
         # generator — so an RpcUnavailable from the call body propagates
@@ -204,15 +249,21 @@ class Endpoint:
         """:meth:`call` with the policy's deadline and bounded retries.
 
         Retries both flavours of :class:`RpcError`, sleeping the
-        policy's backoff between attempts.  ``policy=None`` degenerates
-        to a plain inline :meth:`call`.  Semantics are at-least-once: a
-        timed-out attempt may still have executed server-side, so
-        non-idempotent services must tolerate replays (every memcached
-        and GlusterFS fop here is idempotent or last-writer-wins).
+        policy's backoff between attempts.  ``policy=None`` *is* a plain
+        inline :meth:`call` — the generator returned is that call's, so
+        the default path pays no frame for the wrapper.  Semantics are
+        at-least-once: a timed-out attempt may still have executed
+        server-side, so non-idempotent services must tolerate replays
+        (every memcached and GlusterFS fop here is idempotent or
+        last-writer-wins).
         """
         if policy is None:
-            reply = yield from self.call(dst, service, args, req_size)
-            return reply
+            return self.call(dst, service, args, req_size)
+        return self._call_retrying(dst, service, args, req_size, policy)
+
+    def _call_retrying(
+        self, dst: Node, service: str, args: Any, req_size: int, policy: RetryPolicy
+    ) -> Generator[Any, Any, Any]:
         sim = self.net.sim
         attempts = policy.max_retries + 1
         for attempt in range(attempts):
@@ -232,69 +283,8 @@ class Endpoint:
             else:
                 return reply
 
-    def _invoke(
-        self,
-        dst: Node,
-        service: str,
-        args: Any = None,
-        req_size: int = 0,
-    ) -> Generator[Any, Any, Any]:
-        """The call body: request transfer, handler, response transfer."""
-        if self._pending is not None:
-            reply = yield from self._invoke_coalesced(dst, service, args, req_size)
-            return reply
-        if dst.alive and service not in dst.services:
-            raise RpcUnavailable(f"no service {service!r} on {dst.name}")
-        self.stats.inc("calls")
-        tracer = self.tracer
-        try:
-            if tracer.enabled:
-                with tracer.span("network", f"net.req.{service}"):
-                    yield self.net.transfer(self.node, dst, HEADER_SIZE + req_size)
-            else:
-                yield self.net.transfer(self.node, dst, HEADER_SIZE + req_size)
-        except NetworkError as e:
-            self.stats.inc("errors")
-            raise RpcUnavailable(str(e)) from None
-        if not dst.alive:
-            # Died while the request was in flight.
-            self.stats.inc("errors")
-            raise RpcUnavailable(f"{dst.name} died during call")
-
-        reply = yield from self._serve(dst, service, args, req_size)
-        return reply
-
-    def _serve(
-        self,
-        dst: Node,
-        service: str,
-        args: Any,
-        req_size: int,
-    ) -> Generator[Any, Any, Any]:
-        """Request delivered: run the handler, return the response."""
-        handler = dst.services[service]
-        reply, resp_size = yield from handler(RpcCall(self.node, dst, service, args, req_size))
-
-        tracer = self.tracer
-        try:
-            if tracer.enabled:
-                with tracer.span("network", f"net.resp.{service}"):
-                    yield self.net.transfer(dst, self.node, HEADER_SIZE + int(resp_size))
-            else:
-                yield self.net.transfer(dst, self.node, HEADER_SIZE + int(resp_size))
-        except NetworkError as e:
-            self.stats.inc("errors")
-            raise RpcUnavailable(str(e)) from None
-        return reply
-
-    def _invoke_coalesced(
-        self,
-        dst: Node,
-        service: str,
-        args: Any,
-        req_size: int,
-    ) -> Generator[Any, Any, Any]:
-        """The fast-path call body: same-instant calls from this
+    def _coalesce(self, dst: Node, service: str, frame_size: int) -> Generator[Any, Any, bool]:
+        """The fast-path request leg: same-instant calls from this
         endpoint to *dst* share one ``transfer_batch`` request burst.
 
         The first caller at a given instant opens a *coalescing window*
@@ -303,18 +293,17 @@ class Endpoint:
         same sim instant) appends its request frame to the burst and
         parks on a per-call event.  The window leader then charges one
         batched five-station request chain for the whole burst and
-        wakes every rider at its delivery instant.  From there each
-        call runs its own handler and response leg in its own process,
-        exactly as on the scalar path — so per-call replies, faults,
-        timeouts (``call(timeout=)`` races this body as a child
-        process), and at-least-once retry semantics are unchanged.
+        wakes every rider at its delivery instant.  Returns True once
+        the request has been delivered that way; from there each call
+        runs its own handler and response leg in :meth:`call`, exactly
+        as on the scalar path — so per-call replies, faults, timeouts
+        (``call(timeout=)`` races the call as a child process), and
+        at-least-once retry semantics are unchanged.
 
-        A window that closes with a single call takes the scalar
-        request chain, so uncontended traffic keeps scalar timings.
+        A window that closes with a single call returns False and the
+        caller takes the scalar request chain, so uncontended traffic
+        keeps scalar timings.
         """
-        if dst.alive and service not in dst.services:
-            raise RpcUnavailable(f"no service {service!r} on {dst.name}")
-        self.stats.inc("calls")
         sim = self.net.sim
         tracer = self.tracer
         batch = self._pending.get(dst)
@@ -324,7 +313,7 @@ class Endpoint:
             if tracer.oplog is not None:
                 tracer.op_count("fastpath_rpc_coalesced")
             ev = Event(sim)
-            batch[0].append(HEADER_SIZE + req_size)
+            batch[0].append(frame_size)
             batch[1].append(ev)
             try:
                 # Fails with the leader's RpcUnavailable if the burst dies.
@@ -332,32 +321,16 @@ class Endpoint:
             except RpcUnavailable:
                 self.stats.inc("errors")
                 raise
-            reply = yield from self._serve(dst, service, args, req_size)
-            return reply
+            return True
 
-        sizes = [HEADER_SIZE + req_size]
+        sizes = [frame_size]
         waiters: list[Event] = []
         self._pending[dst] = (sizes, waiters)
         # Hold the window open for the remainder of this sim instant.
         yield sim.pooled_timeout(0.0)
         del self._pending[dst]
-
         if not waiters:
-            # Alone in the window: identical scalar request chain.
-            try:
-                if tracer.enabled:
-                    with tracer.span("network", f"net.req.{service}"):
-                        yield self.net.transfer(self.node, dst, sizes[0])
-                else:
-                    yield self.net.transfer(self.node, dst, sizes[0])
-            except NetworkError as e:
-                self.stats.inc("errors")
-                raise RpcUnavailable(str(e)) from None
-            if not dst.alive:
-                self.stats.inc("errors")
-                raise RpcUnavailable(f"{dst.name} died during call")
-            reply = yield from self._serve(dst, service, args, req_size)
-            return reply
+            return False
 
         self.stats.inc("fastpath_batches")
         if tracer.oplog is not None:
@@ -383,5 +356,4 @@ class Endpoint:
             raise err
         for ev in waiters:
             ev.succeed()
-        reply = yield from self._serve(dst, service, args, req_size)
-        return reply
+        return True

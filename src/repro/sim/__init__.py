@@ -20,7 +20,7 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.monitor import Metrics, Tracer
-from repro.sim.process import Process, ProcessGenerator
+from repro.sim.process import Join, Process, ProcessGenerator
 from repro.sim.rand import RandomStreams
 from repro.sim.resources import Container, PriorityResource, Request, Resource
 from repro.sim.station import FifoStation
@@ -40,6 +40,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Process",
+    "Join",
     "ProcessGenerator",
     "Interrupt",
     "SimulationError",

@@ -34,7 +34,7 @@ from repro.sim.events import (
     STOP,
     Timeout,
 )
-from repro.sim.process import Process, ProcessGenerator
+from repro.sim.process import Join, Process, ProcessGenerator
 
 #: Recognised scheduler backend names.
 SCHEDULERS = ("heap", "calendar")
@@ -162,6 +162,19 @@ class Simulator:
 
     def process(self, generator: ProcessGenerator, name: str | None = None) -> Process:
         return Process(self, generator, name=name)
+
+    def gather(
+        self, generators: Iterable[ProcessGenerator], name: str = "gather"
+    ) -> Join:
+        """Fork-join: run *generators* concurrently and fire with the
+        list of their return values, in the order given.
+
+        For short-lived children whose only consumer is the caller
+        (``results = yield sim.gather([...])``); see :class:`Join`.
+        Anything that must be interrupted, raced against a deadline or
+        outlive its spawner stays a :meth:`process`.
+        """
+        return Join(self, generators, name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

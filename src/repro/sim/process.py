@@ -5,11 +5,16 @@ the engine resumes it with the event's value (or throws the event's
 exception) when the event is processed.  The :class:`Process` wrapper is
 itself an event that fires when the generator returns, so processes can
 wait on each other.
+
+A :class:`Join` (``Simulator.gather``) is the fork-join form for
+short-lived children: each child runs as a :class:`Strand` — the same
+resume loop, the same identity the tracer keys on — but starts inside
+the call and reports to the join instead of owning schedule entries.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, Iterable
 
 from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import Event, PENDING, URGENT
@@ -33,7 +38,63 @@ class Initialize(Event):
         sim._schedule(self, URGENT)
 
 
-class Process(Event):
+class _Runner:
+    """Drives one generator: the resume loop :class:`Process` and
+    :class:`Strand` share.  The subclass supplies ``succeed``/``fail``
+    (what the generator's return or exception turns into) and the
+    ``sim``/``_generator``/``_target``/``name`` attributes."""
+
+    __slots__ = ()
+
+    def _resume(self, event: Event) -> None:
+        # The engine's hottest code path: every event delivery to every
+        # process lands here.  The generator's bound methods and our own
+        # resume callback are hoisted into locals once per delivery.
+        sim = self.sim
+        sim._active_process = self
+        gen = self._generator
+        send = gen.send
+        try:
+            while True:
+                try:
+                    if event._ok:
+                        next_event = send(event._value)
+                    else:
+                        # The process handles (or not) the failure itself.
+                        event._defused = True
+                        next_event = gen.throw(event._value)
+                except StopIteration as stop:
+                    self.succeed(stop.value)
+                    break
+                except BaseException as exc:
+                    self.fail(exc)
+                    break
+
+                if not isinstance(next_event, Event):
+                    exc = SimulationError(
+                        f"process {self.name!r} yielded a non-event: {next_event!r}"
+                    )
+                    try:
+                        gen.throw(exc)
+                    except StopIteration as stop:
+                        self.succeed(stop.value)
+                    except BaseException as e:
+                        self.fail(e)
+                    break
+
+                callbacks = next_event.callbacks
+                if callbacks is not None:
+                    # Pending or triggered-but-unprocessed: wait for it.
+                    callbacks.append(self._resume)
+                    self._target = next_event
+                    break
+                # Already processed: continue immediately with its value.
+                event = next_event
+        finally:
+            sim._active_process = None
+
+
+class Process(_Runner, Event):
     """A running simulation process; also an event (fires on return)."""
 
     __slots__ = ("_generator", "_target", "name", "serial", "parent")
@@ -97,53 +158,104 @@ class Process(Event):
             self._target.callbacks.remove(self._resume)
         self._resume(event)
 
-    def _resume(self, event: Event) -> None:
-        # The engine's hottest code path: every event delivery to every
-        # process lands here.  The generator's bound methods and our own
-        # resume callback are hoisted into locals once per delivery.
-        sim = self.sim
-        sim._active_process = self
-        gen = self._generator
-        send = gen.send
-        try:
-            while True:
-                try:
-                    if event._ok:
-                        next_event = send(event._value)
-                    else:
-                        # The process handles (or not) the failure itself.
-                        event._defused = True
-                        next_event = gen.throw(event._value)
-                except StopIteration as stop:
-                    self.succeed(stop.value)
-                    break
-                except BaseException as exc:
-                    self.fail(exc)
-                    break
-
-                if not isinstance(next_event, Event):
-                    exc = SimulationError(
-                        f"process {self.name!r} yielded a non-event: {next_event!r}"
-                    )
-                    try:
-                        gen.throw(exc)
-                    except StopIteration as stop:
-                        self.succeed(stop.value)
-                    except BaseException as e:
-                        self.fail(e)
-                    break
-
-                callbacks = next_event.callbacks
-                if callbacks is not None:
-                    # Pending or triggered-but-unprocessed: wait for it.
-                    callbacks.append(self._resume)
-                    self._target = next_event
-                    break
-                # Already processed: continue immediately with its value.
-                event = next_event
-        finally:
-            sim._active_process = None
-
     def __repr__(self) -> str:  # pragma: no cover
         state = "alive" if self.is_alive else "dead"
         return f"<Process {self.name} ({state})>"
+
+
+class _Start:
+    """What a strand's first resume receives: the (valueless, ok)
+    :class:`Initialize` event it does not have."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_START = _Start()
+
+
+class Strand(_Runner):
+    """One child of a :class:`Join`.
+
+    Process-like where observers look — it is ``sim.active_process``
+    while it runs and carries ``name``/``serial``/``parent`` — but not
+    an event: nothing can wait on a strand, its return value goes to
+    the join.
+    """
+
+    __slots__ = ("sim", "_generator", "_target", "name", "serial", "parent", "_join", "_index")
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        generator: ProcessGenerator,
+        join: "Join",
+        index: int,
+        name: str,
+        parent: "Process | Strand | None",
+    ) -> None:
+        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+            raise SimulationError(f"{generator!r} is not a generator")
+        self.sim = sim
+        self._generator = generator
+        self._target: Event | None = None
+        self.name = name
+        sim._proc_seq += 1
+        self.serial = sim._proc_seq
+        self.parent = parent
+        self._join = join
+        self._index = index
+        self._resume(_START)
+
+    def succeed(self, value: Any) -> None:
+        join = self._join
+        join._results[self._index] = value
+        join._pending -= 1
+        if not join._pending and join._value is PENDING:
+            join.succeed(join._results)
+
+    def fail(self, exception: BaseException) -> None:
+        # The first failure fails the join; a later one has nobody left
+        # to tell and is dropped (the AllOf contract, minus the crash).
+        join = self._join
+        join._pending -= 1
+        if join._value is PENDING:
+            join.fail(exception)
+
+
+class Join(Event):
+    """Fork-join over generators: fires with their return values, in
+    child order, once the last one returns.
+
+    Children start *eagerly*, in order, inside the constructor, and the
+    join costs one schedule entry in total — against one ``Initialize``
+    plus one completion entry per child and one more for the ``AllOf``
+    when each child is a :class:`Process`.  Delivery is an ordinary
+    scheduled event, not a synchronous wake-up, so same-instant ties
+    resolve as they did with ``AllOf`` (DESIGN §7).
+
+    The first child to raise fails the join with its exception; the
+    other children keep running and their results or later failures
+    are discarded.
+    """
+
+    __slots__ = ("_results", "_pending")
+
+    def __init__(
+        self, sim: "Simulator", generators: Iterable[ProcessGenerator], name: str
+    ) -> None:
+        super().__init__(sim)
+        generators = list(generators)
+        self._results: list[Any] = [None] * len(generators)
+        self._pending = len(generators)
+        if not generators:
+            self.succeed(self._results)
+            return
+        parent = sim._active_process
+        try:
+            for index, generator in enumerate(generators):
+                Strand(sim, generator, self, index, name, parent)
+        finally:
+            # Each strand cleared the active process on its way out.
+            sim._active_process = parent

@@ -1,12 +1,14 @@
-"""CRC32 correctness: our from-scratch table implementation must match
-zlib bit-for-bit, and the libmemcache fold must stay in range."""
+"""CRC32 correctness: ``crc32`` (zlib-backed) and the from-scratch table
+implementation kept as its reference must agree bit for bit — on bytes,
+running checksums and ``str`` keys — and the libmemcache fold must stay
+in range."""
 
 import zlib
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.crc32 import crc32, memcache_hash
+from repro.util.crc32 import crc32, crc32_reference, memcache_hash
 
 
 KNOWN = [
@@ -22,12 +24,28 @@ KNOWN = [
 def test_known_vectors(data, expected):
     if expected is not None:
         assert crc32(data) == expected
-    assert crc32(data) == zlib.crc32(data)
+    assert crc32(data) == crc32_reference(data) == zlib.crc32(data)
 
 
 @given(st.binary(max_size=2048))
 def test_matches_zlib(data):
-    assert crc32(data) == zlib.crc32(data)
+    assert crc32(data) == crc32_reference(data) == zlib.crc32(data)
+    assert crc32(bytearray(data)) == crc32(memoryview(data)) == crc32(data)
+
+
+@given(st.binary(max_size=512), st.binary(max_size=512), st.integers(0, 0xFFFFFFFF))
+def test_running_checksum_matches_reference_loop(head, tail, start):
+    """The ``value`` argument (any 32-bit start, and chained calls)."""
+    assert crc32(tail, start) == crc32_reference(tail, start)
+    assert crc32(tail, crc32(head)) == crc32_reference(tail, crc32_reference(head))
+    assert crc32(tail, crc32(head)) == crc32(head + tail)
+
+
+@given(st.text(max_size=300))
+def test_str_keys_match_reference_loop(key):
+    """Non-ASCII keys are hashed as their UTF-8 bytes by both."""
+    assert crc32(key) == crc32_reference(key) == crc32_reference(key.encode("utf-8"))
+    assert memcache_hash(key) == (crc32_reference(key) >> 16) & 0x7FFF
 
 
 @given(st.binary(max_size=512), st.integers(1, 511))
