@@ -72,10 +72,6 @@ class BlockValue:
     intervals: list[tuple[int, int, int]]
     data: Optional[bytes] = None
 
-    @property
-    def end(self) -> int:
-        return self.block_offset + self.length
-
 
 def split_blocks(mapper: BlockMapper, result: ReadResult, path: str) -> list[BlockValue]:
     """Cut an (aligned) server read into per-block cache values."""
@@ -141,41 +137,50 @@ def assemble_blocks(
         if offset >= file_size:
             return ReadResult(offset=offset, size=0)
         size = min(size, file_size - offset)
+    bs = mapper.block_size
     intervals: list[tuple[int, int, int]] = []
     data_parts: list[bytes] = []
-    have_data = True
     pos = offset
     end = offset + size
+    # The interval being grown, ``[run_s, run_e)`` of version ``run_v``:
+    # appended once the next piece cannot extend it.
+    run_s = run_e = offset
+    run_v = None
     for idx in mapper.cover(offset, size):
-        bv = blocks.get(mapper.block_offset(idx))
+        boff = idx * bs
+        bv = blocks.get(boff)
         if bv is None:
             return None
-        if bv.length < mapper.block_size:
-            if file_size is None:
-                return None  # cannot prove this is still the EOF block
-            expected = min(mapper.block_size, file_size - bv.block_offset)
-            if bv.length != expected:
-                return None  # stale short block: file grew past it
-        take_start = max(pos, bv.block_offset)
-        if take_start != pos:
-            return None  # gap: block starts past where we need bytes
-        take_end = min(end, bv.end)
-        if take_end > take_start:
-            for s, e, v in bv.intervals:
-                s2, e2 = max(s, take_start), min(e, take_end)
-                if s2 < e2:
-                    if intervals and intervals[-1][2] == v and intervals[-1][1] == s2:
-                        intervals[-1] = (intervals[-1][0], e2, v)
-                    else:
-                        intervals.append((s2, e2, v))
-            if bv.data is not None:
-                lo = take_start - bv.block_offset
-                data_parts.append(bv.data[lo : lo + (take_end - take_start)])
-            else:
-                have_data = False
-            pos = take_end
+        length = bv.length
+        if length < bs and (file_size is None or length != min(bs, file_size - boff)):
+            # A short block is the EOF block only if it runs exactly to
+            # the known EOF; otherwise the file grew past it (or may have).
+            return None
+        # Every block before the last is full and an EOF block ends at
+        # or past ``end``, so ``pos`` always lies inside this block.
+        take_end = boff + length
+        if take_end > end:
+            take_end = end
+        for s, e, v in bv.intervals:
+            if s < pos:
+                s = pos
+            if e > take_end:
+                e = take_end
+            if s < e:
+                if s == run_e and v == run_v:
+                    run_e = e
+                else:
+                    if run_e > run_s:
+                        intervals.append((run_s, run_e, run_v))
+                    run_s, run_e, run_v = s, e, v
+        if bv.data is not None:
+            data_parts.append(bv.data[pos - boff : take_end - boff])
+        pos = take_end
+    if run_e > run_s:
+        intervals.append((run_s, run_e, run_v))
     actual = pos - offset
-    data = b"".join(data_parts) if (have_data and actual) else None
-    if data is not None and len(data) != actual:
+    # A data-less block leaves the literal bytes short: no data at all.
+    data = b"".join(data_parts)
+    if not actual or len(data) != actual:
         data = None
     return ReadResult(offset=offset, size=actual, intervals=intervals, data=data)

@@ -256,11 +256,14 @@ class CMCacheXlator(Xlator):
         if not self.config.cache_data or size <= 0:
             result = yield from self._down().read(path, offset, size)
             return result
-        indices = list(self.mapper.cover(offset, size))
+        # Each covering block's offset is computed once: it names the
+        # key, filters at EOF and is what a fetched block is found under.
+        hints: list[Optional[int]] = list(self.mapper.cover(offset, size))
+        bs = self.mapper.block_size
+        offsets = [idx * bs for idx in hints]
         keys: list[str] = []
-        hints: list[Optional[int]] = []
-        for idx in indices:
-            key = self._keys.data_key(path, self.mapper.block_offset(idx))
+        for boff in offsets:
+            key = self._keys.data_key(path, boff)
             if key is None:
                 # Path too long to cache: bypass entirely.
                 self.metrics.inc("uncacheable")
@@ -269,7 +272,6 @@ class CMCacheXlator(Xlator):
                 result = yield from self._down().read(path, offset, size)
                 return result
             keys.append(key)
-            hints.append(idx)
         skey = self._keys.stat_key(path) if self.config.cache_stat else None
 
         # ---- hot tier first: anything it holds skips the multi-get.
@@ -298,12 +300,12 @@ class CMCacheXlator(Xlator):
                     self.metrics.inc("hot_stat_hits")
         else:
             fetch_keys = keys
-            fetch_hints = list(hints)
+            fetch_hints = hints
         if skey is not None and not have_stat:
             fetch_keys = fetch_keys + [skey]
             fetch_hints = fetch_hints + [None]
 
-        self.metrics.inc("blocks_requested", len(indices))
+        self.metrics.inc("blocks_requested", len(offsets))
         found = {}
         if fetch_keys:
             found = yield from self.mc.get_multi(fetch_keys, fetch_hints)
@@ -324,11 +326,12 @@ class CMCacheXlator(Xlator):
                     self._hot_put(hot, key, path, bv, bv.length)
 
         # With a known size, blocks entirely past EOF are not needed.
-        needed = indices
+        needed = offsets
         if file_size is not None:
-            needed = [i for i in indices if self.mapper.block_offset(i) < file_size]
-        self._note_prefetch_hits(path, needed, blocks)
-        if all(self.mapper.block_offset(i) in blocks for i in needed):
+            needed = [boff for boff in offsets if boff < file_size]
+        if self._prefetched:
+            self._note_prefetch_hits(path, needed, blocks)
+        if all(map(blocks.__contains__, needed)):
             assembled = assemble_blocks(
                 self.mapper, blocks, offset, size, file_size=file_size
             )
@@ -368,22 +371,20 @@ class CMCacheXlator(Xlator):
     ) -> Generator:
         """Read only the missing block ranges and assemble the reply.
 
-        Returns the assembled :class:`ReadResult`, or None when the
-        partial path does not apply (nothing cached, nothing missing,
-        too many fill ranges) or assembly still fails — the caller then
-        falls back to the legacy full-size read.
+        *needed* holds the block offsets the read needs.  Returns the
+        assembled :class:`ReadResult`, or None when the partial path
+        does not apply (nothing cached, nothing missing, too many fill
+        ranges) or assembly still fails — the caller then falls back to
+        the legacy full-size read.
         """
         bs = self.mapper.block_size
         usable: dict[int, BlockValue] = {}
         missing: list[int] = []
-        for i in needed:
-            boff = self.mapper.block_offset(i)
+        for boff in needed:
             bv = blocks.get(boff)
-            if bv is None:
-                missing.append(i)
-            elif bv.length < bs and bv.length != min(bs, file_size - boff):
-                # Stale short block (the file grew past it): refetch.
-                missing.append(i)
+            if bv is None or (bv.length < bs and bv.length != min(bs, file_size - boff)):
+                # Absent, or a stale short block (the file grew past it).
+                missing.append(boff // bs)
             else:
                 usable[boff] = bv
         if not usable or not missing:
@@ -495,8 +496,7 @@ class CMCacheXlator(Xlator):
         marks = self._prefetched.get(path)
         if not marks:
             return
-        for i in needed:
-            boff = self.mapper.block_offset(i)
+        for boff in needed:
             if boff in marks and boff in blocks:
                 marks.discard(boff)
                 self.metrics.inc("prefetch_hits")

@@ -3,16 +3,16 @@
 * stat entries: absolute pathname with ``:stat`` appended;
 * data blocks: absolute pathname with the block's byte offset appended.
 
-memcached caps keys at 250 bytes; paths too long to form valid keys are
-simply not cached (CMCache forwards, SMCache skips the push) — the
-transparent degradation §4.4 requires.
+memcached caps keys at 250 bytes (UTF-8 bytes, not characters); paths
+too long to form valid keys are simply not cached (CMCache forwards,
+SMCache skips the push) — the transparent degradation §4.4 requires.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.memcached.engine import MAX_KEY_LEN
+from repro.memcached.engine import MAX_KEY_LEN, key_nbytes
 
 STAT_SUFFIX = ":stat"
 
@@ -20,13 +20,13 @@ STAT_SUFFIX = ":stat"
 def stat_key(path: str) -> Optional[str]:
     """``/abs/path:stat`` or None when it would exceed the key limit."""
     key = path + STAT_SUFFIX
-    return key if len(key) <= MAX_KEY_LEN else None
+    return key if key_nbytes(key) <= MAX_KEY_LEN else None
 
 
 def data_key(path: str, block_offset: int) -> Optional[str]:
     """``/abs/path:<offset>`` or None when it would exceed the limit."""
     key = f"{path}:{block_offset}"
-    return key if len(key) <= MAX_KEY_LEN else None
+    return key if key_nbytes(key) <= MAX_KEY_LEN else None
 
 
 def is_stat_key(key: str) -> bool:

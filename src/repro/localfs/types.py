@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.util.intervals import IntervalVersionMap, intervals_equal
@@ -29,7 +29,10 @@ class StatBuf:
     WIRE_SIZE = 144
 
     def copy(self) -> "StatBuf":
-        return replace(self)
+        return StatBuf(
+            self.ino, self.size, self.mode, self.nlink, self.uid, self.gid,
+            self.atime, self.mtime, self.ctime,
+        )
 
     @property
     def blocks(self) -> int:

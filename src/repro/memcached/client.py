@@ -33,7 +33,7 @@ keeps the frozen-list legacy paths, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.memcached.daemon import McValue, MemcachedDaemon, SERVICE, request_size
 from repro.memcached.hashing import (
@@ -221,7 +221,16 @@ class MemcacheClient:
             return [self._idx_for(key, hint)]
         return self._replication.replicas_for(key, len(self.servers), hint)
 
-    def _read_idx(self, key: str, hint: Optional[int] = None) -> int:
+    def _read_route(self) -> Callable[[str, int, Optional[int]], int]:
+        """``route(key, len(self.servers), hint)``: the server a read of
+        *key* goes to, resolved once per request.  With no replication
+        and no live membership that is the selector's own ``select`` —
+        the trivial instance of :meth:`_read_idx`."""
+        if self._replication is None and self.membership is None:
+            return self.selector.select
+        return self._read_idx
+
+    def _read_idx(self, key: str, nservers: int, hint: Optional[int] = None) -> int:
         """The replica a read goes to: seeded per-key round-robin over
         the replicas not currently sitting out an ejection cooldown (all
         of them, if every replica is ejected).  The cursor is per key —
@@ -232,7 +241,7 @@ class MemcacheClient:
         key this client has read (bounded by its keyspace)."""
         if self._replication is None:
             return self._idx_for(key, hint)
-        replicas = self._replication.replicas_for(key, len(self.servers), hint)
+        replicas = self._replication.replicas_for(key, nservers, hint)
         live = [i for i in replicas if not self._cooling(i)]
         if not live:
             live = replicas
@@ -402,7 +411,7 @@ class MemcacheClient:
     ) -> Generator:
         """The scalar get body (*failed*, when given, collects a marker
         if the primary fetch errored — the singleflight poison test)."""
-        idx = self._read_idx(key, hint)
+        idx = self._read_route()(key, len(self.servers), hint)
         try:
             if self.tracer.enabled:
                 with self.tracer.span("mcd", "mc.get"):
@@ -492,6 +501,7 @@ class MemcacheClient:
         by_server: dict[int, list[str]] = {}
         seen: set[str] = set()
         sim = self.endpoint.net.sim
+        route, nservers = self._read_route(), len(self.servers)
         for key, hint in zip(keys, hints):
             if key in seen:
                 continue
@@ -506,8 +516,7 @@ class MemcacheClient:
                         self.tracer.op_count("fastpath_sf_follows")
                     continue
                 flights[key] = inflight[key] = Event(sim)
-            idx = self._read_idx(key, hint)
-            by_server.setdefault(idx, []).append(key)
+            by_server.setdefault(route(key, nservers, hint), []).append(key)
         out: dict[str, McValue] = {}
         failed_keys: Optional[set] = set() if inflight is not None else None
         completed = False

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.memcached.engine import MemcachedEngine, McError
+from repro.memcached.engine import MemcachedEngine, McError, key_nbytes
 from repro.memcached.tenancy import TenantArbiter
 from repro.net.fabric import Network, Node
 from repro.net.rpc import Endpoint, RpcCall
@@ -36,7 +36,7 @@ KEY_WIRE_OVERHEAD = 24
 VALUE_WIRE_OVERHEAD = 40
 
 
-@dataclass
+@dataclass(slots=True)
 class McValue:
     """Client-visible stored value."""
 
@@ -135,15 +135,17 @@ class MemcachedDaemon:
                 yield from gate.admit(OP_CPU * max(1, len(keys)))
             else:
                 yield cpu.run(OP_CPU * max(1, len(keys)))
-            items = eng.get_multi(keys)
-            resp_bytes = sum(
-                it.nbytes + VALUE_WIRE_OVERHEAD + len(k) for k, it in items.items()
-            )
-            if resp_bytes:
+            # One walk over the hits builds the reply and sizes it: the
+            # values sent are the ones the lookup found and billed.
+            reply = {}
+            resp_bytes = 0
+            for k, it in eng.get_multi(keys).items():
+                nbytes = it.nbytes
+                reply[k] = McValue(it.value, nbytes, it.flags, it.cas)
+                resp_bytes += nbytes + VALUE_WIRE_OVERHEAD
+            if reply:
+                resp_bytes += key_nbytes("".join(reply))
                 yield cpu.run(COPY_PER_BYTE * resp_bytes)
-            reply = {
-                k: McValue(it.value, it.nbytes, it.flags, it.cas) for k, it in items.items()
-            }
             return reply, resp_bytes
         if op in ("set", "add", "replace"):
             key, value, nbytes, flags, ttl = payload
@@ -188,9 +190,9 @@ class MemcachedDaemon:
             next_cursor, entries = eng.scan(cursor, limit)
             if not with_values:
                 entries = [(k, None, nbytes, flags, ttl) for k, _v, nbytes, flags, ttl in entries]
-                resp_bytes = sum(len(e[0]) + KEY_WIRE_OVERHEAD for e in entries)
+                resp_bytes = sum(key_nbytes(e[0]) + KEY_WIRE_OVERHEAD for e in entries)
             else:
-                resp_bytes = sum(e[2] + VALUE_WIRE_OVERHEAD + len(e[0]) for e in entries)
+                resp_bytes = sum(e[2] + VALUE_WIRE_OVERHEAD + key_nbytes(e[0]) for e in entries)
             if resp_bytes:
                 yield cpu.run(COPY_PER_BYTE * resp_bytes)
             return (next_cursor, entries), resp_bytes
@@ -202,21 +204,20 @@ class MemcachedDaemon:
 
 def request_size(op: str, payload: Any) -> int:
     """Wire size of a request (keys + values + framing)."""
-    if op == "get_multi":
-        return sum(len(k) + KEY_WIRE_OVERHEAD for k in payload)
+    if op in ("get_multi", "delete_multi"):
+        # The keys' bytes in one pass: UTF-8 lengths add under join.
+        return key_nbytes("".join(payload)) + KEY_WIRE_OVERHEAD * len(payload)
     if op in ("set", "add", "replace"):
         key, _value, nbytes, _flags, _ttl = payload
-        return len(key) + KEY_WIRE_OVERHEAD + nbytes
+        return key_nbytes(key) + KEY_WIRE_OVERHEAD + nbytes
     if op in ("append", "prepend"):
         key, _value, nbytes = payload
-        return len(key) + KEY_WIRE_OVERHEAD + nbytes
+        return key_nbytes(key) + KEY_WIRE_OVERHEAD + nbytes
     if op == "cas":
         key, _value, nbytes, _cas, _flags, _ttl = payload
-        return len(key) + KEY_WIRE_OVERHEAD + nbytes
+        return key_nbytes(key) + KEY_WIRE_OVERHEAD + nbytes
     if op == "delete":
-        return len(payload) + KEY_WIRE_OVERHEAD
-    if op == "delete_multi":
-        return sum(len(k) + KEY_WIRE_OVERHEAD for k in payload)
+        return key_nbytes(payload) + KEY_WIRE_OVERHEAD
     if op in ("incr", "decr", "touch"):
-        return len(payload[0]) + KEY_WIRE_OVERHEAD
+        return key_nbytes(payload[0]) + KEY_WIRE_OVERHEAD
     return KEY_WIRE_OVERHEAD

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.memcached.slabs import SlabAllocator, SlabClass
 from repro.memcached.tenancy import TenantAccount, TenantArbiter
@@ -36,6 +36,16 @@ ITEM_OVERHEAD = 56
 #: ``\s`` plus the str.isspace-only extras (U+001C..1F, U+0085) keeps
 #: the accepted key set exactly the same.
 _WS_RE = re.compile("[\\s\x1c-\x1f\x85]")
+#: A key of 1..MAX_KEY_LEN printable non-space ASCII characters is valid
+#: on sight (the batch lookup's one-scan test); any other key takes the
+#: full :meth:`MemcachedEngine._check_key`.
+_PLAIN_KEY_RE = re.compile("[!-~]{1,%d}" % MAX_KEY_LEN)
+
+
+def key_nbytes(key: str) -> int:
+    """Length of *key* as memcached sees it: UTF-8 bytes (what the key
+    limit, the wire and the slab chunk are charged), not characters."""
+    return len(key) if key.isascii() else len(key.encode())
 
 
 class McError(Exception):
@@ -87,13 +97,13 @@ class MemcachedEngine:
 
     # -- helpers -----------------------------------------------------------
     def _check_key(self, key: str) -> None:
-        if not key or len(key) > MAX_KEY_LEN:
-            raise McError(f"bad key length {len(key)}")
+        if not key or key_nbytes(key) > MAX_KEY_LEN:
+            raise McError(f"bad key length {key_nbytes(key)}")
         if _WS_RE.search(key) is not None:
             raise McError("key contains whitespace")
 
     def _total_size(self, key: str, nbytes: int) -> int:
-        return ITEM_OVERHEAD + len(key) + nbytes
+        return ITEM_OVERHEAD + key_nbytes(key) + nbytes
 
     def _unlink(self, item: Item, cause: str = "drop") -> None:
         del self._items[item.key]
@@ -139,28 +149,17 @@ class MemcachedEngine:
         self.stats.inc("evictions")
         return True
 
-    def _allocate(self, key: str, nbytes: int) -> Optional[SlabClass]:
-        size = self._total_size(key, nbytes)
-        cls = self.slabs.class_for(size)
-        if cls is None:
-            raise McError(f"object too large for cache ({nbytes} bytes)")
+    def _allocate(self, key: str, cls: SlabClass) -> bool:
+        """Take a chunk of *cls* for *key*; False when out of memory."""
         requester = self.tenancy.tenant_of(key) if self.tenancy is not None else None
-        while True:
-            got = self.slabs.alloc(size)
-            if got is not None:
-                return got
+        while not self.slabs.alloc_in(cls):
             # Out of memory: lazily evict from this size class.  When the
             # class owns no items (all pages belong to other classes),
             # memcached answers SERVER_ERROR; we report a failed store.
             if not self._evict_one(cls, requester):
                 self.stats.inc("out_of_memory")
-                return None
-
-    def _link(self, key: str, value: Any, nbytes: int, flags: int, ttl: float) -> Optional[Item]:
-        cls = self._allocate(key, nbytes)
-        if cls is None:
-            return None
-        return self._insert(cls, key, value, nbytes, flags, ttl)
+                return False
+        return True
 
     def _insert(self, cls: SlabClass, key: str, value: Any, nbytes: int,
                 flags: int, ttl: float) -> Item:
@@ -208,16 +207,13 @@ class MemcachedEngine:
         risk *and* no spurious eviction is charged to a same-size
         overwrite (the common stat-refresh path).
         """
-        size = self._total_size(key, nbytes)
-        cls = self.slabs.class_for(size)
+        cls = self.slabs.class_for(self._total_size(key, nbytes))
         if cls is None:
             raise McError(f"object too large for cache ({nbytes} bytes)")
         old = self._items.get(key)
-        if old is not None and old.slab.index == cls.index:
+        if old is not None and old.slab is cls:
             self._unlink(old, "overwrite")
-            return self._link(key, value, nbytes, flags, ttl) is not None
-        got = self._allocate(key, nbytes)
-        if got is None:
+        if not self._allocate(key, cls):
             return False
         # Eviction during allocation targets only the new item's class;
         # the old item lives in a different one, but re-check anyway so
@@ -225,7 +221,7 @@ class MemcachedEngine:
         old = self._items.get(key)
         if old is not None:
             self._unlink(old, "overwrite")
-        self._insert(got, key, value, nbytes, flags, ttl)
+        self._insert(cls, key, value, nbytes, flags, ttl)
         return True
 
     def set(self, key: str, value: Any, nbytes: int, flags: int = 0, ttl: float = 0) -> bool:
@@ -303,27 +299,48 @@ class MemcachedEngine:
     # -- retrieval -------------------------------------------------------------
     def get(self, key: str) -> Optional[Item]:
         """Fetch one item (promotes in LRU); None on miss."""
-        self._check_key(key)
-        self.stats.inc("cmd_get")
-        item = self._live_item(key)
-        if item is None:
-            self.stats.inc("get_misses")
-            if self.tenancy is not None:
-                self.tenancy.record_miss(key)
-            return None
-        self._touch_lru(item)
-        self.stats.inc("get_hits")
-        if item.tenant is not None:
-            self.tenancy.record_hit(item.tenant)
-        return item
+        return self.get_multi((key,)).get(key)
 
-    def get_multi(self, keys: list[str]) -> dict[str, Item]:
-        """Fetch many keys; only hits appear in the result."""
+    def get_multi(self, keys: Iterable[str]) -> dict[str, Item]:
+        """Fetch many keys; only hits appear in the result.
+
+        The one lookup loop (:meth:`get` is the batch of one): each key
+        in turn is validated, probed, lazily expired, promoted in its
+        class LRU and reported to the tenant arbiter, as a run of single
+        gets would; only the three counters are booked once per batch —
+        in a ``finally``, so a bad key still books the keys before it.
+        """
         out: dict[str, Item] = {}
-        for key in keys:
-            item = self.get(key)
-            if item is not None:
+        items, lru, tenancy = self._items, self._lru, self.tenancy
+        hits = misses = 0
+        try:
+            for key in keys:
+                if _PLAIN_KEY_RE.fullmatch(key) is None:
+                    self._check_key(key)
+                item = items.get(key)
+                if item is not None and item.exptime != 0 and self.clock() >= item.exptime:
+                    self._unlink(item, "expire")
+                    self.stats.inc("expired")
+                    item = None
+                if item is None:
+                    misses += 1
+                    if tenancy is not None:
+                        tenancy.record_miss(key)
+                    continue
+                lru[item.slab.index].move_to_end(key)
+                tenant = item.tenant
+                if tenant is not None:
+                    tenancy.on_touch(item, tenant)
+                    tenancy.record_hit(tenant)
+                hits += 1
                 out[key] = item
+        finally:
+            if hits or misses:
+                self.stats.inc("cmd_get", hits + misses)
+            if hits:
+                self.stats.inc("get_hits", hits)
+            if misses:
+                self.stats.inc("get_misses", misses)
         return out
 
     # -- mutation ----------------------------------------------------------------

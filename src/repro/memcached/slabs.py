@@ -11,7 +11,8 @@ IMCa's block size (§4.3.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 
 from repro.util.stats import Counter
 from repro.util.units import MiB
@@ -67,6 +68,8 @@ class SlabAllocator:
             size = (size + 7) & ~7
             idx += 1
         self.classes.append(SlabClass(index=idx, chunk_size=PAGE_SIZE))
+        #: Ascending chunk sizes, for :meth:`class_for`'s bisect.
+        self._chunk_sizes = [c.chunk_size for c in self.classes]
         self.total_pages = 0
         self.stats = Counter()
 
@@ -74,25 +77,21 @@ class SlabAllocator:
         """Smallest class whose chunk fits *size* (None if > page)."""
         if size > PAGE_SIZE:
             return None
-        lo, hi = 0, len(self.classes) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.classes[mid].chunk_size < size:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.classes[lo]
+        return self.classes[bisect_left(self._chunk_sizes, size)]
 
     def alloc(self, size: int) -> SlabClass | None:
-        """Take one chunk for an item of *size* bytes.
-
-        Returns the class used, or ``None`` when memory is exhausted and
-        the caller must evict from that class (memcached's behaviour:
-        eviction is per-class, no page reassignment).
-        """
+        """Take one chunk for an item of *size* bytes: the class used,
+        or ``None`` when it does not fit a page or memory is exhausted."""
         cls = self.class_for(size)
-        if cls is None:
-            return None
+        return cls if cls is not None and self.alloc_in(cls) else None
+
+    def alloc_in(self, cls: SlabClass) -> bool:
+        """Take one chunk of *cls* (the caller's :meth:`class_for` pick).
+
+        False when memory is exhausted and the caller must evict from
+        that class (memcached's behaviour: eviction is per-class, no
+        page reassignment).
+        """
         if cls.free_chunks == 0:
             if self.total_pages < self.max_pages:
                 self.total_pages += 1
@@ -101,10 +100,10 @@ class SlabAllocator:
                 self.stats.inc("pages_allocated")
             else:
                 self.stats.inc("alloc_failures")
-                return None
+                return False
         cls.free_chunks -= 1
         cls.used_chunks += 1
-        return cls
+        return True
 
     def free(self, cls: SlabClass) -> None:
         """Return one chunk of *cls* to its free list."""

@@ -99,7 +99,7 @@ class RetryPolicy:
         return delay
 
 
-@dataclass
+@dataclass(slots=True)
 class RpcCall:
     """Handler-visible view of one in-flight call."""
 

@@ -69,4 +69,6 @@ def memcache_hash(key: bytes | str) -> int:
     The fold keeps the distribution uniform while avoiding the low-order
     bytes, which for short keys vary little.
     """
-    return (crc32(key) >> 16) & 0x7FFF
+    if isinstance(key, str):
+        key = key.encode("utf-8")
+    return (zlib.crc32(key) >> 16) & 0x7FFF

@@ -1,7 +1,7 @@
 """Tests for IMCa block arithmetic and block value splitting/assembly."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.blocks import BlockMapper, BlockValue, assemble_blocks, split_blocks
 from repro.core.config import IMCaConfig
@@ -159,3 +159,81 @@ def test_assemble_matches_source(blocks_scale, offset, size):
     assert got is not None
     assert got.size == size
     assert got.data == full.data[offset : offset + size]
+
+
+# -- assemble_blocks against a byte-by-byte oracle ---------------------------
+def _oracle(bs, blocks, offset, size, file_size):
+    """What a read of ``[offset, offset+size)`` must return, worked out
+    one byte at a time from the cached blocks."""
+    if file_size is not None:
+        if offset >= file_size:
+            return ReadResult(offset=offset, size=0)
+        size = min(size, file_size - offset)
+    versions, literal = {}, {}
+    have_data = True
+    for idx in range(offset // bs, (offset + size + bs - 1) // bs if size else 0):
+        bv = blocks.get(idx * bs)
+        if bv is None:
+            return None
+        if bv.length < bs:
+            # Short: servable only as the EOF block of a file whose size
+            # is known, and only if it runs exactly to that EOF.
+            if file_size is None or bv.block_offset + bv.length != file_size:
+                return None
+        if bv.data is None:
+            have_data = False
+        for pos in range(bv.block_offset, bv.block_offset + bv.length):
+            versions[pos] = next((v for s, e, v in bv.intervals if s <= pos < e), None)
+            if bv.data is not None:
+                literal[pos] = bv.data[pos - bv.block_offset]
+    want = range(offset, offset + size)
+    assert all(pos in versions for pos in want)
+    intervals = []
+    for pos in want:
+        v = versions[pos]
+        if v is None:
+            continue
+        if intervals and intervals[-1][1] == pos and intervals[-1][2] == v:
+            intervals[-1] = (intervals[-1][0], pos + 1, v)
+        else:
+            intervals.append((pos, pos + 1, v))
+    data = bytes(literal[pos] for pos in want) if have_data and size else None
+    return ReadResult(offset=offset, size=size, intervals=intervals, data=data)
+
+
+@st.composite
+def _cached_file(draw):
+    bs = draw(st.sampled_from([4, 8, 16]))
+    true_size = draw(st.integers(1, 6 * bs))
+    blocks = {}
+    for boff in range(0, true_size, bs):
+        fate = draw(st.sampled_from(["ok", "ok", "ok", "ok", "absent", "stale"]))
+        if fate == "absent":
+            continue  # a gap
+        length = min(bs, true_size - boff)
+        if fate == "stale":
+            length = draw(st.integers(0, bs - 1))  # short: the file grew past it
+        # Sorted, disjoint written pieces with holes between some of them;
+        # adjacent pieces may carry the same version.
+        cuts = sorted(draw(st.sets(st.integers(0, length), max_size=4)) | {0, length})
+        intervals = [
+            (boff + a, boff + b, v)
+            for a, b in zip(cuts, cuts[1:])
+            if (v := draw(st.sampled_from([None, 1, 1, 2, 3]))) is not None
+        ]
+        data = bytes(draw(st.integers(0, 255)) for _ in range(length))
+        if draw(st.integers(0, 5)) == 0:
+            data = None  # a data-less (interval-only) block
+        blocks[boff] = BlockValue("/f", boff, length, intervals, data)
+    file_size = draw(st.sampled_from([None, true_size, true_size, true_size + bs, bs]))
+    offset = draw(st.integers(0, true_size + bs))
+    size = draw(st.integers(0, true_size + 2 * bs))
+    return bs, blocks, offset, size, file_size
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cached_file())
+def test_assemble_blocks_matches_the_byte_oracle(case):
+    bs, blocks, offset, size, file_size = case
+    got = assemble_blocks(BlockMapper(bs), blocks, offset, size, file_size=file_size)
+    assert got == _oracle(bs, blocks, offset, size, file_size)

@@ -107,6 +107,34 @@ def test_read_miss_forwards_and_populates():
     assert r1.same_content(r2)
 
 
+def test_over_limit_non_ascii_path_degrades_to_uncacheable():
+    """§4.4 transparent degradation: a path whose keys exceed memcached's
+    250 *bytes* is never cached — even when it is under 250 characters —
+    and reads still return the right bytes from the server."""
+    tb = make()
+    c = tb.clients[0]
+    cm = tb.cmcaches[0]
+    path = "/" + "文" * 100  # 101 characters, 301 UTF-8 bytes
+    payload = bytes(range(256)) * 16
+
+    def w():
+        fd = yield from c.create(path)
+        yield from c.write(fd, 0, 4 * KiB, payload)
+        st = yield from c.stat(path)
+        r1 = yield from c.read(fd, 0, 4 * KiB)
+        r2 = yield from c.read(fd, 1 * KiB, 2 * KiB)
+        return st, r1, r2
+
+    st, r1, r2 = drive(tb, w())
+    assert st.size == 4 * KiB
+    assert r1.data == payload and r2.data == payload[1 * KiB : 3 * KiB]
+    assert cm.metrics.get("uncacheable") == 2
+    assert cm.metrics.get("read_hits") == 0 and cm.metrics.get("stat_hits") == 0
+    for mcd in tb.mcds:
+        assert mcd.engine.curr_items == 0
+        assert mcd.engine.stats.get("cmd_get") == 0 and mcd.engine.stats.get("cmd_set") == 0
+
+
 def test_unaligned_read_extended_at_server():
     """Fig 4(a)/Fig 3: the server reads whole blocks and returns the
     requested slice."""

@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.core.keys import data_key, is_stat_key, parse_data_key, stat_key
+from repro.core.keys import KeyCache, data_key, is_stat_key, parse_data_key, stat_key
 from repro.memcached.engine import MAX_KEY_LEN
 
 
@@ -22,6 +22,16 @@ def test_overlong_paths_yield_none():
     long_path = "/" + "x" * 300
     assert stat_key(long_path) is None
     assert data_key(long_path, 0) is None
+
+
+def test_key_limit_counts_utf8_bytes_not_characters():
+    path = "/" + "文" * 100  # 101 characters, 301 bytes
+    assert len(path + ":stat") <= MAX_KEY_LEN
+    assert stat_key(path) is None
+    assert data_key(path, 0) is None
+    assert KeyCache().data_key(path, 0) is None and KeyCache().stat_key(path) is None
+    fits = "/" + "文" * 80  # 241 bytes, + ":stat" = 246
+    assert stat_key(fits) == fits + ":stat"
 
 
 def test_boundary_length():

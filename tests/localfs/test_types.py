@@ -1,5 +1,7 @@
 """Tests for StatBuf / ReadResult / slice_result."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,14 @@ def test_statbuf_copy_is_independent():
     b = a.copy()
     b.size = 200
     assert a.size == 100
+
+
+def test_statbuf_copy_carries_every_field():
+    """``copy`` names the fields itself (no ``dataclasses.replace``): a
+    field added to StatBuf and forgotten there fails here."""
+    names = [f.name for f in dataclasses.fields(StatBuf)]
+    a = StatBuf(**{name: 1000 + i for i, name in enumerate(names)})
+    assert a.copy() == a and a.copy() is not a
 
 
 def test_statbuf_blocks():

@@ -236,3 +236,35 @@ def test_scan_op_over_rpc():
         return True
 
     assert drive(sim, proc()) is True
+
+
+def test_wire_sizes_charge_key_bytes_not_characters():
+    """A non-ASCII key costs its UTF-8 length on the wire, request and
+    reply; an ASCII key costs what it always did."""
+    from repro.memcached.daemon import (
+        KEY_WIRE_OVERHEAD, VALUE_WIRE_OVERHEAD, SERVICE, request_size,
+    )
+    from repro.net.rpc import RpcCall
+
+    assert request_size("get_multi", ["ab", "é", "文x"]) == (2 + 2 + 4) + 3 * KEY_WIRE_OVERHEAD
+    assert request_size("delete_multi", ["abc"]) == 3 + KEY_WIRE_OVERHEAD
+    assert request_size("get_multi", []) == 0
+    assert request_size("set", ("é", None, 10, 0, 0)) == 2 + KEY_WIRE_OVERHEAD + 10
+    assert request_size("delete", "文") == 3 + KEY_WIRE_OVERHEAD
+    assert request_size("touch", ("文", 1.0)) == 3 + KEY_WIRE_OVERHEAD
+
+    sim, client, daemons = make_cluster(n_mcds=1)
+
+    def scenario():
+        yield from client.set("é", b"v", 5)
+        yield from client.set("k", b"w", 7)
+        # The handler's own (reply, resp_bytes): the copy CPU is priced
+        # on the byte count it returns.
+        call = RpcCall(client.endpoint.node, daemons[0].node, SERVICE,
+                       ("get_multi", ["é", "k", "absent"]), 0)
+        served = yield from daemons[0]._serve(call)
+        return served
+
+    reply, resp_bytes = drive(sim, scenario())
+    assert sorted(reply) == ["k", "é"]
+    assert resp_bytes == (5 + VALUE_WIRE_OVERHEAD + 2) + (7 + VALUE_WIRE_OVERHEAD + 1)

@@ -176,6 +176,19 @@ def test_key_length_limit():
         e.set("bad key", b"v", 1)
 
 
+def test_key_length_limit_counts_utf8_bytes():
+    """memcached's 250 is a byte count: a key of 126 two-byte
+    characters is over it although it is only 126 characters long."""
+    e, _ = make_engine()
+    assert e.set("é" * 125, b"v", 1)  # exactly 250 bytes
+    assert e.get("é" * 125).value == b"v"
+    for op in (lambda k: e.set(k, b"v", 1), e.get, e.delete, lambda k: e.get_multi(["ok", k])):
+        with pytest.raises(McError):
+            op("é" * 126)
+    # The slab chunk is charged the key's bytes too.
+    assert e._total_size("é" * 125, 1) == e._total_size("e" * 250, 1)
+
+
 def test_value_size_limit_1mb():
     """§2.2 / §4.3.1: 1 MB ceiling on stored data elements."""
     e, _ = make_engine(64 * MiB)
