@@ -9,7 +9,7 @@ delivery exist for (ROADMAP open item 1: million-user scenarios).
 
 Three timer-storm variants run per client point:
 
-* **heap** — per-visit pooled timeouts on the default binary-heap
+* **heap** — one schedule entry per visit on the default binary-heap
   scheduler: the first speed tier, and the baseline.
 * **calendar** — the *identical* workload on the calendar-queue
   backend.  Same simulated trajectory event for event (the run asserts
@@ -120,7 +120,7 @@ def _launch(sim: Simulator, station: FifoStation, gid: int, batched: bool) -> No
             if remaining:
                 take = BURST if remaining >= BURST else remaining
                 remaining -= take
-                station.run_batch([service] * take).callbacks.append(fire)
+                sim.at(station.run_batch([service] * take)).callbacks.append(fire)
 
     else:
 
@@ -128,7 +128,7 @@ def _launch(sim: Simulator, station: FifoStation, gid: int, batched: bool) -> No
             nonlocal remaining
             if remaining:
                 remaining -= 1
-                station.run(service).callbacks.append(fire)
+                sim.at(station.run(service)).callbacks.append(fire)
 
     kick = sim.timeout((gid % 101) * 1e-6)
     kick.callbacks.append(fire)

@@ -8,7 +8,7 @@ to each node and moves messages through five FIFO stations::
 
 Each hop is an analytic :class:`~repro.sim.station.FifoStation`
 reservation chained through the message's in-flight time, so a complete
-one-way transfer costs a *single* heap event.  Contention (many clients
+one-way transfer costs a *single* schedule entry.  Contention (many clients
 hammering one server NIC) emerges from the rx station's queue.
 
 The fabric models a full-bisection switch (true of the paper's single
@@ -18,7 +18,8 @@ IB switch): only end-host NICs and CPUs are capacity-limited.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from heapq import heapreplace
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.sim.events import Event
 from repro.sim.station import FifoStation
@@ -168,16 +169,25 @@ class Network:
     # -- data movement ---------------------------------------------------
     def delivery_time(self, src: Node, dst: Node, size: int) -> float:
         """Reserve all stations for one message; return absolute delivery
-        time.  Raises :class:`NetworkError` if either endpoint is dead."""
+        time.  Raises :class:`NetworkError` if either endpoint is dead.
+
+        The four visits are :meth:`FifoStation.reserve` written out in
+        line, each arriving when the one before it lets go (``reserve``
+        is the specification; ``tests/net/test_one_pass_hop.py`` holds
+        this pass to it).  A NIC serialiser has one server, so its free
+        heap is a plain cell.
+        """
         if not src.alive:
             raise NetworkError(f"source {src.name} is down")
         if not dst.alive:
             raise NetworkError(f"destination {dst.name} is down")
+        if size < 0:
+            raise ValueError("negative message size")
         p = self.transport
         nics = self._nics
         try:
-            src_nic = nics[src.name]
-            dst_nic = nics[dst.name]
+            tx = nics[src.name].tx
+            rx = nics[dst.name].rx
         except KeyError as e:
             raise NetworkError(f"{e.args[0]} not attached to {self.name}") from None
 
@@ -188,19 +198,72 @@ class Network:
             wire += self._extra_wire(src, dst)
         copy_cost = p.cpu_per_byte * size
         ser = size / p.bandwidth
-        t = self.sim._now
+        now = self.sim._now
+
         # Sender host CPU (protocol + copy for non-RDMA transports).
-        _, t = src.cpu.reserve(p.cpu_send + copy_cost, arrival=t)
+        cpu = src.cpu
+        service = p.cpu_send + copy_cost
+        free_heap = cpu._free
+        free = free_heap[0]
+        start = free if free > now else now
+        t = start + service
+        if cpu.servers == 1:
+            free_heap[0] = t
+        else:
+            heapreplace(free_heap, t)
+        if t > cpu._latest_free:
+            cpu._latest_free = t
+        cpu.busy_time += service
+        cpu.jobs += 1
+        if cpu._track_waits:
+            cpu.wait_stats.add(start - now)
+
         # Sender NIC serialisation.
-        tx_start, tx_end = src_nic.tx.reserve(ser, arrival=t)
+        free = tx._free[0]
+        tx_start = free if free > t else t
+        tx_end = tx_start + ser
+        tx._free[0] = tx_end
+        if tx_end > tx._latest_free:
+            tx._latest_free = tx_end
+        tx.busy_time += ser
+        tx.jobs += 1
+        if tx._track_waits:
+            tx.wait_stats.add(tx_start - t)
+
         # Cut-through: the receiver NIC starts taking bytes one wire
         # latency after the first byte leaves, and finishes no earlier
         # than one wire latency after the last byte leaves.
-        _, rx_end = dst_nic.rx.reserve(ser, arrival=tx_start + wire)
+        arrival = tx_start + wire
+        free = rx._free[0]
+        start = free if free > arrival else arrival
+        rx_end = start + ser
+        rx._free[0] = rx_end
+        if rx_end > rx._latest_free:
+            rx._latest_free = rx_end
+        rx.busy_time += ser
+        rx.jobs += 1
+        if rx._track_waits:
+            rx.wait_stats.add(start - arrival)
         tx_end += wire
-        t = tx_end if tx_end > rx_end else rx_end
+        arrival = tx_end if tx_end > rx_end else rx_end
+
         # Receiver host CPU.
-        _, t = dst.cpu.reserve(p.cpu_recv + copy_cost, arrival=t)
+        cpu = dst.cpu
+        service = p.cpu_recv + copy_cost
+        free_heap = cpu._free
+        free = free_heap[0]
+        start = free if free > arrival else arrival
+        t = start + service
+        if cpu.servers == 1:
+            free_heap[0] = t
+        else:
+            heapreplace(free_heap, t)
+        if t > cpu._latest_free:
+            cpu._latest_free = t
+        cpu.busy_time += service
+        cpu.jobs += 1
+        if cpu._track_waits:
+            cpu.wait_stats.add(start - arrival)
 
         values = self.stats.values
         if "messages" in values:
@@ -297,14 +360,12 @@ class Network:
         values["batches"] = values.get("batches", 0) + 1
         return t
 
-    def transfer_batch(self, src: Node, dst: Node, sizes) -> Event:
-        """One-way message burst: the event fires when the last byte of
-        the **last** message lands in the receiver's memory, and the
-        whole burst costs a single schedule entry and a single wakeup.
+    def transfer_batch(self, src: Node, dst: Node, sizes) -> Union[float, Event]:
+        """One-way message burst: returns the absolute time the last
+        byte of the **last** message lands in the receiver's memory, and
+        the whole burst costs a single schedule entry and a single wakeup.
 
-        ``yield net.transfer_batch(a, b, [nbytes, ...])``.  The
-        returned timeout is recycled through the simulator's pool:
-        yield it immediately and do not retain it past its firing.
+        ``yield net.transfer_batch(a, b, [nbytes, ...])``.
 
         Failure semantics match :meth:`transfer`, applied burst-wide: a
         dead destination (or a loss draw on a degraded link) fails the
@@ -317,7 +378,7 @@ class Network:
         if not src.alive:
             raise NetworkError(f"source {src.name} is down")
         if not sizes:
-            return sim.pooled_timeout(0.0)
+            return sim._now
         if not dst.alive:
             return self._undeliverable(
                 src, dst, sizes[0], f"destination {dst.name} is down"
@@ -328,17 +389,16 @@ class Network:
                 src, dst, sizes[0], f"message {src.name} -> {dst.name} lost"
             )
         t = self.delivery_time_batch(src, dst, sizes)
-        return sim.pooled_timeout(t - sim._now)
+        now = sim._now
+        return now + (t - now)
 
-    def transfer(self, src: Node, dst: Node, size: int) -> Event:
-        """One-way message: event fires when the last byte lands in the
-        receiver's memory.  ``yield net.transfer(a, b, nbytes)``.
-
-        The returned timeout is recycled through the simulator's pool:
-        yield it immediately and do not retain it past its firing.
+    def transfer(self, src: Node, dst: Node, size: int) -> Union[float, Event]:
+        """One-way message: returns the absolute time the last byte
+        lands in the receiver's memory, for the calling process to
+        yield.  ``yield net.transfer(a, b, nbytes)``.
 
         A dead *destination* (or a message lost on a degraded link) does
-        not raise here: the returned event **fails** with
+        not raise here: what is returned is an event that **fails** with
         :class:`NetworkError` only after the one-way traversal has been
         charged, so failure timing is physical.  A dead *source* still
         raises synchronously — the sender knows its own state.
@@ -356,7 +416,9 @@ class Network:
                 src, dst, size, f"message {src.name} -> {dst.name} lost"
             )
         t = self.delivery_time(src, dst, size)
-        return sim.pooled_timeout(t - sim._now)
+        # Not `t`: see `FifoStation.run`.
+        now = sim._now
+        return now + (t - now)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Network {self.name} ({self.transport.name}) nodes={len(self._nics)}>"

@@ -46,6 +46,12 @@ class TransportProfile:
     #: Host CPU time per payload byte (copy cost; 0 for RDMA zero-copy).
     cpu_per_byte: float
 
+    def __post_init__(self) -> None:
+        # Checked once here, so the fabric's per-message pass need not.
+        costs = (self.wire_latency, self.cpu_send, self.cpu_recv, self.cpu_per_byte)
+        if min(costs) < 0 or self.bandwidth <= 0:
+            raise ValueError(f"transport {self.name!r}: negative cost or no bandwidth")
+
     def host_cost(self, size: int, *, send: bool) -> float:
         """Host CPU seconds charged for a message of *size* bytes."""
         fixed = self.cpu_send if send else self.cpu_recv

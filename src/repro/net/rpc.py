@@ -288,8 +288,8 @@ class Endpoint:
         endpoint to *dst* share one ``transfer_batch`` request burst.
 
         The first caller at a given instant opens a *coalescing window*
-        and parks on a zero-delay timeout; every other call to the same
-        destination issued before that timeout fires (i.e. within the
+        and yields ``sim.now``; every other call to the same
+        destination issued before that wake fires (i.e. within the
         same sim instant) appends its request frame to the burst and
         parks on a per-call event.  The window leader then charges one
         batched five-station request chain for the whole burst and
@@ -327,7 +327,7 @@ class Endpoint:
         waiters: list[Event] = []
         self._pending[dst] = (sizes, waiters)
         # Hold the window open for the remainder of this sim instant.
-        yield sim.pooled_timeout(0.0)
+        yield sim.now
         del self._pending[dst]
         if not waiters:
             return False

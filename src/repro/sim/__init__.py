@@ -1,7 +1,7 @@
 """A from-scratch deterministic discrete-event simulation engine.
 
 Processes are generators yielding :class:`~repro.sim.events.Event`
-objects; the :class:`~repro.sim.core.Simulator` owns the clock and the
+objects or absolute wake times (floats); the :class:`~repro.sim.core.Simulator` owns the clock and the
 event heap.  Resources, stores and sync primitives cover the queueing
 patterns needed to model clusters: serialised devices, mailboxes,
 barriers.
@@ -16,7 +16,6 @@ from repro.sim.events import (
     Condition,
     ConditionValue,
     Event,
-    PooledTimeout,
     Timeout,
 )
 from repro.sim.monitor import Metrics, Tracer
@@ -34,7 +33,6 @@ __all__ = [
     "resolve_scheduler",
     "Event",
     "Timeout",
-    "PooledTimeout",
     "Condition",
     "ConditionValue",
     "AllOf",

@@ -3,7 +3,8 @@
 Two scheduler backends sit behind the same :class:`Simulator` API:
 
 * ``"heap"`` (default) — one global binary heap of
-  ``(time, priority, seq, event)`` entries; fastest at small scale.
+  ``(time, priority, seq, event, runner)`` entries; fastest at small
+  scale.
 * ``"calendar"`` — a bucketed calendar queue with a spill heap for
   far-future events (:mod:`repro.sim.calendar`); O(1) inserts and
   near-O(1) pops for the short-delay timeout traffic that dominates
@@ -20,6 +21,7 @@ import os
 from functools import partial
 from heapq import heappop, heappush
 from itertools import repeat
+from math import inf
 from typing import Any, Iterable, Optional, Union
 
 from repro.sim.calendar import CalendarQueue
@@ -30,11 +32,10 @@ from repro.sim.events import (
     Event,
     NORMAL,
     PENDING,
-    PooledTimeout,
     STOP,
     Timeout,
 )
-from repro.sim.process import Join, Process, ProcessGenerator
+from repro.sim.process import Join, NO_EVENT, Process, ProcessGenerator
 
 #: Recognised scheduler backend names.
 SCHEDULERS = ("heap", "calendar")
@@ -74,21 +75,17 @@ class Simulator:
     1.0
     """
 
-    #: Cap on the recycled-timeout free list: a one-off burst of pooled
-    #: timeouts (a stampede, a fan-out) must not pin thousands of dead
-    #: event objects for the rest of the run.  Steady-state reuse needs
-    #: only about one pooled event per concurrently-waiting process.
-    TIMEOUT_POOL_MAX = 1024
-
     def __init__(
         self,
         initial_time: float = 0.0,
         scheduler: Union[str, CalendarQueue, None] = None,
     ) -> None:
         self._now = float(initial_time)
-        self._heap: list[tuple[float, int, int, Event]] = []
+        #: Schedule entries are ``(time, priority, seq, event, None)``
+        #: for an event and ``(time, NORMAL, seq, None, runner)`` for a
+        #: timed wake (a process that yielded a float).
+        self._heap: list[tuple] = []
         #: Calendar-queue backend, or ``None`` for the default heap.
-        #: Hot paths branch on this once and never consult ``scheduler``.
         self._calendar: Optional[CalendarQueue]
         if isinstance(scheduler, CalendarQueue):
             self._calendar = scheduler
@@ -98,15 +95,16 @@ class Simulator:
             self._calendar = (
                 CalendarQueue() if self.scheduler == "calendar" else None
             )
+        cal = self._calendar
+        #: The backend's insert, bound once: every scheduling site calls
+        #: this and none asks which backend is underneath.
+        self._push = partial(heappush, self._heap) if cal is None else cal.push
         self._seq = 0
         #: Monotone process counter; gives every Process a stable per-sim
         #: serial so observers (the span tracer) can key per-process
         #: state deterministically across runs.
         self._proc_seq = 0
         self._active_process: Process | None = None
-        #: Free list of processed :class:`PooledTimeout` events; the run
-        #: loop refills it, :meth:`pooled_timeout` drains it.
-        self._timeout_pool: list[PooledTimeout] = []
         #: Whether analytic stations should accumulate per-visit wait
         #: statistics.  Observability bundles flip this on when a tracer
         #: or sampler is attached; unobserved experiment runs skip the
@@ -136,29 +134,19 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def pooled_timeout(self, delay: float) -> Timeout:
-        """A recycled valueless timeout for internal one-shot waits.
+    def at(self, when: float) -> Event:
+        """An event that fires (value ``None``) at absolute time *when*.
 
-        Semantically ``timeout(delay)``, but the event object is reused
-        once processed (see :class:`PooledTimeout`).  Callers must yield
-        it immediately and never retain it past its firing; *delay* is
-        trusted to be non-negative.
+        For callers outside a process, which cannot yield the float
+        that :meth:`FifoStation.run` and :meth:`Network.transfer`
+        return: ``sim.at(station.run(cost)).callbacks.append(fn)``.
         """
-        pool = self._timeout_pool
-        if pool:
-            ev = pool.pop()
-            ev.callbacks = []
-            ev._value = None
-            ev.delay = delay
-            self._seq += 1
-            entry = (self._now + delay, NORMAL, self._seq, ev)
-            cal = self._calendar
-            if cal is None:
-                heappush(self._heap, entry)
-            else:
-                cal.push(entry)
-            return ev
-        return PooledTimeout(self, delay)
+        if not self._now <= when < inf:
+            raise ValueError(f"when={when!r} is not in [now={self._now!r}, inf)")
+        event = Event(self)
+        event._value = None
+        self._schedule(event, at=when)
+        return event
 
     def process(self, generator: ProcessGenerator, name: str | None = None) -> Process:
         return Process(self, generator, name=name)
@@ -191,24 +179,22 @@ class Simulator:
         *,
         at: float | None = None,
     ) -> None:
-        """Schedule *event*; every schedule entry's sequence number is
-        minted here.  ``at`` pins an exact absolute timestamp
+        """Schedule *event*; every event entry's sequence number is
+        minted here (a timed wake's is minted in ``_Runner._resume``).
+        ``at`` pins an exact absolute timestamp
         (``now + delay`` is not float-exact when ``delay`` was derived
         from ``at - now``).
         """
         self._seq += 1
-        entry = (self._now + delay if at is None else at, priority, self._seq, event)
-        cal = self._calendar
-        if cal is None:
-            heappush(self._heap, entry)
-        else:
-            cal.push(entry)
+        self._push(
+            (self._now + delay if at is None else at, priority, self._seq, event, None)
+        )
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` if none)."""
         cal = self._calendar
         if cal is None:
-            return self._heap[0][0] if self._heap else float("inf")
+            return self._heap[0][0] if self._heap else inf
         return cal.peek_time()
 
     def _run_loop(self, limit: int = -1) -> int:
@@ -233,27 +219,27 @@ class Simulator:
             pop = partial(heappop, self._heap)
         else:
             pop = cal.pop
-        pool = self._timeout_pool
-        pool_max = self.TIMEOUT_POOL_MAX
-        pooled_cls = PooledTimeout
+        no_event = NO_EVENT
         processed = 0
         # `repeat` is a C-level iterator: the bounded/unbounded budget
         # costs nothing per iteration, unlike an int countdown.
         for _ in repeat(None) if limit < 0 else repeat(None, limit):
             try:
-                when, _, _, event = pop()
+                when, _, seq, event, runner = pop()
             except IndexError:
                 break
             processed += 1
             self._now = when
+            if event is None:
+                # A timed wake.  One whose runner was interrupted since
+                # is stale: its time passes and nobody is resumed.
+                if runner._wake == seq:
+                    runner._resume(no_event)
+                continue
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)
-            if event._ok:
-                if event.__class__ is pooled_cls:
-                    if len(pool) < pool_max:
-                        pool.append(event)
-            elif not event._defused:
+            if not event._ok and not event._defused:
                 # Nobody handled the failure: surface it.
                 raise event._value
         return processed

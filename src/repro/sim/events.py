@@ -126,22 +126,6 @@ class Timeout(Event):
         sim._schedule(self, NORMAL, delay)
 
 
-class PooledTimeout(Timeout):
-    """A :class:`Timeout` recycled through the simulator's free list.
-
-    The run loop returns every processed ``PooledTimeout`` to
-    ``Simulator._timeout_pool``, where :meth:`Simulator.pooled_timeout`
-    re-arms it instead of allocating a fresh event.  That makes it
-    strictly single-use from the caller's perspective: yield it once
-    and drop it.  Holding a reference past its firing reads whatever
-    the *next* reservation wrote into it.  Internal fast paths
-    (:meth:`FifoStation.run`, :meth:`Network.transfer`) honour this;
-    user code should keep calling :meth:`Simulator.timeout`.
-    """
-
-    __slots__ = ()
-
-
 class Condition(Event):
     """An event that triggers from the states of a set of sub-events.
 

@@ -2,9 +2,11 @@
 
 A process is a Python generator that ``yield``\\ s :class:`Event` objects;
 the engine resumes it with the event's value (or throws the event's
-exception) when the event is processed.  The :class:`Process` wrapper is
-itself an event that fires when the generator returns, so processes can
-wait on each other.
+exception) when the event is processed.  It may also yield a float: the
+absolute simulated time at which to resume it, with ``None`` — a timed
+wait that costs a schedule entry and nothing else (DESIGN §7).  The
+:class:`Process` wrapper is itself an event that fires when the
+generator returns, so processes can wait on each other.
 
 A :class:`Join` (``Simulator.gather``) is the fork-join form for
 short-lived children: each child runs as a :class:`Strand` — the same
@@ -14,15 +16,16 @@ the call and reports to the join instead of owning schedule entries.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Iterable
+from math import inf
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Union
 
 from repro.sim.errors import Interrupt, SimulationError
-from repro.sim.events import Event, PENDING, URGENT
+from repro.sim.events import Event, NORMAL, PENDING, URGENT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
 
-ProcessGenerator = Generator[Event, Any, Any]
+ProcessGenerator = Generator[Union[Event, float], Any, Any]
 
 
 class Initialize(Event):
@@ -38,18 +41,30 @@ class Initialize(Event):
         sim._schedule(self, URGENT)
 
 
+class _NoEvent:
+    """What a resume that no event caused receives — a strand's start,
+    a timed wake: valueless and ok, like a processed :class:`Timeout`."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+NO_EVENT = _NoEvent()
+
+
 class _Runner:
     """Drives one generator: the resume loop :class:`Process` and
     :class:`Strand` share.  The subclass supplies ``succeed``/``fail``
     (what the generator's return or exception turns into) and the
-    ``sim``/``_generator``/``_target``/``name`` attributes."""
+    ``sim``/``_generator``/``_target``/``_wake``/``name`` attributes."""
 
     __slots__ = ()
 
     def _resume(self, event: Event) -> None:
-        # The engine's hottest code path: every event delivery to every
-        # process lands here.  The generator's bound methods and our own
-        # resume callback are hoisted into locals once per delivery.
+        # The engine's hottest code path: every event delivery and every
+        # timed wake lands here.  The generator's bound methods are
+        # hoisted into locals once per delivery.
         sim = self.sim
         sim._active_process = self
         gen = self._generator
@@ -58,11 +73,11 @@ class _Runner:
             while True:
                 try:
                     if event._ok:
-                        next_event = send(event._value)
+                        yielded = send(event._value)
                     else:
                         # The process handles (or not) the failure itself.
                         event._defused = True
-                        next_event = gen.throw(event._value)
+                        yielded = gen.throw(event._value)
                 except StopIteration as stop:
                     self.succeed(stop.value)
                     break
@@ -70,26 +85,36 @@ class _Runner:
                     self.fail(exc)
                     break
 
-                if not isinstance(next_event, Event):
-                    exc = SimulationError(
-                        f"process {self.name!r} yielded a non-event: {next_event!r}"
-                    )
-                    try:
-                        gen.throw(exc)
-                    except StopIteration as stop:
-                        self.succeed(stop.value)
-                    except BaseException as e:
-                        self.fail(e)
-                    break
-
-                callbacks = next_event.callbacks
-                if callbacks is not None:
-                    # Pending or triggered-but-unprocessed: wait for it.
-                    callbacks.append(self._resume)
-                    self._target = next_event
-                    break
-                # Already processed: continue immediately with its value.
-                event = next_event
+                if yielded.__class__ is float:
+                    # A timed wait.  Its entry's seq is minted here, the
+                    # first thing to happen after the yield, so the wake
+                    # orders among events as a `Timeout` made at the yield
+                    # would; the seq is also the token `_run_loop` matches
+                    # to tell a live wake from one an interrupt made stale.
+                    if sim._now <= yielded < inf:
+                        sim._seq = self._wake = seq = sim._seq + 1
+                        sim._push((yielded, NORMAL, seq, None, self))
+                        self._target = None
+                        break
+                    problem = f"a wake time outside [now={sim._now!r}, inf)"
+                elif isinstance(yielded, Event):
+                    callbacks = yielded.callbacks
+                    if callbacks is not None:
+                        # Pending or triggered-but-unprocessed: wait for it.
+                        callbacks.append(self._resume)
+                        self._target = yielded
+                        break
+                    # Already processed: continue immediately with its value.
+                    event = yielded
+                    continue
+                else:
+                    problem = "a non-event"
+                # Thrown into the process on the next turn of the loop.
+                event = Event(sim)
+                event._ok = False
+                event._value = SimulationError(
+                    f"process {self.name!r} yielded {problem}: {yielded!r}"
+                )
         finally:
             sim._active_process = None
 
@@ -97,7 +122,7 @@ class _Runner:
 class Process(_Runner, Event):
     """A running simulation process; also an event (fires on return)."""
 
-    __slots__ = ("_generator", "_target", "name", "serial", "parent")
+    __slots__ = ("_generator", "_target", "_wake", "name", "serial", "parent")
 
     def __init__(
         self, sim: "Simulator", generator: ProcessGenerator, name: str | None = None
@@ -107,6 +132,8 @@ class Process(_Runner, Event):
         super().__init__(sim)
         self._generator = generator
         self._target: Event | None = Initialize(sim, self)
+        #: Seq of the timed wake this process sleeps on (0: none live).
+        self._wake = 0
         self.name = name or getattr(generator, "__name__", "process")
         sim._proc_seq += 1
         #: Per-sim creation serial (deterministic across identical runs).
@@ -123,7 +150,8 @@ class Process(_Runner, Event):
 
     @property
     def target(self) -> Event | None:
-        """The event this process currently waits on (None if running)."""
+        """The event this process is parked on; ``None`` while it sleeps
+        on a timed wait (a yielded float), which has no event."""
         return self._target
 
     def interrupt(self, cause: Any = None) -> None:
@@ -149,7 +177,9 @@ class Process(_Runner, Event):
             return  # terminated before the interrupt was delivered
         # Detach from the event we were waiting on, then resume with the
         # failure.  The original event may still fire later; the process
-        # simply no longer listens to it.
+        # simply no longer listens to it.  A timed wake cannot be taken
+        # off the schedule: clearing the token makes it stale instead.
+        self._wake = 0
         if (
             self._target is not None
             and self._target.callbacks is not None
@@ -163,18 +193,6 @@ class Process(_Runner, Event):
         return f"<Process {self.name} ({state})>"
 
 
-class _Start:
-    """What a strand's first resume receives: the (valueless, ok)
-    :class:`Initialize` event it does not have."""
-
-    __slots__ = ()
-    _ok = True
-    _value = None
-
-
-_START = _Start()
-
-
 class Strand(_Runner):
     """One child of a :class:`Join`.
 
@@ -184,7 +202,9 @@ class Strand(_Runner):
     the join.
     """
 
-    __slots__ = ("sim", "_generator", "_target", "name", "serial", "parent", "_join", "_index")
+    __slots__ = (
+        "sim", "_generator", "_target", "_wake", "name", "serial", "parent", "_join", "_index",
+    )
 
     def __init__(
         self,
@@ -200,13 +220,14 @@ class Strand(_Runner):
         self.sim = sim
         self._generator = generator
         self._target: Event | None = None
+        self._wake = 0
         self.name = name
         sim._proc_seq += 1
         self.serial = sim._proc_seq
         self.parent = parent
         self._join = join
         self._index = index
-        self._resume(_START)
+        self._resume(NO_EVENT)
 
     def succeed(self, value: Any) -> None:
         join = self._join

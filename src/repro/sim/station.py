@@ -19,10 +19,10 @@ busy time — aggregate latency/throughput statistics are unaffected.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapreplace
 from typing import TYPE_CHECKING
 
-from repro.sim.events import Event, NORMAL, PooledTimeout, Timeout
+from repro.sim.events import Event
 from repro.util.stats import OnlineStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,7 +43,6 @@ class FifoStation:
         "wait_stats",
         "_track_waits",
         "_created_at",
-        "_cal_push",
     )
 
     def __init__(self, sim: "Simulator", servers: int = 1, name: str = "") -> None:
@@ -52,12 +51,6 @@ class FifoStation:
         self.sim = sim
         self.name = name
         self.servers = servers
-        # Scheduler-backend insert for the fused fast path below: None
-        # means "push straight onto sim._heap"; otherwise the calendar
-        # queue's bound push.  The backend is fixed at Simulator
-        # construction, so caching here is safe.
-        cal = getattr(sim, "_calendar", None)
-        self._cal_push = None if cal is None else cal.push
         # Earliest-free-server heap; server assignment by earliest free
         # time is exact for FIFO multi-server queues.
         self._free = [0.0] * servers
@@ -86,17 +79,16 @@ class FifoStation:
         if arrival is None:
             arrival = self.sim._now
         free_heap = self._free
+        # The earliest-free server takes the job.  `_free[0]` is the heap
+        # minimum, so one `heapreplace` is the pop-then-push of the same
+        # server; with one server the heap is a plain cell.
+        free = free_heap[0]
+        start = free if free > arrival else arrival
+        end = start + service
         if self.servers == 1:
-            # Single-server fast path: the one-entry "heap" is a plain cell.
-            free = free_heap[0]
-            start = free if free > arrival else arrival
-            end = start + service
             free_heap[0] = end
         else:
-            free = heappop(free_heap)
-            start = free if free > arrival else arrival
-            end = start + service
-            heappush(free_heap, end)
+            heapreplace(free_heap, end)
         if end > self._latest_free:
             self._latest_free = end
         self.busy_time += service
@@ -105,55 +97,38 @@ class FifoStation:
             self.wait_stats.add(start - arrival)
         return start, end
 
-    def run(self, service: float) -> Timeout:
-        """Reserve and return a timeout that fires at completion.
+    def run(self, service: float) -> float:
+        """Reserve and return the absolute completion time.
 
-        ``yield station.run(cost)`` is the one-event replacement for the
-        request/timeout/release pattern.  The returned timeout is drawn
-        from the simulator's recycling pool: yield it immediately and do
-        not retain it past its firing.
+        ``yield station.run(cost)`` is the one-entry replacement for the
+        request/timeout/release pattern: a process that yields a float
+        sleeps until that time.  Outside a process, wrap it:
+        ``sim.at(station.run(cost))`` is an event.
 
-        This is :meth:`reserve` plus :meth:`Simulator.pooled_timeout`
-        fused into one call — the kernel's single hottest entry point.
+        This is :meth:`reserve` from now, inlined — the kernel's single
+        hottest entry point.
         """
         if service < 0:
             raise ValueError(f"negative service time: {service}")
-        sim = self.sim
-        arrival = sim._now
+        arrival = self.sim._now
         free_heap = self._free
+        free = free_heap[0]
+        start = free if free > arrival else arrival
+        end = start + service
         if self.servers == 1:
-            free = free_heap[0]
-            start = free if free > arrival else arrival
-            end = start + service
             free_heap[0] = end
         else:
-            free = heappop(free_heap)
-            start = free if free > arrival else arrival
-            end = start + service
-            heappush(free_heap, end)
+            heapreplace(free_heap, end)
         if end > self._latest_free:
             self._latest_free = end
         self.busy_time += service
         self.jobs += 1
         if self._track_waits:
             self.wait_stats.add(start - arrival)
-        # Inlined sim.pooled_timeout(end - arrival); `arrival + delay`
-        # (not `end`) preserves the seed's float arithmetic exactly.
-        delay = end - arrival
-        pool = sim._timeout_pool
-        if pool:
-            ev = pool.pop()
-            ev.callbacks = []
-            ev.delay = delay
-            sim._seq += 1
-            entry = (arrival + delay, NORMAL, sim._seq, ev)
-            push = self._cal_push
-            if push is None:
-                heappush(sim._heap, entry)
-            else:
-                push(entry)
-            return ev
-        return PooledTimeout(sim, delay)
+        # Not `end`: a completion is a delay from now, as
+        # `sim.timeout(end - now)` would schedule it, and
+        # `now + (end - now)` can differ from `end` in the last bit.
+        return arrival + (end - arrival)
 
     def reserve_batch(
         self, services, arrival: float | None = None
@@ -195,10 +170,10 @@ class FifoStation:
             for service in services:
                 if service < 0:
                     raise ValueError(f"negative service time in batch: {services}")
-                free = heappop(free_heap)
+                free = free_heap[0]
                 start = free if free > arrival else arrival
                 visit_end = start + service
-                heappush(free_heap, visit_end)
+                heapreplace(free_heap, visit_end)
                 total += service
                 if first_start is None or start < first_start:
                     first_start = start
@@ -214,35 +189,17 @@ class FifoStation:
                 self.wait_stats.add(wait)
         return first_start, end
 
-    def run_batch(self, services) -> Timeout:
-        """Reserve a burst of visits and return **one** timeout that
-        fires when the last visit completes.
+    def run_batch(self, services) -> float:
+        """Reserve a burst of visits and return the absolute time the
+        last one completes.
 
         ``yield station.run_batch(costs)`` retires the whole burst with
         a single schedule entry and a single process wakeup, instead of
-        the per-visit timeout of ``for c in costs: yield
-        station.run(c)``.  The returned timeout is drawn from the
-        simulator's recycling pool: yield it immediately and do not
-        retain it past its firing.
+        the per-visit entry of ``for c in costs: yield station.run(c)``.
         """
-        sim = self.sim
-        arrival = sim._now
+        arrival = self.sim._now
         _, end = self.reserve_batch(services, arrival)
-        delay = end - arrival
-        pool = sim._timeout_pool
-        if pool:
-            ev = pool.pop()
-            ev.callbacks = []
-            ev.delay = delay
-            sim._seq += 1
-            entry = (arrival + delay, NORMAL, sim._seq, ev)
-            push = self._cal_push
-            if push is None:
-                heappush(sim._heap, entry)
-            else:
-                push(entry)
-            return ev
-        return PooledTimeout(sim, delay)
+        return arrival + (end - arrival)
 
     def next_free(self) -> float:
         """Earliest time a server becomes available."""
@@ -278,8 +235,8 @@ class BatchGate:
 
     Callers that reach the gate within one sim instant are retired as a
     single :meth:`FifoStation.run_batch` burst instead of one
-    :meth:`FifoStation.run` timeout each: the first caller opens a
-    window, parks on a zero-delay timeout, and — once every other
+    :meth:`FifoStation.run` wake each: the first caller opens a
+    window, yields ``sim.now``, and — once every other
     same-instant caller has appended its cost — charges the whole burst
     in one vectored reservation with one wakeup, then releases the
     riders.  Aggregate busy time and job counts on the station are
@@ -319,7 +276,7 @@ class BatchGate:
         waiters: list[Event] = []
         self._pending = (costs, waiters)
         # Hold the window open for the remainder of this sim instant.
-        yield sim.pooled_timeout(0.0)
+        yield sim.now
         self._pending = None
         if not waiters:
             self.solo += 1

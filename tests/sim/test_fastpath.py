@@ -1,86 +1,62 @@
-"""Tests for the kernel fast path: timeout pooling, station O(1)
-queries, STOP-priority run-until markers, and wait-stats gating."""
+"""Tests for the kernel fast path: timed waits (a process yields a
+float), station O(1) queries, STOP-priority run-until markers, and
+wait-stats gating."""
 
 import pytest
 
-from repro.sim import FifoStation, PooledTimeout, Simulator
+from repro.sim import FifoStation, Simulator
 from repro.sim.events import NORMAL, STOP, URGENT
 
 
 # --------------------------------------------------------------------------- #
-# timeout pooling
+# timed waits (two test ids keep the name of the pooled timeout the float
+# form replaced: the ids are pinned in the suite's floor list)
 # --------------------------------------------------------------------------- #
 def test_pooled_timeout_fires_like_a_timeout():
     sim = Simulator()
     seen = []
 
     def proc():
-        yield sim.pooled_timeout(1.5)
-        seen.append(sim.now)
-        yield sim.pooled_timeout(0.5)
-        seen.append(sim.now)
+        got = yield sim.now + 1.5
+        seen.append((sim.now, got))
+        got = yield sim.now + 0.5
+        seen.append((sim.now, got))
 
     sim.process(proc())
     sim.run()
-    assert seen == [1.5, 2.0]
+    assert seen == [(1.5, None), (2.0, None)]
 
 
-def test_pooled_timeout_objects_are_recycled():
-    sim = Simulator()
-    ids = []
-
-    def proc():
-        for _ in range(5):
-            ev = sim.pooled_timeout(1.0)
-            ids.append(id(ev))
-            yield ev
-
-    sim.process(proc())
-    sim.run()
-    # An event returns to the pool after its callbacks run, so a process
-    # re-yielding immediately alternates between two recycled objects.
-    assert len(set(ids)) == 2
-    assert len(sim._timeout_pool) == 2
-
-
-def test_plain_timeouts_are_never_pooled():
-    sim = Simulator()
-
-    def proc():
-        yield sim.timeout(1.0)
-        yield sim.timeout(1.0)
-
-    sim.process(proc())
-    sim.run()
-    assert sim._timeout_pool == []
-
-
-def test_station_run_draws_from_the_pool():
+def test_station_run_returns_its_completion_time():
     sim = Simulator()
     st = FifoStation(sim)
 
     def proc():
-        ev = st.run(1.0)
-        assert isinstance(ev, PooledTimeout)
-        yield ev
+        done = st.run(1.0)
+        assert done == 1.0 and type(done) is float
+        yield done
         yield st.run(1.0)
 
     sim.process(proc())
     sim.run()
     assert sim.now == 2.0
-    assert len(sim._timeout_pool) == 2
+    # Outside a process the same number becomes an event.
+    fired = []
+    sim.at(st.run(1.0)).callbacks.append(lambda ev: fired.append(sim.now))
+    sim.run()
+    assert fired == [3.0]
 
 
 def test_pooling_preserves_fifo_ordering_of_simultaneous_events():
-    # Two processes hammering pooled timeouts with identical delays must
-    # resume in scheduling order, exactly as with fresh Timeout objects.
-    def trace(factory):
+    # Two processes sleeping to identical instants must resume in
+    # scheduling order, exactly as with fresh Timeout objects.
+    def trace(wait):
         sim = Simulator()
         order = []
 
         def proc(tag):
             for i in range(4):
-                yield factory(sim)(0.25)
+                yield wait(sim, 0.25)
                 order.append((tag, sim.now))
 
         sim.process(proc("a"))
@@ -88,9 +64,9 @@ def test_pooling_preserves_fifo_ordering_of_simultaneous_events():
         sim.run()
         return order
 
-    pooled = trace(lambda sim: sim.pooled_timeout)
-    plain = trace(lambda sim: sim.timeout)
-    assert pooled == plain
+    woken = trace(lambda sim, delay: sim.now + delay)
+    plain = trace(lambda sim, delay: sim.timeout(delay))
+    assert woken == plain
 
 
 # --------------------------------------------------------------------------- #
