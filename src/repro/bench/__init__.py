@@ -21,8 +21,8 @@ same baseline/check plumbing gates both suites.
 
 ``repro bench --suite scale`` (:mod:`repro.bench.scale`) measures the
 kernel under large pending-event populations: 1k/10k/100k timer-storm
-clients, A/B across the heap and calendar scheduler backends plus the
-batched tier2 variant, as ops/sec in ``BENCH_scale.json`` with a
+clients, one schedule entry per visit (heap) against the batched,
+sharded tier2 variant, as ops/sec in ``BENCH_scale.json`` with a
 ``speedup_vs_heap`` section.
 
 The workloads are frozen: any change to their shape invalidates the

@@ -4,31 +4,28 @@ Where :mod:`repro.bench.kernel` times small fixed workloads, this suite
 measures how the kernel holds up as the *pending-event population*
 grows: 1k/10k/100k simulated clients, each holding exactly one
 outstanding timer at all times, hammering per-group NIC serialisers.
-That is the regime the calendar-queue scheduler and batched event
-delivery exist for (ROADMAP open item 1: million-user scenarios).
+That is the regime batched event delivery exists for (ROADMAP open
+item 1: million-user scenarios).
 
-Three timer-storm variants run per client point:
+Two timer-storm variants run per client point:
 
-* **heap** — one schedule entry per visit on the default binary-heap
-  scheduler: the first speed tier, and the baseline.
-* **calendar** — the *identical* workload on the calendar-queue
-  backend.  Same simulated trajectory event for event (the run asserts
-  the event counts match); only wall-clock differs.
-* **tier2** — the second speed tier: calendar backend **plus** batched
-  delivery (each client retires its op burst as one
+* **heap** — one schedule entry per visit: the first speed tier, and
+  the baseline.
+* **tier2** — the second speed tier: batched delivery (each client
+  retires its op burst as one
   :meth:`~repro.sim.station.FifoStation.run_batch` wakeup) **plus**
   group-sharded execution via :mod:`repro.harness.sharding`.  Same
   simulated work (identical visit count and per-burst completion
   times), an order of magnitude fewer scheduler events.
 
 The metric is **ops/sec**: simulated station visits retired per
-wall-clock second.  All variants retire the same visit count, so the
+wall-clock second.  Both variants retire the same visit count, so the
 ``speedup_vs_heap`` section compares like with like; scheduled-event
 counts are recorded per result as ``events_per_run``.
 
 Clients are desynchronised arithmetically (no RNG): service demand and
-start stagger derive from the global client id, so every variant,
-backend, and shard count sees the same per-client parameters.
+start stagger derive from the global client id, so both variants and
+every shard count see the same per-client parameters.
 
 On top of the timer storm, the **end-to-end** points drive the real
 IMCa stack — FUSE client → CMCache → memcached client → RPC endpoint
@@ -59,7 +56,7 @@ from typing import Optional
 
 from repro.bench.kernel import BenchResult, _git_sha, _machine_info, _median
 from repro.harness.sharding import plan_shards, run_sharded
-from repro.sim.core import SCHEDULERS, Simulator
+from repro.sim.core import Simulator
 from repro.sim.station import FifoStation
 from repro.sim.sync import Barrier
 from repro.workloads.base import drive
@@ -134,12 +131,12 @@ def _launch(sim: Simulator, station: FifoStation, gid: int, batched: bool) -> No
     kick.callbacks.append(fire)
 
 
-def _storm_shard(spec, backend: str, batched: bool) -> dict:
+def _storm_shard(spec, batched: bool) -> dict:
     """One shard of the timer storm: simulate a contiguous range of
     client *groups* (``spec`` ids are group ids — the independent unit)
     to completion and return summable metrics.
     """
-    sim = Simulator(scheduler=backend)
+    sim = Simulator()
     sim.track_station_waits = False
     for g in range(spec.client_lo, spec.client_hi):
         station = FifoStation(sim, name=f"nic{g}")
@@ -156,13 +153,11 @@ def _storm_shard(spec, backend: str, batched: bool) -> dict:
     }
 
 
-def _storm_run(
-    clients: int, backend: str, batched: bool, shards: int
-) -> tuple[dict, float]:
+def _storm_run(clients: int, batched: bool, shards: int) -> tuple[dict, float]:
     """Run one client point once; returns (merged metrics, seconds)."""
     specs = plan_shards(clients // GROUP_SIZE, shards)
     t0 = time.perf_counter()
-    merged = run_sharded(_storm_shard, specs, backend, batched)
+    merged = run_sharded(_storm_shard, specs, batched)
     elapsed = time.perf_counter() - t0
     if merged["ops"] != clients * OPS_PER_CLIENT:
         raise RuntimeError(
@@ -188,7 +183,6 @@ def _e2e_cell(fastpath: bool) -> tuple[int, int, int]:
             num_clients=1,
             num_mcds=1,
             mcd_memory=E2E_MCD_MEMORY,
-            scheduler="calendar",
             imca=IMCaConfig(fastpath=fastpath),
         )
     )
@@ -272,61 +266,36 @@ def _bench_point(name: str, run_once, rounds: int) -> BenchResult:
 
 
 def run_scale_benchmarks(
-    quick: bool = False,
-    rounds: Optional[int] = None,
-    scheduler: Optional[str] = None,
-    shards: int = 1,
+    quick: bool = False, rounds: Optional[int] = None, shards: int = 1
 ) -> dict:
     """Run the scale suite; report shape matches the kernel suite so the
     same baseline/check plumbing applies.
 
-    ``scheduler`` restricts the A/B: ``"heap"`` runs only the baseline
-    variant, ``"calendar"`` only the calendar and tier2 variants,
-    ``None`` runs all three.  ``shards`` is the shard count for the
-    tier2 variant (wall-clock parallelism additionally needs an active
+    ``shards`` is the shard count for the tier2 and end-to-end variants
+    (wall-clock parallelism additionally needs an active
     :func:`~repro.harness.parallel.job_pool`; without one the shards
     run inline, which still exercises the deterministic merge).
     """
-    if scheduler is not None and scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {scheduler!r}; have {SCHEDULERS}")
     k = rounds if rounds is not None else (QUICK_ROUNDS if quick else DEFAULT_ROUNDS)
     points = QUICK_POINTS if quick else CLIENT_POINTS
     results: list[BenchResult] = []
     for clients in points:
-        per_point: dict[str, BenchResult] = {}
-        if scheduler in (None, "heap"):
-            per_point["heap"] = _bench_point(
+        results.append(
+            _bench_point(
                 f"scale_{_label(clients)}_heap",
-                lambda c=clients: _storm_run(c, "heap", False, 1),
+                lambda c=clients: _storm_run(c, False, 1),
                 k,
             )
-        if scheduler in (None, "calendar"):
-            per_point["calendar"] = _bench_point(
-                f"scale_{_label(clients)}_calendar",
-                lambda c=clients: _storm_run(c, "calendar", False, 1),
-                k,
-            )
-            per_point["tier2"] = _bench_point(
+        )
+        results.append(
+            _bench_point(
                 f"scale_{_label(clients)}_tier2",
-                lambda c=clients: _storm_run(c, "calendar", True, shards),
+                lambda c=clients: _storm_run(c, True, shards),
                 k,
             )
-        heap_r, cal_r = per_point.get("heap"), per_point.get("calendar")
-        if heap_r and cal_r and heap_r.events_per_run != cal_r.events_per_run:
-            # The backends must replay the identical trajectory; a count
-            # drift means the calendar queue mis-ordered something.
-            raise RuntimeError(
-                f"backend divergence at {clients} clients: heap scheduled "
-                f"{heap_r.events_per_run} events, calendar {cal_r.events_per_run}"
-            )
-        results.extend(per_point.values())
+        )
 
-    # End-to-end points ride the calendar backend (the production speed
-    # tier), so a heap-restricted A/B skips them.
-    e2e_points = (E2E_QUICK_POINTS if quick else E2E_POINTS) if scheduler in (
-        None,
-        "calendar",
-    ) else ()
+    e2e_points = E2E_QUICK_POINTS if quick else E2E_POINTS
     for clients in e2e_points:
         results.append(
             _bench_point(
@@ -355,28 +324,19 @@ def run_scale_benchmarks(
         "shards": shards,
         "results": {r.name: r.to_dict() for r in results},
     }
-    speedup: dict[str, dict[str, float]] = {}
-    for clients in points:
-        base = report["results"].get(f"scale_{_label(clients)}_heap")
-        if not base or not base["median"]:
-            continue
-        per = {}
-        for variant in ("calendar", "tier2"):
-            doc = report["results"].get(f"scale_{_label(clients)}_{variant}")
-            if doc:
-                per[variant] = doc["median"] / base["median"]
-        if per:
-            speedup[f"scale_{_label(clients)}"] = per
-    if speedup:
-        report["speedup_vs_heap"] = speedup
-    e2e_speedup: dict[str, dict[str, float]] = {}
-    for clients in e2e_points:
-        base = report["results"].get(f"scale_{_label(clients)}_e2e_scalar")
-        fast = report["results"].get(f"scale_{_label(clients)}_e2e_fastpath")
-        if base and fast and base["median"]:
-            e2e_speedup[f"scale_{_label(clients)}"] = {
-                "fastpath": fast["median"] / base["median"]
-            }
-    if e2e_speedup:
-        report["speedup_e2e"] = e2e_speedup
+    medians = {r.name: r.median for r in results}
+    report["speedup_vs_heap"] = {
+        f"scale_{_label(c)}": {
+            "tier2": medians[f"scale_{_label(c)}_tier2"]
+            / medians[f"scale_{_label(c)}_heap"]
+        }
+        for c in points
+    }
+    report["speedup_e2e"] = {
+        f"scale_{_label(c)}": {
+            "fastpath": medians[f"scale_{_label(c)}_e2e_fastpath"]
+            / medians[f"scale_{_label(c)}_e2e_scalar"]
+        }
+        for c in e2e_points
+    }
     return report

@@ -304,10 +304,7 @@ def cmd_bench(args) -> int:
     def run_suite():
         if args.suite == "scale":
             return run_scale_benchmarks(
-                quick=args.quick,
-                rounds=args.rounds,
-                scheduler=args.scheduler,
-                shards=args.shards,
+                quick=args.quick, rounds=args.rounds, shards=args.shards
             )
         if args.suite == "e2e":
             return run_e2e_benchmarks(quick=args.quick, rounds=args.rounds)
@@ -346,16 +343,15 @@ def cmd_bench(args) -> int:
         if committed is None:
             print(f"error: no committed report at {args.out}", file=sys.stderr)
             return 2
-        # Quick/restricted runs measure a subset of the committed suite
-        # (only the 1k point, only one backend): absent results are
-        # expected there, not regressions.
-        subset = args.quick or args.scheduler is not None
+        # A quick run measures a subset of the committed suite (only
+        # the 1k point): absent results are expected there, not
+        # regressions.
         failures = check_against_baseline(
             report,
             committed,
             tolerance=args.tolerance,
             suite=args.suite,
-            missing_ok=subset,
+            missing_ok=args.quick,
         )
         for name, doc in report["results"].items():
             print(f"{name:<20} {doc['median']:.0f} {doc['metric']}")
@@ -607,13 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=["kernel", "e2e", "scale"], default="kernel",
         help="'kernel' times the bare DES kernel (events/sec); 'e2e' "
         "drives fixed fop sequences through a full testbed (ops/sec); "
-        "'scale' storms 1k/10k/100k timer clients per scheduler backend "
-        "(ops/sec)",
-    )
-    bench.add_argument(
-        "--scheduler", choices=["heap", "calendar"], default=None,
-        help="restrict the scale suite's A/B to one scheduler backend "
-        "(default: benchmark both plus the batched tier2 variant)",
+        "'scale' storms 1k/10k/100k timer clients, one schedule entry "
+        "per visit and batched+sharded (ops/sec)",
     )
     bench.add_argument(
         "--shards", type=int, default=1, metavar="N",

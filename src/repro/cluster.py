@@ -66,8 +66,6 @@ class ResilienceConfig:
     mcd_timeout: float = 2e-3
     #: Retries after the first MCD attempt.
     mcd_retries: int = 1
-    #: Retry budget for brick fops (must ride out a server flap).
-    server_retries: int = 10
     backoff: float = 2e-4
     backoff_factor: float = 2.0
     max_backoff: float = 5e-3
@@ -75,15 +73,14 @@ class ResilienceConfig:
     # -- MCD health tracking ------------------------------------------------
     eject_after: int = 2
     cooldown: float = 0.02
-    purge_on_rejoin: bool = True
     #: Master seed for jitter and message-loss streams.
     seed: int = 0xFA17
 
     def __post_init__(self) -> None:
         if self.mcd_timeout <= 0:
             raise ValueError("mcd_timeout must be > 0")
-        if min(self.mcd_retries, self.server_retries) < 0:
-            raise ValueError("retry counts must be >= 0")
+        if self.mcd_retries < 0:
+            raise ValueError("mcd_retries must be >= 0")
 
 
 @dataclass
@@ -94,19 +91,12 @@ class TestbedConfig:
     transport: str = "ipoib"
     #: Cores per node (§5.1: 8-core Clovertown).
     cores: int = 8
-    #: DES scheduler backend: "heap", "calendar", or ``None`` to defer
-    #: to the ``REPRO_SCHEDULER`` environment override (default heap).
-    #: Either backend produces byte-identical results; "calendar" is
-    #: faster at large client counts (see DESIGN §12).
-    scheduler: Optional[str] = None
 
     # -- file server ------------------------------------------------------
     #: Server page-cache budget (8 GB nodes; ~6 GB usable for cache).
     server_cache_bytes: int = 6 * GiB
     #: RAID members at the GlusterFS/NFS server (§5.1: 8 disks).
     raid_disks: int = 8
-    #: glusterfsd io-thread count.
-    io_threads: int = 2
     #: GlusterFS bricks (1 in the paper; >1 exercises distribute).
     num_bricks: int = 1
 
@@ -134,10 +124,6 @@ class TestbedConfig:
     #: Data servers (1DS / 4DS in §5).
     num_data_servers: int = 1
     stripe_size: int = 1 * MiB
-    #: Per-client Lustre cache budget.
-    lustre_client_cache: int = 1 * GiB
-    ost_cache_bytes: int = 6 * GiB
-    ost_disks: int = 2
 
     def __post_init__(self) -> None:
         if self.num_clients < 1:
@@ -342,6 +328,11 @@ class GlusterTestbed:
         return reg
 
 
+#: Retry budget for brick fops under a :class:`ResilienceConfig` (must
+#: ride out a server flap).
+SERVER_RETRIES = 10
+
+
 def build_gluster_testbed(
     cfg: Optional[TestbedConfig] = None, obs: Optional[Observability] = None
 ) -> GlusterTestbed:
@@ -352,7 +343,7 @@ def build_gluster_testbed(
     """
     cfg = cfg or TestbedConfig()
     obs = obs or Observability()
-    sim = Simulator(scheduler=cfg.scheduler)
+    sim = Simulator()
     obs.bind(sim)
     tracer = obs.tracer
     reg = obs.registry
@@ -375,7 +366,6 @@ def build_gluster_testbed(
         mcd_health = HealthPolicy(
             eject_after=res.eject_after,
             cooldown=res.cooldown,
-            purge_on_rejoin=res.purge_on_rejoin,
             retry=RetryPolicy(
                 timeout=res.mcd_timeout,
                 max_retries=res.mcd_retries,
@@ -390,7 +380,7 @@ def build_gluster_testbed(
         # tens of milliseconds, and a dead brick fails fast at the
         # fabric anyway.  The retry loop is what rides out a flap.
         server_retry = RetryPolicy(
-            max_retries=res.server_retries,
+            max_retries=SERVER_RETRIES,
             backoff=res.backoff,
             backoff_factor=res.backoff_factor,
             max_backoff=res.max_backoff,
@@ -477,8 +467,7 @@ def build_gluster_testbed(
             server_xlators.append(smcache)
         servers.append(
             GlusterServer(
-                sim, net, snode, fs, server_xlators,
-                io_threads=cfg.io_threads, tracer=tracer, fastpath=fastpath,
+                sim, net, snode, fs, server_xlators, tracer=tracer, fastpath=fastpath
             )
         )
         smcaches.append(smcache)
@@ -545,12 +534,19 @@ class LustreTestbed:
     obs: Observability = field(default_factory=Observability)
 
 
+#: Lustre node sizing: per-client cache budget, and each data server's
+#: page cache and disk count.
+LUSTRE_CLIENT_CACHE = 1 * GiB
+OST_CACHE_BYTES = 6 * GiB
+OST_DISKS = 2
+
+
 def build_lustre_testbed(
     cfg: Optional[TestbedConfig] = None, obs: Optional[Observability] = None
 ) -> LustreTestbed:
     cfg = cfg or TestbedConfig()
     obs = obs or Observability()
-    sim = Simulator(scheduler=cfg.scheduler)
+    sim = Simulator()
     obs.bind(sim)
     tracer = obs.tracer
     net = Network(sim, profile(cfg.transport))
@@ -564,8 +560,8 @@ def build_lustre_testbed(
     for i in range(cfg.num_data_servers):
         onode = Node(sim, f"ost{i}", cores=cfg.cores)
         ofs = _make_fs(
-            sim, cfg, f"ost{i}", disks=cfg.ost_disks,
-            cache_bytes=cfg.ost_cache_bytes, tracer=tracer,
+            sim, cfg, f"ost{i}", disks=OST_DISKS,
+            cache_bytes=OST_CACHE_BYTES, tracer=tracer,
         )
         osts.append(ObjectServer(sim, net, onode, ofs, index=i))
 
@@ -574,7 +570,7 @@ def build_lustre_testbed(
         cnode = Node(sim, f"client{i}", cores=cfg.cores)
         ep = Endpoint(net, cnode, tracer=tracer)
         clients.append(
-            LustreClient(sim, cnode, ep, mds, osts, cache_bytes=cfg.lustre_client_cache)
+            LustreClient(sim, cnode, ep, mds, osts, cache_bytes=LUSTRE_CLIENT_CACHE)
         )
     return LustreTestbed(sim, net, cfg, mds, osts, clients, obs)
 
@@ -599,7 +595,7 @@ def build_nfs_testbed(
 ) -> NFSTestbed:
     cfg = cfg or TestbedConfig()
     obs = obs or Observability()
-    sim = Simulator(scheduler=cfg.scheduler)
+    sim = Simulator()
     obs.bind(sim)
     tracer = obs.tracer
     net = Network(sim, profile(cfg.transport))

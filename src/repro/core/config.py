@@ -28,9 +28,6 @@ class IMCaConfig:
     #: thread instead of the request's critical path (§4.3.2, Fig 6(c)).
     threaded_updates: bool = False
 
-    #: How many update threads drain the queue in threaded mode.
-    update_threads: int = 2
-
     #: Serve stat from the MCDs (§4.2).
     cache_stat: bool = True
 

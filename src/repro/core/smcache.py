@@ -41,6 +41,9 @@ from repro.sim.store import Store
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
 
+#: Update threads draining the queue under ``threaded_updates``.
+UPDATE_THREADS = 2
+
 
 class SMCacheXlator(Xlator):
     """Server-side IMCa translator."""
@@ -67,7 +70,7 @@ class SMCacheXlator(Xlator):
         self._queue: Optional[Store] = None
         if self.config.threaded_updates:
             self._queue = Store(sim)
-            for i in range(max(1, self.config.update_threads)):
+            for i in range(UPDATE_THREADS):
                 sim.process(self._update_worker(), name=f"smcache-updater{i}")
 
     # -- update thread ---------------------------------------------------------

@@ -58,14 +58,13 @@ class HealthPolicy:
 
     ``retry`` (optional) adds per-call deadlines/backoff to every MCD
     RPC; ejection counts a call as one error after its retries are
-    exhausted.  ``purge_on_rejoin`` is the coherence guarantee: the
-    probe that readmits a server first wipes it, forcing cold-start
-    semantics even when the daemon recovered with its memory intact.
+    exhausted.  The probe that readmits a server always wipes it first
+    (the coherence guarantee): cold-start semantics even when the
+    daemon recovered with its memory intact.
     """
 
     eject_after: int = 3
     cooldown: float = 0.02
-    purge_on_rejoin: bool = True
     retry: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
@@ -335,7 +334,7 @@ class MemcacheClient:
         h = self._health_at(idx)
         h.probing = True
         try:
-            if policy.purge_on_rejoin and op != "flush_all":
+            if op != "flush_all":
                 try:
                     yield from self.endpoint.call_retry(
                         server.node,

@@ -7,8 +7,7 @@ patterns needed to model clusters: serialised devices, mailboxes,
 barriers.
 """
 
-from repro.sim.calendar import CalendarQueue
-from repro.sim.core import SCHEDULERS, Simulator, resolve_scheduler
+from repro.sim.core import Simulator
 from repro.sim.errors import EmptySchedule, Interrupt, SimulationError, StopSimulation
 from repro.sim.events import (
     AllOf,
@@ -28,9 +27,6 @@ from repro.sim.sync import Barrier, CountdownLatch, Lock
 
 __all__ = [
     "Simulator",
-    "CalendarQueue",
-    "SCHEDULERS",
-    "resolve_scheduler",
     "Event",
     "Timeout",
     "Condition",

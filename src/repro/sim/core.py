@@ -1,30 +1,18 @@
 """The discrete-event simulator core: clock, scheduler, and run loop.
 
-Two scheduler backends sit behind the same :class:`Simulator` API:
-
-* ``"heap"`` (default) — one global binary heap of
-  ``(time, priority, seq, event, runner)`` entries; fastest at small
-  scale.
-* ``"calendar"`` — a bucketed calendar queue with a spill heap for
-  far-future events (:mod:`repro.sim.calendar`); O(1) inserts and
-  near-O(1) pops for the short-delay timeout traffic that dominates
-  large client populations.
-
-Both backends pop entries in the identical strict total order (``seq``
-is unique), so a run is byte-identical regardless of backend; choose by
-wall-clock profile, never by semantics.
+The schedule is one binary heap of ``(time, priority, seq, event,
+runner)`` entries.  ``seq`` is unique, so entries pop in a strict total
+order and a run is exactly reproducible.
 """
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from heapq import heappop, heappush
 from itertools import repeat
 from math import inf
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.errors import EmptySchedule, StopSimulation
 from repro.sim.events import (
     AllOf,
@@ -36,24 +24,6 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Join, NO_EVENT, Process, ProcessGenerator
-
-#: Recognised scheduler backend names.
-SCHEDULERS = ("heap", "calendar")
-
-#: Environment override consulted when ``Simulator(scheduler=None)``:
-#: lets a whole test/experiment run A/B the backends without threading
-#: a parameter through every call site (worker processes inherit it).
-SCHEDULER_ENV = "REPRO_SCHEDULER"
-
-
-def resolve_scheduler(name: Optional[str]) -> str:
-    """Normalise a scheduler choice: ``None`` falls back to the
-    ``REPRO_SCHEDULER`` environment variable, then to ``"heap"``."""
-    if name is None:
-        name = os.environ.get(SCHEDULER_ENV) or "heap"
-    if name not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {name!r}; have {SCHEDULERS}")
-    return name
 
 
 class Simulator:
@@ -75,30 +45,14 @@ class Simulator:
     1.0
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        scheduler: Union[str, CalendarQueue, None] = None,
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         #: Schedule entries are ``(time, priority, seq, event, None)``
         #: for an event and ``(time, NORMAL, seq, None, runner)`` for a
         #: timed wake (a process that yielded a float).
         self._heap: list[tuple] = []
-        #: Calendar-queue backend, or ``None`` for the default heap.
-        self._calendar: Optional[CalendarQueue]
-        if isinstance(scheduler, CalendarQueue):
-            self._calendar = scheduler
-            self.scheduler = "calendar"
-        else:
-            self.scheduler = resolve_scheduler(scheduler)
-            self._calendar = (
-                CalendarQueue() if self.scheduler == "calendar" else None
-            )
-        cal = self._calendar
-        #: The backend's insert, bound once: every scheduling site calls
-        #: this and none asks which backend is underneath.
-        self._push = partial(heappush, self._heap) if cal is None else cal.push
+        #: The heap's insert, bound once for every scheduling site.
+        self._push = partial(heappush, self._heap)
         self._seq = 0
         #: Monotone process counter; gives every Process a stable per-sim
         #: serial so observers (the span tracer) can key per-process
@@ -123,9 +77,8 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of scheduled-but-unprocessed events (either backend)."""
-        cal = self._calendar
-        return len(self._heap) if cal is None else len(cal)
+        """Number of scheduled-but-unprocessed events."""
+        return len(self._heap)
 
     # -- event factories --------------------------------------------------
     def event(self) -> Event:
@@ -192,10 +145,7 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` if none)."""
-        cal = self._calendar
-        if cal is None:
-            return self._heap[0][0] if self._heap else inf
-        return cal.peek_time()
+        return self._heap[0][0] if self._heap else inf
 
     def _run_loop(self, limit: int = -1) -> int:
         """Pop and dispatch events until the schedule empties or *limit*
@@ -203,22 +153,17 @@ class Simulator:
 
         This is the **only** event-processing path in the engine:
         :meth:`run` calls it unbounded, :meth:`step` calls it with
-        ``limit=1``, so the two cannot drift as the scheduler backend
-        becomes pluggable.  Returns the number of events processed.
+        ``limit=1``, so the two cannot drift.  Returns the number of
+        events processed.
 
         The loop is the kernel's hottest code; everything it touches is
-        bound to locals once.  Both backends surface exhaustion as
-        ``IndexError`` from *pop*, which is caught *around the pop
-        alone* — an ``IndexError`` escaping a user callback still
-        propagates.
+        bound to locals once.  An empty heap surfaces as ``IndexError``
+        from *pop*, which is caught *around the pop alone* — an
+        ``IndexError`` escaping a user callback still propagates.
         """
-        cal = self._calendar
-        if cal is None:
-            # `partial` binds the heap at C level: per-pop cost is
-            # indistinguishable from an inline `heappop(self._heap)`.
-            pop = partial(heappop, self._heap)
-        else:
-            pop = cal.pop
+        # `partial` binds the heap at C level: per-pop cost is
+        # indistinguishable from an inline `heappop(self._heap)`.
+        pop = partial(heappop, self._heap)
         no_event = NO_EVENT
         processed = 0
         # `repeat` is a C-level iterator: the bounded/unbounded budget
@@ -289,7 +234,4 @@ class Simulator:
         raise StopSimulation(event._value)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<Simulator t={self._now:.9f} pending={self.pending} "
-            f"scheduler={self.scheduler}>"
-        )
+        return f"<Simulator t={self._now:.9f} pending={self.pending}>"

@@ -112,7 +112,7 @@ def test_scale_storm_shards_merge_deterministically():
 
     totals = []
     for shards in (1, 4):
-        merged = run_sharded(_storm_shard, plan_shards(20, shards), "heap", False)
+        merged = run_sharded(_storm_shard, plan_shards(20, shards), False)
         totals.append((merged["clients"], merged["ops"], merged["events"]))
         assert merged["clients"] == 20 * GROUP_SIZE
         assert merged["ops"] == 20 * GROUP_SIZE * OPS_PER_CLIENT

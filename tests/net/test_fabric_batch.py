@@ -102,28 +102,6 @@ def test_transfer_batch_failure_semantics():
         net.transfer_batch(a, b, [64, -1])
 
 
-def test_transfer_batch_matches_across_scheduler_backends():
-    def run(scheduler):
-        sim = Simulator(scheduler=scheduler)
-        net = Network(sim, IPOIB)
-        a, b = Node(sim, "a"), Node(sim, "b")
-        net.attach(a)
-        net.attach(b)
-        log = []
-
-        def sender(k):
-            for _ in range(5):
-                yield net.transfer_batch(a, b, [1024, 2048])
-                log.append((k, sim.now))
-
-        for k in range(4):
-            sim.process(sender(k))
-        sim.run()
-        return log, sim._seq, sim.now
-
-    assert run("heap") == run("calendar")
-
-
 def test_zero_size_messages_in_batch_conserve_busy_time():
     """Zero-byte messages are legal burst members: no serialisation or
     copy cost, but protocol CPU and wire latency are still paid, and

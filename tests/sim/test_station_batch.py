@@ -102,25 +102,6 @@ def test_run_batch_wait_stats_record_burst_wait():
     assert st.wait_stats.mean == pytest.approx((0.0 + 5e-6 + 5e-6) / 3)
 
 
-def test_run_batch_matches_across_scheduler_backends():
-    def run(scheduler):
-        sim = Simulator(scheduler=scheduler)
-        st = FifoStation(sim, servers=2)
-        log = []
-
-        def worker(k):
-            for burst in ([1e-6] * 4, [2e-6, 3e-6]):
-                yield st.run_batch(burst)
-                log.append((k, sim.now))
-
-        for k in range(8):
-            sim.process(worker(k))
-        sim.run()
-        return log, sim._seq, sim.now
-
-    assert run("heap") == run("calendar")
-
-
 def test_single_item_batch_is_equivalent_to_scalar():
     """A burst of one books exactly the scalar reservation: identical
     slot, busy time, job count, and wait sample."""

@@ -4,10 +4,9 @@ time at which to resume it.
 The contract is that such a wait is indistinguishable, from inside the
 simulation, from ``yield sim.timeout(delay)``: same resume instants,
 same ``_seq`` minted at the same point, same order among same-instant
-wakes and events, on either scheduler backend.  These tests hold a
-float-yielding program to its timeout-yielding twin, then cover what
-only the float form has: the wake-time check and the stale wake an
-interrupt leaves behind.
+wakes and events.  These tests hold a float-yielding program to its
+timeout-yielding twin, then cover what only the float form has: the
+wake-time check and the stale wake an interrupt leaves behind.
 """
 
 import math
@@ -17,10 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Interrupt, SimulationError, Simulator
-from repro.sim.core import SCHEDULERS
 
 # Zero (same instant), values that tie with each other and with their
-# own sums, one far past the calendar's horizon.
+# own sums, one nine orders of magnitude further out.
 DELAYS = (0.0, 1e-7, 1e-6, 2e-6, 3e-6, 0.5, 1e3)
 
 #: ("sleep", d): the wait under test.  ("tick", d): a plain timeout in
@@ -30,10 +28,10 @@ steps = st.tuples(st.sampled_from(("sleep", "sleep", "tick", "fork")), st.sample
 programs = st.lists(st.lists(steps, min_size=1, max_size=8), min_size=1, max_size=6)
 
 
-def _trace(scheduler: str, program, as_float: bool):
+def _trace(program, as_float: bool):
     """Run *program*; every resume as (process, step, kind, now, seq,
     value received), then the final clock and seq."""
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     log = []
 
     def sleep(delay):
@@ -61,10 +59,8 @@ def _trace(scheduler: str, program, as_float: bool):
 
 @settings(max_examples=150, deadline=None)
 @given(programs)
-def test_float_waits_replay_their_timeout_twin_on_both_backends(program):
-    reference = _trace("heap", program, as_float=False)
-    for scheduler in SCHEDULERS:
-        assert _trace(scheduler, program, as_float=True) == reference
+def test_float_waits_replay_their_timeout_twin(program):
+    assert _trace(program, as_float=True) == _trace(program, as_float=False)
 
 
 def test_a_wait_costs_exactly_one_seq_minted_when_the_float_is_yielded():
@@ -99,10 +95,9 @@ def test_at_is_an_event_at_an_absolute_time():
 # --------------------------------------------------------------------------- #
 # the wake-time check
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
-def test_bad_wake_time_is_thrown_into_the_process(scheduler, bad):
-    sim = Simulator(scheduler=scheduler)
+def test_bad_wake_time_is_thrown_into_the_process(bad):
+    sim = Simulator()
     caught = []
     resumed = []
 
@@ -158,10 +153,10 @@ def test_only_a_float_is_a_wake_time():
 # --------------------------------------------------------------------------- #
 # interrupting a sleeper: the wake it leaves behind is stale
 # --------------------------------------------------------------------------- #
-def _interrupted_sleeper(scheduler: str, after, as_float: bool):
+def _interrupted_sleeper(after, as_float: bool):
     """A sleeper bound for t=10 is interrupted at t=1, then sleeps the
     delays in *after*.  Returns (resume log, final now, final seq)."""
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     log = []
 
     def sleep(delay):
@@ -192,7 +187,6 @@ def _interrupted_sleeper(scheduler: str, after, as_float: bool):
     return log, sim.now, sim._seq
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
 @pytest.mark.parametrize(
     "after, slept",
     [
@@ -206,12 +200,12 @@ def _interrupted_sleeper(scheduler: str, after, as_float: bool):
         pytest.param((9.0,), [10.0], id="sleep-again-same-instant"),
     ],
 )
-def test_stale_wake_never_resumes_an_interrupted_sleeper(scheduler, after, slept):
-    log, now, seq = _interrupted_sleeper(scheduler, after, as_float=True)
+def test_stale_wake_never_resumes_an_interrupted_sleeper(after, slept):
+    log, now, seq = _interrupted_sleeper(after, as_float=True)
     assert log == [("interrupted", 1.0, "up")] + [("slept", t, None) for t in slept]
     # The stale entry's time still passes, as an orphaned timeout's would.
     assert now == max([10.0] + slept)
-    assert (log, now, seq) == _interrupted_sleeper("heap", after, as_float=False)
+    assert (log, now, seq) == _interrupted_sleeper(after, as_float=False)
 
 
 def test_target_is_the_event_while_parked_on_one():

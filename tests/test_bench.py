@@ -152,7 +152,6 @@ def test_scale_report_schema(quick_scale_report):
     results = report["results"]
     assert set(results) == {
         "scale_1k_heap",
-        "scale_1k_calendar",
         "scale_1k_tier2",
         "scale_1k_e2e_scalar",
         "scale_1k_e2e_fastpath",
@@ -161,11 +160,6 @@ def test_scale_report_schema(quick_scale_report):
         assert doc["metric"] == "ops_per_sec"
         assert doc["median"] > 0
         assert doc["events_per_run"] > 0
-    # Heap and calendar replayed the identical trajectory.
-    assert (
-        results["scale_1k_heap"]["events_per_run"]
-        == results["scale_1k_calendar"]["events_per_run"]
-    )
     # The batched tier schedules far fewer events for the same ops.
     assert (
         results["scale_1k_tier2"]["events_per_run"]
@@ -178,18 +172,9 @@ def test_scale_report_schema(quick_scale_report):
         < results["scale_1k_e2e_scalar"]["events_per_run"]
     )
     assert set(report["speedup_vs_heap"]) == {"scale_1k"}
-    assert set(report["speedup_vs_heap"]["scale_1k"]) == {"calendar", "tier2"}
+    assert set(report["speedup_vs_heap"]["scale_1k"]) == {"tier2"}
     assert set(report["speedup_e2e"]) == {"scale_1k"}
     assert report["speedup_e2e"]["scale_1k"]["fastpath"] > 0
-
-
-def test_scale_scheduler_restriction():
-    heap_only = run_scale_benchmarks(quick=True, rounds=1, scheduler="heap")
-    assert set(heap_only["results"]) == {"scale_1k_heap"}
-    assert "speedup_vs_heap" not in heap_only
-    assert "speedup_e2e" not in heap_only  # e2e rides the calendar tier
-    with pytest.raises(ValueError):
-        run_scale_benchmarks(quick=True, rounds=1, scheduler="splay")
 
 
 def test_e2e_merged_metrics_are_shard_invariant():
@@ -214,7 +199,7 @@ def test_e2e_merged_metrics_are_shard_invariant():
 
 def test_committed_scale_report_claims_the_required_speedup():
     """The repo's committed BENCH_scale.json must document the second
-    speed tier (>= 3x ops/sec over the heap backend at 100k clients)
+    speed tier (>= 3x ops/sec over one entry per visit at 100k clients)
     and the end-to-end fast path (>= 1.5x over the scalar op path at
     100k and 1M clients)."""
     import os
@@ -224,7 +209,7 @@ def test_committed_scale_report_claims_the_required_speedup():
     expected = {
         f"scale_{point}_{variant}"
         for point in ("1k", "10k", "100k")
-        for variant in ("heap", "calendar", "tier2")
+        for variant in ("heap", "tier2")
     } | {
         f"scale_{point}_e2e_{variant}"
         for point in ("100k", "1m")

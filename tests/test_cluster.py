@@ -143,20 +143,6 @@ def test_mcclient_stats_surface_replica_counters():
     assert snap["mcclient"]["counters"]["replica_writes"] > 0
 
 
-def test_scheduler_threads_through_every_builder(monkeypatch):
-    from repro.sim.core import SCHEDULER_ENV
-
-    monkeypatch.delenv(SCHEDULER_ENV, raising=False)
-    for build in (build_gluster_testbed, build_lustre_testbed, build_nfs_testbed):
-        cfg = TestbedConfig(num_clients=1, scheduler="calendar")
-        assert build(cfg).sim.scheduler == "calendar"
-        # Default defers to the environment, which defaults to heap.
-        assert build(TestbedConfig(num_clients=1)).sim.scheduler == "heap"
-    monkeypatch.setenv(SCHEDULER_ENV, "calendar")
-    tb = build_gluster_testbed(TestbedConfig(num_clients=1))
-    assert tb.sim.scheduler == "calendar"
-
-
 def test_elastic_config_validation():
     with pytest.raises(ValueError):
         TestbedConfig(num_mcds=0, elastic=True)  # nothing to resize
