@@ -12,7 +12,8 @@ Every experiment in the harness builds one of these testbeds from a
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 from repro.core.cmcache import CMCacheXlator
 from repro.core.config import IMCaConfig
@@ -113,12 +114,6 @@ class TestbedConfig:
     #: Failure handling (timeouts/retries/health tracking); ``None``
     #: keeps the historical fail-fast behaviour byte-identically.
     resilience: Optional[ResilienceConfig] = None
-    #: Live MCD membership: clients consult a mutable member set, and an
-    #: :class:`~repro.memcached.membership.ElasticController` can
-    #: add/drain/remove daemons mid-run (``mcd-add``/``mcd-drain``/
-    #: ``mcd-remove`` fault events).  ``False`` freezes the array as a
-    #: plain list, byte-identically to the historical paths.
-    elastic: bool = False
 
     # -- Lustre ------------------------------------------------------------------
     #: Data servers (1DS / 4DS in §5).
@@ -139,14 +134,6 @@ class TestbedConfig:
             raise ValueError(
                 f"imca.replicas={self.imca.replicas} exceeds num_mcds={self.num_mcds}"
             )
-        if self.elastic:
-            if self.num_mcds < 1:
-                raise ValueError("elastic membership needs num_mcds >= 1")
-            # Replication fixes R owners per key; elastic remapping would
-            # have to re-derive all R sets per window, which is not
-            # supported — one owner per key under elasticity.
-            if self.imca.replicas > 1:
-                raise ValueError("elastic membership requires imca.replicas == 1")
 
 
 def _make_fs(
@@ -180,9 +167,10 @@ class GlusterTestbed:
     obs: Observability = field(default_factory=Observability)
     #: Named random streams (only when ``config.resilience`` is set).
     streams: Optional[RandomStreams] = None
-    #: Live membership + resize controller (``config.elastic`` only).
-    membership: Optional["McdMembership"] = None
-    elastic: Optional["ElasticController"] = None
+    #: The MCD bank every cache client routes over (None: no MCDs).
+    membership: Optional[McdMembership] = None
+    #: Builds one more daemon like the bank's (node id -> daemon).
+    spawn_mcd: Optional[Callable[[int], MemcachedDaemon]] = None
     #: Per-client RPC endpoints (fabric + cache-bank), for fast-path
     #: attribution; empty unless the builder collected them.
     client_endpoints: list[Endpoint] = field(default_factory=list)
@@ -191,18 +179,43 @@ class GlusterTestbed:
     def server(self) -> GlusterServer:
         return self.servers[0]
 
+    @cached_property
+    def elastic(self) -> ElasticController:
+        """The resize controller (add/drain/remove daemons mid-run).
+
+        The bank is always resizable, but the controller — its
+        ``mcd-ops`` node, endpoint and ``elastic`` metrics component —
+        exists only once a membership change is asked for, so a run
+        that never resizes exports exactly what it always did."""
+        if self.membership is None:
+            raise ValueError("elastic membership needs num_mcds >= 1")
+        # Replication fixes R owners per key; elastic remapping would
+        # have to re-derive all R sets per window, which is not
+        # supported — one owner per key under elasticity.
+        if self.config.imca.replicas > 1:
+            raise ValueError("elastic membership requires imca.replicas == 1")
+        return ElasticController(
+            self.sim, self.membership, self.mcds[0].endpoint.net,
+            node_factory=self.spawn_mcd,
+            selector_name=self.config.imca.selector,
+            metrics=self.obs.registry.component("elastic"),
+            tracer=self.obs.tracer,
+        )
+
     def all_mcds(self) -> list[MemcachedDaemon]:
         """Every attached daemon — including ones added or detached
         mid-run — in stable node-id order."""
-        if self.membership is not None:
-            return [m.daemon for _, m in sorted(self.membership.members.items())]
-        return self.mcds
+        if self.membership is None:
+            return []
+        return [m.daemon for _, m in sorted(self.membership.members.items())]
 
     def arm_faults(self, schedule):
         """Arm a :class:`~repro.faults.schedule.FaultSchedule` against
         this testbed; returns the :class:`FaultInjector`."""
         from repro.faults.injector import FaultInjector
+        from repro.faults.schedule import MEMBERSHIP_KINDS
 
+        resizes = any(ev.kind in MEMBERSHIP_KINDS for ev in schedule)
         disks = []
         for s in self.servers:
             disks.extend(getattr(s.fs.device, "members", [s.fs.device]))
@@ -214,7 +227,7 @@ class GlusterTestbed:
             disks=disks,
             metrics=self.obs.registry.component("faults"),
             oplog=self.obs.oplog,
-            elastic=self.elastic,
+            elastic=self.elastic if resizes else None,
         )
         return injector.arm(schedule)
 
@@ -412,37 +425,17 @@ def build_gluster_testbed(
     # batch-admission gates together; off keeps every path byte-identical.
     fastpath = cfg.imca.fastpath
 
-    # MCD array.
-    mcds = [
-        MemcachedDaemon(
-            sim, cache_net, Node(sim, f"mcd{i}", cores=cfg.cores), cfg.mcd_memory,
-            tracer=tracer, tenancy_factory=tenancy_factory, fastpath=fastpath,
+    # MCD array, and the one membership every cache client routes over.
+    def spawn_mcd(node_id: int) -> MemcachedDaemon:
+        return MemcachedDaemon(
+            sim, cache_net, Node(sim, f"mcd{node_id}", cores=cfg.cores),
+            cfg.mcd_memory, tracer=tracer, tenancy_factory=tenancy_factory,
+            fastpath=fastpath,
         )
-        for i in range(cfg.num_mcds)
-    ]
+
+    mcds = [spawn_mcd(i) for i in range(cfg.num_mcds)]
     use_imca = bool(mcds)
-
-    # Live membership + resize controller (opt-in; clients built with
-    # membership=None keep the frozen-list legacy paths byte-identically).
-    membership: Optional[McdMembership] = None
-    elastic: Optional[ElasticController] = None
-    if cfg.elastic and use_imca:
-        membership = McdMembership(mcds)
-
-        def _spawn_mcd(node_id: int) -> MemcachedDaemon:
-            return MemcachedDaemon(
-                sim, cache_net, Node(sim, f"mcd{node_id}", cores=cfg.cores),
-                cfg.mcd_memory, tracer=tracer, tenancy_factory=tenancy_factory,
-                fastpath=fastpath,
-            )
-
-        elastic = ElasticController(
-            sim, membership, cache_net,
-            node_factory=_spawn_mcd,
-            selector_name=cfg.imca.selector,
-            metrics=reg.component("elastic"),
-            tracer=tracer,
-        )
+    membership = McdMembership(mcds) if use_imca else None
 
     # Brick servers (one in the paper's configuration).
     servers: list[GlusterServer] = []
@@ -508,7 +501,7 @@ def build_gluster_testbed(
 
     tb = GlusterTestbed(
         sim, net, cfg, servers, mcds, clients, cmcaches, smcaches, obs,
-        streams=streams, membership=membership, elastic=elastic,
+        streams=streams, membership=membership, spawn_mcd=spawn_mcd,
         client_endpoints=client_endpoints,
     )
     if obs.sample_interval:

@@ -217,7 +217,7 @@ class CMCacheXlator(Xlator):
     def _stat_scalar(self, path: str) -> Generator:
         """The tiered stat body (hot tier -> MCD array -> server)."""
         tr = self.tracer
-        key = self._keys.stat_key(path) if self.config.cache_stat else None
+        key = self._keys.stat_key(path)
         if key is not None:
             hot = self._hot_for(path)
             if hot is not None:
@@ -253,7 +253,7 @@ class CMCacheXlator(Xlator):
         request touching a short block must conservatively miss.
         """
         tr = self.tracer
-        if not self.config.cache_data or size <= 0:
+        if size <= 0:
             result = yield from self._down().read(path, offset, size)
             return result
         # Each covering block's offset is computed once: it names the
@@ -272,7 +272,7 @@ class CMCacheXlator(Xlator):
                 result = yield from self._down().read(path, offset, size)
                 return result
             keys.append(key)
-        skey = self._keys.stat_key(path) if self.config.cache_stat else None
+        skey = self._keys.stat_key(path)
 
         # ---- hot tier first: anything it holds skips the multi-get.
         hot = self._hot_for(path)

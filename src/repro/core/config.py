@@ -3,7 +3,10 @@
 Defaults follow the paper: 2 KiB blocks ("We use a block size of 2K for
 the remaining experiments", §5.3), CRC32 key->MCD distribution (§5.1),
 synchronous SMCache updates (threaded mode is the §5.3 write-latency
-optimisation), purge-on-open and discard-on-close (§4.3.2).
+optimisation).  What the paper does unconditionally is not a switch:
+stat and data are always cached (§4.2/§4.3), a file's blocks are purged
+on open and discarded on close (§4.3.2), its ``:stat`` entry is
+refreshed after every write, and entries carry no TTL (LRU only).
 """
 
 from __future__ import annotations
@@ -28,12 +31,6 @@ class IMCaConfig:
     #: thread instead of the request's critical path (§4.3.2, Fig 6(c)).
     threaded_updates: bool = False
 
-    #: Serve stat from the MCDs (§4.2).
-    cache_stat: bool = True
-
-    #: Serve reads from the MCDs (§4.3).
-    cache_data: bool = True
-
     #: Key->MCD distribution: "crc32" (libmemcache default), "modulo"
     #: (round-robin block striping, §5.5) or "ketama" (consistent
     #: hashing, the §7 future-work direction).
@@ -42,24 +39,9 @@ class IMCaConfig:
     #: Hot-key scale-out: store each key on this many distinct MCDs
     #: (primary from ``selector``, the rest via a ketama-ring walk).
     #: Reads spread over the replicas; writes and purges fan out to all
-    #: of them.  1 = the paper's unreplicated mapping, byte-identical
-    #: to the pre-replication code paths.
+    #: of them.  1 = the paper's unreplicated mapping: every key's
+    #: owner list is one daemon.
     replicas: int = 1
-
-    #: Purge a file's cached blocks when the server sees an Open (§4.3.2).
-    purge_on_open: bool = True
-
-    #: Discard a file's cached blocks when the server sees a Close (§4.3.2).
-    purge_on_close: bool = True
-
-    #: Refresh the ``:stat`` entry after writes so pollers (the §4.2
-    #: producer/consumer pattern) observe fresh mtimes.
-    update_stat_on_write: bool = True
-
-    #: TTLs for cached entries; 0 = rely purely on LRU (memcached's
-    #: lazy-expiration default).
-    stat_ttl: float = 0.0
-    block_ttl: float = 0.0
 
     # -- read-path optimisations (all off by default: legacy runs are
     # -- byte-identical with these at their defaults) ----------------------
@@ -148,11 +130,6 @@ class IMCaConfig:
             raise ValueError(f"readahead_min_seq must be >= 1: {self.readahead_min_seq}")
         if self.hot_cache_bytes < 0:
             raise ValueError(f"hot_cache_bytes must be >= 0: {self.hot_cache_bytes}")
-        if self.partial_fills and not self.cache_stat:
-            # Partial fills trust the coherent ``:stat`` size to validate
-            # short (EOF) blocks; without it every mixed hit would have
-            # to conservatively miss anyway.
-            raise ValueError("partial_fills requires cache_stat")
         if self.tenants is not None:
             validate_specs(self.tenants)
         if self.tenant_quantum < 1:

@@ -96,18 +96,16 @@ class SMCacheXlator(Xlator):
 
     def _push_stat(self, path: str, stat: StatBuf) -> Generator:
         key = self._keys.stat_key(path)
-        if key is None or not self.config.cache_stat:
+        if key is None:
             return
         self.metrics.inc("stat_pushes")
         width = self._fanout_width()
         if width:
             self.metrics.inc("replica_pushes", width)
-        yield from self.mc.set(
-            key, stat.copy(), nbytes=StatBuf.WIRE_SIZE, ttl=self.config.stat_ttl
-        )
+        yield from self.mc.set(key, stat.copy(), nbytes=StatBuf.WIRE_SIZE)
 
     def _push_blocks(self, path: str, result: ReadResult) -> Generator:
-        if not self.config.cache_data or result.size == 0:
+        if result.size == 0:
             return
         pushed = self._pushed.setdefault(path, set())
         todo: list[tuple[str, object, int]] = []
@@ -125,18 +123,14 @@ class SMCacheXlator(Xlator):
             self.metrics.inc("replica_pushes", width * len(todo))
         if len(todo) == 1:
             key, bv, hint = todo[0]
-            ok = yield from self.mc.set(
-                key, bv, nbytes=bv.length, ttl=self.config.block_ttl, hint=hint
-            )
+            ok = yield from self.mc.set(key, bv, nbytes=bv.length, hint=hint)
             if ok:
                 pushed.add(bv.block_offset)
             return
         # Several blocks: the daemon pipelines its MCD connections, so
         # the sets proceed concurrently (wall time ~ slowest, not sum).
         def one(key: str, bv, hint: int) -> Generator:
-            ok = yield from self.mc.set(
-                key, bv, nbytes=bv.length, ttl=self.config.block_ttl, hint=hint
-            )
+            ok = yield from self.mc.set(key, bv, nbytes=bv.length, hint=hint)
             if ok:
                 pushed.add(bv.block_offset)
 
@@ -159,9 +153,8 @@ class SMCacheXlator(Xlator):
             self.metrics.inc("purged_blocks", len(keys))
             width = self._fanout_width()
             if width:
-                # delete_multi invalidates every replica of every key;
-                # record the fan-out so coherence audits can compare
-                # intended replica purges against the client's deletes.
+                # delete_multi invalidates every replica of every key
+                # (the client books the same legs as replica_deletes).
                 self.metrics.inc("replica_purges", width * len(keys))
             yield from self.mc.delete_multi(keys, hints)
 
@@ -176,8 +169,7 @@ class SMCacheXlator(Xlator):
     # -- fops ---------------------------------------------------------------------
     def open(self, path: str) -> Generator:
         result: StatBuf = yield from self._down().open(path)
-        if self.config.purge_on_open:
-            yield from self._purge_data(path)
+        yield from self._purge_data(path)
         yield from self._push_stat(path, result)
         return result
 
@@ -194,7 +186,7 @@ class SMCacheXlator(Xlator):
         return result
 
     def read(self, path: str, offset: int, size: int) -> Generator:
-        if not self.config.cache_data or size <= 0:
+        if size <= 0:
             result = yield from self._down().read(path, offset, size)
             return result
         # Extend to block boundaries (Fig 4(a)): "the Read operation may
@@ -210,25 +202,18 @@ class SMCacheXlator(Xlator):
         and update the MCDs."""
         version = yield from self._down().write(path, offset, size, data)
 
-        if self.config.cache_data and size > 0:
-            aoff, asize = self.mapper.align(offset, size)
-
-            def update() -> Generator:
+        def update() -> Generator:
+            if size > 0:
+                aoff, asize = self.mapper.align(offset, size)
                 readback: ReadResult = yield from self._down().read(path, aoff, asize)
                 self.metrics.inc("write_readbacks")
                 yield from self._push_blocks(path, readback)
-                if self.config.update_stat_on_write:
-                    fresh: StatBuf = yield from self._down().stat(path)
-                    yield from self._push_stat(path, fresh)
+            # Refresh ``:stat`` so pollers (the §4.2 producer/consumer
+            # pattern) observe fresh mtimes.
+            fresh: StatBuf = yield from self._down().stat(path)
+            yield from self._push_stat(path, fresh)
 
-            yield from self._run_update(update)
-        elif self.config.update_stat_on_write and self.config.cache_stat:
-
-            def stat_only() -> Generator:
-                fresh: StatBuf = yield from self._down().stat(path)
-                yield from self._push_stat(path, fresh)
-
-            yield from self._run_update(stat_only)
+        yield from self._run_update(update)
         return version
 
     def truncate(self, path: str, length: int) -> Generator:
@@ -246,6 +231,5 @@ class SMCacheXlator(Xlator):
 
     def flush(self, path: str) -> Generator:
         result = yield from self._down().flush(path)
-        if self.config.purge_on_close:
-            yield from self._purge_data(path)
+        yield from self._purge_data(path)
         return result

@@ -40,6 +40,7 @@ from repro.faults.schedule import (
     MCD_CRASH,
     MCD_DRAIN,
     MCD_REMOVE,
+    MEMBERSHIP_KINDS,
     SERVER_FLAP,
     SLOW_DISK,
 )
@@ -114,11 +115,11 @@ class FaultInjector:
         elif ev.kind == LINK_DEGRADE:
             if self.net is None:
                 raise ValueError("link-degrade needs a network handle")
-        elif ev.kind in (MCD_ADD, MCD_DRAIN, MCD_REMOVE):
+        elif ev.kind in MEMBERSHIP_KINDS:
             if self.elastic is None:
                 raise ValueError(
                     f"{ev.kind} needs an elastic membership controller "
-                    "(build the testbed with elastic=True)"
+                    "(GlusterTestbed.arm_faults passes the testbed's)"
                 )
             if ev.kind in (MCD_DRAIN, MCD_REMOVE):
                 if not self.elastic.membership.reachable(int(ev.target)):

@@ -333,14 +333,10 @@ def run_elasticity(scale: str = "default") -> ExperimentResult:
     )
     survive: list[float] = []
     for sel in selectors:
-        tb = _build(num_mcds=3, selector=sel)
+        tb = _build(num_mcds=2, selector=sel)
         sim = tb.sim
         c = tb.clients[0]
         cm = tb.cmcaches[0]
-        spare = tb.mcds[2]
-        # Start with a 2-MCD bank; the third daemon stays idle.
-        for mc in (cm.mc, tb.smcaches[0].mc):
-            mc.servers = mc.servers[:2]
         n = p["records"]
 
         def body():
@@ -350,9 +346,10 @@ def run_elasticity(scale: str = "default") -> ExperimentResult:
             # Warm pass: all blocks resident under the 2-server mapping.
             for i in range(n):
                 yield from c.read(fd, i * 2 * KiB, 2 * KiB)
-            # Grow the bank everywhere, then re-read the working set.
-            cm.mc.add_server(spare)
-            tb.smcaches[0].mc.add_server(spare)
+            # Grow the bank cold — no forwarding window, so what
+            # survives is the selector's doing — and re-read.  The
+            # membership is shared: every client sees the new daemon.
+            cm.mc.add_server(tb.spawn_mcd(2))
             before_h = cm.metrics.get("read_hits")
             before_m = cm.metrics.get("read_misses")
             for i in range(n):

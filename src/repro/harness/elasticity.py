@@ -95,11 +95,9 @@ def _build(p: dict, variant: str, *, obs=None):
                 eject_after=2,
                 seed=p["seed"],
             ),
-            elastic=True,
         ),
         obs=obs,
     )
-    assert tb.elastic is not None
     tb.elastic.migrate_batch = p["migrate_batch"]
     tb.elastic.migrate_interval = p["migrate_interval"]
     return tb

@@ -84,12 +84,10 @@ def _scratch_payload(rank: int, b: int, r: int, size: int) -> bytes:
 
 def _build(p: dict, scenario: str, fastpath: bool):
     imca_kw: dict = {"fastpath": fastpath}
-    cfg_kw: dict = {}
     if scenario == "elastic":
         # Elastic membership needs consistent hashing so add/drain remap
         # only a slice of the keyspace.
         imca_kw["selector"] = "ketama"
-        cfg_kw["elastic"] = True
     if scenario == "tenants":
         # IMCa keys start with the absolute path, so path prefixes carve
         # the workload into a shared-files tenant and a per-client one.
@@ -111,7 +109,6 @@ def _build(p: dict, scenario: str, fastpath: bool):
                 eject_after=2,
                 seed=p["seed"],
             ),
-            **cfg_kw,
         )
     )
 

@@ -10,7 +10,7 @@ fan out to all of them.  Three passes quantify the payoff:
    per (skew, R) and read per-MCD load off the engine counters.  At
    skew >= 0.99 the max/mean load imbalance must strictly decrease as
    R grows 1 -> 2 -> 3.  R=1 runs must record *zero* ``replica_*``
-   client metrics (replication off takes the legacy code paths).
+   client metrics (at R=1 every key's owner list is one daemon).
 2. **Hot-key hammer**: many clients stat+read one file in lockstep;
    the p99 stat latency must drop at the highest R vs R=1 (the hot
    key's queue is split over R daemons).
@@ -263,9 +263,9 @@ def _degraded_job(p: dict, replicas: int, kill: bool) -> dict:
         mc = tb.cmcaches[0].mc
         owned = [0] * len(tb.mcds)
         for path in paths:
-            owned[mc._idx_for(stat_key(path))] += 1
+            owned[mc.owners(stat_key(path))[0]] += 1
             for off in range(0, size, rec):
-                owned[mc._idx_for(data_key(path, off))] += 1
+                owned[mc.owners(data_key(path, off))[0]] += 1
         victim = owned.index(max(owned))
         sched = FaultSchedule()
         sched.mcd_crash(0.0, mcd=victim, down_for=1e6)  # never recovers
@@ -348,7 +348,7 @@ def run_hotspot(scale: str = "default") -> ExperimentResult:
         if r == 1
     }
     result.check(
-        "R=1 records zero replica_* client metrics (legacy code paths)",
+        "R=1 records zero replica_* client metrics (owner lists of one)",
         all(not any(c.values()) for c in off_counters.values()),
         f"counters at R=1: {sorted(set().union(*(c for c in off_counters.values())))or 'none'}",
     )
@@ -417,7 +417,7 @@ def run_hotspot(scale: str = "default") -> ExperimentResult:
         f"{deg_r1['hit_rate']:.2f}, R=2 healthy: {healthy_r2['hit_rate']:.2f}",
     )
     result.notes.append(
-        "Replication is opt-in (IMCaConfig.replicas); at R=1 every client "
-        "path is the legacy single-copy code, byte-identical to main."
+        "Replication is opt-in (IMCaConfig.replicas); R=1 is the same client "
+        "code with owner lists of one, byte-identical to the unreplicated runs."
     )
     return result

@@ -385,9 +385,9 @@ def _ft_job(p: dict, features: bool, kill: bool, obs=None) -> dict:
         mc = tb.cmcaches[0].mc
         owned = [0] * len(tb.mcds)
         for path in paths:
-            owned[mc._idx_for(stat_key(path))] += 1
+            owned[mc.owners(stat_key(path))[0]] += 1
             for off in range(0, size, bs):
-                owned[mc._idx_for(data_key(path, off))] += 1
+                owned[mc.owners(data_key(path, off))[0]] += 1
         victim = owned.index(max(owned))
         sched = FaultSchedule()
         sched.mcd_crash(0.0, mcd=victim, down_for=1e9)  # never recovers

@@ -13,27 +13,26 @@ re-probed after ``cooldown``.  Rejoin mandates a purge (``flush_all``)
 so a daemon that merely blinked — recovered without a cold restart —
 can never serve pre-crash data.
 
-With ``replicas > 1`` each key has R distinct owners (primary = the
-base selector's pick, the rest via a ketama-ring walk).  Reads spread
-over the live replicas with a seeded round-robin; stores, concats,
-touches and deletes fan out to **all** replicas, because a purge that
-skips a replica leaves stale stat data serveable.  ``replicas == 1``
-takes the exact legacy code paths, byte for byte.
-
-With a :class:`~repro.memcached.membership.McdMembership` the server
-set is *live*: every selection consults the membership's current key
-ring (stable node ids, so "server index" everywhere below means "node
-id"), a miss on a remapped key inside a forwarding window consults the
-old owner and backfills the new one (demand backfill), and mutations
-during a window fan out to both owners so the old copy can never go
-stale while it is a legitimate read source.  ``membership is None``
-keeps the frozen-list legacy paths, byte for byte.
+Every key has an **owner list** (:meth:`MemcacheClient.owners`):
+``[primary, *others]``, by stable node id, over the bank's
+:class:`~repro.memcached.membership.McdMembership`.  The primary is the
+selector's pick over the current key ring; the others are the key's
+replicas (``replicas > 1``: R distinct owners via a ketama-ring walk)
+or, while a resize's forwarding window is open, its old owners.  An
+unreplicated key outside a window — the paper's configuration — is the
+list of one.  Reads go to one owner (the primary, or a seeded
+round-robin over the live replicas; a miss inside a window consults the
+old owner and backfills the new one).  Stores, concats, touches and
+deletes reach **every** owner, because a purge that skips an owner
+leaves stale data serveable.  A bank built from a plain daemon list is
+the membership with ids ``0..n-1`` and no events.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.memcached.daemon import McValue, MemcachedDaemon, SERVICE, request_size
 from repro.memcached.hashing import (
@@ -42,14 +41,10 @@ from repro.memcached.hashing import (
     ReplicatedSelector,
     ServerSelector,
 )
-from repro.net.fabric import Node
+from repro.memcached.membership import LIVE, McdMembership
 from repro.net.rpc import Endpoint, RetryPolicy, RpcError, RpcUnavailable
 from repro.sim.events import Event
 from repro.util.stats import Counter
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.memcached.membership import McdMembership
-    from repro.sim.core import Simulator
 
 
 @dataclass
@@ -108,31 +103,28 @@ class MemcacheClient:
         health: Optional[HealthPolicy] = None,
         replicas: int = 1,
         rr_seed: int = 0,
-        membership: Optional["McdMembership"] = None,
+        membership: Optional[McdMembership] = None,
         singleflight: bool = False,
     ) -> None:
         if not servers:
             raise ValueError("need at least one memcached server")
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1: {replicas}")
-        if membership is not None and replicas > 1:
-            raise ValueError("elastic membership requires replicas == 1")
         self.endpoint = endpoint
-        self.servers = list(servers)
         self.selector = selector or Crc32Selector()
         self.health = health
         self.replicas = replicas
-        #: Live membership view; None freezes the server list (legacy).
-        self.membership = membership
+        #: The bank, by stable node id ("server index" everywhere below
+        #: means node id): the shared live membership, or the static one
+        #: — ids ``0..n-1``, epoch 0, no windows — over a plain list.
+        self.membership = membership or McdMembership(servers)
         #: Set when the primary selector is the consistent ring — the
         #: only selector that can compute a key's *old* owner, which is
-        #: what forwarding windows and write fan-out need.
+        #: what forwarding windows need.
         self._ketama: Optional[KetamaSelector] = (
-            self.selector if membership is not None and isinstance(self.selector, KetamaSelector) else None
+            self.selector if isinstance(self.selector, KetamaSelector) else None
         )
-        self._health_by_id: dict[int, _ServerHealth] = {}
-        #: None when replication is off: every path below checks this
-        #: and falls through to the exact legacy code.
+        #: The replica map; None at R=1 (every key has one replica).
         self._replication: Optional[ReplicatedSelector] = (
             ReplicatedSelector(self.selector, replicas) if replicas > 1 else None
         )
@@ -141,7 +133,7 @@ class MemcacheClient:
         #: cursors so every key's reads split evenly).
         self._rr = rr_seed
         self._rr_by_key: dict[str, int] = {}
-        self._health = [_ServerHealth() for _ in self.servers]
+        self._health: dict[int, _ServerHealth] = defaultdict(_ServerHealth)
         #: Fast path (DESIGN §15): key -> Event for every get this
         #: client currently has in flight.  Concurrent identical gets
         #: park on the leader's event instead of issuing their own RPC;
@@ -151,81 +143,66 @@ class MemcacheClient:
         # Spans share the endpoint's tracer; MCD time observed from the
         # client side (RPC wait included) is attributed to the mcd tier.
         self.tracer = endpoint.tracer
+        self._resync()
 
     # -- plumbing ------------------------------------------------------------
+    def _resync(self) -> None:
+        """Cache the membership's view for its current epoch: the key
+        ring and, in ring order, its daemons.  Every routing entry point
+        compares ``_epoch`` first, so a bank nobody resizes pays one
+        integer compare per op."""
+        m = self.membership
+        self._epoch = m.epoch
+        self._ring = m.ring_ids
+        self.servers = [m.daemon(i) for i in self._ring]
+
     def add_server(self, server: MemcachedDaemon) -> None:
         """Grow the cache bank (§4.4: "Additional caching nodes can be
-        easily added").  Keys re-map according to the selector — modulo
-        N remaps almost everything; ketama only ~1/(N+1)."""
-        self.servers.append(server)
-        self._health.append(_ServerHealth())
+        easily added") — cold: no forwarding window opens.  Keys re-map
+        according to the selector — modulo N remaps almost everything;
+        ketama only ~1/(N+1).  Every client sharing the membership sees
+        the new daemon."""
+        self.membership.attach(self.membership.alloc_id(), server, LIVE)
 
     def server_for(self, key: str, hint: Optional[int] = None) -> MemcachedDaemon:
-        return self._server_at(self._idx_for(key, hint))
+        return self.membership.daemon(self.owners(key, hint)[0])
 
-    def _idx_for(self, key: str, hint: Optional[int] = None) -> int:
-        if self.membership is not None:
-            ring = self.membership.ring_ids
-            if self._ketama is not None:
-                return self._ketama.owner(key, ring)
-            # Positional selector over the live list: the naive-resize
-            # comparison case — a membership change renumbers the map.
-            return ring[self.selector.select(key, len(ring), hint)]
-        return self.selector.select(key, len(self.servers), hint)
-
-    def _server_at(self, idx: int) -> MemcachedDaemon:
-        if self.membership is not None:
-            return self.membership.daemon(idx)
-        return self.servers[idx]
-
-    def _health_at(self, idx: int) -> _ServerHealth:
-        if self.membership is not None:
-            h = self._health_by_id.get(idx)
-            if h is None:
-                h = self._health_by_id[idx] = _ServerHealth()
-            return h
-        return self._health[idx]
-
-    def _all_idxs(self) -> list[int]:
-        if self.membership is not None:
-            return list(self.membership.reachable_ids())
-        return list(range(len(self.servers)))
-
-    def _window_targets(self, key: str, hint: Optional[int] = None) -> Optional[list[int]]:
-        """``[owner, *old owners]`` while *key* sits in an active
-        forwarding window, else None (take the single-owner path).
-
-        Mutations must reach the old copy too — the purge fan-out
-        invariant extended across a resize: until the window closes the
-        old owner is a legitimate read source (:meth:`_forward_get`),
-        so a store or delete that skips it leaves stale data serveable.
-        """
-        if self.membership is None or self._ketama is None or not self.membership.windows:
-            return None
-        owner = self._idx_for(key, hint)
-        peers = self.membership.window_peers(
-            key, owner, self._ketama, self.endpoint.net.sim.now
-        )
-        if not peers:
-            return None
-        self.stats.inc("window_writes", len(peers))
-        if self.tracer.oplog is not None:
-            self.tracer.op_count("window_writes", len(peers))
-            self.tracer.op_tag("resize-window-write")
-        return [owner] + peers
-
-    def _replicas_for(self, key: str, hint: Optional[int] = None) -> list[int]:
-        """All owners of *key* (primary first); ``[primary]`` when off."""
-        if self._replication is None:
-            return [self._idx_for(key, hint)]
-        return self._replication.replicas_for(key, len(self.servers), hint)
+    def owners(self, key: str, hint: Optional[int] = None) -> list[int]:
+        """``[primary, *others]``: every daemon a mutation of *key* must
+        reach.  The others are the key's replicas or, inside a
+        forwarding window, its old owners — until the window closes an
+        old owner is a legitimate read source (:meth:`_forward_get`), so
+        a store or delete that skipped it would leave stale data
+        serveable.  (Replication takes precedence: a replicated bank is
+        never resized warm.)"""
+        m = self.membership
+        if self._epoch != m.epoch:
+            self._resync()
+        ring = self._ring
+        if self._replication is not None:
+            return [ring[i] for i in self._replication.replicas_for(key, len(ring), hint)]
+        if self._ketama is not None:
+            primary = self._ketama.owner(key, ring)
+            if m.windows:
+                peers = m.window_peers(key, primary, self._ketama, self.endpoint.net.sim.now)
+                if peers:
+                    return [primary, *peers]
+        else:
+            # Positional selector over the ring: a membership change
+            # renumbers the map (the naive-resize comparison case).
+            primary = ring[self.selector.select(key, len(ring), hint)]
+        return [primary]
 
     def _read_route(self) -> Callable[[str, int, Optional[int]], int]:
         """``route(key, len(self.servers), hint)``: the server a read of
-        *key* goes to, resolved once per request.  With no replication
-        and no live membership that is the selector's own ``select`` —
-        the trivial instance of :meth:`_read_idx`."""
-        if self._replication is None and self.membership is None:
+        *key* goes to, resolved once per request.  With no replication,
+        while the ring is still the identity over ``0..n-1`` (epoch 0),
+        that is the selector's own ``select`` — the trivial instance of
+        :meth:`_read_idx`."""
+        m = self.membership
+        if self._epoch != m.epoch:
+            self._resync()
+        if self._replication is None and m.epoch == 0:
             return self.selector.select
         return self._read_idx
 
@@ -238,9 +215,9 @@ class MemcacheClient:
         instead of splitting it; per-key rotation splits every key's
         reads exactly 1/R.  Cursor memory is one small int per distinct
         key this client has read (bounded by its keyspace)."""
+        replicas = self.owners(key, hint)
         if self._replication is None:
-            return self._idx_for(key, hint)
-        replicas = self._replication.replicas_for(key, nservers, hint)
+            return replicas[0]
         live = [i for i in replicas if not self._cooling(i)]
         if not live:
             live = replicas
@@ -261,29 +238,30 @@ class MemcacheClient:
         """True while *idx* is ejected and not yet probeable."""
         if self.health is None:
             return False
-        h = self._health_at(idx)
+        h = self._health[idx]
         return h.ejected_until >= 0.0 and (
             self.endpoint.net.sim.now < h.ejected_until or h.probing
         )
 
     def ejected(self, idx: int) -> bool:
         """Whether server *idx* is currently ejected (for observers)."""
-        return self._health_at(idx).ejected_until >= 0.0
+        return self._health[idx].ejected_until >= 0.0
 
     def _call(self, idx: int, op: str, payload: Any) -> Generator:
         """One MCD RPC.  With no health policy there is nothing to wrap:
         the generator returned is :meth:`Endpoint.call`'s own."""
         if self.health is None:
             return self.endpoint.call(
-                self._server_at(idx).node, SERVICE, (op, payload), request_size(op, payload)
+                self.membership.members[idx].daemon.node, SERVICE, (op, payload),
+                request_size(op, payload),
             )
         return self._call_tracked(idx, op, payload)
 
     def _call_tracked(self, idx: int, op: str, payload: Any) -> Generator:
         """:meth:`_call` under a health policy: skip an ejected server,
         probe it back in after the cooldown, count consecutive errors."""
-        server = self._server_at(idx)
-        h = self._health_at(idx)
+        server = self.membership.daemon(idx)
+        h = self._health[idx]
         if h.ejected_until >= 0.0:
             if self.endpoint.net.sim.now < h.ejected_until or h.probing:
                 # Fast degraded path: no RPC, no simulated time —
@@ -330,8 +308,8 @@ class MemcacheClient:
         re-ejects for another cooldown.
         """
         policy = self.health
-        server = self._server_at(idx)
-        h = self._health_at(idx)
+        server = self.membership.daemon(idx)
+        h = self._health[idx]
         h.probing = True
         try:
             if op != "flush_all":
@@ -421,12 +399,9 @@ class MemcacheClient:
             if failed is not None:
                 failed.append(True)
             self.stats.inc("errors")
-            if self.membership is None:
-                self.stats.inc("misses")
-                return None
             reply = {}
         value = reply.get(key)
-        if value is None and self.membership is not None:
+        if value is None and self.membership.windows:
             value = yield from self._forward_get(key, idx)
         self.stats.inc("hits" if value is not None else "misses")
         return value
@@ -441,7 +416,7 @@ class MemcacheClient:
         stale forwarded copy must never clobber it.  Returns the value
         or None; the caller books the hit/miss.
         """
-        if self._ketama is None or not self.membership.windows:
+        if self._ketama is None:
             return None
         src = self.membership.forward_source(
             key, owner, self._ketama, self.endpoint.net.sim.now
@@ -533,12 +508,7 @@ class MemcacheClient:
                     results = yield sim.gather(batches, name="mc-multiget")
                 for partial in results:
                     out.update(partial)
-            if (
-                self.membership is not None
-                and self._ketama is not None
-                and self.membership.windows
-                and len(out) < len(seen)
-            ):
+            if self.membership.windows and len(out) < len(seen):
                 for idx, batch in by_server.items():
                     for key in batch:
                         if key in out:
@@ -597,19 +567,35 @@ class MemcacheClient:
             return {}
         return reply
 
-    # -- replica fan-out -------------------------------------------------------
-    def _fanout(
-        self, idxs: list[int], op: str, payload: Any, count_replicas: bool = True
-    ) -> Generator:
-        """Issue *op* to every server in *idxs* concurrently; returns the
-        per-server results in *idxs* order (None where the RPC failed).
+    # -- mutation --------------------------------------------------------------
+    def _send(self, idxs: list[int], op: str, payload: Any) -> Generator:
+        """*op* to every owner in *idxs* (a full owner list).  One
+        owner: the RPC's own generator, run in the caller's frame, which
+        raises :class:`RpcError`.  Several: :meth:`_fanout`."""
+        if len(idxs) == 1:
+            return self._call(idxs[0], op, payload)
+        self._book_extras(
+            len(idxs) - 1, "replica_deletes" if op == "delete" else "replica_writes"
+        )
+        return self._fanout(idxs, op, payload)
 
-        Used for stores and invalidations in replicated mode: all
-        replicas must see every write and every purge, or a stale copy
-        survives on the replica the purge skipped.
-        """
-        sim = self.endpoint.net.sim
+    def _book_extras(self, extra: int, replica_stat: str) -> None:
+        """Account the *extra* owners a mutation is sent to beyond the
+        primary: replicas under *replica_stat* (``replica_writes`` /
+        ``replica_deletes``), a window's old owners as
+        ``window_writes``."""
+        if self._replication is not None:
+            self.stats.inc(replica_stat, extra)
+            return
+        self.stats.inc("window_writes", extra)
+        if self.tracer.oplog is not None:
+            self.tracer.op_count("window_writes", extra)
+            self.tracer.op_tag("resize-window-write")
 
+    def _fanout(self, idxs: list[int], op: str, payload: Any) -> Generator:
+        """Issue *op* to every server in *idxs* concurrently.  Returns
+        whether any of them applied it, or None when none even answered
+        (each failed RPC is booked as an ``errors``)."""
         def one(idx: int) -> Generator:
             try:
                 reply = yield from self._call(idx, op, payload)
@@ -619,14 +605,36 @@ class MemcacheClient:
             return reply
 
         if len(idxs) == 1:
-            result = yield from one(idxs[0])
-            return [result]
-        results = yield sim.gather([one(i) for i in idxs], name="mc-fanout")
-        if count_replicas:
-            self.stats.inc("replica_writes", len(idxs) - 1)
-        return results
+            return (yield from one(idxs[0]))
+        results = yield self.endpoint.net.sim.gather([one(i) for i in idxs], name="mc-fanout")
+        if all(r is None for r in results):
+            return None
+        return any(results)
 
-    # -- storage ---------------------------------------------------------------
+    def _mutate(
+        self, op: str, key: str, payload: Any, hint: Optional[int],
+        booked: Optional[str] = None, span: Optional[str] = None,
+    ) -> Generator:
+        """The one keyed mutation: *op* reaches every owner of *key*.
+        True when at least one owner applied it (the value is serveable
+        / the key was there); False when the bank is down or refused.
+        *booked* counts the op once some owner answered."""
+        send = self._send(self.owners(key, hint), op, payload)
+        try:
+            if span is not None and self.tracer.enabled:
+                with self.tracer.span("mcd", span):
+                    ok = yield from send
+            else:
+                ok = yield from send
+        except RpcError:
+            self.stats.inc("errors")
+            return False
+        if ok is None:
+            return False
+        if booked is not None:
+            self.stats.inc(booked)
+        return ok
+
     def set(
         self,
         key: str,
@@ -636,240 +644,115 @@ class MemcacheClient:
         ttl: float = 0,
         hint: Optional[int] = None,
     ) -> Generator:
-        """Store; False when the server is down or rejected the item.
+        """Store; False when the bank is down or rejected the item.
 
-        With replication the store fans out to every replica; True when
-        at least one replica stored the item (the value is serveable)."""
-        if self._replication is not None:
-            idxs = self._replicas_for(key, hint)
-            if self.tracer.enabled:
-                with self.tracer.span("mcd", "mc.set"):
-                    results = yield from self._fanout(idxs, "set", (key, value, nbytes, flags, ttl))
-            else:
-                results = yield from self._fanout(idxs, "set", (key, value, nbytes, flags, ttl))
-            self.stats.inc("sets")
-            return any(bool(r) for r in results)
-        widxs = self._window_targets(key, hint)
-        if widxs is not None:
-            if self.tracer.enabled:
-                with self.tracer.span("mcd", "mc.set"):
-                    results = yield from self._fanout(
-                        widxs, "set", (key, value, nbytes, flags, ttl), count_replicas=False
-                    )
-            else:
-                results = yield from self._fanout(
-                    widxs, "set", (key, value, nbytes, flags, ttl), count_replicas=False
-                )
-            self.stats.inc("sets")
-            return any(bool(r) for r in results)
-        idx = self._idx_for(key, hint)
+        :meth:`_mutate`'s body in a frame of its own name, not a call to
+        it: the perf ledger attributes store time to the frame named
+        ``MemcacheClient.set``, and a wrapper frame would be walked on
+        every resume of every push."""
+        send = self._send(self.owners(key, hint), "set", (key, value, nbytes, flags, ttl))
         try:
             if self.tracer.enabled:
                 with self.tracer.span("mcd", "mc.set"):
-                    ok = yield from self._call(idx, "set", (key, value, nbytes, flags, ttl))
+                    ok = yield from send
             else:
-                ok = yield from self._call(idx, "set", (key, value, nbytes, flags, ttl))
+                ok = yield from send
         except RpcError:
             self.stats.inc("errors")
             return False
+        if ok is None:
+            return False
         self.stats.inc("sets")
         return ok
+
+    def append(self, key: str, value: Any, nbytes: int, hint: Optional[int] = None) -> Generator:
+        # Concats commute with the coherence invariant: whichever
+        # copies exist get the same bytes appended.
+        return self._mutate("append", key, (key, value, nbytes), hint)
+
+    def prepend(self, key: str, value: Any, nbytes: int, hint: Optional[int] = None) -> Generator:
+        return self._mutate("prepend", key, (key, value, nbytes), hint)
+
+    def touch(self, key: str, ttl: float, hint: Optional[int] = None) -> Generator:
+        return self._mutate("touch", key, (key, ttl), hint)
+
+    def delete(self, key: str, hint: Optional[int] = None) -> Generator:
+        """Remove *key* from **every** owner — a skipped one would keep
+        serving the stale value."""
+        return self._mutate("delete", key, key, hint, "deletes", "mc.delete")
 
     def add(self, key: str, value: Any, nbytes: int, flags: int = 0, ttl: float = 0,
             hint: Optional[int] = None) -> Generator:
         """Store only if absent."""
-        ok = yield from self._storage("add", key, value, nbytes, flags, ttl, hint)
-        return ok
+        return self._conditional("add", key, (key, value, nbytes, flags, ttl), hint)
 
     def replace(self, key: str, value: Any, nbytes: int, flags: int = 0, ttl: float = 0,
                 hint: Optional[int] = None) -> Generator:
         """Store only if present."""
-        ok = yield from self._storage("replace", key, value, nbytes, flags, ttl, hint)
-        return ok
+        return self._conditional("replace", key, (key, value, nbytes, flags, ttl), hint)
 
-    def _storage(self, op: str, key: str, value: Any, nbytes: int, flags: int,
-                 ttl: float, hint: Optional[int]) -> Generator:
-        if self._replication is not None:
-            results = yield from self._fanout(
-                self._replicas_for(key, hint), op, (key, value, nbytes, flags, ttl)
-            )
-            self.stats.inc("sets")
-            return any(bool(r) for r in results)
-        widxs = self._window_targets(key, hint)
-        if widxs is not None:
-            # add/replace resolve against the *current* owner; a
-            # successful store is then mirrored onto the old copy with a
-            # plain set — fanning the conditional op out verbatim could
-            # leave the two owners holding different values (e.g. add
-            # succeeding on the empty new node but not on the old one).
-            try:
-                ok = yield from self._call(widxs[0], op, (key, value, nbytes, flags, ttl))
-            except RpcError:
-                self.stats.inc("errors")
-                return False
-            self.stats.inc("sets")
-            if ok:
-                yield from self._fanout(
-                    widxs[1:], "set", (key, value, nbytes, flags, ttl), count_replicas=False
-                )
-            return ok
-        idx = self._idx_for(key, hint)
+    def _conditional(self, op: str, key: str, payload: Any, hint: Optional[int]) -> Generator:
+        """add/replace resolve against the **primary**; a successful
+        store is then mirrored onto the other owners with a plain set —
+        fanning the conditional op out verbatim could leave two owners
+        holding different values (e.g. add succeeding on the empty new
+        node of a resize but not on the old one)."""
+        idxs = self.owners(key, hint)
         try:
-            ok = yield from self._call(idx, op, (key, value, nbytes, flags, ttl))
+            ok = yield from self._call(idxs[0], op, payload)
         except RpcError:
             self.stats.inc("errors")
             return False
         self.stats.inc("sets")
+        if ok and len(idxs) > 1:
+            self._book_extras(len(idxs) - 1, "replica_writes")
+            yield from self._fanout(idxs[1:], "set", payload)
         return ok
 
     def cas(self, key: str, value: Any, nbytes: int, cas: int, flags: int = 0,
             ttl: float = 0, hint: Optional[int] = None) -> Generator:
         """Compare-and-swap; returns 'STORED' / 'EXISTS' / 'NOT_FOUND' /
         'NOT_STORED' (allocation failure), or 'NOT_FOUND' when the
-        server is down.
-
-        cas targets the **primary** replica only: CAS tokens are
-        per-engine counters, so a token from one replica can never match
-        on another — fanning out would always answer EXISTS there.
-        """
-        idx = self._idx_for(key, hint)
-        try:
-            verdict = yield from self._call(idx, "cas", (key, value, nbytes, cas, flags, ttl))
-        except RpcError:
-            self.stats.inc("errors")
-            return "NOT_FOUND"
-        if verdict == "STORED":
-            yield from self._invalidate_window_peers(key, hint)
-        return verdict
-
-    def _invalidate_window_peers(self, key: str, hint: Optional[int]) -> Generator:
-        """cas/incr/decr mutate the primary copy only (their tokens and
-        counters are per-engine), so during a forwarding window the old
-        owner's copy is invalidated rather than updated — a forward
-        probe must never serve the pre-mutation value."""
-        targets = self._window_targets(key, hint)
-        if targets is None:
-            return
-        for peer in targets[1:]:
-            try:
-                yield from self._call(peer, "delete", key)
-            except RpcError:
-                self.stats.inc("errors")
-
-    def append(self, key: str, value: Any, nbytes: int, hint: Optional[int] = None) -> Generator:
-        ok = yield from self._concat("append", key, value, nbytes, hint)
-        return ok
-
-    def prepend(self, key: str, value: Any, nbytes: int, hint: Optional[int] = None) -> Generator:
-        ok = yield from self._concat("prepend", key, value, nbytes, hint)
-        return ok
-
-    def _concat(self, op: str, key: str, value: Any, nbytes: int,
-                hint: Optional[int]) -> Generator:
-        if self._replication is not None:
-            results = yield from self._fanout(
-                self._replicas_for(key, hint), op, (key, value, nbytes)
-            )
-            return any(bool(r) for r in results)
-        widxs = self._window_targets(key, hint)
-        if widxs is not None:
-            # Concats commute with the coherence invariant: whichever
-            # copies exist get the same bytes appended.
-            results = yield from self._fanout(
-                widxs, op, (key, value, nbytes), count_replicas=False
-            )
-            return any(bool(r) for r in results)
-        idx = self._idx_for(key, hint)
-        try:
-            ok = yield from self._call(idx, op, (key, value, nbytes))
-        except RpcError:
-            self.stats.inc("errors")
-            return False
-        return ok
+        server is down."""
+        return self._primary_only(
+            "cas", key, (key, value, nbytes, cas, flags, ttl), hint, "NOT_FOUND"
+        )
 
     def incr(self, key: str, delta: int = 1, hint: Optional[int] = None) -> Generator:
-        """Numeric increment; None on miss or dead server.
-
-        Like cas, incr/decr stay on the primary replica: replicated
-        counters would drift apart under read-spreading, so counter
-        keys are treated as unreplicated."""
-        idx = self._idx_for(key, hint)
-        try:
-            value = yield from self._call(idx, "incr", (key, delta))
-        except RpcError:
-            self.stats.inc("errors")
-            return None
-        if value is not None:
-            yield from self._invalidate_window_peers(key, hint)
-        return value
+        """Numeric increment; None on miss or dead server."""
+        return self._primary_only("incr", key, (key, delta), hint, None)
 
     def decr(self, key: str, delta: int = 1, hint: Optional[int] = None) -> Generator:
-        idx = self._idx_for(key, hint)
-        try:
-            value = yield from self._call(idx, "decr", (key, delta))
-        except RpcError:
-            self.stats.inc("errors")
-            return None
-        if value is not None:
-            yield from self._invalidate_window_peers(key, hint)
-        return value
+        return self._primary_only("decr", key, (key, delta), hint, None)
 
-    def touch(self, key: str, ttl: float, hint: Optional[int] = None) -> Generator:
-        if self._replication is not None:
-            results = yield from self._fanout(
-                self._replicas_for(key, hint), "touch", (key, ttl)
-            )
-            return any(bool(r) for r in results)
-        widxs = self._window_targets(key, hint)
-        if widxs is not None:
-            results = yield from self._fanout(
-                widxs, "touch", (key, ttl), count_replicas=False
-            )
-            return any(bool(r) for r in results)
-        idx = self._idx_for(key, hint)
+    def _primary_only(
+        self, op: str, key: str, payload: Any, hint: Optional[int], down: Any
+    ) -> Generator:
+        """cas/incr/decr mutate the **primary** copy only: CAS tokens
+        and counters are per-engine, so a token from one owner can never
+        match on another and fanned-out counters would drift apart.
+        The other owners' copies are therefore invalidated rather than
+        updated — a read that lands on one of them (a replica, or the
+        old owner a forward probe consults) must miss, never serve the
+        pre-mutation value.  *down* is the answer when the primary is
+        unreachable."""
+        idxs = self.owners(key, hint)
         try:
-            ok = yield from self._call(idx, "touch", (key, ttl))
+            reply = yield from self._call(idxs[0], op, payload)
         except RpcError:
             self.stats.inc("errors")
-            return False
-        return ok
-
-    def delete(self, key: str, hint: Optional[int] = None) -> Generator:
-        """Remove *key*; with replication the delete reaches **every**
-        replica — a skipped replica would keep serving the stale value."""
-        tracer = self.tracer
-        replicated = self._replication is not None
-        idxs = self._replicas_for(key, hint) if replicated else self._window_targets(key, hint)
-        if idxs is not None:
-            if tracer.enabled:
-                with tracer.span("mcd", "mc.delete"):
-                    results = yield from self._fanout(idxs, "delete", key, count_replicas=replicated)
-            else:
-                results = yield from self._fanout(idxs, "delete", key, count_replicas=replicated)
-            ok = any(bool(r) for r in results)
-            if ok:
-                self.stats.inc("deletes")
-            return ok
-        idx = self._idx_for(key, hint)
-        try:
-            if tracer.enabled:
-                with tracer.span("mcd", "mc.delete"):
-                    ok = yield from self._call(idx, "delete", key)
-            else:
-                ok = yield from self._call(idx, "delete", key)
-        except RpcError:
-            self.stats.inc("errors")
-            return False
-        self.stats.inc("deletes")
-        return ok
+            return down
+        if len(idxs) > 1 and (reply == "STORED" if op == "cas" else reply is not None):
+            self._book_extras(len(idxs) - 1, "replica_deletes")
+            yield from self._fanout(idxs[1:], "delete", key)
+        return reply
 
     def delete_multi(self, keys: list[str], hints: Optional[list[Optional[int]]] = None) -> Generator:
         """Best-effort bulk delete, batched one RPC per server (used by
         SMCache purges, which may cover every block of a file).
 
-        In replicated mode every key's batch lands on **all** of its
-        replicas; ``deletes`` counts primary-copy removals (the legacy
-        meaning) and ``replica_deletes`` the extra replica copies.
+        Every key's delete lands on **all** of its owners; ``deletes``
+        counts primary-copy removals.
         """
         if hints is None:
             hints = [None] * len(keys)
@@ -881,13 +764,14 @@ class MemcacheClient:
             )
         primary: dict[int, list[str]] = {}
         extras: dict[int, list[str]] = {}
+        owners = self.owners
         for key, hint in zip(keys, hints):
-            # During a forwarding window a key's delete must also reach
-            # its old owner — same invariant as the replica fan-out.
-            idxs = self._window_targets(key, hint) or self._replicas_for(key, hint)
+            idxs = owners(key, hint)
             primary.setdefault(idxs[0], []).append(key)
-            for i in idxs[1:]:
-                extras.setdefault(i, []).append(key)
+            if len(idxs) > 1:
+                self._book_extras(len(idxs) - 1, "replica_deletes")
+                for i in idxs[1:]:
+                    extras.setdefault(i, []).append(key)
         if self.tracer.enabled:
             with self.tracer.span("mcd", "mc.delete_multi"):
                 deleted = yield from self._delete_batches(primary, extras)
@@ -907,14 +791,13 @@ class MemcacheClient:
                 self.stats.inc("errors")
         for idx, batch in extras.items():
             try:
-                n = yield from self._call(idx, "delete_multi", batch)
-                self.stats.inc("replica_deletes", n)
+                yield from self._call(idx, "delete_multi", batch)
             except RpcError:
                 self.stats.inc("errors")
         return deleted
 
     def flush_all(self) -> Generator:
-        for idx in self._all_idxs():
+        for idx in self.membership.reachable_ids():
             try:
                 yield from self._call(idx, "flush_all", None)
             except RpcError:
@@ -923,7 +806,7 @@ class MemcacheClient:
     def stats_all(self) -> Generator:
         """Collect engine stats from every live server."""
         out = []
-        for idx in self._all_idxs():
+        for idx in self.membership.reachable_ids():
             try:
                 d = yield from self._call(idx, "stats", None)
             except RpcError:

@@ -1,8 +1,9 @@
 """Live MCD membership: online add/drain/remove with warm hand-over.
 
-The testbed's MCD array is no longer a frozen list.  :class:`McdMembership`
-tracks every daemon ever attached under a *stable node id* and a
-lifecycle state:
+The MCD array is never a frozen list: every
+:class:`~repro.memcached.client.MemcacheClient` routes over a
+:class:`McdMembership`, which tracks every daemon ever attached under a
+*stable node id* and a lifecycle state:
 
     joining -> warming -> live -> draining -> detached
 
@@ -94,8 +95,10 @@ class McdMembership:
     """The live MCD set: stable ids, lifecycle states, open windows.
 
     ``epoch`` bumps whenever the *view* changes (ring membership or
-    reachability); clients cache their server list per epoch and resync
-    lazily, so the static case costs one integer compare per op.
+    reachability); clients cache the ring per epoch and resync lazily
+    (:meth:`MemcacheClient._resync`), so the static case — ids
+    ``0..n-1``, epoch 0, no windows: what a bank nobody resizes is —
+    costs one integer compare per op.
     """
 
     def __init__(self, daemons: list[MemcachedDaemon]) -> None:

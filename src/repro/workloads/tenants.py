@@ -197,7 +197,7 @@ def replay_tenant_mix(
     """Replay the blended stream round-robin over *clients*.
 
     Mirrors :func:`~repro.workloads.trace.replay_trace`: untimed setup,
-    one untimed pre-open per (client, file) so ``purge_on_open`` churn
+    one untimed pre-open per (client, file) so purge-on-open churn
     happens before measurement, an optional untimed warm pass (which is
     also where the arbiter observes misses and starts steering memory),
     then the timed pass recording per-tenant latencies.

@@ -150,8 +150,6 @@ def test_config_rejects_bad_readpath_knobs():
         IMCaConfig(readahead_min_seq=0)
     with pytest.raises(ValueError):
         IMCaConfig(hot_cache_bytes=-1)
-    with pytest.raises(ValueError):
-        IMCaConfig(partial_fills=True, cache_stat=False)
 
 
 def test_defaults_leave_features_off_and_counters_silent():

@@ -119,14 +119,13 @@ def test_shifted_schedule_arms_relative_to_now():
 
 
 # --------------------------------------------------------------------------- #
-# Membership events (elastic testbeds)
+# Membership events (every testbed with MCDs is resizable)
 # --------------------------------------------------------------------------- #
-def make_elastic_tb(num_mcds=3):
-    return build_gluster_testbed(TestbedConfig(num_mcds=num_mcds, elastic=True))
-
-
 def test_membership_events_require_elastic_controller():
-    tb = make_tb(num_mcds=2)  # elastic=False
+    inj = FaultInjector(Simulator())  # a bare injector has no controller
+    with pytest.raises(ValueError):
+        inj.arm(FaultSchedule().mcd_add(0.0, warm_for=0.01))
+    tb = make_tb(num_mcds=0)  # and a testbed without MCDs cannot build one
     with pytest.raises(ValueError):
         tb.arm_faults(FaultSchedule().mcd_add(0.0, warm_for=0.01))
     with pytest.raises(ValueError):
@@ -134,7 +133,7 @@ def test_membership_events_require_elastic_controller():
 
 
 def test_membership_targets_validated_against_membership():
-    tb = make_elastic_tb(num_mcds=2)
+    tb = make_tb(num_mcds=2)
     with pytest.raises(ValueError):
         tb.arm_faults(FaultSchedule().mcd_drain(0.0, mcd=9, drain_for=0.01))
     with pytest.raises(ValueError):
@@ -142,7 +141,7 @@ def test_membership_targets_validated_against_membership():
 
 
 def test_mcd_add_logs_allocated_node_id():
-    tb = make_elastic_tb(num_mcds=2)
+    tb = make_tb(num_mcds=2)
     inj = tb.arm_faults(FaultSchedule().mcd_add(0.001, warm_for=0.002))
     tb.sim.run()
     transitions = [(a, k, t) for _, a, k, t in inj.log]
@@ -155,7 +154,7 @@ def test_mcd_add_logs_allocated_node_id():
 
 
 def test_mcd_remove_logs_single_transition():
-    tb = make_elastic_tb(num_mcds=3)
+    tb = make_tb(num_mcds=3)
     inj = tb.arm_faults(FaultSchedule().mcd_remove(0.001, mcd=2))
     tb.sim.run()
     assert [(a, k, t) for _, a, k, t in inj.log] == [("inject", "mcd-remove", 2)]
@@ -164,7 +163,7 @@ def test_mcd_remove_logs_single_transition():
 
 
 def test_mcd_drain_injects_and_marks_window_close():
-    tb = make_elastic_tb(num_mcds=3)
+    tb = make_tb(num_mcds=3)
     inj = tb.arm_faults(FaultSchedule().mcd_drain(0.001, mcd=1, drain_for=0.002))
     sim = tb.sim
     sim.run(until=0.002)
@@ -179,7 +178,7 @@ def test_mcd_drain_injects_and_marks_window_close():
 
 
 def test_membership_composes_with_crashes_on_one_timeline():
-    tb = make_elastic_tb(num_mcds=3)
+    tb = make_tb(num_mcds=3)
     sched = (
         FaultSchedule()
         .mcd_crash(0.001, mcd=0, down_for=0.002)

@@ -73,9 +73,9 @@ def test_selector_validation():
 
 
 # -- client wiring -----------------------------------------------------------
-def test_r1_takes_legacy_code_paths():
+def test_r1_books_no_replica_counters():
     sim, client, _ = make_cluster(replicas=1)
-    assert client._replication is None
+    assert len(client.owners("k")) == 1
 
     def proc():
         yield from client.set("k", b"v", 1)
@@ -103,7 +103,7 @@ def test_set_reaches_every_replica_and_only_replicas():
         return ok
 
     assert drive(sim, proc()) is True
-    owners = client._replicas_for("k")
+    owners = client.owners("k")
     assert len(owners) == 2
     for i, mcd in enumerate(daemons):
         stored = "k" in mcd.engine._items
@@ -120,13 +120,13 @@ def test_concat_fans_out():
         yield from client.prepend("k", b"<", 1)
 
     drive(sim, proc())
-    for i in client._replicas_for("k"):
+    for i in client.owners("k"):
         assert daemons[i].engine._items["k"].value == b"<mid>"
 
 
 def test_write_survives_one_dead_replica():
     sim, client, daemons = make_cluster(n_mcds=3, replicas=2)
-    owners = client._replicas_for("k")
+    owners = client.owners("k")
     daemons[owners[0]].kill()
 
     def proc():
@@ -150,6 +150,9 @@ def test_delete_purges_every_replica():
     assert drive(sim, proc()) is True
     for mcd in daemons:
         assert "k" not in mcd.engine._items
+    # The set booked its two replica legs as writes, the delete as deletes.
+    assert client.stats.get("replica_writes") == 2
+    assert client.stats.get("replica_deletes") == 2
 
 
 def test_delete_multi_purges_every_replica():
@@ -195,7 +198,7 @@ def test_reads_round_robin_across_replicas():
             assert v.value == b"v"
 
     drive(sim, proc())
-    owners = client._replicas_for("k")
+    owners = client.owners("k")
     loads = [daemons[i].engine.stats.get("cmd_get", 0) for i in owners]
     assert sorted(loads) == [5, 5]
     # Reads that landed on a secondary are surfaced as a client metric.
@@ -216,7 +219,7 @@ def test_per_key_cursors_split_every_key():
 
     drive(sim, proc())
     for k in keys:
-        owners = client._replicas_for(k)
+        owners = client.owners(k)
         loads = [daemons[i].engine.stats.get("cmd_get", 0) for i in owners]
         # Each key's 4 reads split exactly 2/2 over its two replicas —
         # other keys sharing a daemon only add to *their* owners.
@@ -227,7 +230,7 @@ def test_reads_fail_over_around_ejected_replica():
     sim, client, daemons = make_cluster(
         n_mcds=3, replicas=2, health=HealthPolicy(eject_after=1, cooldown=10.0)
     )
-    owners = client._replicas_for("k")
+    owners = client.owners("k")
 
     def proc():
         yield from client.set("k", b"v", 1)

@@ -1,5 +1,6 @@
-"""Python-call budgets of the warm cached read and the stat hit: the
-host-side twin of ``test_event_budget.py``.
+"""Python-call budgets of the warm cached read, the stat hit and the
+write side (a 4 KiB write, a close that purges, an open): the host-side
+twin of ``test_event_budget.py``.
 
 A warm read costs the simulator no extra scheduler entries per extra
 cached block, so what a block costs is Python calls.  ``sys.setprofile``
@@ -10,6 +11,12 @@ nothing else).  Frames whose code name starts with ``<`` (``<genexpr>``,
 ``<listcomp>``, ``<lambda>``) are skipped: which comprehensions get a
 frame differs between 3.10, 3.11 and 3.12.  A generator resume is a
 ``call`` event, as in the benchmark's cProfile ledger.
+
+The write side is budgeted on the same kind of testbed: a
+4 KiB overwrite (two block pushes and the ``:stat`` refresh), the close
+that purges the file's 32 pushed blocks in one ``delete_multi``, and
+the open that follows (nothing left to purge; one ``:stat`` push) — so
+a refactor of the store or purge path cannot add frames unseen.
 
 Lower a number when a change removes calls; never raise one without
 saying why in CHANGES.md.
@@ -27,9 +34,18 @@ _SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
 #: Named calls per op at ``IMCaConfig()`` defaults.
 BUDGET = {
-    "warm_read_2k": 76,  # 86 before a timed wait was a float and a hop one pass
-    "warm_read_16k": 97,  # 107
-    "stat_hit": 72,  # 82
+    # 86 before a timed wait was a float and a hop one pass; 76 before
+    # the one server table let ``_call`` index the membership directly
+    # instead of asking ``_server_at`` which table to use.
+    "warm_read_2k": 75,
+    "warm_read_16k": 96,  # 107, 97
+    "stat_hit": 71,  # 82, 72
+    # Before every mutation walked one owner list: 358 / 663 / 149.
+    # Routing a key was ``_window_targets`` + ``_replicas_for`` +
+    # ``_idx_for`` + ``select``; it is ``owners`` + ``select``.
+    "write_4k": 355,
+    "close": 598,
+    "open": 148,
 }
 #: (warm_read_16k - warm_read_2k) / 7: what one more cached block costs.
 PER_EXTRA_BLOCK = 3
@@ -57,7 +73,9 @@ def _count_calls(sim, op_gen):
     return calls, done.value
 
 
-def test_warm_read_costs_its_call_budget_and_at_most_four_calls_per_extra_block():
+def _warm_testbed():
+    """A 1-client, 1-MCD testbed holding ``/warm`` (64 KiB, every block
+    cached) open; returns ``(tb, fd)``."""
     tb = build_gluster_testbed(
         TestbedConfig(num_clients=1, num_mcds=1, mcd_memory=8 * MiB, imca=IMCaConfig())
     )
@@ -75,6 +93,16 @@ def test_warm_read_costs_its_call_budget_and_at_most_four_calls_per_extra_block(
     sim.process(warm())
     sim.run()
     (fd,) = opened
+    return tb, fd
+
+
+def _budget_for(spent):
+    return {name: BUDGET[name] for name in spent}
+
+
+def test_warm_read_costs_its_call_budget_and_at_most_four_calls_per_extra_block():
+    tb, fd = _warm_testbed()
+    sim, client = tb.sim, tb.clients[0]
 
     spent = {}
     for name, size in (("warm_read_2k", 2 * KiB), ("warm_read_16k", 16 * KiB)):
@@ -91,4 +119,20 @@ def test_warm_read_costs_its_call_budget_and_at_most_four_calls_per_extra_block(
     assert extra % 7 == 0, spent
     assert extra // 7 <= 4, spent
     assert extra // 7 == PER_EXTRA_BLOCK, spent
-    assert spent == BUDGET
+    assert spent == _budget_for(spent)
+
+
+def test_write_close_and_open_cost_their_call_budgets():
+    tb, fd = _warm_testbed()
+    sim, client = tb.sim, tb.clients[0]
+
+    spent = {}
+    pushes = tb.sm_stats()["block_pushes"]
+    spent["write_4k"], _ = _count_calls(sim, client.write(fd, 16 * KiB, 4 * KiB))
+    assert tb.sm_stats()["block_pushes"] == pushes + 2
+    purged = tb.sm_stats().get("purged_blocks", 0)
+    spent["close"], _ = _count_calls(sim, client.close(fd))
+    assert tb.sm_stats()["purged_blocks"] == purged + 32
+    spent["open"], _ = _count_calls(sim, client.open("/warm"))
+    assert tb.sm_stats()["purged_blocks"] == purged + 32
+    assert spent == _budget_for(spent)

@@ -10,6 +10,8 @@ from repro.cluster import (
     scaled,
 )
 from repro.core.config import IMCaConfig
+from repro.faults import FaultSchedule
+from repro.obs.context import Observability
 from repro.util import GiB, KiB, MiB
 
 
@@ -144,17 +146,26 @@ def test_mcclient_stats_surface_replica_counters():
 
 
 def test_elastic_config_validation():
-    with pytest.raises(ValueError):
-        TestbedConfig(num_mcds=0, elastic=True)  # nothing to resize
-    with pytest.raises(ValueError):
-        TestbedConfig(
-            num_mcds=3, elastic=True, imca=IMCaConfig(replicas=2)
-        )  # membership replaces replication, not composes with it
+    """The resize controller refuses, at first use, a bank it cannot
+    resize; there is no knob to refuse at config time."""
+    with pytest.raises(TypeError):
+        TestbedConfig(num_mcds=2, elastic=True)
+    tb = build_gluster_testbed(TestbedConfig(num_mcds=0))
+    assert tb.membership is None and tb.all_mcds() == []
+    with pytest.raises(ValueError, match="num_mcds >= 1"):
+        tb.elastic  # nothing to resize
+    tb = build_gluster_testbed(
+        TestbedConfig(num_mcds=3, imca=IMCaConfig(replicas=2))
+    )
+    with pytest.raises(ValueError, match="replicas == 1"):
+        tb.elastic  # membership replaces replication, not composes with it
+    with pytest.raises(ValueError, match="replicas == 1"):
+        tb.arm_faults(FaultSchedule().mcd_add(0.0, warm_for=0.01))
+    tb.arm_faults(FaultSchedule().mcd_crash(0.0, mcd=0, down_for=0.01))  # no resize: fine
 
 
 def test_elastic_testbed_wiring():
-    tb = build_gluster_testbed(TestbedConfig(num_mcds=2, elastic=True))
-    assert tb.membership is not None and tb.elastic is not None
+    tb = build_gluster_testbed(TestbedConfig(num_mcds=2))
     assert tb.membership.ring_ids == (0, 1)
     assert all(cm.mc.membership is tb.membership for cm in tb.cmcaches)
     # all_mcds follows membership growth; the frozen list does not
@@ -165,7 +176,35 @@ def test_elastic_testbed_wiring():
     assert tb.all_mcds()[nid] is tb.membership.members[nid].daemon
 
 
-def test_non_elastic_testbed_has_no_membership():
-    tb = build_gluster_testbed(TestbedConfig(num_mcds=2))
-    assert tb.membership is None and tb.elastic is None
-    assert all(cm.mc.membership is None for cm in tb.cmcaches)
+def test_default_testbed_is_the_static_membership_and_builds_no_controller():
+    obs = Observability()
+    tb = build_gluster_testbed(TestbedConfig(num_clients=2, num_mcds=3), obs=obs)
+    ms = tb.membership
+    assert (ms.epoch, ms.windows, ms.ring_ids) == (0, [], (0, 1, 2))
+    assert tb.all_mcds() == tb.mcds
+    for mc in [cm.mc for cm in tb.cmcaches] + [sm.mc for sm in tb.smcaches]:
+        assert mc.membership is ms and mc.servers == tb.mcds
+
+    def resize_plumbing():
+        return ("mcd-ops" in tb.net._nics, "elastic" in obs.registry.components)
+
+    # Running, arming non-membership faults and exporting metrics never
+    # bring the resize controller into existence...
+    c = tb.clients[0]
+
+    def w():
+        fd = yield from c.create("/f")
+        yield from c.write(fd, 0, 4 * KiB)
+        yield from c.read(fd, 0, 4 * KiB)
+
+    tb.arm_faults(FaultSchedule().mcd_crash(1.0, mcd=1, down_for=0.01))
+    tb.sim.process(w())
+    tb.sim.run()
+    tb.snapshot_metrics()
+    assert resize_plumbing() == (False, False)
+    assert ms.epoch == 0
+    # ...the first use of ``tb.elastic`` does.
+    nid = tb.elastic.add(window=0.001)
+    tb.sim.run()
+    assert resize_plumbing() == (True, True)
+    assert ms.ring_ids == (0, 1, 2, nid)
