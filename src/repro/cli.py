@@ -99,7 +99,13 @@ def _run_observed(exp, args):
     metrics_out = getattr(args, "metrics_out", None)
     oplog_out = getattr(args, "oplog_out", None)
     sample_interval = getattr(args, "sample_interval", None)
-    run_kwargs = getattr(args, "run_kwargs", {})
+    # What the parsed command carries for the runner: `run` has
+    # --selector (fig-style runners only), `repro chaos` has --replicas.
+    run_kwargs = {
+        k: v
+        for k in ("selector", "replicas")
+        if (v := getattr(args, k, None)) is not None
+    }
     if not (trace_out or metrics_out or oplog_out or sample_interval):
         return exp.run(args.scale, **run_kwargs), None
     from repro.obs import ObsRequest, observing
@@ -175,12 +181,6 @@ def cmd_run(args) -> int:
     except KeyError as e:
         print(e, file=sys.stderr)
         return 2
-    if getattr(args, "selector", None):
-        # Only fig-style runners take a selector; merged lazily so the
-        # sugar subcommands (chaos, elastic, ...) keep their own kwargs.
-        kwargs = dict(getattr(args, "run_kwargs", {}))
-        kwargs["selector"] = args.selector
-        args.run_kwargs = kwargs
     try:
         jobs = resolve_jobs(args.jobs)
     except ValueError as e:
@@ -211,43 +211,6 @@ def cmd_run(args) -> int:
     else:
         _print_result(result, time.time() - t0, chart=args.chart)
     return 0 if result.all_passed else 1
-
-
-def cmd_chaos(args) -> int:
-    """`repro chaos` — sugar for `repro run chaos`."""
-    args.experiment = "chaos"
-    args.run_kwargs = {"replicas": args.replicas}
-    return cmd_run(args)
-
-
-def cmd_hotspot(args) -> int:
-    """`repro hotspot` — sugar for `repro run hotspot`."""
-    args.experiment = "hotspot"
-    return cmd_run(args)
-
-
-def cmd_readpath(args) -> int:
-    """`repro readpath` — sugar for `repro run readpath`."""
-    args.experiment = "readpath"
-    return cmd_run(args)
-
-
-def cmd_elastic(args) -> int:
-    """`repro elastic` — sugar for `repro run elastic`."""
-    args.experiment = "elastic"
-    return cmd_run(args)
-
-
-def cmd_tenants(args) -> int:
-    """`repro tenants` — sugar for `repro run tenants`."""
-    args.experiment = "tenants"
-    return cmd_run(args)
-
-
-def cmd_fastpath(args) -> int:
-    """`repro fastpath` — sugar for `repro run fastpath`."""
-    args.experiment = "fastpath"
-    return cmd_run(args)
 
 
 def cmd_run_all(args) -> int:
@@ -403,7 +366,7 @@ def cmd_analyze(args) -> int:
     t0 = time.time()
     with job_pool(jobs):
         with observing(req):
-            result = exp.run(args.scale, **getattr(args, "run_kwargs", {}))
+            result = exp.run(args.scale)
     logged = [o for o in req.captures if o.oplog is not None and len(o.oplog)]
     if not logged:
         print(
@@ -509,79 +472,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.set_defaults(func=cmd_run)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="run the fault-injection / graceful-degradation experiment",
-        description="Crash k of n MCDs, sweep seeded-random failure rates, "
-        "and drive a healthy/degraded/recovered phase pass; equivalent to "
-        "`repro run chaos` with the same flags.",
-    )
-    _add_run_flags(chaos)
-    chaos.add_argument(
-        "--replicas", type=int, default=1, metavar="R",
-        help="store each key on R distinct MCDs (default 1 = the paper's "
-        "unreplicated mapping); killed daemons then change only the hit "
-        "rate, never the returned bytes",
-    )
-    chaos.set_defaults(func=cmd_chaos)
-
-    hotspot = sub.add_parser(
-        "hotspot",
-        help="run the replicated hot-key caching experiment",
-        description="Sweep Zipf skew and replica count R for per-MCD load "
-        "imbalance, hammer one hot key for tail latency, and kill a replica "
-        "mid-run; equivalent to `repro run hotspot` with the same flags.",
-    )
-    _add_run_flags(hotspot)
-    hotspot.set_defaults(func=cmd_hotspot)
-
-    readpath = sub.add_parser(
-        "readpath",
-        help="run the read-path optimisation experiment",
-        description="Sweep partial-hit ratio, readahead depth and "
-        "hot-cache budget, then kill an MCD mid-sweep with everything "
-        "on; equivalent to `repro run readpath` with the same flags.",
-    )
-    _add_run_flags(readpath)
-    readpath.set_defaults(func=cmd_readpath)
-
-    elastic = sub.add_parser(
-        "elastic",
-        help="run the elastic-membership resize experiment",
-        description="Grow/shrink the MCD tier mid-run (ketama vs naive "
-        "mod-hash vs cold restart, demand backfill vs background "
-        "migration, planned drain vs unplanned remove, plus a chaos "
-        "schedule during the resize window); equivalent to `repro run "
-        "elastic` with the same flags.",
-    )
-    _add_run_flags(elastic)
-    elastic.set_defaults(func=cmd_elastic)
-
-    tenants = sub.add_parser(
-        "tenants",
-        help="run the multi-tenant arbitration experiment",
-        description="Blend several tenant populations (namespaces, "
-        "footprints, Zipf skews) into one op stream: a tenant-mix sweep "
-        "(per-tenant and aggregate hit rate, arbitrated vs vanilla slab "
-        "LRU) plus an SLA scenario proving reserved floors hold under "
-        "an aggressive neighbour; equivalent to `repro run tenants` "
-        "with the same flags.",
-    )
-    _add_run_flags(tenants)
-    tenants.set_defaults(func=cmd_tenants)
-
-    fastpath = sub.add_parser(
-        "fastpath",
-        help="run the fast-path equality experiment (batched == scalar)",
-        description="Run the identical fixed-work burst workload with "
-        "IMCaConfig.fastpath off and on, across steady/chaos/elastic/"
-        "tenants scenarios: content digests (plus, fault-free, the "
-        "logical metrics fingerprint) must be equal while the "
-        "fastpath_* counters show each coalescing tier engaged; "
-        "equivalent to `repro run fastpath` with the same flags.",
-    )
-    _add_run_flags(fastpath)
-    fastpath.set_defaults(func=cmd_fastpath)
+    # `repro <id>` is `repro run <id>` for every registered experiment;
+    # help and description are the registry's own title/description.
+    for exp in all_experiments():
+        sugar = sub.add_parser(exp.id, help=exp.title, description=exp.description)
+        _add_run_flags(sugar)
+        if exp.id == "chaos":
+            sugar.add_argument(
+                "--replicas", type=int, default=1, metavar="R",
+                help="store each key on R distinct MCDs (default 1 = the paper's "
+                "unreplicated mapping); killed daemons then change only the hit "
+                "rate, never the returned bytes",
+            )
+        sugar.set_defaults(func=cmd_run, experiment=exp.id)
 
     run_all = sub.add_parser("run-all", help="run every experiment")
     run_all.add_argument("--scale", choices=SCALES, default="smoke")

@@ -23,72 +23,48 @@ are comparable across configurations.
 
 from __future__ import annotations
 
-import hashlib
 import math
 
-from repro.cluster import ResilienceConfig, TestbedConfig, build_gluster_testbed
 from repro.core.config import IMCaConfig
 from repro.faults.schedule import FaultSchedule, MCD_CRASH, random_schedule
 from repro.harness.experiment import ExperimentResult, register
 from repro.harness.params import params_for
 from repro.harness.parallel import pmap
+from repro.harness.scenario import (
+    Probe, create_files, hit_rate, hits_misses, payload, running_mean, testbed,
+)
 from repro.obs.context import make_observability
 from repro.obs.export import metrics_fingerprint, render_tier_breakdown
 from repro.obs.slo import SloMonitor, SloSpec, render_slo_report
 from repro.obs.tail import render_why_slow, tail_summary
-from repro.util.stats import OnlineStats
 from repro.workloads.base import drive, run_clients
 
 
 # --------------------------------------------------------------------------- #
 # Shared workload: per-client private files, stat+read measured phase
 # --------------------------------------------------------------------------- #
-def _payload(rank: int, j: int, size: int) -> bytes:
-    """Deterministic, distinct-per-file contents."""
-    phase = (37 * rank + 11 * j + 5) % 251
-    return bytes((phase + i) % 256 for i in range(size))
+def _contents(p: dict, rank: int, j: int) -> bytes:
+    return payload(p["file_size"], (37 * rank + 11 * j + 5) % 251)
 
 
-def _build(p: dict, num_mcds: int) -> "object":
-    res = (
-        ResilienceConfig(
-            mcd_timeout=p["mcd_timeout"],
-            mcd_retries=0,
-            cooldown=p["cooldown"],
-            eject_after=2,
-            seed=p["seed"],
-        )
-        if num_mcds
-        else None
+def _build(p: dict, num_mcds: int, *, clients=None, obs=None):
+    """The chaos testbed plus its private files (untimed setup): returns
+    ``(tb, fds)`` with ``fds[rank]`` the ``(path, fd)`` pairs of client
+    *rank*."""
+    tb = testbed(
+        p,
+        clients=clients,
+        mcds=num_mcds,
+        imca=IMCaConfig(replicas=p.get("replicas", 1) if num_mcds else 1),
+        resilient=True,
+        obs=obs,
     )
-    return build_gluster_testbed(
-        TestbedConfig(
-            num_clients=p["num_clients"],
-            num_mcds=num_mcds,
-            mcd_memory=p["mcd_memory"],
-            imca=IMCaConfig(replicas=p.get("replicas", 1) if num_mcds else 1),
-            resilience=res,
-        )
-    )
-
-
-def _setup_files(tb, p: dict) -> list[list[tuple[str, int]]]:
-    """Untimed: each client creates and writes its private files."""
-    fds: list[list[tuple[str, int]]] = []
-
-    def body():
-        for rank, c in enumerate(tb.clients):
-            row = []
-            for j in range(p["files_per_client"]):
-                path = f"/chaos/r{rank}/f{j}"
-                fd = yield from c.create(path)
-                data = _payload(rank, j, p["file_size"])
-                yield from c.write(fd, 0, len(data), data)
-                row.append((path, fd))
-            fds.append(row)
-
-    drive(tb.sim, body())
-    return fds
+    files = [
+        (rank, f"/chaos/r{rank}/f{j}", _contents(p, rank, j))
+        for rank in range(len(tb.clients))
+        for j in range(p["files_per_client"])
+    ]
+    return tb, drive(tb.sim, create_files(tb, files))
 
 
 def _measure(tb, fds, p: dict, *, until: float = 0.0) -> dict:
@@ -96,98 +72,63 @@ def _measure(tb, fds, p: dict, *, until: float = 0.0) -> dict:
 
     Fixed-work mode (``until == 0``) loops ``rounds`` times — used where
     runs must be byte-comparable.  Time-bounded mode loops until the
-    deadline — used under random fault schedules.  Returns pooled
-    latencies, an order-independent content fingerprint (per-rank
-    digests over stat size + read bytes, combined in rank order), a
-    mismatch count against the known payloads, and an error count.
+    deadline — used under random fault schedules.  Returns mean
+    latencies, the probe's rank-ordered content fingerprint, and its
+    op/error/mismatch counts against the known payloads.
     """
     sim = tb.sim
     rec = p["record_size"]
     per_file = p["file_size"] // rec
-    stat_lat, read_lat = OnlineStats(), OnlineStats()
-    digests: list[str] = ["" for _ in tb.clients]
-    counts = {"ops": 0, "errors": 0, "mismatches": 0}
+    probe = Probe(tb)
 
     def body(client, rank, barrier):
-        h = hashlib.sha256()
         yield barrier.wait()
         r = 0
-        while True:
-            if until:
-                if sim.now >= until:
-                    break
-            elif r >= p["rounds"]:
-                break
+        while (sim.now < until) if until else (r < p["rounds"]):
             for j, (path, fd) in enumerate(fds[rank]):
-                expected = _payload(rank, j, p["file_size"])
-                try:
-                    t0 = sim.now
-                    st = yield from client.stat(path)
-                    stat_lat.add(sim.now - t0)
-                    h.update(st.size.to_bytes(8, "big"))
-                    if st.size != len(expected):
-                        counts["mismatches"] += 1
-                    off = (r % per_file) * rec
-                    t0 = sim.now
-                    res = yield from client.read(fd, off, rec)
-                    read_lat.add(sim.now - t0)
-                    h.update(res.data or b"")
-                    if res.data != expected[off : off + rec]:
-                        counts["mismatches"] += 1
-                    counts["ops"] += 2
-                except Exception:
-                    counts["errors"] += 1
+                expected = _contents(p, rank, j)
+                yield from probe.stat(rank, path, len(expected))
+                off = (r % per_file) * rec
+                yield from probe.read(rank, fd, off, expected[off : off + rec])
             r += 1
-        digests[rank] = h.hexdigest()
 
     run_clients(sim, tb.clients, body)
-    combined = hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
     return {
-        "fingerprint": combined,
-        "stat_lat": stat_lat.mean,
-        "read_lat": read_lat.mean,
-        **counts,
+        "fingerprint": probe.fingerprint,
+        "stat_lat": running_mean(probe.stat_lat),
+        "read_lat": running_mean(probe.read_lat),
+        "hit_rate": hit_rate(hits_misses(tb)),
+        **probe.counts(),
     }
-
-
-def _hit_rate(tb) -> float:
-    cm = tb.cm_stats()
-    hits = cm.get("read_hits", 0)
-    total = hits + cm.get("read_misses", 0)
-    return hits / total if total else 0.0
 
 
 # --------------------------------------------------------------------------- #
 # Pass 1: dead-MCD sweep (pmap jobs)
 # --------------------------------------------------------------------------- #
-def _dead_mcd_job(p: dict, num_mcds: int, dead: int) -> dict:
+def _dead_mcd_job(p: dict, num_mcds: int, dead: int, obs=None) -> dict:
     """One sweep point: *dead* of *num_mcds* MCDs crash for the whole
     measured phase (num_mcds == 0 is the cache-off baseline)."""
-    tb = _build(p, num_mcds)
-    fds = _setup_files(tb, p)
+    tb, fds = _build(p, num_mcds, obs=obs)
     if dead:
         sched = FaultSchedule()
         for i in range(dead):
             # Effectively forever: recovery lands after the run ends.
             sched.mcd_crash(0.0, mcd=i, down_for=1e6)
         tb.arm_faults(sched.shifted(tb.sim.now))
-    out = _measure(tb, fds, p)
-    out["hit_rate"] = _hit_rate(tb)
-    return out
+    return _measure(tb, fds, p)
 
 
 # --------------------------------------------------------------------------- #
 # Pass 2: random failure-rate sweep (pmap jobs)
 # --------------------------------------------------------------------------- #
-def _rate_job(p: dict, rate: float, _repeat: int) -> dict:
+def _rate_job(p: dict, rate: float, _repeat: int, obs=None) -> dict:
     """One seeded-random crash/restart schedule at *rate* failures/s.
 
     ``_repeat`` only distinguishes determinism-check duplicates; the
     run itself depends solely on the schedule seed in ``p``.
     """
     n = p["num_mcds"]
-    tb = _build(p, n)
-    fds = _setup_files(tb, p)
+    tb, fds = _build(p, n, obs=obs)
     sched = random_schedule(
         p["seed"],
         p["window"],
@@ -198,7 +139,6 @@ def _rate_job(p: dict, rate: float, _repeat: int) -> dict:
     )
     injector = tb.arm_faults(sched.shifted(tb.sim.now)) if len(sched) else None
     out = _measure(tb, fds, p, until=tb.sim.now + p["window"])
-    out["hit_rate"] = _hit_rate(tb)
     out["faults"] = len(sched)
     out["fault_log"] = len(injector.log) if injector else 0
     out["metrics_hash"] = metrics_fingerprint(tb.snapshot_metrics())
@@ -214,57 +154,29 @@ def _slo_monitors(p: dict, phase_len: float) -> list[SloMonitor]:
     fast window catches the fault onset within a fraction of a phase,
     the slow window suppresses single-op blips."""
     s = p["slo"]
-    fast = phase_len * s["fast_frac"]
-    slow = phase_len * s["slow_frac"]
-    specs = [
-        SloSpec(
-            "read-latency",
-            op_prefix="client.read",
-            objective=s["objective"],
-            threshold=s["read_threshold"],
-            fast_window=fast,
-            slow_window=slow,
-            burn_threshold=s["burn_threshold"],
-            min_ops=s["min_ops"],
-        ),
-        SloSpec(
-            "stat-latency",
-            op_prefix="client.stat",
-            objective=s["objective"],
-            threshold=s["stat_threshold"],
-            fast_window=fast,
-            slow_window=slow,
-            burn_threshold=s["burn_threshold"],
-            min_ops=s["min_ops"],
-        ),
+    return [
+        SloMonitor(
+            SloSpec(
+                f"{op}-latency",
+                op_prefix=f"client.{op}",
+                objective=s["objective"],
+                threshold=s[f"{op}_threshold"],
+                fast_window=phase_len * s["fast_frac"],
+                slow_window=phase_len * s["slow_frac"],
+                burn_threshold=s["burn_threshold"],
+                min_ops=s["min_ops"],
+            )
+        )
+        for op in ("read", "stat")
     ]
-    return [SloMonitor(spec) for spec in specs]
 
 
-def _phase_pass(p: dict) -> tuple[dict, object, list[SloMonitor], dict]:
+def _phase_pass(p: dict, obs) -> tuple[dict, object, list[SloMonitor], dict]:
     """One timeline: half the MCDs die for the middle third and rejoin
     (cold + purged) for the last third; per-phase numbers go through
-    the metrics registry, per-op records feed the SLO monitors."""
+    the metrics registry, per-op records feed *obs*'s SLO monitors."""
     n = p["num_mcds"]
-    obs = make_observability("chaos", trace=True, oplog=True)
-    res = ResilienceConfig(
-        mcd_timeout=p["mcd_timeout"],
-        mcd_retries=0,
-        cooldown=p["cooldown"],
-        eject_after=2,
-        seed=p["seed"],
-    )
-    tb = build_gluster_testbed(
-        TestbedConfig(
-            num_clients=1,
-            num_mcds=n,
-            mcd_memory=p["mcd_memory"],
-            imca=IMCaConfig(replicas=p.get("replicas", 1)),
-            resilience=res,
-        ),
-        obs=obs,
-    )
-    fds = _setup_files(tb, p)
+    tb, fds = _build(p, n, clients=1, obs=obs)
     sim = tb.sim
     phase_len = p["window"] / 3.0
     t0 = sim.now
@@ -286,21 +198,14 @@ def _phase_pass(p: dict) -> tuple[dict, object, list[SloMonitor], dict]:
     phases = ["healthy", "degraded", "recovered"]
     rec = p["record_size"]
     client = tb.clients[0]
-    marks: list[dict] = []
-
-    def snap() -> dict:
-        cm = tb.cm_stats()
-        return {
-            "hits": cm.get("read_hits", 0),
-            "misses": cm.get("read_misses", 0),
-        }
+    marks: list[tuple[int, int]] = []
 
     def body():
         # Re-read a hot working set (first block of each file) every
         # round: the phase hit rate then reflects *current* cache
         # health rather than the warm-up history of a rotating offset.
         for k, name in enumerate(phases):
-            marks.append(snap())
+            marks.append(hits_misses(tb))
             end = t0 + (k + 1) * phase_len
             while sim.now < end:
                 for path, fd in fds[0]:
@@ -311,16 +216,14 @@ def _phase_pass(p: dict) -> tuple[dict, object, list[SloMonitor], dict]:
                     yield from client.read(fd, 0, rec)
                     comp.observe(f"{name}.read_s", sim.now - ts)
                     comp.inc(f"{name}.ops", 2)
-        marks.append(snap())
+        marks.append(hits_misses(tb))
 
     drive(sim, body())
-    rows = {"stat latency": [], "read latency": [], "hit rate": []}
-    for k, name in enumerate(phases):
-        rows["stat latency"].append(comp.timer(f"{name}.stat_s").mean)
-        rows["read latency"].append(comp.timer(f"{name}.read_s").mean)
-        dh = marks[k + 1]["hits"] - marks[k]["hits"]
-        dm = marks[k + 1]["misses"] - marks[k]["misses"]
-        rows["hit rate"].append(dh / (dh + dm) if dh + dm else 0.0)
+    rows = {
+        "stat latency": [comp.timer(f"{name}.stat_s").mean for name in phases],
+        "read latency": [comp.timer(f"{name}.read_s").mean for name in phases],
+        "hit rate": [hit_rate(marks[k + 1], marks[k]) for k in range(len(phases))],
+    }
     timeline = {
         "t0": t0,
         "phase_len": phase_len,
@@ -440,12 +343,11 @@ def run_chaos(scale: str = "default", replicas: int = 1) -> ExperimentResult:
     )
 
     # ---- pass 3: instrumented phase pass ---------------------------------
-    phase_rows, tb, monitors, timeline = _phase_pass(p)
+    obs = make_observability("chaos", trace=True, oplog=True)
+    phase_rows, tb, monitors, timeline = _phase_pass(p, obs)
     result.extras["phases"] = {"x": ["healthy", "degraded", "recovered"], **phase_rows}
-    tracer = tb.obs.tracer
-    if tracer.enabled:
-        tb.snapshot_metrics()
-        result.extras["tier_breakdown"] = render_tier_breakdown(tracer)
+    tb.snapshot_metrics()
+    result.extras["tier_breakdown"] = render_tier_breakdown(obs.tracer)
     result.check(
         "the degraded phase loses hit rate; the recovered phase regains it",
         phase_rows["hit rate"][1] < phase_rows["hit rate"][0]
@@ -458,11 +360,8 @@ def run_chaos(scale: str = "default", replicas: int = 1) -> ExperimentResult:
     result.extras["slo"] = [m.summary() for m in monitors]
     result.extras["slo_report"] = render_slo_report(monitors)
     result.extras["slo_timeline"] = timeline
-    oplog = tb.obs.oplog
-    if oplog is not None:
-        tail = tail_summary(oplog)
-        result.extras["tail"] = tail
-        result.extras["why_slow"] = render_why_slow(tail)
+    result.extras["tail"] = tail_summary(obs.oplog)
+    result.extras["why_slow"] = render_why_slow(result.extras["tail"])
     # Which objective burns depends on scale: killing one of few MCDs
     # slows a large fraction of reads (smoke/default fire read-latency);
     # killing one of many mostly leaves reads hittable and the burn

@@ -29,22 +29,25 @@ round 0, and is compared against a no-resize baseline:
 One variant runs twice to prove schedule + seed => identical metrics,
 and every round re-writes a per-client scratch file and reads it back,
 so a stale pre-resize copy served from a forwarding-window peer would
-surface as a mismatch.
+surface as a mismatch.  The ``resize-*`` outcome-tag counts come from
+the ``ketama-add`` job itself, run once more in-process with the op log
+on — there is no separate instrumented workload.
 """
 
 from __future__ import annotations
 
-import hashlib
+from collections import Counter
 
-from repro.cluster import ResilienceConfig, TestbedConfig, build_gluster_testbed
 from repro.core.config import IMCaConfig
 from repro.faults.schedule import FaultSchedule, MCD_CRASH, random_schedule
 from repro.harness.experiment import ExperimentResult, register
 from repro.harness.params import params_for
 from repro.harness.parallel import pmap
+from repro.harness.scenario import (
+    Probe, create_files, hit_rate, hits_misses, payload, running_mean, testbed,
+)
 from repro.obs.context import make_observability
 from repro.obs.export import metrics_fingerprint
-from repro.util.stats import OnlineStats
 from repro.workloads.base import drive
 
 #: Variant order for jobs, series, and the EXPERIMENTS table.
@@ -67,64 +70,31 @@ _NAIVE = ("naive-add", "cold-restart")
 _EVENT_EPS = 1e-7
 
 
-def _payload(rank: int, j: int, size: int) -> bytes:
-    """Deterministic, distinct-per-file contents."""
-    phase = (41 * rank + 13 * j + 7) % 251
-    return bytes((phase + i) % 256 for i in range(size))
+def _contents(p: dict, rank: int, j: int) -> bytes:
+    return payload(p["file_size"], (41 * rank + 13 * j + 7) % 251)
 
 
-def _scratch_payload(rank: int, r: int, size: int) -> bytes:
+def _scratch(p: dict, rank: int, r: int) -> bytes:
     """Round-varying scratch contents: proves read-after-write coherence
     across resize windows (a stale forwarded copy would mismatch)."""
-    phase = (89 * rank + 29 * r + 3) % 251
-    return bytes((phase + i) % 256 for i in range(size))
+    return payload(p["record_size"], (89 * rank + 29 * r + 3) % 251)
 
 
-def _build(p: dict, variant: str, *, obs=None):
+def _build(p: dict, variant: str, obs=None):
+    """The elastic testbed plus (untimed) each client's private files
+    and, last in its row, one scratch file rewritten per round."""
     selector = "crc32" if variant in _NAIVE else "ketama"
-    tb = build_gluster_testbed(
-        TestbedConfig(
-            num_clients=p["num_clients"],
-            num_mcds=p["num_mcds"],
-            mcd_memory=p["mcd_memory"],
-            imca=IMCaConfig(selector=selector),
-            resilience=ResilienceConfig(
-                mcd_timeout=p["mcd_timeout"],
-                mcd_retries=0,
-                cooldown=p["cooldown"],
-                eject_after=2,
-                seed=p["seed"],
-            ),
-        ),
-        obs=obs,
-    )
+    tb = testbed(p, imca=IMCaConfig(selector=selector), resilient=True, obs=obs)
     tb.elastic.migrate_batch = p["migrate_batch"]
     tb.elastic.migrate_interval = p["migrate_interval"]
-    return tb
-
-
-def _setup_files(tb, p: dict) -> list[list[tuple[str, int]]]:
-    """Untimed: each client creates and writes its private files, plus
-    one scratch file (index ``files_per_client``) rewritten per round."""
-    fds: list[list[tuple[str, int]]] = []
-
-    def body():
-        for rank, c in enumerate(tb.clients):
-            row = []
-            for j in range(p["files_per_client"]):
-                path = f"/elastic/r{rank}/f{j}"
-                fd = yield from c.create(path)
-                data = _payload(rank, j, p["file_size"])
-                yield from c.write(fd, 0, len(data), data)
-                row.append((path, fd))
-            spath = f"/elastic/r{rank}/scratch"
-            sfd = yield from c.create(spath)
-            yield from c.write(sfd, 0, p["record_size"], _scratch_payload(rank, -1, p["record_size"]))
-            row.append((spath, sfd))
-            fds.append(row)
-
-    drive(tb.sim, body())
-    return fds
+    files = []
+    for rank in range(len(tb.clients)):
+        files += [
+            (rank, f"/elastic/r{rank}/f{j}", _contents(p, rank, j))
+            for j in range(p["files_per_client"])
+        ]
+        files.append((rank, f"/elastic/r{rank}/scratch", _scratch(p, rank, -1)))
+    return tb, drive(tb.sim, create_files(tb, files))
 
 
 def _schedule(p: dict, variant: str, window: float) -> FaultSchedule | None:
@@ -158,7 +128,7 @@ def _schedule(p: dict, variant: str, window: float) -> FaultSchedule | None:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _variant_job(p: dict, variant: str, _repeat: int) -> dict:
+def _variant_job(p: dict, variant: str, _repeat: int, obs=None) -> dict:
     """One variant end to end.  ``_repeat`` only distinguishes the
     determinism duplicate; the run depends solely on ``p`` + *variant*.
 
@@ -170,63 +140,36 @@ def _variant_job(p: dict, variant: str, _repeat: int) -> dict:
     round — keys the window outlives must re-fill the hard way, which
     is exactly what background migration avoids.
     """
-    tb = _build(p, variant)
-    fds = _setup_files(tb, p)
+    tb, fds = _build(p, variant, obs)
     sim = tb.sim
     rec = p["record_size"]
     rb, ra = p["rounds_before"], p["rounds_after"]
-    digests = ["" for _ in tb.clients]
-    hashers = [hashlib.sha256() for _ in tb.clients]
-    counts = {"mismatches": 0, "errors": 0}
-    read_lat = OnlineStats()
-    marks: list[dict] = []
-    rows: dict = {}
-
-    def snap() -> dict:
-        cm = tb.cm_stats()
-        return {
-            "hits": cm.get("read_hits", 0) + cm.get("stat_hits", 0),
-            "misses": cm.get("read_misses", 0) + cm.get("stat_misses", 0),
-        }
+    probe = Probe(tb)
+    marks: list[tuple[int, int]] = []
 
     def one_round(r: int):
-        for rank, c in enumerate(tb.clients):
-            h = hashers[rank]
+        for rank in range(len(tb.clients)):
             for j, (path, fd) in enumerate(fds[rank][:-1]):
-                expected = _payload(rank, j, p["file_size"])
-                try:
-                    st = yield from c.stat(path)
-                    h.update(st.size.to_bytes(8, "big"))
-                    if st.size != len(expected):
-                        counts["mismatches"] += 1
-                    t0 = sim.now
-                    res = yield from c.read(fd, 0, rec)
-                    read_lat.add(sim.now - t0)
-                    h.update(res.data or b"")
-                    if res.data != expected[:rec]:
-                        counts["mismatches"] += 1
-                except Exception:
-                    counts["errors"] += 1
-            spath, sfd = fds[rank][-1]
-            sdata = _scratch_payload(rank, r, rec)
-            try:
-                yield from c.write(sfd, 0, rec, sdata)
-                res = yield from c.read(sfd, 0, rec)
-                h.update(res.data or b"")
-                if res.data != sdata:
-                    counts["mismatches"] += 1
-            except Exception:
-                counts["errors"] += 1
+                expected = _contents(p, rank, j)
+                yield from probe.stat(rank, path, len(expected))
+                yield from probe.read(rank, fd, 0, expected[:rec])
+            _spath, sfd = fds[rank][-1]
+            sdata = _scratch(p, rank, r)
+            yield from probe.write(rank, sfd, 0, sdata)
+            yield from probe.read(rank, sfd, 0, sdata, timed=False)
+
+    def mark():
+        marks.append(hits_misses(tb, ("read", "stat")))
 
     def body():
         # Untimed warm-up: the cache reaches steady state.
         for r in range(p["warm_rounds"]):
             yield from one_round(-1 - r)
         t0 = sim.now
-        marks.append(snap())
+        mark()
         for r in range(rb):
             yield from one_round(r - rb)
-            marks.append(snap())
+            mark()
         round_time = (sim.now - t0) / rb
         window = p["window_rounds"] * round_time
         sched = _schedule(p, variant, window)
@@ -239,33 +182,25 @@ def _variant_job(p: dict, variant: str, _repeat: int) -> dict:
             yield sim.timeout(10 * _EVENT_EPS)
         for r in range(ra):
             yield from one_round(r)
-            marks.append(snap())
-        for rank, h in enumerate(hashers):
-            digests[rank] = h.hexdigest()
+            mark()
 
     drive(sim, body())
-    rates = []
-    for k in range(len(marks) - 1):
-        dh = marks[k + 1]["hits"] - marks[k]["hits"]
-        dm = marks[k + 1]["misses"] - marks[k]["misses"]
-        rates.append(dh / (dh + dm) if dh + dm else 0.0)
-    post_misses = marks[-1]["misses"] - marks[rb]["misses"]
-    rows["rates"] = rates
-    rows["post_misses"] = post_misses
-    rows["read_lat"] = read_lat.mean
-    rows["fingerprint"] = hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
-    rows.update(counts)
-    rows["metrics_hash"] = metrics_fingerprint(tb.snapshot_metrics())
     mcc = tb.mcclient_stats()
-    rows["mc"] = {
-        k: mcc.get(k, 0)
-        for k in ("forward_probes", "backfill_hits", "backfill_copies", "window_writes")
+    return {
+        "rates": [hit_rate(b, a) for a, b in zip(marks, marks[1:])],
+        "post_misses": marks[-1][1] - marks[rb][1],
+        "read_lat": running_mean(probe.read_lat),
+        "fingerprint": probe.fingerprint,
+        "mismatches": probe.mismatches,
+        "errors": probe.errors,
+        "metrics_hash": metrics_fingerprint(tb.snapshot_metrics()),
+        "mc": {
+            k: mcc.get(k, 0)
+            for k in ("forward_probes", "backfill_hits", "backfill_copies", "window_writes")
+        },
+        "elastic": dict(tb.obs.registry.component("elastic").counters.values),
+        "members": {i: m.state for i, m in sorted(tb.membership.members.items())},
     }
-    rows["elastic"] = dict(
-        tb.obs.registry.component("elastic").counters.values
-    )
-    rows["members"] = {i: m.state for i, m in sorted(tb.membership.members.items())}
-    return rows
 
 
 def _dip(row: dict, rb: int) -> tuple[float, float, float]:
@@ -273,53 +208,6 @@ def _dip(row: dict, rb: int) -> tuple[float, float, float]:
     pre = sum(row["rates"][:rb]) / rb
     after = row["rates"][rb:]
     return pre, pre - min(after), after[-1]
-
-
-def _instrumented_pass(p: dict):
-    """Re-run ketama-add with tracing + op log: resize-window ops carry
-    ``resize-forward`` / ``resize-backfill`` / ``resize-window-write``
-    outcome tags, so ``repro analyze`` can attribute the window's tail."""
-    obs = make_observability("elastic", trace=True, oplog=True)
-    tb = _build(p, "ketama-add", obs=obs)
-    fds = _setup_files(tb, p)
-    sim = tb.sim
-    rec = p["record_size"]
-
-    def body():
-        for r in range(p["warm_rounds"]):
-            for rank, c in enumerate(tb.clients):
-                for path, fd in fds[rank][:-1]:
-                    yield from c.stat(path)
-                    yield from c.read(fd, 0, rec)
-        t0 = sim.now
-        for rank, c in enumerate(tb.clients):
-            for path, fd in fds[rank][:-1]:
-                yield from c.stat(path)
-                yield from c.read(fd, 0, rec)
-        round_time = sim.now - t0
-        tb.arm_faults(
-            FaultSchedule()
-            .mcd_add(_EVENT_EPS, warm_for=p["window_rounds"] * round_time)
-            .shifted(sim.now)
-        )
-        yield sim.timeout(10 * _EVENT_EPS)
-        for r in range(2):
-            for rank, c in enumerate(tb.clients):
-                for j, (path, fd) in enumerate(fds[rank][:-1]):
-                    yield from c.stat(path)
-                    yield from c.read(fd, 0, rec)
-                spath, sfd = fds[rank][-1]
-                yield from c.write(sfd, 0, rec, _scratch_payload(rank, r, rec))
-
-    drive(sim, body())
-    tb.snapshot_metrics()
-    tags: dict[str, int] = {}
-    assert tb.obs.oplog is not None
-    for rec_ in tb.obs.oplog.records:
-        for t in rec_.tags:
-            if t.startswith("resize-"):
-                tags[t] = tags.get(t, 0) + 1
-    return tb, tags
 
 
 @register(
@@ -441,7 +329,16 @@ def run_elastic(scale: str = "default") -> ExperimentResult:
         f"{by['ketama-add']['members']}",
     )
 
-    tb, tags = _instrumented_pass(p)
+    # The ketama-add job again, in-process with tracing + op log:
+    # resize-window ops carry ``resize-forward`` / ``resize-backfill`` /
+    # ``resize-window-write`` outcome tags, so ``repro analyze`` can
+    # attribute the window's tail.
+    obs = make_observability("elastic", trace=True, oplog=True)
+    _variant_job(p, "ketama-add", 0, obs)
+    assert obs.oplog is not None
+    tags = dict(
+        Counter(t for r in obs.oplog.records for t in r.tags if t.startswith("resize-"))
+    )
     result.extras["resize_tags"] = tags
     result.check(
         "resize-window ops carry outcome tags for tail attribution",

@@ -48,12 +48,12 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.cluster import ResilienceConfig, TestbedConfig, build_gluster_testbed
 from repro.core.config import IMCaConfig
 from repro.faults.schedule import MCD_CRASH, FaultSchedule, random_schedule
 from repro.harness.experiment import ExperimentResult, register
 from repro.harness.parallel import pmap
 from repro.harness.params import params_for
+from repro.harness.scenario import Probe, create_files, payload, testbed, text_digest
 from repro.memcached.tenancy import TenantSpec
 from repro.workloads.base import drive, run_clients
 
@@ -70,19 +70,16 @@ _EVENT_EPS = 1e-7
 _LOGICAL_CM_KEYS = ("stat_hits", "stat_misses", "read_hits", "read_misses")
 
 
-def _payload(rank: int, j: int, size: int) -> bytes:
-    """Deterministic, distinct-per-file contents."""
-    phase = (53 * rank + 17 * j + 9) % 251
-    return bytes((phase + i) % 256 for i in range(size))
+def _contents(p: dict, rank: int, j: int) -> bytes:
+    return payload(p["file_size"], (53 * rank + 17 * j + 9) % 251)
 
 
-def _scratch_payload(rank: int, b: int, r: int, size: int) -> bytes:
+def _scratch(p: dict, rank: int, b: int, r: int) -> bytes:
     """Round-varying scratch contents (per-child private file)."""
-    phase = (71 * rank + 31 * b + 13 * r + 1) % 251
-    return bytes((phase + i) % 256 for i in range(size))
+    return payload(p["record_size"], (71 * rank + 31 * b + 13 * r + 1) % 251)
 
 
-def _build(p: dict, scenario: str, fastpath: bool):
+def _build(p: dict, scenario: str, fastpath: bool, obs=None):
     imca_kw: dict = {"fastpath": fastpath}
     if scenario == "elastic":
         # Elastic membership needs consistent hashing so add/drain remap
@@ -96,65 +93,43 @@ def _build(p: dict, scenario: str, fastpath: bool):
             TenantSpec("clients", "/fp/r", reserved_frac=0.20),
         )
         imca_kw["tenant_arbitrate"] = True
-    return build_gluster_testbed(
-        TestbedConfig(
-            num_clients=p["num_clients"],
-            num_mcds=p["num_mcds"],
-            mcd_memory=p["mcd_memory"],
-            imca=IMCaConfig(**imca_kw),
-            resilience=ResilienceConfig(
-                mcd_timeout=p["mcd_timeout"],
-                mcd_retries=0,
-                cooldown=p["cooldown"],
-                eject_after=2,
-                seed=p["seed"],
-            ),
-        )
-    )
+    return testbed(p, imca=IMCaConfig(**imca_kw), resilient=True, obs=obs)
 
 
 def _setup(tb, p: dict):
     """Untimed: create shared + private + scratch files, then warm the
     MCD array with one *sequential* pass (sequential ops never open a
-    coalescing window, so both runs warm identically)."""
+    coalescing window, so both runs warm identically).  Returns the
+    shared paths and, per rank, ``[(private path, fd), (scratch path,
+    fd) x burst]``."""
     rec = p["record_size"]
     per_file = p["file_size"] // rec
     shared = [f"/fp/shared/f{j}" for j in range(p["shared_files"])]
-    private: list[tuple[str, int]] = []
-    scratch: list[list[int]] = []
+    files = [(0, path, _contents(p, 97, j)) for j, path in enumerate(shared)]
+    for rank in range(len(tb.clients)):
+        files.append((rank, f"/fp/r{rank}/data", _contents(p, rank, 0)))
+        files += [(rank, f"/fp/r{rank}/s{b}", None) for b in range(p["burst"])]
 
     def body():
-        c0 = tb.clients[0]
-        for j, path in enumerate(shared):
-            fd = yield from c0.create(path)
-            data = _payload(97, j, p["file_size"])
-            yield from c0.write(fd, 0, len(data), data)
-        for rank, c in enumerate(tb.clients):
-            path = f"/fp/r{rank}/data"
-            fd = yield from c.create(path)
-            data = _payload(rank, 0, p["file_size"])
-            yield from c.write(fd, 0, len(data), data)
-            private.append((path, fd))
-            row = []
-            for b in range(p["burst"]):
-                sfd = yield from c.create(f"/fp/r{rank}/s{b}")
-                row.append(sfd)
-            scratch.append(row)
+        fds = yield from create_files(tb, files)
+        # Client 0 also holds the shared files' fds; nothing reads
+        # through them (they are only ever stat-ed).
+        fds[0] = fds[0][len(shared) :]
         # Warm pass: every stat key and data block the measured phase
         # will touch goes through the server once, so SMCache pushes it
         # into the MCD array.
         for rank, c in enumerate(tb.clients):
             for path in shared:
                 yield from c.stat(path)
-            _path, fd = private[rank]
+            _path, fd = fds[rank][0]
             for k in range(per_file):
                 yield from c.read(fd, k * rec, rec)
+        return fds
 
-    drive(tb.sim, body())
-    return shared, private, scratch
+    return shared, drive(tb.sim, body())
 
 
-def _measure(tb, shared, private, scratch, p: dict, events_by_round) -> dict:
+def _measure(tb, shared, fds, p: dict, events_by_round) -> dict:
     """The fixed-work measured phase: ``rounds`` barrier-separated
     bursts of ``burst`` concurrent children per client."""
     sim = tb.sim
@@ -162,7 +137,7 @@ def _measure(tb, shared, private, scratch, p: dict, events_by_round) -> dict:
     rec = p["record_size"]
     per_file = p["file_size"] // rec
     digests = ["" for _ in tb.clients]
-    counts = {"ops": 0, "errors": 0, "mismatches": 0}
+    probe = Probe(tb)
     injectors: list = []
 
     def body(client, rank, barrier):
@@ -175,8 +150,8 @@ def _measure(tb, shared, private, scratch, p: dict, events_by_round) -> dict:
         # would let the first op's latency spread desynchronise the
         # rest, never opening the later windows.
         h = hashlib.sha256()
-        _ppath, pfd = private[rank]
-        expected = _payload(rank, 0, p["file_size"])
+        (_ppath, pfd), *scratch = fds[rank]
+        expected = _contents(p, rank, 0)
         for r in range(p["rounds"]):
             yield barrier.wait()
             if rank == 0 and r in events_by_round:
@@ -191,29 +166,26 @@ def _measure(tb, shared, private, scratch, p: dict, events_by_round) -> dict:
                     # counter — timing-dependent by construction — so it
                     # must not enter the digest; content equality for
                     # writes is proven by the readback pass below.
-                    wdata = _scratch_payload(rank, b, r, rec)
-                    yield from client.write(scratch[rank][b], 0, rec, wdata)
-                    counts["ops"] += 1
-                    slots[b] = (0, b"")
+                    done = yield from probe.write(
+                        rank, scratch[b][1], 0, _scratch(p, rank, b, r)
+                    )
+                    if done is not None:
+                        slots[b] = (0, b"")
                     return
-                spath = shared[b % len(shared)]
-                st = yield from client.stat(spath)
+                st = yield from probe.stat(
+                    rank, shared[b % len(shared)], p["file_size"]
+                )
                 off = ((r * burst + b) % per_file) * rec
-                res = yield from client.read(pfd, off, rec)
-                if res.data != expected[off : off + rec]:
-                    counts["mismatches"] += 1
-                counts["ops"] += 2
-                slots[b] = (st.size, res.data or b"")
+                res = yield from probe.read(rank, pfd, off, expected[off : off + rec])
+                if st is not None and res is not None:
+                    slots[b] = (st.size, res.data or b"")
 
-            procs = [
-                sim.process(child(b), name=f"fp-r{rank}b{b}") for b in range(burst)
-            ]
-            try:
-                yield sim.all_of(procs)
-            except Exception:
-                counts["errors"] += 1
+            yield sim.all_of(
+                [sim.process(child(b), name=f"fp-r{rank}b{b}") for b in range(burst)]
+            )
             # Hash in slot order: the digest must not depend on which
-            # child completed first.
+            # child completed first (the probe's own per-rank digest
+            # does, so it is not used here).
             for b in range(burst):
                 slot = slots[b]
                 if slot is None:
@@ -226,6 +198,7 @@ def _measure(tb, shared, private, scratch, p: dict, events_by_round) -> dict:
 
     run_clients(sim, tb.clients, body)
     fault_log = sum(len(inj.log) for inj in injectors)
+    measured_ops = probe.ops  # the readback below is not part of "ops"
 
     # Untimed readback: every scratch file must hold its last written
     # round's contents — the write bursts' content equality proof.
@@ -235,19 +208,24 @@ def _measure(tb, shared, private, scratch, p: dict, events_by_round) -> dict:
     if last_write is not None:
 
         def readback():
-            for rank, c in enumerate(tb.clients):
+            for rank in range(len(tb.clients)):
                 h = hashlib.sha256(digests[rank].encode("ascii"))
-                for b in range(burst):
-                    res = yield from c.read(scratch[rank][b], 0, rec)
-                    h.update(res.data or b"")
-                    if res.data != _scratch_payload(rank, b, last_write, rec):
-                        counts["mismatches"] += 1
+                for b, (_spath, sfd) in enumerate(fds[rank][1:]):
+                    res = yield from probe.read(
+                        rank, sfd, 0, _scratch(p, rank, b, last_write), timed=False
+                    )
+                    if res is not None:
+                        h.update(res.data or b"")
                 digests[rank] = h.hexdigest()
 
         drive(sim, readback())
 
-    combined = hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
-    return {"fingerprint": combined, "fault_log": fault_log, **counts}
+    return {
+        "fingerprint": text_digest(*digests),
+        "fault_log": fault_log,
+        **probe.counts(),
+        "ops": measured_ops,
+    }
 
 
 def _events(p: dict, scenario: str) -> dict[int, FaultSchedule]:
@@ -286,15 +264,14 @@ def _logical_fingerprint(row: dict) -> str:
         "mismatches": row["mismatches"],
         **{f"cm.{k}": row["cm"].get(k, 0) for k in _LOGICAL_CM_KEYS},
     }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+    return text_digest(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _job(p: dict, scenario: str, fastpath: bool) -> dict:
+def _job(p: dict, scenario: str, fastpath: bool, obs=None) -> dict:
     """One (scenario, arm) end to end — picklable for pmap."""
-    tb = _build(p, scenario, fastpath)
-    shared, private, scratch = _setup(tb, p)
-    out = _measure(tb, shared, private, scratch, p, _events(p, scenario))
+    tb = _build(p, scenario, fastpath, obs)
+    shared, fds = _setup(tb, p)
+    out = _measure(tb, shared, fds, p, _events(p, scenario))
     cm = tb.cm_stats()
     out["cm"] = {k: cm.get(k, 0) for k in _LOGICAL_CM_KEYS}
     out["fastpath"] = tb.fastpath_stats()

@@ -25,37 +25,20 @@ replica only because every SMCache write/purge reaches all of them.
 
 from __future__ import annotations
 
-import math
-
-from repro.cluster import ResilienceConfig, TestbedConfig, build_gluster_testbed
 from repro.core.config import IMCaConfig
 from repro.core.keys import data_key, stat_key
 from repro.faults.schedule import FaultSchedule
 from repro.harness.experiment import ExperimentResult, register
 from repro.harness.parallel import pmap
 from repro.harness.params import params_for
+from repro.harness.scenario import (
+    Probe, create_files, hit_rate, hits_misses, mean, open_files, p99, payload,
+    testbed,
+)
 from repro.obs.context import make_observability
 from repro.obs.tail import render_why_slow, tail_summary
 from repro.workloads.base import drive, run_clients
 from repro.workloads.trace import TraceConfig, replay_trace
-
-
-def _p99(samples: list[float]) -> float:
-    if not samples:
-        return 0.0
-    s = sorted(samples)
-    return s[max(0, math.ceil(0.99 * len(s)) - 1)]
-
-
-def _build(p: dict, replicas: int, num_clients: int):
-    return build_gluster_testbed(
-        TestbedConfig(
-            num_clients=num_clients,
-            num_mcds=p["num_mcds"],
-            mcd_memory=p["mcd_memory"],
-            imca=IMCaConfig(replicas=replicas),
-        )
-    )
 
 
 def _replica_counters(tb) -> dict[str, int]:
@@ -67,9 +50,9 @@ def _replica_counters(tb) -> dict[str, int]:
 # --------------------------------------------------------------------------- #
 # Pass 1: Zipf trace sweep over (skew, R)
 # --------------------------------------------------------------------------- #
-def _sweep_job(p: dict, skew: float, replicas: int) -> dict:
+def _sweep_job(p: dict, skew: float, replicas: int, obs=None) -> dict:
     """One sweep point: replay the trace, report per-MCD load imbalance."""
-    tb = _build(p, replicas, p["num_clients"])
+    tb = testbed(p, imca=IMCaConfig(replicas=replicas), obs=obs)
     cfg = TraceConfig(
         num_files=p["num_files"],
         zipf_s=skew,
@@ -82,10 +65,9 @@ def _sweep_job(p: dict, skew: float, replicas: int) -> dict:
     )
     res = replay_trace(tb.sim, tb.clients, cfg)
     loads = [mcd.engine.stat_dict().get("cmd_get", 0) for mcd in tb.mcds]
-    mean = sum(loads) / len(loads)
     return {
         "loads": loads,
-        "imbalance": max(loads) / mean if mean else 0.0,
+        "imbalance": max(loads) / mean(loads) if any(loads) else 0.0,
         "stat_lat": res.stat_latency.mean,
         "read_lat": res.read_latency.mean,
         "replica_counters": _replica_counters(tb),
@@ -95,165 +77,79 @@ def _sweep_job(p: dict, skew: float, replicas: int) -> dict:
 # --------------------------------------------------------------------------- #
 # Pass 2: hot-key hammer (tail latency)
 # --------------------------------------------------------------------------- #
-def _hot_job(p: dict, replicas: int) -> dict:
-    """All clients stat+read one hot file in lockstep; pooled latencies."""
-    tb = _build(p, replicas, p["hot_clients"])
+def _hot_job(p: dict, replicas: int, obs=None) -> dict:
+    """All clients stat+read one hot file in lockstep; pooled latencies.
+
+    With an *obs* bundle every timed stat/read is also the bundle's
+    last ``2 * samples`` op records (pass 2b reads them back).
+    """
+    tb = testbed(
+        p, clients=p["hot_clients"], imca=IMCaConfig(replicas=replicas), obs=obs
+    )
     sim = tb.sim
-    rec = p["record_size"]
     path = "/hot/victim"
-    data = bytes(i % 251 for i in range(p["hot_file_size"]))
+    data = payload(p["hot_file_size"], 0)
+    head = data[: p["record_size"]]
+    probe = Probe(tb)
     fds: list[int] = []
 
     def setup():
-        fd = yield from tb.clients[0].create(path)
-        yield from tb.clients[0].write(fd, 0, len(data), data)
-        fds.append(fd)
-        for c in tb.clients[1:]:
-            fds.append((yield from c.open(path)))
+        created = yield from create_files(tb, [(0, path, data)])
+        opened = yield from open_files(tb, [path], tb.clients[1:])
+        fds.extend([created[0][0][1]] + [table[path] for table in opened])
         # Warm every replica (pushes fan out, so once per client is
         # ample): the timed loop then measures pure MCD service.
         for rank, c in enumerate(tb.clients):
             yield from c.stat(path)
-            yield from c.read(fds[rank], 0, rec)
+            yield from c.read(fds[rank], 0, len(head))
 
     drive(sim, setup())
-    stat_lats: list[float] = []
-    read_lats: list[float] = []
 
     def body(client, rank, barrier):
         yield barrier.wait()
         for _ in range(p["hot_rounds"]):
-            t0 = sim.now
-            yield from client.stat(path)
-            stat_lats.append(sim.now - t0)
-            t0 = sim.now
-            yield from client.read(fds[rank], 0, rec)
-            read_lats.append(sim.now - t0)
+            yield from probe.stat(rank, path, len(data))
+            yield from probe.read(rank, fds[rank], 0, head)
 
     run_clients(sim, tb.clients, body)
     return {
-        "stat_p99": _p99(stat_lats),
-        "read_p99": _p99(read_lats),
-        "stat_mean": sum(stat_lats) / len(stat_lats),
-        "samples": len(stat_lats),
+        "stat_p99": p99(probe.stat_lat),
+        "read_p99": p99(probe.read_lat),
+        "stat_mean": mean(probe.stat_lat),
+        "samples": len(probe.stat_lat),
+        **probe.counts(),
     }
-
-
-# --------------------------------------------------------------------------- #
-# Pass 2b: instrumented hot-key hammer (per-op attribution)
-# --------------------------------------------------------------------------- #
-def _hot_instrumented(p: dict, replicas: int) -> tuple[dict, object]:
-    """The pass-2 hammer again at the highest R, with the op log on:
-    every stat/read becomes a lifecycle record, so the tail analyzer
-    can attribute the hot key's p99 to a tier and the outcome tags
-    prove which path (hot tier / MCD / server) served each op.
-
-    Runs in-process (never pmapped), so the op records are identical
-    under any ``--jobs N``.
-    """
-    obs = make_observability("hotspot", trace=True, oplog=True)
-    tb = build_gluster_testbed(
-        TestbedConfig(
-            num_clients=p["hot_clients"],
-            num_mcds=p["num_mcds"],
-            mcd_memory=p["mcd_memory"],
-            imca=IMCaConfig(replicas=replicas),
-        ),
-        obs=obs,
-    )
-    sim = tb.sim
-    rec = p["record_size"]
-    path = "/hot/victim"
-    data = bytes(i % 251 for i in range(p["hot_file_size"]))
-    fds: list[int] = []
-
-    def setup():
-        fd = yield from tb.clients[0].create(path)
-        yield from tb.clients[0].write(fd, 0, len(data), data)
-        fds.append(fd)
-        for c in tb.clients[1:]:
-            fds.append((yield from c.open(path)))
-        for rank, c in enumerate(tb.clients):
-            yield from c.stat(path)
-            yield from c.read(fds[rank], 0, rec)
-
-    drive(sim, setup())
-    mark = len(obs.oplog.records) if obs.oplog is not None else 0
-
-    def body(client, rank, barrier):
-        yield barrier.wait()
-        for _ in range(p["hot_rounds"]):
-            yield from client.stat(path)
-            yield from client.read(fds[rank], 0, rec)
-
-    run_clients(sim, tb.clients, body)
-    measured = list(obs.oplog.records)[mark:] if obs.oplog is not None else []
-    reads = [r for r in measured if r.op == "client.read"]
-    stats = [r for r in measured if r.op == "client.stat"]
-    outcome_tags = (
-        "read-hit", "read-partial-fill", "read-miss", "read-uncacheable",
-        "stat-hot-hit", "stat-mcd-hit", "stat-miss",
-    )
-    tagged = sum(
-        1 for r in reads + stats if any(t in outcome_tags for t in r.tags)
-    )
-    return {
-        "ops": len(measured),
-        "reads": len(reads),
-        "stats": len(stats),
-        "tagged": tagged,
-        "tail": tail_summary(obs.oplog) if obs.oplog is not None else {},
-    }, tb
 
 
 # --------------------------------------------------------------------------- #
 # Pass 3: degraded replica (coherence + absorption)
 # --------------------------------------------------------------------------- #
-def _payload(j: int, size: int) -> bytes:
-    phase = (41 * j + 7) % 251
-    return bytes((phase + i) % 256 for i in range(size))
-
-
-def _degraded_job(p: dict, replicas: int, kill: bool) -> dict:
+def _degraded_job(p: dict, replicas: int, kill: bool, obs=None) -> dict:
     """Read known payloads with one MCD dead (or healthy, as reference)."""
-    res = ResilienceConfig(
-        mcd_timeout=p["mcd_timeout"],
-        mcd_retries=0,
-        cooldown=p["cooldown"],
-        eject_after=2,
-        seed=p["seed"],
-    )
-    tb = build_gluster_testbed(
-        TestbedConfig(
-            num_clients=p["deg_clients"],
-            num_mcds=p["num_mcds"],
-            mcd_memory=p["mcd_memory"],
-            imca=IMCaConfig(replicas=replicas),
-            resilience=res,
-        )
+    tb = testbed(
+        p,
+        clients=p["deg_clients"],
+        imca=IMCaConfig(replicas=replicas),
+        resilient=True,
+        obs=obs,
     )
     sim = tb.sim
     rec = p["record_size"]
     size = p["deg_file_size"]
     paths = [f"/hot/deg/f{j}" for j in range(p["deg_files"])]
-    tables: list[dict[int, int]] = []
+    contents = [payload(size, (41 * j + 7) % 251) for j in range(len(paths))]
+    tables: list[dict[str, int]] = []
 
     def setup():
-        for j, path in enumerate(paths):
-            fd = yield from tb.clients[0].create(path)
-            data = _payload(j, size)
-            yield from tb.clients[0].write(fd, 0, len(data), data)
-            yield from tb.clients[0].close(fd)
-        for c in tb.clients:
-            fds = {}
-            for j, path in enumerate(paths):
-                fds[j] = yield from c.open(path)
-            tables.append(fds)
+        yield from create_files(
+            tb, [(0, path, data) for path, data in zip(paths, contents)], close=True
+        )
+        tables.extend((yield from open_files(tb, paths)))
         # Warm the bank once; fan-out means every replica holds the data.
-        for j, path in enumerate(paths):
+        for path in paths:
             yield from tb.clients[0].stat(path)
             for off in range(0, size, rec):
-                yield from tb.clients[0].read(tables[0][j], off, rec)
+                yield from tb.clients[0].read(tables[0][path], off, rec)
 
     drive(sim, setup())
     if kill:
@@ -270,33 +166,21 @@ def _degraded_job(p: dict, replicas: int, kill: bool) -> dict:
         sched = FaultSchedule()
         sched.mcd_crash(0.0, mcd=victim, down_for=1e6)  # never recovers
         tb.arm_faults(sched.shifted(sim.now))
-    base = tb.cm_stats()
-    counts = {"mismatches": 0, "errors": 0}
+    base = hits_misses(tb)
+    probe = Probe(tb)
 
     def body(client, rank, barrier):
         yield barrier.wait()
         for _ in range(p["deg_rounds"]):
-            for j, path in enumerate(paths):
-                expected = _payload(j, size)
-                try:
-                    st = yield from client.stat(path)
-                    if st.size != size:
-                        counts["mismatches"] += 1
-                    for off in range(0, size, rec):
-                        r = yield from client.read(tables[rank][j], off, rec)
-                        if r.data != expected[off : off + rec]:
-                            counts["mismatches"] += 1
-                except Exception:
-                    counts["errors"] += 1
+            for path, expected in zip(paths, contents):
+                yield from probe.stat(rank, path, size)
+                for off in range(0, size, rec):
+                    yield from probe.read(
+                        rank, tables[rank][path], off, expected[off : off + rec]
+                    )
 
     run_clients(sim, tb.clients, body)
-    cm = tb.cm_stats()
-    hits = cm.get("read_hits", 0) - base.get("read_hits", 0)
-    misses = cm.get("read_misses", 0) - base.get("read_misses", 0)
-    return {
-        **counts,
-        "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-    }
+    return {**probe.counts(), "hit_rate": hit_rate(hits_misses(tb), base)}
 
 
 # --------------------------------------------------------------------------- #
@@ -378,18 +262,35 @@ def run_hotspot(scale: str = "default") -> ExperimentResult:
     )
 
     # ---- pass 2b: instrumented hammer (per-op attribution) ---------------
-    inst, inst_tb = _hot_instrumented(p, rs[-1])
-    result.extras["tail"] = inst["tail"]
-    result.extras["why_slow"] = render_why_slow(inst["tail"])
+    # The pass-2 job again at the highest R, in-process (so the records
+    # are identical under any ``--jobs N``) with the op log on: every
+    # stat/read becomes a lifecycle record, so the tail analyzer can
+    # attribute the hot key's p99 to a tier and the outcome tags prove
+    # which path (hot tier / MCD / server) served each op.
+    obs = make_observability("hotspot", trace=True, oplog=True)
+    inst = _hot_job(p, rs[-1], obs)
+    assert obs.oplog is not None
+    measured = list(obs.oplog.records)[-2 * inst["samples"] :]
+    reads = [r for r in measured if r.op == "client.read"]
+    stats = [r for r in measured if r.op == "client.stat"]
+    outcome_tags = (
+        "read-hit", "read-partial-fill", "read-miss", "read-uncacheable",
+        "stat-hot-hit", "stat-mcd-hit", "stat-miss",
+    )
+    tagged = sum(
+        1 for r in reads + stats if any(t in outcome_tags for t in r.tags)
+    )
+    result.extras["tail"] = tail_summary(obs.oplog)
+    result.extras["why_slow"] = render_why_slow(result.extras["tail"])
     expected = p["hot_clients"] * p["hot_rounds"]
     result.check(
         "per-op records cover the instrumented hammer: one record per "
         "stat/read, every one carrying an outcome tag",
-        inst["reads"] == expected
-        and inst["stats"] == expected
-        and inst["tagged"] == inst["reads"] + inst["stats"],
-        f"{inst['stats']} stats + {inst['reads']} reads recorded "
-        f"(expected {expected} each); {inst['tagged']} tagged",
+        len(reads) == expected
+        and len(stats) == expected
+        and tagged == len(reads) + len(stats),
+        f"{len(stats)} stats + {len(reads)} reads recorded "
+        f"(expected {expected} each); {tagged} tagged",
     )
 
     # ---- pass 3: degraded replica ----------------------------------------

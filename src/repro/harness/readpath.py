@@ -29,35 +29,45 @@ payload, so "identical" never degenerates into "identically wrong".
 
 from __future__ import annotations
 
-import hashlib
-import math
-
-from repro.cluster import ResilienceConfig, TestbedConfig, build_gluster_testbed
 from repro.core.config import IMCaConfig
 from repro.core.keys import data_key, stat_key
 from repro.faults.schedule import FaultSchedule
 from repro.harness.experiment import ExperimentResult, register
 from repro.harness.parallel import pmap
 from repro.harness.params import params_for
+from repro.harness.scenario import (
+    Probe, create_files, mean, open_files, p99, payload, testbed,
+)
 from repro.obs.context import make_observability
 from repro.obs.tail import render_why_slow, tail_summary
 from repro.workloads.base import drive, run_clients
 
 
-def _p99(samples: list[float]) -> float:
-    if not samples:
-        return 0.0
-    s = sorted(samples)
-    return s[max(0, math.ceil(0.99 * len(s)) - 1)]
+def _working_set(tb, kind: str, nfiles: int, size: int, *, cold: bool = False):
+    """Untimed setup shared by every pass: client 0 writes *nfiles*
+    files of *size* known bytes, closes and reopens them, then warms the
+    bank (stat + whole-file read) — or, with *cold*, drops everything
+    the write read-back pushed before reopening (the server re-pushes
+    the stat on open).  Returns ``(paths, contents, {path: fd})``."""
+    paths = [f"/readpath/{kind}/f{j}" for j in range(nfiles)]
+    contents = [payload(size, (67 * j + 13) % 251) for j in range(nfiles)]
+    client = tb.clients[0]
 
+    def setup():
+        yield from create_files(
+            tb, [(0, path, data) for path, data in zip(paths, contents)], close=True
+        )
+        if cold:
+            for mcd in tb.mcds:
+                mcd.engine.flush_all()
+        [fds] = yield from open_files(tb, paths)
+        if not cold:
+            for path in paths:
+                yield from client.stat(path)
+                yield from client.read(fds[path], 0, size)
+        return fds
 
-def _mean(samples: list[float]) -> float:
-    return sum(samples) / len(samples) if samples else 0.0
-
-
-def _payload(j: int, size: int) -> bytes:
-    phase = (67 * j + 13) % 251
-    return bytes((phase + i) % 256 for i in range(size))
+    return paths, contents, drive(tb.sim, setup())
 
 
 def _evict_blocks(tb, path: str, offsets: list[int]) -> None:
@@ -73,66 +83,34 @@ def _evict_blocks(tb, path: str, offsets: list[int]) -> None:
 # --------------------------------------------------------------------------- #
 # Pass 1: partial-fill sweep over the partial-hit ratio
 # --------------------------------------------------------------------------- #
-def _pf_job(p: dict, hit_ratio: float, fills: bool) -> dict:
+def _pf_job(p: dict, hit_ratio: float, fills: bool, obs=None) -> dict:
     """Evict a block suffix per round; read the whole file back."""
     imca = IMCaConfig(partial_fills=fills)
-    tb = build_gluster_testbed(
-        TestbedConfig(
-            num_clients=1,
-            num_mcds=p["num_mcds"],
-            mcd_memory=p["mcd_memory"],
-            imca=imca,
-        )
-    )
-    sim = tb.sim
+    tb = testbed(p, clients=1, imca=imca, obs=obs)
     bs = imca.block_size
     nblocks = p["pf_blocks"]
-    size = nblocks * bs
-    paths = [f"/readpath/pf/f{j}" for j in range(p["pf_files"])]
-    fds: dict[str, int] = {}
-
-    def setup():
-        client = tb.clients[0]
-        for j, path in enumerate(paths):
-            fd = yield from client.create(path)
-            data = _payload(j, size)
-            yield from client.write(fd, 0, size, data)
-            yield from client.close(fd)
-        for path in paths:
-            fds[path] = yield from client.open(path)
-        for path in paths:  # warm: stat + every block cached
-            yield from client.stat(path)
-            yield from client.read(fds[path], 0, size)
-
-    drive(sim, setup())
+    paths, contents, fds = _working_set(tb, "pf", p["pf_files"], nblocks * bs)
     # Evict the *suffix* so the missing run is contiguous: one fill read
     # per round, never a checkerboard.
     n_miss = nblocks - round(hit_ratio * nblocks)
     n_miss = min(max(n_miss, 1), nblocks - 1)
     evict = [(nblocks - n_miss + i) * bs for i in range(n_miss)]
-    lats: list[float] = []
-    digest = hashlib.sha256()
-    counts = {"mismatches": 0}
+    probe = Probe(tb)
 
     def body(client, rank, barrier):
         yield barrier.wait()
         for _ in range(p["pf_rounds"]):
-            for j, path in enumerate(paths):
+            for path, expected in zip(paths, contents):
                 _evict_blocks(tb, path, evict)
-                t0 = sim.now
-                r = yield from client.read(fds[path], 0, size)
-                lats.append(sim.now - t0)
-                digest.update(r.data or b"")
-                if r.data != _payload(j, size):
-                    counts["mismatches"] += 1
+                yield from probe.read(rank, fds[path], 0, expected)
 
-    run_clients(sim, tb.clients, body)
+    run_clients(tb.sim, tb.clients, body)
     cm = tb.cm_stats()
     return {
-        "mean": _mean(lats),
-        "p99": _p99(lats),
-        "digest": digest.hexdigest(),
-        "mismatches": counts["mismatches"],
+        "mean": mean(probe.read_lat),
+        "p99": p99(probe.read_lat),
+        "digest": probe.digest(0),
+        "mismatches": probe.mismatches,
         "partial_hits": cm.get("read_partial_hits", 0),
         "fill_reads": cm.get("fill_reads", 0),
         "fill_blocks": cm.get("fill_blocks", 0),
@@ -144,60 +122,29 @@ def _pf_job(p: dict, hit_ratio: float, fills: bool) -> dict:
 # --------------------------------------------------------------------------- #
 # Pass 2: sequential readahead depth sweep
 # --------------------------------------------------------------------------- #
-def _ra_job(p: dict, depth: int) -> dict:
+def _ra_job(p: dict, depth: int, obs=None) -> dict:
     """Stream cold files sequentially, one block per read."""
     imca = IMCaConfig(readahead_blocks=depth)
-    tb = build_gluster_testbed(
-        TestbedConfig(
-            num_clients=1,
-            num_mcds=p["num_mcds"],
-            mcd_memory=p["mcd_memory"],
-            imca=imca,
-        )
-    )
-    sim = tb.sim
+    tb = testbed(p, clients=1, imca=imca, obs=obs)
     bs = imca.block_size
-    nblocks = p["ra_blocks"]
-    size = nblocks * bs
-    paths = [f"/readpath/ra/f{j}" for j in range(p["ra_files"])]
-    fds: dict[str, int] = {}
-
-    def setup():
-        client = tb.clients[0]
-        for j, path in enumerate(paths):
-            fd = yield from client.create(path)
-            yield from client.write(fd, 0, size, _payload(j, size))
-            yield from client.close(fd)
-        # Cold data: drop everything the write read-back pushed, then
-        # reopen (the server re-pushes the stat on open).
-        for mcd in tb.mcds:
-            mcd.engine.flush_all()
-        for path in paths:
-            fds[path] = yield from client.open(path)
-
-    drive(sim, setup())
-    lats: list[float] = []
-    counts = {"mismatches": 0}
+    size = p["ra_blocks"] * bs
+    paths, contents, fds = _working_set(tb, "ra", p["ra_files"], size, cold=True)
+    probe = Probe(tb)
 
     def body(client, rank, barrier):
         yield barrier.wait()
-        for j, path in enumerate(paths):
-            expected = _payload(j, size)
+        for path, expected in zip(paths, contents):
             for off in range(0, size, bs):
-                t0 = sim.now
-                r = yield from client.read(fds[path], off, bs)
-                lats.append(sim.now - t0)
-                if r.data != expected[off : off + bs]:
-                    counts["mismatches"] += 1
+                yield from probe.read(rank, fds[path], off, expected[off : off + bs])
 
-    run_clients(sim, tb.clients, body)
+    run_clients(tb.sim, tb.clients, body)
     cm = tb.cm_stats()
-    reads = len(lats)
+    reads = len(probe.read_lat)
     hits = cm.get("prefetch_hits", 0)
     return {
-        "mean": _mean(lats),
-        "p99": _p99(lats),
-        "mismatches": counts["mismatches"],
+        "mean": mean(probe.read_lat),
+        "p99": p99(probe.read_lat),
+        "mismatches": probe.mismatches,
         "prefetch_issued": cm.get("prefetch_issued", 0),
         "prefetch_blocks": cm.get("prefetch_blocks", 0),
         "prefetch_hits": hits,
@@ -210,83 +157,50 @@ def _ra_job(p: dict, depth: int) -> dict:
 # --------------------------------------------------------------------------- #
 # Pass 3: hot-cache size sweep
 # --------------------------------------------------------------------------- #
-def _hc_job(p: dict, budget: int) -> dict:
+def _hc_job(p: dict, budget: int, obs=None) -> dict:
     """Re-read a small open working set; repeats should go hot."""
     imca = IMCaConfig(hot_cache_bytes=budget)
-    tb = build_gluster_testbed(
-        TestbedConfig(
-            num_clients=1,
-            num_mcds=p["num_mcds"],
-            mcd_memory=p["mcd_memory"],
-            imca=imca,
-        )
-    )
+    tb = testbed(p, clients=1, imca=imca, obs=obs)
     sim = tb.sim
     bs = imca.block_size
     nblocks = p["hc_blocks"]
     size = nblocks * bs
-    paths = [f"/readpath/hc/f{j}" for j in range(p["hc_files"])]
-    fds: dict[str, int] = {}
-
-    def setup():
-        client = tb.clients[0]
-        for j, path in enumerate(paths):
-            fd = yield from client.create(path)
-            yield from client.write(fd, 0, size, _payload(j, size))
-            yield from client.close(fd)
-        for path in paths:
-            fds[path] = yield from client.open(path)
-        for path in paths:  # warm MCD + (when on) the hot tier
-            yield from client.stat(path)
-            yield from client.read(fds[path], 0, size)
-
-    drive(sim, setup())
-    lats: list[float] = []
-    stat_lats: list[float] = []
-    counts = {"mismatches": 0}
+    # The warm pass fills the MCDs and (when on) the hot tier.
+    paths, contents, fds = _working_set(tb, "hc", p["hc_files"], size)
+    probe = Probe(tb)
 
     def body(client, rank, barrier):
         yield barrier.wait()
         for r_i in range(p["hc_rounds"]):
-            for j, path in enumerate(paths):
-                expected = _payload(j, size)
+            for j, (path, expected) in enumerate(zip(paths, contents)):
                 off = ((r_i + j) % nblocks) * bs
-                t0 = sim.now
-                st = yield from client.stat(path)
-                stat_lats.append(sim.now - t0)
-                if st.size != size:
-                    counts["mismatches"] += 1
-                t0 = sim.now
-                r = yield from client.read(fds[path], off, bs)
-                lats.append(sim.now - t0)
-                if r.data != expected[off : off + bs]:
-                    counts["mismatches"] += 1
+                yield from probe.stat(rank, path, size)
+                yield from probe.read(rank, fds[path], off, expected[off : off + bs])
 
     run_clients(sim, tb.clients, body)
 
-    # Staleness probe: overwrite block 0 of file 0, then read it back —
+    # Staleness check: overwrite block 0 of file 0, then read it back —
     # the hot copy must be invalidated, not served.
-    def probe():
+    def overwrite():
         client = tb.clients[0]
-        fresh = bytes((x + 101) % 256 for x in range(bs))
+        fresh = payload(bs, 101)
         yield from client.write(fds[paths[0]], 0, bs, fresh)
         r = yield from client.read(fds[paths[0]], 0, bs)
         return r.data == fresh
 
-    fresh_after_write = drive(sim, probe())
+    fresh_after_write = drive(sim, overwrite())
     cm = tb.cm_stats()
-    hot = tb.cmcaches[0].hot_info()
     return {
-        "mean": _mean(lats),
-        "p99": _p99(lats),
-        "stat_mean": _mean(stat_lats),
-        "mismatches": counts["mismatches"],
+        "mean": mean(probe.read_lat),
+        "p99": p99(probe.read_lat),
+        "stat_mean": mean(probe.stat_lat),
+        "mismatches": probe.mismatches,
         "fresh_after_write": bool(fresh_after_write),
         "hot_data_hits": cm.get("hot_data_hits", 0),
         "hot_stat_hits": cm.get("hot_stat_hits", 0),
         "hot_evictions": cm.get("hot_evictions", 0),
         "hot_invalidated": cm.get("hot_invalidated", 0),
-        "hot_info": hot,
+        "hot_info": tb.cmcaches[0].hot_info(),
     }
 
 
@@ -306,72 +220,34 @@ def _ft_job(p: dict, features: bool, kill: bool, obs=None) -> dict:
             readahead_blocks=p["ft_readahead"],
             hot_cache_bytes=p["ft_hot_bytes"],
         )
-        res = ResilienceConfig(
-            mcd_timeout=p["mcd_timeout"],
-            mcd_retries=0,
-            cooldown=p["cooldown"],
-            eject_after=2,
-            seed=p["seed"],
-        )
-        cfg = TestbedConfig(
-            num_clients=1,
-            num_mcds=p["num_mcds"],
-            mcd_memory=p["mcd_memory"],
-            imca=imca,
-            resilience=res,
-        )
+        tb = testbed(p, clients=1, imca=imca, resilient=True, obs=obs)
     else:
         imca = IMCaConfig()
-        cfg = TestbedConfig(num_clients=1, num_mcds=0)
-    tb = build_gluster_testbed(cfg, obs=obs)
+        tb = testbed(p, clients=1, mcds=0, obs=obs)
     sim = tb.sim
     bs = imca.block_size
     nblocks = p["ft_blocks"]
     size = nblocks * bs
-    paths = [f"/readpath/ft/f{j}" for j in range(p["ft_files"])]
-    fds: dict[str, int] = {}
-
-    def setup():
-        client = tb.clients[0]
-        for j, path in enumerate(paths):
-            fd = yield from client.create(path)
-            yield from client.write(fd, 0, size, _payload(j, size))
-            yield from client.close(fd)
-        for path in paths:
-            fds[path] = yield from client.open(path)
-        for path in paths:
-            yield from client.stat(path)
-            yield from client.read(fds[path], 0, size)
-
-    drive(sim, setup())
+    paths, contents, fds = _working_set(tb, "ft", p["ft_files"], size)
     n_miss = max(1, nblocks // 2)
     evict = [(nblocks - n_miss + i) * bs for i in range(n_miss)]
-    digest = hashlib.sha256()
-    counts = {"mismatches": 0, "errors": 0}
+    probe = Probe(tb)
 
     def rounds_body(first: int, last: int):
         def body(client, rank, barrier):
             yield barrier.wait()
             for _ in range(first, last):
-                for j, path in enumerate(paths):
-                    expected = _payload(j, size)
-                    try:
-                        if tb.mcds:
-                            _evict_blocks(tb, path, evict)
-                        # Partial-hit full read, then a sequential
-                        # record stream (arms the readahead detector,
-                        # repeats go hot).
-                        r = yield from client.read(fds[path], 0, size)
-                        digest.update(r.data or b"")
-                        if r.data != expected:
-                            counts["mismatches"] += 1
-                        for off in range(0, size, bs):
-                            r = yield from client.read(fds[path], off, bs)
-                            digest.update(r.data or b"")
-                            if r.data != expected[off : off + bs]:
-                                counts["mismatches"] += 1
-                    except Exception:
-                        counts["errors"] += 1
+                for path, expected in zip(paths, contents):
+                    if tb.mcds:
+                        _evict_blocks(tb, path, evict)
+                    # Partial-hit full read, then a sequential record
+                    # stream (arms the readahead detector, repeats go
+                    # hot).
+                    yield from probe.read(rank, fds[path], 0, expected)
+                    for off in range(0, size, bs):
+                        yield from probe.read(
+                            rank, fds[path], off, expected[off : off + bs]
+                        )
 
         return body
 
@@ -395,9 +271,9 @@ def _ft_job(p: dict, features: bool, kill: bool, obs=None) -> dict:
     run_clients(sim, tb.clients, rounds_body(half, total))
     mc_stats = tb.mcclient_stats()
     return {
-        "digest": digest.hexdigest(),
-        "mismatches": counts["mismatches"],
-        "errors": counts["errors"],
+        "digest": probe.digest(0),
+        "mismatches": probe.mismatches,
+        "errors": probe.errors,
         "ejections": mc_stats.get("ejections", 0),
         "ejected_skips": mc_stats.get("ejected_skips", 0),
     }

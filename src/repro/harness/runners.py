@@ -95,6 +95,16 @@ def _tier_extras(result: ExperimentResult, tb) -> None:
         result.extras["why_slow"] = render_why_slow(result.extras["tail"])
 
 
+def _in_reach(result: ExperimentResult, p: dict, claims: str) -> bool:
+    """False, after noting why, when the scale's params list *claims*
+    under ``out_of_reach``: their precondition cannot be met at these
+    sizes, so no check is emitted (a PASS must mean the effect was seen)."""
+    why = p.get("out_of_reach", {}).get(claims)
+    if why:
+        result.notes.append(f"{claims} not evaluated at this scale: {why}")
+    return not why
+
+
 # --------------------------------------------------------------------------- #
 # Fig 1 — NFS multi-client IOzone read bandwidth (motivation)
 # --------------------------------------------------------------------------- #
@@ -239,21 +249,29 @@ def run_fig5(scale: str = "default", selector: str = "crc32") -> ExperimentResul
     mcd1 = result.series[f"MCD({p['mcd_counts'][0]})"]
     mcd_max = result.series[f"MCD({p['mcd_counts'][-1]})"]
     reduction = pct_change(no_cache[-1], mcd1[-1])
+    # How far one MCD cuts the stat time depends on how hard the clients
+    # queue at the server, so the bar is per scale.
     result.check(
-        "1 MCD cuts stat time at max clients by >= 50% (paper: 82%)",
-        reduction >= 50,
+        f"1 MCD cuts stat time at max clients by >= {p['stat_cut_min']}% (paper: 82%)",
+        reduction >= p["stat_cut_min"],
         f"reduction={reduction:.0f}%",
     )
-    result.check(
-        "NoCache stat time grows faster with clients than with MCDs",
-        no_cache[-1] / no_cache[0] > mcd1[-1] / mcd1[0],
-        f"NoCache x{no_cache[-1] / no_cache[0]:.1f}, MCD x{mcd1[-1] / mcd1[0]:.1f}",
-    )
-    result.check(
-        "more MCDs reduce stat time (max vs 1 MCD at max clients)",
-        mcd_max[-1] <= mcd1[-1] * 1.02,
-        f"MCD(1)={mcd1[-1]:.4g}s MCD(max)={mcd_max[-1]:.4g}s",
-    )
+    if _in_reach(result, p, "scaling orderings"):
+        # Orderings compare the quantities as printed: a PASS never
+        # shows two equal numbers.
+        nc_growth = f"{no_cache[-1] / no_cache[0]:.1f}"
+        mcd_growth = f"{mcd1[-1] / mcd1[0]:.1f}"
+        result.check(
+            "NoCache stat time grows faster with clients than with MCDs",
+            float(nc_growth) > float(mcd_growth),
+            f"NoCache x{nc_growth}, MCD x{mcd_growth}",
+        )
+        t_one, t_max = f"{mcd1[-1]:.4g}", f"{mcd_max[-1]:.4g}"
+        result.check(
+            "more MCDs reduce stat time (max vs 1 MCD at max clients)",
+            float(t_max) < float(t_one),
+            f"MCD(1)={t_one}s MCD(max)={t_max}s",
+        )
     lustre_red = pct_change(lustre_times[-1], mcd_max[-1])
     result.check(
         "IMCa beats Lustre-4DS at max clients by >= 40% (paper: 86%)",
@@ -524,9 +542,9 @@ def run_fig7(scale: str = "default") -> ExperimentResult:
     one_mcd = result.series[f"IMCa ({p['mcd_counts'][0]} MCD)"]
     red = pct_change(nocache[0], best_mcd[0])
     result.check(
-        "1-byte read at high client count: max MCDs cut latency >= 50% "
-        "(paper: 82% with 4 MCDs)",
-        red >= 50,
+        "1-byte read at high client count: max MCDs cut latency >= "
+        f"{p['read_cut_min']}% (paper: 82% with 4 MCDs)",
+        red >= p["read_cut_min"],
         f"reduction={red:.0f}%",
     )
     result.check(
@@ -636,17 +654,20 @@ def run_fig8(scale: str = "default") -> ExperimentResult:
         big[-1] > big[0],
         f"1 client={big[0]:.3g}s, {clients_axis[-1]} clients={big[-1]:.3g}s",
     )
-    result.check(
-        "latency increases with record size",
-        big[-1] > small[-1],
-        f"r={sizes[0]}: {small[-1]:.3g}s, r={sizes[-1]}: {big[-1]:.3g}s",
-    )
-    result.check(
-        "MCD capacity misses appear as clients grow (paper: 'increasing "
-        "number of MCD capacity misses')",
-        evictions[-1] > 0 or misses[-1] > misses[0],
-        f"evictions={evictions} read_misses={misses}",
-    )
+    if _in_reach(result, p, "record-size ordering"):
+        t_small, t_big = f"{small[-1]:.3g}", f"{big[-1]:.3g}"
+        result.check(
+            "latency increases with record size",
+            float(t_big) > float(t_small),
+            f"r={sizes[0]}: {t_small}s, r={sizes[-1]}: {t_big}s",
+        )
+    if _in_reach(result, p, "capacity misses"):
+        result.check(
+            "MCD capacity misses appear as clients grow (paper: 'increasing "
+            "number of MCD capacity misses')",
+            evictions[-1] > 0 or misses[-1] > misses[0],
+            f"evictions={evictions} read_misses={misses}",
+        )
     return result
 
 

@@ -28,11 +28,11 @@ whole experiment is a pmap over picklable jobs, so ``--jobs 1`` and
 
 from __future__ import annotations
 
-from repro.cluster import TestbedConfig, build_gluster_testbed
 from repro.core.config import IMCaConfig
 from repro.harness.experiment import ExperimentResult, register
 from repro.harness.parallel import pmap
 from repro.harness.params import params_for
+from repro.harness.scenario import hit_rate, testbed
 from repro.obs.export import metrics_fingerprint
 from repro.workloads.tenants import TenantLoad, TenantMixConfig, replay_tenant_mix
 
@@ -50,7 +50,7 @@ def _loads(p: dict, scenario: str) -> tuple[TenantLoad, ...]:
     return tuple(TenantLoad(**d) for d in p[scenario]["tenants"])
 
 
-def _job(p: dict, scenario: str, variant: str, _repeat: int) -> dict:
+def _job(p: dict, scenario: str, variant: str, _repeat: int, obs=None) -> dict:
     """One (scenario, variant) end to end.  ``variant == 'vanilla'``
     disables arbitration but keeps per-tenant accounting, so both arms
     run the identical op stream on the identical engine layout and
@@ -58,19 +58,17 @@ def _job(p: dict, scenario: str, variant: str, _repeat: int) -> dict:
     s = p[scenario]
     loads = _loads(p, scenario)
     mix = TenantMixConfig(loads, operations=s["operations"], seed=s["seed"])
-    tb = build_gluster_testbed(
-        TestbedConfig(
-            num_clients=p["num_clients"],
-            num_mcds=s["num_mcds"],
-            mcd_memory=s["mcd_memory"],
-            imca=IMCaConfig(
-                tenants=mix.specs(),
-                tenant_arbitrate=variant != "vanilla",
-                tenant_quantum=p["quantum"],
-                tenant_rebalance_ops=p["rebalance_ops"],
-                tenant_ghost_entries=p["ghost_entries"],
-            ),
-        )
+    # The scenario block sizes the bank; the client count is shared.
+    tb = testbed(
+        {**p, **s},
+        imca=IMCaConfig(
+            tenants=mix.specs(),
+            tenant_arbitrate=variant != "vanilla",
+            tenant_quantum=p["quantum"],
+            tenant_rebalance_ops=p["rebalance_ops"],
+            tenant_ghost_entries=p["ghost_entries"],
+        ),
+        obs=obs,
     )
     warm_snap: dict = {}
     res = replay_tenant_mix(
@@ -85,16 +83,12 @@ def _job(p: dict, scenario: str, variant: str, _repeat: int) -> dict:
     for t in loads:
         dh = end[t.name]["hits"] - warm_snap[t.name]["hits"]
         dm = end[t.name]["misses"] - warm_snap[t.name]["misses"]
-        delta[t.name] = {
-            "hits": dh,
-            "misses": dm,
-            "hit_rate": dh / (dh + dm) if dh + dm else 0.0,
-        }
+        delta[t.name] = {"hits": dh, "misses": dm, "hit_rate": hit_rate((dh, dm))}
     th = sum(d["hits"] for d in delta.values())
     tm = sum(d["misses"] for d in delta.values())
     return {
         "delta": delta,
-        "aggregate": th / (th + tm) if th + tm else 0.0,
+        "aggregate": hit_rate((th, tm)),
         "tenants": {t.name: dict(end[t.name]) for t in loads},
         "arbiter": dict(end["~arbiter"]),
         "read_lat": {

@@ -9,9 +9,8 @@ from repro.harness.params import params_for
 
 
 def test_elastic_experiment_registered():
-    """elastic runs many variants even at smoke scale, so like chaos it
-    stays out of test_harness's parametrized sweep; CI runs the smoke
-    pass directly.  Registration and params coverage live here."""
+    """Registration and params coverage (test_harness's smoke sweep
+    runs the experiment itself)."""
     ids = {e.id for e in all_experiments()}
     assert "elastic" in ids
     assert get("elastic").figure == "ROADMAP item 5"

@@ -9,9 +9,8 @@ from repro.harness.tenants import CASES, _job
 
 
 def test_tenants_experiment_registered():
-    """tenants runs five full testbeds even at smoke scale, so like
-    chaos/elastic it stays out of test_harness's parametrized sweep; CI
-    runs the smoke pass directly."""
+    """Registration (test_harness's smoke sweep runs the experiment
+    itself)."""
     ids = {e.id for e in all_experiments()}
     assert "tenants" in ids
     assert get("tenants").figure == "ROADMAP item 2"
