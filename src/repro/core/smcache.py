@@ -16,6 +16,22 @@ i.e. the callback-handler hooks of §4.1 — feeds results to the MCDs:
 With ``threaded_updates`` the pushes (and the write read-back) run on
 an update thread off the critical path — the Fig 6(c) optimisation.
 
+A block push is one :meth:`~repro.memcached.client.MemcacheClient.set_multi`:
+the covering blocks leave as one pipelined request per MCD, the MCDs
+concurrently, as a read's multi-get does.  The ``:stat`` push stays a
+separate, later ``set``: a poller that sees the new mtime trusts the
+blocks against the new size, so the blocks must already be there.
+
+**Purge index** (``_pushed``: path -> block offsets): what ``open`` /
+``close`` / ``truncate`` / ``unlink`` delete by.  A push enters its
+offsets in the path's *live* set before the request leaves, keeps them
+when a store fails or is refused, and enters them again when the stores
+return — so a purge that runs while the push is in flight deletes its
+blocks too, and a store that lands behind that purge's delete is still
+known to the next one.  At quiescence every ``path:<off>`` key an MCD
+holds is in ``_pushed[path]``; the index may name keys no MCD holds
+(deleting an absent key is harmless).
+
 **Replication invariant** (``IMCaConfig.replicas > 1``): every push and
 every purge issued here goes through a replica-aware
 :class:`~repro.memcached.client.MemcacheClient`, which fans stores and
@@ -107,36 +123,34 @@ class SMCacheXlator(Xlator):
     def _push_blocks(self, path: str, result: ReadResult) -> Generator:
         if result.size == 0:
             return
-        pushed = self._pushed.setdefault(path, set())
-        todo: list[tuple[str, object, int]] = []
+        items: list[tuple[str, object, int, int, float]] = []
+        hints: list[int] = []
+        offsets: list[int] = []
         for bv in split_blocks(self.mapper, result, path):
             key = self._keys.data_key(path, bv.block_offset)
             if key is None:
                 self.metrics.inc("uncacheable")
                 continue
             self.metrics.inc("block_pushes")
-            todo.append((key, bv, self.mapper.block_index(bv.block_offset)))
-        if not todo:
+            items.append((key, bv, bv.length, 0, 0))
+            hints.append(self.mapper.block_index(bv.block_offset))
+            offsets.append(bv.block_offset)
+        if not items:
             return
         width = self._fanout_width()
         if width:
-            self.metrics.inc("replica_pushes", width * len(todo))
-        if len(todo) == 1:
-            key, bv, hint = todo[0]
-            ok = yield from self.mc.set(key, bv, nbytes=bv.length, hint=hint)
-            if ok:
-                pushed.add(bv.block_offset)
-            return
-        # Several blocks: the daemon pipelines its MCD connections, so
-        # the sets proceed concurrently (wall time ~ slowest, not sum).
-        def one(key: str, bv, hint: int) -> Generator:
-            ok = yield from self.mc.set(key, bv, nbytes=bv.length, hint=hint)
-            if ok:
-                pushed.add(bv.block_offset)
-
-        yield self.sim.gather(
-            [one(key, bv, hint) for key, bv, hint in todo], name="smcache-push"
-        )
+            self.metrics.inc("replica_pushes", width * len(items))
+        # Indexed in the *live* set before the request leaves, and kept
+        # when a store fails or is refused: a purge that runs while the
+        # push is in flight must find these offsets (deleting an absent
+        # key is harmless; a stored key no purge knows of is not).
+        self._pushed.setdefault(path, set()).update(offsets)
+        # One pipelined request per MCD, the MCDs concurrently.
+        yield from self.mc.set_multi(items, hints)
+        # Such a purge took that set, and on a multi-core MCD its small
+        # delete can overtake a large store: index what may have landed
+        # behind it in the set that is live now.
+        self._pushed.setdefault(path, set()).update(offsets)
 
     def _purge_data(self, path: str) -> Generator:
         offsets = self._pushed.pop(path, None)

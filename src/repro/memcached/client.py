@@ -26,6 +26,16 @@ old owner and backfills the new one).  Stores, concats, touches and
 deletes reach **every** owner, because a purge that skips an owner
 leaves stale data serveable.  A bank built from a plain daemon list is
 the membership with ids ``0..n-1`` and no events.
+
+The batch ops share one shape: ``get_multi``, ``set_multi`` and
+``delete_multi`` group their keys by owner and send **one request per
+owner**, the owners concurrently (:meth:`MemcacheClient._legs`), so a
+batch costs one round trip of simulated time however many MCDs it
+spans; a keyed mutation with several owners (:meth:`_fanout`) is the
+same legs with one payload.  A leg that fails books one ``errors`` and
+answers None — it costs that owner's share and nothing else.  A
+mutation with a single leg runs in the caller's frame and mints no join
+entry; ``get_multi`` always joins (its entry count is pinned).
 """
 
 from __future__ import annotations
@@ -497,17 +507,21 @@ class MemcacheClient:
         try:
             # Nothing left to fetch (every key rides a flight): no join.
             if by_server:
+                # Always a join, even over one server: the read path's
+                # entry count per op is pinned (tests/test_event_budget).
                 batches = [
-                    self._get_batch(idx, batch, failed_keys)
-                    for idx, batch in by_server.items()
+                    self._leg(idx, "get_multi", batch) for idx, batch in by_server.items()
                 ]
                 if self.tracer.enabled:
                     with self.tracer.span("mcd", "mc.get_multi"):
                         results = yield sim.gather(batches, name="mc-multiget")
                 else:
                     results = yield sim.gather(batches, name="mc-multiget")
-                for partial in results:
-                    out.update(partial)
+                for batch, partial in zip(by_server.values(), results):
+                    if partial is not None:
+                        out.update(partial)
+                    elif failed_keys is not None:
+                        failed_keys.update(batch)
             if self.membership.windows and len(out) < len(seen):
                 for idx, batch in by_server.items():
                     for key in batch:
@@ -551,21 +565,43 @@ class MemcacheClient:
         self.stats.inc("misses", len(seen) - len(redispersed) - hits)
         return out
 
-    def _get_batch(
-        self, idx: int, keys: list[str], failed_keys: Optional[set] = None
-    ) -> Generator:
+    # -- legs ------------------------------------------------------------------
+    def _leg(self, idx: int, op: str, payload: Any) -> Generator:
+        """One owner's share of a batched or fanned-out op, as a strand
+        of a join: its reply, or None — booked as one ``errors`` — when
+        the RPC failed."""
         try:
             if self.tracer.enabled:
                 with self.tracer.span("mcd", "mc.batch"):
-                    reply = yield from self._call(idx, "get_multi", keys)
+                    reply = yield from self._call(idx, op, payload)
             else:
-                reply = yield from self._call(idx, "get_multi", keys)
+                reply = yield from self._call(idx, op, payload)
         except RpcError:
             self.stats.inc("errors")
-            if failed_keys is not None:
-                failed_keys.update(keys)
-            return {}
+            return None
         return reply
+
+    def _legs(self, op: str, legs: list[tuple[int, Any]], name: str) -> Generator:
+        """*op* once per ``(owner, payload)`` leg; the replies in leg
+        order, None for a leg that failed.  Several legs are pipelined
+        on the client NIC under one ``sim.gather`` (wall time ~ the
+        slowest, not their sum); a single one is :meth:`_leg`'s rule run
+        here, in the caller's frame — no strand, no join entry, no
+        wrapper frame to walk on every resume of the RPC."""
+        if len(legs) == 1:
+            ((idx, payload),) = legs
+            try:
+                return [(yield from self._call(idx, op, payload))]
+            except RpcError:
+                self.stats.inc("errors")
+                return [None]
+        if not legs:
+            return []
+        return (
+            yield self.endpoint.net.sim.gather(
+                [self._leg(idx, op, payload) for idx, payload in legs], name=name
+            )
+        )
 
     # -- mutation --------------------------------------------------------------
     def _send(self, idxs: list[int], op: str, payload: Any) -> Generator:
@@ -596,17 +632,7 @@ class MemcacheClient:
         """Issue *op* to every server in *idxs* concurrently.  Returns
         whether any of them applied it, or None when none even answered
         (each failed RPC is booked as an ``errors``)."""
-        def one(idx: int) -> Generator:
-            try:
-                reply = yield from self._call(idx, op, payload)
-            except RpcError:
-                self.stats.inc("errors")
-                return None
-            return reply
-
-        if len(idxs) == 1:
-            return (yield from one(idxs[0]))
-        results = yield self.endpoint.net.sim.gather([one(i) for i in idxs], name="mc-fanout")
+        results = yield from self._legs(op, [(i, payload) for i in idxs], "mc-fanout")
         if all(r is None for r in results):
             return None
         return any(results)
@@ -649,7 +675,7 @@ class MemcacheClient:
         :meth:`_mutate`'s body in a frame of its own name, not a call to
         it: the perf ledger attributes store time to the frame named
         ``MemcacheClient.set``, and a wrapper frame would be walked on
-        every resume of every push."""
+        every resume of every ``:stat`` push."""
         send = self._send(self.owners(key, hint), "set", (key, value, nbytes, flags, ttl))
         try:
             if self.tracer.enabled:
@@ -664,6 +690,54 @@ class MemcacheClient:
             return False
         self.stats.inc("sets")
         return ok
+
+    def set_multi(
+        self,
+        items: list[tuple[str, Any, int, int, float]],
+        hints: Optional[list[Optional[int]]] = None,
+    ) -> Generator:
+        """Store many ``(key, value, nbytes, flags, ttl)`` items, one
+        pipelined request per owner; returns the keys some owner stored.
+
+        Every item reaches **every** owner of its key, in request order
+        (a duplicated key keeps its last value); a refused item fails
+        alone.  ``sets`` counts the items some owner answered.
+        """
+        if hints is None:
+            hints = [None] * len(items)
+        elif len(hints) != len(items):
+            # zip() would silently drop the tail items from the push.
+            raise ValueError(f"set_multi: {len(items)} items but {len(hints)} hints")
+        by_owner: dict[int, list[tuple]] = {}
+        routes: list[list[int]] = []
+        owners = self.owners
+        for item, hint in zip(items, hints):
+            idxs = owners(item[0], hint)
+            routes.append(idxs)
+            if len(idxs) > 1:
+                self._book_extras(len(idxs) - 1, "replica_writes")
+            for i in idxs:
+                by_owner.setdefault(i, []).append(item)
+        legs = list(by_owner.items())
+        if self.tracer.enabled:
+            with self.tracer.span("mcd", "mc.set_multi"):
+                replies = yield from self._legs("set_multi", legs, "mc-multiset")
+        else:
+            replies = yield from self._legs("set_multi", legs, "mc-multiset")
+        stored: set[str] = set()
+        down: set[int] = set()
+        for (idx, batch), reply in zip(legs, replies):
+            if reply is None:
+                down.add(idx)
+                continue
+            for item, ok in zip(batch, reply):
+                if ok:
+                    stored.add(item[0])
+        # An item counts once, however many of its owners answered.
+        answered = sum(not down.issuperset(idxs) for idxs in routes) if down else len(items)
+        if answered:
+            self.stats.inc("sets", answered)
+        return stored
 
     def append(self, key: str, value: Any, nbytes: int, hint: Optional[int] = None) -> Generator:
         # Concats commute with the coherence invariant: whichever
@@ -772,28 +846,14 @@ class MemcacheClient:
                 self._book_extras(len(idxs) - 1, "replica_deletes")
                 for i in idxs[1:]:
                     extras.setdefault(i, []).append(key)
+        legs = [*primary.items(), *extras.items()]
         if self.tracer.enabled:
             with self.tracer.span("mcd", "mc.delete_multi"):
-                deleted = yield from self._delete_batches(primary, extras)
+                replies = yield from self._legs("delete_multi", legs, "mc-multidelete")
         else:
-            deleted = yield from self._delete_batches(primary, extras)
+            replies = yield from self._legs("delete_multi", legs, "mc-multidelete")
+        deleted = sum(n for n in replies[: len(primary)] if n is not None)
         self.stats.inc("deletes", deleted)
-        return deleted
-
-    def _delete_batches(
-        self, primary: dict[int, list[str]], extras: dict[int, list[str]]
-    ) -> Generator:
-        deleted = 0
-        for idx, batch in primary.items():
-            try:
-                deleted += yield from self._call(idx, "delete_multi", batch)
-            except RpcError:
-                self.stats.inc("errors")
-        for idx, batch in extras.items():
-            try:
-                yield from self._call(idx, "delete_multi", batch)
-            except RpcError:
-                self.stats.inc("errors")
         return deleted
 
     def flush_all(self) -> Generator:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.memcached.engine import MemcachedEngine, McError, key_nbytes
+from repro.memcached.engine import MemcachedEngine, McError, McTooLarge, key_nbytes
 from repro.memcached.tenancy import TenantArbiter
 from repro.net.fabric import Network, Node
 from repro.net.rpc import Endpoint, RpcCall
@@ -152,6 +152,22 @@ class MemcachedDaemon:
             yield cpu.run(OP_CPU + COPY_PER_BYTE * nbytes)
             ok = getattr(eng, op)(key, value, nbytes, flags, ttl)
             return ok, 8
+        if op == "set_multi":
+            # Sets pipelined on one connection: one CPU visit for the
+            # sum of their costs, then each store in request order — a
+            # store is no cheaper, and ``cmd_set``, eviction and LRU
+            # order are what the same sets sent one by one produce.
+            cost = 0.0
+            for item in payload:
+                cost += OP_CPU + COPY_PER_BYTE * item[2]
+            yield cpu.run(cost)
+            stored = []
+            for key, value, nbytes, flags, ttl in payload:
+                try:
+                    stored.append(eng.set(key, value, nbytes, flags, ttl))
+                except McTooLarge:
+                    stored.append(False)
+            return stored, 8 * len(stored)
         if op in ("append", "prepend"):
             key, value, nbytes = payload
             yield cpu.run(OP_CPU + COPY_PER_BYTE * nbytes)
@@ -210,6 +226,9 @@ def request_size(op: str, payload: Any) -> int:
     if op in ("set", "add", "replace"):
         key, _value, nbytes, _flags, _ttl = payload
         return key_nbytes(key) + KEY_WIRE_OVERHEAD + nbytes
+    if op == "set_multi":
+        keys, _values, sizes, _flags, _ttls = zip(*payload)
+        return key_nbytes("".join(keys)) + KEY_WIRE_OVERHEAD * len(keys) + sum(sizes)
     if op in ("append", "prepend"):
         key, _value, nbytes = payload
         return key_nbytes(key) + KEY_WIRE_OVERHEAD + nbytes

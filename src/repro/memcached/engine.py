@@ -52,6 +52,12 @@ class McError(Exception):
     """CLIENT_ERROR-style protocol violation (bad key, oversized value)."""
 
 
+class McTooLarge(McError):
+    """SERVER_ERROR object too large for cache: a well-formed store no
+    slab class can hold.  A pipelined batch answers it for that item
+    alone; a malformed command still fails its whole request."""
+
+
 @dataclass
 class Item:
     """One stored object."""
@@ -209,7 +215,7 @@ class MemcachedEngine:
         """
         cls = self.slabs.class_for(self._total_size(key, nbytes))
         if cls is None:
-            raise McError(f"object too large for cache ({nbytes} bytes)")
+            raise McTooLarge(f"object too large for cache ({nbytes} bytes)")
         old = self._items.get(key)
         if old is not None and old.slab is cls:
             self._unlink(old, "overwrite")

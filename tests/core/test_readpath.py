@@ -480,13 +480,18 @@ def test_write_pushes_blocks_before_fresh_stat():
     tb = make()
     sm = tb.smcaches[0]
     pushed = []
-    orig_set = sm.mc.set
+    orig_set, orig_set_multi = sm.mc.set, sm.mc.set_multi
 
     def recording_set(key, value, **kw):
         pushed.append(key)
         return orig_set(key, value, **kw)
 
+    def recording_set_multi(items, hints=None):
+        pushed.extend(item[0] for item in items)
+        return orig_set_multi(items, hints)
+
     sm.mc.set = recording_set
+    sm.mc.set_multi = recording_set_multi
     c = tb.clients[0]
 
     def w():

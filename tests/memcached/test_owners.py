@@ -18,19 +18,19 @@ from repro.sim import Simulator
 from repro.util import MiB
 
 MODES = ("single", "replicas", "add-window", "drain-window")
-OPS = ("set", "add", "replace", "append", "touch", "delete", "delete_multi")
+OPS = ("set", "set_multi", "add", "replace", "append", "touch", "delete", "delete_multi")
 #: Far longer than any test runs: the window stays open throughout.
 WINDOW = 10.0
 
 
-def make_bank(mode):
+def make_bank(mode, mem=16 * MiB):
     """``(sim, client, membership, keys)``: a 4-daemon bank in *mode*
     and three keys whose owner lists have the mode's shape."""
     sim = Simulator()
     net = Network(sim, IPOIB)
 
     def spawn(nid):
-        return MemcachedDaemon(sim, net, Node(sim, f"mcd{nid}"), 16 * MiB)
+        return MemcachedDaemon(sim, net, Node(sim, f"mcd{nid}"), mem)
 
     membership = McdMembership([spawn(i) for i in range(4)])
     client = MemcacheClient(
@@ -77,12 +77,15 @@ def seed(client, op, keys):
 
 
 def mutate(client, op, keys):
-    """Run *op* on ``keys[0]`` (``delete_multi``: on all of *keys*);
+    """Run *op* on ``keys[0]`` (the multi ops: on all of *keys*);
     returns ``(reply, {key: the value it should now have})``, None
     meaning gone."""
     k = keys[0]
     if op == "set":
         return (yield from client.set(k, b"new", 3)), {k: b"new"}
+    if op == "set_multi":
+        items = [(key, b"new", 3, 0, 0) for key in keys]
+        return (yield from client.set_multi(items)), dict.fromkeys(keys, b"new")
     if op == "add":
         return (yield from client.add(k, b"new", 3)), {k: b"new"}
     if op == "replace":
@@ -102,7 +105,7 @@ def test_every_owner_and_no_other_daemon_reflects_the_mutation(mode, op):
     sim, client, membership, keys = make_bank(mode)
     drive(sim, seed(client, op, keys))
     reply, expect = drive(sim, mutate(client, op, keys))
-    assert reply == (len(keys) if op == "delete_multi" else True)
+    assert reply == {"delete_multi": len(keys), "set_multi": set(keys)}.get(op, True)
     for key, value in expect.items():
         want = {} if value is None else dict.fromkeys(client.owners(key), value)
         assert holders(membership, key) == want
@@ -137,7 +140,7 @@ def test_a_dead_owner_costs_its_own_copy_and_nothing_else(mode, op):
         alive = [nid for nid in owners if nid not in dead]
         # With its only owner dead the op is a no-op that says so.
         if not alive:
-            assert not reply
+            assert key not in reply if op == "set_multi" else not reply
         got = holders(membership, key)
         # A dead daemon keeps whatever it held (wiped when it rejoins).
         for nid in dead:
@@ -147,6 +150,9 @@ def test_a_dead_owner_costs_its_own_copy_and_nothing_else(mode, op):
     if op == "delete_multi":
         # Primary-copy removals: the dead daemon's are the ones lost.
         assert reply == sum(client.owners(key)[0] not in dead for key in keys)
+    elif op == "set_multi":
+        # The keys some live owner stored.
+        assert reply == {key for key in keys if set(client.owners(key)) - dead}
     elif mode != "single":
         # Another owner answered, so the op reports success.
         assert reply is True

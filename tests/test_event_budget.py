@@ -22,8 +22,9 @@ BUDGET = {
     "stat_hit": 5,
     # Server-first 4 KiB write, read-back, 2 block pushes, stat push.
     "write_2_blocks": 17,
-    # Every block evicted: multi-get misses, brick read, 8 block pushes.
-    "capacity_miss_read_16k": 44,
+    # Every block evicted: multi-get misses, brick read, then the 8
+    # block pushes as one set_multi per MCD (44 as 8 scalar sets).
+    "capacity_miss_read_16k": 32,
 }
 
 
