@@ -32,12 +32,11 @@ IMCa stack — FUSE client → CMCache → memcached client → RPC endpoint
 → MCD/gluster server, every layer the production op path crosses —
 at 100k and 1M clients (1k in quick mode).  Clients are packed into
 independent *cells* of :data:`E2E_GROUP` concurrent processes sharing
-one client stack, so same-instant bursts actually reach the endpoint
-together; cells are the unit the sharding layer splits on.  Two
-variants per point: ``e2e_scalar`` (one scalar reservation chain per
-op) and ``e2e_fastpath`` (``IMCaConfig.fastpath``: RPC coalescing +
-stat/get singleflight + server batch admission).  Both retire the
-identical op count; the ``speedup_e2e`` section records the ratio.
+one client stack and statting one hot file — the metadata-hotspot
+shape get/stat singleflight exists for; cells are the unit the
+sharding layer splits on.  One variant per point,
+``scale_<n>_e2e_fastpath`` (the name predates the one op path and is
+kept so history and the CI gate compare like with like).
 
 Every point runs one *discarded warmup round* before the measured
 rounds, so medians come from a warm process (allocator, bytecode, and
@@ -82,7 +81,7 @@ E2E_POINTS = (100_000, 1_000_000)
 E2E_QUICK_POINTS = (1_000,)
 #: Concurrent client processes per cell.  One cell = one single-client
 #: single-MCD testbed whose client stack all E2E_GROUP processes share,
-#: so their same-instant bursts coalesce at the endpoint; distinct cells
+#: so their identical gets and stats share one fetch; distinct cells
 #: share nothing and are the independent unit the sharding layer splits.
 E2E_GROUP = 1_000
 #: Each client performs one stat and one record read per run.
@@ -167,24 +166,18 @@ def _storm_run(clients: int, batched: bool, shards: int) -> tuple[dict, float]:
     return merged, elapsed
 
 
-def _e2e_cell(fastpath: bool) -> tuple[int, int, int]:
+def _e2e_cell() -> tuple[int, int]:
     """Build, warm, and drive one end-to-end cell to completion.
 
-    Returns ``(ops, events, rpc_coalesced)`` for the measured burst.
+    Returns ``(ops, events)`` for the measured burst.
     The warm pass (create + stat + full record sweep) keeps the
     measured ops on the production hit path rather than timing cold
     fills; its ops are not counted.
     """
     from repro.cluster import TestbedConfig, build_gluster_testbed
-    from repro.core.config import IMCaConfig
 
     tb = build_gluster_testbed(
-        TestbedConfig(
-            num_clients=1,
-            num_mcds=1,
-            mcd_memory=E2E_MCD_MEMORY,
-            imca=IMCaConfig(fastpath=fastpath),
-        )
+        TestbedConfig(num_clients=1, num_mcds=1, mcd_memory=E2E_MCD_MEMORY)
     )
     sim = tb.sim
     client = tb.clients[0]
@@ -213,41 +206,32 @@ def _e2e_cell(fastpath: bool) -> tuple[int, int, int]:
     procs = [sim.process(proc(g)) for g in range(E2E_GROUP)]
     done = sim.all_of(procs)
     sim.run(until=done)
-    coalesced = tb.fastpath_stats()["rpc_coalesced"] if fastpath else 0
-    return E2E_GROUP * E2E_OPS_PER_CLIENT, sim._seq, coalesced
+    return E2E_GROUP * E2E_OPS_PER_CLIENT, sim._seq
 
 
-def _e2e_shard(spec, fastpath: bool) -> dict:
+def _e2e_shard(spec) -> dict:
     """One shard of the end-to-end run: ``spec`` ids are cell ids."""
-    ops = events = coalesced = 0
+    ops = events = 0
     for _ in range(spec.client_lo, spec.client_hi):
-        o, e, c = _e2e_cell(fastpath)
+        o, e = _e2e_cell()
         ops += o
         events += e
-        coalesced += c
-    return {
-        "clients": spec.clients * E2E_GROUP,
-        "ops": ops,
-        "events": events,
-        "rpc_coalesced": coalesced,
-    }
+    return {"clients": spec.clients * E2E_GROUP, "ops": ops, "events": events}
 
 
-def _e2e_run(clients: int, fastpath: bool, shards: int) -> tuple[dict, float]:
+def _e2e_run(clients: int, shards: int) -> tuple[dict, float]:
     """Run one end-to-end client point once; (merged metrics, seconds)."""
     if clients % E2E_GROUP:
         raise ValueError(f"e2e points must be multiples of {E2E_GROUP}")
     specs = plan_shards(clients // E2E_GROUP, shards)
     t0 = time.perf_counter()
-    merged = run_sharded(_e2e_shard, specs, fastpath)
+    merged = run_sharded(_e2e_shard, specs)
     elapsed = time.perf_counter() - t0
     if merged["ops"] != clients * E2E_OPS_PER_CLIENT:
         raise RuntimeError(
             f"e2e bench dropped work: {merged['ops']} ops retired, "
             f"expected {clients * E2E_OPS_PER_CLIENT}"
         )
-    if fastpath and not merged["rpc_coalesced"]:
-        raise RuntimeError("e2e fastpath run never coalesced an RPC burst")
     return merged, elapsed
 
 
@@ -299,15 +283,8 @@ def run_scale_benchmarks(
     for clients in e2e_points:
         results.append(
             _bench_point(
-                f"scale_{_label(clients)}_e2e_scalar",
-                lambda c=clients: _e2e_run(c, False, shards),
-                k,
-            )
-        )
-        results.append(
-            _bench_point(
                 f"scale_{_label(clients)}_e2e_fastpath",
-                lambda c=clients: _e2e_run(c, True, shards),
+                lambda c=clients: _e2e_run(c, shards),
                 k,
             )
         )
@@ -331,12 +308,5 @@ def run_scale_benchmarks(
             / medians[f"scale_{_label(c)}_heap"]
         }
         for c in points
-    }
-    report["speedup_e2e"] = {
-        f"scale_{_label(c)}": {
-            "fastpath": medians[f"scale_{_label(c)}_e2e_fastpath"]
-            / medians[f"scale_{_label(c)}_e2e_scalar"]
-        }
-        for c in e2e_points
     }
     return report

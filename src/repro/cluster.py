@@ -171,8 +171,8 @@ class GlusterTestbed:
     membership: Optional[McdMembership] = None
     #: Builds one more daemon like the bank's (node id -> daemon).
     spawn_mcd: Optional[Callable[[int], MemcachedDaemon]] = None
-    #: Per-client RPC endpoints (fabric + cache-bank), for fast-path
-    #: attribution; empty unless the builder collected them.
+    #: Per-client RPC endpoints (fabric + cache-bank), read by the perf
+    #: ledger; empty unless the builder collected them.
     client_endpoints: list[Endpoint] = field(default_factory=list)
 
     @property
@@ -266,32 +266,17 @@ class GlusterTestbed:
         return merged_counters(stats)
 
     def fastpath_stats(self) -> dict[str, int]:
-        """Per-tier fast-path attribution (DESIGN §15): how much each
-        coalescing layer actually collapsed.  All zeros when off."""
-        out = Counter()
-        for ep in self.client_endpoints:
-            v = ep.stats.values
-            out.inc("rpc_batches", v.get("fastpath_batches", 0))
-            out.inc("rpc_coalesced", v.get("fastpath_coalesced", 0))
-        for s in self.servers:
-            gate = s.io_gate
-            if gate is not None:
-                out.inc("server_admit_batches", gate.batches)
-                out.inc("server_admit_coalesced", gate.coalesced)
-        for m in self.all_mcds():
-            gate = m.cpu_gate
-            if gate is not None:
-                out.inc("mcd_admit_batches", gate.batches)
-                out.inc("mcd_admit_coalesced", gate.coalesced)
+        """Singleflight attribution (DESIGN §15): the gets and stats that
+        shared somebody else's fetch, and those whose flight failed and
+        were re-dispersed.  All zero unless ops overlapped on a client."""
         mcc = self.mcclient_stats()
-        out.inc("sf_leads", mcc.get("sf_leads", 0))
-        out.inc("sf_follows", mcc.get("sf_follows", 0))
-        out.inc("sf_redispersed", mcc.get("sf_redispersed", 0))
         cm = self.cm_stats()
-        out.inc("stat_sf_leads", cm.get("fastpath_stat_leads", 0))
-        out.inc("stat_sf_follows", cm.get("fastpath_stat_follows", 0))
-        out.inc("stat_sf_redispersed", cm.get("fastpath_stat_redispersed", 0))
-        return out.as_dict()
+        return {
+            "sf_follows": mcc.get("sf_follows", 0),
+            "sf_redispersed": mcc.get("sf_redispersed", 0),
+            "stat_sf_follows": cm.get("fastpath_stat_follows", 0),
+            "stat_sf_redispersed": cm.get("fastpath_stat_redispersed", 0),
+        }
 
     def snapshot_metrics(self):
         """Fold live component state into the registry and return it.
@@ -315,12 +300,6 @@ class GlusterTestbed:
         net = reg.component("net")
         for k, v in self.net.stats.as_dict().items():
             net.counters.values[k] = v
-        if self.config.imca.fastpath:
-            # Only materialised when armed: a default-off run's metrics
-            # export must stay byte-identical to the pre-fastpath code.
-            fp = reg.component("fastpath")
-            for k, v in self.fastpath_stats().items():
-                fp.counters.values[k] = int(v)
         tracer = self.obs.tracer
         if tracer.enabled:
             tiers = reg.component("tiers")
@@ -420,17 +399,11 @@ def build_gluster_testbed(
                 ghost_entries=imca.tenant_ghost_entries,
             )
 
-    # Million-client fast path (DESIGN §15): one knob arms the RPC
-    # coalescing window, the get/stat singleflight, and the server/MCD
-    # batch-admission gates together; off keeps every path byte-identical.
-    fastpath = cfg.imca.fastpath
-
     # MCD array, and the one membership every cache client routes over.
     def spawn_mcd(node_id: int) -> MemcachedDaemon:
         return MemcachedDaemon(
             sim, cache_net, Node(sim, f"mcd{node_id}", cores=cfg.cores),
             cfg.mcd_memory, tracer=tracer, tenancy_factory=tenancy_factory,
-            fastpath=fastpath,
         )
 
     mcds = [spawn_mcd(i) for i in range(cfg.num_mcds)]
@@ -449,19 +422,17 @@ def build_gluster_testbed(
             # rr_seed staggers the read round-robin start per holder so
             # concurrent readers don't stampede the same replica first.
             mc = MemcacheClient(
-                Endpoint(cache_net, snode, tracer=tracer, coalesce=fastpath), mcds,
+                Endpoint(cache_net, snode, tracer=tracer), mcds,
                 make_selector(cfg.imca.selector), health=mcd_health,
                 replicas=cfg.imca.replicas, rr_seed=b,
-                membership=membership, singleflight=fastpath,
+                membership=membership,
             )
             smcache = SMCacheXlator(
                 sim, mc, cfg.imca, metrics=reg.component(f"smcache.{snode.name}")
             )
             server_xlators.append(smcache)
         servers.append(
-            GlusterServer(
-                sim, net, snode, fs, server_xlators, tracer=tracer, fastpath=fastpath
-            )
+            GlusterServer(sim, net, snode, fs, server_xlators, tracer=tracer)
         )
         smcaches.append(smcache)
 
@@ -471,21 +442,17 @@ def build_gluster_testbed(
     client_endpoints: list[Endpoint] = []
     for i in range(cfg.num_clients):
         cnode = Node(sim, f"client{i}", cores=cfg.cores)
-        ep = Endpoint(net, cnode, tracer=tracer, coalesce=fastpath)
+        ep = Endpoint(net, cnode, tracer=tracer)
         protocols = [ClientProtocol(ep, server, retry=server_retry) for server in servers]
         bottom: Xlator = protocols[0] if len(protocols) == 1 else DistributeXlator(protocols)
         stack: list[Xlator] = []
         cmcache: Optional[CMCacheXlator] = None
         if use_imca:
-            mc_ep = (
-                ep
-                if cache_net is net
-                else Endpoint(cache_net, cnode, tracer=tracer, coalesce=fastpath)
-            )
+            mc_ep = ep if cache_net is net else Endpoint(cache_net, cnode, tracer=tracer)
             mc = MemcacheClient(
                 mc_ep, mcds, make_selector(cfg.imca.selector), health=mcd_health,
                 replicas=cfg.imca.replicas, rr_seed=cfg.num_bricks + i,
-                membership=membership, singleflight=fastpath,
+                membership=membership,
             )
             cmcache = CMCacheXlator(
                 mc, cfg.imca, metrics=reg.component(f"cmcache.{cnode.name}"),

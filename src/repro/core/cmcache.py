@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
 
 #: Published to stat-singleflight followers when the leader's lookup
-#: raised: each follower re-issues its own stat (DESIGN §15).
+#: raised: each follower runs its own lookup (DESIGN §15).
 _STAT_FAILED = object()
 
 
@@ -107,12 +107,10 @@ class CMCacheXlator(Xlator):
         self._streams: dict[str, _Stream] = {}
         #: path -> block offsets prefetched but not yet hit (accounting).
         self._prefetched: dict[str, set[int]] = {}
-        #: Fast path (DESIGN §15): path -> Event for stats this client
-        #: currently has in flight; concurrent identical stats park on
-        #: the leader's event.  None keeps the scalar path.
-        self._stat_flights: Optional[dict[str, Event]] = (
-            {} if self.config.fastpath else None
-        )
+        #: Singleflight (DESIGN §15): every path this client is statting
+        #: right now — None until a second stat of the path arrives and
+        #: swaps in the Event it parks on (as ``MemcacheClient._inflight``).
+        self._stat_flights: dict[str, Optional[Event]] = {}
 
     # -- bookkeeping -------------------------------------------------------
     def _note_open(self, path: str) -> None:
@@ -175,71 +173,72 @@ class CMCacheXlator(Xlator):
         """Try the hot tier, then the MCD array; fall back to the server
         (§4.2).
 
-        With ``fastpath`` on, concurrent stats of the same path from
-        this client collapse onto one in-flight lookup: the leader runs
-        the full tiered path (hot tier, MCD get — itself singleflighted
-        in :class:`MemcacheClient` — then the server), followers park
-        and inherit a *copy* of its result.  A leader that raises
-        publishes a failure marker instead, and every follower re-runs
-        its own lookup — a poisoned result is never shared.
+        Concurrent stats of one path from this client collapse onto one
+        lookup: the leader runs the tiered path below (its MCD get is
+        itself singleflighted in :class:`MemcacheClient`); a follower
+        parks, inherits a *copy* of the result and books what the
+        leader booked — one answer from the server is N misses, not one
+        miss and N-1 hits.  A leader that raises publishes a failure
+        marker instead, and every follower runs its own lookup outside
+        the table — a poisoned result is never shared.
         """
+        tr = self.tracer
         flights = self._stat_flights
-        if flights is None:
-            result = yield from self._stat_scalar(path)
-            return result
-        flight = flights.get(path)
-        if flight is not None:
+        leading = path not in flights
+        if leading:
+            flights[path] = None
+        else:
+            flight = flights[path]
+            if flight is None:
+                flight = flights[path] = Event(self.sim)
             self.metrics.inc("fastpath_stat_follows")
-            tr = self.tracer
             if tr.oplog is not None:
                 tr.op_tag("stat-coalesced")
                 tr.op_count("fastpath_stat_follows")
             payload = yield flight
             if payload is not _STAT_FAILED:
-                self.metrics.inc("stat_hits")
-                return payload.copy() if isinstance(payload, StatBuf) else payload
+                booked, result = payload
+                if booked is not None:
+                    self.metrics.inc(booked)
+                return result.copy() if isinstance(result, StatBuf) else result
             self.metrics.inc("fastpath_stat_redispersed")
-            result = yield from self._stat_scalar(path)
-            return result
-        ev = Event(self.sim)
-        flights[path] = ev
-        self.metrics.inc("fastpath_stat_leads")
+        published = _STAT_FAILED
         try:
-            result = yield from self._stat_scalar(path)
-        except BaseException:
-            del flights[path]
-            ev.succeed(_STAT_FAILED)
-            raise
-        del flights[path]
-        ev.succeed(result)
-        return result
-
-    def _stat_scalar(self, path: str) -> Generator:
-        """The tiered stat body (hot tier -> MCD array -> server)."""
-        tr = self.tracer
-        key = self._keys.stat_key(path)
-        if key is not None:
-            hot = self._hot_for(path)
-            if hot is not None:
-                value = hot.get(key)
-                if isinstance(value, StatBuf):
-                    self.metrics.inc("hot_stat_hits")
-                    self.metrics.inc("stat_hits")
-                    if tr.oplog is not None:
-                        tr.op_tag("stat-hot-hit")
-                    return value.copy()
-            cached = yield from self.mc.get(key)
-            if cached is not None and isinstance(cached.value, StatBuf):
-                self.metrics.inc("stat_hits")
-                if tr.oplog is not None:
-                    tr.op_tag("stat-mcd-hit")
+            #: The counter this lookup books; None for an uncacheable path.
+            booked = result = None
+            key = self._keys.stat_key(path)
+            if key is not None:
+                hot = self._hot_for(path)
                 if hot is not None:
-                    self._hot_put(hot, key, path, cached.value.copy(), StatBuf.WIRE_SIZE)
-                return cached.value.copy()
-            self.metrics.inc("stat_misses")
-            if tr.oplog is not None:
-                tr.op_tag("stat-miss")
-        result = yield from self._down().stat(path)
+                    value = hot.get(key)
+                    if isinstance(value, StatBuf):
+                        self.metrics.inc("hot_stat_hits")
+                        self.metrics.inc("stat_hits")
+                        if tr.oplog is not None:
+                            tr.op_tag("stat-hot-hit")
+                        booked, result = "stat_hits", value.copy()
+                if result is None:
+                    cached = yield from self.mc.get(key)
+                    if cached is not None and isinstance(cached.value, StatBuf):
+                        self.metrics.inc("stat_hits")
+                        if tr.oplog is not None:
+                            tr.op_tag("stat-mcd-hit")
+                        if hot is not None:
+                            self._hot_put(hot, key, path, cached.value.copy(), StatBuf.WIRE_SIZE)
+                        booked, result = "stat_hits", cached.value.copy()
+                    else:
+                        self.metrics.inc("stat_misses")
+                        if tr.oplog is not None:
+                            tr.op_tag("stat-miss")
+                        booked = "stat_misses"
+            if result is None:
+                result = yield from self._down().stat(path)
+            published = (booked, result)
+        finally:
+            if leading:
+                flight = flights.pop(path)
+                if flight is not None:
+                    flight.succeed(published)
         return result
 
     def read(self, path: str, offset: int, size: int) -> Generator:

@@ -74,19 +74,6 @@ class IMCaConfig:
     #: open/write/close/truncate/unlink).  0 disables the hot tier.
     hot_cache_bytes: int = 0
 
-    # -- million-client fast path (DESIGN §15) -----------------------------
-    #: Enable the end-to-end batching fast path: the RPC endpoint
-    #: coalesces same-instant same-destination calls onto one
-    #: ``transfer_batch`` chain, the memcached client folds concurrent
-    #: identical gets into one in-flight fetch (singleflight), and the
-    #: gluster server admits same-instant decode/dispatch bursts through
-    #: ``FifoStation.run_batch``.  Off (default) keeps every op on the
-    #: scalar reservation chain, byte-identical to the pre-fastpath
-    #: code; on, logical results (bytes served, hit/miss counts) are
-    #: identical while burst timestamps coalesce — asserted by
-    #: ``repro fastpath``.
-    fastpath: bool = False
-
     # -- multi-tenant MCD tier (Memshare; DESIGN §14) ----------------------
     #: Tenant declarations: each carves a key-namespace prefix (an IMCa
     #: path subtree like ``/t/alpha/``) into its own accounted tenant

@@ -23,7 +23,7 @@ from repro.localfs.types import ReadResult, StatBuf
 from repro.net.fabric import Network, Node
 from repro.net.rpc import Endpoint, RpcCall
 from repro.obs.trace import NULL_TRACER
-from repro.sim.station import BatchGate, FifoStation
+from repro.sim.station import FifoStation
 from repro.util.stats import Counter
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -106,17 +106,12 @@ class GlusterServer:
         server_xlators: Optional[list[Xlator]] = None,
         io_threads: int = SERVER_IO_THREADS,
         tracer=NULL_TRACER,
-        fastpath: bool = False,
     ) -> None:
         self.sim = sim
         self.node = node
         self.fs = fs
         self.endpoint = Endpoint(net, node, tracer=tracer)
         self.io_pool = FifoStation(sim, io_threads, f"{node.name}.io")
-        #: Fast path (DESIGN §15): same-instant decode/dispatch bursts
-        #: retire through one ``run_batch`` on the io-thread pool; None
-        #: keeps the per-request scalar charge.
-        self.io_gate: Optional[BatchGate] = BatchGate(self.io_pool) if fastpath else None
         self.posix = PosixXlator(fs, node.cpu)
         self.stack = Xlator.build_stack([*(server_xlators or []), self.posix])
         self.stats = Counter()
@@ -126,25 +121,18 @@ class GlusterServer:
     def _handle(self, call: RpcCall) -> Generator:
         fop, args = call.args
         self.stats.inc(f"fop_{fop}")
-        gate = self.io_gate
         if self.tracer.enabled:
             with self.tracer.span("server", f"server.{fop}"):
                 if self.tracer.oplog is not None:
                     # One server round trip on the op's critical path.
                     self.tracer.op_count("server_fops")
                 # Protocol decode + dispatch on the io-thread pool.
-                if gate is not None:
-                    yield from gate.admit(SERVER_OP_CPU)
-                else:
-                    yield self.io_pool.run(SERVER_OP_CPU)
+                yield self.io_pool.run(SERVER_OP_CPU)
                 method = getattr(self.stack, fop)
                 result = yield from method(*args)
         else:
             # Protocol decode + dispatch on the io-thread pool.
-            if gate is not None:
-                yield from gate.admit(SERVER_OP_CPU)
-            else:
-                yield self.io_pool.run(SERVER_OP_CPU)
+            yield self.io_pool.run(SERVER_OP_CPU)
             method = getattr(self.stack, fop)
             result = yield from method(*args)
         return result, self._resp_size(fop, result)

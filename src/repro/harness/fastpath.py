@@ -1,42 +1,47 @@
-"""The fast-path equality experiment (DESIGN §15).
+"""The singleflight equality experiment (DESIGN §15).
 
-``IMCaConfig.fastpath`` reroutes same-instant op bursts through three
-coalescing layers — the RPC request-burst window, stat/get
-singleflight, and batch admission at the server io-pool and MCD CPUs.
-All three change *when* things happen (burst members share delivery
-and completion instants) but must never change *what* the application
-observes.  This experiment is the proof: four scenarios each run twice
-— once scalar, once with ``fastpath`` on — over the identical
-fixed-work burst workload, and every result the application can see
-must match:
+Every get and stat a client issues goes through a singleflight table:
+an op that finds its key already being fetched on the same client parks
+on that fetch instead of issuing its own.  That changes *how many* wire
+round trips a burst costs and *when* its members complete, but must
+never change *what* the application observes.  This experiment is the
+proof: four scenarios each run twice over the identical fixed-work
+workload — once **serial** (every client issues its children one after
+another, so nothing is ever in flight when the next op starts and
+nothing can follow) and once as a concurrent **burst** — and every
+result the application can see must match:
 
 * **steady** — warm, fault-free.  Content digests, op counts *and* the
   translator-level cache counters (``stat_hits``/``read_hits``/...)
   must be equal; they are folded into one *logical metrics
   fingerprint* per run.  Transport-level counters (MCD round trips,
-  scheduler events) intentionally shrink — that is the win, reported
-  as the attribution table, not asserted equal.
+  scheduler events) intentionally shrink on the burst arm — that is the
+  win, reported as the attribution table, not asserted equal.
 * **chaos** — a seeded Poisson crash/restart schedule over the MCD
-  array.  Timing compression shifts which individual ops land inside a
-  fault window, so counters are out of scope; returned bytes and stat
-  sizes are not: digests must match and no op error may surface.
+  array.  The arms' clocks differ, which shifts which individual ops
+  land inside a fault window, so counters are out of scope; returned
+  bytes and stat sizes are not: digests must match and no op error may
+  surface.
 * **elastic** — an ``mcd-add`` (with warm window + migration) and a
   graceful drain land at fixed round boundaries mid-run.
 * **tenants** — the per-tenant arbiter partitions the same workload's
   keyspace; arbitration state is engine-side and must not perturb
   results either.
 
-The workload is fixed-work (rounds x burst, never time-bounded —
-fastpath compresses simulated time, so a wall-clock-bounded run would
-do *different work* and prove nothing).  Each round, every client
-releases a burst of concurrent children: a stat of a shared file
-(duplicates inside the burst exercise stat singleflight), a private
-cached read (the shared ``:stat`` key rides every multi-get, so
-followers park on the leader's fetch), and a scratch-file write (not
-intercepted by CMCache — it dives straight to the server, so the burst
-exercises RPC request coalescing into the brick and the io-pool batch
-gate).  Children record results into per-burst slots hashed in slot
-order, making the digest independent of completion order.
+There is no switch to flip: the serial arm's follow counters are all
+zero and the burst arm's are not, on the same code and config, because
+the table observes concurrency.
+
+The workload is fixed-work (rounds x burst, never time-bounded — the
+arms take different simulated time, so a time-bounded run would do
+*different work* and prove nothing).  Each round, every client runs
+``burst`` children: a stat of a shared file (duplicates inside the
+burst exercise stat singleflight), a private cached read (the shared
+``:stat`` key rides every multi-get, so followers park on the leader's
+fetch), and on odd rounds a scratch-file write (not intercepted by
+CMCache — it dives straight to the server).  Children record results
+into per-burst slots hashed in slot order, making the digest
+independent of completion order.
 
 Membership/fault events are armed at *round boundaries* (not wall
 times): both runs see the event at the same point in the op stream
@@ -64,7 +69,7 @@ SCENARIOS = ("steady", "chaos", "elastic", "tenants")
 #: the round (same trick as the elasticity harness).
 _EVENT_EPS = 1e-7
 
-#: Translator-level counters that must be equal scalar-vs-fastpath on a
+#: Translator-level counters that must be equal serial-vs-burst on a
 #: warm fault-free run: they describe what the *application* hit, not
 #: how many wire round trips it took.
 _LOGICAL_CM_KEYS = ("stat_hits", "stat_misses", "read_hits", "read_misses")
@@ -79,8 +84,8 @@ def _scratch(p: dict, rank: int, b: int, r: int) -> bytes:
     return payload(p["record_size"], (71 * rank + 31 * b + 13 * r + 1) % 251)
 
 
-def _build(p: dict, scenario: str, fastpath: bool, obs=None):
-    imca_kw: dict = {"fastpath": fastpath}
+def _build(p: dict, scenario: str, obs=None):
+    imca_kw: dict = {}
     if scenario == "elastic":
         # Elastic membership needs consistent hashing so add/drain remap
         # only a slice of the keyspace.
@@ -98,8 +103,8 @@ def _build(p: dict, scenario: str, fastpath: bool, obs=None):
 
 def _setup(tb, p: dict):
     """Untimed: create shared + private + scratch files, then warm the
-    MCD array with one *sequential* pass (sequential ops never open a
-    coalescing window, so both runs warm identically).  Returns the
+    MCD array with one *sequential* pass (sequential ops never share a
+    flight, so both arms warm identically).  Returns the
     shared paths and, per rank, ``[(private path, fd), (scratch path,
     fd) x burst]``."""
     rec = p["record_size"]
@@ -129,9 +134,10 @@ def _setup(tb, p: dict):
     return shared, drive(tb.sim, body())
 
 
-def _measure(tb, shared, fds, p: dict, events_by_round) -> dict:
+def _measure(tb, shared, fds, p: dict, events_by_round, serial: bool) -> dict:
     """The fixed-work measured phase: ``rounds`` barrier-separated
-    bursts of ``burst`` concurrent children per client."""
+    rounds of ``burst`` children per client — concurrent processes, or
+    (*serial*) the same children one after another."""
     sim = tb.sim
     burst = p["burst"]
     rec = p["record_size"]
@@ -141,14 +147,10 @@ def _measure(tb, shared, fds, p: dict, events_by_round) -> dict:
     injectors: list = []
 
     def body(client, rank, barrier):
-        # Even rounds release a stat+read burst (the cached fast path:
-        # stat singleflight, multi-get riders, MCD batch admission);
-        # odd rounds release a write burst — writes are not intercepted
-        # by CMCache, so the whole burst dives to the server in one
-        # same-instant window (RPC request coalescing into the brick +
-        # io-pool batch admission).  Mixing op kinds inside one burst
-        # would let the first op's latency spread desynchronise the
-        # rest, never opening the later windows.
+        # Even rounds release a stat+read burst (the cached path: stat
+        # singleflight, multi-get riders); odd rounds release a write
+        # burst — writes are not intercepted by CMCache, so the whole
+        # burst dives to the server.
         h = hashlib.sha256()
         (_ppath, pfd), *scratch = fds[rank]
         expected = _contents(p, rank, 0)
@@ -180,9 +182,13 @@ def _measure(tb, shared, fds, p: dict, events_by_round) -> dict:
                 if st is not None and res is not None:
                     slots[b] = (st.size, res.data or b"")
 
-            yield sim.all_of(
-                [sim.process(child(b), name=f"fp-r{rank}b{b}") for b in range(burst)]
-            )
+            if serial:
+                for b in range(burst):
+                    yield from child(b)
+            else:
+                yield sim.all_of(
+                    [sim.process(child(b), name=f"fp-r{rank}b{b}") for b in range(burst)]
+                )
             # Hash in slot order: the digest must not depend on which
             # child completed first (the probe's own per-rank digest
             # does, so it is not used here).
@@ -254,7 +260,7 @@ def _events(p: dict, scenario: str) -> dict[int, FaultSchedule]:
 
 
 def _logical_fingerprint(row: dict) -> str:
-    """One hash over everything that must be equal scalar-vs-fastpath
+    """One hash over everything that must be equal serial-vs-burst
     on the steady scenario: content digest, op/error/mismatch counts,
     and the translator-level cache counters."""
     doc = {
@@ -267,11 +273,11 @@ def _logical_fingerprint(row: dict) -> str:
     return text_digest(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _job(p: dict, scenario: str, fastpath: bool, obs=None) -> dict:
+def _job(p: dict, scenario: str, serial: bool, obs=None) -> dict:
     """One (scenario, arm) end to end — picklable for pmap."""
-    tb = _build(p, scenario, fastpath, obs)
+    tb = _build(p, scenario, obs)
     shared, fds = _setup(tb, p)
-    out = _measure(tb, shared, fds, p, _events(p, scenario))
+    out = _measure(tb, shared, fds, p, _events(p, scenario), serial)
     cm = tb.cm_stats()
     out["cm"] = {k: cm.get(k, 0) for k in _LOGICAL_CM_KEYS}
     out["fastpath"] = tb.fastpath_stats()
@@ -290,110 +296,95 @@ def _job(p: dict, scenario: str, fastpath: bool, obs=None) -> dict:
 @register(
     "fastpath",
     "DESIGN §15",
-    "Fast-path equality: batched == scalar",
-    "Run the identical fixed-work burst workload scalar and with "
-    "IMCaConfig.fastpath on, across steady/chaos/elastic/tenants "
-    "scenarios: content digests (and, fault-free, the logical metrics "
-    "fingerprint) must be equal, while the fastpath_* attribution "
-    "counters show each coalescing tier actually engaged.",
+    "Singleflight equality: concurrent burst == the same ops one at a time",
+    "Run the identical fixed-work workload with every client's children "
+    "issued one after another and as a concurrent burst, across "
+    "steady/chaos/elastic/tenants scenarios: content digests (and, "
+    "fault-free, the logical metrics fingerprint) must be equal, while "
+    "the follow counters show both singleflight tables engaged on the "
+    "burst arm and stayed at zero on the serial one.",
 )
 def run_fastpath(scale: str = "default") -> ExperimentResult:
     p = params_for("fastpath", scale)
-    jobs = [(p, s, fp) for s in SCENARIOS for fp in (False, True)]
+    jobs = [(p, s, serial) for s in SCENARIOS for serial in (True, False)]
     rows = pmap(_job, jobs)
-    by = {(s, fp): row for (_, s, fp), row in zip(jobs, rows)}
+    by = {(s, serial): row for (_, s, serial), row in zip(jobs, rows)}
+    serial_rows = {s: by[(s, True)] for s in SCENARIOS}
+    burst_rows = {s: by[(s, False)] for s in SCENARIOS}
 
     result = ExperimentResult(
         "fastpath", scale, x_name="scenario", x_values=list(SCENARIOS)
     )
-    result.series["ops"] = [by[(s, True)]["ops"] for s in SCENARIOS]
-    result.series["rpc coalesced"] = [
-        by[(s, True)]["fastpath"].get("rpc_coalesced", 0) for s in SCENARIOS
+    result.series["ops"] = [burst_rows[s]["ops"] for s in SCENARIOS]
+    result.series["stat follows"] = [
+        burst_rows[s]["fastpath"]["stat_sf_follows"] for s in SCENARIOS
     ]
-    result.series["singleflight follows"] = [
-        by[(s, True)]["fastpath"].get("sf_follows", 0)
-        + by[(s, True)]["fastpath"].get("stat_sf_follows", 0)
-        for s in SCENARIOS
-    ]
-    result.series["admit coalesced"] = [
-        by[(s, True)]["fastpath"].get("server_admit_coalesced", 0)
-        + by[(s, True)]["fastpath"].get("mcd_admit_coalesced", 0)
-        for s in SCENARIOS
+    result.series["get follows"] = [
+        burst_rows[s]["fastpath"]["sf_follows"] for s in SCENARIOS
     ]
 
     for s in SCENARIOS:
-        scalar, fast = by[(s, False)], by[(s, True)]
+        serial, burst = serial_rows[s], burst_rows[s]
         result.check(
-            f"{s}: batched run returns byte-identical contents and stat "
-            "sizes to the scalar run",
-            fast["fingerprint"] == scalar["fingerprint"]
-            and fast["mismatches"] == 0
-            and scalar["mismatches"] == 0,
-            f"scalar fp={scalar['fingerprint'][:12]} "
-            f"fastpath fp={fast['fingerprint'][:12]}",
+            f"{s}: the burst returns byte-identical contents and stat "
+            "sizes to the same ops issued one at a time",
+            burst["fingerprint"] == serial["fingerprint"]
+            and burst["mismatches"] == 0
+            and serial["mismatches"] == 0,
+            f"serial fp={serial['fingerprint'][:12]} "
+            f"burst fp={burst['fingerprint'][:12]}",
         )
         result.check(
             f"{s}: no op error surfaces to the application on either arm",
-            scalar["errors"] == 0 and fast["errors"] == 0,
-            f"errors scalar={scalar['errors']} fastpath={fast['errors']}",
+            serial["errors"] == 0 and burst["errors"] == 0,
+            f"errors serial={serial['errors']} burst={burst['errors']}",
         )
 
-    steady_s, steady_f = by[("steady", False)], by[("steady", True)]
-    lf_s, lf_f = _logical_fingerprint(steady_s), _logical_fingerprint(steady_f)
+    lf_s = _logical_fingerprint(serial_rows["steady"])
+    lf_b = _logical_fingerprint(burst_rows["steady"])
     result.check(
         "steady: logical metrics fingerprints are equal (content digest "
         "+ op counts + translator cache counters)",
-        lf_s == lf_f,
-        f"scalar={lf_s[:12]} fastpath={lf_f[:12]}; "
-        f"cm scalar={steady_s['cm']} fastpath={steady_f['cm']}",
+        lf_s == lf_b,
+        f"serial={lf_s[:12]} burst={lf_b[:12]}; "
+        f"cm serial={serial_rows['steady']['cm']} burst={burst_rows['steady']['cm']}",
     )
-    result.extras["logical_fingerprints"] = {
-        "scalar": lf_s,
-        "fastpath": lf_f,
-    }
+    result.extras["logical_fingerprints"] = {"serial": lf_s, "burst": lf_b}
 
-    fp = steady_f["fastpath"]
+    fp = burst_rows["steady"]["fastpath"]
     result.check(
-        "steady: every coalescing tier engaged (RPC window, stat + get "
-        "singleflight, MCD and server batch admission)",
-        fp.get("rpc_coalesced", 0) > 0
-        and fp.get("stat_sf_follows", 0) > 0
-        and fp.get("sf_follows", 0) > 0
-        and fp.get("mcd_admit_coalesced", 0) > 0
-        and fp.get("server_admit_coalesced", 0) > 0,
+        "steady: both singleflight tables engaged on the burst arm "
+        "(stats followed a stat, gets followed a get)",
+        fp["stat_sf_follows"] > 0 and fp["sf_follows"] > 0,
         f"attribution: {fp}",
     )
     result.check(
-        "scalar runs never touch the fast path (all fastpath_* counters "
-        "zero with the knob off)",
-        all(
-            v == 0
-            for s in SCENARIOS
-            for v in by[(s, False)]["fastpath"].values()
-        ),
-        str({s: by[(s, False)]["fastpath"] for s in SCENARIOS}),
+        "serial arms never follow: with nothing in flight every counter "
+        "stays zero (the table observes concurrency, not a flag)",
+        all(v == 0 for s in SCENARIOS for v in serial_rows[s]["fastpath"].values()),
+        str({s: serial_rows[s]["fastpath"] for s in SCENARIOS}),
     )
     result.check(
         "chaos: the fault schedule demonstrably ran on both arms",
-        by[("chaos", False)]["fault_log"] > 0 and by[("chaos", True)]["fault_log"] > 0,
-        f"fault transitions scalar={by[('chaos', False)]['fault_log']} "
-        f"fastpath={by[('chaos', True)]['fault_log']}",
+        serial_rows["chaos"]["fault_log"] > 0 and burst_rows["chaos"]["fault_log"] > 0,
+        f"fault transitions serial={serial_rows['chaos']['fault_log']} "
+        f"burst={burst_rows['chaos']['fault_log']}",
     )
 
-    result.extras["attribution"] = {s: by[(s, True)]["fastpath"] for s in SCENARIOS}
+    result.extras["attribution"] = {s: burst_rows[s]["fastpath"] for s in SCENARIOS}
     result.extras["mcclient"] = {
-        s: {"scalar": by[(s, False)]["mcclient"], "fastpath": by[(s, True)]["mcclient"]}
+        s: {"serial": serial_rows[s]["mcclient"], "burst": burst_rows[s]["mcclient"]}
         for s in SCENARIOS
     }
-    if "tenants" in by[("tenants", True)]:
+    if "tenants" in burst_rows["tenants"]:
         result.extras["tenant_hits"] = {
-            "scalar": by[("tenants", False)].get("tenants", {}),
-            "fastpath": by[("tenants", True)].get("tenants", {}),
+            "serial": serial_rows["tenants"].get("tenants", {}),
+            "burst": burst_rows["tenants"].get("tenants", {}),
         }
     result.notes.append(
         "Equality is asserted at the application boundary: bytes, stat "
         "sizes, op counts, and (fault-free) translator cache counters. "
         "Transport-level counts (MCD round trips, scheduler events) "
-        "shrink under fastpath by design — see the attribution table."
+        "shrink on the burst arm by design — see the attribution table."
     )
     return result

@@ -432,13 +432,13 @@ PARAMS: dict[str, dict[str, dict]] = {
             ),
         ),
     },
-    # ---- fastpath: batched == scalar equality (DESIGN §15) -------------------
+    # ---- fastpath: burst == serial singleflight equality (DESIGN §15) -------
     # burst == the 8-core client CPU width, so a whole burst clears its
-    # FUSE charge in one sim instant and reaches the coalescing layers
-    # together.  shared_files < burst forces duplicate stats inside each
-    # burst (stat singleflight); file_size/record_size = 8 offsets keeps
+    # FUSE charge in one sim instant and its members overlap.
+    # shared_files < burst forces duplicate stats inside each burst
+    # (stat singleflight); file_size/record_size = 8 offsets keeps
     # every child's read on a distinct warm block.  chaos_window must
-    # cover the slower (scalar) arm's measured phase so crash/restart
+    # cover the slower (serial) arm's measured phase so crash/restart
     # events land mid-run on both arms.
     "fastpath": {
         "smoke": dict(

@@ -36,6 +36,11 @@ same legs with one payload.  A leg that fails books one ``errors`` and
 answers None — it costs that owner's share and nothing else.  A
 mutation with a single leg runs in the caller's frame and mints no join
 entry; ``get_multi`` always joins (its entry count is pinned).
+
+Reads are **singleflighted** per client (DESIGN §15): a ``get`` or
+``get_multi`` that finds its key already being fetched parks on that
+fetch.  The table entry is a bare ``None`` until somebody does, so a
+fetch nobody shares costs no event and no scheduler entry.
 """
 
 from __future__ import annotations
@@ -97,8 +102,9 @@ class _ServerHealth:
 
 
 #: Singleflight sentinel published to followers when the leader's fetch
-#: failed: a follower must re-issue its own get rather than inherit a
-#: result poisoned by the leader's (possibly server-specific) failure.
+#: failed or was aborted: a follower must issue its own fetch rather
+#: than inherit a result poisoned by the leader's (possibly
+#: server-specific) failure.
 _SF_FAILED = object()
 
 
@@ -114,7 +120,6 @@ class MemcacheClient:
         replicas: int = 1,
         rr_seed: int = 0,
         membership: Optional[McdMembership] = None,
-        singleflight: bool = False,
     ) -> None:
         if not servers:
             raise ValueError("need at least one memcached server")
@@ -144,11 +149,12 @@ class MemcacheClient:
         self._rr = rr_seed
         self._rr_by_key: dict[str, int] = {}
         self._health: dict[int, _ServerHealth] = defaultdict(_ServerHealth)
-        #: Fast path (DESIGN §15): key -> Event for every get this
-        #: client currently has in flight.  Concurrent identical gets
-        #: park on the leader's event instead of issuing their own RPC;
-        #: ``None`` keeps every get on the scalar path.
-        self._inflight: Optional[dict[str, Event]] = {} if singleflight else None
+        #: Singleflight (DESIGN §15): every key this client is fetching
+        #: right now.  The entry is None until a second caller wants the
+        #: same key and swaps in the Event it parks on; the fetcher
+        #: publishes only if one is there, so a fetch nobody shares
+        #: costs a dict slot and nothing else.
+        self._inflight: dict[str, Optional[Event]] = {}
         self.stats = Counter()
         # Spans share the endpoint's tracer; MCD time observed from the
         # client side (RPC wait included) is attributed to the mcd tier.
@@ -348,73 +354,68 @@ class MemcacheClient:
 
         A dead server counts as a miss (plus an ``errors`` stat).
 
-        With singleflight enabled (``IMCaConfig.fastpath``), concurrent
-        gets of the same key collapse onto one in-flight fetch: the
-        first caller (the *leader*) issues the RPC, later callers
-        (*followers*) park on its event and inherit the result.  A
-        clean miss is a real result — every scalar caller would have
-        missed too — but a *failed* leader fetch re-disperses: each
-        follower re-issues its own get, so a poisoned result is never
-        shared (and never cached by the callers above).  Followers
-        still book their own ``hits``/``misses``, keeping the logical
-        counters identical to the scalar path.
+        Concurrent gets of one key collapse onto one fetch
+        (singleflight): the first caller — the *leader* — marks the key
+        in flight and issues the RPC; a caller that finds the mark — a
+        *follower* — parks on the flight's event and inherits the
+        result.  A clean miss is a real result (every caller would have
+        missed too), but a failed or aborted fetch re-disperses: each
+        follower then issues its own fetch, outside the table, so a
+        poisoned result is never shared and nobody follows twice.
+        Followers book their own ``hits``/``misses``.
         """
         inflight = self._inflight
-        if inflight is None:
-            value = yield from self._get_scalar(key, hint)
-            return value
-        flight = inflight.get(key)
-        if flight is not None:
-            self.stats.inc("sf_follows")
-            if self.tracer.oplog is not None:
-                self.tracer.op_count("fastpath_sf_follows")
-            payload = yield flight
+        leading = key not in inflight
+        if leading:
+            inflight[key] = None
+        else:
+            payload = yield self._follow(key)
             if payload is not _SF_FAILED:
                 self.stats.inc("hits" if payload is not None else "misses")
                 return payload
-            self.stats.inc("sf_redispersed")
-            if self.tracer.oplog is not None:
-                self.tracer.op_count("fastpath_sf_redispersed")
-            value = yield from self._get_scalar(key, hint)
-            return value
-        ev = Event(self.endpoint.net.sim)
-        inflight[key] = ev
-        self.stats.inc("sf_leads")
-        failed: list = []
+            self._note_redispersed()
+        published = _SF_FAILED
         try:
-            value = yield from self._get_scalar(key, hint, failed)
-        except BaseException:
-            # _get_scalar degrades failures to misses; this guards the
-            # table against anything unexpected (e.g. an interrupt).
-            del inflight[key]
-            ev.succeed(_SF_FAILED)
-            raise
-        del inflight[key]
-        ev.succeed(_SF_FAILED if failed else value)
-        return value
-
-    def _get_scalar(
-        self, key: str, hint: Optional[int] = None, failed: Optional[list] = None
-    ) -> Generator:
-        """The scalar get body (*failed*, when given, collects a marker
-        if the primary fetch errored — the singleflight poison test)."""
-        idx = self._read_route()(key, len(self.servers), hint)
-        try:
-            if self.tracer.enabled:
-                with self.tracer.span("mcd", "mc.get"):
+            idx = self._read_route()(key, len(self.servers), hint)
+            failed = False
+            try:
+                if self.tracer.enabled:
+                    with self.tracer.span("mcd", "mc.get"):
+                        reply = yield from self._call(idx, "get_multi", [key])
+                else:
                     reply = yield from self._call(idx, "get_multi", [key])
-            else:
-                reply = yield from self._call(idx, "get_multi", [key])
-        except RpcError:
-            if failed is not None:
-                failed.append(True)
-            self.stats.inc("errors")
-            reply = {}
-        value = reply.get(key)
-        if value is None and self.membership.windows:
-            value = yield from self._forward_get(key, idx)
+            except RpcError:
+                failed = True
+                self.stats.inc("errors")
+                reply = {}
+            value = reply.get(key)
+            if value is None and self.membership.windows:
+                value = yield from self._forward_get(key, idx)
+            if not failed:
+                published = value
+        finally:
+            if leading:
+                flight = inflight.pop(key)
+                if flight is not None:
+                    flight.succeed(published)
         self.stats.inc("hits" if value is not None else "misses")
         return value
+
+    def _follow(self, key: str) -> Event:
+        """The event a follower of *key*'s fetch parks on, minted by the
+        first follower to arrive."""
+        flight = self._inflight[key]
+        if flight is None:
+            flight = self._inflight[key] = Event(self.endpoint.net.sim)
+        self.stats.inc("sf_follows")
+        if self.tracer.oplog is not None:
+            self.tracer.op_count("fastpath_sf_follows")
+        return flight
+
+    def _note_redispersed(self) -> None:
+        self.stats.inc("sf_redispersed")
+        if self.tracer.oplog is not None:
+            self.tracer.op_count("fastpath_sf_redispersed")
 
     def _forward_get(self, key: str, owner: int) -> Generator:
         """Demand backfill: a miss on a remapped key during a forwarding
@@ -469,7 +470,10 @@ class MemcacheClient:
         client NIC) and all responses are awaited.  Duplicate keys are
         deduplicated before batching — the result dict can only hold one
         entry per key, so counting misses as ``len(keys) - len(out)``
-        would book every duplicated hit as a phantom miss.
+        would book every duplicated hit as a phantom miss.  A key this
+        client is already fetching rides that fetch instead of joining
+        a batch; the keys a batch does fetch are its to publish (see
+        :meth:`get`).
         """
         if hints is None:
             hints = [None] * len(keys)
@@ -480,8 +484,8 @@ class MemcacheClient:
                 f"get_multi: {len(keys)} keys but {len(hints)} hints"
             )
         inflight = self._inflight
+        #: key -> (flight, hint) for every key somebody is already fetching.
         riders: dict[str, tuple[Event, Optional[int]]] = {}
-        flights: dict[str, Event] = {}
         by_server: dict[int, list[str]] = {}
         seen: set[str] = set()
         sim = self.endpoint.net.sim
@@ -490,19 +494,15 @@ class MemcacheClient:
             if key in seen:
                 continue
             seen.add(key)
-            if inflight is not None:
-                flight = inflight.get(key)
-                if flight is not None:
-                    # Ride the in-flight fetch instead of re-issuing it.
-                    riders[key] = (flight, hint)
-                    self.stats.inc("sf_follows")
-                    if self.tracer.oplog is not None:
-                        self.tracer.op_count("fastpath_sf_follows")
-                    continue
-                flights[key] = inflight[key] = Event(sim)
+            if key in inflight:
+                # Ride the in-flight fetch instead of re-issuing it.
+                riders[key] = (self._follow(key), hint)
+                continue
             by_server.setdefault(route(key, nservers, hint), []).append(key)
+            inflight[key] = None
         out: dict[str, McValue] = {}
-        failed_keys: Optional[set] = set() if inflight is not None else None
+        #: Keys of the batches whose RPC failed.
+        failed: set[str] = set()
         completed = False
         try:
             # Nothing left to fetch (every key rides a flight): no join.
@@ -520,8 +520,8 @@ class MemcacheClient:
                 for batch, partial in zip(by_server.values(), results):
                     if partial is not None:
                         out.update(partial)
-                    elif failed_keys is not None:
-                        failed_keys.update(batch)
+                    else:
+                        failed.update(batch)
             if self.membership.windows and len(out) < len(seen):
                 for idx, batch in by_server.items():
                     for key in batch:
@@ -532,37 +532,34 @@ class MemcacheClient:
                             out[key] = value
             completed = True
         finally:
-            # Publish our fetches to any followers that parked on them
+            # Publish our fetches to the followers that parked on them
             # (a failed batch re-disperses its riders, never a result —
             # and an aborted multi-get never publishes a phantom miss).
-            for key, ev in flights.items():
-                del inflight[key]
-                if not completed or (failed_keys and key in failed_keys):
-                    ev.succeed(_SF_FAILED)
-                else:
-                    ev.succeed(out.get(key))
-        redispersed: set = set()
+            for batch in by_server.values():
+                for key in batch:
+                    flight = inflight.pop(key)
+                    if flight is not None:
+                        ok = completed and key not in failed
+                        flight.succeed(out.get(key) if ok else _SF_FAILED)
         if riders:
             results = yield sim.all_of([ev for ev, _ in riders.values()])
             for key, (ev, hint) in riders.items():
                 payload = results[ev]
                 if payload is _SF_FAILED:
-                    # The flight we rode failed: fetch individually
-                    # (books its own hit/miss, so the bulk booking
-                    # below must skip this key).
-                    self.stats.inc("sf_redispersed")
-                    if self.tracer.oplog is not None:
-                        self.tracer.op_count("fastpath_sf_redispersed")
-                    redispersed.add(key)
-                    payload = yield from self._get_scalar(key, hint)
+                    # The flight we rode failed: fetch the key ourselves,
+                    # outside the table (nobody follows twice).  Keep in
+                    # step with the fetch body of get(), which stays inline
+                    # there for its call budget (tests/test_call_budget).
+                    self._note_redispersed()
+                    idx = self._read_route()(key, len(self.servers), hint)
+                    reply = yield from self._leg(idx, "get_multi", [key])
+                    payload = reply.get(key) if reply is not None else None
+                    if payload is None and self.membership.windows:
+                        payload = yield from self._forward_get(key, idx)
                 if payload is not None:
                     out[key] = payload
-        if redispersed:
-            hits = sum(1 for k in out if k not in redispersed)
-        else:
-            hits = len(out)
-        self.stats.inc("hits", hits)
-        self.stats.inc("misses", len(seen) - len(redispersed) - hits)
+        self.stats.inc("hits", len(out))
+        self.stats.inc("misses", len(seen) - len(out))
         return out
 
     # -- legs ------------------------------------------------------------------

@@ -18,7 +18,6 @@ from repro.memcached.tenancy import TenantArbiter
 from repro.net.fabric import Network, Node
 from repro.net.rpc import Endpoint, RpcCall
 from repro.obs.trace import NULL_TRACER
-from repro.sim.station import BatchGate
 from repro.util.units import GiB, USEC
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,14 +56,10 @@ class MemcachedDaemon:
         mem_limit: int,
         tracer=NULL_TRACER,
         tenancy_factory: Optional[Callable[[int], TenantArbiter]] = None,
-        fastpath: bool = False,
     ) -> None:
         self.sim = sim
         self.node = node
         self.mem_limit = mem_limit
-        #: Fast path (DESIGN §15): same-instant get bursts retire their
-        #: event-loop CPU through one ``run_batch`` on the node's CPU.
-        self.cpu_gate: Optional[BatchGate] = BatchGate(node.cpu) if fastpath else None
         #: Builds a *fresh* arbiter per engine (mem_limit -> arbiter):
         #: arbitration state is process state and must die with it.
         self.tenancy_factory = tenancy_factory
@@ -130,11 +125,7 @@ class MemcachedDaemon:
         eng = self.engine
         if op == "get_multi":
             keys: list[str] = payload
-            gate = self.cpu_gate
-            if gate is not None:
-                yield from gate.admit(OP_CPU * max(1, len(keys)))
-            else:
-                yield cpu.run(OP_CPU * max(1, len(keys)))
+            yield cpu.run(OP_CPU * max(1, len(keys)))
             # One walk over the hits builds the reply and sizes it: the
             # values sent are the ones the lookup found and billed.
             reply = {}

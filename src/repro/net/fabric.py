@@ -299,99 +299,6 @@ class Network:
         self.sim._schedule(ev, at=tx_end + wire)
         return ev
 
-    def delivery_time_batch(self, src: Node, dst: Node, sizes) -> float:
-        """Reserve all five stations for a *burst* of messages in one
-        vectored pass; return the absolute delivery time of the last.
-
-        The scalar :meth:`delivery_time` charges five station
-        reservations per message; a burst of ``n`` messages submitted
-        together instead charges five **batch** reservations total.
-        The burst shares one arrival instant: host CPU work for all
-        messages is admitted as one batch, the sender NIC serialises
-        the frames back to back, and cut-through starts one wire
-        latency after the first byte of the burst leaves.  Aggregate
-        busy time per station is identical to ``n`` scalar transfers;
-        only per-message intermediate timestamps are coalesced.
-
-        Raises :class:`NetworkError` if either endpoint is dead.
-        """
-        if not src.alive:
-            raise NetworkError(f"source {src.name} is down")
-        if not dst.alive:
-            raise NetworkError(f"destination {dst.name} is down")
-        n = len(sizes)
-        if n == 0:
-            return self.sim._now
-        p = self.transport
-        nics = self._nics
-        try:
-            src_nic = nics[src.name]
-            dst_nic = nics[dst.name]
-        except KeyError as e:
-            raise NetworkError(f"{e.args[0]} not attached to {self.name}") from None
-
-        wire = p.wire_latency
-        if self._impaired:
-            wire += self._extra_wire(src, dst)
-        cpu_per_byte = p.cpu_per_byte
-        inv_bw = 1.0 / p.bandwidth
-        cpu_send = p.cpu_send
-        cpu_recv = p.cpu_recv
-        send_costs = [cpu_send + cpu_per_byte * s for s in sizes]
-        sers = [s * inv_bw for s in sizes]
-        t = self.sim._now
-        # Sender host CPU (protocol + copy) for the whole burst.
-        _, t = src.cpu.reserve_batch(send_costs, arrival=t)
-        # Sender NIC serialises the burst back to back.
-        tx_start, tx_end = src_nic.tx.reserve_batch(sers, arrival=t)
-        # Cut-through: the receiver NIC starts taking bytes one wire
-        # latency after the burst's first byte leaves, and finishes no
-        # earlier than one wire latency after its last byte leaves.
-        _, rx_end = dst_nic.rx.reserve_batch(sers, arrival=tx_start + wire)
-        tx_end += wire
-        t = tx_end if tx_end > rx_end else rx_end
-        # Receiver host CPU for the whole burst.
-        recv_costs = [cpu_recv + cpu_per_byte * s for s in sizes]
-        _, t = dst.cpu.reserve_batch(recv_costs, arrival=t)
-
-        values = self.stats.values
-        values["messages"] = values.get("messages", 0) + n
-        values["bytes"] = values.get("bytes", 0) + sum(sizes)
-        values["batches"] = values.get("batches", 0) + 1
-        return t
-
-    def transfer_batch(self, src: Node, dst: Node, sizes) -> Union[float, Event]:
-        """One-way message burst: returns the absolute time the last
-        byte of the **last** message lands in the receiver's memory, and
-        the whole burst costs a single schedule entry and a single wakeup.
-
-        ``yield net.transfer_batch(a, b, [nbytes, ...])``.
-
-        Failure semantics match :meth:`transfer`, applied burst-wide: a
-        dead destination (or a loss draw on a degraded link) fails the
-        whole burst after the one-way traversal of its *first* message
-        has been charged; a dead source raises synchronously.
-        """
-        if any(s < 0 for s in sizes):
-            raise ValueError("negative message size in batch")
-        sim = self.sim
-        if not src.alive:
-            raise NetworkError(f"source {src.name} is down")
-        if not sizes:
-            return sim._now
-        if not dst.alive:
-            return self._undeliverable(
-                src, dst, sizes[0], f"destination {dst.name} is down"
-            )
-        if self._impaired and self._drop_message(src, dst):
-            self.stats.inc("lost")
-            return self._undeliverable(
-                src, dst, sizes[0], f"message {src.name} -> {dst.name} lost"
-            )
-        t = self.delivery_time_batch(src, dst, sizes)
-        now = sim._now
-        return now + (t - now)
-
     def transfer(self, src: Node, dst: Node, size: int) -> Union[float, Event]:
         """One-way message: returns the absolute time the last byte
         lands in the receiver's memory, for the calling process to

@@ -28,7 +28,6 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.net.fabric import Network, NetworkError, Node
 from repro.obs.trace import NULL_TRACER
-from repro.sim.events import Event
 from repro.util.stats import Counter
 
 
@@ -120,20 +119,13 @@ HEADER_SIZE = 96
 class Endpoint:
     """RPC endpoint binding one node to one network."""
 
-    def __init__(
-        self, net: Network, node: Node, tracer=NULL_TRACER, coalesce: bool = False
-    ) -> None:
+    def __init__(self, net: Network, node: Node, tracer=NULL_TRACER) -> None:
         if not net.attached(node):
             net.attach(node)
         self.net = net
         self.node = node
         self.stats = Counter()
         self.tracer = tracer
-        # Fast path (DESIGN §15): when enabled, concurrent calls issued
-        # from this endpoint to the same destination within one sim
-        # instant share a single transfer_batch request burst.  ``None``
-        # keeps the scalar chain byte-identical.
-        self._pending: Optional[dict] = {} if coalesce else None
 
     def register(self, service: str, handler: RpcHandler) -> None:
         if service in self.node.services:
@@ -178,25 +170,19 @@ class Endpoint:
         net = self.net
         node = self.node
         frame_size = HEADER_SIZE + req_size
-        # A coalescing endpoint may deliver the request inside a burst;
-        # alone in its window it takes the scalar chain like any other.
-        delivered = False
-        if self._pending is not None:
-            delivered = yield from self._coalesce(dst, service, frame_size)
-        if not delivered:
-            try:
-                if tracer.enabled:
-                    with tracer.span("network", f"net.req.{service}"):
-                        yield net.transfer(node, dst, frame_size)
-                else:
+        try:
+            if tracer.enabled:
+                with tracer.span("network", f"net.req.{service}"):
                     yield net.transfer(node, dst, frame_size)
-            except NetworkError as e:
-                self.stats.inc("errors")
-                raise RpcUnavailable(str(e)) from None
-            if not dst.alive:
-                # Died while the request was in flight.
-                self.stats.inc("errors")
-                raise RpcUnavailable(f"{dst.name} died during call")
+            else:
+                yield net.transfer(node, dst, frame_size)
+        except NetworkError as e:
+            self.stats.inc("errors")
+            raise RpcUnavailable(str(e)) from None
+        if not dst.alive:
+            # Died while the request was in flight.
+            self.stats.inc("errors")
+            raise RpcUnavailable(f"{dst.name} died during call")
 
         # Request delivered: run the handler, return the response.
         handler = dst.services[service]
@@ -282,78 +268,3 @@ class Endpoint:
                     yield sim.timeout(delay)
             else:
                 return reply
-
-    def _coalesce(self, dst: Node, service: str, frame_size: int) -> Generator[Any, Any, bool]:
-        """The fast-path request leg: same-instant calls from this
-        endpoint to *dst* share one ``transfer_batch`` request burst.
-
-        The first caller at a given instant opens a *coalescing window*
-        and yields ``sim.now``; every other call to the same
-        destination issued before that wake fires (i.e. within the
-        same sim instant) appends its request frame to the burst and
-        parks on a per-call event.  The window leader then charges one
-        batched five-station request chain for the whole burst and
-        wakes every rider at its delivery instant.  Returns True once
-        the request has been delivered that way; from there each call
-        runs its own handler and response leg in :meth:`call`, exactly
-        as on the scalar path — so per-call replies, faults, timeouts
-        (``call(timeout=)`` races the call as a child process), and
-        at-least-once retry semantics are unchanged.
-
-        A window that closes with a single call returns False and the
-        caller takes the scalar request chain, so uncontended traffic
-        keeps scalar timings.
-        """
-        sim = self.net.sim
-        tracer = self.tracer
-        batch = self._pending.get(dst)
-        if batch is not None:
-            # Window already open: ride the leader's request burst.
-            self.stats.inc("fastpath_coalesced")
-            if tracer.oplog is not None:
-                tracer.op_count("fastpath_rpc_coalesced")
-            ev = Event(sim)
-            batch[0].append(frame_size)
-            batch[1].append(ev)
-            try:
-                # Fails with the leader's RpcUnavailable if the burst dies.
-                yield ev
-            except RpcUnavailable:
-                self.stats.inc("errors")
-                raise
-            return True
-
-        sizes = [frame_size]
-        waiters: list[Event] = []
-        self._pending[dst] = (sizes, waiters)
-        # Hold the window open for the remainder of this sim instant.
-        yield sim.now
-        del self._pending[dst]
-        if not waiters:
-            return False
-
-        self.stats.inc("fastpath_batches")
-        if tracer.oplog is not None:
-            tracer.op_count("fastpath_rpc_batches")
-        try:
-            if tracer.enabled:
-                with tracer.span("network", f"net.req.{service}"):
-                    yield self.net.transfer_batch(self.node, dst, sizes)
-            else:
-                yield self.net.transfer_batch(self.node, dst, sizes)
-        except NetworkError as e:
-            self.stats.inc("errors")
-            err = RpcUnavailable(str(e))
-            for ev in waiters:
-                ev.fail(err)
-            raise err from None
-        if not dst.alive:
-            # Died while the burst was in flight: the whole burst fails.
-            self.stats.inc("errors")
-            err = RpcUnavailable(f"{dst.name} died during call")
-            for ev in waiters:
-                ev.fail(err)
-            raise err
-        for ev in waiters:
-            ev.succeed()
-        return True

@@ -22,7 +22,6 @@ from __future__ import annotations
 from heapq import heapreplace
 from typing import TYPE_CHECKING
 
-from repro.sim.events import Event
 from repro.util.stats import OnlineStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -227,62 +226,3 @@ class FifoStation:
             f"<FifoStation {self.name or id(self):} servers={self.servers} "
             f"jobs={self.jobs} backlog={self.backlog():.6f}s>"
         )
-
-
-class BatchGate:
-    """Same-instant batch admission for a :class:`FifoStation`
-    (DESIGN §15).
-
-    Callers that reach the gate within one sim instant are retired as a
-    single :meth:`FifoStation.run_batch` burst instead of one
-    :meth:`FifoStation.run` wake each: the first caller opens a
-    window, yields ``sim.now``, and — once every other
-    same-instant caller has appended its cost — charges the whole burst
-    in one vectored reservation with one wakeup, then releases the
-    riders.  Aggregate busy time and job counts on the station are
-    identical to the scalar chain; riders complete at the burst's end
-    instead of their own visit's end (the batch-coalescing timestamp
-    semantics of ``run_batch``).
-
-    A window that closes with a single caller charges a scalar
-    :meth:`FifoStation.run`, so uncontended traffic is unchanged.
-    """
-
-    __slots__ = ("station", "_pending", "batches", "coalesced", "solo")
-
-    def __init__(self, station: FifoStation) -> None:
-        self.station = station
-        self._pending: tuple[list, list] | None = None
-        #: Multi-caller windows flushed / riders coalesced / 1-caller
-        #: windows — the gate's contribution to ``fastpath_*`` metrics.
-        self.batches = 0
-        self.coalesced = 0
-        self.solo = 0
-
-    def admit(self, cost: float):
-        """``yield from gate.admit(cost)`` — returns at the caller's
-        admission-burst completion."""
-        sim = self.station.sim
-        pending = self._pending
-        if pending is not None:
-            # Window already open: ride the leader's burst.
-            self.coalesced += 1
-            ev = Event(sim)
-            pending[0].append(cost)
-            pending[1].append(ev)
-            yield ev
-            return
-        costs = [cost]
-        waiters: list[Event] = []
-        self._pending = (costs, waiters)
-        # Hold the window open for the remainder of this sim instant.
-        yield sim.now
-        self._pending = None
-        if not waiters:
-            self.solo += 1
-            yield self.station.run(cost)
-            return
-        self.batches += 1
-        yield self.station.run_batch(costs)
-        for ev in waiters:
-            ev.succeed()

@@ -74,6 +74,37 @@ def test_call_to_dead_server_raises_unavailable():
     assert caught
 
 
+def test_server_dying_mid_request_fails_every_call_in_flight():
+    """Requests already on the wire when the destination dies each fail
+    with RpcUnavailable, and each is booked as its own error."""
+    sim, net, client, server, cep, sep = make_pair()
+
+    def echo(call):
+        yield call.dst.cpu.run(1 * USEC)
+        return call.args, 0
+
+    sep.register("echo", echo)
+    outcomes = []
+
+    def proc(k):
+        try:
+            outcomes.append((yield from cep.call(server, "echo", k, req_size=4096)))
+        except RpcUnavailable as e:
+            outcomes.append(str(e))
+
+    def killer():
+        yield sim.timeout(1e-9)
+        server.fail()
+
+    for k in range(4):
+        sim.process(proc(k))
+    sim.process(killer())
+    sim.run()
+    assert outcomes == ["server died during call"] * 4
+    assert cep.stats.values["calls"] == 4
+    assert cep.stats.values["errors"] == 4
+
+
 def test_duplicate_registration_rejected():
     sim, net, client, server, cep, sep = make_pair()
 

@@ -39,7 +39,7 @@ BUDGET = {
     # instead of asking ``_server_at`` which table to use.
     "warm_read_2k": 75,
     "warm_read_16k": 96,  # 107, 97
-    "stat_hit": 71,  # 82, 72
+    "stat_hit": 61,  # 82, 72, 71 (no _stat_scalar / _get_scalar wrapper frames)
     # Before every mutation walked one owner list: 358 / 663 / 149.
     # Routing a key was ``_window_targets`` + ``_replicas_for`` +
     # ``_idx_for`` + ``select``; it is ``owners`` + ``select``.

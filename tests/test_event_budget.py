@@ -66,3 +66,87 @@ def test_headline_ops_cost_exactly_their_event_budget():
     sim.process(scenario())
     sim.run()
     assert spent == BUDGET
+
+
+#: What a process costs around its op: its start entry and its
+#: completion entry.
+PROCESS = 2
+#: A stat that follows another's flight: the process's two entries and
+#: its own FUSE charge on the client CPU — no RPC leg at all.
+FOLLOWER = PROCESS + 1
+#: The leader's one publish, minted only because somebody followed.
+PUBLISH = 1
+#: The ``all_of`` the test itself waits on.
+JOIN = 1
+
+
+def test_concurrent_stats_on_one_client_pay_no_window_tax():
+    """K processes share one client stack.  Statting K distinct warm
+    paths costs exactly K solo stat hits — nothing for the concurrency
+    itself; statting one warm path costs ONE stat hit plus a pinned
+    term per follower."""
+    k = 8
+    tb = build_gluster_testbed(
+        TestbedConfig(num_clients=1, num_mcds=4, mcd_memory=2 * MiB, imca=IMCaConfig())
+    )
+    sim, client = tb.sim, tb.clients[0]
+
+    def warm():
+        for i in range(k):
+            fd = yield from client.create(f"/w{i}")
+            yield from client.close(fd)
+
+    sim.run(until=sim.process(warm()))
+
+    def burst(paths):
+        before = sim._seq
+        hits = tb.cm_stats().get("stat_hits", 0)
+        sim.run(until=sim.all_of([sim.process(client.stat(p)) for p in paths]))
+        assert tb.cm_stats()["stat_hits"] == hits + len(paths)
+        return sim._seq - before
+
+    solo = BUDGET["stat_hit"] + PROCESS
+    assert burst(["/w0"]) == solo + JOIN
+    assert burst([f"/w{i}" for i in range(k)]) == k * solo + JOIN
+    assert tb.fastpath_stats()["stat_sf_follows"] == 0
+    assert burst(["/w0"] * k) == solo + PUBLISH + (k - 1) * FOLLOWER + JOIN
+    assert tb.fastpath_stats()["stat_sf_follows"] == k - 1
+
+
+def test_distinct_file_burst_costs_what_the_same_ops_cost_one_at_a_time():
+    """K processes on one client each stat and read their own warm
+    file: the burst mints exactly the entries the same 2K ops mint
+    issued one after another (plus the extra processes' own two)."""
+    k = 8
+    tb = build_gluster_testbed(
+        TestbedConfig(num_clients=1, num_mcds=4, mcd_memory=2 * MiB, imca=IMCaConfig())
+    )
+    sim, client = tb.sim, tb.clients[0]
+    fds = []
+
+    def warm():
+        for i in range(k):
+            fd = yield from client.create(f"/d{i}")
+            yield from client.write(fd, 0, 2 * KiB)
+            yield from client.read(fd, 0, 2 * KiB)
+            fds.append(fd)
+
+    sim.run(until=sim.process(warm()))
+
+    def ops(i):
+        yield from client.stat(f"/d{i}")
+        yield from client.read(fds[i], 0, 2 * KiB)
+
+    def serial():
+        for i in range(k):
+            yield from ops(i)
+
+    before = sim._seq
+    sim.run(until=sim.all_of([sim.process(serial())]))
+    one_at_a_time = sim._seq - before
+    before = sim._seq
+    sim.run(until=sim.all_of([sim.process(ops(i)) for i in range(k)]))
+    assert sim._seq - before == one_at_a_time + (k - 1) * PROCESS
+    # Every op of the warm pass, the serial pass and the burst hit.
+    assert tb.cm_stats()["stat_hits"] == 2 * k and tb.cm_stats()["read_hits"] == 3 * k
+    assert not any(tb.fastpath_stats().values())
