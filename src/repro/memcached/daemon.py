@@ -70,7 +70,9 @@ class MemcachedDaemon:
         )
         self.endpoint = Endpoint(net, node, tracer=tracer)
         self.tracer = tracer
-        self.endpoint.register(SERVICE, self._handle)
+        self.endpoint.register(
+            SERVICE, self._serve, arrival_cpu=lambda args: command_cpu(*args)
+        )
         #: Lifecycle counters for the fault layer.
         self.crashes = 0
         self.restarts = 0
@@ -107,51 +109,39 @@ class MemcachedDaemon:
         self.node.recover()
 
     # -- RPC handler ---------------------------------------------------------
-    def _handle(self, call: RpcCall):
-        """The RPC handler: :meth:`_serve`'s own generator unless a
-        tracer needs a span held open around it."""
-        if self.tracer.enabled:
-            return self._serve_traced(call)
-        return self._serve(call)
-
-    def _serve_traced(self, call: RpcCall):
-        with self.tracer.span("mcd", f"mcd.{call.args[0]}"):
-            result = yield from self._serve(call)
-        return result
-
     def _serve(self, call: RpcCall):
+        """The RPC handler.  It runs when the request's receive visit on
+        this node's CPU ends, and that visit already carried the
+        command's :func:`command_cpu`; so it yields nothing: it does the
+        engine work, leaves a reply's copy on ``call.reply_cpu`` for the
+        response's send visit, and returns ``(reply, resp_bytes)``."""
         op, payload = call.args
-        cpu = self.node.cpu
+        if self.tracer.enabled:
+            # The command's CPU is the tail of the receive visit: book it
+            # to the mcd tier, inside the request's network span.
+            self.tracer.interval("mcd", f"mcd.{op}", self.sim.now - command_cpu(op, payload))
         eng = self.engine
         if op == "get_multi":
-            keys: list[str] = payload
-            yield cpu.run(OP_CPU * max(1, len(keys)))
             # One walk over the hits builds the reply and sizes it: the
             # values sent are the ones the lookup found and billed.
             reply = {}
             resp_bytes = 0
-            for k, it in eng.get_multi(keys).items():
+            for k, it in eng.get_multi(payload).items():
                 nbytes = it.nbytes
                 reply[k] = McValue(it.value, nbytes, it.flags, it.cas)
                 resp_bytes += nbytes + VALUE_WIRE_OVERHEAD
             if reply:
                 resp_bytes += key_nbytes("".join(reply))
-                yield cpu.run(COPY_PER_BYTE * resp_bytes)
+                call.reply_cpu = COPY_PER_BYTE * resp_bytes
             return reply, resp_bytes
         if op in ("set", "add", "replace"):
             key, value, nbytes, flags, ttl = payload
-            yield cpu.run(OP_CPU + COPY_PER_BYTE * nbytes)
-            ok = getattr(eng, op)(key, value, nbytes, flags, ttl)
-            return ok, 8
+            return getattr(eng, op)(key, value, nbytes, flags, ttl), 8
         if op == "set_multi":
-            # Sets pipelined on one connection: one CPU visit for the
-            # sum of their costs, then each store in request order — a
-            # store is no cheaper, and ``cmd_set``, eviction and LRU
-            # order are what the same sets sent one by one produce.
-            cost = 0.0
-            for item in payload:
-                cost += OP_CPU + COPY_PER_BYTE * item[2]
-            yield cpu.run(cost)
+            # Sets pipelined on one connection, each stored in request
+            # order — a store is no cheaper, and ``cmd_set``, eviction
+            # and LRU order are what the same sets sent one by one
+            # produce.
             stored = []
             for key, value, nbytes, flags, ttl in payload:
                 try:
@@ -161,39 +151,28 @@ class MemcachedDaemon:
             return stored, 8 * len(stored)
         if op in ("append", "prepend"):
             key, value, nbytes = payload
-            yield cpu.run(OP_CPU + COPY_PER_BYTE * nbytes)
-            ok = getattr(eng, op)(key, value, nbytes)
-            return ok, 8
+            return getattr(eng, op)(key, value, nbytes), 8
         if op == "cas":
             key, value, nbytes, cas, flags, ttl = payload
-            yield cpu.run(OP_CPU + COPY_PER_BYTE * nbytes)
             return eng.cas(key, value, nbytes, cas, flags, ttl), 8
         if op == "delete":
-            yield cpu.run(OP_CPU)
             return eng.delete(payload), 8
         if op == "delete_multi":
-            keys = payload
-            yield cpu.run(OP_CPU * max(1, len(keys)))
-            return sum(1 for k in keys if eng.delete(k)), 8
+            return sum(1 for k in payload if eng.delete(k)), 8
         if op == "incr":
             key, delta = payload
-            yield cpu.run(OP_CPU)
             return eng.incr(key, delta), 8
         if op == "decr":
             key, delta = payload
-            yield cpu.run(OP_CPU)
             return eng.decr(key, delta), 8
         if op == "touch":
             key, ttl = payload
-            yield cpu.run(OP_CPU)
             return eng.touch(key, ttl), 8
         if op == "flush_all":
-            yield cpu.run(OP_CPU)
             eng.flush_all()
             return True, 8
         if op == "scan":
             cursor, limit, with_values = payload
-            yield cpu.run(OP_CPU * max(1, limit))
             next_cursor, entries = eng.scan(cursor, limit)
             if not with_values:
                 entries = [(k, None, nbytes, flags, ttl) for k, _v, nbytes, flags, ttl in entries]
@@ -201,12 +180,33 @@ class MemcachedDaemon:
             else:
                 resp_bytes = sum(e[2] + VALUE_WIRE_OVERHEAD + key_nbytes(e[0]) for e in entries)
             if resp_bytes:
-                yield cpu.run(COPY_PER_BYTE * resp_bytes)
+                call.reply_cpu = COPY_PER_BYTE * resp_bytes
             return (next_cursor, entries), resp_bytes
         if op == "stats":
-            yield cpu.run(OP_CPU)
             return eng.stat_dict(), 512
         raise McError(f"unknown command {op!r}")
+
+
+def command_cpu(op: str, payload: Any) -> float:
+    """CPU a command costs the daemon before it can answer: the event
+    loop and hash-table work per key, plus copying any value in.  The
+    RPC layer charges it as part of the request's receive visit."""
+    if op in ("get_multi", "delete_multi"):
+        return OP_CPU * max(1, len(payload))
+    if op == "set_multi":
+        # Pipelined sets: one visit for the sum of their costs.
+        cost = 0.0
+        for item in payload:
+            cost += OP_CPU + COPY_PER_BYTE * item[2]
+        return cost
+    if op in ("set", "add", "replace", "append", "prepend", "cas"):
+        return OP_CPU + COPY_PER_BYTE * payload[2]
+    if op == "scan":
+        return OP_CPU * max(1, payload[1])
+    if op in ("delete", "incr", "decr", "touch", "flush_all", "stats"):
+        return OP_CPU
+    # An unknown command is refused before any work.
+    return 0.0
 
 
 def request_size(op: str, payload: Any) -> int:

@@ -64,8 +64,9 @@ class Node:
         self.name = name
         self.cpu = FifoStation(sim, servers=cores, name=f"{name}.cpu")
         self.alive = True
-        #: Service registry used by the RPC layer (service name -> handler).
-        self.services: dict[str, object] = {}
+        #: Service registry used by the RPC layer (service name ->
+        #: (handler, arrival CPU or None); see ``Endpoint.register``).
+        self.services: dict[str, tuple] = {}
 
     def fail(self) -> None:
         """Mark the node dead; future transfers to it raise/err."""
@@ -167,9 +168,18 @@ class Network:
             raise NetworkError(f"{node.name} not attached to {self.name}") from None
 
     # -- data movement ---------------------------------------------------
-    def delivery_time(self, src: Node, dst: Node, size: int) -> float:
+    def delivery_time(
+        self, src: Node, dst: Node, size: int, send_cpu: float = 0.0, recv_cpu: float = 0.0
+    ) -> float:
         """Reserve all stations for one message; return absolute delivery
         time.  Raises :class:`NetworkError` if either endpoint is dead.
+
+        *send_cpu* and *recv_cpu* are extra host-CPU seconds the sender's
+        and the receiver's CPU visits carry on top of the protocol cost:
+        work that sits back to back with the hop on the same station (an
+        RPC service's command CPU, its reply copy) rides the hop's visit
+        instead of booking one of its own.  Adding ``0.0`` is exact, so a
+        plain message is float-identical to one without the arguments.
 
         The four visits are :meth:`FifoStation.reserve` written out in
         line, each arriving when the one before it lets go (``reserve``
@@ -202,7 +212,7 @@ class Network:
 
         # Sender host CPU (protocol + copy for non-RDMA transports).
         cpu = src.cpu
-        service = p.cpu_send + copy_cost
+        service = p.cpu_send + copy_cost + send_cpu
         free_heap = cpu._free
         free = free_heap[0]
         start = free if free > now else now
@@ -249,7 +259,7 @@ class Network:
 
         # Receiver host CPU.
         cpu = dst.cpu
-        service = p.cpu_recv + copy_cost
+        service = p.cpu_recv + copy_cost + recv_cpu
         free_heap = cpu._free
         free = free_heap[0]
         start = free if free > arrival else arrival
@@ -274,14 +284,17 @@ class Network:
             values["bytes"] = size
         return t
 
-    def _undeliverable(self, src: Node, dst: Node, size: int, reason: str) -> Event:
+    def _undeliverable(
+        self, src: Node, dst: Node, size: int, send_cpu: float, reason: str
+    ) -> Event:
         """An event that *fails* once the message's one-way traversal has
         been charged.
 
         A sender cannot know the far end is dead (or that the switch
-        dropped the frame) at submit time: it pays its own CPU and NIC
-        serialisation, plus one wire latency, before any error can
-        surface.  The receiver-side stations are not charged — nothing
+        dropped the frame) at submit time: it pays its own CPU (with its
+        *send_cpu* — that work was done) and NIC serialisation, plus one
+        wire latency, before any error can surface.  The receiver-side
+        stations are not charged, its extra CPU included — nothing
         arrives there.
         """
         p = self.transport
@@ -290,7 +303,7 @@ class Network:
         if self._impaired:
             wire += self._extra_wire(src, dst)
         t = self.sim._now
-        _, t = src.cpu.reserve(p.cpu_send + p.cpu_per_byte * size, arrival=t)
+        _, t = src.cpu.reserve(p.cpu_send + p.cpu_per_byte * size + send_cpu, arrival=t)
         _, tx_end = src_nic.tx.reserve(size / p.bandwidth, arrival=t)
         self.stats.inc("undeliverable")
         ev = Event(self.sim)
@@ -299,10 +312,14 @@ class Network:
         self.sim._schedule(ev, at=tx_end + wire)
         return ev
 
-    def transfer(self, src: Node, dst: Node, size: int) -> Union[float, Event]:
+    def transfer(
+        self, src: Node, dst: Node, size: int, send_cpu: float = 0.0, recv_cpu: float = 0.0
+    ) -> Union[float, Event]:
         """One-way message: returns the absolute time the last byte
-        lands in the receiver's memory, for the calling process to
-        yield.  ``yield net.transfer(a, b, nbytes)``.
+        lands in the receiver's memory (and the receiver's CPU visit,
+        *recv_cpu* included, ends), for the calling process to yield.
+        ``yield net.transfer(a, b, nbytes)``.  See :meth:`delivery_time`
+        for the extra CPU arguments.
 
         A dead *destination* (or a message lost on a degraded link) does
         not raise here: what is returned is an event that **fails** with
@@ -316,13 +333,15 @@ class Network:
         if not src.alive:
             raise NetworkError(f"source {src.name} is down")
         if not dst.alive:
-            return self._undeliverable(src, dst, size, f"destination {dst.name} is down")
+            return self._undeliverable(
+                src, dst, size, send_cpu, f"destination {dst.name} is down"
+            )
         if self._impaired and self._drop_message(src, dst):
             self.stats.inc("lost")
             return self._undeliverable(
-                src, dst, size, f"message {src.name} -> {dst.name} lost"
+                src, dst, size, send_cpu, f"message {src.name} -> {dst.name} lost"
             )
-        t = self.delivery_time(src, dst, size)
+        t = self.delivery_time(src, dst, size, send_cpu, recv_cpu)
         # Not `t`: see `FifoStation.run`.
         now = sim._now
         return now + (t - now)

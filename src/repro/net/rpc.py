@@ -19,6 +19,16 @@ handler body charges whatever server-side stations it needs, and the
 response traverses the network back.  Server concurrency is bounded by
 the server's CPU/disk stations, not by process multiplicity, which is
 exactly how an event-loop daemon like glusterfsd or memcached behaves.
+
+A service whose work is CPU on the node that receives the request — a
+memcached command — declares it instead of yielding it::
+
+    endpoint.register("get", get_handler, arrival_cpu=lambda args: cost)
+
+The cost rides the request's receive visit on that CPU, the handler
+runs when the visit ends and returns ``(reply, size)`` without
+yielding, and any CPU it leaves on :attr:`RpcCall.reply_cpu` rides the
+response's send visit: a round trip is two scheduler entries.
 """
 
 from __future__ import annotations
@@ -107,13 +117,24 @@ class RpcCall:
     service: str
     args: Any
     req_size: int
+    #: Host-CPU seconds the handler leaves for the response's send visit
+    #: on its node (a reply copy).
+    reply_cpu: float = 0.0
 
 
-#: Handler type: generator receiving the call, returning (payload, size).
-RpcHandler = Callable[[RpcCall], Generator[Any, Any, tuple[Any, int]]]
+#: Handler type: receives the call and returns (payload, size) — from a
+#: generator that yields the stations it visits, or directly when its
+#: node's CPU is all declared as arrival and reply CPU.
+RpcHandler = Callable[[RpcCall], Any]
+
+#: Arrival-CPU declaration: the call's args -> host-CPU seconds.
+ArrivalCpu = Callable[[Any], float]
 
 #: Fixed wire overhead of an RPC header (XDR-ish framing).
 HEADER_SIZE = 96
+
+#: ``Node.services`` lookup default: no handler, no arrival CPU.
+_UNREGISTERED = (None, None)
 
 
 class Endpoint:
@@ -127,10 +148,14 @@ class Endpoint:
         self.stats = Counter()
         self.tracer = tracer
 
-    def register(self, service: str, handler: RpcHandler) -> None:
+    def register(
+        self, service: str, handler: RpcHandler, arrival_cpu: Optional[ArrivalCpu] = None
+    ) -> None:
+        """Serve *service* on this node.  *arrival_cpu*, if given, prices
+        the CPU each request costs this node on arrival, from its args."""
         if service in self.node.services:
             raise ValueError(f"service {service!r} already registered on {self.node.name}")
-        self.node.services[service] = handler
+        self.node.services[service] = (handler, arrival_cpu)
 
     def unregister(self, service: str) -> None:
         self.node.services.pop(service, None)
@@ -152,47 +177,65 @@ class Endpoint:
         a *timeout* is given and the call runs past the deadline.
 
         Without a timeout the whole call — request transfer, handler,
-        response transfer — runs in this one generator frame via
-        ``yield from`` on the handler: no per-RPC process, no wrapper
+        response transfer — runs in this one generator frame (``yield
+        from`` on a generator handler, a plain call of one that yields
+        nothing): no per-RPC process, no wrapper
         frames to walk on every resume (the hot path).  With one, the
         same body runs as a child process raced against the deadline; on
         timeout the in-flight call is *abandoned*, not cancelled: the
         server keeps doing the work, the caller just stops waiting —
         which is how a real timed-out RPC behaves.
+
+        A service's declared arrival CPU is part of the request's
+        receive visit, so the handler runs when that visit ends; if the
+        node dies before then the call fails and the handler never runs.
+        A request that never arrives (dead node, lost frame) costs the
+        far end nothing.
         """
         if timeout is not None:
             reply = yield from self._call_deadlined(dst, service, args, req_size, timeout)
             return reply
-        if dst.alive and service not in dst.services:
+        handler, arrival_cpu = dst.services.get(service, _UNREGISTERED)
+        if handler is None and dst.alive:
+            # (Dead and unregistered: the transfer below fails.)
             raise RpcUnavailable(f"no service {service!r} on {dst.name}")
+        recv_cpu = 0.0 if arrival_cpu is None else arrival_cpu(args)
         self.stats.inc("calls")
         tracer = self.tracer
         net = self.net
         node = self.node
+        call = RpcCall(node, dst, service, args, req_size)
         frame_size = HEADER_SIZE + req_size
         try:
             if tracer.enabled:
+                # The handler is entered inside the request's span so it
+                # can book its arrival CPU as a child of it; a generator
+                # handler's body does not run until the ``yield from``.
                 with tracer.span("network", f"net.req.{service}"):
-                    yield net.transfer(node, dst, frame_size)
+                    yield net.transfer(node, dst, frame_size, 0.0, recv_cpu)
+                    if not dst.alive:
+                        raise NetworkError(f"{dst.name} died during call")
+                    served = handler(call)
             else:
-                yield net.transfer(node, dst, frame_size)
+                yield net.transfer(node, dst, frame_size, 0.0, recv_cpu)
+                if not dst.alive:
+                    raise NetworkError(f"{dst.name} died during call")
+                served = handler(call)
         except NetworkError as e:
             self.stats.inc("errors")
             raise RpcUnavailable(str(e)) from None
-        if not dst.alive:
-            # Died while the request was in flight.
-            self.stats.inc("errors")
-            raise RpcUnavailable(f"{dst.name} died during call")
 
-        # Request delivered: run the handler, return the response.
-        handler = dst.services[service]
-        reply, resp_size = yield from handler(RpcCall(node, dst, service, args, req_size))
+        # Request delivered: the handler's reply goes back.
+        if type(served) is tuple:
+            reply, resp_size = served
+        else:
+            reply, resp_size = yield from served
         try:
             if tracer.enabled:
                 with tracer.span("network", f"net.resp.{service}"):
-                    yield net.transfer(dst, node, HEADER_SIZE + int(resp_size))
+                    yield net.transfer(dst, node, HEADER_SIZE + int(resp_size), call.reply_cpu)
             else:
-                yield net.transfer(dst, node, HEADER_SIZE + int(resp_size))
+                yield net.transfer(dst, node, HEADER_SIZE + int(resp_size), call.reply_cpu)
         except NetworkError as e:
             self.stats.inc("errors")
             raise RpcUnavailable(str(e)) from None

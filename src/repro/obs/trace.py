@@ -204,6 +204,17 @@ class SimTracer:
         """Open a span; use ``with tracer.span(tier, name):``."""
         return _Span(self, tier, name)
 
+    def interval(self, tier: str, name: str, start: float) -> None:
+        """Record a closed span ``[start, now]`` nested in the active
+        process's open span: station time that ended just now inside
+        a visit the enclosing span already waited on (an MCD command's
+        CPU, folded into the request's receive visit), so its tier
+        gets the time and the enclosing span's exclusive time does not."""
+        span = _Span(self, tier, name)
+        span.__enter__()
+        span.start = start
+        self._close(span)
+
     def _track_key(self) -> int:
         proc = self.sim.active_process
         if proc is None:

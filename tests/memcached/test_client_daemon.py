@@ -242,7 +242,7 @@ def test_wire_sizes_charge_key_bytes_not_characters():
     """A non-ASCII key costs its UTF-8 length on the wire, request and
     reply; an ASCII key costs what it always did."""
     from repro.memcached.daemon import (
-        KEY_WIRE_OVERHEAD, VALUE_WIRE_OVERHEAD, SERVICE, request_size,
+        COPY_PER_BYTE, KEY_WIRE_OVERHEAD, VALUE_WIRE_OVERHEAD, SERVICE, request_size,
     )
     from repro.net.rpc import RpcCall
 
@@ -262,9 +262,9 @@ def test_wire_sizes_charge_key_bytes_not_characters():
         # on the byte count it returns.
         call = RpcCall(client.endpoint.node, daemons[0].node, SERVICE,
                        ("get_multi", ["é", "k", "absent"]), 0)
-        served = yield from daemons[0]._serve(call)
-        return served
+        return daemons[0]._serve(call), call.reply_cpu
 
-    reply, resp_bytes = drive(sim, scenario())
+    (reply, resp_bytes), reply_cpu = drive(sim, scenario())
     assert sorted(reply) == ["k", "é"]
     assert resp_bytes == (5 + VALUE_WIRE_OVERHEAD + 2) + (7 + VALUE_WIRE_OVERHEAD + 1)
+    assert reply_cpu == COPY_PER_BYTE * resp_bytes

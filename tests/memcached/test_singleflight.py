@@ -16,11 +16,11 @@ from repro.sim import Interrupt, Simulator
 from repro.util import MiB
 
 #: Scheduler entries of one uncontended fetch on the bare client below
-#: (no FUSE charge): request, lookup CPU, copy CPU, response — plus the
-#: multi-get's join.  The same numbers the client cost before it had a
-#: singleflight table at all.
-SOLO_GET_ENTRIES = 4
-SOLO_GET_MULTI_ENTRIES = 5
+#: (no FUSE charge): request and response, the lookup and copy CPU
+#: riding their visits — plus the multi-get's join.  The same numbers
+#: the client cost before it had a singleflight table at all.
+SOLO_GET_ENTRIES = 2
+SOLO_GET_MULTI_ENTRIES = 3
 
 
 def make(n_mcds=1):

@@ -7,7 +7,8 @@ written as four chained ``reserve(arrival=)`` calls; random message
 sequences run through both on twin fabrics, and after every message the
 return value and every station's whole state must be equal — on 1- and
 8-core hosts, with many senders contending for one receiver's rx, across
-an impaired link, with wait statistics tracked and not.
+an impaired link, with wait statistics tracked and not, with and without
+extra sender/receiver CPU riding the host visits.
 """
 
 import pytest
@@ -25,17 +26,17 @@ SKEWED = TransportProfile(
 )
 
 
-def reference_delivery_time(net, src, dst, size):
+def reference_delivery_time(net, src, dst, size, send_cpu=0.0, recv_cpu=0.0):
     """The hop as a chain of four single-visit reservations."""
     p = net.transport
     wire = p.wire_latency + net._extra_wire(src, dst)
     copy_cost = p.cpu_per_byte * size
     ser = size / p.bandwidth
-    _, t = src.cpu.reserve(p.cpu_send + copy_cost, arrival=net.sim.now)
+    _, t = src.cpu.reserve(p.cpu_send + copy_cost + send_cpu, arrival=net.sim.now)
     tx_start, tx_end = net.nic(src).tx.reserve(ser, arrival=t)
     _, rx_end = net.nic(dst).rx.reserve(ser, arrival=tx_start + wire)
     t = max(tx_end + wire, rx_end)
-    _, t = dst.cpu.reserve(p.cpu_recv + copy_cost, arrival=t)
+    _, t = dst.cpu.reserve(p.cpu_recv + copy_cost + recv_cpu, arrival=t)
     return t
 
 
@@ -70,6 +71,7 @@ messages = st.lists(
         st.sampled_from((0, 0, 0, 1, 2, 3)),  # receiver: mostly the hot one
         st.sampled_from((0, 1, 96, 2144, 16480, 1 << 20)),  # bytes
         st.sampled_from((0.0, 0.0, 1e-6, 40e-6, 5e-3)),  # clock advance first
+        st.sampled_from(((0.0, 0.0), (0.0, 0.0), (0.0, 3e-6), (1.5e-9, 0.0))),  # extra CPU
     ),
     min_size=1,
     max_size=40,
@@ -92,17 +94,17 @@ def test_one_pass_hop_matches_four_chained_reservations(
     if impaired is not None:
         net_a.degrade(nodes_a[impaired], extra_latency=7e-6)
         net_b.degrade(nodes_b[impaired], extra_latency=7e-6)
-    for s, d, size, advance in sequence:
+    for s, d, size, advance, extra in sequence:
         if s == d:
             d = 0
         for sim in (sim_a, sim_b):
             sim.run(until=sim.now + advance)
-        got = net_a.delivery_time(nodes_a[s], nodes_a[d], size)
-        want = reference_delivery_time(net_b, nodes_b[s], nodes_b[d], size)
+        got = net_a.delivery_time(nodes_a[s], nodes_a[d], size, *extra)
+        want = reference_delivery_time(net_b, nodes_b[s], nodes_b[d], size, *extra)
         assert got == want
         assert _state(net_a, nodes_a) == _state(net_b, nodes_b)
     assert net_a.stats.values["messages"] == len(sequence)
-    assert net_a.stats.values["bytes"] == sum(size for _, _, size, _ in sequence)
+    assert net_a.stats.values["bytes"] == sum(size for _, _, size, *_ in sequence)
     tracked = sum(waits[0] for *_, waits in _state(net_a, nodes_a))
     assert tracked == (4 * len(sequence) if track_waits else 0)
 

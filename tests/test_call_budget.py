@@ -36,18 +36,21 @@ _SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 BUDGET = {
     # 86 before a timed wait was a float and a hop one pass; 76 before
     # the one server table let ``_call`` index the membership directly
-    # instead of asking ``_server_at`` which table to use.
-    "warm_read_2k": 75,
-    "warm_read_16k": 96,  # 107, 97
-    "stat_hit": 61,  # 82, 72, 71 (no _stat_scalar / _get_scalar wrapper frames)
+    # instead of asking ``_server_at`` which table to use; 75 while the
+    # MCD's lookup and copy CPU were ``cpu.run`` visits of their own, two
+    # more resumes of every frame in the ``yield from`` chain.
+    "warm_read_2k": 65,
+    "warm_read_16k": 86,  # 107, 97, 96
+    "stat_hit": 47,  # 82, 72, 71 (no _stat_scalar / _get_scalar wrapper frames), 61
     # Before every mutation walked one owner list: 358 / 663 / 149.
     # Routing a key was ``_window_targets`` + ``_replicas_for`` +
     # ``_idx_for`` + ``select``; it is ``owners`` + ``select``.
     # 355 while the two block pushes were two scalar sets under a join;
     # they are one ``set_multi`` request run in the caller's frame.
-    "write_4k": 331,
-    "close": 598,
-    "open": 148,
+    # 331 / 598 / 148 while each MCD command yielded its own CPU visit.
+    "write_4k": 302,
+    "close": 585,
+    "open": 136,
 }
 #: (warm_read_16k - warm_read_2k) / 7: what one more cached block costs.
 PER_EXTRA_BLOCK = 3

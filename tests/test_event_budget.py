@@ -16,15 +16,18 @@ from repro.util.units import KiB, MiB
 #: defaults (2 KiB blocks, crc32 placement).
 BUDGET = {
     # 8 blocks + the :stat entry in one multi-get over all 4 MCDs:
-    # 1 client CPU + 4 x (request, lookup CPU, copy CPU, response) + 1 join.
-    "warm_read_16k": 18,
-    # One get to one MCD: client CPU + request, lookup, copy, response.
-    "stat_hit": 5,
-    # Server-first 4 KiB write, read-back, 2 block pushes, stat push.
-    "write_2_blocks": 17,
+    # 1 client CPU + 4 x (request, response) + 1 join.  The lookup CPU
+    # rides the request's receive visit and the copy CPU the response's
+    # send visit (18 when each was an entry of its own).
+    "warm_read_16k": 10,
+    # One get to one MCD: client CPU + request, response (5).
+    "stat_hit": 3,
+    # Server-first 4 KiB write, read-back, 2 block pushes, stat push (17).
+    "write_2_blocks": 14,
     # Every block evicted: multi-get misses, brick read, then the 8
-    # block pushes as one set_multi per MCD (44 as 8 scalar sets).
-    "capacity_miss_read_16k": 32,
+    # block pushes as one set_multi per MCD (44 as 8 scalar sets, 32
+    # with a CPU entry per MCD command).
+    "capacity_miss_read_16k": 23,
 }
 
 
