@@ -4,7 +4,7 @@ These wrap the same frozen workloads as ``repro bench`` /
 ``repro.bench.kernel`` — the bare DES kernel, the five-station network
 hop, and a fixed fig6-style harness sweep — so the kernel's throughput
 shows up alongside the figure benchmarks.  The authoritative trajectory
-lives in ``BENCH_kernel.json`` (written by ``repro bench``); this file
+lives in ``BENCH.json`` (written by ``repro bench``); this file
 exists for interactive profiling::
 
     PYTHONPATH=src pytest benchmarks/bench_kernel.py --benchmark-only

@@ -1,4 +1,4 @@
-"""Fixed kernel benchmarks and the ``BENCH_kernel.json`` report.
+"""Fixed kernel benchmarks: the ``kernel``, ``hop`` and ``sweep`` points.
 
 Each benchmark builds a fresh deterministic simulation, runs it to
 completion, and reports throughput as *scheduled events per wall-clock
@@ -9,11 +9,6 @@ the wall time varies).  Medians over k rounds absorb scheduler noise.
 
 from __future__ import annotations
 
-import datetime
-import json
-import os
-import platform
-import subprocess
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,9 +17,6 @@ from repro.net.fabric import Network, Node
 from repro.net.profiles import profile
 from repro.sim.core import Simulator
 from repro.sim.station import FifoStation
-
-#: Canonical report location (repo root when run from a checkout).
-BENCH_FILE = "BENCH_kernel.json"
 
 #: Frozen workload sizes.  Changing these invalidates the trajectory.
 KERNEL_PROCS = 64
@@ -149,130 +141,12 @@ def bench_sweep(rounds: int) -> BenchResult:
     return BenchResult("sweep", "seconds", _median(runs), runs)
 
 
-# --------------------------------------------------------------------------- #
-# report plumbing
-# --------------------------------------------------------------------------- #
-def _git_sha() -> Optional[str]:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
-
-
-def _machine_info() -> dict:
-    return {
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "cpus": os.cpu_count(),
-    }
-
-
-def run_benchmarks(quick: bool = False, rounds: Optional[int] = None) -> dict:
-    """Run the suite; ``quick`` drops the harness sweep and uses fewer
-    rounds (workload sizes never change, so quick and full events/sec
-    are directly comparable)."""
+def kernel_results(quick: bool = False, rounds: Optional[int] = None) -> list[BenchResult]:
+    """The kernel points; ``quick`` drops the harness sweep and uses
+    fewer rounds (workload sizes never change, so quick and full
+    events/sec are directly comparable)."""
     k = rounds if rounds is not None else (QUICK_ROUNDS if quick else DEFAULT_ROUNDS)
     results = [bench_kernel(k), bench_hop(k)]
     if not quick:
         results.append(bench_sweep(k))
-    return {
-        "schema": 1,
-        "git_sha": _git_sha(),
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        "machine": _machine_info(),
-        "mode": "quick" if quick else "full",
-        "rounds": k,
-        "results": {r.name: r.to_dict() for r in results},
-    }
-
-
-def attach_baseline(report: dict, baseline: Optional[dict]) -> dict:
-    """Carry a baseline section into *report* and compute speedups."""
-    if baseline is None:
-        return report
-    report["baseline"] = baseline
-    speedup = {}
-    for name, doc in report["results"].items():
-        base = baseline.get("results", {}).get(name)
-        if doc["metric"] == "events_per_sec" and base and base.get("median"):
-            speedup[name] = doc["median"] / base["median"]
-        elif doc["metric"] == "seconds" and base and doc["median"]:
-            speedup[name] = base["median"] / doc["median"]
-    report["speedup_vs_baseline"] = speedup
-    return report
-
-
-def baseline_from(report: dict, note: str = "") -> dict:
-    """Condense a report into a baseline section for future comparisons."""
-    return {
-        "git_sha": report.get("git_sha"),
-        "timestamp": report.get("timestamp"),
-        "machine": report.get("machine"),
-        "note": note,
-        "results": {
-            name: {"metric": doc["metric"], "median": doc["median"]}
-            for name, doc in report["results"].items()
-        },
-    }
-
-
-def write_report(path: str, report: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_report(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def check_against_baseline(
-    report: dict,
-    committed: dict,
-    tolerance: float = 0.30,
-    suite: str = "kernel",
-    missing_ok: bool = False,
-) -> list[str]:
-    """Compare a fresh *report* to the *committed* report's results.
-
-    Returns a list of human-readable failures (empty == pass), each
-    naming the suite, benchmark, and metric that regressed — a CI log
-    must say *what* fell below the floor, not just that something did.
-    Only rate benchmarks (``*_per_sec``: the kernel's events/sec, the
-    e2e/scale suites' ops/sec) gate: wall-seconds of the sweep depend
-    on the harness workload, which PRs legitimately grow.
-
-    ``missing_ok`` skips committed results absent from the fresh run
-    instead of failing on them — quick-mode runs measure a subset of
-    the full committed suite (e.g. only the 1k scale point).
-    """
-    failures = []
-    for name, doc in committed.get("results", {}).items():
-        metric = doc.get("metric", "")
-        if not metric.endswith("_per_sec"):
-            continue
-        fresh = report.get("results", {}).get(name)
-        if fresh is None:
-            if not missing_ok:
-                failures.append(
-                    f"[suite={suite}] {name} ({metric}): missing from fresh run"
-                )
-            continue
-        floor = doc["median"] * (1.0 - tolerance)
-        if fresh["median"] < floor:
-            failures.append(
-                f"[suite={suite}] {name} ({metric}): fresh median "
-                f"{fresh['median']:.0f} is below the committed "
-                f"{doc['median']:.0f} - {tolerance:.0%} floor ({floor:.0f})"
-            )
-    return failures
+    return results

@@ -1,15 +1,15 @@
 """cProfile wrapper for ``repro bench --profile``: hot-path triage.
 
-The bench suites answer "how fast"; this module answers "where does
-the time go".  ``repro bench --suite X --profile [N]`` wraps the whole
-suite in :mod:`cProfile` and emits the top-N functions by cumulative
+The bench suite answers "how fast"; this module answers "where does
+the time go".  ``repro bench --profile [N]`` wraps the whole suite in
+:mod:`cProfile` and emits the top-N functions by cumulative
 time, both as a text table on stdout and as a JSON artifact next to
 the report (``<report>.profile.json``) so regressions in the *shape*
 of the profile can be diffed across commits, not just the totals.
 
 Profiling adds interpreter overhead (roughly 1.3-2x on this kernel's
 call-heavy paths), so a profiled run never writes the benchmark report
-or participates in the 30% regression gate — the numbers would gate
+or participates in the regression gate — the numbers would gate
 the profiler, not the kernel.
 """
 
@@ -68,6 +68,6 @@ def render_profile(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def profile_artifact(suite: str, top: int, rows: list[dict]) -> dict:
+def profile_artifact(top: int, rows: list[dict]) -> dict:
     """JSON artifact shape for ``<report>.profile.json``."""
-    return {"schema": 1, "suite": suite, "top": top, "rows": rows}
+    return {"schema": 1, "top": top, "rows": rows}

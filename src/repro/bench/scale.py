@@ -1,47 +1,30 @@
-"""Client-scale benchmarks and the ``BENCH_scale.json`` report.
+"""Client-scale benchmarks: the ``scale_<n>_heap`` and ``scale_<n>_e2e`` points.
 
 Where :mod:`repro.bench.kernel` times small fixed workloads, this suite
 measures how the kernel holds up as the *pending-event population*
-grows: 1k/10k/100k simulated clients, each holding exactly one
-outstanding timer at all times, hammering per-group NIC serialisers.
-That is the regime batched event delivery exists for (ROADMAP open
-item 1: million-user scenarios).
+grows.  The **heap** timer storm runs 1k/10k/100k simulated clients,
+each holding exactly one outstanding timer at all times and taking one
+schedule entry per visit, hammering per-group NIC serialisers.
 
-Two timer-storm variants run per client point:
+The metric is **ops/sec**: simulated station visits (storm) or client
+ops (e2e) retired per wall-clock second.  Scheduled-event counts are
+recorded per result as ``events_per_run``; they are deterministic, so
+the gate holds them exact.  Clients are desynchronised arithmetically
+(no RNG): service demand and start stagger derive from the global
+client id.
 
-* **heap** — one schedule entry per visit: the first speed tier, and
-  the baseline.
-* **tier2** — the second speed tier: batched delivery (each client
-  retires its op burst as one
-  :meth:`~repro.sim.station.FifoStation.run_batch` wakeup) **plus**
-  group-sharded execution via :mod:`repro.harness.sharding`.  Same
-  simulated work (identical visit count and per-burst completion
-  times), an order of magnitude fewer scheduler events.
-
-The metric is **ops/sec**: simulated station visits retired per
-wall-clock second.  Both variants retire the same visit count, so the
-``speedup_vs_heap`` section compares like with like; scheduled-event
-counts are recorded per result as ``events_per_run``.
-
-Clients are desynchronised arithmetically (no RNG): service demand and
-start stagger derive from the global client id, so both variants and
-every shard count see the same per-client parameters.
-
-On top of the timer storm, the **end-to-end** points drive the real
-IMCa stack — FUSE client → CMCache → memcached client → RPC endpoint
-→ MCD/gluster server, every layer the production op path crosses —
-at 100k and 1M clients (1k in quick mode).  Clients are packed into
+The **end-to-end** points drive the real IMCa stack — FUSE client →
+CMCache → memcached client → RPC endpoint → MCD/gluster server, every
+layer the production op path crosses — at 1k, 100k and 1M clients
+(quick mode runs the 1k point only).  Clients are packed into
 independent *cells* of :data:`E2E_GROUP` concurrent processes sharing
 one client stack and statting one hot file — the metadata-hotspot
-shape get/stat singleflight exists for; cells are the unit the
-sharding layer splits on.  One variant per point,
-``scale_<n>_e2e_fastpath`` (the name predates the one op path and is
-kept so history and the CI gate compare like with like).
+shape get/stat singleflight exists for; cells are the unit
+:mod:`repro.harness.sharding` splits on.
 
 Every point runs one *discarded warmup round* before the measured
 rounds, so medians come from a warm process (allocator, bytecode, and
-branch caches hot) — a cold first run used to skew ``scale_1k_tier2``
-by ~2.4x.
+branch caches hot).
 
 The workloads are frozen: any change to their shape invalidates the
 trajectory.  Tune the kernel, not the benchmark.
@@ -49,19 +32,15 @@ trajectory.  Tune the kernel, not the benchmark.
 
 from __future__ import annotations
 
-import datetime
 import time
 from typing import Optional
 
-from repro.bench.kernel import BenchResult, _git_sha, _machine_info, _median
+from repro.bench.kernel import BenchResult, _median
 from repro.harness.sharding import plan_shards, run_sharded
 from repro.sim.core import Simulator
 from repro.sim.station import FifoStation
 from repro.sim.sync import Barrier
 from repro.workloads.base import drive
-
-#: Canonical report location (repo root when run from a checkout).
-BENCH_SCALE_FILE = "BENCH_scale.json"
 
 #: Frozen workload shape.  Changing these invalidates the trajectory.
 CLIENT_POINTS = (1_000, 10_000, 100_000)
@@ -70,14 +49,11 @@ QUICK_POINTS = (1_000,)
 #: state, so they are the independent unit the sharding layer splits on.
 GROUP_SIZE = 10
 OPS_PER_CLIENT = 20
-#: Visits retired per batched wakeup in the tier2 variant.
-BURST = 10
 
-DEFAULT_ROUNDS = 3
-QUICK_ROUNDS = 3
+ROUNDS = 3
 
 #: Frozen end-to-end workload shape (see module docstring).
-E2E_POINTS = (100_000, 1_000_000)
+E2E_POINTS = (1_000, 100_000, 1_000_000)
 E2E_QUICK_POINTS = (1_000,)
 #: Concurrent client processes per cell.  One cell = one single-client
 #: single-MCD testbed whose client stack all E2E_GROUP processes share,
@@ -98,7 +74,7 @@ def _label(clients: int) -> str:
     return f"{clients // 1000}k"
 
 
-def _launch(sim: Simulator, station: FifoStation, gid: int, batched: bool) -> None:
+def _launch(sim: Simulator, station: FifoStation, gid: int) -> None:
     """Install one timer-storm client as a callback chain.
 
     No generator process: each completion callback books the client's
@@ -109,28 +85,18 @@ def _launch(sim: Simulator, station: FifoStation, gid: int, batched: bool) -> No
     """
     service = 1e-6 + (gid % 23) * 1e-7
     remaining = OPS_PER_CLIENT
-    if batched:
 
-        def fire(_ev) -> None:
-            nonlocal remaining
-            if remaining:
-                take = BURST if remaining >= BURST else remaining
-                remaining -= take
-                sim.at(station.run_batch([service] * take)).callbacks.append(fire)
-
-    else:
-
-        def fire(_ev) -> None:
-            nonlocal remaining
-            if remaining:
-                remaining -= 1
-                sim.at(station.run(service)).callbacks.append(fire)
+    def fire(_ev) -> None:
+        nonlocal remaining
+        if remaining:
+            remaining -= 1
+            sim.at(station.run(service)).callbacks.append(fire)
 
     kick = sim.timeout((gid % 101) * 1e-6)
     kick.callbacks.append(fire)
 
 
-def _storm_shard(spec, batched: bool) -> dict:
+def _storm_shard(spec) -> dict:
     """One shard of the timer storm: simulate a contiguous range of
     client *groups* (``spec`` ids are group ids — the independent unit)
     to completion and return summable metrics.
@@ -140,11 +106,8 @@ def _storm_shard(spec, batched: bool) -> dict:
     for g in range(spec.client_lo, spec.client_hi):
         station = FifoStation(sim, name=f"nic{g}")
         for c in range(GROUP_SIZE):
-            _launch(sim, station, g * GROUP_SIZE + c, batched)
-    if spec.window_stop is None:
-        sim.run()
-    else:
-        sim.run(until=spec.window_stop)
+            _launch(sim, station, g * GROUP_SIZE + c)
+    sim.run()
     return {
         "clients": spec.clients * GROUP_SIZE,
         "ops": spec.clients * GROUP_SIZE * OPS_PER_CLIENT,
@@ -152,11 +115,11 @@ def _storm_shard(spec, batched: bool) -> dict:
     }
 
 
-def _storm_run(clients: int, batched: bool, shards: int) -> tuple[dict, float]:
+def _storm_run(clients: int) -> tuple[dict, float]:
     """Run one client point once; returns (merged metrics, seconds)."""
-    specs = plan_shards(clients // GROUP_SIZE, shards)
+    specs = plan_shards(clients // GROUP_SIZE, 1)
     t0 = time.perf_counter()
-    merged = run_sharded(_storm_shard, specs, batched)
+    merged = run_sharded(_storm_shard, specs)
     elapsed = time.perf_counter() - t0
     if merged["ops"] != clients * OPS_PER_CLIENT:
         raise RuntimeError(
@@ -238,7 +201,7 @@ def _e2e_run(clients: int, shards: int) -> tuple[dict, float]:
 def _bench_point(name: str, run_once, rounds: int) -> BenchResult:
     # One discarded warmup round: the first run in a fresh process pays
     # allocator growth and bytecode/branch warmup, skewing the median of
-    # small round counts (scale_1k_tier2 measured 945k vs ~2.3M warm).
+    # small round counts by up to ~2.4x.
     run_once()
     runs = []
     events = 0
@@ -249,64 +212,29 @@ def _bench_point(name: str, run_once, rounds: int) -> BenchResult:
     return BenchResult(name, "ops_per_sec", _median(runs), runs, events)
 
 
-def run_scale_benchmarks(
+def scale_results(
     quick: bool = False, rounds: Optional[int] = None, shards: int = 1
-) -> dict:
-    """Run the scale suite; report shape matches the kernel suite so the
-    same baseline/check plumbing applies.
+) -> list[BenchResult]:
+    """The scale points: every heap storm, then every end-to-end point.
 
-    ``shards`` is the shard count for the tier2 and end-to-end variants
-    (wall-clock parallelism additionally needs an active
-    :func:`~repro.harness.parallel.job_pool`; without one the shards
-    run inline, which still exercises the deterministic merge).
+    ``shards`` is the end-to-end shard count (wall-clock parallelism
+    additionally needs an active :func:`~repro.harness.parallel.job_pool`;
+    without one the shards run inline, which still exercises the
+    deterministic merge).  The storm always runs as one shard.
     """
-    k = rounds if rounds is not None else (QUICK_ROUNDS if quick else DEFAULT_ROUNDS)
-    points = QUICK_POINTS if quick else CLIENT_POINTS
-    results: list[BenchResult] = []
-    for clients in points:
-        results.append(
-            _bench_point(
-                f"scale_{_label(clients)}_heap",
-                lambda c=clients: _storm_run(c, False, 1),
-                k,
-            )
+    k = rounds if rounds is not None else ROUNDS
+    results = [
+        _bench_point(
+            f"scale_{_label(clients)}_heap", lambda c=clients: _storm_run(c), k
         )
-        results.append(
-            _bench_point(
-                f"scale_{_label(clients)}_tier2",
-                lambda c=clients: _storm_run(c, True, shards),
-                k,
-            )
+        for clients in (QUICK_POINTS if quick else CLIENT_POINTS)
+    ]
+    results += [
+        _bench_point(
+            f"scale_{_label(clients)}_e2e",
+            lambda c=clients: _e2e_run(c, shards),
+            k,
         )
-
-    e2e_points = E2E_QUICK_POINTS if quick else E2E_POINTS
-    for clients in e2e_points:
-        results.append(
-            _bench_point(
-                f"scale_{_label(clients)}_e2e_fastpath",
-                lambda c=clients: _e2e_run(c, shards),
-                k,
-            )
-        )
-
-    report = {
-        "schema": 1,
-        "git_sha": _git_sha(),
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        "machine": _machine_info(),
-        "mode": "quick" if quick else "full",
-        "rounds": k,
-        "shards": shards,
-        "results": {r.name: r.to_dict() for r in results},
-    }
-    medians = {r.name: r.median for r in results}
-    report["speedup_vs_heap"] = {
-        f"scale_{_label(c)}": {
-            "tier2": medians[f"scale_{_label(c)}_tier2"]
-            / medians[f"scale_{_label(c)}_heap"]
-        }
-        for c in points
-    }
-    return report
+        for clients in (E2E_QUICK_POINTS if quick else E2E_POINTS)
+    ]
+    return results

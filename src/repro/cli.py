@@ -245,33 +245,18 @@ def cmd_run_all(args) -> int:
 
 def cmd_bench(args) -> int:
     from repro.bench import (
-        BENCH_E2E_FILE,
         BENCH_FILE,
-        BENCH_SCALE_FILE,
-        attach_baseline,
+        append_history,
         check_against_baseline,
         load_report,
         run_benchmarks,
-        run_e2e_benchmarks,
-        run_scale_benchmarks,
         write_report,
     )
 
-    if args.out is None:
-        args.out = {
-            "kernel": BENCH_FILE,
-            "e2e": BENCH_E2E_FILE,
-            "scale": BENCH_SCALE_FILE,
-        }[args.suite]
+    out = args.out or BENCH_FILE
 
     def run_suite():
-        if args.suite == "scale":
-            return run_scale_benchmarks(
-                quick=args.quick, rounds=args.rounds, shards=args.shards
-            )
-        if args.suite == "e2e":
-            return run_e2e_benchmarks(quick=args.quick, rounds=args.rounds)
-        return run_benchmarks(quick=args.quick, rounds=args.rounds)
+        return run_benchmarks(quick=args.quick, rounds=args.rounds, shards=args.shards)
 
     if args.profile is not None:
         from repro.bench import (
@@ -284,65 +269,45 @@ def cmd_bench(args) -> int:
         report, profiler = profile_suite(run_suite)
         rows = top_functions(profiler, args.profile)
         print(render_profile(rows))
-        artifact_path = f"{args.out}.profile.json"
+        artifact_path = f"{out}.profile.json"
         with open(artifact_path, "w") as f:
-            json.dump(profile_artifact(args.suite, args.profile, rows), f, indent=2)
+            json.dump(profile_artifact(args.profile, rows), f, indent=2)
             f.write("\n")
         print(f"wrote {artifact_path}")
         # Profiled numbers carry interpreter overhead: never write the
-        # report or gate against the committed baseline from this run.
+        # report or gate against the committed one from this run.
         for name, doc in report["results"].items():
-            print(f"{name:<20} {doc['median']:.0f} {doc['metric']} (profiled)")
+            print(f"{name:<20} {doc['median']:.6g} {doc['metric']} (profiled)")
         return 0
 
     report = run_suite()
+    for name, doc in report["results"].items():
+        print(f"{name:<20} {doc['median']:.6g} {doc['metric']}")
     committed = None
     try:
-        committed = load_report(args.out)
+        committed = load_report(out)
     except (OSError, json.JSONDecodeError):
         pass
 
     if args.check:
         if committed is None:
-            print(f"error: no committed report at {args.out}", file=sys.stderr)
+            print(f"error: no committed report at {out}", file=sys.stderr)
             return 2
-        # A quick run measures a subset of the committed suite (only
-        # the 1k point): absent results are expected there, not
-        # regressions.
-        failures = check_against_baseline(
-            report,
-            committed,
-            tolerance=args.tolerance,
-            suite=args.suite,
-            missing_ok=args.quick,
-        )
-        for name, doc in report["results"].items():
-            print(f"{name:<20} {doc['median']:.0f} {doc['metric']}")
+        failures, ungated = check_against_baseline(report, committed, args.tolerance)
+        for line in ungated:
+            print(line)
         if failures:
             for f in failures:
                 print(f"REGRESSION: {f}", file=sys.stderr)
             return 1
-        print(f"no regression beyond {args.tolerance:.0%} vs {args.out}")
+        print(
+            f"event counts exact and gated rates within {args.tolerance:.0%} "
+            f"of {out}"
+        )
         return 0
 
-    if args.rebaseline or committed is None:
-        from repro.bench import baseline_from
-
-        baseline = baseline_from(report, note="rebaselined from this run")
-    else:
-        # Carry the original baseline forward so speedups always compare
-        # against the pre-optimisation kernel.
-        baseline = committed.get("baseline")
-    attach_baseline(report, baseline)
-    write_report(args.out, report)
-    for name, doc in report["results"].items():
-        speed = report.get("speedup_vs_baseline", {}).get(name)
-        extra = f"  ({speed:.2f}x vs baseline)" if speed else ""
-        print(f"{name:<20} {doc['median']:.0f} {doc['metric']}{extra}")
-    for point, per in report.get("speedup_vs_heap", {}).items():
-        pairs = "  ".join(f"{v}={s:.2f}x" for v, s in per.items())
-        print(f"{point:<20} vs heap: {pairs}")
-    print(f"wrote {args.out}")
+    write_report(out, append_history(report, committed))
+    print(f"wrote {out} ({len(report['history'])} history entries)")
     return 0
 
 
@@ -500,25 +465,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run wall-clock benchmarks (BENCH_kernel/e2e/scale.json)",
-    )
-    bench.add_argument(
-        "--suite", choices=["kernel", "e2e", "scale"], default="kernel",
-        help="'kernel' times the bare DES kernel (events/sec); 'e2e' "
-        "drives fixed fop sequences through a full testbed (ops/sec); "
-        "'scale' storms 1k/10k/100k timer clients, one schedule entry "
-        "per visit and batched+sharded (ops/sec)",
+        help="run the wall-clock benchmarks into BENCH.json (kernel, hop, "
+        "sweep, and the heap-storm and end-to-end scale points)",
     )
     bench.add_argument(
         "--shards", type=int, default=1, metavar="N",
-        help="shard count for the scale suite's tier2 variant (shards "
-        "run inline unless a job pool is active; merge is deterministic "
+        help="shard count for the end-to-end scale points (shards run "
+        "inline unless a job pool is active; merge is deterministic "
         "either way)",
     )
     bench.add_argument(
         "--quick", action="store_true",
-        help="fewer rounds and no harness sweep (same workload sizes, so "
-        "the per-second rates stay comparable to full runs)",
+        help="a subset of the full points: no harness sweep and only the "
+        "1k scale points (same workload sizes, so every quick point is "
+        "comparable to its committed counterpart)",
     )
     bench.add_argument(
         "--rounds", type=int, default=None, metavar="K",
@@ -526,22 +486,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--out", default=None, metavar="PATH",
-        help="report path (default: BENCH_kernel.json or BENCH_e2e.json "
-        "per --suite)",
+        help="report path (default: BENCH.json); a write appends the "
+        "report it replaces to the history",
     )
     bench.add_argument(
         "--check", action="store_true",
         help="compare a fresh run against the committed report instead of "
-        "writing; exit 1 on a regression beyond --tolerance",
+        "writing; exit 1 on any changed events_per_run, or on a rate "
+        "below --tolerance where the committed runs' spread is narrower",
     )
     bench.add_argument(
         "--tolerance", type=_positive_float, default=0.30, metavar="FRAC",
-        help="allowed events/sec regression for --check (default 0.30)",
-    )
-    bench.add_argument(
-        "--rebaseline", action="store_true",
-        help="record this run as the new baseline instead of carrying the "
-        "committed one forward",
+        help="allowed rate regression for --check (default 0.30)",
     )
     bench.add_argument(
         "--profile", nargs="?", const=25, default=None, type=int, metavar="N",

@@ -1,21 +1,20 @@
-"""Time-windowed sharding of one large run across worker processes.
+"""Sharding of one large run across worker processes.
 
 :mod:`repro.harness.parallel` parallelises *across* experiment jobs:
 each sweep point is its own simulation and :func:`~repro.harness.parallel.pmap`
 fans the points over a process pool.  This module parallelises *within*
 one large run: a population of mutually independent client groups (no
 shared station, no shared cache bank) is split into shards, every shard
-simulates the **same time window** over its own
+runs its groups to completion over its own
 :class:`~repro.sim.core.Simulator`, and the per-shard metrics merge
 deterministically by shard index.
 
 This is exact — not an approximation — precisely when the groups are
 independent: a DES over disjoint event populations decomposes into the
-product of its components, so simulating the components separately over
-the same window yields the same per-group timestamps and counters as
-one fused run.  The scale benchmark (`repro bench --suite scale`) and
-the million-client scenarios are built this way: clients share a NIC
-*within* a group, never across groups.
+product of its components, so simulating the components separately
+yields the same per-group timestamps and counters as one fused run.
+The scale suite's end-to-end points (``repro bench``) are built this
+way: clients share a client stack *within* a cell, never across cells.
 
 Shard jobs go through :func:`~repro.harness.parallel.pmap`, so with no
 active :func:`~repro.harness.parallel.job_pool` they run inline (byte-
@@ -27,26 +26,9 @@ module-level function and the spec is picklable primitives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.harness.parallel import pmap
-
-
-@dataclass(frozen=True)
-class TimeWindow:
-    """The simulated interval every shard must cover.
-
-    ``stop=None`` runs each shard to event exhaustion; a finite stop
-    runs ``sim.run(until=stop)`` so all shards halt at the same
-    simulated instant regardless of how much work each held.
-    """
-
-    start: float = 0.0
-    stop: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.stop is not None and self.stop < self.start:
-            raise ValueError(f"window stop {self.stop} before start {self.start}")
 
 
 @dataclass(frozen=True)
@@ -58,17 +40,13 @@ class ShardSpec:
     #: Half-open global client-id range [lo, hi) owned by this shard.
     client_lo: int
     client_hi: int
-    window_start: float = 0.0
-    window_stop: Optional[float] = None
 
     @property
     def clients(self) -> int:
         return self.client_hi - self.client_lo
 
 
-def plan_shards(
-    total_clients: int, num_shards: int, window: Optional[TimeWindow] = None
-) -> list[ShardSpec]:
+def plan_shards(total_clients: int, num_shards: int) -> list[ShardSpec]:
     """Split *total_clients* into *num_shards* contiguous id ranges.
 
     The split is deterministic: earlier shards absorb the remainder, so
@@ -82,21 +60,13 @@ def plan_shards(
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
     num_shards = min(num_shards, total_clients)
-    window = window or TimeWindow()
     base, extra = divmod(total_clients, num_shards)
     specs = []
     lo = 0
     for i in range(num_shards):
         hi = lo + base + (1 if i < extra else 0)
         specs.append(
-            ShardSpec(
-                index=i,
-                num_shards=num_shards,
-                client_lo=lo,
-                client_hi=hi,
-                window_start=window.start,
-                window_stop=window.stop,
-            )
+            ShardSpec(index=i, num_shards=num_shards, client_lo=lo, client_hi=hi)
         )
         lo = hi
     return specs

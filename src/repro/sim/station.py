@@ -9,12 +9,18 @@ request/hold/release triple of a :class:`~repro.sim.resources.Resource`.
 This is the standard flow-level optimisation that keeps paper-scale
 workloads (millions of operations) tractable in pure Python.
 
-Semantics: reservations are served in reservation order.  When two
-messages are committed in the same simulation instant this matches FIFO
-exactly; reservations made "from the future" (pipelined hops, see
-:meth:`FifoStation.reserve`) may order slightly differently from a true
-arrival-time sort, which perturbs individual waits but conserves total
-busy time — aggregate latency/throughput statistics are unaffected.
+Semantics: reservations are served in reservation order, each on the
+server that is earliest free at *booking* time.  When two messages are
+committed in the same simulation instant this matches FIFO exactly.
+Reservations made "from the future" (pipelined hops, see
+:meth:`FifoStation.reserve`) conserve total busy time but are not
+work-conserving: a visit booked ahead of its arrival can hold a server
+idle until then, a hole no later booking fills.  Under load this moves
+aggregate latency and throughput, not just individual waits: folding
+the MCD lookup into the request's receive visit moved ``stat_storm``
+throughput by +6.9% and Fig 5's ``MCD(1)`` point from 79.25 to 71.26 ms
+with no change to the modelled system.  See DESIGN §7, "What moves in
+the model", and ROADMAP open item 1 (work-conserving stations).
 """
 
 from __future__ import annotations
@@ -127,77 +133,6 @@ class FifoStation:
         # Not `end`: a completion is a delay from now, as
         # `sim.timeout(end - now)` would schedule it, and
         # `now + (end - now)` can differ from `end` in the last bit.
-        return arrival + (end - arrival)
-
-    def reserve_batch(
-        self, services, arrival: float | None = None
-    ) -> tuple[float, float]:
-        """Admit a burst of visits in one vectored reservation.
-
-        Returns ``(first_start, last_end)``.  The burst is served in
-        sequence order, back to back: on a single-server station the
-        whole batch collapses to **one** aggregate reservation of
-        ``sum(services)`` seconds (one float add per visit avoided); on
-        a multi-server station each visit still walks the earliest-free
-        heap so server assignment stays exact, but no per-visit event is
-        scheduled either way.
-
-        Per-visit wait statistics degenerate to "wait of the burst":
-        every visit is recorded as having waited from *arrival* to the
-        burst's first start.  Aggregate busy time and job counts are
-        exact.
-        """
-        if arrival is None:
-            arrival = self.sim._now
-        n = len(services)
-        if n == 0:
-            return arrival, arrival
-        if self.servers == 1:
-            if min(services) < 0:
-                raise ValueError(f"negative service time in batch: {services}")
-            total = sum(services)
-            free = self._free[0]
-            start = free if free > arrival else arrival
-            end = start + total
-            self._free[0] = end
-            first_start = start
-        else:
-            free_heap = self._free
-            first_start = None
-            total = 0.0
-            end = arrival
-            for service in services:
-                if service < 0:
-                    raise ValueError(f"negative service time in batch: {services}")
-                free = free_heap[0]
-                start = free if free > arrival else arrival
-                visit_end = start + service
-                heapreplace(free_heap, visit_end)
-                total += service
-                if first_start is None or start < first_start:
-                    first_start = start
-                if visit_end > end:
-                    end = visit_end
-        if end > self._latest_free:
-            self._latest_free = end
-        self.busy_time += total
-        self.jobs += n
-        if self._track_waits:
-            wait = first_start - arrival
-            for _ in range(n):
-                self.wait_stats.add(wait)
-        return first_start, end
-
-    def run_batch(self, services) -> float:
-        """Reserve a burst of visits and return the absolute time the
-        last one completes.
-
-        ``yield station.run_batch(costs)`` retires the whole burst with
-        a single schedule entry and a single process wakeup, instead of
-        the per-visit entry of ``for c in costs: yield station.run(c)``.
-        """
-        arrival = self.sim._now
-        _, end = self.reserve_batch(services, arrival)
         return arrival + (end - arrival)
 
     def next_free(self) -> float:

@@ -1,11 +1,9 @@
-"""Tests for time-windowed sharding: split, merge, and determinism."""
+"""Tests for sharding: split, merge, and determinism."""
 
 import pytest
 
 from repro.harness.parallel import job_pool
 from repro.harness.sharding import (
-    ShardSpec,
-    TimeWindow,
     merge_shard_metrics,
     plan_shards,
     run_sharded,
@@ -15,15 +13,11 @@ from repro.sim import Simulator
 
 # Module-level so the spec survives pickling into pool workers.
 def _count_job(spec, step):
-    """Simulate the shard's clients: one timeout per client id, stamped
-    with the shard's window."""
+    """Simulate the shard's clients: one timeout per client id."""
     sim = Simulator()
     for gid in range(spec.client_lo, spec.client_hi):
         sim.timeout((gid % 7) * step)
-    if spec.window_stop is None:
-        sim.run()
-    else:
-        sim.run(until=spec.window_stop)
+    sim.run()
     return {"clients": spec.clients, "events": sim._seq, "mode": "count"}
 
 
@@ -47,14 +41,6 @@ def test_plan_shards_caps_at_population_and_validates():
         plan_shards(0, 1)
     with pytest.raises(ValueError):
         plan_shards(4, 0)
-
-
-def test_plan_shards_threads_the_window():
-    win = TimeWindow(start=1.0, stop=5.0)
-    specs = plan_shards(4, 2, win)
-    assert all(s.window_start == 1.0 and s.window_stop == 5.0 for s in specs)
-    with pytest.raises(ValueError):
-        TimeWindow(start=2.0, stop=1.0)
 
 
 def test_merge_sums_numbers_and_passes_through_agreeing_labels():
@@ -96,15 +82,6 @@ def test_run_sharded_identical_under_process_pool():
     assert pooled == inline
 
 
-def test_window_stop_halts_every_shard_at_the_same_instant():
-    specs = plan_shards(14, 3, TimeWindow(stop=2e-6))
-    merged = run_sharded(_count_job, specs, 1e-6)
-    assert merged["clients"] == 14
-    # Every shard scheduled its clients plus exactly one STOP entry at
-    # the shared window boundary.
-    assert merged["events"] == 14 + 3
-
-
 def test_scale_storm_shards_merge_deterministically():
     """The bench's storm workload: group-aligned shards must retire the
     same ops and schedule the same events for any shard count."""
@@ -112,7 +89,7 @@ def test_scale_storm_shards_merge_deterministically():
 
     totals = []
     for shards in (1, 4):
-        merged = run_sharded(_storm_shard, plan_shards(20, shards), False)
+        merged = run_sharded(_storm_shard, plan_shards(20, shards))
         totals.append((merged["clients"], merged["ops"], merged["events"]))
         assert merged["clients"] == 20 * GROUP_SIZE
         assert merged["ops"] == 20 * GROUP_SIZE * OPS_PER_CLIENT

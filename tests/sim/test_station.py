@@ -55,7 +55,6 @@ def test_run_completion_is_now_plus_delay_to_the_last_bit():
     st.reserve(0.0, arrival=0.3)  # busy until 0.3
     assert 0.3 + 0.123 == 0.423
     assert st.run(0.123) == 0.1 + (0.423 - 0.1) == 0.42299999999999993
-    assert st.run_batch([0.0]) == 0.42299999999999993
 
 
 def test_run_returns_timeout_until_completion():
@@ -169,7 +168,7 @@ class _PopPushStation:
 
 visits = strategies.lists(
     strategies.tuples(
-        strategies.sampled_from(("reserve", "run", "batch")),
+        strategies.sampled_from(("reserve", "run")),
         strategies.sampled_from((0.0, 0.25, 1.0, 1.5, 7.0)),  # service
         strategies.sampled_from((0.0, 0.0, 0.5, 3.0)),  # arrival, seconds past now
         strategies.sampled_from((0.0, 0.0, 0.25, 2.0)),  # clock advance before the visit
@@ -190,17 +189,12 @@ def test_heapreplace_visits_match_pop_then_push(servers, sequence):
         now = sim.now
         if kind == "reserve":
             assert station.reserve(service, arrival=now + ahead) == ref.reserve(service, now + ahead)
-        elif kind == "run":
+        else:
             _, end = ref.reserve(service, now)
             assert station.run(service) == now + (end - now)
-        else:
-            ends = [ref.reserve(service, now)[1] for _ in range(3)]
-            assert station.run_batch([service] * 3) == now + (max(ends) - now)
         assert sorted(station._free) == sorted(ref.free)
         assert station.next_free() == min(ref.free)
         assert station._latest_free == ref.latest_free
         assert (station.busy_time, station.jobs) == (ref.busy_time, ref.jobs)
-    if not any(kind == "batch" for kind, *_ in sequence):
-        # A burst records one shared wait per visit, not each visit's own.
-        assert station.wait_stats.n == len(ref.waits)
-        assert station.wait_stats.total == sum(ref.waits)
+    assert station.wait_stats.n == len(ref.waits)
+    assert station.wait_stats.total == sum(ref.waits)

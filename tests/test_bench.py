@@ -1,148 +1,19 @@
-"""Tests for the wall-clock benchmark subsystem and its report schema."""
+"""Tests for the wall-clock benchmark subsystem and its one report."""
 
 import json
+import os
 
 import pytest
 
 from repro.bench import (
-    attach_baseline,
-    baseline_from,
+    append_history,
     check_against_baseline,
     load_report,
     run_benchmarks,
-    run_e2e_benchmarks,
-    run_scale_benchmarks,
     write_report,
 )
 
-
-@pytest.fixture(scope="module")
-def quick_report():
-    # One round keeps this a smoke test; workload sizes are the real ones.
-    return run_benchmarks(quick=True, rounds=1)
-
-
-def test_quick_report_schema(quick_report):
-    assert quick_report["schema"] == 1
-    assert quick_report["mode"] == "quick"
-    assert quick_report["rounds"] == 1
-    assert "platform" in quick_report["machine"]
-    results = quick_report["results"]
-    assert set(results) == {"kernel", "hop"}  # quick mode skips the sweep
-    for doc in results.values():
-        assert doc["metric"] == "events_per_sec"
-        assert doc["median"] > 0
-        assert len(doc["runs"]) == 1
-        assert doc["events_per_run"] > 0
-
-
-def test_report_round_trips_through_json(tmp_path, quick_report):
-    path = tmp_path / "bench.json"
-    write_report(str(path), quick_report)
-    assert load_report(str(path)) == quick_report
-
-
-def test_attach_baseline_computes_speedups(quick_report):
-    report = json.loads(json.dumps(quick_report))
-    baseline = baseline_from(report, note="self")
-    attach_baseline(report, baseline)
-    assert report["baseline"]["note"] == "self"
-    # Self-comparison is exactly 1.0x.
-    for name in report["results"]:
-        assert report["speedup_vs_baseline"][name] == pytest.approx(1.0)
-
-
-def test_check_against_baseline_flags_regressions(quick_report):
-    committed = json.loads(json.dumps(quick_report))
-    # Identical run: no failures.
-    assert check_against_baseline(quick_report, committed) == []
-    # A >30% slowdown in the fresh run gates.
-    slow = json.loads(json.dumps(quick_report))
-    slow["results"]["kernel"]["median"] *= 0.5
-    failures = check_against_baseline(slow, committed, tolerance=0.30)
-    assert len(failures) == 1 and "kernel" in failures[0]
-    # Within tolerance passes.
-    near = json.loads(json.dumps(quick_report))
-    near["results"]["kernel"]["median"] *= 0.8
-    assert check_against_baseline(near, committed, tolerance=0.30) == []
-    # Missing benchmarks are reported (with suite and metric named).
-    empty = {"results": {}}
-    failures = check_against_baseline(empty, committed)
-    assert len(failures) == 2
-    for f in failures:
-        assert "[suite=kernel]" in f and "(events_per_sec)" in f
-    # ... unless the fresh run is a declared subset (quick mode).
-    assert check_against_baseline(empty, committed, missing_ok=True) == []
-
-
-def test_check_failure_messages_name_suite_and_metric(quick_report):
-    """Satellite of issue 7: a CI log must say *which* suite/metric
-    regressed, not just that a threshold tripped."""
-    committed = json.loads(json.dumps(quick_report))
-    slow = json.loads(json.dumps(quick_report))
-    slow["results"]["hop"]["median"] *= 0.5
-    (failure,) = check_against_baseline(slow, committed, suite="scale")
-    assert "[suite=scale]" in failure
-    assert "hop" in failure
-    assert "(events_per_sec)" in failure
-    assert "floor" in failure
-
-
-@pytest.fixture(scope="module")
-def quick_e2e_report():
-    return run_e2e_benchmarks(quick=True, rounds=1)
-
-
-def test_e2e_report_schema(quick_e2e_report):
-    assert quick_e2e_report["schema"] == 1
-    assert quick_e2e_report["rounds"] == 1
-    results = quick_e2e_report["results"]
-    assert set(results) == {"e2e_hit", "e2e_fill", "e2e_hot"}
-    for doc in results.values():
-        assert doc["metric"] == "ops_per_sec"
-        assert doc["median"] > 0
-        assert len(doc["runs"]) == 1
-        assert doc["events_per_run"] > 0  # ops driven per run
-
-
-def test_e2e_ops_per_sec_gates_like_events_per_sec(quick_e2e_report):
-    """The 30% regression gate covers every *_per_sec metric, so the
-    committed BENCH_e2e.json participates alongside the kernel suite."""
-    committed = json.loads(json.dumps(quick_e2e_report))
-    assert check_against_baseline(quick_e2e_report, committed) == []
-    slow = json.loads(json.dumps(quick_e2e_report))
-    slow["results"]["e2e_hot"]["median"] *= 0.5
-    failures = check_against_baseline(slow, committed, tolerance=0.30)
-    assert len(failures) == 1 and "e2e_hot" in failures[0]
-
-
-def test_committed_e2e_report_matches_schema():
-    import os
-
-    path = os.path.join(os.path.dirname(__file__), "..", "BENCH_e2e.json")
-    report = load_report(path)
-    assert set(report["results"]) == {"e2e_hit", "e2e_fill", "e2e_hot"}
-    for doc in report["results"].values():
-        assert doc["metric"] == "ops_per_sec"
-        assert doc["median"] > 0
-
-
-def test_committed_report_claims_the_required_speedup():
-    """The repo's committed BENCH_kernel.json must document >= 1.5x on
-    the bare kernel versus the recorded pre-PR baseline."""
-    import os
-
-    path = os.path.join(os.path.dirname(__file__), "..", "BENCH_kernel.json")
-    report = load_report(path)
-    assert report["baseline"]["results"]["kernel"]["median"] > 0
-    assert report["speedup_vs_baseline"]["kernel"] >= 1.5
-
-
-@pytest.fixture(scope="module")
-def quick_scale_report():
-    # Quick mode: the 1k client point only, one round per variant.
-    return run_scale_benchmarks(quick=True, rounds=1)
-
+COMMITTED = os.path.join(os.path.dirname(__file__), "..", "BENCH.json")
 
 #: Scheduler entries one end-to-end cell mints for its 2,000 ops (1,000
 #: processes on one client stack statting one hot file, then reading).
@@ -154,39 +25,102 @@ def quick_scale_report():
 E2E_CELL_ENTRIES = 5112
 
 
-def test_scale_report_schema(quick_scale_report):
-    report = quick_scale_report
-    assert report["schema"] == 1
-    assert report["mode"] == "quick"
-    assert report["shards"] == 1
-    results = report["results"]
-    assert set(results) == {
-        "scale_1k_heap",
-        "scale_1k_tier2",
-        "scale_1k_e2e_fastpath",
-    }
+@pytest.fixture(scope="module")
+def quick_report():
+    # One round keeps this a smoke test; workload sizes are the real ones.
+    return run_benchmarks(quick=True, rounds=1)
+
+
+def _copy(report):
+    return json.loads(json.dumps(report))
+
+
+def test_quick_report_schema(quick_report):
+    assert quick_report["schema"] == 2
+    assert quick_report["mode"] == "quick"
+    assert quick_report["shards"] == 1
+    assert "platform" in quick_report["machine"]
+    results = quick_report["results"]
+    # Quick mode skips the sweep and runs the 1k scale points only.
+    assert set(results) == {"kernel", "hop", "scale_1k_heap", "scale_1k_e2e"}
     for doc in results.values():
-        assert doc["metric"] == "ops_per_sec"
+        assert doc["metric"].endswith("_per_sec")
         assert doc["median"] > 0
+        assert len(doc["runs"]) == 1
         assert doc["events_per_run"] > 0
-    # The batched tier schedules far fewer events for the same ops.
-    assert (
-        results["scale_1k_tier2"]["events_per_run"]
-        < results["scale_1k_heap"]["events_per_run"] / 2
-    )
+
+
+def test_scale_report_schema(quick_report):
+    results = quick_report["results"]
+    # One schedule entry per visit, plus one kick per client.
+    assert results["scale_1k_heap"]["events_per_run"] == 1_000 * 21
     # Singleflight absorbs the hot-file burst: one cell, exact entries.
-    assert results["scale_1k_e2e_fastpath"]["events_per_run"] == E2E_CELL_ENTRIES
-    assert set(report["speedup_vs_heap"]) == {"scale_1k"}
-    assert set(report["speedup_vs_heap"]["scale_1k"]) == {"tier2"}
-    assert "speedup_e2e" not in report
+    assert results["scale_1k_e2e"]["events_per_run"] == E2E_CELL_ENTRIES
+
+
+def test_report_round_trips_through_json(tmp_path, quick_report):
+    path = tmp_path / "bench.json"
+    write_report(str(path), quick_report)
+    assert load_report(str(path)) == quick_report
+
+
+def test_write_appends_the_replaced_report_to_history(quick_report):
+    first = append_history(_copy(quick_report), None)
+    assert first["history"] == []
+    second = append_history(_copy(quick_report), first)
+    third = append_history(_copy(quick_report), second)
+    assert len(third["history"]) == 2
+    entry = third["history"][-1]
+    assert set(entry) == {"git_sha", "timestamp", "machine", "medians", "events"}
+    assert entry["medians"]["kernel"] == quick_report["results"]["kernel"]["median"]
+    assert entry["events"]["scale_1k_e2e"] == E2E_CELL_ENTRIES
+
+
+def test_check_against_baseline_flags_regressions(quick_report):
+    committed = _copy(quick_report)
+    # Identical run: no failures, and one round has no spread to widen.
+    assert check_against_baseline(quick_report, committed) == ([], [])
+    # A >30% slowdown in the fresh run gates.
+    slow = _copy(quick_report)
+    slow["results"]["kernel"]["median"] *= 0.5
+    failures, _ = check_against_baseline(slow, committed, tolerance=0.30)
+    assert len(failures) == 1 and "kernel (events_per_sec)" in failures[0]
+    assert "floor" in failures[0]
+    # Within tolerance passes.
+    near = _copy(quick_report)
+    near["results"]["kernel"]["median"] *= 0.8
+    assert check_against_baseline(near, committed, tolerance=0.30) == ([], [])
+    # A fresh point the committed report lacks is a failure: a quick run
+    # must be a subset of the full one.
+    del committed["results"]["scale_1k_e2e"]
+    failures, _ = check_against_baseline(quick_report, committed)
+    assert failures == ["scale_1k_e2e: not in the committed report"]
+
+
+def test_events_off_by_one_fails_the_gate(quick_report):
+    for delta in (-1, 1):
+        committed = _copy(quick_report)
+        committed["results"]["scale_1k_e2e"]["events_per_run"] += delta
+        failures, _ = check_against_baseline(quick_report, committed)
+        (failure,) = failures
+        assert failure.startswith("scale_1k_e2e (events_per_run):")
+
+
+def test_rate_with_wide_committed_spread_is_ungated(quick_report):
+    committed = _copy(quick_report)
+    doc = committed["results"]["hop"]
+    doc["runs"] = [doc["median"] * 0.5, doc["median"], doc["median"] * 1.5]
+    slow = _copy(quick_report)
+    slow["results"]["hop"]["median"] *= 0.1
+    failures, ungated = check_against_baseline(slow, committed, tolerance=0.30)
+    assert failures == []
+    assert ungated == ["hop (events_per_sec): ungated (spread 100%)"]
 
 
 def test_e2e_merged_metrics_are_shard_invariant():
     """The end-to-end cells are independent, so the deterministic merged
     metrics (ops, events) must not depend on how the cell range is
     split across shards."""
-    import json
-
     from repro.bench.scale import _e2e_run
 
     m1, _ = _e2e_run(4_000, 1)
@@ -201,26 +135,30 @@ def test_e2e_merged_metrics_are_shard_invariant():
     assert m1["events"] == 4 * E2E_CELL_ENTRIES
 
 
-def test_committed_scale_report_claims_the_required_speedup():
-    """The repo's committed BENCH_scale.json must document the second
-    speed tier (>= 3x ops/sec over one entry per visit at 100k clients)
-    and true 100k- and million-client end-to-end runs at the pinned
-    per-cell entry count (a noise-free claim, where the scalar-vs-knob
-    wall-clock ratio it replaces was not)."""
-    import os
-
-    path = os.path.join(os.path.dirname(__file__), "..", "BENCH_scale.json")
-    report = load_report(path)
-    expected = {
-        f"scale_{point}_{variant}"
-        for point in ("1k", "10k", "100k")
-        for variant in ("heap", "tier2")
-    } | {"scale_100k_e2e_fastpath", "scale_1m_e2e_fastpath"}
-    assert set(report["results"]) == expected
-    assert report["speedup_vs_heap"]["scale_100k"]["tier2"] >= 3.0
-    # Not bare timers: the committed report carries the entry counts of
-    # 100 and 1,000 cells of 1,000 clients each.
-    for point, cells in (("100k", 100), ("1m", 1000)):
-        doc = report["results"][f"scale_{point}_e2e_fastpath"]
+def test_committed_report_matches_schema():
+    """The committed BENCH.json holds every full-mode point, the exact
+    entry counts of 1, 100 and 1,000 end-to-end cells, and a history."""
+    report = load_report(COMMITTED)
+    assert report["mode"] == "full"
+    assert set(report["results"]) == {"kernel", "hop", "sweep"} | {
+        f"scale_{point}_heap" for point in ("1k", "10k", "100k")
+    } | {f"scale_{point}_e2e" for point in ("1k", "100k", "1m")}
+    for point, cells in (("1k", 1), ("100k", 100), ("1m", 1000)):
+        doc = report["results"][f"scale_{point}_e2e"]
         assert doc["events_per_run"] == cells * E2E_CELL_ENTRIES
         assert doc["median"] > 0
+    assert report["history"]
+
+
+def test_committed_report_claims_the_required_speedup():
+    """The committed history must document >= 1.5x on the bare kernel:
+    the seed kernel's recorded median against the later kernel report's
+    (both entries carried over from the earlier per-suite reports)."""
+    history = load_report(COMMITTED)["history"]
+    (seed,) = [e for e in history if e["git_sha"].startswith("dc3b5bf")]
+    (later,) = [
+        e for e in history
+        if e["git_sha"].startswith("45ea6ea") and "kernel" in e["medians"]
+    ]
+    assert seed["medians"]["kernel"] > 0
+    assert later["medians"]["kernel"] / seed["medians"]["kernel"] >= 1.5
