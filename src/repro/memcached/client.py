@@ -33,9 +33,12 @@ owner**, the owners concurrently (:meth:`MemcacheClient._legs`), so a
 batch costs one round trip of simulated time however many MCDs it
 spans; a keyed mutation with several owners (:meth:`_fanout`) is the
 same legs with one payload.  A leg that fails books one ``errors`` and
-answers None — it costs that owner's share and nothing else.  A
-mutation with a single leg runs in the caller's frame and mints no join
-entry; ``get_multi`` always joins (its entry count is pinned).
+answers None — it costs that owner's share and nothing else.  A leg
+that succeeds *lands* its reply on the join (:meth:`MemcacheClient._leg`)
+rather than waking up once more to hand it over, so K legs cost K + 1
+scheduler entries: one per request and the join's.  A mutation with a
+single leg runs in the caller's frame and mints no join entry, which
+costs the same 2; ``get_multi`` always joins (for span attribution).
 
 Reads are **singleflighted** per client (DESIGN §15): a ``get`` or
 ``get_multi`` that finds its key already being fetched parks on that
@@ -59,6 +62,7 @@ from repro.memcached.hashing import (
 from repro.memcached.membership import LIVE, McdMembership
 from repro.net.rpc import Endpoint, RetryPolicy, RpcError, RpcUnavailable
 from repro.sim.events import Event
+from repro.sim.process import Landing
 from repro.util.stats import Counter
 
 
@@ -263,13 +267,15 @@ class MemcacheClient:
         """Whether server *idx* is currently ejected (for observers)."""
         return self._health[idx].ejected_until >= 0.0
 
-    def _call(self, idx: int, op: str, payload: Any) -> Generator:
+    def _call(self, idx: int, op: str, payload: Any, land: bool = False) -> Generator:
         """One MCD RPC.  With no health policy there is nothing to wrap:
-        the generator returned is :meth:`Endpoint.call`'s own."""
+        the generator returned is :meth:`Endpoint.call`'s own, which
+        *land*s its reply (see there).  Under a policy the call never
+        lands: :meth:`_call_tracked` acts on the reply's arrival."""
         if self.health is None:
             return self.endpoint.call(
                 self.membership.members[idx].daemon.node, SERVICE, (op, payload),
-                request_size(op, payload),
+                request_size(op, payload), land=land,
             )
         return self._call_tracked(idx, op, payload)
 
@@ -507,8 +513,10 @@ class MemcacheClient:
         try:
             # Nothing left to fetch (every key rides a flight): no join.
             if by_server:
-                # Always a join, even over one server: the read path's
-                # entry count per op is pinned (tests/test_event_budget).
+                # Always a join, even over one server.  A landed leg
+                # makes a one-leg join cost what an inline leg would;
+                # the join stays because its ``mc.batch`` strand is what
+                # the tracer books the fetch's MCD time to.
                 batches = [
                     self._leg(idx, "get_multi", batch) for idx, batch in by_server.items()
                 ]
@@ -552,7 +560,7 @@ class MemcacheClient:
                     # there for its call budget (tests/test_call_budget).
                     self._note_redispersed()
                     idx = self._read_route()(key, len(self.servers), hint)
-                    reply = yield from self._leg(idx, "get_multi", [key])
+                    reply = yield from self._leg(idx, "get_multi", [key], land=False)
                     payload = reply.get(key) if reply is not None else None
                     if payload is None and self.membership.windows:
                         payload = yield from self._forward_get(key, idx)
@@ -563,16 +571,21 @@ class MemcacheClient:
         return out
 
     # -- legs ------------------------------------------------------------------
-    def _leg(self, idx: int, op: str, payload: Any) -> Generator:
+    def _leg(self, idx: int, op: str, payload: Any, land: bool = True) -> Generator:
         """One owner's share of a batched or fanned-out op, as a strand
         of a join: its reply, or None — booked as one ``errors`` — when
-        the RPC failed."""
+        the RPC failed.  The reply is *land*ed on the join where the RPC
+        allows (:meth:`_call`): the strand returns it with its arrival
+        instead of waking up once more only to hand it over.  A leg run
+        in a caller's own frame must not land."""
         try:
             if self.tracer.enabled:
-                with self.tracer.span("mcd", "mc.batch"):
-                    reply = yield from self._call(idx, op, payload)
+                with self.tracer.span("mcd", "mc.batch") as span:
+                    reply = yield from self._call(idx, op, payload, land)
+                    if reply.__class__ is Landing:
+                        span.end = reply.at
             else:
-                reply = yield from self._call(idx, op, payload)
+                reply = yield from self._call(idx, op, payload, land)
         except RpcError:
             self.stats.inc("errors")
             return None
@@ -582,9 +595,10 @@ class MemcacheClient:
         """*op* once per ``(owner, payload)`` leg; the replies in leg
         order, None for a leg that failed.  Several legs are pipelined
         on the client NIC under one ``sim.gather`` (wall time ~ the
-        slowest, not their sum); a single one is :meth:`_leg`'s rule run
-        here, in the caller's frame — no strand, no join entry, no
-        wrapper frame to walk on every resume of the RPC."""
+        slowest, not their sum), each landing its reply on the join;
+        a single one is :meth:`_leg`'s rule run here, in the caller's
+        frame — no strand, no join entry, no wrapper frame to walk on
+        every resume of the RPC — and waits on its response itself."""
         if len(legs) == 1:
             ((idx, payload),) = legs
             try:

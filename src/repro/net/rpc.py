@@ -29,6 +29,11 @@ The cost rides the request's receive visit on that CPU, the handler
 runs when the visit ends and returns ``(reply, size)`` without
 yielding, and any CPU it leaves on :attr:`RpcCall.reply_cpu` rides the
 response's send visit: a round trip is two scheduler entries.
+
+A caller that runs as a strand of a join can skip the second one:
+``call(..., land=True)`` books the response and returns a
+:class:`~repro.sim.Landing` of the reply at its arrival instead of
+sleeping until then; the join counts the reply from that instant.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.net.fabric import Network, NetworkError, Node
 from repro.obs.trace import NULL_TRACER
+from repro.sim.process import Landing
 from repro.util.stats import Counter
 
 
@@ -167,6 +173,7 @@ class Endpoint:
         args: Any = None,
         req_size: int = 0,
         timeout: Optional[float] = None,
+        land: bool = False,
     ) -> Generator[Any, Any, Any]:
         """Invoke *service* on *dst*; yields from the caller's process.
 
@@ -191,6 +198,13 @@ class Endpoint:
         node dies before then the call fails and the handler never runs.
         A request that never arrives (dead node, lost frame) costs the
         far end nothing.
+
+        With *land* — for a caller that is a join's strand and returns
+        the reply straight to it — an inline call whose response is
+        deliverable returns ``Landing(reply, arrival)`` instead of
+        yielding the arrival (the exact float the transfer booked).  An
+        undeliverable response is still yielded, so it fails when the
+        traversal would have ended; a deadlined call never lands.
         """
         if timeout is not None:
             reply = yield from self._call_deadlined(dst, service, args, req_size, timeout)
@@ -232,10 +246,17 @@ class Endpoint:
             reply, resp_size = yield from served
         try:
             if tracer.enabled:
-                with tracer.span("network", f"net.resp.{service}"):
-                    yield net.transfer(dst, node, HEADER_SIZE + int(resp_size), call.reply_cpu)
+                with tracer.span("network", f"net.resp.{service}") as span:
+                    arrival = net.transfer(dst, node, HEADER_SIZE + int(resp_size), call.reply_cpu)
+                    if land and arrival.__class__ is float:
+                        span.end = arrival
+                        return Landing(reply, arrival)
+                    yield arrival
             else:
-                yield net.transfer(dst, node, HEADER_SIZE + int(resp_size), call.reply_cpu)
+                arrival = net.transfer(dst, node, HEADER_SIZE + int(resp_size), call.reply_cpu)
+                if land and arrival.__class__ is float:
+                    return Landing(reply, arrival)
+                yield arrival
         except NetworkError as e:
             self.stats.inc("errors")
             raise RpcUnavailable(str(e)) from None

@@ -10,9 +10,11 @@ interleaved clients never corrupt each other's nesting.
 
 Two guarantees matter for the reproduction:
 
-* **Determinism** — spans only read ``sim.now``; opening or closing a
-  span never schedules a sim event, so traced and untraced runs report
-  identical latencies, and same-seed traces are byte-identical.
+* **Determinism** — spans only read ``sim.now`` (or the landing instant
+  a span is told to close at, ``_Span.end``); opening or
+  closing a span never schedules a sim event, so traced and untraced
+  runs report identical latencies, and same-seed traces are
+  byte-identical.
 * **Near-zero disabled cost** — the default :data:`NULL_TRACER` has
   ``enabled = False`` and hot paths branch on that single attribute;
   cold paths may use ``with tracer.span(...)`` directly, which on the
@@ -136,7 +138,7 @@ NULL_TRACER = NullTracer()
 class _Span:
     """An open span; use as a context manager around ``yield from``."""
 
-    __slots__ = ("tracer", "tier", "name", "start", "child_time", "_key")
+    __slots__ = ("tracer", "tier", "name", "start", "child_time", "_key", "end")
 
     def __init__(self, tracer: "SimTracer", tier: str, name: str) -> None:
         self.tracer = tracer
@@ -145,6 +147,10 @@ class _Span:
         self.start = 0.0
         self.child_time = 0.0
         self._key = 0
+        #: Close instant, when not ``sim.now`` at exit: set when the
+        #: span's work ends with a reply its process returns as a
+        #: ``repro.sim.Landing`` rather than sleeps on.
+        self.end: Optional[float] = None
 
     def __enter__(self) -> "_Span":
         tracer = self.tracer
@@ -238,7 +244,7 @@ class SimTracer:
         return stack
 
     def _close(self, span: _Span) -> None:
-        end = self.sim.now
+        end = self.sim.now if span.end is None else span.end
         key = span._key
         stack = self._stacks[key]
         popped = stack.pop()

@@ -12,6 +12,8 @@ A :class:`Join` (``Simulator.gather``) is the fork-join form for
 short-lived children: each child runs as a :class:`Strand` — the same
 resume loop, the same identity the tracer keys on — but starts inside
 the call and reports to the join instead of owning schedule entries.
+A strand whose last step is a booked arrival may return a
+:class:`Landing` instead of sleeping on it.
 """
 
 from __future__ import annotations
@@ -51,6 +53,23 @@ class _NoEvent:
 
 
 NO_EVENT = _NoEvent()
+
+
+class Landing:
+    """A strand's return value that has not arrived yet: *value*, due at
+    the absolute time *at* (a float a timed wait would have yielded).
+
+    Returning it instead of yielding *at* and then returning *value*
+    saves the strand's wake-up; its :class:`Join` fires no earlier than
+    the latest landing of its strands (DESIGN §7, "Landed legs").  A
+    landing at or before ``now`` is a plain return.
+    """
+
+    __slots__ = ("value", "at")
+
+    def __init__(self, value: Any, at: float) -> None:
+        self.value = value
+        self.at = at
 
 
 class _Runner:
@@ -231,10 +250,17 @@ class Strand(_Runner):
 
     def succeed(self, value: Any) -> None:
         join = self._join
+        if value.__class__ is Landing:
+            if value.at > join._landing:
+                join._landing = value.at
+            value = value.value
         join._results[self._index] = value
         join._pending -= 1
         if not join._pending and join._value is PENDING:
-            join.succeed(join._results)
+            # Event.succeed, at the latest landing rather than now.
+            sim = self.sim
+            join._value = join._results
+            sim._schedule(join, at=max(sim._now, join._landing))
 
     def fail(self, exception: BaseException) -> None:
         # The first failure fails the join; a later one has nobody left
@@ -253,15 +279,18 @@ class Join(Event):
     join costs one schedule entry in total — against one ``Initialize``
     plus one completion entry per child and one more for the ``AllOf``
     when each child is a :class:`Process`.  Delivery is an ordinary
-    scheduled event, not a synchronous wake-up, so same-instant ties
-    resolve as they did with ``AllOf`` (DESIGN §7).
+    scheduled event, not a synchronous wake-up (DESIGN §7).
 
-    The first child to raise fails the join with its exception; the
-    other children keep running and their results or later failures
-    are discarded.
+    A child may return a :class:`Landing`: its value then counts from
+    the landing's instant, and the join's one entry is booked, when the
+    last child returns, at the latest landing (or now, if later).
+
+    The first child to raise fails the join with its exception, at the
+    instant it raises; the other children keep running and their
+    results or later failures are discarded.
     """
 
-    __slots__ = ("_results", "_pending")
+    __slots__ = ("_results", "_pending", "_landing")
 
     def __init__(
         self, sim: "Simulator", generators: Iterable[ProcessGenerator], name: str
@@ -270,6 +299,8 @@ class Join(Event):
         generators = list(generators)
         self._results: list[Any] = [None] * len(generators)
         self._pending = len(generators)
+        #: The latest landing a child has returned so far.
+        self._landing = -inf
         if not generators:
             self.succeed(self._results)
             return

@@ -17,10 +17,12 @@ from repro.util import MiB
 
 #: Scheduler entries of one uncontended fetch on the bare client below
 #: (no FUSE charge): request and response, the lookup and copy CPU
-#: riding their visits — plus the multi-get's join.  The same numbers
-#: the client cost before it had a singleflight table at all.
+#: riding their visits.  The multi-get's one leg lands its response on
+#: the join, whose entry takes the response's place (3 while the leg
+#: woke on it).  The same numbers the client costs without a
+#: singleflight table at all.
 SOLO_GET_ENTRIES = 2
-SOLO_GET_MULTI_ENTRIES = 3
+SOLO_GET_MULTI_ENTRIES = 2
 
 
 def make(n_mcds=1):

@@ -2,7 +2,9 @@
 child + ``all_of`` on the op path.  It must be indistinguishable from
 that pattern in everything the model can see — values, the instant the
 parent resumes, the order shared stations are reserved in, who the
-tracer thinks is running — and differ only in schedule entries."""
+tracer thinks is running — and differ only in schedule entries.  A
+strand that returns a ``Landing`` is held to one that sleeps until the
+landing and then returns, on the same terms."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from repro.cluster import ResilienceConfig, TestbedConfig, build_gluster_testbed
 from repro.core.config import IMCaConfig
 from repro.obs import Observability, OpLog
 from repro.obs.trace import SimTracer
-from repro.sim import FifoStation, Interrupt, SimulationError, Simulator
+from repro.sim import FifoStation, Interrupt, Landing, SimulationError, Simulator
 
 
 def _fork(sim, kind, children):
@@ -75,6 +77,130 @@ def test_gather_matches_process_all_of(spec):
     # One entry for the join instead of Initialize + completion per
     # child and one for the AllOf.
     assert old_entries - new_entries == 2 * len(spec)
+
+
+# --------------------------------------------------------------------------- #
+# landed strands: a return value due later, without the wake-up
+# --------------------------------------------------------------------------- #
+def _landing_run(spec, landed):
+    """Each child visits the shared station like ``_fork_join_run``'s,
+    then books a last visit and either sleeps until it ends and returns
+    (``landed=False``) or, where its spec says so, returns a
+    :class:`Landing` of its value at that end."""
+    sim = Simulator()
+    station = FifoStation(sim, name="shared")
+    log = []
+
+    def child(tag, delays, last, lands):
+        for d in delays:
+            yield sim.timeout(d)
+            log.append((tag, sim.now, station.run(0.5)))
+            yield log[-1][2]
+        at = station.run(last)
+        log.append((tag, "last", sim.now, at))
+        if landed and lands:
+            return Landing(tag * 10, at)
+        yield at
+        return tag * 10
+
+    out = {}
+
+    def parent():
+        yield sim.timeout(1.0)
+        joined = yield sim.gather(
+            [child(i, *c) for i, c in enumerate(spec)], name="child"
+        )
+        out["values"] = joined
+        out["joined_at"] = sim.now
+        log.append(("parent", sim.now))
+        yield station.run(0.5)
+        out["done_at"] = sim.now
+
+    sim.process(parent())
+    sim.run()
+    return out, log, (station.busy_time, station.jobs), sim._seq
+
+
+_landing_child = st.tuples(_delays, st.sampled_from([0.0, 0.5, 2.0]), st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_landing_child, max_size=5))
+def test_landed_strands_match_waiting_ones_one_entry_cheaper(spec):
+    new, new_log, new_station, new_entries = _landing_run(spec, landed=True)
+    old, old_log, old_station, old_entries = _landing_run(spec, landed=False)
+    assert new == old
+    assert new_log == old_log
+    assert new_station == old_station
+    assert new["values"] == [i * 10 for i in range(len(spec))]
+    assert old_entries - new_entries == sum(lands for *_, lands in spec)
+
+
+def test_a_landing_at_or_before_now_is_a_plain_return():
+    sim = Simulator()
+    seen = []
+
+    def past(v, back):
+        return Landing(v, sim.now - back)
+        yield  # pragma: no cover - makes this a generator
+
+    def parent():
+        yield sim.timeout(2.0)
+        before = sim._seq
+        got = yield sim.gather([past(1, 1.0), past(2, 0.0), past(3, 2.0)])
+        seen.append((got, sim.now, sim._seq - before))
+
+    sim.process(parent())
+    sim.run()
+    # The join's one entry, at now: what three plain returns cost.
+    assert seen == [([1, 2, 3], 2.0, 1)]
+
+
+def test_a_landing_later_than_a_plain_return_sets_the_join_instant():
+    sim = Simulator()
+    seen = []
+
+    def lands(v, at):
+        return Landing(v, at)
+        yield  # pragma: no cover
+
+    def waits(v, delay):
+        yield sim.now + delay
+        return v
+
+    def parent():
+        yield sim.timeout(1.0)
+        got = yield sim.gather([lands("a", 4.0), waits("b", 1.0), lands("c", 3.0)])
+        seen.append((got, sim.now))
+
+    sim.process(parent())
+    sim.run()
+    assert seen == [(["a", "b", "c"], 4.0)]
+
+
+@pytest.mark.parametrize("landing_at", [5.0, 2.0])
+def test_a_strand_that_raises_after_another_landed_fails_the_join_then(landing_at):
+    sim = Simulator()
+    trail = []
+
+    def lands():
+        return Landing("landed", landing_at)
+        yield  # pragma: no cover
+
+    def boom():
+        yield sim.timeout(3.0)
+        raise ValueError("late")
+
+    def parent():
+        try:
+            yield sim.gather([lands(), boom()])
+        except ValueError as e:
+            trail.append(("caught", str(e), sim.now))
+
+    sim.process(parent())
+    sim.run()
+    # The failure instant, whether the landing is still ahead or passed.
+    assert trail == [("caught", "late", 3.0)]
 
 
 def test_empty_gather_resumes_at_the_same_instant():

@@ -38,9 +38,11 @@ BUDGET = {
     # the one server table let ``_call`` index the membership directly
     # instead of asking ``_server_at`` which table to use; 75 while the
     # MCD's lookup and copy CPU were ``cpu.run`` visits of their own, two
-    # more resumes of every frame in the ``yield from`` chain.
-    "warm_read_2k": 65,
-    "warm_read_16k": 86,  # 107, 97, 96
+    # more resumes of every frame in the ``yield from`` chain; 65 while
+    # the multi-get's leg woke on its response (a resume of the strand,
+    # ``_leg`` and ``Endpoint.call``) instead of landing it on the join.
+    "warm_read_2k": 62,
+    "warm_read_16k": 83,  # 107, 97, 96, 86
     "stat_hit": 47,  # 82, 72, 71 (no _stat_scalar / _get_scalar wrapper frames), 61
     # Before every mutation walked one owner list: 358 / 663 / 149.
     # Routing a key was ``_window_targets`` + ``_replicas_for`` +

@@ -16,18 +16,21 @@ from repro.util.units import KiB, MiB
 #: defaults (2 KiB blocks, crc32 placement).
 BUDGET = {
     # 8 blocks + the :stat entry in one multi-get over all 4 MCDs:
-    # 1 client CPU + 4 x (request, response) + 1 join.  The lookup CPU
-    # rides the request's receive visit and the copy CPU the response's
-    # send visit (18 when each was an entry of its own).
-    "warm_read_16k": 10,
+    # 1 client CPU + 4 requests + 1 join.  The lookup CPU rides the
+    # request's receive visit and the copy CPU the response's send
+    # visit (18 when each was an entry of its own); each response lands
+    # on the join instead of waking its leg (10 while it did).
+    "warm_read_16k": 6,
     # One get to one MCD: client CPU + request, response (5).
     "stat_hit": 3,
-    # Server-first 4 KiB write, read-back, 2 block pushes, stat push (17).
-    "write_2_blocks": 14,
+    # Server-first 4 KiB write, read-back, 2 block pushes, stat push (17;
+    # 14 while the two push legs woke on their responses).
+    "write_2_blocks": 12,
     # Every block evicted: multi-get misses, brick read, then the 8
     # block pushes as one set_multi per MCD (44 as 8 scalar sets, 32
-    # with a CPU entry per MCD command).
-    "capacity_miss_read_16k": 23,
+    # with a CPU entry per MCD command, 23 while each of the 4 + 4 legs
+    # woke on its response).
+    "capacity_miss_read_16k": 15,
 }
 
 
