@@ -22,6 +22,7 @@ from heapq import heapreplace
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.sim.events import Event
+from repro.sim.process import departure
 from repro.sim.station import FifoStation
 from repro.util.stats import Counter
 
@@ -169,10 +170,22 @@ class Network:
 
     # -- data movement ---------------------------------------------------
     def delivery_time(
-        self, src: Node, dst: Node, size: int, send_cpu: float = 0.0, recv_cpu: float = 0.0
+        self,
+        src: Node,
+        dst: Node,
+        size: int,
+        send_cpu: float = 0.0,
+        recv_cpu: float = 0.0,
+        depart: Optional[float] = None,
     ) -> float:
         """Reserve all stations for one message; return absolute delivery
         time.  Raises :class:`NetworkError` if either endpoint is dead.
+
+        The sender's CPU visit arrives at *depart*: by default now, or
+        the active runner's ``ready`` if that is later — a message sent
+        by an op that runs ahead of its FUSE crossing leaves when the
+        crossing ends (DESIGN §7, "The FUSE crossing runs ahead").  No
+        other station looks at ``ready``.
 
         *send_cpu* and *recv_cpu* are extra host-CPU seconds the sender's
         and the receiver's CPU visits carry on top of the protocol cost:
@@ -208,14 +221,15 @@ class Network:
             wire += self._extra_wire(src, dst)
         copy_cost = p.cpu_per_byte * size
         ser = size / p.bandwidth
-        now = self.sim._now
+        if depart is None:
+            depart = departure(self.sim)
 
         # Sender host CPU (protocol + copy for non-RDMA transports).
         cpu = src.cpu
         service = p.cpu_send + copy_cost + send_cpu
         free_heap = cpu._free
         free = free_heap[0]
-        start = free if free > now else now
+        start = free if free > depart else depart
         t = start + service
         if cpu.servers == 1:
             free_heap[0] = t
@@ -226,7 +240,7 @@ class Network:
         cpu.busy_time += service
         cpu.jobs += 1
         if cpu._track_waits:
-            cpu.wait_stats.add(start - now)
+            cpu.wait_stats.add(start - depart)
 
         # Sender NIC serialisation.
         free = tx._free[0]
@@ -292,8 +306,9 @@ class Network:
 
         A sender cannot know the far end is dead (or that the switch
         dropped the frame) at submit time: it pays its own CPU (with its
-        *send_cpu* — that work was done) and NIC serialisation, plus one
-        wire latency, before any error can surface.  The receiver-side
+        *send_cpu* — that work was done, from the same departure instant
+        as a delivered message) and NIC serialisation, plus one wire
+        latency, before any error can surface.  The receiver-side
         stations are not charged, its extra CPU included — nothing
         arrives there.
         """
@@ -302,7 +317,7 @@ class Network:
         wire = p.wire_latency
         if self._impaired:
             wire += self._extra_wire(src, dst)
-        t = self.sim._now
+        t = departure(self.sim)
         _, t = src.cpu.reserve(p.cpu_send + p.cpu_per_byte * size + send_cpu, arrival=t)
         _, tx_end = src_nic.tx.reserve(size / p.bandwidth, arrival=t)
         self.stats.inc("undeliverable")
@@ -341,10 +356,17 @@ class Network:
             return self._undeliverable(
                 src, dst, size, send_cpu, f"message {src.name} -> {dst.name} lost"
             )
-        t = self.delivery_time(src, dst, size, send_cpu, recv_cpu)
-        # Not `t`: see `FifoStation.run`.
-        now = sim._now
-        return now + (t - now)
+        # `departure(sim)`, written out: a call per message would cost
+        # every op in `tests/test_call_budget.py` a frame per hop.
+        depart = sim._now
+        runner = sim._active_process
+        if runner is not None and runner.ready > depart:
+            depart = runner.ready
+        t = self.delivery_time(src, dst, size, send_cpu, recv_cpu, depart)
+        # Not `t`: a delay from the departure, as `FifoStation.run` is
+        # one from now (a runner that waited out its `ready` would wake
+        # at that float and send from there).
+        return depart + (t - depart)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Network {self.name} ({self.transport.name}) nodes={len(self._nics)}>"

@@ -14,6 +14,12 @@ resume loop, the same identity the tracer keys on — but starts inside
 the call and reports to the join instead of owning schedule entries.
 A strand whose last step is a booked arrival may return a
 :class:`Landing` instead of sleeping on it.
+
+Every runner carries ``ready``: the instant before which nothing it
+sends may depart.  A runner that has booked work it need not sleep on —
+a FUSE crossing on its own CPU — sets it and runs ahead of the clock;
+the strands and processes it creates inherit it (DESIGN §7, "The FUSE
+crossing runs ahead").
 """
 
 from __future__ import annotations
@@ -55,6 +61,17 @@ class _NoEvent:
 NO_EVENT = _NoEvent()
 
 
+def departure(sim: "Simulator") -> float:
+    """When work the active runner starts now may begin: now, or the
+    runner's ``ready`` if that is later (a message it sends, a span it
+    opens)."""
+    now = sim._now
+    runner = sim._active_process
+    if runner is not None and runner.ready > now:
+        return runner.ready
+    return now
+
+
 class Landing:
     """A strand's return value that has not arrived yet: *value*, due at
     the absolute time *at* (a float a timed wait would have yielded).
@@ -76,7 +93,9 @@ class _Runner:
     """Drives one generator: the resume loop :class:`Process` and
     :class:`Strand` share.  The subclass supplies ``succeed``/``fail``
     (what the generator's return or exception turns into) and the
-    ``sim``/``_generator``/``_target``/``_wake``/``name`` attributes."""
+    ``sim``/``_generator``/``_target``/``_wake``/``name``/``ready``
+    attributes (the slots live on the subclasses: ``Event`` has its
+    own, and two slotted bases cannot share a layout)."""
 
     __slots__ = ()
 
@@ -141,7 +160,7 @@ class _Runner:
 class Process(_Runner, Event):
     """A running simulation process; also an event (fires on return)."""
 
-    __slots__ = ("_generator", "_target", "_wake", "name", "serial", "parent")
+    __slots__ = ("_generator", "_target", "_wake", "name", "serial", "parent", "ready")
 
     def __init__(
         self, sim: "Simulator", generator: ProcessGenerator, name: str | None = None
@@ -162,6 +181,9 @@ class Process(_Runner, Event):
         #: attribute work done by helper processes (multi-get batches,
         #: fill reads, fan-outs) to the client op that spawned them.
         self.parent: "Process" | None = sim._active_process
+        #: No message this process sends departs before this instant
+        #: (see the module docstring); its creator's, or none.
+        self.ready = -inf if self.parent is None else self.parent.ready
 
     @property
     def is_alive(self) -> bool:
@@ -222,7 +244,8 @@ class Strand(_Runner):
     """
 
     __slots__ = (
-        "sim", "_generator", "_target", "_wake", "name", "serial", "parent", "_join", "_index",
+        "sim", "_generator", "_target", "_wake", "name", "serial", "parent", "ready",
+        "_join", "_index",
     )
 
     def __init__(
@@ -244,6 +267,7 @@ class Strand(_Runner):
         sim._proc_seq += 1
         self.serial = sim._proc_seq
         self.parent = parent
+        self.ready = -inf if parent is None else parent.ready
         self._join = join
         self._index = index
         self._resume(NO_EVENT)

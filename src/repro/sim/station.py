@@ -14,13 +14,20 @@ server that is earliest free at *booking* time.  When two messages are
 committed in the same simulation instant this matches FIFO exactly.
 Reservations made "from the future" (pipelined hops, see
 :meth:`FifoStation.reserve`) conserve total busy time but are not
-work-conserving: a visit booked ahead of its arrival can hold a server
-idle until then, a hole no later booking fills.  Under load this moves
-aggregate latency and throughput, not just individual waits: folding
-the MCD lookup into the request's receive visit moved ``stat_storm``
-throughput by +6.9% and Fig 5's ``MCD(1)`` point from 79.25 to 71.26 ms
-with no change to the modelled system.  See DESIGN §7, "What moves in
-the model", and ROADMAP open item 1 (work-conserving stations).
+work-conserving: a visit booked ahead of its arrival outranks every
+visit booked after it, even one that arrives first, and can hold a
+server idle until it arrives, a hole no later booking fills.  Under
+load this moves aggregate latency and throughput, not just individual
+waits: folding the MCD lookup into the request's receive visit moved
+``stat_storm`` throughput by +6.9% and Fig 5's ``MCD(1)`` point from
+79.25 to 71.26 ms, and sending each op's first message ahead of its
+FUSE crossing moved ``write_mix`` throughput by about −1.7%, with no
+change to the modelled system.  On an 8-core station ~90% busy with
+half its visits booked L ahead, the mean wait is overstated by 27% at
+L = 7 µs and by 170% at L = 25 µs (``tests/sim/test_booking_order.py``).
+See DESIGN §7, "What moves in the model" under "An MCD round trip is
+two entries" and "The FUSE crossing runs ahead", and ROADMAP open item
+1 (work-conserving stations).
 """
 
 from __future__ import annotations

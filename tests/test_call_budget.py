@@ -40,17 +40,23 @@ BUDGET = {
     # MCD's lookup and copy CPU were ``cpu.run`` visits of their own, two
     # more resumes of every frame in the ``yield from`` chain; 65 while
     # the multi-get's leg woke on its response (a resume of the strand,
-    # ``_leg`` and ``Endpoint.call``) instead of landing it on the join.
-    "warm_read_2k": 62,
-    "warm_read_16k": 83,  # 107, 97, 96, 86
-    "stat_hit": 47,  # 82, 72, 71 (no _stat_scalar / _get_scalar wrapper frames), 61
+    # ``_leg`` and ``Endpoint.call``) instead of landing it on the join;
+    # 62 while the op slept on its FUSE crossing (``FifoStation.run``,
+    # the wake's ``_resume`` and a resume of every frame of the op).
+    "warm_read_2k": 56,
+    "warm_read_16k": 77,  # 107, 97, 96, 86, 83
+    "stat_hit": 42,  # 82, 72, 71 (no _stat_scalar / _get_scalar wrapper frames), 61, 47
     # Before every mutation walked one owner list: 358 / 663 / 149.
     # Routing a key was ``_window_targets`` + ``_replicas_for`` +
     # ``_idx_for`` + ``select``; it is ``owners`` + ``select``.
     # 355 while the two block pushes were two scalar sets under a join;
     # they are one ``set_multi`` request run in the caller's frame.
     # 331 / 598 / 148 while each MCD command yielded its own CPU visit.
-    "write_4k": 302,
+    # 302 while the write slept on its FUSE crossing.  A close or an
+    # open saves the wake's calls too, but pays them back: its fd-table
+    # frame (``GlusterClient.close``/``open``) sits on the op's
+    # ``_crossing`` frame, one more frame resumed on every wake.
+    "write_4k": 296,
     "close": 585,
     "open": 136,
 }

@@ -16,21 +16,25 @@ from repro.util.units import KiB, MiB
 #: defaults (2 KiB blocks, crc32 placement).
 BUDGET = {
     # 8 blocks + the :stat entry in one multi-get over all 4 MCDs:
-    # 1 client CPU + 4 requests + 1 join.  The lookup CPU rides the
-    # request's receive visit and the copy CPU the response's send
-    # visit (18 when each was an entry of its own); each response lands
-    # on the join instead of waking its leg (10 while it did).
-    "warm_read_16k": 6,
-    # One get to one MCD: client CPU + request, response (5).
-    "stat_hit": 3,
+    # 4 requests + 1 join.  The lookup CPU rides the request's receive
+    # visit and the copy CPU the response's send visit (18 when each
+    # was an entry of its own); each response lands on the join instead
+    # of waking its leg (10 while it did); the requests leave when the
+    # FUSE crossing ends instead of the op waking for it (6 while it
+    # did).
+    "warm_read_16k": 5,
+    # One get to one MCD: request, response (5 with the two MCD CPU
+    # visits, 3 with the crossing's wake).
+    "stat_hit": 2,
     # Server-first 4 KiB write, read-back, 2 block pushes, stat push (17;
-    # 14 while the two push legs woke on their responses).
-    "write_2_blocks": 12,
+    # 14 while the two push legs woke on their responses, 12 while the
+    # op woke for its crossing).
+    "write_2_blocks": 11,
     # Every block evicted: multi-get misses, brick read, then the 8
     # block pushes as one set_multi per MCD (44 as 8 scalar sets, 32
     # with a CPU entry per MCD command, 23 while each of the 4 + 4 legs
-    # woke on its response).
-    "capacity_miss_read_16k": 15,
+    # woke on its response, 15 while the op woke for its crossing).
+    "capacity_miss_read_16k": 14,
 }
 
 
@@ -77,9 +81,10 @@ def test_headline_ops_cost_exactly_their_event_budget():
 #: What a process costs around its op: its start entry and its
 #: completion entry.
 PROCESS = 2
-#: A stat that follows another's flight: the process's two entries and
-#: its own FUSE charge on the client CPU — no RPC leg at all.
-FOLLOWER = PROCESS + 1
+#: A stat that follows another's flight: the process's two entries —
+#: no RPC leg, and no wake for its FUSE crossing, which ends before the
+#: flight it parks on (one more while the crossing was slept on).
+FOLLOWER = PROCESS
 #: The leader's one publish, minted only because somebody followed.
 PUBLISH = 1
 #: The ``all_of`` the test itself waits on.
