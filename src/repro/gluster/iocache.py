@@ -21,6 +21,7 @@ from typing import Generator, Optional
 from repro.gluster.xlator import Xlator
 from repro.localfs.types import ReadResult, slice_result
 from repro.oscache.lru import LruCache
+from repro.sim.process import departure
 from repro.util.stats import Counter
 from repro.util.units import KiB, MiB
 
@@ -67,7 +68,7 @@ class IoCacheXlator(Xlator):
         """Stat the server if the validation window expired; drop the
         file's pages when its mtime moved."""
         state = self._files.setdefault(path, _FileState())
-        if self.sim.now - state.validated_at < self.cache_timeout:
+        if departure(self.sim) - state.validated_at < self.cache_timeout:
             return
         self.stats.inc("revalidations")
         fresh = yield from self._down().stat(path)

@@ -44,6 +44,11 @@ Reads are **singleflighted** per client (DESIGN §15): a ``get`` or
 ``get_multi`` that finds its key already being fetched parks on that
 fetch.  The table entry is a bare ``None`` until somebody does, so a
 fetch nobody shares costs no event and no scheduler entry.
+
+Health decisions read the clock at ``departure(sim)``, not ``now``: an
+op running ahead of its FUSE crossing decides whether an MCD is still
+ejected as of the instant its request may leave (DESIGN §7, "The FUSE
+crossing runs ahead").
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from repro.memcached.hashing import (
 from repro.memcached.membership import LIVE, McdMembership
 from repro.net.rpc import Endpoint, RetryPolicy, RpcError, RpcUnavailable
 from repro.sim.events import Event
-from repro.sim.process import Landing
+from repro.sim.process import Landing, departure
 from repro.util.stats import Counter
 
 
@@ -260,7 +265,7 @@ class MemcacheClient:
             return False
         h = self._health[idx]
         return h.ejected_until >= 0.0 and (
-            self.endpoint.net.sim.now < h.ejected_until or h.probing
+            departure(self.endpoint.net.sim) < h.ejected_until or h.probing
         )
 
     def ejected(self, idx: int) -> bool:
@@ -285,7 +290,7 @@ class MemcacheClient:
         server = self.membership.daemon(idx)
         h = self._health[idx]
         if h.ejected_until >= 0.0:
-            if self.endpoint.net.sim.now < h.ejected_until or h.probing:
+            if departure(self.endpoint.net.sim) < h.ejected_until or h.probing:
                 # Fast degraded path: no RPC, no simulated time —
                 # the caller sees a miss instantly.  ``probing``
                 # keeps concurrent batches from racing into a

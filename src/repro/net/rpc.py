@@ -43,7 +43,7 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.net.fabric import Network, NetworkError, Node
 from repro.obs.trace import NULL_TRACER
-from repro.sim.process import Landing
+from repro.sim.process import Landing, departure
 from repro.util.stats import Counter
 
 
@@ -268,7 +268,9 @@ class Endpoint:
         """:meth:`call` raced against a deadline as a child process."""
         sim = self.net.sim
         proc = sim.process(self.call(dst, service, args, req_size), name=f"rpc.{service}")
-        deadline = sim.timeout(timeout)
+        # The budget runs from when the request may leave: an op ahead
+        # of its FUSE crossing sends at its ``ready`` (DESIGN §7).
+        deadline = sim.at(departure(sim) + timeout)
         # A failed sub-event fails the AnyOf, which throws into *this*
         # generator — so an RpcUnavailable from the call body propagates
         # to the caller exactly as on the inline path.
@@ -329,6 +331,7 @@ class Endpoint:
                     self.tracer.op_count("rpc_retries")
                 delay = policy.delay_for(attempt)
                 if delay > 0.0:
-                    yield sim.timeout(delay)
+                    # From ``ready`` if the attempt failed before it.
+                    yield sim.at(departure(sim) + delay)
             else:
                 return reply
