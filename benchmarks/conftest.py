@@ -1,9 +1,9 @@
-"""Shared plumbing for the figure benchmarks.
+"""Shared plumbing for the experiment benchmarks.
 
-Each ``bench_figXX`` file regenerates one paper figure through the
-experiment harness and reports the series via pytest-benchmark's
+``bench_experiments.py`` regenerates every registered experiment
+through the harness and reports its checks via pytest-benchmark's
 ``extra_info``.  Scale defaults to ``smoke`` so the whole suite runs in
-about a minute; set ``REPRO_BENCH_SCALE=default`` (or ``paper``) for
+under a minute; set ``REPRO_BENCH_SCALE=default`` (or ``paper``) for
 publication-shaped curves::
 
     REPRO_BENCH_SCALE=default pytest benchmarks/ --benchmark-only
@@ -33,16 +33,12 @@ def run_experiment(benchmark, exp_id: str, scale: str):
     benchmark.extra_info["checks"] = [
         ("PASS" if c.passed else "FAIL", c.name, c.detail) for c in result.checks
     ]
-    table = render_series_table(result.x_name, result.x_values, result.series)
+    table = render_series_table(result.x_name, result.x_values, result.series, result.units)
     print(f"\n== {exp.figure}: {exp.title} [{scale}] ==")
     print(table)
     for c in result.checks:
         print(f"  [{'PASS' if c.passed else 'FAIL'}] {c.name} -- {c.detail}")
-    # Structural sanity must hold at any scale; the full claim set is
-    # evaluated (and expected green) at default/paper scale.
-    passed = sum(1 for c in result.checks if c.passed)
-    if scale == "smoke":
-        assert passed >= len(result.checks) / 2, result.summary()
-    else:
-        assert result.all_passed, result.summary()
+    # Every scale passes every check: claims a scale cannot show are
+    # declared out of reach in its params, not emitted as failures.
+    assert result.all_passed, result.summary()
     return result

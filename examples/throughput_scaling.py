@@ -15,7 +15,7 @@ import argparse
 
 from repro import TestbedConfig, build_gluster_testbed
 from repro.core import IMCaConfig
-from repro.harness import render_series_table, fmt_rate_col
+from repro.harness import render_series_table
 from repro.util import KiB, MiB, fmt_rate
 from repro.workloads import run_iozone
 
@@ -49,7 +49,7 @@ def main() -> None:
 
     print()
     print(render_series_table("MCDs", mcd_axis, {"read throughput": throughputs},
-                              value_fmt=fmt_rate_col))
+                              {"read throughput": "B/s"}))
     ratio = throughputs[-1] / throughputs[0]
     print(f"\n{mcd_axis[-1]} MCDs deliver {ratio:.2f}x the NoCache read throughput "
           f"(paper: 868/417 = 2.1x with 8 threads)")

@@ -39,7 +39,7 @@ from repro.harness.experiment import SCALES
 
 
 def _print_result(result, elapsed: float, chart: bool = False) -> None:
-    print(render_series_table(result.x_name, result.x_values, result.series))
+    print(render_series_table(result.x_name, result.x_values, result.series, result.units))
     print()
     if chart:
         from repro.harness.chart import render_chart

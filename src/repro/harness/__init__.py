@@ -21,14 +21,7 @@ from repro.harness.experiment import (
     get,
 )
 from repro.harness.params import params_for
-from repro.harness.report import (
-    fmt_bytes_col,
-    fmt_rate_col,
-    fmt_time_col,
-    pct_change,
-    render_series_table,
-    render_table,
-)
+from repro.harness.report import pct_change, render_series_table, render_table
 
 
 def run_all(scale: str = "smoke", ids: list[str] | None = None) -> list[ExperimentResult]:
@@ -52,8 +45,5 @@ __all__ = [
     "params_for",
     "render_table",
     "render_series_table",
-    "fmt_time_col",
-    "fmt_rate_col",
-    "fmt_bytes_col",
     "pct_change",
 ]

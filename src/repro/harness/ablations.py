@@ -4,10 +4,11 @@ These probe the design decisions §4.3/§4.4 discusses and the §7 future
 work: block-size tradeoff, hashing scheme, threaded updates, MCD
 failures, and RDMA transport for the cache bank.
 
-Independent sweeps (blocksize/hashing/threading/transport) dispatch
-their per-configuration jobs through :func:`repro.harness.parallel.pmap`;
-the failure, client-cache and elasticity ablations mutate a single
-stateful simulation mid-run and stay sequential by construction.
+Independent sweeps (blocksize/hashing/threading/transport) are tables
+of :class:`~repro.harness.sweep.Point`s measured in one
+:func:`~repro.harness.sweep.sweep`; the failure, client-cache and
+elasticity ablations mutate a single stateful simulation mid-run and
+stay sequential by construction.
 """
 
 from __future__ import annotations
@@ -15,41 +16,11 @@ from __future__ import annotations
 from repro.cluster import TestbedConfig, build_gluster_testbed
 from repro.core.config import IMCaConfig
 from repro.harness.experiment import ExperimentResult, register
-from repro.harness.parallel import pmap
+from repro.harness.params import params_for
 from repro.harness.report import pct_change
-from repro.util.units import KiB, MiB
-from repro.workloads.iozone import run_iozone
-from repro.workloads.latency import run_latency_bench
+from repro.harness.sweep import Point, column, sweep
+from repro.util.units import KiB
 from repro.workloads.base import drive
-
-_SCALE = {
-    "smoke": dict(records=12, iozone_file=1 * MiB),
-    "default": dict(records=48, iozone_file=4 * MiB),
-    "paper": dict(records=256, iozone_file=16 * MiB),
-}
-
-
-def _build(num_clients=1, num_mcds=1, **imca_kw):
-    extra = {}
-    for key in ("mcd_transport", "mcd_memory"):
-        if key in imca_kw:
-            extra[key] = imca_kw.pop(key)
-    return build_gluster_testbed(
-        TestbedConfig(
-            num_clients=num_clients,
-            num_mcds=num_mcds,
-            imca=IMCaConfig(**imca_kw),
-            **extra,
-        )
-    )
-
-
-def _blocksize_job(bs: int, records: int) -> tuple[float, float]:
-    tb = _build(block_size=bs)
-    res = run_latency_bench(
-        tb.sim, tb.clients, [1, 64 * KiB], records_per_size=records
-    )
-    return res.mean_read(1), res.mean_read(64 * KiB)
 
 
 @register(
@@ -60,16 +31,20 @@ def _blocksize_job(bs: int, records: int) -> tuple[float, float]:
     "small blocks win small reads, large blocks win large reads.",
 )
 def run_blocksize(scale: str = "default") -> ExperimentResult:
-    p = _SCALE[scale]
+    p = params_for("ablations", scale)
     block_sizes = [256, 1 * KiB, 2 * KiB, 8 * KiB, 64 * KiB]
     result = ExperimentResult(
         "ablation-blocksize", scale, x_name="block size", x_values=block_sizes
     )
-    rows = pmap(_blocksize_job, [(bs, p["records"]) for bs in block_sizes])
-    small_lat = [row[0] for row in rows]
-    large_lat = [row[1] for row in rows]
-    result.series["read r=1B"] = small_lat
-    result.series["read r=64K"] = large_lat
+    lat = dict(record_sizes=[1, 64 * KiB], records_per_size=p["records"])
+    rows = sweep({
+        "block size": [
+            Point("gluster", TestbedConfig(num_mcds=1, imca=IMCaConfig(block_size=bs)), "latency", lat)
+            for bs in block_sizes
+        ]
+    })["block size"]
+    small_lat = column(result, "read r=1B", rows, "read", 0)
+    large_lat = column(result, "read r=64K", rows, "read", 1)
     result.check(
         "small records favour small blocks",
         small_lat[0] < small_lat[-1],
@@ -83,17 +58,6 @@ def run_blocksize(scale: str = "default") -> ExperimentResult:
     return result
 
 
-def _hashing_job(sel: str, iozone_file: int) -> tuple[float, float]:
-    tb = _build(num_clients=4, num_mcds=4, selector=sel)
-    io = run_iozone(
-        tb.sim, tb.clients, file_size=iozone_file, record_size=64 * KiB
-    )
-    # Cumulative stores, not current items: the benchmark's closes
-    # purge data blocks, which would leave only stat keys behind.
-    items = [m.engine.stats.get("total_items") for m in tb.mcds]
-    return io.read_throughput, max(items) / max(1, min(items))
-
-
 @register(
     "ablation-hashing",
     "§5.5 / §7",
@@ -101,14 +65,27 @@ def _hashing_job(sel: str, iozone_file: int) -> tuple[float, float]:
     "Throughput and placement balance for the two distribution functions.",
 )
 def run_hashing(scale: str = "default") -> ExperimentResult:
-    p = _SCALE[scale]
+    p = params_for("ablations", scale)
     selectors = ["crc32", "modulo"]
     result = ExperimentResult("ablation-hashing", scale, x_name="selector", x_values=selectors)
-    rows = pmap(_hashing_job, [(sel, p["iozone_file"]) for sel in selectors])
-    tputs = [row[0] for row in rows]
-    imbalance = [row[1] for row in rows]
-    result.series["read throughput"] = tputs
+    io = dict(file_size=p["iozone_file"], record_size=64 * KiB)
+    rows = sweep({
+        "selector": [
+            Point(
+                "gluster",
+                TestbedConfig(num_clients=4, num_mcds=4, imca=IMCaConfig(selector=sel)),
+                "iozone",
+                io,
+            )
+            for sel in selectors
+        ]
+    })["selector"]
+    tputs = column(result, "read throughput", rows, "read_throughput")
+    # Cumulative stores, not current items: the benchmark's closes
+    # purge data blocks, which would leave only stat keys behind.
+    imbalance = [max(r["total_items"]) / max(1, min(r["total_items"])) for r in rows]
     result.series["placement imbalance (max/min)"] = imbalance
+    result.units["placement imbalance (max/min)"] = "ratio"
     result.check(
         "modulo placement is at least as balanced as CRC32",
         imbalance[1] <= imbalance[0] + 1e-9,
@@ -122,16 +99,6 @@ def run_hashing(scale: str = "default") -> ExperimentResult:
     return result
 
 
-def _threading_job(threaded: bool, records: int) -> tuple[float, float]:
-    tb = _build(threaded_updates=threaded)
-    res = run_latency_bench(
-        tb.sim, tb.clients, [2 * KiB], records_per_size=records
-    )
-    cm = tb.cmcaches[0]
-    total = cm.metrics.get("read_hits") + cm.metrics.get("read_misses")
-    return res.mean_write(2 * KiB), cm.metrics.get("read_hits") / max(1, total)
-
-
 @register(
     "ablation-threading",
     "§4.3.2 / Fig 6(c)",
@@ -139,14 +106,29 @@ def _threading_job(threaded: bool, records: int) -> tuple[float, float]:
     "Write latency and post-drain hit rate for both update modes.",
 )
 def run_threading(scale: str = "default") -> ExperimentResult:
-    p = _SCALE[scale]
+    p = params_for("ablations", scale)
     modes = ["sync", "threaded"]
     result = ExperimentResult("ablation-threading", scale, x_name="mode", x_values=modes)
-    rows = pmap(_threading_job, [(threaded, p["records"]) for threaded in (False, True)])
-    writes = [row[0] for row in rows]
-    hits = [row[1] for row in rows]
-    result.series["write latency"] = writes
+    lat = dict(record_sizes=[2 * KiB], records_per_size=p["records"])
+    rows = sweep({
+        "mode": [
+            Point(
+                "gluster",
+                TestbedConfig(num_mcds=1, imca=IMCaConfig(threaded_updates=threaded)),
+                "latency",
+                lat,
+            )
+            for threaded in (False, True)
+        ]
+    })["mode"]
+    writes = column(result, "write latency", rows, "write")
+    hits = [
+        r["cm"].get("read_hits", 0)
+        / max(1, r["cm"].get("read_hits", 0) + r["cm"].get("read_misses", 0))
+        for r in rows
+    ]
     result.series["read hit rate"] = hits
+    result.units["read hit rate"] = "ratio"
     result.check(
         "threaded updates reduce write latency",
         writes[1] < writes[0],
@@ -168,10 +150,10 @@ def run_threading(scale: str = "default") -> ExperimentResult:
     "server path and recovers when daemons return.",
 )
 def run_failures(scale: str = "default") -> ExperimentResult:
-    p = _SCALE[scale]
+    p = params_for("ablations", scale)
     phases = ["healthy", "1 dead", "all dead", "recovered"]
     result = ExperimentResult("ablation-failures", scale, x_name="phase", x_values=phases)
-    tb = _build(num_mcds=2)
+    tb = build_gluster_testbed(TestbedConfig(num_mcds=2))
     sim = tb.sim
     c = tb.clients[0]
     n = p["records"]
@@ -207,6 +189,7 @@ def run_failures(scale: str = "default") -> ExperimentResult:
     drive(sim, body())
     result.series["read latency"] = lat
     result.series["correct"] = [1.0 if ok else 0.0 for ok in correct]
+    result.units["correct"] = "count"
     result.check(
         "correctness unaffected by MCD failures (§4.4)",
         all(correct),
@@ -241,7 +224,7 @@ def run_client_cache(scale: str = "default") -> ExperimentResult:
     from repro.net.fabric import Node
     from repro.net.rpc import Endpoint
 
-    p = _SCALE[scale]
+    p = params_for("ablations", scale)
     rounds = max(8, p["records"] // 4)
     configs = ["io-cache client", "IMCa (1 MCD)"]
     result = ExperimentResult(
@@ -273,7 +256,7 @@ def run_client_cache(scale: str = "default") -> ExperimentResult:
         sim.run(until=proc)
 
     # -- io-cache configuration ------------------------------------------------
-    tb = _build(num_clients=1, num_mcds=0)
+    tb = build_gluster_testbed(TestbedConfig())
     node = Node(tb.sim, "ioc-client")
     ioc_stack = Xlator.build_stack(
         [
@@ -290,7 +273,7 @@ def run_client_cache(scale: str = "default") -> ExperimentResult:
     )
 
     # -- IMCa configuration ----------------------------------------------------
-    tb2 = _build(num_clients=2, num_mcds=1)
+    tb2 = build_gluster_testbed(TestbedConfig(num_clients=2, num_mcds=1))
     sharing_rounds(
         tb2.sim,
         tb2.clients[0],
@@ -299,6 +282,7 @@ def run_client_cache(scale: str = "default") -> ExperimentResult:
     )
 
     result.series["stale reads"] = [float(s) for s in stale_counts]
+    result.units["stale reads"] = "count"
     result.series["mean read latency"] = read_lat
     result.check(
         "the timeout-validated client cache serves stale data under sharing",
@@ -326,14 +310,14 @@ def run_client_cache(scale: str = "default") -> ExperimentResult:
     "working set survives the re-mapping under each key distribution.",
 )
 def run_elasticity(scale: str = "default") -> ExperimentResult:
-    p = _SCALE[scale]
+    p = params_for("ablations", scale)
     selectors = ["crc32", "ketama"]
     result = ExperimentResult(
         "ablation-elasticity", scale, x_name="selector", x_values=selectors
     )
     survive: list[float] = []
     for sel in selectors:
-        tb = _build(num_mcds=2, selector=sel)
+        tb = build_gluster_testbed(TestbedConfig(num_mcds=2, imca=IMCaConfig(selector=sel)))
         sim = tb.sim
         c = tb.clients[0]
         cm = tb.cmcaches[0]
@@ -362,6 +346,7 @@ def run_elasticity(scale: str = "default") -> ExperimentResult:
         sim.run(until=proc)
         survive.append(proc.value)
     result.series["hit rate after growing 2 -> 3 MCDs"] = survive
+    result.units["hit rate after growing 2 -> 3 MCDs"] = "ratio"
     result.check(
         "ketama preserves most of the warm set across a bank resize",
         survive[1] >= 0.55,
@@ -380,14 +365,6 @@ def run_elasticity(scale: str = "default") -> ExperimentResult:
     return result
 
 
-def _transport_job(t: str, records: int) -> float:
-    tb = _build(mcd_transport=None if t == "ipoib" else t)
-    res = run_latency_bench(
-        tb.sim, tb.clients, [1, 2 * KiB], records_per_size=records
-    )
-    return res.mean_read(1)
-
-
 @register(
     "ablation-transport",
     "§7 future work",
@@ -396,13 +373,25 @@ def _transport_job(t: str, records: int) -> float:
     "round trip, the paper's anticipated §7 gain.",
 )
 def run_transport(scale: str = "default") -> ExperimentResult:
-    p = _SCALE[scale]
+    p = params_for("ablations", scale)
     transports = ["ipoib", "ib-rdma"]
     result = ExperimentResult(
         "ablation-transport", scale, x_name="cache transport", x_values=transports
     )
-    reads = pmap(_transport_job, [(t, p["records"]) for t in transports])
-    result.series["1-byte read latency"] = reads
+    lat = dict(record_sizes=[1, 2 * KiB], records_per_size=p["records"])
+    rows = sweep({
+        "cache transport": [
+            Point(
+                "gluster",
+                # ipoib is the file system's own fabric: no separate cache net.
+                TestbedConfig(num_mcds=1, mcd_transport=None if t == "ipoib" else t),
+                "latency",
+                lat,
+            )
+            for t in transports
+        ]
+    })["cache transport"]
+    reads = column(result, "1-byte read latency", rows, "read", 0)
     result.check(
         "RDMA cache transport cuts cache-hit latency by >= 25%",
         pct_change(reads[0], reads[1]) >= 25,

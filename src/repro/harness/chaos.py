@@ -266,6 +266,7 @@ def run_chaos(scale: str = "default", replicas: int = 1) -> ExperimentResult:
     result.series["stat latency"] = [r["stat_lat"] for r in sweep]
     result.series["read latency"] = [r["read_lat"] for r in sweep]
     result.series["hit rate"] = [r["hit_rate"] for r in sweep]
+    result.units["hit rate"] = "ratio"
     result.extras["baseline"] = {
         "stat latency": baseline["stat_lat"],
         "read latency": baseline["read_lat"],

@@ -238,6 +238,7 @@ def run_elastic(scale: str = "default") -> ExperimentResult:
     by = dict(zip(VARIANTS, rows))
     for v in VARIANTS:
         result.series[v] = by[v]["rates"]
+        result.units[v] = "ratio"
     result.extras["post_resize_misses"] = {v: by[v]["post_misses"] for v in VARIANTS}
     result.extras["read_latency"] = {v: by[v]["read_lat"] for v in VARIANTS}
     result.extras["elastic_counters"] = {v: by[v]["elastic"] for v in VARIANTS}

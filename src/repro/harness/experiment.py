@@ -28,6 +28,9 @@ class ExperimentResult:
     x_name: str = "x"
     x_values: list[Any] = field(default_factory=list)
     series: dict[str, list[float]] = field(default_factory=dict)
+    #: Series name -> unit, for rendering only (``to_dict`` leaves it
+    #: out); a series with no entry is in seconds.
+    units: dict[str, str] = field(default_factory=dict)
     checks: list[Check] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     #: Free-form extra tables/values for EXPERIMENTS.md.

@@ -135,7 +135,9 @@ def generate(scale: str = "default") -> str:
             lines.append(f"*{note}*")
             lines.append("")
         lines.append("```")
-        lines.append(render_series_table(result.x_name, result.x_values, result.series))
+        lines.append(
+            render_series_table(result.x_name, result.x_values, result.series, result.units)
+        )
         lines.append("```")
         lines.append("")
         claims = PAPER_CLAIMS.get(exp.id)

@@ -322,6 +322,7 @@ def run_fastpath(scale: str = "default") -> ExperimentResult:
     result.series["get follows"] = [
         burst_rows[s]["fastpath"]["sf_follows"] for s in SCENARIOS
     ]
+    result.units = dict.fromkeys(result.series, "count")
 
     for s in SCENARIOS:
         serial, burst = serial_rows[s], burst_rows[s]

@@ -208,6 +208,7 @@ def run_hotspot(scale: str = "default") -> ExperimentResult:
         result.series[f"load max/mean (zipf {skew})"] = [
             by_point[(skew, r)]["imbalance"] for r in rs
         ]
+        result.units[f"load max/mean (zipf {skew})"] = "ratio"
     hot_skews = [s for s in p["skews"] if s >= 0.99]
     flattens = all(
         all(

@@ -8,39 +8,13 @@ across the three system configurations.
 
 from __future__ import annotations
 
-from repro.cluster import TestbedConfig, build_gluster_testbed, build_lustre_testbed
-from repro.core.config import IMCaConfig
+from repro.cluster import TestbedConfig
 from repro.harness.experiment import ExperimentResult, register
-from repro.harness.parallel import pmap
+from repro.harness.params import params_for
 from repro.harness.report import pct_change
-from repro.util.units import KiB, MiB
-from repro.workloads.smallfiles import run_small_files
-from repro.workloads.trace import TraceConfig, replay_trace
-
-_SMALLFILES_SCALE = {
-    "smoke": dict(files=48, clients=4),
-    "default": dict(files=192, clients=8),
-    "paper": dict(files=1024, clients=16),
-}
-
-_TRACE_SCALE = {
-    "smoke": dict(operations=400, files=64, clients=2),
-    "default": dict(operations=2000, files=192, clients=4),
-    "paper": dict(operations=20000, files=1024, clients=8),
-}
-
-
-def _smallfiles_job(kind: str, clients: int, files: int) -> tuple[float, float]:
-    if kind == "nocache":
-        tb = build_gluster_testbed(TestbedConfig(num_clients=clients))
-    elif kind == "imca":
-        tb = build_gluster_testbed(TestbedConfig(num_clients=clients, num_mcds=2))
-    else:
-        tb = build_lustre_testbed(
-            TestbedConfig(num_clients=clients, num_data_servers=4)
-        )
-    res = run_small_files(tb.sim, tb.clients, num_files=files, file_size=4 * KiB)
-    return res.per_file_latency.mean, res.files_per_second
+from repro.harness.sweep import Point, column, sweep
+from repro.util.units import KiB
+from repro.workloads.trace import TraceConfig
 
 
 @register(
@@ -51,22 +25,22 @@ def _smallfiles_job(kind: str, clients: int, files: int) -> tuple[float, float]:
     "block cache beats NoCache; Lustre's striping cannot help small files.",
 )
 def run_smallfiles(scale: str = "default") -> ExperimentResult:
-    p = _SMALLFILES_SCALE[scale]
+    p = params_for("motivation-smallfiles", scale)
     configs = ["NoCache", "IMCa (2 MCD)", "Lustre-4DS"]
     result = ExperimentResult(
         "motivation-smallfiles", scale, x_name="configuration", x_values=configs
     )
-    rows = pmap(
-        _smallfiles_job,
-        [
-            (kind, p["clients"], p["files"])
-            for kind in ("nocache", "imca", "lustre")
-        ],
-    )
-    lat = [row[0] for row in rows]
-    rate = [row[1] for row in rows]
-    result.series["per-file latency"] = lat
-    result.series["files/s (aggregate)"] = rate
+    n = p["clients"]
+    files = dict(num_files=p["files"], file_size=4 * KiB)
+    rows = sweep({
+        "configuration": [
+            Point("gluster", TestbedConfig(num_clients=n), "smallfiles", files),
+            Point("gluster", TestbedConfig(num_clients=n, num_mcds=2), "smallfiles", files),
+            Point("lustre", TestbedConfig(num_clients=n, num_data_servers=4), "smallfiles", files),
+        ]
+    })["configuration"]
+    lat = column(result, "per-file latency", rows, "file_latency")
+    column(result, "files/s (aggregate)", rows, "files_per_s")
 
     red = pct_change(lat[0], lat[1])
     result.check(
@@ -82,28 +56,6 @@ def run_smallfiles(scale: str = "default") -> ExperimentResult:
     return result
 
 
-def _trace_job(
-    num_mcds: int, clients: int, files: int, operations: int
-) -> tuple[float, float, float, float | None]:
-    cfg = TraceConfig(
-        num_files=files,
-        operations=operations,
-        read_ratio=0.9,
-        stat_ratio=0.2,
-    )
-    tb = build_gluster_testbed(
-        TestbedConfig(num_clients=clients, num_mcds=num_mcds)
-    )
-    res = replay_trace(tb.sim, tb.clients, cfg)
-    hit_rate = None
-    if num_mcds:
-        cm = tb.cm_stats()
-        hits = cm.get("read_hits", 0) + cm.get("stat_hits", 0)
-        misses = cm.get("read_misses", 0) + cm.get("stat_misses", 0)
-        hit_rate = hits / max(1, hits + misses)
-    return res.ops_per_second, res.read_latency.mean, res.stat_latency.mean, hit_rate
-
-
 @register(
     "motivation-trace",
     "§1/§3 (data-center access)",
@@ -112,26 +64,33 @@ def _trace_job(
     "IMCa: the cache bank absorbs the hot set and lifts throughput.",
 )
 def run_trace(scale: str = "default") -> ExperimentResult:
-    p = _TRACE_SCALE[scale]
+    p = params_for("motivation-trace", scale)
     configs = ["NoCache", "IMCa (2 MCD)"]
     result = ExperimentResult(
         "motivation-trace", scale, x_name="configuration", x_values=configs
     )
-    rows = pmap(
-        _trace_job,
-        [
-            (num_mcds, p["clients"], p["files"], p["operations"])
-            for num_mcds in (0, 2)
-        ],
+    trace = dict(
+        cfg=TraceConfig(
+            num_files=p["files"],
+            operations=p["operations"],
+            read_ratio=0.9,
+            stat_ratio=0.2,
+        )
     )
-    ops_rate = [row[0] for row in rows]
-    read_lat = [row[1] for row in rows]
-    stat_lat = [row[2] for row in rows]
-    hit_rates = [row[3] for row in rows if row[3] is not None]
-    result.series["ops/s"] = ops_rate
-    result.series["mean read latency"] = read_lat
-    result.series["mean stat latency"] = stat_lat
-    result.extras["imca_hit_rate"] = hit_rates[0] if hit_rates else None
+    rows = sweep({
+        "configuration": [
+            Point("gluster", TestbedConfig(num_clients=p["clients"], num_mcds=m), "trace", trace)
+            for m in (0, 2)
+        ]
+    })["configuration"]
+    ops_rate = column(result, "ops/s", rows, "ops_per_s")
+    column(result, "mean read latency", rows, "read_latency")
+    stat_lat = column(result, "mean stat latency", rows, "stat_latency")
+    cm = rows[1]["cm"]
+    hits = cm.get("read_hits", 0) + cm.get("stat_hits", 0)
+    misses = cm.get("read_misses", 0) + cm.get("stat_misses", 0)
+    hit_rate = hits / max(1, hits + misses)
+    result.extras["imca_hit_rate"] = hit_rate
 
     result.check(
         "IMCa lifts trace throughput over NoCache",
@@ -145,7 +104,7 @@ def run_trace(scale: str = "default") -> ExperimentResult:
     )
     result.check(
         "the Zipf hot set yields a high IMCa hit rate (>= 60%)",
-        bool(hit_rates) and hit_rates[0] >= 0.60,
-        f"hit rate={hit_rates[0]:.2f}" if hit_rates else "n/a",
+        hit_rate >= 0.60,
+        f"hit rate={hit_rate:.2f}",
     )
     return result

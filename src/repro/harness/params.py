@@ -190,6 +190,23 @@ PARAMS: dict[str, dict[str, dict]] = {
         "default": dict(nodes=[2, 4, 8, 16, 32], record_size=2 * KiB, records=64),
         "paper": dict(nodes=[2, 4, 8, 16, 32], record_size=2 * KiB, records=256),
     },
+    # ---- ablations: records per timed size/phase, IOzone file per thread ----
+    "ablations": {
+        "smoke": dict(records=12, iozone_file=1 * MiB),
+        "default": dict(records=48, iozone_file=4 * MiB),
+        "paper": dict(records=256, iozone_file=16 * MiB),
+    },
+    # ---- §3 motivation: small files and a Zipf trace ------------------------
+    "motivation-smallfiles": {
+        "smoke": dict(files=48, clients=4),
+        "default": dict(files=192, clients=8),
+        "paper": dict(files=1024, clients=16),
+    },
+    "motivation-trace": {
+        "smoke": dict(operations=400, files=64, clients=2),
+        "default": dict(operations=2000, files=192, clients=4),
+        "paper": dict(operations=20000, files=1024, clients=8),
+    },
     # ---- hotspot: replicated hot-key caching --------------------------------
     # Pass 1 replays a Zipf trace per (skew, R) and reads per-MCD load
     # imbalance off the engine counters; pass 2 hammers one hot file from

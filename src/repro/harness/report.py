@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from repro.util.units import fmt_bytes, fmt_rate, fmt_time
+from repro.util.units import fmt_rate, fmt_time
 
 
 def render_table(
@@ -36,13 +36,30 @@ def render_table(
     return "\n".join(lines)
 
 
+#: How each series unit renders: durations and bandwidths scaled to a
+#: readable unit, rates of whole things rounded, ratios and counts plain.
+UNIT_FORMATS: dict[str, Callable[[float], str]] = {
+    "s": fmt_time,
+    "B/s": fmt_rate,
+    "ops/s": lambda x: f"{x:.0f} ops/s",
+    "files/s": lambda x: f"{x:.0f} files/s",
+    "ratio": lambda x: f"{x:.3f}",
+    "count": lambda x: f"{x:g}",
+}
+
+
 def render_series_table(
     x_name: str,
     x_values: Sequence[Any],
     series: dict[str, Sequence[float]],
-    value_fmt: Callable[[float], str] = fmt_time,
+    units: dict[str, str] | None = None,
 ) -> str:
-    """Render one row per x value, one column per series (figure style)."""
+    """Render one row per x value, one column per series (figure style).
+
+    *units* maps a series name to a :data:`UNIT_FORMATS` key; a series
+    it does not name is in seconds.
+    """
+    units = units or {}
     rows = []
     for i, x in enumerate(x_values):
         row = {"x": x}
@@ -51,20 +68,8 @@ def render_series_table(
         rows.append(row)
     columns: list[tuple[str, str, Callable | None]] = [("x", x_name, str)]
     for name in series:
-        columns.append((name, name, value_fmt))
+        columns.append((name, name, UNIT_FORMATS[units.get(name, "s")]))
     return render_table(rows, columns)
-
-
-def fmt_time_col(x: float) -> str:
-    return fmt_time(x)
-
-
-def fmt_rate_col(x: float) -> str:
-    return fmt_rate(x)
-
-
-def fmt_bytes_col(x: float) -> str:
-    return fmt_bytes(x)
 
 
 def pct_change(base: float, new: float) -> float:

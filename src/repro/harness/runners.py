@@ -1,95 +1,40 @@
 """One experiment runner per paper figure.
 
-Each runner builds fresh testbeds per configuration, drives the
-corresponding §5 workload, collects the figure's series, and evaluates
-the paper's qualitative claims as :class:`Check`s (who wins, by roughly
-what factor, where crossovers fall).  Absolute microseconds are not
-compared — the substrate is a simulator, not the authors' testbed.
-
-Sweep structure: every per-configuration measurement is a module-level
-*job function* (picklable: primitive arguments in, primitive results
-out) dispatched through :func:`repro.harness.parallel.pmap`.  Outside a
-``job_pool`` block the jobs run inline in declaration order — exactly
-the historical sequential behaviour; under ``repro run --jobs N`` they
-fan out over worker processes and reassemble by index, which preserves
-the output bit for bit because each job owns an isolated simulator.
-Instrumented passes (tracing) always run in-process so the CLI can
-export their artifacts.
+Each runner lists its figure's points — a fresh testbed per
+configuration, driven by the corresponding §5 workload — measures them
+in one :func:`~repro.harness.sweep.sweep`, and evaluates the paper's
+qualitative claims as :class:`Check`s (who wins, by roughly what
+factor, where crossovers fall).  Absolute microseconds are not compared
+— the substrate is a simulator, not the authors' testbed.
 """
 
 from __future__ import annotations
 
-from repro.cluster import (
-    TestbedConfig,
-    build_gluster_testbed,
-    build_lustre_testbed,
-    build_nfs_testbed,
-)
+from repro.cluster import TestbedConfig
 from repro.core.config import IMCaConfig
 from repro.harness.experiment import ExperimentResult, register
-from repro.harness.parallel import pmap
 from repro.harness.params import params_for
 from repro.harness.report import pct_change
+from repro.harness.sweep import Point, column, measure, sweep
 from repro.obs.context import make_observability
 from repro.obs.export import render_tier_breakdown, tier_summaries
 from repro.obs.tail import render_why_slow, tail_summary
-from repro.util.units import GiB, KiB
-from repro.workloads.iozone import run_iozone
-from repro.workloads.latency import run_latency_bench
-from repro.workloads.statbench import run_stat_bench
+from repro.util.units import KiB
 
 
-# --------------------------------------------------------------------------- #
-# builders
-# --------------------------------------------------------------------------- #
-def _gluster(
-    num_clients: int,
-    num_mcds: int = 0,
-    *,
-    block_size: int = 2 * KiB,
-    threaded: bool = False,
-    selector: str = "crc32",
-    mcd_memory: int = 6 * GiB,
-    obs=None,
-    **kw,
-):
-    return build_gluster_testbed(
-        TestbedConfig(
-            num_clients=num_clients,
-            num_mcds=num_mcds,
-            mcd_memory=mcd_memory,
-            imca=IMCaConfig(
-                block_size=block_size,
-                threaded_updates=threaded,
-                selector=selector,
-            ),
-            **kw,
-        ),
-        obs=obs,
-    )
-
-
-def _lustre(num_clients: int, num_ds: int, *, obs=None, **kw):
-    return build_lustre_testbed(
-        TestbedConfig(num_clients=num_clients, num_data_servers=num_ds, **kw),
-        obs=obs,
-    )
-
-
-def _tier_extras(result: ExperimentResult, tb) -> None:
-    """Attach the instrumented pass's per-tier decomposition to extras.
+def _tier_extras(result: ExperimentResult, obs) -> None:
+    """Attach an instrumented pass's per-tier decomposition to extras.
 
     Tail attribution is gated separately on the op log: a trace-only
     run (``--trace-out``) keeps exactly the legacy extras, so default
     experiment JSON stays byte-identical unless ops were recorded.
     """
-    tracer = tb.obs.tracer
+    tracer = obs.tracer
     if not tracer.enabled:
         return
-    tb.snapshot_metrics()
     result.extras["tier_breakdown"] = render_tier_breakdown(tracer)
     result.extras["tier_summary"] = tier_summaries(tracer)
-    oplog = tb.obs.oplog
+    oplog = obs.oplog
     if oplog is not None and len(oplog):
         result.extras["tail"] = tail_summary(oplog)
         result.extras["why_slow"] = render_why_slow(result.extras["tail"])
@@ -108,26 +53,6 @@ def _in_reach(result: ExperimentResult, p: dict, claims: str) -> bool:
 # --------------------------------------------------------------------------- #
 # Fig 1 — NFS multi-client IOzone read bandwidth (motivation)
 # --------------------------------------------------------------------------- #
-def _fig1_job(
-    transport: str,
-    mem_bytes: int,
-    n: int,
-    file_size: int,
-    record_size: int,
-    raid_disks: int,
-) -> float:
-    tb = build_nfs_testbed(
-        TestbedConfig(
-            num_clients=n,
-            transport=transport,
-            server_cache_bytes=mem_bytes,
-            raid_disks=raid_disks,
-        )
-    )
-    io = run_iozone(tb.sim, tb.clients, file_size=file_size, record_size=record_size)
-    return io.read_throughput
-
-
 @register(
     "fig1",
     "Fig 1(a)/(b)",
@@ -140,24 +65,27 @@ def run_fig1(scale: str = "default") -> ExperimentResult:
     p = params_for("fig1", scale)
     result = ExperimentResult("fig1", scale, x_name="clients", x_values=list(p["clients"]))
 
-    configs = [
-        (mem_name, mem_bytes, transport)
+    io = dict(file_size=p["file_size"], record_size=p["record_size"])
+    points = {
+        f"{transport}-{mem_name}": [
+            Point(
+                "nfs",
+                TestbedConfig(
+                    num_clients=n,
+                    transport=transport,
+                    server_cache_bytes=mem_bytes,
+                    raid_disks=p["raid_disks"],
+                ),
+                "iozone",
+                io,
+            )
+            for n in p["clients"]
+        ]
         for mem_name, mem_bytes in p["memories"].items()
         for transport in p["transports"]
-    ]
-    throughputs = pmap(
-        _fig1_job,
-        [
-            (transport, mem_bytes, n, p["file_size"], p["record_size"], p["raid_disks"])
-            for _, mem_bytes, transport in configs
-            for n in p["clients"]
-        ],
-    )
-    stride = len(p["clients"])
-    for i, (mem_name, _, transport) in enumerate(configs):
-        result.series[f"{transport}-{mem_name}"] = throughputs[
-            i * stride : (i + 1) * stride
-        ]
+    }
+    for label, rows in sweep(points).items():
+        column(result, label, rows, "read_throughput")
 
     clients = p["clients"]
     mem_names = list(p["memories"])
@@ -206,18 +134,6 @@ def run_fig1(scale: str = "default") -> ExperimentResult:
 # --------------------------------------------------------------------------- #
 # Fig 5 — stat latency with multiple clients and MCDs
 # --------------------------------------------------------------------------- #
-def _fig5_gluster_job(n: int, num_mcds: int, files: int, selector: str = "crc32") -> float:
-    tb = _gluster(n, num_mcds, selector=selector)
-    res = run_stat_bench(tb.sim, tb.clients, num_files=files)
-    return res.max_node_time
-
-
-def _fig5_lustre_job(n: int, num_ds: int, files: int) -> float:
-    tb = _lustre(n, num_ds)
-    res = run_stat_bench(tb.sim, tb.clients, num_files=files)
-    return res.max_node_time
-
-
 @register(
     "fig5",
     "Fig 5",
@@ -230,24 +146,31 @@ def run_fig5(scale: str = "default", selector: str = "crc32") -> ExperimentResul
     clients_axis = list(p["clients"])
     result = ExperimentResult("fig5", scale, x_name="clients", x_values=clients_axis)
 
-    mcd_configs = [0] + list(p["mcd_counts"])
-    gluster_times = pmap(
-        _fig5_gluster_job,
-        [(n, m, p["files"], selector) for m in mcd_configs for n in clients_axis],
-    )
-    stride = len(clients_axis)
-    for i, m in enumerate(mcd_configs):
-        label = "NoCache" if m == 0 else f"MCD({m})"
-        result.series[label] = gluster_times[i * stride : (i + 1) * stride]
-
-    lustre_times = pmap(
-        _fig5_lustre_job, [(n, p["lustre_ds"], p["files"]) for n in clients_axis]
-    )
-    result.series[f"Lustre-{p['lustre_ds']}DS"] = lustre_times
+    imca = IMCaConfig(selector=selector)
+    stat = dict(num_files=p["files"])
+    points = {
+        ("NoCache" if m == 0 else f"MCD({m})"): [
+            Point("gluster", TestbedConfig(num_clients=n, num_mcds=m, imca=imca), "stat", stat)
+            for n in clients_axis
+        ]
+        for m in [0] + list(p["mcd_counts"])
+    }
+    points[f"Lustre-{p['lustre_ds']}DS"] = [
+        Point(
+            "lustre",
+            TestbedConfig(num_clients=n, num_data_servers=p["lustre_ds"]),
+            "stat",
+            stat,
+        )
+        for n in clients_axis
+    ]
+    for label, rows in sweep(points).items():
+        column(result, label, rows, "max_node_time")
 
     no_cache = result.series["NoCache"]
     mcd1 = result.series[f"MCD({p['mcd_counts'][0]})"]
     mcd_max = result.series[f"MCD({p['mcd_counts'][-1]})"]
+    lustre_times = result.series[f"Lustre-{p['lustre_ds']}DS"]
     reduction = pct_change(no_cache[-1], mcd1[-1])
     # How far one MCD cuts the stat time depends on how hard the clients
     # queue at the server, so the bar is per scale.
@@ -282,9 +205,8 @@ def run_fig5(scale: str = "default", selector: str = "crc32") -> ExperimentResul
     # Instrumented pass: re-run the IMCa config at max clients with
     # tracing to decompose where stat time goes (and feed --trace-out).
     obs = make_observability("fig5", trace=True)
-    tb = _gluster(clients_axis[-1], p["mcd_counts"][0], selector=selector, obs=obs)
-    run_stat_bench(tb.sim, tb.clients, num_files=p["files"])
-    _tier_extras(result, tb)
+    measure(points[f"MCD({p['mcd_counts'][0]})"][-1], obs=obs)
+    _tier_extras(result, obs)
     if len(p["mcd_counts"]) >= 3:
         gains = [
             pct_change(result.series[f"MCD({a})"][-1], result.series[f"MCD({b})"][-1])
@@ -301,26 +223,6 @@ def run_fig5(scale: str = "default", selector: str = "crc32") -> ExperimentResul
 # --------------------------------------------------------------------------- #
 # Fig 6(a)/(b) — single-client read latency; Fig 6(c) — write latency
 # --------------------------------------------------------------------------- #
-def _fig6_gluster_read_job(
-    num_mcds: int, block_size: int, sizes: list[int], records: int,
-    selector: str = "crc32",
-) -> list[float]:
-    tb = _gluster(1, num_mcds, block_size=block_size, selector=selector)
-    res = run_latency_bench(tb.sim, tb.clients, sizes, records_per_size=records)
-    return [res.mean_read(r) for r in sizes]
-
-
-def _fig6_lustre_read_job(
-    num_ds: int, cold: bool, sizes: list[int], records: int
-) -> list[float]:
-    tb = _lustre(1, num_ds)
-    res = run_latency_bench(
-        tb.sim, tb.clients, sizes, records_per_size=records,
-        drop_caches_before_read=cold,
-    )
-    return [res.mean_read(r) for r in sizes]
-
-
 @register(
     "fig6a",
     "Fig 6(a)",
@@ -348,30 +250,30 @@ def _run_fig6_reads(
 ) -> ExperimentResult:
     p = params_for("fig6", scale)
     sizes = list(p["sizes_small"] if small else p["sizes_large"])
-    records = p["records"]
     result = ExperimentResult(exp_id, scale, x_name="record size", x_values=sizes)
 
-    gluster_configs = [(0, 2 * KiB)] + [(1, bs) for bs in p["block_sizes"]]
-    gluster_series = pmap(
-        _fig6_gluster_read_job,
-        [(m, bs, sizes, records, selector) for m, bs in gluster_configs],
-    )
-    result.series["NoCache"] = gluster_series[0]
-    for (_, bs), series in zip(gluster_configs[1:], gluster_series[1:]):
+    lat = dict(record_sizes=sizes, records_per_size=p["records"])
+    points = {
+        "NoCache": [
+            Point("gluster", TestbedConfig(imca=IMCaConfig(selector=selector)), "latency", lat)
+        ]
+    }
+    for bs in p["block_sizes"]:
         label = f"IMCa-{bs // KiB}K" if bs >= KiB else f"IMCa-{bs}"
-        result.series[label] = series
-
-    lustre_configs = [
-        (ds, mode, cold)
-        for ds in (1, 4)
-        for mode, cold in (("Warm", False), ("Cold", True))
-    ]
-    lustre_series = pmap(
-        _fig6_lustre_read_job,
-        [(ds, cold, sizes, records) for ds, _, cold in lustre_configs],
-    )
-    for (ds, mode, _), series in zip(lustre_configs, lustre_series):
-        result.series[f"Lustre-{ds}DS ({mode})"] = series
+        imca = IMCaConfig(block_size=bs, selector=selector)
+        points[label] = [Point("gluster", TestbedConfig(num_mcds=1, imca=imca), "latency", lat)]
+    for ds in (1, 4):
+        for mode, cold in (("Warm", False), ("Cold", True)):
+            points[f"Lustre-{ds}DS ({mode})"] = [
+                Point(
+                    "lustre",
+                    TestbedConfig(num_data_servers=ds),
+                    "latency",
+                    dict(lat, drop_caches_before_read=cold),
+                )
+            ]
+    for label, rows in sweep(points).items():
+        column(result, label, rows, "read")
 
     nocache = result.series["NoCache"]
     imca_2k = result.series["IMCa-2K"]
@@ -413,20 +315,11 @@ def _run_fig6_reads(
             f"NoCache={nocache[-1]:.3g}s",
         )
 
-    # Instrumented pass: IMCa-2K single client, traced.
+    # Instrumented pass: IMCa-2K single client, traced (always crc32).
     obs = make_observability(exp_id, trace=True)
-    tb = _gluster(1, 1, block_size=2 * KiB, obs=obs)
-    run_latency_bench(tb.sim, tb.clients, sizes, records_per_size=records)
-    _tier_extras(result, tb)
+    measure(Point("gluster", TestbedConfig(num_mcds=1), "latency", lat), obs=obs)
+    _tier_extras(result, obs)
     return result
-
-
-def _fig6c_write_job(
-    num_mcds: int, threaded: bool, sizes: list[int], records: int
-) -> list[float]:
-    tb = _gluster(1, num_mcds, threaded=threaded)
-    res = run_latency_bench(tb.sim, tb.clients, sizes, records_per_size=records)
-    return [res.mean_write(r) for r in sizes]
 
 
 @register(
@@ -439,20 +332,19 @@ def _fig6c_write_job(
 def run_fig6c(scale: str = "default") -> ExperimentResult:
     p = params_for("fig6", scale)
     sizes = list(p["write_sizes"])
-    records = p["records"]
     result = ExperimentResult("fig6c", scale, x_name="record size", x_values=sizes)
 
-    series = pmap(
-        _fig6c_write_job,
-        [
-            (0, False, sizes, records),
-            (1, False, sizes, records),
-            (1, True, sizes, records),
+    lat = dict(record_sizes=sizes, records_per_size=p["records"])
+    threaded = IMCaConfig(threaded_updates=True)
+    points = {
+        "NoCache": [Point("gluster", TestbedConfig(), "latency", lat)],
+        "IMCa (sync)": [Point("gluster", TestbedConfig(num_mcds=1), "latency", lat)],
+        "IMCa (threaded)": [
+            Point("gluster", TestbedConfig(num_mcds=1, imca=threaded), "latency", lat)
         ],
-    )
-    result.series["NoCache"] = series[0]
-    result.series["IMCa (sync)"] = series[1]
-    result.series["IMCa (threaded)"] = series[2]
+    }
+    for label, rows in sweep(points).items():
+        column(result, label, rows, "write")
 
     nocache, sync, thr = (
         result.series["NoCache"],
@@ -473,34 +365,14 @@ def run_fig6c(scale: str = "default") -> ExperimentResult:
 
     # Instrumented pass: threaded IMCa writes, traced.
     obs = make_observability("fig6c", trace=True)
-    tb = _gluster(1, 1, threaded=True, obs=obs)
-    run_latency_bench(tb.sim, tb.clients, sizes, records_per_size=records)
-    _tier_extras(result, tb)
+    measure(points["IMCa (threaded)"][0], obs=obs)
+    _tier_extras(result, obs)
     return result
 
 
 # --------------------------------------------------------------------------- #
 # Fig 7 — multi-client read latency with varying MCD counts
 # --------------------------------------------------------------------------- #
-def _fig7_gluster_job(
-    n: int, num_mcds: int, mcd_memory: int, sizes: list[int], records: int
-) -> list[float]:
-    tb = _gluster(n, num_mcds, mcd_memory=mcd_memory)
-    res = run_latency_bench(tb.sim, tb.clients, sizes, records_per_size=records)
-    return [res.mean_read(r) for r in sizes]
-
-
-def _fig7_lustre_job(
-    n: int, num_ds: int, cold: bool, sizes: list[int], records: int
-) -> list[float]:
-    tb = _lustre(n, num_ds)
-    res = run_latency_bench(
-        tb.sim, tb.clients, sizes, records_per_size=records,
-        drop_caches_before_read=cold,
-    )
-    return [res.mean_read(r) for r in sizes]
-
-
 @register(
     "fig7",
     "Fig 7(a)/(b)",
@@ -515,27 +387,29 @@ def run_fig7(scale: str = "default") -> ExperimentResult:
     result = ExperimentResult("fig7", scale, x_name="record size", x_values=sizes)
     result.notes.append(f"{n} clients (paper: 32); records/size={p['records']}")
 
-    mcd_configs = [0] + list(p["mcd_counts"])
-    gluster_series = pmap(
-        _fig7_gluster_job,
-        [
-            (n, m, p["mcd_memory"] if m else 6 * GiB, sizes, p["records"])
-            for m in mcd_configs
-        ],
-    )
-    result.series["NoCache"] = gluster_series[0]
-    for m, series in zip(mcd_configs[1:], gluster_series[1:]):
-        result.series[f"IMCa ({m} MCD)"] = series
-
-    lustre_series = pmap(
-        _fig7_lustre_job,
-        [
-            (n, p["lustre_ds"], cold, sizes, p["records"])
-            for _, cold in (("Warm", False), ("Cold", True))
-        ],
-    )
-    for (mode, _), series in zip((("Warm", False), ("Cold", True)), lustre_series):
-        result.series[f"Lustre ({mode})"] = series
+    lat = dict(record_sizes=sizes, records_per_size=p["records"])
+    points = {
+        ("NoCache" if m == 0 else f"IMCa ({m} MCD)"): [
+            Point(
+                "gluster",
+                TestbedConfig(num_clients=n, num_mcds=m, mcd_memory=p["mcd_memory"]),
+                "latency",
+                lat,
+            )
+        ]
+        for m in [0] + list(p["mcd_counts"])
+    }
+    for mode, cold in (("Warm", False), ("Cold", True)):
+        points[f"Lustre ({mode})"] = [
+            Point(
+                "lustre",
+                TestbedConfig(num_clients=n, num_data_servers=p["lustre_ds"]),
+                "latency",
+                dict(lat, drop_caches_before_read=cold),
+            )
+        ]
+    for label, rows in sweep(points).items():
+        column(result, label, rows, "read")
 
     nocache = result.series["NoCache"]
     best_mcd = result.series[f"IMCa ({p['mcd_counts'][-1]} MCD)"]
@@ -591,28 +465,6 @@ def run_fig7(scale: str = "default") -> ExperimentResult:
 # --------------------------------------------------------------------------- #
 # Fig 8 — read latency varying clients, single MCD
 # --------------------------------------------------------------------------- #
-def _fig8_gluster_job(
-    n: int, mcd_memory: int, sizes: list[int], records: int
-) -> tuple[list[float], int, int]:
-    tb = _gluster(n, 1, mcd_memory=mcd_memory)
-    res = run_latency_bench(tb.sim, tb.clients, sizes, records_per_size=records)
-    stats = tb.mcd_stats()
-    return (
-        [res.mean_read(r) for r in sizes],
-        stats.get("evictions", 0),
-        tb.cm_stats().get("read_misses", 0),
-    )
-
-
-def _fig8_lustre_job(n: int, num_ds: int, sizes: list[int], records: int) -> float:
-    tb = _lustre(n, num_ds)
-    res = run_latency_bench(
-        tb.sim, tb.clients, sizes, records_per_size=records,
-        drop_caches_before_read=True,
-    )
-    return res.mean_read(sizes[-1])
-
-
 @register(
     "fig8",
     "Fig 8(a)-(d)",
@@ -626,24 +478,34 @@ def run_fig8(scale: str = "default") -> ExperimentResult:
     sizes = list(p["sizes"])
     result = ExperimentResult("fig8", scale, x_name="clients", x_values=clients_axis)
 
-    for r in sizes:
-        result.series[f"IMCa r={r}"] = []
-    evictions: list[int] = []
-    misses: list[int] = []
-    for means, evicted, missed in pmap(
-        _fig8_gluster_job,
-        [(n, p["mcd_memory"], sizes, p["records"]) for n in clients_axis],
-    ):
-        for r, mean in zip(sizes, means):
-            result.series[f"IMCa r={r}"].append(mean)
-        evictions.append(evicted)
-        misses.append(missed)
+    lat = dict(record_sizes=sizes, records_per_size=p["records"])
     # Lustre-cold comparison at the largest record size.
-    lustre = pmap(
-        _fig8_lustre_job,
-        [(n, p["lustre_ds"], sizes, p["records"]) for n in clients_axis],
-    )
-    result.series[f"Lustre-cold r={sizes[-1]}"] = lustre
+    lustre = f"Lustre-cold r={sizes[-1]}"
+    rows = sweep({
+        "IMCa": [
+            Point(
+                "gluster",
+                TestbedConfig(num_clients=n, num_mcds=1, mcd_memory=p["mcd_memory"]),
+                "latency",
+                lat,
+            )
+            for n in clients_axis
+        ],
+        lustre: [
+            Point(
+                "lustre",
+                TestbedConfig(num_clients=n, num_data_servers=p["lustre_ds"]),
+                "latency",
+                dict(lat, drop_caches_before_read=True),
+            )
+            for n in clients_axis
+        ],
+    })
+    for i, r in enumerate(sizes):
+        column(result, f"IMCa r={r}", rows["IMCa"], "read", i)
+    column(result, lustre, rows[lustre], "read", -1)
+    evictions = [row["mcd"].get("evictions", 0) for row in rows["IMCa"]]
+    misses = [row["cm"].get("read_misses", 0) for row in rows["IMCa"]]
     result.extras["mcd_evictions"] = evictions
     result.extras["cmcache_read_misses"] = misses
 
@@ -674,21 +536,6 @@ def run_fig8(scale: str = "default") -> ExperimentResult:
 # --------------------------------------------------------------------------- #
 # Fig 9 — IOzone read throughput with varying MCDs
 # --------------------------------------------------------------------------- #
-def _fig9_gluster_job(t: int, num_mcds: int, file_size: int, record_size: int) -> float:
-    tb = _gluster(t, num_mcds, selector="modulo")
-    io = run_iozone(tb.sim, tb.clients, file_size=file_size, record_size=record_size)
-    return io.read_throughput
-
-
-def _fig9_lustre_job(t: int, file_size: int, record_size: int) -> float:
-    tb = _lustre(t, 1)
-    io = run_iozone(
-        tb.sim, tb.clients, file_size=file_size, record_size=record_size,
-        drop_caches_before_read=True,
-    )
-    return io.read_throughput
-
-
 @register(
     "fig9",
     "Fig 9",
@@ -701,27 +548,30 @@ def run_fig9(scale: str = "default") -> ExperimentResult:
     threads_axis = list(p["threads"])
     result = ExperimentResult("fig9", scale, x_name="threads", x_values=threads_axis)
 
-    throughputs = pmap(
-        _fig9_gluster_job,
-        [
-            (t, m, p["file_size"], p["record_size"])
-            for m in p["mcd_counts"]
+    io = dict(file_size=p["file_size"], record_size=p["record_size"])
+    modulo = IMCaConfig(selector="modulo")
+    points = {
+        ("NoCache" if m == 0 else f"IMCa ({m} MCD)"): [
+            Point("gluster", TestbedConfig(num_clients=t, num_mcds=m, imca=modulo), "iozone", io)
             for t in threads_axis
-        ],
-    )
-    stride = len(threads_axis)
-    for i, m in enumerate(p["mcd_counts"]):
-        label = "NoCache" if m == 0 else f"IMCa ({m} MCD)"
-        result.series[label] = throughputs[i * stride : (i + 1) * stride]
-
-    lustre = pmap(
-        _fig9_lustre_job,
-        [(t, p["file_size"], p["record_size"]) for t in threads_axis],
-    )
-    result.series["Lustre-1DS (Cold)"] = lustre
+        ]
+        for m in p["mcd_counts"]
+    }
+    points["Lustre-1DS (Cold)"] = [
+        Point(
+            "lustre",
+            TestbedConfig(num_clients=t, num_data_servers=1),
+            "iozone",
+            dict(io, drop_caches_before_read=True),
+        )
+        for t in threads_axis
+    ]
+    for label, rows in sweep(points).items():
+        column(result, label, rows, "read_throughput")
 
     nocache = result.series["NoCache"]
     best = result.series[f"IMCa ({p['mcd_counts'][-1]} MCD)"]
+    lustre = result.series["Lustre-1DS (Cold)"]
     ratio = best[-1] / nocache[-1]
     result.check(
         "max MCDs reach >= 1.5x NoCache read throughput at max threads "
@@ -746,23 +596,6 @@ def run_fig9(scale: str = "default") -> ExperimentResult:
 # --------------------------------------------------------------------------- #
 # Fig 10 — shared-file read latency
 # --------------------------------------------------------------------------- #
-def _fig10_job(kind: str, n: int, record_size: int, records: int) -> float:
-    if kind == "nocache":
-        tb = _gluster(n, 0)
-        cold = False
-    elif kind == "imca":
-        tb = _gluster(n, 1)
-        cold = False
-    else:  # lustre
-        tb = _lustre(n, 1)
-        cold = True
-    res = run_latency_bench(
-        tb.sim, tb.clients, [record_size], records_per_size=records,
-        shared_file=True, drop_caches_before_read=cold,
-    )
-    return res.mean_read(record_size)
-
-
 @register(
     "fig10",
     "Fig 10",
@@ -773,17 +606,29 @@ def _fig10_job(kind: str, n: int, record_size: int, records: int) -> float:
 def run_fig10(scale: str = "default") -> ExperimentResult:
     p = params_for("fig10", scale)
     nodes_axis = list(p["nodes"])
-    r = p["record_size"]
     result = ExperimentResult("fig10", scale, x_name="nodes", x_values=nodes_axis)
 
-    kinds = [("nocache", "NoCache"), ("imca", "IMCa (1 MCD)"), ("lustre", "Lustre-1DS (Cold)")]
-    latencies = pmap(
-        _fig10_job,
-        [(kind, n, r, p["records"]) for kind, _ in kinds for n in nodes_axis],
-    )
-    stride = len(nodes_axis)
-    for i, (_, label) in enumerate(kinds):
-        result.series[label] = latencies[i * stride : (i + 1) * stride]
+    lat = dict(record_sizes=[p["record_size"]], records_per_size=p["records"], shared_file=True)
+    points = {
+        "NoCache": [
+            Point("gluster", TestbedConfig(num_clients=n), "latency", lat) for n in nodes_axis
+        ],
+        "IMCa (1 MCD)": [
+            Point("gluster", TestbedConfig(num_clients=n, num_mcds=1), "latency", lat)
+            for n in nodes_axis
+        ],
+        "Lustre-1DS (Cold)": [
+            Point(
+                "lustre",
+                TestbedConfig(num_clients=n, num_data_servers=1),
+                "latency",
+                dict(lat, drop_caches_before_read=True),
+            )
+            for n in nodes_axis
+        ],
+    }
+    for label, rows in sweep(points).items():
+        column(result, label, rows, "read")
 
     nocache = result.series["NoCache"]
     imca = result.series["IMCa (1 MCD)"]

@@ -125,6 +125,7 @@ def run_tenants(scale: str = "default") -> ExperimentResult:
     )
     for case in (("mix", "vanilla"), ("mix", "arbitrated")):
         result.series[case[1]] = [by[case]["delta"][n]["hit_rate"] for n in mix_names]
+        result.units[case[1]] = "ratio"
     result.extras["aggregate_hit_rate"] = {
         "vanilla": by[("mix", "vanilla")]["aggregate"],
         "arbitrated": by[("mix", "arbitrated")]["aggregate"],

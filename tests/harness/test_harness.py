@@ -10,7 +10,8 @@ from repro.harness import (
     render_series_table,
     render_table,
 )
-from repro.harness.experiment import ExperimentResult
+from repro.harness.experiment import SCALES, ExperimentResult
+from repro.harness.params import PARAMS
 from repro.util.units import KiB
 
 EXPECTED_FIGURES = {
@@ -73,8 +74,8 @@ def test_get_unknown_raises():
 
 
 def test_params_all_scales_defined():
-    for exp in ("fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"):
-        for scale in ("smoke", "default", "paper"):
+    for exp in PARAMS:
+        for scale in SCALES:
             p = params_for(exp, scale)
             assert p
     with pytest.raises(KeyError):
@@ -97,6 +98,17 @@ def test_render_table_alignment():
 def test_render_series_table():
     out = render_series_table("x", [1, 2], {"s": [0.001, 0.002]})
     assert "1.00 ms" in out and "2.00 ms" in out
+    # Each series renders in its own unit; seconds only by default.
+    out = render_series_table(
+        "x",
+        [1, 2],
+        {"bw": [632460247.806, 2.5e6], "hit rate": [1 / 3, 1.0], "stale": [11.0, 0.0]},
+        {"bw": "B/s", "hit rate": "ratio", "stale": "count"},
+    )
+    rows = [line.split() for line in out.splitlines()[2:]]
+    assert rows[0] == ["1", "632.5", "MB/s", "0.333", "11"]
+    assert rows[1] == ["2", "2.5", "MB/s", "1.000", "0"]
+    assert " s " not in out and "ms" not in out
 
 
 def test_pct_change():

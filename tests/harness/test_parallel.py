@@ -13,8 +13,11 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from repro import cli
+from repro.cluster import TestbedConfig
 from repro.harness.experiment import Check, ExperimentResult
 from repro.harness.parallel import configured_jobs, job_pool, pmap, resolve_jobs
+from repro.harness.sweep import Point, measure
+from repro.util.units import KiB
 
 
 # --------------------------------------------------------------------------- #
@@ -76,7 +79,7 @@ def test_nested_pools_restore_outer():
 
 
 # --------------------------------------------------------------------------- #
-# picklability of harness result types (workers return them)
+# picklability of harness types (workers receive points, return results)
 # --------------------------------------------------------------------------- #
 def test_experiment_result_pickle_round_trip():
     result = ExperimentResult("fig0", "smoke", x_name="clients", x_values=[1, 2])
@@ -93,6 +96,23 @@ def test_check_pickle_round_trip():
     c = Check("name", False, "why")
     clone = pickle.loads(pickle.dumps(c))
     assert (clone.name, clone.passed, clone.detail) == ("name", False, "why")
+
+
+def test_sweep_point_pickles_and_measures_identically_under_pool():
+    lat = dict(record_sizes=[1, 2 * KiB], records_per_size=4)
+    points = [
+        Point("gluster", TestbedConfig(), "latency", lat),  # NoCache
+        Point("gluster", TestbedConfig(num_mcds=1), "latency", lat),  # IMCa
+    ]
+    for point in points:
+        assert pickle.loads(pickle.dumps(point)) == point
+    inline = pmap(measure, [(pt,) for pt in points])
+    with job_pool(2):
+        pooled = pmap(measure, [(pt,) for pt in points])
+    assert pooled == inline
+    nocache, imca = inline
+    assert nocache["total_items"] == [] and nocache["cm"] == {}
+    assert len(imca["total_items"]) == 1 and imca["cm"]["read_hits"] > 0
 
 
 # --------------------------------------------------------------------------- #
