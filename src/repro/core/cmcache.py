@@ -96,7 +96,7 @@ class CMCacheXlator(Xlator):
         #: Shared with the MCD client: op-lifecycle annotations (tags
         #: like ``read-partial-fill``) ride on the testbed's tracer.
         self.tracer = mc.tracer
-        self._keys = KeyCache()
+        self._keys = KeyCache(block_size=self.config.block_size)
         #: Hot tier (None when disabled).
         self._hot: Optional[HotCache] = (
             HotCache(self.config.hot_cache_bytes)
@@ -255,22 +255,20 @@ class CMCacheXlator(Xlator):
         if size <= 0:
             result = yield from self._down().read(path, offset, size)
             return result
-        # Each covering block's offset is computed once: it names the
-        # key, filters at EOF and is what a fetched block is found under.
-        hints: list[Optional[int]] = list(self.mapper.cover(offset, size))
+        # Each covering block's offset is computed once: it filters at
+        # EOF and is what a fetched block is found under.
+        cover = self.mapper.cover(offset, size)
+        hints: list[Optional[int]] = list(cover)
         bs = self.mapper.block_size
         offsets = [idx * bs for idx in hints]
-        keys: list[str] = []
-        for boff in offsets:
-            key = self._keys.data_key(path, boff)
-            if key is None:
-                # Path too long to cache: bypass entirely.
-                self.metrics.inc("uncacheable")
-                if tr.oplog is not None:
-                    tr.op_tag("read-uncacheable")
-                result = yield from self._down().read(path, offset, size)
-                return result
-            keys.append(key)
+        keys = self._keys.data_keys(path, cover.start, cover.stop)
+        if None in keys:
+            # Path too long to cache: bypass entirely.
+            self.metrics.inc("uncacheable")
+            if tr.oplog is not None:
+                tr.op_tag("read-uncacheable")
+            result = yield from self._down().read(path, offset, size)
+            return result
         skey = self._keys.stat_key(path)
 
         # ---- hot tier first: anything it holds skips the multi-get.

@@ -36,12 +36,13 @@ def is_stat_key(key: str) -> bool:
 class KeyCache:
     """Memoised key-string construction for the hot read/push paths.
 
-    Every cached read formats one data key per covering block (plus the
+    Every cached read names one data key per covering block (plus the
     stat key), and every SMCache push does the same on the server side;
     under a steady workload the same ``(path, block_offset)`` pairs
     recur millions of times.  This caches the formatted strings per
     path so the hot path does a dict probe instead of an f-string
-    format.  Semantics are identical to :func:`data_key` /
+    format — or, for a read's run of blocks (:meth:`data_keys`), one
+    list slice.  Semantics are identical to :func:`data_key` /
     :func:`stat_key`, including the ``None`` for overlong keys.
 
     Bounded: when more than ``max_paths`` distinct paths accumulate the
@@ -49,12 +50,17 @@ class KeyCache:
     simpler and just as effective as LRU here).
     """
 
-    __slots__ = ("max_paths", "_data", "_stat")
+    __slots__ = ("max_paths", "block_size", "_data", "_blocks", "_stat")
 
-    def __init__(self, max_paths: int = 4096) -> None:
+    def __init__(self, max_paths: int = 4096, block_size: int = 2048) -> None:
         self.max_paths = max_paths
+        #: The block size :meth:`data_keys` indexes blocks by.
+        self.block_size = block_size
         #: path -> {block_offset: key-or-None}
         self._data: dict[str, dict[int, Optional[str]]] = {}
+        #: path -> [key-or-None of block 0, block 1, ...], as far as a
+        #: read has reached.
+        self._blocks: dict[str, list[Optional[str]]] = {}
         #: path -> stat key-or-None
         self._stat: dict[str, Optional[str]] = {}
 
@@ -69,6 +75,20 @@ class KeyCache:
         except KeyError:
             key = per_path[block_offset] = data_key(path, block_offset)
             return key
+
+    def data_keys(self, path: str, first: int, stop: int) -> list[Optional[str]]:
+        """The data keys of blocks ``first .. stop - 1`` of *path*, in
+        order: a slice of the path's key list, which grows to *stop*
+        on first use."""
+        keys = self._blocks.get(path)
+        if keys is None:
+            if len(self._blocks) >= self.max_paths:
+                self._blocks.clear()
+            keys = self._blocks[path] = []
+        if len(keys) < stop:
+            bs = self.block_size
+            keys.extend([data_key(path, i * bs) for i in range(len(keys), stop)])
+        return keys[first:stop]
 
     def stat_key(self, path: str) -> Optional[str]:
         try:

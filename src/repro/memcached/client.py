@@ -33,12 +33,20 @@ owner**, the owners concurrently (:meth:`MemcacheClient._legs`), so a
 batch costs one round trip of simulated time however many MCDs it
 spans; a keyed mutation with several owners (:meth:`_fanout`) is the
 same legs with one payload.  A leg that fails books one ``errors`` and
-answers None — it costs that owner's share and nothing else.  A leg
-that succeeds *lands* its reply on the join (:meth:`MemcacheClient._leg`)
-rather than waking up once more to hand it over, so K legs cost K + 1
-scheduler entries: one per request and the join's.  A mutation with a
-single leg runs in the caller's frame and mints no join entry, which
-costs the same 2; ``get_multi`` always joins (for span attribution).
+answers None — it costs that owner's share and nothing else.  A leg is
+a :class:`~repro.net.rpc.Leg`: no generator, just its request booked
+and its wake minted; at the request's arrival it runs the command,
+books the response and *lands* the reply on the join, so K legs cost
+K + 1 scheduler entries: one per request and the join's.  Under a
+:class:`HealthPolicy` a leg stays a strand (:meth:`_fork`).  A mutation
+with a single leg runs in the caller's frame and mints no join entry,
+which costs the same 2; ``get_multi`` always joins (for span
+attribution).
+
+A key's primary owner is worked out once per membership epoch
+(:meth:`MemcacheClient._primary`): the selector's pick is memoised by
+key, wherever the selector's answer cannot depend on the hint, and the
+memo is dropped with the epoch's ring.
 
 Reads are **singleflighted** per client (DESIGN §15): a ``get`` or
 ``get_multi`` that finds its key already being fetched parks on that
@@ -55,7 +63,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from types import MappingProxyType
+from typing import Any, Generator, Mapping, Optional
 
 from repro.memcached.daemon import McValue, MemcachedDaemon, SERVICE, request_size
 from repro.memcached.hashing import (
@@ -65,9 +74,9 @@ from repro.memcached.hashing import (
     ServerSelector,
 )
 from repro.memcached.membership import LIVE, McdMembership
-from repro.net.rpc import Endpoint, RetryPolicy, RpcError, RpcUnavailable
+from repro.net.rpc import Endpoint, Leg, RetryPolicy, RpcError, RpcUnavailable
 from repro.sim.events import Event
-from repro.sim.process import Landing, departure
+from repro.sim.process import Join, departure
 from repro.util.stats import Counter
 
 
@@ -116,6 +125,13 @@ class _ServerHealth:
 #: server-specific) failure.
 _SF_FAILED = object()
 
+#: What a read probes for a memoised route when reads do not go to the
+#: memoised primary (replication, a selector that reads the hint).
+_NO_MEMO: Mapping[str, int] = MappingProxyType({})
+
+#: The span a batch leg opens on a traced client.
+_LEG_SPAN = ("mcd", "mc.batch")
+
 
 class MemcacheClient:
     """A client node's view of the MCD array."""
@@ -148,6 +164,9 @@ class MemcacheClient:
         self._ketama: Optional[KetamaSelector] = (
             self.selector if isinstance(self.selector, KetamaSelector) else None
         )
+        #: Whether the selector's pick can depend on the hint: then only
+        #: hint-less picks are memoised (:meth:`_primary`).
+        self._hinted = getattr(self.selector, "uses_hint", True)
         #: The replica map; None at R=1 (every key has one replica).
         self._replication: Optional[ReplicatedSelector] = (
             ReplicatedSelector(self.selector, replicas) if replicas > 1 else None
@@ -180,6 +199,8 @@ class MemcacheClient:
         self._epoch = m.epoch
         self._ring = m.ring_ids
         self.servers = [m.daemon(i) for i in self._ring]
+        #: key -> primary owner over this epoch's ring (:meth:`_primary`).
+        self._primaries: dict[str, int] = {}
 
     def add_server(self, server: MemcachedDaemon) -> None:
         """Grow the cache bank (§4.4: "Additional caching nodes can be
@@ -203,46 +224,58 @@ class MemcacheClient:
         m = self.membership
         if self._epoch != m.epoch:
             self._resync()
-        ring = self._ring
         if self._replication is not None:
+            ring = self._ring
             return [ring[i] for i in self._replication.replicas_for(key, len(ring), hint)]
-        if self._ketama is not None:
-            primary = self._ketama.owner(key, ring)
-            if m.windows:
-                peers = m.window_peers(key, primary, self._ketama, self.endpoint.net.sim.now)
-                if peers:
-                    return [primary, *peers]
-        else:
-            # Positional selector over the ring: a membership change
-            # renumbers the map (the naive-resize comparison case).
-            primary = ring[self.selector.select(key, len(ring), hint)]
+        primary = self._primaries.get(key) if hint is None or not self._hinted else None
+        if primary is None:
+            primary = self._primary(key, hint)
+        if self._ketama is not None and m.windows:
+            peers = m.window_peers(key, primary, self._ketama, self.endpoint.net.sim.now)
+            if peers:
+                return [primary, *peers]
         return [primary]
 
-    def _read_route(self) -> Callable[[str, int, Optional[int]], int]:
-        """``route(key, len(self.servers), hint)``: the server a read of
-        *key* goes to, resolved once per request.  With no replication,
-        while the ring is still the identity over ``0..n-1`` (epoch 0),
-        that is the selector's own ``select`` — the trivial instance of
-        :meth:`_read_idx`."""
-        m = self.membership
-        if self._epoch != m.epoch:
-            self._resync()
-        if self._replication is None and m.epoch == 0:
-            return self.selector.select
-        return self._read_idx
+    def _primary(self, key: str, hint: Optional[int] = None) -> int:
+        """The selector's pick of *key*'s primary over the current ring
+        (the caller has resynced the epoch), memoised in
+        ``_primaries`` unless the pick reads *hint*.  Unreplicated: a
+        ring walk, or, for a positional selector, its index into the
+        ring — a membership change renumbers the map (the naive-resize
+        comparison case)."""
+        ring = self._ring
+        if self._ketama is not None:
+            primary = self._ketama.owner(key, ring)
+        else:
+            primary = ring[self.selector.select(key, len(ring), hint)]
+        if hint is None or not self._hinted:
+            self._primaries[key] = primary
+        return primary
 
-    def _read_idx(self, key: str, nservers: int, hint: Optional[int] = None) -> int:
-        """The replica a read goes to: seeded per-key round-robin over
-        the replicas not currently sitting out an ejection cooldown (all
-        of them, if every replica is ejected).  The cursor is per key —
+    def _read_memo(self) -> Mapping[str, int]:
+        """What a read probes first for the server of a key: the primary
+        memo when reads go to the primary and its pick ignores hints,
+        else nothing.  A miss there is :meth:`_read_idx`.  Resyncs the
+        epoch, once per request."""
+        if self._epoch != self.membership.epoch:
+            self._resync()
+        if self._replication is None and not self._hinted:
+            return self._primaries
+        return _NO_MEMO
+
+    def _read_idx(self, key: str, hint: Optional[int] = None) -> int:
+        """The server a read of *key* goes to: its primary or, with
+        replication, a seeded per-key round-robin over the replicas not
+        currently sitting out an ejection cooldown (all of them, if
+        every replica is ejected).  The cursor is per key —
         a cursor shared across keys correlates with periodic batch
         shapes and can park a hot key on one replica, reshuffling load
         instead of splitting it; per-key rotation splits every key's
         reads exactly 1/R.  Cursor memory is one small int per distinct
         key this client has read (bounded by its keyspace)."""
-        replicas = self.owners(key, hint)
         if self._replication is None:
-            return replicas[0]
+            return self._primary(key, hint)
+        replicas = self.owners(key, hint)
         live = [i for i in replicas if not self._cooling(i)]
         if not live:
             live = replicas
@@ -272,15 +305,13 @@ class MemcacheClient:
         """Whether server *idx* is currently ejected (for observers)."""
         return self._health[idx].ejected_until >= 0.0
 
-    def _call(self, idx: int, op: str, payload: Any, land: bool = False) -> Generator:
+    def _call(self, idx: int, op: str, payload: Any) -> Generator:
         """One MCD RPC.  With no health policy there is nothing to wrap:
-        the generator returned is :meth:`Endpoint.call`'s own, which
-        *land*s its reply (see there).  Under a policy the call never
-        lands: :meth:`_call_tracked` acts on the reply's arrival."""
+        the generator returned is :meth:`Endpoint.call`'s own."""
         if self.health is None:
             return self.endpoint.call(
                 self.membership.members[idx].daemon.node, SERVICE, (op, payload),
-                request_size(op, payload), land=land,
+                request_size(op, payload),
             )
         return self._call_tracked(idx, op, payload)
 
@@ -387,7 +418,9 @@ class MemcacheClient:
             self._note_redispersed()
         published = _SF_FAILED
         try:
-            idx = self._read_route()(key, len(self.servers), hint)
+            idx = self._read_memo().get(key)
+            if idx is None:
+                idx = self._read_idx(key, hint)
             failed = False
             try:
                 if self.tracer.enabled:
@@ -499,8 +532,7 @@ class MemcacheClient:
         riders: dict[str, tuple[Event, Optional[int]]] = {}
         by_server: dict[int, list[str]] = {}
         seen: set[str] = set()
-        sim = self.endpoint.net.sim
-        route, nservers = self._read_route(), len(self.servers)
+        memo = self._read_memo()
         for key, hint in zip(keys, hints):
             if key in seen:
                 continue
@@ -509,7 +541,10 @@ class MemcacheClient:
                 # Ride the in-flight fetch instead of re-issuing it.
                 riders[key] = (self._follow(key), hint)
                 continue
-            by_server.setdefault(route(key, nservers, hint), []).append(key)
+            idx = memo.get(key)
+            if idx is None:
+                idx = self._read_idx(key, hint)
+            by_server.setdefault(idx, []).append(key)
             inflight[key] = None
         out: dict[str, McValue] = {}
         #: Keys of the batches whose RPC failed.
@@ -519,17 +554,14 @@ class MemcacheClient:
             # Nothing left to fetch (every key rides a flight): no join.
             if by_server:
                 # Always a join, even over one server.  A landed leg
-                # makes a one-leg join cost what an inline leg would;
-                # the join stays because its ``mc.batch`` strand is what
+                # makes a one-leg join cost what an inline call would;
+                # the join stays because its ``mc.batch`` leg is what
                 # the tracer books the fetch's MCD time to.
-                batches = [
-                    self._leg(idx, "get_multi", batch) for idx, batch in by_server.items()
-                ]
                 if self.tracer.enabled:
                     with self.tracer.span("mcd", "mc.get_multi"):
-                        results = yield sim.gather(batches, name="mc-multiget")
+                        results = yield self._fork("get_multi", by_server.items(), "mc-multiget")
                 else:
-                    results = yield sim.gather(batches, name="mc-multiget")
+                    results = yield self._fork("get_multi", by_server.items(), "mc-multiget")
                 for batch, partial in zip(by_server.values(), results):
                     if partial is not None:
                         out.update(partial)
@@ -555,7 +587,7 @@ class MemcacheClient:
                         ok = completed and key not in failed
                         flight.succeed(out.get(key) if ok else _SF_FAILED)
         if riders:
-            results = yield sim.all_of([ev for ev, _ in riders.values()])
+            results = yield self.endpoint.net.sim.all_of([ev for ev, _ in riders.values()])
             for key, (ev, hint) in riders.items():
                 payload = results[ev]
                 if payload is _SF_FAILED:
@@ -564,8 +596,10 @@ class MemcacheClient:
                     # step with the fetch body of get(), which stays inline
                     # there for its call budget (tests/test_call_budget).
                     self._note_redispersed()
-                    idx = self._read_route()(key, len(self.servers), hint)
-                    reply = yield from self._leg(idx, "get_multi", [key], land=False)
+                    idx = self._read_memo().get(key)
+                    if idx is None:
+                        idx = self._read_idx(key, hint)
+                    reply = yield from self._call_or_none(idx, "get_multi", [key])
                     payload = reply.get(key) if reply is not None else None
                     if payload is None and self.membership.windows:
                         payload = yield from self._forward_get(key, idx)
@@ -576,21 +610,46 @@ class MemcacheClient:
         return out
 
     # -- legs ------------------------------------------------------------------
-    def _leg(self, idx: int, op: str, payload: Any, land: bool = True) -> Generator:
-        """One owner's share of a batched or fanned-out op, as a strand
-        of a join: its reply, or None — booked as one ``errors`` — when
-        the RPC failed.  The reply is *land*ed on the join where the RPC
-        allows (:meth:`_call`): the strand returns it with its arrival
-        instead of waking up once more only to hand it over.  A leg run
-        in a caller's own frame must not land."""
+    def _fork(self, op: str, legs, name: str) -> Join:
+        """A join of *op* once per ``(owner, payload)`` leg, started in
+        leg order: each leg's reply, or None — booked as one ``errors``
+        — for a leg whose RPC failed.
+
+        With no health policy a leg is a :class:`~repro.net.rpc.Leg`
+        that lands its reply on the join.  Under a policy a leg needs
+        timers and may need an RPC before its own — a deadline, retries,
+        a rejoin probe — so it runs :meth:`_call_or_none` as a strand,
+        which sleeps on its response."""
+        sim = self.endpoint.net.sim
+        if self.health is not None:
+            return sim.gather(
+                [self._call_or_none(idx, op, payload) for idx, payload in legs], name=name
+            )
+        legs = list(legs)
+        join = Join(sim, len(legs))
+        endpoint, members, errors = self.endpoint, self.membership.members, self.stats
+        parent = sim._active_process
+        try:
+            for index, (idx, payload) in enumerate(legs):
+                Leg(
+                    endpoint, members[idx].daemon.node, SERVICE, (op, payload),
+                    request_size(op, payload), join, index, name, parent, errors, _LEG_SPAN,
+                )
+        finally:
+            sim._active_process = parent
+        return join
+
+    def _call_or_none(self, idx: int, op: str, payload: Any) -> Generator:
+        """One MCD RPC in a generator: its reply, or None — booked as one
+        ``errors`` — when it failed.  The body of a leg under a health
+        policy (:meth:`_fork`) and of ``get_multi``'s re-dispersed
+        rider, which runs it in the op's own frame."""
         try:
             if self.tracer.enabled:
-                with self.tracer.span("mcd", "mc.batch") as span:
-                    reply = yield from self._call(idx, op, payload, land)
-                    if reply.__class__ is Landing:
-                        span.end = reply.at
+                with self.tracer.span(*_LEG_SPAN):
+                    reply = yield from self._call(idx, op, payload)
             else:
-                reply = yield from self._call(idx, op, payload, land)
+                reply = yield from self._call(idx, op, payload)
         except RpcError:
             self.stats.inc("errors")
             return None
@@ -599,11 +658,10 @@ class MemcacheClient:
     def _legs(self, op: str, legs: list[tuple[int, Any]], name: str) -> Generator:
         """*op* once per ``(owner, payload)`` leg; the replies in leg
         order, None for a leg that failed.  Several legs are pipelined
-        on the client NIC under one ``sim.gather`` (wall time ~ the
-        slowest, not their sum), each landing its reply on the join;
-        a single one is :meth:`_leg`'s rule run here, in the caller's
-        frame — no strand, no join entry, no wrapper frame to walk on
-        every resume of the RPC — and waits on its response itself."""
+        on the client NIC under one join (:meth:`_fork`; wall time ~ the
+        slowest, not their sum); a single one runs here, in the caller's
+        frame — no leg, no join entry — and waits on its response
+        itself."""
         if len(legs) == 1:
             ((idx, payload),) = legs
             try:
@@ -613,11 +671,7 @@ class MemcacheClient:
                 return [None]
         if not legs:
             return []
-        return (
-            yield self.endpoint.net.sim.gather(
-                [self._leg(idx, op, payload) for idx, payload in legs], name=name
-            )
-        )
+        return (yield self._fork(op, legs, name))
 
     # -- mutation --------------------------------------------------------------
     def _send(self, idxs: list[int], op: str, payload: Any) -> Generator:

@@ -35,9 +35,11 @@ KEY_WIRE_OVERHEAD = 24
 VALUE_WIRE_OVERHEAD = 40
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class McValue:
-    """Client-visible stored value."""
+    """Client-visible stored value.  Immutable: the daemon builds one
+    per stored item and hands that same object to every get that hits
+    it (:meth:`MemcachedDaemon._serve`)."""
 
     value: Any
     nbytes: int
@@ -70,9 +72,7 @@ class MemcachedDaemon:
         )
         self.endpoint = Endpoint(net, node, tracer=tracer)
         self.tracer = tracer
-        self.endpoint.register(
-            SERVICE, self._serve, arrival_cpu=lambda args: command_cpu(*args)
-        )
+        self.endpoint.register(SERVICE, self._serve, arrival_cpu=command_cpu)
         #: Lifecycle counters for the fault layer.
         self.crashes = 0
         self.restarts = 0
@@ -119,19 +119,27 @@ class MemcachedDaemon:
         if self.tracer.enabled:
             # The command's CPU is the tail of the receive visit: book it
             # to the mcd tier, inside the request's network span.
-            self.tracer.interval("mcd", f"mcd.{op}", self.sim.now - command_cpu(op, payload))
+            self.tracer.interval("mcd", f"mcd.{op}", self.sim.now - command_cpu(call.args))
         eng = self.engine
         if op == "get_multi":
             # One walk over the hits builds the reply and sizes it: the
-            # values sent are the ones the lookup found and billed.
+            # values sent are the ones the lookup found and billed.  An
+            # item's McValue is built on its first hit and kept on the
+            # item (``Item.reply``) until the item changes in place.
             reply = {}
             resp_bytes = 0
             for k, it in eng.get_multi(payload).items():
-                nbytes = it.nbytes
-                reply[k] = McValue(it.value, nbytes, it.flags, it.cas)
-                resp_bytes += nbytes + VALUE_WIRE_OVERHEAD
+                value = it.reply
+                if value is None:
+                    value = it.reply = McValue(it.value, it.nbytes, it.flags, it.cas)
+                reply[k] = value
+                resp_bytes += value.nbytes
             if reply:
-                resp_bytes += key_nbytes("".join(reply))
+                # The keys' bytes in one pass (`key_nbytes`, written out:
+                # UTF-8 lengths add under join).
+                keys = "".join(reply)
+                resp_bytes += len(keys) if keys.isascii() else len(keys.encode())
+                resp_bytes += VALUE_WIRE_OVERHEAD * len(reply)
                 call.reply_cpu = COPY_PER_BYTE * resp_bytes
             return reply, resp_bytes
         if op in ("set", "add", "replace"):
@@ -187,10 +195,13 @@ class MemcachedDaemon:
         raise McError(f"unknown command {op!r}")
 
 
-def command_cpu(op: str, payload: Any) -> float:
-    """CPU a command costs the daemon before it can answer: the event
-    loop and hash-table work per key, plus copying any value in.  The
-    RPC layer charges it as part of the request's receive visit."""
+def command_cpu(args: tuple[str, Any]) -> float:
+    """CPU a command — a request's ``(op, payload)`` args — costs the
+    daemon before it can answer: the event loop and hash-table work per
+    key, plus copying any value in.  It is the service's arrival-CPU
+    declaration: the RPC layer charges it as part of the request's
+    receive visit."""
+    op, payload = args
     if op in ("get_multi", "delete_multi"):
         return OP_CPU * max(1, len(payload))
     if op == "set_multi":
@@ -210,13 +221,30 @@ def command_cpu(op: str, payload: Any) -> float:
 
 
 def request_size(op: str, payload: Any) -> int:
-    """Wire size of a request (keys + values + framing)."""
+    """Wire size of a request: each key's UTF-8 bytes plus a flat
+    ``KEY_WIRE_OVERHEAD`` (24 B) of framing per key, plus any value
+    bytes.  This is not the text protocol's encoding: for the keys
+    CMCache mints (``abspath:<offset>``, ``abspath:stat``), a ``get`` of
+    1, 3 and 9 keys is charged 18, 21.3 and 22.4 B per key more than its
+    encoded ``get <key>*`` line, a 2 KiB block ``set`` 7 B more, a
+    ``:stat`` set 8 B more and a ``delete`` 15 B more; a response is
+    charged about 21 B per value more than its ``VALUE`` framing
+    (``VALUE_WIRE_OVERHEAD``, 40 B).  Against a 2 KiB block that is
+    under 1.1% of the bytes."""
     if op in ("get_multi", "delete_multi"):
-        # The keys' bytes in one pass: UTF-8 lengths add under join.
-        return key_nbytes("".join(payload)) + KEY_WIRE_OVERHEAD * len(payload)
+        # The keys' bytes in one pass (`key_nbytes`, written out: UTF-8
+        # lengths add under join).
+        keys = "".join(payload)
+        return (
+            (len(keys) if keys.isascii() else len(keys.encode()))
+            + KEY_WIRE_OVERHEAD * len(payload)
+        )
     if op in ("set", "add", "replace"):
         key, _value, nbytes, _flags, _ttl = payload
-        return key_nbytes(key) + KEY_WIRE_OVERHEAD + nbytes
+        # `key_nbytes`, written out: every `:stat` push sizes one.
+        return (
+            (len(key) if key.isascii() else len(key.encode())) + KEY_WIRE_OVERHEAD + nbytes
+        )
     if op == "set_multi":
         keys, _values, sizes, _flags, _ttls = zip(*payload)
         return key_nbytes("".join(keys)) + KEY_WIRE_OVERHEAD * len(keys) + sum(sizes)

@@ -37,8 +37,8 @@ ITEM_OVERHEAD = 56
 #: the accepted key set exactly the same.
 _WS_RE = re.compile("[\\s\x1c-\x1f\x85]")
 #: A key of 1..MAX_KEY_LEN printable non-space ASCII characters is valid
-#: on sight (the batch lookup's one-scan test); any other key takes the
-#: full :meth:`MemcachedEngine._check_key`.
+#: on sight (one C-level scan); any other key takes the rest of
+#: :meth:`MemcachedEngine._check_key`.
 _PLAIN_KEY_RE = re.compile("[!-~]{1,%d}" % MAX_KEY_LEN)
 
 
@@ -75,6 +75,9 @@ class Item:
     seq: int = 0
     #: Owning tenant account when the engine runs with a TenantArbiter.
     tenant: Optional[TenantAccount] = field(default=None, repr=False)
+    #: The daemon's client-visible view of this item, built on its first
+    #: hit; whatever changes the item in place resets it (:meth:`_delta`).
+    reply: Any = field(default=None, repr=False, compare=False)
 
 
 class MemcachedEngine:
@@ -103,6 +106,8 @@ class MemcachedEngine:
 
     # -- helpers -----------------------------------------------------------
     def _check_key(self, key: str) -> None:
+        if _PLAIN_KEY_RE.fullmatch(key) is not None:
+            return
         if not key or key_nbytes(key) > MAX_KEY_LEN:
             raise McError(f"bad key length {key_nbytes(key)}")
         if _WS_RE.search(key) is not None:
@@ -311,24 +316,29 @@ class MemcachedEngine:
         """Fetch many keys; only hits appear in the result.
 
         The one lookup loop (:meth:`get` is the batch of one): each key
-        in turn is validated, probed, lazily expired, promoted in its
-        class LRU and reported to the tenant arbiter, as a run of single
-        gets would; only the three counters are booked once per batch —
-        in a ``finally``, so a bad key still books the keys before it.
+        in turn is probed, lazily expired, promoted in its class LRU and
+        reported to the tenant arbiter, as a run of single gets would;
+        only the three counters are booked once per batch — in a
+        ``finally``, so a bad key still books the keys before it.  A key
+        is validated only when it misses: one that is stored passed
+        :meth:`_check_key` when it was, and a bad key is never stored,
+        so it misses and raises there.
         """
         out: dict[str, Item] = {}
         items, lru, tenancy = self._items, self._lru, self.tenancy
         hits = misses = 0
         try:
             for key in keys:
-                if _PLAIN_KEY_RE.fullmatch(key) is None:
-                    self._check_key(key)
                 item = items.get(key)
                 if item is not None and item.exptime != 0 and self.clock() >= item.exptime:
                     self._unlink(item, "expire")
                     self.stats.inc("expired")
                     item = None
                 if item is None:
+                    # `_check_key`'s plain-key scan inline: a miss on a
+                    # valid key costs no call.
+                    if _PLAIN_KEY_RE.fullmatch(key) is None:
+                        self._check_key(key)
                     misses += 1
                     if tenancy is not None:
                         tenancy.record_miss(key)
@@ -412,6 +422,7 @@ class MemcachedEngine:
             self.stats.inc("bytes", new_nbytes - item.nbytes)
             item.nbytes = new_nbytes
         item.value = new
+        item.reply = None
         self._cas += 1
         item.cas = self._cas
         self._touch_lru(item)

@@ -18,6 +18,10 @@ class ServerSelector(Protocol):
     """Maps a key (plus an optional ordinal hint) to a server index."""
 
     name: str
+    #: Whether ``select`` can answer differently for one key under two
+    #: hints.  A client memoises a key's pick only where it cannot (an
+    #: implementation without the attribute is taken to read hints).
+    uses_hint: bool
 
     def select(self, key: str, nservers: int, hint: Optional[int] = None) -> int:
         ...  # pragma: no cover
@@ -27,6 +31,7 @@ class Crc32Selector:
     """libmemcache default: fold CRC32 to 15 bits, modulo server count."""
 
     name = "crc32"
+    uses_hint = False
 
     def select(self, key: str, nservers: int, hint: Optional[int] = None) -> int:
         return memcache_hash(key) % nservers
@@ -40,6 +45,7 @@ class ModuloSelector:
     """
 
     name = "modulo"
+    uses_hint = True
 
     def select(self, key: str, nservers: int, hint: Optional[int] = None) -> int:
         if hint is None:
@@ -58,6 +64,7 @@ class KetamaSelector:
     """
 
     name = "ketama"
+    uses_hint = False
 
     def __init__(self, vnodes: int = 160) -> None:
         if vnodes < 1:

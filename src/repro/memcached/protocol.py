@@ -2,9 +2,11 @@
 
 "The Memcache daemon may be accessed through TCP/IP connections" (§2.2)
 speaking the classic text protocol.  The simulation transports opaque
-payloads for speed, but the wire sizes it charges are derived from this
-encoder, and the codec is used directly by the protocol round-trip
-tests — so the byte counts on the simulated wire are the real ones.
+payloads and does not use this codec: it charges
+``memcached.daemon.request_size`` (key bytes plus a flat 24 B of framing
+per key, plus value bytes), whose docstring states how far that is from
+the encoded length measured here.  Nothing under ``src/`` imports this
+module; only its round-trip tests do.
 
 Grammar (storage)::
 
@@ -220,7 +222,8 @@ def parse_values_response(raw: bytes) -> list[Value]:
 
 
 def request_wire_size(req: Request) -> int:
-    """Exact encoded size of a request (what the simulation charges)."""
+    """Exact encoded size of a request.  (Not what the simulation
+    charges: see ``memcached.daemon.request_size``.)"""
     if req.command in RETRIEVAL_COMMANDS:
         return len(encode_get(req.keys, with_cas=req.command == "gets"))
     if req.command in STORAGE_COMMANDS:

@@ -30,20 +30,25 @@ runs when the visit ends and returns ``(reply, size)`` without
 yielding, and any CPU it leaves on :attr:`RpcCall.reply_cpu` rides the
 response's send visit: a round trip is two scheduler entries.
 
-A caller that runs as a strand of a join can skip the second one:
-``call(..., land=True)`` books the response and returns a
-:class:`~repro.sim.Landing` of the reply at its arrival instead of
-sleeping until then; the join counts the reply from that instant.
+A caller that forks one call per peer under a join need not be a
+generator at all: a :class:`Leg` books its request at once, runs the
+handler at the request's arrival from the timed wake, books the
+response and lands the reply on the join (DESIGN §7, "Legs are booked
+callbacks").  :meth:`Endpoint.call` and a leg share the request half
+(:meth:`Endpoint._request`) and the answer half
+(:meth:`Endpoint._answer`), so an RPC fails the same way on both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Any, Callable, Generator, Optional
 
 from repro.net.fabric import Network, NetworkError, Node
 from repro.obs.trace import NULL_TRACER
-from repro.sim.process import Landing, departure
+from repro.sim.events import NORMAL
+from repro.sim.process import JoinChild, departure
 from repro.util.stats import Counter
 
 
@@ -126,6 +131,11 @@ class RpcCall:
     #: Host-CPU seconds the handler leaves for the response's send visit
     #: on its node (a reply copy).
     reply_cpu: float = 0.0
+    #: The service's handler, looked up by the request half.
+    handler: Optional[Callable[["RpcCall"], Any]] = None
+    #: The call's open network span (``net.req``, then ``net.resp``)
+    #: on a traced endpoint.
+    span: Any = None
 
 
 #: Handler type: receives the call and returns (payload, size) — from a
@@ -173,7 +183,6 @@ class Endpoint:
         args: Any = None,
         req_size: int = 0,
         timeout: Optional[float] = None,
-        land: bool = False,
     ) -> Generator[Any, Any, Any]:
         """Invoke *service* on *dst*; yields from the caller's process.
 
@@ -198,69 +207,85 @@ class Endpoint:
         node dies before then the call fails and the handler never runs.
         A request that never arrives (dead node, lost frame) costs the
         far end nothing.
-
-        With *land* — for a caller that is a join's strand and returns
-        the reply straight to it — an inline call whose response is
-        deliverable returns ``Landing(reply, arrival)`` instead of
-        yielding the arrival (the exact float the transfer booked).  An
-        undeliverable response is still yielded, so it fails when the
-        traversal would have ended; a deadlined call never lands.
         """
         if timeout is not None:
             reply = yield from self._call_deadlined(dst, service, args, req_size, timeout)
             return reply
+        call, due = self._request(dst, service, args, req_size)
+        try:
+            yield due
+        except NetworkError as e:
+            # The request could not arrive: the failing event's error.
+            self._answer(call, e)
+        served = self._answer(call)
+        # Request delivered: the handler's reply goes back.
+        if type(served) is tuple:
+            reply, resp_size = served
+        else:
+            reply, resp_size = yield from served
+        tracer = self.tracer
+        if tracer.enabled:
+            call.span = tracer.span("network", f"net.resp.{service}").__enter__()
+        try:
+            yield self.net.transfer(dst, self.node, HEADER_SIZE + int(resp_size), call.reply_cpu)
+        except NetworkError as e:
+            # From the transfer (the replying node died in a yielding
+            # handler) or from the undeliverable response's event.
+            self._answer(call, e)
+        if call.span is not None:
+            call.span.__exit__(None, None, None)
+        return reply
+
+    def _request(
+        self, dst: Node, service: str, args: Any, req_size: int
+    ) -> tuple[RpcCall, Any]:
+        """The request half of every plain call (:meth:`call`, a
+        :class:`Leg`): book the request's transfer, the service's
+        arrival CPU riding its receive visit.  Returns ``(call, due)``:
+        *due* is the float instant that visit ends, or the event that
+        fails once an undeliverable request has been charged.  Raises
+        :class:`RpcUnavailable` for a service a live node does not
+        serve, or a dead source (one ``errors``)."""
         handler, arrival_cpu = dst.services.get(service, _UNREGISTERED)
         if handler is None and dst.alive:
             # (Dead and unregistered: the transfer below fails.)
             raise RpcUnavailable(f"no service {service!r} on {dst.name}")
         recv_cpu = 0.0 if arrival_cpu is None else arrival_cpu(args)
         self.stats.inc("calls")
-        tracer = self.tracer
-        net = self.net
         node = self.node
-        call = RpcCall(node, dst, service, args, req_size)
-        frame_size = HEADER_SIZE + req_size
+        call = RpcCall(node, dst, service, args, req_size, 0.0, handler)
+        tracer = self.tracer
+        if tracer.enabled:
+            # The handler is entered inside the request's span so it
+            # can book its arrival CPU as a child of it.
+            call.span = tracer.span("network", f"net.req.{service}").__enter__()
         try:
-            if tracer.enabled:
-                # The handler is entered inside the request's span so it
-                # can book its arrival CPU as a child of it; a generator
-                # handler's body does not run until the ``yield from``.
-                with tracer.span("network", f"net.req.{service}"):
-                    yield net.transfer(node, dst, frame_size, 0.0, recv_cpu)
-                    if not dst.alive:
-                        raise NetworkError(f"{dst.name} died during call")
-                    served = handler(call)
-            else:
-                yield net.transfer(node, dst, frame_size, 0.0, recv_cpu)
-                if not dst.alive:
-                    raise NetworkError(f"{dst.name} died during call")
-                served = handler(call)
+            due = self.net.transfer(node, dst, HEADER_SIZE + req_size, 0.0, recv_cpu)
         except NetworkError as e:
-            self.stats.inc("errors")
-            raise RpcUnavailable(str(e)) from None
+            self._answer(call, e)
+        return call, due
 
-        # Request delivered: the handler's reply goes back.
-        if type(served) is tuple:
-            reply, resp_size = served
-        else:
-            reply, resp_size = yield from served
+    def _answer(self, call: RpcCall, failure: Optional[NetworkError] = None) -> Any:
+        """The answer half: what the caller learns when a message of
+        *call* was due.  With a *failure* — a request or response that
+        could not be delivered — or a destination that died before the
+        request's receive visit ended, it books one ``errors``, closes
+        the open network span and raises :class:`RpcUnavailable`.
+        Otherwise it runs the handler, which returns ``(reply, size)``
+        or a generator of them, and closes the request's span."""
+        span = call.span
         try:
-            if tracer.enabled:
-                with tracer.span("network", f"net.resp.{service}") as span:
-                    arrival = net.transfer(dst, node, HEADER_SIZE + int(resp_size), call.reply_cpu)
-                    if land and arrival.__class__ is float:
-                        span.end = arrival
-                        return Landing(reply, arrival)
-                    yield arrival
-            else:
-                arrival = net.transfer(dst, node, HEADER_SIZE + int(resp_size), call.reply_cpu)
-                if land and arrival.__class__ is float:
-                    return Landing(reply, arrival)
-                yield arrival
-        except NetworkError as e:
+            if failure is None:
+                if not call.dst.alive:
+                    failure = NetworkError(f"{call.dst.name} died during call")
+                else:
+                    return call.handler(call)
             self.stats.inc("errors")
-            raise RpcUnavailable(str(e)) from None
-        return reply
+            raise RpcUnavailable(str(failure)) from None
+        finally:
+            if span is not None:
+                call.span = None
+                span.__exit__(None, None, None)
 
     def _call_deadlined(
         self, dst: Node, service: str, args: Any, req_size: int, timeout: float
@@ -335,3 +360,147 @@ class Endpoint:
                     yield sim.at(departure(sim) + delay)
             else:
                 return reply
+
+
+class Leg(JoinChild):
+    """One plain RPC as a child of a :class:`~repro.sim.process.Join`,
+    run as booked callbacks rather than a generator.
+
+    The constructor books the request (:meth:`Endpoint._request`) and
+    mints the request's timed-wake entry at once — the entry, and its
+    seq, a strand yielding the same transfer would mint.  The wake runs
+    :meth:`_resume` at the request's arrival: the answer half
+    (:meth:`Endpoint._answer`), the response's booking, and the reply
+    *landed* on the join at the response's arrival.  A failed RPC books
+    one ``errors`` on *errors* and reports None; any other exception the
+    handler raises fails the join.  An undeliverable request or response
+    is an event the leg waits on, so it fails when the traversal would
+    have ended.
+
+    Where observers look it is a strand: ``sim.active_process`` while it
+    runs, with ``name``, a ``serial`` from the process counter,
+    ``parent`` and ``ready``.  On a traced endpoint it opens the span
+    *span* (``(tier, name)``) around the call, and closes it, like the
+    call's ``net.resp`` span, at the landing instant.
+
+    The handler must answer without yielding (a generator handler needs
+    a generator caller: :meth:`Endpoint.call`).  Anything that needs a
+    timer or a preceding RPC — a deadline, retries, a health probe —
+    stays a strand over :meth:`Endpoint.call`.
+    """
+
+    __slots__ = (
+        "sim", "name", "serial", "parent", "ready", "_wake", "_join", "_index",
+        "_endpoint", "_call", "_errors", "_span",
+    )
+
+    def __init__(
+        self,
+        endpoint: Endpoint,
+        dst: Node,
+        service: str,
+        args: Any,
+        req_size: int,
+        join,
+        index: int,
+        name: str,
+        parent,
+        errors: Counter,
+        span: Optional[tuple[str, str]] = None,
+    ) -> None:
+        sim = self.sim = endpoint.net.sim
+        self.name = name
+        sim._proc_seq += 1
+        self.serial = sim._proc_seq
+        self.parent = parent
+        self.ready = -inf if parent is None else parent.ready
+        #: Seq of the timed wake this leg sleeps on.
+        self._wake = 0
+        self._join = join
+        self._index = index
+        self._endpoint = endpoint
+        self._errors = errors
+        self._call: Optional[RpcCall] = None
+        self._span = None
+        sim._active_process = self
+        try:
+            if span is not None and endpoint.tracer.enabled:
+                self._span = endpoint.tracer.span(*span).__enter__()
+            call, due = endpoint._request(dst, service, args, req_size)
+            self._call = call
+            if due.__class__ is float:
+                # As `_Runner._resume` mints a yielded float's wake.
+                sim._seq = self._wake = seq = sim._seq + 1
+                sim._push((due, NORMAL, seq, None, self))
+            else:
+                due.callbacks.append(self._resume)
+        except RpcError:
+            self._failed()
+        except BaseException as exc:
+            self._close_span()
+            self.fail(exc)
+        finally:
+            sim._active_process = None
+
+    def _resume(self, event) -> None:
+        """The request's arrival (its timed wake, or the event of an
+        undeliverable request)."""
+        sim = self.sim
+        sim._active_process = self
+        endpoint = self._endpoint
+        call = self._call
+        try:
+            if event._ok:
+                reply, resp_size = endpoint._answer(call)
+            else:
+                event._defused = True
+                endpoint._answer(call, event._value)
+            tracer = endpoint.tracer
+            if tracer.enabled:
+                call.span = tracer.span("network", f"net.resp.{call.service}").__enter__()
+            try:
+                due = endpoint.net.transfer(
+                    call.dst, endpoint.node, HEADER_SIZE + int(resp_size), call.reply_cpu
+                )
+            except NetworkError as e:
+                endpoint._answer(call, e)
+            if due.__class__ is float:
+                if call.span is not None:
+                    call.span.end = due
+                    call.span.__exit__(None, None, None)
+                    self._close_span(due)
+                self.land(reply, due)
+            else:
+                due.callbacks.append(self._lost)
+        except RpcError:
+            self._failed()
+        except BaseException as exc:
+            self._close_span()
+            self.fail(exc)
+        finally:
+            sim._active_process = None
+
+    def _lost(self, event) -> None:
+        """The event of an undeliverable response."""
+        event._defused = True
+        sim = self.sim
+        sim._active_process = self
+        try:
+            self._endpoint._answer(self._call, event._value)
+        except RpcError:
+            self._failed()
+        finally:
+            sim._active_process = None
+
+    def _failed(self) -> None:
+        self._errors.inc("errors")
+        self._close_span()
+        self.land(None)
+
+    def _close_span(self, end: Optional[float] = None) -> None:
+        """Close the leg's own span: at *end*, or now."""
+        span = self._span
+        if span is not None:
+            self._span = None
+            span.end = end
+            span.__exit__(None, None, None)

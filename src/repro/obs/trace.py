@@ -151,8 +151,8 @@ class _Span:
         self.child_time = 0.0
         self._key = 0
         #: Close instant, when not ``sim.now`` at exit: set when the
-        #: span's work ends with a reply its process returns as a
-        #: ``repro.sim.Landing`` rather than sleeps on.
+        #: span's work ends with a reply its runner lands on a join
+        #: (``repro.sim.process.JoinChild.land``) rather than sleeps on.
         self.end: Optional[float] = None
 
     def __enter__(self) -> "_Span":

@@ -23,7 +23,7 @@ from repro.sim.events import (
     STOP,
     Timeout,
 )
-from repro.sim.process import Join, NO_EVENT, Process, ProcessGenerator
+from repro.sim.process import Join, NO_EVENT, Process, ProcessGenerator, Strand
 
 
 class Simulator:
@@ -115,7 +115,16 @@ class Simulator:
         Anything that must be interrupted, raced against a deadline or
         outlive its spawner stays a :meth:`process`.
         """
-        return Join(self, generators, name)
+        generators = list(generators)
+        join = Join(self, len(generators))
+        parent = self._active_process
+        try:
+            for index, generator in enumerate(generators):
+                Strand(self, generator, join, index, name, parent)
+        finally:
+            # Each strand cleared the active process on its way out.
+            self._active_process = parent
+        return join
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

@@ -13,7 +13,10 @@ short-lived children: each child runs as a :class:`Strand` — the same
 resume loop, the same identity the tracer keys on — but starts inside
 the call and reports to the join instead of owning schedule entries.
 A strand whose last step is a booked arrival may return a
-:class:`Landing` instead of sleeping on it.
+:class:`Landing` instead of sleeping on it.  A child need not be a
+generator at all: anything that reports through :class:`JoinChild`
+(an RPC leg booked as callbacks, ``repro.net.rpc.Leg``) joins the same
+way.
 
 Every runner carries ``ready``: the instant before which nothing it
 sends may depart.  A runner that has booked work it need not sleep on —
@@ -25,7 +28,7 @@ crossing runs ahead").
 from __future__ import annotations
 
 from math import inf
-from typing import TYPE_CHECKING, Any, Generator, Iterable, Union
+from typing import TYPE_CHECKING, Any, Generator, Union
 
 from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import Event, NORMAL, PENDING, URGENT
@@ -234,8 +237,38 @@ class Process(_Runner, Event):
         return f"<Process {self.name} ({state})>"
 
 
-class Strand(_Runner):
-    """One child of a :class:`Join`.
+class JoinChild:
+    """How a child of a :class:`Join` reports: :meth:`land` its value,
+    or :meth:`fail`.  The subclass supplies ``sim``, ``_join`` and
+    ``_index`` (slots live on the subclasses, as for :class:`_Runner`)."""
+
+    __slots__ = ()
+
+    def land(self, value: Any, at: float = -inf) -> None:
+        """Report *value*, counted from the instant *at* (a
+        :class:`Landing`'s; a plain return is ``-inf``)."""
+        join = self._join
+        if at > join._landing:
+            join._landing = at
+        join._results[self._index] = value
+        join._pending -= 1
+        if not join._pending and join._value is PENDING:
+            # Event.succeed, at the latest landing rather than now.
+            sim = self.sim
+            join._value = join._results
+            sim._schedule(join, at=max(sim._now, join._landing))
+
+    def fail(self, exception: BaseException) -> None:
+        # The first failure fails the join; a later one has nobody left
+        # to tell and is dropped (the AllOf contract, minus the crash).
+        join = self._join
+        join._pending -= 1
+        if join._value is PENDING:
+            join.fail(exception)
+
+
+class Strand(_Runner, JoinChild):
+    """One generator child of a :class:`Join`.
 
     Process-like where observers look — it is ``sim.active_process``
     while it runs and carries ``name``/``serial``/``parent`` — but not
@@ -273,41 +306,27 @@ class Strand(_Runner):
         self._resume(NO_EVENT)
 
     def succeed(self, value: Any) -> None:
-        join = self._join
         if value.__class__ is Landing:
-            if value.at > join._landing:
-                join._landing = value.at
-            value = value.value
-        join._results[self._index] = value
-        join._pending -= 1
-        if not join._pending and join._value is PENDING:
-            # Event.succeed, at the latest landing rather than now.
-            sim = self.sim
-            join._value = join._results
-            sim._schedule(join, at=max(sim._now, join._landing))
-
-    def fail(self, exception: BaseException) -> None:
-        # The first failure fails the join; a later one has nobody left
-        # to tell and is dropped (the AllOf contract, minus the crash).
-        join = self._join
-        join._pending -= 1
-        if join._value is PENDING:
-            join.fail(exception)
+            self.land(value.value, value.at)
+        else:
+            self.land(value)
 
 
 class Join(Event):
-    """Fork-join over generators: fires with their return values, in
-    child order, once the last one returns.
+    """Fork-join: fires with its children's values, in child order,
+    once the last one has reported.
 
-    Children start *eagerly*, in order, inside the constructor, and the
-    join costs one schedule entry in total — against one ``Initialize``
-    plus one completion entry per child and one more for the ``AllOf``
-    when each child is a :class:`Process`.  Delivery is an ordinary
-    scheduled event, not a synchronous wake-up (DESIGN §7).
+    :meth:`Simulator.gather` starts one :class:`Strand` per generator
+    *eagerly*, in order, inside the call; the join costs one schedule
+    entry in total — against one ``Initialize`` plus one completion
+    entry per child and one more for the ``AllOf`` when each child is a
+    :class:`Process`.  Delivery is an ordinary scheduled event, not a
+    synchronous wake-up (DESIGN §7).
 
-    A child may return a :class:`Landing`: its value then counts from
-    the landing's instant, and the join's one entry is booked, when the
-    last child returns, at the latest landing (or now, if later).
+    A child may report a landing (:meth:`JoinChild.land`, a strand's
+    :class:`Landing`): its value then counts from the landing's
+    instant, and the join's one entry is booked, when the last child
+    reports, at the latest landing (or now, if later).
 
     The first child to raise fails the join with its exception, at the
     instant it raises; the other children keep running and their
@@ -316,22 +335,11 @@ class Join(Event):
 
     __slots__ = ("_results", "_pending", "_landing")
 
-    def __init__(
-        self, sim: "Simulator", generators: Iterable[ProcessGenerator], name: str
-    ) -> None:
+    def __init__(self, sim: "Simulator", size: int) -> None:
         super().__init__(sim)
-        generators = list(generators)
-        self._results: list[Any] = [None] * len(generators)
-        self._pending = len(generators)
-        #: The latest landing a child has returned so far.
+        self._results: list[Any] = [None] * size
+        self._pending = size
+        #: The latest landing a child has reported so far.
         self._landing = -inf
-        if not generators:
+        if not size:
             self.succeed(self._results)
-            return
-        parent = sim._active_process
-        try:
-            for index, generator in enumerate(generators):
-                Strand(sim, generator, self, index, name, parent)
-        finally:
-            # Each strand cleared the active process on its way out.
-            sim._active_process = parent

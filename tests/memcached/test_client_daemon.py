@@ -1,5 +1,7 @@
 """Integration tests: memcached daemon + client over the network."""
 
+import dataclasses
+
 import pytest
 
 from repro.memcached import (
@@ -268,3 +270,25 @@ def test_wire_sizes_charge_key_bytes_not_characters():
     assert sorted(reply) == ["k", "é"]
     assert resp_bytes == (5 + VALUE_WIRE_OVERHEAD + 2) + (7 + VALUE_WIRE_OVERHEAD + 1)
     assert reply_cpu == COPY_PER_BYTE * resp_bytes
+
+
+def test_a_hit_shares_its_items_one_value_until_an_incr_changes_it():
+    """The daemon builds an item's client-visible ``McValue`` once and
+    hands it to every hit; ``incr`` changes the item in place, so the
+    next hit sees a new value.  ``McValue`` is immutable, so sharing it
+    is safe."""
+    sim, client, _ = make_cluster(n_mcds=1)
+
+    def proc():
+        yield from client.set("n", 41, 2)
+        first = yield from client.get("n")
+        again = yield from client.get("n")
+        yield from client.incr("n")
+        after = yield from client.get("n")
+        return first, again, after
+
+    first, again, after = drive(sim, proc())
+    assert again is first and first.value == 41
+    assert (after.value, after.nbytes) == (42, 2) and after.cas > first.cas
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.value = 0

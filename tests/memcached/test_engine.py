@@ -485,3 +485,24 @@ def test_scan_overwritten_item_reappears_with_new_seq():
         if cursor == 0:
             break
     assert seen == ["k2", "k3", "k0"]
+
+
+def test_a_bad_key_after_hits_raises_and_books_the_keys_before_it():
+    """A lookup validates a key only when it misses: a stored key passed
+    ``_check_key`` when it was stored, and a bad key is never stored.
+    A bad key after valid hits therefore still raises ``McError``, with
+    the keys before it looked up, promoted and booked, and the keys
+    after it untouched — as when every key was validated first."""
+    e, _ = make_engine()
+    for k in ("a", "b", "c"):
+        e.set(k, b"1", 1)
+    cls = e._items["a"].slab.index
+    for bad in ("bad key", "x" * (MAX_KEY_LEN + 1), "é" * 126, ""):
+        before = {k: e.stats.get(k) for k in ("cmd_get", "get_hits", "get_misses")}
+        with pytest.raises(McError):
+            e.get_multi(["c", "absent", bad, "b"])
+        assert {k: e.stats.get(k) - before[k] for k in before} == {
+            "cmd_get": 2, "get_hits": 1, "get_misses": 1,
+        }
+        assert list(e._lru[cls])[-1] == "c"  # promoted; "b" was never reached
+    assert e.get_multi(["a", "b"]).keys() == {"a", "b"}

@@ -3,12 +3,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.memcached import MemcacheClient, MemcachedDaemon
 from repro.memcached.hashing import (
     Crc32Selector,
     KetamaSelector,
     ModuloSelector,
     selector,
 )
+from repro.net import IPOIB, Endpoint, Network, Node
+from repro.sim import Simulator
+from repro.util import MiB
 
 
 def keys(n=2000):
@@ -172,3 +176,28 @@ def test_remap_fraction_bounded_on_remove(n):
     frac = len(moved) / len(ks)
     assert 0.5 / (n + 1) <= frac <= 2.0 / (n + 1), frac
     assert all(before[k] == n // 2 for k in moved)
+
+
+@pytest.mark.parametrize("name", ["crc32", "modulo", "ketama"])
+def test_a_clients_memoised_owner_is_the_selectors_pick_for_every_key_and_hint(name):
+    """A client memoises a key's owner (per membership epoch) where the
+    pick cannot depend on the hint; ``ModuloSelector`` reads it, so the
+    same key under two hints must still land on two owners.  Every
+    lookup is asked twice, so the second answer comes from the memo
+    wherever there is one."""
+    sim = Simulator()
+    net = Network(sim, IPOIB)
+    daemons = [MemcachedDaemon(sim, net, Node(sim, f"m{i}"), MiB) for i in range(4)]
+    sel = selector(name)
+    mc = MemcacheClient(Endpoint(net, Node(sim, "client")), daemons, selector(name))
+    for key in keys(100):
+        for hint in (None, 0, 1, 2, 3, 5, None, 6, 7, 0):
+            want = sel.select(key, 4, hint)
+            for _ in range(2):
+                assert mc.owners(key, hint) == [want], (key, hint)
+                memo = mc._read_memo()
+                assert memo.get(key, mc._read_idx(key, hint)) == want, (key, hint)
+    # Only hint-free picks are memoised under a selector that reads hints.
+    assert not sel.uses_hint or all(
+        mc._primaries[k] == sel.select(k, 4) for k in mc._primaries
+    )

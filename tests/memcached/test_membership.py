@@ -3,7 +3,7 @@
 import pytest
 
 from repro.memcached import MemcacheClient, MemcachedDaemon
-from repro.memcached.hashing import KetamaSelector
+from repro.memcached.hashing import KetamaSelector, selector as make_selector
 from repro.memcached.membership import (
     DETACHED,
     DRAINING,
@@ -313,3 +313,57 @@ def test_client_static_path_identical_with_idle_membership():
     for i in range(300):
         k = f"somekey{i}"
         assert client.server_for(k) is legacy.server_for(k)
+
+
+def _fresh_pick(client, key, hint=None):
+    """*key*'s primary computed from scratch over the current ring."""
+    ring = client.membership.ring_ids
+    if isinstance(client.selector, KetamaSelector):
+        return KetamaSelector().owner(key, ring)
+    return ring[client.selector.select(key, len(ring), hint)]
+
+
+@pytest.mark.parametrize(
+    "selector_name, change",
+    [
+        ("ketama", "add"), ("ketama", "drain"), ("ketama", "remove"),
+        ("crc32", "add_server"), ("modulo", "add_server"), ("crc32", "remove"),
+    ],
+)
+def test_a_resize_never_routes_by_a_stale_memoised_owner(selector_name, change):
+    """Every key's owner is memoised per membership epoch.  Route a
+    keyspace (filling the memo), change the bank, and every store, read
+    and batch must route by the new ring — the pick a client with no
+    memo would make."""
+    sim, net, ms, ctrl, client = make_elastic(3, selector_name)
+    if selector_name != "ketama":
+        client = MemcacheClient(
+            client.endpoint, client.servers, make_selector(selector_name), membership=ms
+        )
+    ks = [f"/f{i % 7}:{i * 2048}" for i in range(200)]
+    hints = [i % 5 for i in range(200)]
+
+    def routes():
+        memo = client._read_memo()
+        return [
+            (client.owners(k, h)[0], memo.get(k, client._read_idx(k, h)))
+            for k, h in zip(ks, hints)
+        ]
+
+    assert routes() == [(_fresh_pick(client, k, h),) * 2 for k, h in zip(ks, hints)]
+    before = routes()
+    if change == "add":
+        ctrl.add(window=0.01)
+    elif change == "drain":
+        ctrl.drain(1, window=0.01)
+    elif change == "remove":
+        ctrl.remove(1)
+    else:
+        client.add_server(MemcachedDaemon(sim, net, Node(sim, "mcd-new"), 16 * MiB))
+    after = routes()
+    assert after == [(_fresh_pick(client, k, h),) * 2 for k, h in zip(ks, hints)]
+    assert after != before  # the change moved some keys
+    # A batch routes by the same picks: every key lands on its new owner.
+    drive(sim, client.set_multi([(k, i, 8, 0, 0) for i, k in enumerate(ks)], hints))
+    for (owner, _), k in zip(after, ks):
+        assert ms.members[owner].daemon.engine.get(k) is not None

@@ -39,7 +39,7 @@ def reference_call(ep, daemon, op, payload):
     net, node, dst = ep.net, ep.node, daemon.node
     req_size = request_size(op, payload)
     yield net.transfer(node, dst, HEADER_SIZE + req_size)
-    yield dst.cpu.run(command_cpu(op, payload))
+    yield dst.cpu.run(command_cpu((op, payload)))
     reply, resp_size = daemon._serve(RpcCall(node, dst, SERVICE, (op, payload), req_size))
     if resp_size and op in ("get_multi", "scan"):
         yield dst.cpu.run(COPY_PER_BYTE * resp_size)
@@ -302,7 +302,7 @@ def test_a_reply_to_a_killed_client_books_the_copy_on_the_mcd_cpu():
     resp_bytes = 512 * KiB + 40 + len("big")
     assert cpu.jobs == jobs + 2
     want = (
-        (p.cpu_recv + p.cpu_per_byte * req_size + command_cpu("get_multi", ["big"]))
+        (p.cpu_recv + p.cpu_per_byte * req_size + command_cpu(("get_multi", ["big"])))
         + (p.cpu_send + p.cpu_per_byte * (HEADER_SIZE + resp_bytes) + COPY_PER_BYTE * resp_bytes)
     )
     assert math.isclose(cpu.busy_time - busy, want, rel_tol=1e-9)
@@ -327,6 +327,6 @@ def test_traced_call_books_the_command_cpu_to_the_mcd_tier():
     spans = {s.name: s for s in daemon.tracer.spans}
     mcd, req = spans["mcd.get_multi"], spans["net.req.memcached"]
     assert mcd.tier == "mcd" and mcd.end == req.end
-    assert math.isclose(mcd.duration, command_cpu("get_multi", keys), rel_tol=1e-9)
+    assert math.isclose(mcd.duration, command_cpu(("get_multi", keys)), rel_tol=1e-9)
     assert req.child_time == mcd.duration
     assert math.isclose(req.exclusive + mcd.duration, req.duration, rel_tol=1e-12)

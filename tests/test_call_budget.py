@@ -42,10 +42,20 @@ BUDGET = {
     # the multi-get's leg woke on its response (a resume of the strand,
     # ``_leg`` and ``Endpoint.call``) instead of landing it on the join;
     # 62 while the op slept on its FUSE crossing (``FifoStation.run``,
-    # the wake's ``_resume`` and a resume of every frame of the op).
-    "warm_read_2k": 56,
-    "warm_read_16k": 77,  # 107, 97, 96, 86, 83
-    "stat_hit": 42,  # 82, 72, 71 (no _stat_scalar / _get_scalar wrapper frames), 61, 47
+    # the wake's ``_resume`` and a resume of every frame of the op); 56
+    # while the leg was a strand driving ``_leg`` and ``Endpoint.call``
+    # (``Strand.__init__``, two resumes of each, ``Landing``) and the
+    # batch's size and reply each called ``key_nbytes``.
+    "warm_read_2k": 45,
+    # 107, 97, 96, 86, 83, 77: the last three also paid 3 calls per
+    # extra block (``KeyCache.data_key``, ``Crc32Selector.select``,
+    # ``memcache_hash``) before the covering keys were one slice and
+    # each key's owner was memoised.
+    "warm_read_16k": 45,
+    # 82, 72, 71 (no _stat_scalar / _get_scalar wrapper frames), 61, 47,
+    # 42 (the key's route was ``_read_route`` + ``select`` +
+    # ``memcache_hash``; it is one memo probe).
+    "stat_hit": 40,
     # Before every mutation walked one owner list: 358 / 663 / 149.
     # Routing a key was ``_window_targets`` + ``_replicas_for`` +
     # ``_idx_for`` + ``select``; it is ``owners`` + ``select``.
@@ -56,12 +66,18 @@ BUDGET = {
     # open saves the wake's calls too, but pays them back: its fd-table
     # frame (``GlusterClient.close``/``open``) sits on the op's
     # ``_crossing`` frame, one more frame resumed on every wake.
-    "write_4k": 296,
-    "close": 585,
+    # 296 / 585 / 136 while every key was routed by ``select`` +
+    # ``memcache_hash`` rather than a memoised owner, and every valid key
+    # the engine stored or deleted was sized by ``key_nbytes`` rather
+    # than passing the one-scan plain-key test.  (Each RPC now also
+    # enters the request and answer halves it shares with a batch leg.)
+    "write_4k": 292,
+    "close": 492,
     "open": 136,
 }
-#: (warm_read_16k - warm_read_2k) / 7: what one more cached block costs.
-PER_EXTRA_BLOCK = 3
+#: (warm_read_16k - warm_read_2k) / 7: what one more cached block costs
+#: (3 before the covering keys were a slice and owners memoised).
+PER_EXTRA_BLOCK = 0
 
 
 def _count_calls(sim, op_gen):
