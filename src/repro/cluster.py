@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 from repro.core.cmcache import CMCacheXlator
 from repro.core.config import IMCaConfig
+from repro.core.keys import KeyCache
 from repro.core.smcache import SMCacheXlator
 from repro.gluster.client import GlusterClient
 from repro.gluster.distribute import DistributeXlator
@@ -409,6 +410,13 @@ def build_gluster_testbed(
     mcds = [spawn_mcd(i) for i in range(cfg.num_mcds)]
     use_imca = bool(mcds)
     membership = McdMembership(mcds) if use_imca else None
+    # A key's name and its owner are pure functions of the path, the
+    # block size and the ring, so every translator shares one key table
+    # and every cache client one selector, hence one owner table per
+    # epoch (McdMembership.owner_table): memory per client does not grow
+    # with the keyspace.
+    keys = KeyCache(block_size=cfg.imca.block_size)
+    select = make_selector(cfg.imca.selector)
 
     # Brick servers (one in the paper's configuration).
     servers: list[GlusterServer] = []
@@ -423,12 +431,13 @@ def build_gluster_testbed(
             # concurrent readers don't stampede the same replica first.
             mc = MemcacheClient(
                 Endpoint(cache_net, snode, tracer=tracer), mcds,
-                make_selector(cfg.imca.selector), health=mcd_health,
+                select, health=mcd_health,
                 replicas=cfg.imca.replicas, rr_seed=b,
                 membership=membership,
             )
             smcache = SMCacheXlator(
-                sim, mc, cfg.imca, metrics=reg.component(f"smcache.{snode.name}")
+                sim, mc, cfg.imca, metrics=reg.component(f"smcache.{snode.name}"),
+                keys=keys,
             )
             server_xlators.append(smcache)
         servers.append(
@@ -450,13 +459,13 @@ def build_gluster_testbed(
         if use_imca:
             mc_ep = ep if cache_net is net else Endpoint(cache_net, cnode, tracer=tracer)
             mc = MemcacheClient(
-                mc_ep, mcds, make_selector(cfg.imca.selector), health=mcd_health,
+                mc_ep, mcds, select, health=mcd_health,
                 replicas=cfg.imca.replicas, rr_seed=cfg.num_bricks + i,
                 membership=membership,
             )
             cmcache = CMCacheXlator(
                 mc, cfg.imca, metrics=reg.component(f"cmcache.{cnode.name}"),
-                sim=sim,
+                sim=sim, keys=keys,
             )
             stack.append(cmcache)
         stack.append(bottom)

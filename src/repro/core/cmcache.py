@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.core.blocks import BlockMapper, BlockValue, assemble_blocks, missing_ranges, split_blocks
 from repro.core.config import IMCaConfig
 from repro.core.hotcache import HotCache
-from repro.core.keys import KeyCache
+from repro.core.keys import KeyCache, key_table
 from repro.gluster.xlator import Xlator
 from repro.localfs.types import ReadResult, StatBuf
 from repro.memcached.client import MemcacheClient
@@ -77,6 +77,7 @@ class CMCacheXlator(Xlator):
         config: Optional[IMCaConfig] = None,
         metrics: Optional[ComponentMetrics] = None,
         sim: Optional["Simulator"] = None,
+        keys: Optional[KeyCache] = None,
     ) -> None:
         super().__init__("cmcache")
         self.mc = mc
@@ -96,7 +97,8 @@ class CMCacheXlator(Xlator):
         #: Shared with the MCD client: op-lifecycle annotations (tags
         #: like ``read-partial-fill``) ride on the testbed's tracer.
         self.tracer = mc.tracer
-        self._keys = KeyCache(block_size=self.config.block_size)
+        #: The testbed's one key table, or a private one.
+        self._keys = key_table(keys, self.config.block_size)
         #: Hot tier (None when disabled).
         self._hot: Optional[HotCache] = (
             HotCache(self.config.hot_cache_bytes)

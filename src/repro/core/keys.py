@@ -45,9 +45,19 @@ class KeyCache:
     list slice.  Semantics are identical to :func:`data_key` /
     :func:`stat_key`, including the ``None`` for overlong keys.
 
+    A testbed builds one table for all its CMCaches and SMCaches
+    (:func:`key_table`), so a key is minted once however many clients
+    name it.
+
     Bounded: when more than ``max_paths`` distinct paths accumulate the
     cache resets (workloads touch a working set, so a full wipe is
-    simpler and just as effective as LRU here).
+    simpler and just as effective as LRU here).  The bound counts the
+    whole testbed's paths.  4,096 holds Fig 5's paper-scale file set
+    (4,096 files over 64 clients, no wipe) and twice the largest
+    ``perf/`` working set (2,048 files); past it a wipe costs only the
+    re-minting, and the table stays one per testbed rather than one per
+    translator.  A wipe never disturbs a read in flight: :meth:`data_keys`
+    hands out a copy.
     """
 
     __slots__ = ("max_paths", "block_size", "_data", "_blocks", "_stat")
@@ -98,6 +108,19 @@ class KeyCache:
                 self._stat.clear()
             key = self._stat[path] = stat_key(path)
             return key
+
+
+def key_table(keys: Optional[KeyCache], block_size: int) -> KeyCache:
+    """A translator's key table: the testbed's shared *keys*, or, for a
+    translator built on its own, a private one.  A shared table must
+    index blocks by the translator's block size."""
+    if keys is None:
+        return KeyCache(block_size=block_size)
+    if keys.block_size != block_size:
+        raise ValueError(
+            f"key table indexes {keys.block_size} B blocks, translator uses {block_size} B"
+        )
+    return keys
 
 
 def parse_data_key(key: str) -> tuple[str, int]:

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.core.blocks import BlockMapper, split_blocks
 from repro.core.config import IMCaConfig
-from repro.core.keys import KeyCache
+from repro.core.keys import KeyCache, key_table
 from repro.gluster.xlator import Xlator
 from repro.localfs.types import ReadResult, StatBuf, slice_result
 from repro.memcached.client import MemcacheClient
@@ -70,6 +70,7 @@ class SMCacheXlator(Xlator):
         mc: MemcacheClient,
         config: Optional[IMCaConfig] = None,
         metrics: Optional[ComponentMetrics] = None,
+        keys: Optional[KeyCache] = None,
     ) -> None:
         super().__init__("smcache")
         self.sim = sim
@@ -78,7 +79,8 @@ class SMCacheXlator(Xlator):
         self.mapper = BlockMapper(self.config.block_size)
         #: path -> block offsets this server has pushed (purge index).
         self._pushed: dict[str, set[int]] = {}
-        self._keys = KeyCache()
+        #: The testbed's one key table, or a private one.
+        self._keys = key_table(keys, self.config.block_size)
         #: Instruments live in a registry component when the testbed has
         #: one; ``metrics`` keeps its Counter shape for existing callers.
         self.component = metrics or ComponentMetrics("smcache")

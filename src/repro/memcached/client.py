@@ -45,8 +45,11 @@ attribution).
 
 A key's primary owner is worked out once per membership epoch
 (:meth:`MemcacheClient._primary`): the selector's pick is memoised by
-key, wherever the selector's answer cannot depend on the hint, and the
-memo is dropped with the epoch's ring.
+key, wherever the selector's answer cannot depend on the hint, in the
+membership's owner table for the client's selector instance
+(:meth:`McdMembership.owner_table`).  Clients that share a membership
+and a selector instance — every client of a testbed — share the table;
+the membership drops it with the epoch's ring.
 
 Reads are **singleflighted** per client (DESIGN §15): a ``get`` or
 ``get_multi`` that finds its key already being fetched parks on that
@@ -192,15 +195,17 @@ class MemcacheClient:
     # -- plumbing ------------------------------------------------------------
     def _resync(self) -> None:
         """Cache the membership's view for its current epoch: the key
-        ring and, in ring order, its daemons.  Every routing entry point
-        compares ``_epoch`` first, so a bank nobody resizes pays one
-        integer compare per op."""
+        ring, in ring order its daemons, and the epoch's owner table for
+        this client's selector.  Every routing entry point compares
+        ``_epoch`` first, so a bank nobody resizes pays one integer
+        compare per op."""
         m = self.membership
         self._epoch = m.epoch
         self._ring = m.ring_ids
         self.servers = [m.daemon(i) for i in self._ring]
-        #: key -> primary owner over this epoch's ring (:meth:`_primary`).
-        self._primaries: dict[str, int] = {}
+        #: key -> primary owner over this epoch's ring (:meth:`_primary`),
+        #: shared with every client routing by the same selector.
+        self._primaries = m.owner_table(self.selector)
 
     def add_server(self, server: MemcachedDaemon) -> None:
         """Grow the cache bank (§4.4: "Additional caching nodes can be

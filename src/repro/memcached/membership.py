@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.memcached.daemon import SERVICE, MemcachedDaemon, request_size
-from repro.memcached.hashing import KetamaSelector
+from repro.memcached.hashing import KetamaSelector, ServerSelector
 from repro.net.fabric import Network, Node
 from repro.net.rpc import Endpoint, RpcError
 from repro.obs.trace import NULL_TRACER
@@ -99,6 +99,12 @@ class McdMembership:
     (:meth:`MemcacheClient._resync`), so the static case — ids
     ``0..n-1``, epoch 0, no windows: what a bank nobody resizes is —
     costs one integer compare per op.
+
+    The membership also keeps the epoch's **owner tables**
+    (:meth:`owner_table`): one memo of key -> primary node id per
+    selector instance, shared by every client that routes with that
+    instance.  A bump drops them all and starts new ones, so no pick
+    made over an old ring survives into the new epoch.
     """
 
     def __init__(self, daemons: list[MemcachedDaemon]) -> None:
@@ -109,6 +115,8 @@ class McdMembership:
         self.epoch = 0
         self.windows: list[ForwardingWindow] = []
         self._ring_cache: Optional[tuple[int, ...]] = None
+        #: selector -> {key: primary node id over this epoch's ring}.
+        self._owner_tables: dict[ServerSelector, dict[str, int]] = {}
 
     # -- views ---------------------------------------------------------------
     @property
@@ -131,10 +139,21 @@ class McdMembership:
         m = self.members.get(node_id)
         return m is not None and m.state != DETACHED
 
+    def owner_table(self, selector: ServerSelector) -> dict[str, int]:
+        """The current epoch's memo of key -> primary node id for
+        *selector* (keyed by the instance): every client routing with
+        that selector fills and reads the one table.  It holds only
+        what the selector picks over :attr:`ring_ids`; a client must
+        take the table in the same step as the ring (:meth:`_bump`
+        replaces it, never clears it, so a client still holding the
+        previous epoch's table cannot write into this one)."""
+        return self._owner_tables.setdefault(selector, {})
+
     # -- transitions ---------------------------------------------------------
     def _bump(self) -> None:
         self.epoch += 1
         self._ring_cache = None
+        self._owner_tables = {}
 
     def alloc_id(self) -> int:
         nid = self._next_id

@@ -91,6 +91,19 @@ def test_key_cache_matches_plain_functions():
     assert kc.data_key(long_path, 0) is None
 
 
+class _Wipes(dict):
+    """A key-table dict that counts the wipes landing while *reading*."""
+
+    def __init__(self, reading):
+        super().__init__()
+        self.reading = reading
+        self.mid_read = 0
+
+    def clear(self):
+        self.mid_read += self.reading[0]
+        super().clear()
+
+
 def test_key_cache_bounded():
     kc = KeyCache(max_paths=4)
     for i in range(20):
@@ -98,6 +111,53 @@ def test_key_cache_bounded():
         assert kc.stat_key(f"/f{i}") == f"/f{i}:stat"
     assert len(kc._data) <= 4
     assert len(kc._stat) <= 4
+
+    # Shared by a testbed, the bound counts every path of the testbed:
+    # one client wipes the table while another is mid-read, and the
+    # read, later reads and every key minted after the wipe stay right.
+    tb = make(num_clients=2)
+    kc = tb.cmcaches[0]._keys
+    assert tb.cmcaches[1]._keys is kc and tb.smcaches[0]._keys is kc
+    size = 8 * BS
+    big = payload(size, 7)
+    others = [f"/o{i}" for i in range(6)]
+    for i, p in enumerate(others):
+        write_file(tb, p, payload(size, i))
+    fd = write_file(tb, "/big", big)
+    kc.max_paths = 1
+    reading = [0]
+    kc._blocks, kc._stat = _Wipes(reading), _Wipes(reading)
+    a, b = tb.clients
+    got, ok = [], []
+
+    def reader():
+        reading[0] = 1
+        r = yield from a.read(fd, BS // 2, size - BS)
+        reading[0] = 0
+        got.append(r.data)
+        r = yield from a.read(fd, 0, size)
+        got.append(r.data)
+
+    def wiper():
+        for i, p in enumerate(others):
+            yield from b.stat(p)
+            bfd = yield from b.open(p)
+            r = yield from b.read(bfd, 0, size)
+            yield from b.close(bfd)
+            ok.append(r.data == payload(size, i))
+
+    tb.sim.process(reader())
+    tb.sim.process(wiper())
+    tb.sim.run()
+    assert kc._blocks.mid_read + kc._stat.mid_read > 0
+    assert got == [big[BS // 2 : size - BS // 2], big]
+    assert ok == [True] * len(others)
+    assert len(kc._blocks) <= 1 and len(kc._stat) <= 1
+    for path, keys in kc._blocks.items():
+        assert keys == [data_key(path, i * BS) for i in range(len(keys))]
+    for path, key in kc._stat.items():
+        assert key == stat_key(path)
+    assert tb.cm_stats().get("read_hits", 0) > 0
 
 
 # --------------------------------------------------------------------------- #

@@ -331,27 +331,47 @@ def _fresh_pick(client, key, hint=None):
     ],
 )
 def test_a_resize_never_routes_by_a_stale_memoised_owner(selector_name, change):
-    """Every key's owner is memoised per membership epoch.  Route a
-    keyspace (filling the memo), change the bank, and every store, read
-    and batch must route by the new ring — the pick a client with no
-    memo would make."""
+    """Every key's owner is memoised per membership epoch, in one table
+    per selector instance that every client on the membership shares.
+    Client A routes a keyspace (filling the table), the bank changes,
+    and A, client B (which has not routed since) and the brick's client
+    must all route every store, read and batch by the new ring — the
+    pick a client with no memo would make."""
     sim, net, ms, ctrl, client = make_elastic(3, selector_name)
+    sel = client.selector
     if selector_name != "ketama":
-        client = MemcacheClient(
-            client.endpoint, client.servers, make_selector(selector_name), membership=ms
-        )
-    ks = [f"/f{i % 7}:{i * 2048}" for i in range(200)]
-    hints = [i % 5 for i in range(200)]
+        sel = make_selector(selector_name)
+        client = MemcacheClient(client.endpoint, client.servers, sel, membership=ms)
 
-    def routes():
-        memo = client._read_memo()
+    def peer(name, selector=sel):
+        return MemcacheClient(
+            Endpoint(net, Node(sim, name)), client.servers, selector, membership=ms
+        )
+
+    b, brick = peer("client-b"), peer("brick")
+    ks = [f"/f{i % 7}:{i * 2048}" for i in range(200)]
+    hints = [None if i % 6 == 0 else i % 5 for i in range(200)]
+
+    def routes(c):
+        memo = c._read_memo()
         return [
-            (client.owners(k, h)[0], memo.get(k, client._read_idx(k, h)))
+            (c.owners(k, h)[0], memo.get(k, c._read_idx(k, h)))
             for k, h in zip(ks, hints)
         ]
 
-    assert routes() == [(_fresh_pick(client, k, h),) * 2 for k, h in zip(ks, hints)]
-    before = routes()
+    def fresh():
+        return [(_fresh_pick(client, k, h),) * 2 for k, h in zip(ks, hints)]
+
+    def hintless_only(table):
+        # A selector that reads hints memoises only hint-free picks.
+        return all(v == _fresh_pick(client, k) for k, v in table.items())
+
+    before = routes(client)
+    assert before == fresh()
+    assert routes(b)[:3] == before[:3]  # B holds this epoch's table
+    old = ms.owner_table(sel)
+    assert old and b._primaries is old and hintless_only(old)
+    snapshot = dict(old)
     if change == "add":
         ctrl.add(window=0.01)
     elif change == "drain":
@@ -360,10 +380,21 @@ def test_a_resize_never_routes_by_a_stale_memoised_owner(selector_name, change):
         ctrl.remove(1)
     else:
         client.add_server(MemcachedDaemon(sim, net, Node(sim, "mcd-new"), 16 * MiB))
-    after = routes()
-    assert after == [(_fresh_pick(client, k, h),) * 2 for k, h in zip(ks, hints)]
+    after = routes(client)
+    assert after == fresh()
     assert after != before  # the change moved some keys
+    assert routes(b) == after and routes(brick) == after
+    # The previous epoch's table is neither reused nor written into.
+    new = ms.owner_table(sel)
+    assert new is not old and dict(old) == snapshot
+    assert client._primaries is new and b._primaries is new and brick._primaries is new
+    assert new and hintless_only(new)
+    # A different selector instance on the same membership routes alike
+    # from a table of its own.
+    other = peer("client-d", make_selector(selector_name))
+    assert routes(other) == after
+    assert other._primaries is not new and other._primaries == new
     # A batch routes by the same picks: every key lands on its new owner.
-    drive(sim, client.set_multi([(k, i, 8, 0, 0) for i, k in enumerate(ks)], hints))
+    drive(sim, b.set_multi([(k, i, 8, 0, 0) for i, k in enumerate(ks)], hints))
     for (owner, _), k in zip(after, ks):
         assert ms.members[owner].daemon.engine.get(k) is not None
