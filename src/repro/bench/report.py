@@ -50,13 +50,11 @@ def _machine_info() -> dict:
     }
 
 
-def run_benchmarks(
-    quick: bool = False, rounds: Optional[int] = None, shards: int = 1
-) -> dict:
+def run_benchmarks(quick: bool = False, rounds: Optional[int] = None) -> dict:
     """Run every point into one report.  ``quick`` measures a subset of
     the full points (no sweep; the 1k scale points only) at the same
     workload sizes, so every quick point has a committed counterpart."""
-    results = kernel_results(quick, rounds) + scale_results(quick, rounds, shards)
+    results = kernel_results(quick, rounds) + scale_results(quick, rounds)
     return {
         "schema": 2,
         "git_sha": _git_sha(),
@@ -65,7 +63,6 @@ def run_benchmarks(
         ),
         "machine": _machine_info(),
         "mode": "quick" if quick else "full",
-        "shards": shards,
         "results": {r.name: r.to_dict() for r in results},
     }
 

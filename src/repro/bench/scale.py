@@ -19,8 +19,8 @@ layer the production op path crosses — at 1k, 100k and 1M clients
 (quick mode runs the 1k point only).  Clients are packed into
 independent *cells* of :data:`E2E_GROUP` concurrent processes sharing
 one client stack and statting one hot file — the metadata-hotspot
-shape get/stat singleflight exists for; cells are the unit
-:mod:`repro.harness.sharding` splits on.
+shape get/stat singleflight exists for; a point runs its cells one
+after another.
 
 Every point runs one *discarded warmup round* before the measured
 rounds, so medians come from a warm process (allocator, bytecode, and
@@ -36,7 +36,6 @@ import time
 from typing import Optional
 
 from repro.bench.kernel import BenchResult, _median
-from repro.harness.sharding import plan_shards, run_sharded
 from repro.sim.core import Simulator
 from repro.sim.station import FifoStation
 from repro.sim.sync import Barrier
@@ -46,7 +45,7 @@ from repro.workloads.base import drive
 CLIENT_POINTS = (1_000, 10_000, 100_000)
 QUICK_POINTS = (1_000,)
 #: Clients sharing one single-server NIC serialiser; groups never share
-#: state, so they are the independent unit the sharding layer splits on.
+#: a station, so they only share the simulator's event queue.
 GROUP_SIZE = 10
 OPS_PER_CLIENT = 20
 
@@ -58,7 +57,7 @@ E2E_QUICK_POINTS = (1_000,)
 #: Concurrent client processes per cell.  One cell = one single-client
 #: single-MCD testbed whose client stack all E2E_GROUP processes share,
 #: so their identical gets and stats share one fetch; distinct cells
-#: share nothing and are the independent unit the sharding layer splits.
+#: share nothing.
 E2E_GROUP = 1_000
 #: Each client performs one stat and one record read per run.
 E2E_OPS_PER_CLIENT = 2
@@ -96,37 +95,27 @@ def _launch(sim: Simulator, station: FifoStation, gid: int) -> None:
     kick.callbacks.append(fire)
 
 
-def _storm_shard(spec) -> dict:
-    """One shard of the timer storm: simulate a contiguous range of
-    client *groups* (``spec`` ids are group ids — the independent unit)
-    to completion and return summable metrics.
-    """
+def _storm_run(clients: int) -> tuple[dict, float]:
+    """Run one client point once, every group in one simulator, to
+    completion; returns (metrics, seconds)."""
+    t0 = time.perf_counter()
     sim = Simulator()
     sim.track_station_waits = False
-    for g in range(spec.client_lo, spec.client_hi):
+    stations = []
+    for g in range(clients // GROUP_SIZE):
         station = FifoStation(sim, name=f"nic{g}")
+        stations.append(station)
         for c in range(GROUP_SIZE):
             _launch(sim, station, g * GROUP_SIZE + c)
     sim.run()
-    return {
-        "clients": spec.clients * GROUP_SIZE,
-        "ops": spec.clients * GROUP_SIZE * OPS_PER_CLIENT,
-        "events": sim._seq,
-    }
-
-
-def _storm_run(clients: int) -> tuple[dict, float]:
-    """Run one client point once; returns (merged metrics, seconds)."""
-    specs = plan_shards(clients // GROUP_SIZE, 1)
-    t0 = time.perf_counter()
-    merged = run_sharded(_storm_shard, specs)
     elapsed = time.perf_counter() - t0
-    if merged["ops"] != clients * OPS_PER_CLIENT:
+    ops = sum(station.jobs for station in stations)
+    if ops != clients * OPS_PER_CLIENT:
         raise RuntimeError(
-            f"scale bench dropped work: {merged['ops']} ops retired, "
+            f"scale bench dropped work: {ops} ops retired, "
             f"expected {clients * OPS_PER_CLIENT}"
         )
-    return merged, elapsed
+    return {"clients": clients, "ops": ops, "events": sim._seq}, elapsed
 
 
 def _e2e_cell() -> tuple[int, int]:
@@ -169,33 +158,28 @@ def _e2e_cell() -> tuple[int, int]:
     procs = [sim.process(proc(g)) for g in range(E2E_GROUP)]
     done = sim.all_of(procs)
     sim.run(until=done)
-    return E2E_GROUP * E2E_OPS_PER_CLIENT, sim._seq
+    finished = sum(p.triggered for p in procs)
+    return finished * E2E_OPS_PER_CLIENT, sim._seq
 
 
-def _e2e_shard(spec) -> dict:
-    """One shard of the end-to-end run: ``spec`` ids are cell ids."""
+def _e2e_run(clients: int) -> tuple[dict, float]:
+    """Run one end-to-end client point once, its cells one after
+    another; returns (summed metrics, seconds)."""
+    if clients % E2E_GROUP:
+        raise ValueError(f"e2e points must be multiples of {E2E_GROUP}")
+    t0 = time.perf_counter()
     ops = events = 0
-    for _ in range(spec.client_lo, spec.client_hi):
+    for _ in range(clients // E2E_GROUP):
         o, e = _e2e_cell()
         ops += o
         events += e
-    return {"clients": spec.clients * E2E_GROUP, "ops": ops, "events": events}
-
-
-def _e2e_run(clients: int, shards: int) -> tuple[dict, float]:
-    """Run one end-to-end client point once; (merged metrics, seconds)."""
-    if clients % E2E_GROUP:
-        raise ValueError(f"e2e points must be multiples of {E2E_GROUP}")
-    specs = plan_shards(clients // E2E_GROUP, shards)
-    t0 = time.perf_counter()
-    merged = run_sharded(_e2e_shard, specs)
     elapsed = time.perf_counter() - t0
-    if merged["ops"] != clients * E2E_OPS_PER_CLIENT:
+    if ops != clients * E2E_OPS_PER_CLIENT:
         raise RuntimeError(
-            f"e2e bench dropped work: {merged['ops']} ops retired, "
+            f"e2e bench dropped work: {ops} ops retired, "
             f"expected {clients * E2E_OPS_PER_CLIENT}"
         )
-    return merged, elapsed
+    return {"clients": clients, "ops": ops, "events": events}, elapsed
 
 
 def _bench_point(name: str, run_once, rounds: int) -> BenchResult:
@@ -212,16 +196,9 @@ def _bench_point(name: str, run_once, rounds: int) -> BenchResult:
     return BenchResult(name, "ops_per_sec", _median(runs), runs, events)
 
 
-def scale_results(
-    quick: bool = False, rounds: Optional[int] = None, shards: int = 1
-) -> list[BenchResult]:
-    """The scale points: every heap storm, then every end-to-end point.
-
-    ``shards`` is the end-to-end shard count (wall-clock parallelism
-    additionally needs an active :func:`~repro.harness.parallel.job_pool`;
-    without one the shards run inline, which still exercises the
-    deterministic merge).  The storm always runs as one shard.
-    """
+def scale_results(quick: bool = False, rounds: Optional[int] = None) -> list[BenchResult]:
+    """The scale points: every heap storm, then every end-to-end point,
+    each in this process."""
     k = rounds if rounds is not None else ROUNDS
     results = [
         _bench_point(
@@ -231,9 +208,7 @@ def scale_results(
     ]
     results += [
         _bench_point(
-            f"scale_{_label(clients)}_e2e",
-            lambda c=clients: _e2e_run(c, shards),
-            k,
+            f"scale_{_label(clients)}_e2e", lambda c=clients: _e2e_run(c), k
         )
         for clients in (E2E_QUICK_POINTS if quick else E2E_POINTS)
     ]

@@ -29,6 +29,7 @@ configuration index, so the output is identical to ``--jobs 1``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -92,20 +93,13 @@ def cmd_list(_args) -> int:
     return 0
 
 
-def _run_observed(exp, args):
+def _run_observed(exp, args, run_kwargs: dict):
     """Run the experiment, capturing instrumented testbeds if any CLI
     observability flag asks for them.  Returns (result, capture)."""
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
     oplog_out = getattr(args, "oplog_out", None)
     sample_interval = getattr(args, "sample_interval", None)
-    # What the parsed command carries for the runner: `run` has
-    # --selector (fig-style runners only), `repro chaos` has --replicas.
-    run_kwargs = {
-        k: v
-        for k in ("selector", "replicas")
-        if (v := getattr(args, k, None)) is not None
-    }
     if not (trace_out or metrics_out or oplog_out or sample_interval):
         return exp.run(args.scale, **run_kwargs), None
     from repro.obs import ObsRequest, observing
@@ -186,6 +180,18 @@ def cmd_run(args) -> int:
     except ValueError as e:
         print(e, file=sys.stderr)
         return 2
+    # What the parsed command carries for the runner: `run` has
+    # --selector (fig-style runners only), `repro chaos` has --replicas.
+    run_kwargs = {
+        k: v
+        for k in ("selector", "replicas")
+        if (v := getattr(args, k, None)) is not None
+    }
+    accepted = inspect.signature(exp.run).parameters
+    for k in run_kwargs:
+        if k not in accepted:
+            print(f"error: {args.experiment} does not take --{k}", file=sys.stderr)
+            return 2
     if not args.json:
         print(f"== {exp.figure}: {exp.title} [{args.scale}]")
         print(exp.description)
@@ -193,18 +199,11 @@ def cmd_run(args) -> int:
     t0 = time.time()
     try:
         with job_pool(jobs):
-            result, capture = _run_observed(exp, args)
+            result, capture = _run_observed(exp, args, run_kwargs)
     except ValueError as e:
         # e.g. `chaos --replicas R` outside 1..num_mcds for the scale.
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except TypeError as e:
-        if "selector" in str(e):
-            print(
-                f"error: {args.experiment} does not take --selector", file=sys.stderr
-            )
-            return 2
-        raise
     _export_artifacts(capture, args)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -256,7 +255,7 @@ def cmd_bench(args) -> int:
     out = args.out or BENCH_FILE
 
     def run_suite():
-        return run_benchmarks(quick=args.quick, rounds=args.rounds, shards=args.shards)
+        return run_benchmarks(quick=args.quick, rounds=args.rounds)
 
     if args.profile is not None:
         from repro.bench import (
@@ -467,12 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the wall-clock benchmarks into BENCH.json (kernel, hop, "
         "sweep, and the heap-storm and end-to-end scale points)",
-    )
-    bench.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="shard count for the end-to-end scale points (shards run "
-        "inline unless a job pool is active; merge is deterministic "
-        "either way)",
     )
     bench.add_argument(
         "--quick", action="store_true",

@@ -68,10 +68,6 @@ class ResilienceConfig:
     mcd_timeout: float = 2e-3
     #: Retries after the first MCD attempt.
     mcd_retries: int = 1
-    backoff: float = 2e-4
-    backoff_factor: float = 2.0
-    max_backoff: float = 5e-3
-    jitter: float = 0.1
     # -- MCD health tracking ------------------------------------------------
     eject_after: int = 2
     cooldown: float = 0.02
@@ -91,8 +87,6 @@ class TestbedConfig:
 
     num_clients: int = 1
     transport: str = "ipoib"
-    #: Cores per node (§5.1: 8-core Clovertown).
-    cores: int = 8
 
     # -- file server ------------------------------------------------------
     #: Server page-cache budget (8 GB nodes; ~6 GB usable for cache).
@@ -139,7 +133,6 @@ class TestbedConfig:
 
 def _make_fs(
     sim: Simulator,
-    cfg: TestbedConfig,
     name: str,
     disks: int,
     cache_bytes: int,
@@ -324,6 +317,13 @@ class GlusterTestbed:
 #: Retry budget for brick fops under a :class:`ResilienceConfig` (must
 #: ride out a server flap).
 SERVER_RETRIES = 10
+#: Backoff between retries under a :class:`ResilienceConfig`, MCD and
+#: brick alike: the first sleep, its growth per attempt, its cap, and
+#: the seeded jitter fraction added on top.
+RETRY_BACKOFF = 2e-4
+RETRY_BACKOFF_FACTOR = 2.0
+RETRY_MAX_BACKOFF = 5e-3
+RETRY_JITTER = 0.1
 
 
 def build_gluster_testbed(
@@ -362,10 +362,10 @@ def build_gluster_testbed(
             retry=RetryPolicy(
                 timeout=res.mcd_timeout,
                 max_retries=res.mcd_retries,
-                backoff=res.backoff,
-                backoff_factor=res.backoff_factor,
-                max_backoff=res.max_backoff,
-                jitter=res.jitter,
+                backoff=RETRY_BACKOFF,
+                backoff_factor=RETRY_BACKOFF_FACTOR,
+                max_backoff=RETRY_MAX_BACKOFF,
+                jitter=RETRY_JITTER,
                 rng=jitter_rng,
             ),
         )
@@ -374,10 +374,10 @@ def build_gluster_testbed(
         # fabric anyway.  The retry loop is what rides out a flap.
         server_retry = RetryPolicy(
             max_retries=SERVER_RETRIES,
-            backoff=res.backoff,
-            backoff_factor=res.backoff_factor,
-            max_backoff=res.max_backoff,
-            jitter=res.jitter,
+            backoff=RETRY_BACKOFF,
+            backoff_factor=RETRY_BACKOFF_FACTOR,
+            max_backoff=RETRY_MAX_BACKOFF,
+            jitter=RETRY_JITTER,
             rng=jitter_rng,
         )
         net.loss_rng = streams.stream("net.loss")
@@ -403,7 +403,7 @@ def build_gluster_testbed(
     # MCD array, and the one membership every cache client routes over.
     def spawn_mcd(node_id: int) -> MemcachedDaemon:
         return MemcachedDaemon(
-            sim, cache_net, Node(sim, f"mcd{node_id}", cores=cfg.cores),
+            sim, cache_net, Node(sim, f"mcd{node_id}"),
             cfg.mcd_memory, tracer=tracer, tenancy_factory=tenancy_factory,
         )
 
@@ -422,8 +422,8 @@ def build_gluster_testbed(
     servers: list[GlusterServer] = []
     smcaches: list[Optional[SMCacheXlator]] = []
     for b in range(cfg.num_bricks):
-        snode = Node(sim, f"gfs-server{b}" if cfg.num_bricks > 1 else "gfs-server", cores=cfg.cores)
-        fs = _make_fs(sim, cfg, f"brick{b}", cfg.raid_disks, cfg.server_cache_bytes, tracer)
+        snode = Node(sim, f"gfs-server{b}" if cfg.num_bricks > 1 else "gfs-server")
+        fs = _make_fs(sim, f"brick{b}", cfg.raid_disks, cfg.server_cache_bytes, tracer)
         server_xlators: list[Xlator] = []
         smcache: Optional[SMCacheXlator] = None
         if use_imca:
@@ -450,7 +450,7 @@ def build_gluster_testbed(
     cmcaches: list[Optional[CMCacheXlator]] = []
     client_endpoints: list[Endpoint] = []
     for i in range(cfg.num_clients):
-        cnode = Node(sim, f"client{i}", cores=cfg.cores)
+        cnode = Node(sim, f"client{i}")
         ep = Endpoint(net, cnode, tracer=tracer)
         protocols = [ClientProtocol(ep, server, retry=server_retry) for server in servers]
         bottom: Xlator = protocols[0] if len(protocols) == 1 else DistributeXlator(protocols)
@@ -521,22 +521,22 @@ def build_lustre_testbed(
     net = Network(sim, profile(cfg.transport))
 
     layout = StripeLayout(count=cfg.num_data_servers, stripe_size=cfg.stripe_size)
-    mds_node = Node(sim, "mds", cores=cfg.cores)
-    mds_fs = _make_fs(sim, cfg, "mdt", disks=2, cache_bytes=2 * GiB, tracer=tracer)
+    mds_node = Node(sim, "mds")
+    mds_fs = _make_fs(sim, "mdt", disks=2, cache_bytes=2 * GiB, tracer=tracer)
     mds = MetadataServer(sim, net, mds_node, mds_fs, layout)
 
     osts = []
     for i in range(cfg.num_data_servers):
-        onode = Node(sim, f"ost{i}", cores=cfg.cores)
+        onode = Node(sim, f"ost{i}")
         ofs = _make_fs(
-            sim, cfg, f"ost{i}", disks=OST_DISKS,
+            sim, f"ost{i}", disks=OST_DISKS,
             cache_bytes=OST_CACHE_BYTES, tracer=tracer,
         )
         osts.append(ObjectServer(sim, net, onode, ofs, index=i))
 
     clients = []
     for i in range(cfg.num_clients):
-        cnode = Node(sim, f"client{i}", cores=cfg.cores)
+        cnode = Node(sim, f"client{i}")
         ep = Endpoint(net, cnode, tracer=tracer)
         clients.append(
             LustreClient(sim, cnode, ep, mds, osts, cache_bytes=LUSTRE_CLIENT_CACHE)
@@ -568,17 +568,17 @@ def build_nfs_testbed(
     obs.bind(sim)
     tracer = obs.tracer
     net = Network(sim, profile(cfg.transport))
-    snode = Node(sim, "nfs-server", cores=cfg.cores)
-    fs = _make_fs(sim, cfg, "export", cfg.raid_disks, cfg.server_cache_bytes, tracer)
+    snode = Node(sim, "nfs-server")
+    fs = _make_fs(sim, "export", cfg.raid_disks, cfg.server_cache_bytes, tracer)
     server = NfsServer(sim, net, snode, fs)
     clients = []
     for i in range(cfg.num_clients):
-        cnode = Node(sim, f"client{i}", cores=cfg.cores)
+        cnode = Node(sim, f"client{i}")
         ep = Endpoint(net, cnode, tracer=tracer)
         clients.append(NfsClient(sim, cnode, ep, server))
     return NFSTestbed(sim, net, cfg, server, clients, obs)
 
 
 def scaled(cfg: TestbedConfig, **overrides) -> TestbedConfig:
-    """Convenience: copy a config with overrides (used by sweeps)."""
+    """Convenience: copy a config with overrides."""
     return replace(cfg, **overrides)

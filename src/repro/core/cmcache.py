@@ -23,7 +23,7 @@ take byte-identical code paths):
   the reply is assembled from cached + fetched blocks.  SMCache's read
   hook pushes just the filled blocks.
 * **Sequential readahead** (``readahead_blocks``): a per-file stream
-  detector arms after ``readahead_min_seq`` back-to-back sequential
+  detector arms after :data:`READAHEAD_MIN_SEQ` back-to-back sequential
   reads and prefetches the next K blocks through the server into the
   MCD array on a background process, off the critical path.
 * **Hot cache** (``hot_cache_bytes``): a small byte-bounded LRU in
@@ -50,6 +50,15 @@ from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
+
+#: Most server fill reads one partial hit may issue; a request whose
+#: missing blocks coalesce into more runs than this falls back to a
+#: single full-size read (a checkerboard of tiny fills would cost more
+#: round trips than it saves in bytes).
+MAX_FILL_RANGES = 4
+
+#: Consecutive sequential reads before the readahead detector arms.
+READAHEAD_MIN_SEQ = 2
 
 #: Published to stat-singleflight followers when the leader's lookup
 #: raised: each follower runs its own lookup (DESIGN §15).
@@ -389,7 +398,7 @@ class CMCacheXlator(Xlator):
         if not usable or not missing:
             return None
         ranges = missing_ranges(self.mapper, missing)
-        if len(ranges) > self.config.max_fill_ranges:
+        if len(ranges) > MAX_FILL_RANGES:
             self.metrics.inc("fill_fanout_vetoes")
             return None
         self.metrics.inc("fill_reads", len(ranges))
@@ -444,7 +453,7 @@ class CMCacheXlator(Xlator):
             return
         st.next_off = end
         st.run += 1
-        if st.run < self.config.readahead_min_seq:
+        if st.run < READAHEAD_MIN_SEQ:
             return
         # First block the stream has not touched yet, then skip whatever
         # an earlier prefetch already covered.

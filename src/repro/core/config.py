@@ -49,23 +49,15 @@ class IMCaConfig:
     #: missing block ranges from the server (coalesced into the fewest
     #: contiguous runs) and assemble the reply from cached + fetched
     #: blocks, instead of discarding the cached blocks and re-reading
-    #: the whole request.
+    #: the whole request.  A hole in more than
+    #: ``cmcache.MAX_FILL_RANGES`` runs falls back to one full-size read.
     partial_fills: bool = False
 
-    #: Most server fill reads one partial hit may issue; a request whose
-    #: missing blocks coalesce into more runs than this falls back to a
-    #: single full-size read (a checkerboard of tiny fills would cost
-    #: more round trips than it saves in bytes).
-    max_fill_ranges: int = 4
-
-    #: Sequential readahead depth: after ``readahead_min_seq``
+    #: Sequential readahead depth: after ``cmcache.READAHEAD_MIN_SEQ``
     #: back-to-back sequential reads on a file, prefetch this many
     #: blocks past the stream position into the MCD array, off the
     #: critical path.  0 disables readahead.
     readahead_blocks: int = 0
-
-    #: Consecutive sequential reads before the stream detector arms.
-    readahead_min_seq: int = 2
 
     #: Client-side hot-cache budget in bytes: a small LRU inside
     #: CMCache, consulted before the MCD array, holding stat and data
@@ -109,12 +101,8 @@ class IMCaConfig:
             raise ValueError(f"unknown selector {self.selector!r}")
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1: {self.replicas}")
-        if self.max_fill_ranges < 1:
-            raise ValueError(f"max_fill_ranges must be >= 1: {self.max_fill_ranges}")
         if self.readahead_blocks < 0:
             raise ValueError(f"readahead_blocks must be >= 0: {self.readahead_blocks}")
-        if self.readahead_min_seq < 1:
-            raise ValueError(f"readahead_min_seq must be >= 1: {self.readahead_min_seq}")
         if self.hot_cache_bytes < 0:
             raise ValueError(f"hot_cache_bytes must be >= 0: {self.hot_cache_bytes}")
         if self.tenants is not None:

@@ -117,8 +117,9 @@ class FaultSchedule:
     def add(self, event: FaultEvent, *, validate: bool = True) -> "FaultSchedule":
         """Append *event*, rejecting combinations the injector could not
         replay unambiguously (see :meth:`_conflict`).  ``validate=False``
-        restores raw-append semantics — :func:`random_schedule` uses it
-        for its documented ``no_overlap=False`` mode.
+        appends raw: :func:`random_schedule` uses it, since its draws
+        skip same-kind overlaps on a target themselves and any other mix
+        is the caller's choice of ``kinds``.
         """
         if validate:
             for other in self.events:
@@ -255,7 +256,6 @@ def random_schedule(
     loss_prob: float = 0.0,
     slowdown: float = 4.0,
     link_nodes: Optional[Sequence[str]] = None,
-    no_overlap: bool = True,
 ) -> FaultSchedule:
     """Draw a Poisson fault process over ``[0, horizon)``.
 
@@ -264,9 +264,9 @@ def random_schedule(
     at ``min_downtime``.  Draws come from the dedicated ``"faults"``
     stream of :class:`~repro.sim.rand.RandomStreams`, so the same seed
     always produces the same schedule regardless of any other stream
-    usage.  With ``no_overlap`` (default), an arrival whose target is
-    still down is skipped — overlapping windows on one target would
-    otherwise recover it early.
+    usage.  An arrival whose target is still down from an earlier draw
+    of the same kind is skipped — overlapping windows on one target
+    would otherwise recover it early.
     """
     if rate < 0:
         raise ValueError(f"rate must be >= 0: {rate}")
@@ -297,11 +297,11 @@ def random_schedule(
         else:
             target = int(rng.integers(num_targets))
         duration = max(min_downtime, float(rng.exponential(mean_downtime)))
-        if no_overlap and busy_until.get((kind, target), -1.0) > t:
+        if busy_until.get((kind, target), -1.0) > t:
             continue
         busy_until[(kind, target)] = t + duration
-        # validate=False: with no_overlap the draws can't conflict, and
-        # without it overlap is the caller's documented choice.
+        # validate=False: the skip above already keeps same-kind
+        # windows on one target apart.
         if kind == LINK_DEGRADE:
             schedule.add(
                 FaultEvent(

@@ -58,7 +58,8 @@ class LinkImpairment:
 
 
 class Node:
-    """A cluster host: named, with a multi-core CPU station."""
+    """A cluster host: named, with a multi-core CPU station (§5.1's
+    8-core Clovertown node unless a caller asks for fewer cores)."""
 
     def __init__(self, sim: "Simulator", name: str, cores: int = 8) -> None:
         self.sim = sim

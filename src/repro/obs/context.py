@@ -102,9 +102,7 @@ class ObsRequest:
     executed inside an ``observing`` block."""
 
     trace: bool = False
-    trace_limit: int = DEFAULT_SPAN_LIMIT
     oplog: bool = False
-    oplog_limit: int = DEFAULT_OPLOG_LIMIT
     sample_interval: Optional[float] = None
     #: Bundles published by runners, in creation order.
     captures: list[Observability] = field(default_factory=list)
@@ -134,9 +132,7 @@ def make_observability(
     name: str,
     *,
     trace: bool = False,
-    trace_limit: Optional[int] = None,
     oplog: bool = False,
-    oplog_limit: Optional[int] = None,
     sample_interval: Optional[float] = None,
 ) -> Observability:
     """Build a bundle, honouring the active capture request.
@@ -151,19 +147,10 @@ def make_observability(
     if req is not None:
         trace = trace or req.trace
         oplog = oplog or req.oplog
-        if trace_limit is None:
-            trace_limit = req.trace_limit
-        if oplog_limit is None:
-            oplog_limit = req.oplog_limit
         if sample_interval is None:
             sample_interval = req.sample_interval
     obs = Observability(
-        name,
-        trace=trace,
-        trace_limit=DEFAULT_SPAN_LIMIT if trace_limit is None else trace_limit,
-        oplog=oplog,
-        oplog_limit=DEFAULT_OPLOG_LIMIT if oplog_limit is None else oplog_limit,
-        sample_interval=sample_interval,
+        name, trace=trace, oplog=oplog, sample_interval=sample_interval
     )
     if req is not None:
         req.captures.append(obs)

@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
 Probe = tuple[str, Callable[[], float]]
 
 #: Hard cap on ticks so a forgotten sampler cannot grow without bound.
-DEFAULT_MAX_SAMPLES = 100_000
+MAX_SAMPLES = 100_000
 
 
 class Sampler:
@@ -40,7 +40,6 @@ class Sampler:
         metrics: ComponentMetrics,
         probes: Sequence[Probe],
         interval: float,
-        max_samples: int = DEFAULT_MAX_SAMPLES,
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be > 0")
@@ -48,7 +47,6 @@ class Sampler:
         self.metrics = metrics
         self.probes = list(probes)
         self.interval = interval
-        self.max_samples = max_samples
         self.ticks = 0
         self._stopped = False
         self.process = sim.process(self._run(), name="obs-sampler")
@@ -58,7 +56,7 @@ class Sampler:
         self._stopped = True
 
     def _run(self) -> Generator:
-        while not self._stopped and self.ticks < self.max_samples:
+        while not self._stopped and self.ticks < MAX_SAMPLES:
             now = self.sim.now
             for name, probe in self.probes:
                 self.metrics.sample(name, now, float(probe()))

@@ -50,19 +50,15 @@ def run_small_files(
     clients: Sequence[Any],
     num_files: int = 256,
     file_size: int = 4 * KiB,
-    *,
-    setup: bool = True,
 ) -> SmallFilesResult:
-    if setup:
+    def creator(client):
+        for i in range(num_files):
+            fd = yield from client.create(_path(i))
+            yield from client.write(fd, 0, file_size)
+            yield from client.close(fd)
 
-        def creator(client):
-            for i in range(num_files):
-                fd = yield from client.create(_path(i))
-                yield from client.write(fd, 0, file_size)
-                yield from client.close(fd)
-
-        p = sim.process(creator(clients[0]))
-        sim.run(until=p)
+    p = sim.process(creator(clients[0]))
+    sim.run(until=p)
 
     result = SmallFilesResult(
         num_files=num_files, file_size=file_size, num_clients=len(clients)

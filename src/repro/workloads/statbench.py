@@ -47,13 +47,10 @@ def run_stat_bench(
     sim: Simulator,
     clients: Sequence[Any],
     num_files: int,
-    *,
-    setup: bool = True,
 ) -> StatBenchResult:
     """Run both stages; returns the paper's max-over-nodes metric."""
-    if setup:
-        p = sim.process(create_files(sim, clients[0], num_files))
-        sim.run(until=p)
+    p = sim.process(create_files(sim, clients[0], num_files))
+    sim.run(until=p)
 
     result = StatBenchResult(num_files=num_files, num_clients=len(clients), node_times=[0.0] * len(clients))
     barrier = Barrier(sim, len(clients))

@@ -190,17 +190,15 @@ def replay_tenant_mix(
     clients: Sequence[Any],
     cfg: TenantMixConfig,
     *,
-    setup: bool = True,
-    warmup: bool = True,
     on_timed_start: Optional[Callable[[], None]] = None,
 ) -> TenantMixResult:
     """Replay the blended stream round-robin over *clients*.
 
     Mirrors :func:`~repro.workloads.trace.replay_trace`: untimed setup,
     one untimed pre-open per (client, file) so purge-on-open churn
-    happens before measurement, an optional untimed warm pass (which is
-    also where the arbiter observes misses and starts steering memory),
-    then the timed pass recording per-tenant latencies.
+    happens before measurement, an untimed warm pass (which is also
+    where the arbiter observes misses and starts steering memory), then
+    the timed pass recording per-tenant latencies.
 
     The warm pass replays the *first half* of a ``2 x operations``
     stream and the timed pass the second half — never the same ops
@@ -214,13 +212,12 @@ def replay_tenant_mix(
     timed pass.
     """
     n = cfg.operations
-    full = TenantMixConfig(cfg.tenants, operations=2 * n if warmup else n,
-                           seed=cfg.seed)
-    stream = generate_tenant_ops(full)
-    warm_ops, ops = stream[:-n] if n else stream, stream[len(stream) - n:]
-    if setup:
-        p = sim.process(prepare_tenant_files(sim, clients[0], cfg))
-        sim.run(until=p)
+    stream = generate_tenant_ops(
+        TenantMixConfig(cfg.tenants, operations=2 * n, seed=cfg.seed)
+    )
+    warm_ops, ops = stream[:n], stream[n:]
+    p = sim.process(prepare_tenant_files(sim, clients[0], cfg))
+    sim.run(until=p)
     result = TenantMixResult(ops=len(ops))
     for t in cfg.tenants:
         result.per_tenant[t.name] = TenantPhase()
@@ -267,12 +264,11 @@ def replay_tenant_mix(
             if record:
                 phase.ops += 1
 
-    if warmup:
-        procs = [
-            sim.process(worker(c, fd_tables[i], per_client_warm[i], False))
-            for i, c in enumerate(clients)
-        ]
-        sim.run(until=sim.all_of(procs))
+    procs = [
+        sim.process(worker(c, fd_tables[i], per_client_warm[i], False))
+        for i, c in enumerate(clients)
+    ]
+    sim.run(until=sim.all_of(procs))
 
     if on_timed_start is not None:
         on_timed_start()

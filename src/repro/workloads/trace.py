@@ -130,7 +130,6 @@ def replay_trace(
     clients: Sequence[Any],
     cfg: TraceConfig,
     *,
-    setup: bool = True,
     warmup: bool = True,
 ) -> TraceResult:
     """Replay the trace round-robin over *clients*; returns latencies.
@@ -140,9 +139,8 @@ def replay_trace(
     data-center deployment would actually run.
     """
     ops = generate_trace(cfg)
-    if setup:
-        p = sim.process(prepare_files(sim, clients[0], cfg))
-        sim.run(until=p)
+    p = sim.process(prepare_files(sim, clients[0], cfg))
+    sim.run(until=p)
     result = TraceResult(ops=len(ops))
     start = sim.now
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import TestbedConfig, build_gluster_testbed
 from repro.core.blocks import BlockMapper, missing_ranges
+from repro.core.cmcache import MAX_FILL_RANGES
 from repro.core.config import IMCaConfig
 from repro.core.hotcache import HotCache
 from repro.core.keys import KeyCache, data_key, stat_key
@@ -203,11 +204,7 @@ def test_hot_cache_path_invalidation():
 # --------------------------------------------------------------------------- #
 def test_config_rejects_bad_readpath_knobs():
     with pytest.raises(ValueError):
-        IMCaConfig(max_fill_ranges=0)
-    with pytest.raises(ValueError):
         IMCaConfig(readahead_blocks=-1)
-    with pytest.raises(ValueError):
-        IMCaConfig(readahead_min_seq=0)
     with pytest.raises(ValueError):
         IMCaConfig(hot_cache_bytes=-1)
 
@@ -263,14 +260,16 @@ def test_partial_fill_concurrent_disjoint_ranges():
 
 
 def test_partial_fill_fanout_veto_falls_back_to_full_read():
-    tb = make(imca=IMCaConfig(partial_fills=True, max_fill_ranges=2))
-    data = payload(8 * BS, phase=9)
+    tb = make(imca=IMCaConfig(partial_fills=True))
+    data = payload(10 * BS, phase=9)
     fd = write_file(tb, "/f", data)
-    evict(tb, "/f", [0, 2 * BS, 4 * BS])  # three isolated holes
+    holes = [0, 2 * BS, 4 * BS, 6 * BS, 8 * BS]  # five isolated holes
+    assert len(holes) > MAX_FILL_RANGES
+    evict(tb, "/f", holes)
     c = tb.clients[0]
     cm = tb.cmcaches[0]
     misses_before = cm.metrics.get("read_misses", 0)
-    r = drive(tb, c.read(fd, 0, 8 * BS))
+    r = drive(tb, c.read(fd, 0, 10 * BS))
     assert r.data == data
     assert cm.metrics.get("fill_fanout_vetoes") == 1
     assert cm.metrics.get("fill_reads", 0) == 0
@@ -346,7 +345,7 @@ def test_readahead_prefetches_and_hits():
 
 
 def test_readahead_ignores_random_access():
-    tb = make(imca=IMCaConfig(readahead_blocks=4, readahead_min_seq=3))
+    tb = make(imca=IMCaConfig(readahead_blocks=4))
     size = 16 * BS
     data = payload(size)
     fd = write_file(tb, "/f", data)

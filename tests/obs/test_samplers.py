@@ -43,7 +43,7 @@ def test_sampler_stops_when_heap_drains():
     sampler = Sampler(sim, metrics, [("c", lambda: 1.0)], interval=1.0)
     sim.run()
 
-    # Without drain detection the sampler would tick to max_samples and
+    # Without drain detection the sampler would tick to MAX_SAMPLES and
     # drag sim.now out with it.  It must stop shortly after the workload.
     assert sampler.ticks <= 7
     assert sim.now <= 7.0

@@ -19,6 +19,8 @@ the ones DESIGN §7 ("The FUSE crossing runs ahead") cites for the
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import FifoStation, RandomStreams, Simulator
 from repro.sim.resources import Resource
@@ -42,23 +44,24 @@ def _jobs(seed=1):
     return out
 
 
-def arrival_order_waits(jobs):
+def arrival_order_waits(jobs, servers=SERVERS, order=None):
     """The reference: each job arrives, queues FIFO for one of the
-    station's servers, holds it for its service."""
+    station's *servers*, holds it for its service.  Jobs arriving at
+    one instant queue in *order* (default: index order)."""
     sim = Simulator()
-    servers = Resource(sim, SERVERS)
+    pool = Resource(sim, servers)
     waits = [0.0] * len(jobs)
 
     def job(i, arrival):
         yield sim.timeout(arrival)
-        req = servers.request()
+        req = pool.request()
         yield req
         waits[i] = sim.now - arrival
         yield sim.timeout(SERVICE)
-        servers.release(req)
+        pool.release(req)
 
-    for i, (arrival, _) in enumerate(jobs):
-        sim.process(job(i, arrival))
+    for i in range(len(jobs)) if order is None else order:
+        sim.process(job(i, jobs[i][0]))
     sim.run()
     return waits
 
@@ -92,6 +95,32 @@ def test_booked_at_arrival_the_station_is_the_arrival_order_fifo(reference):
     assert got == pytest.approx(want, abs=1e-15)
     # About 90% busy: the reference queues, so equality is not vacuous.
     assert 0.5 * SERVICE < _mean(want) < SERVICE
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    servers=st.integers(1, 4),
+    gaps_us=st.lists(st.integers(0, 12), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_booked_at_arrival_any_tie_order_is_the_reference(servers, gaps_us, data):
+    """The twin of the pinned case over small random mixes.  Whole-µs
+    gaps, zero included, make same-instant arrivals and arrivals on a
+    service end common.  Same-instant jobs are booked in any order, and
+    the reference queues them in that same order; every job's wait
+    must then match."""
+    arrivals = [sum(gaps_us[: i + 1]) * US for i in range(len(gaps_us))]
+    jobs = [(arrival, False) for arrival in arrivals]
+    tie_rank = data.draw(st.permutations(range(len(jobs))))
+    order = sorted(range(len(jobs)), key=lambda i: (arrivals[i], tie_rank[i]))
+    station = FifoStation(Simulator(), servers)
+    got = [0.0] * len(jobs)
+    for i in order:
+        start, _ = station.reserve(SERVICE, arrival=arrivals[i])
+        got[i] = start - arrivals[i]
+    assert got == pytest.approx(
+        arrival_order_waits(jobs, servers, order), abs=1e-15
+    )
 
 
 #: Mean-wait error (station - reference, µs) at a look-ahead (µs).

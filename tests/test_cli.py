@@ -109,3 +109,28 @@ def test_run_prints_tier_breakdown(capsys):
     out = capsys.readouterr().out
     assert "per-tier latency breakdown" in out
     assert "disk" in out
+
+
+def test_a_runner_type_error_propagates(monkeypatch):
+    """Only a flag the runner's signature lacks exits 2; a TypeError
+    raised inside a runner is a bug and must surface as one."""
+    from repro.harness import experiment
+
+    def runner(scale, selector="crc32"):
+        raise TypeError("bad selector")
+
+    experiment.all_experiments()  # load the registry before patching it
+    monkeypatch.setitem(
+        experiment._REGISTRY,
+        "type-error-probe",
+        experiment.Experiment("type-error-probe", "-", "-", "-", runner),
+    )
+    with pytest.raises(TypeError, match="bad selector"):
+        main(["run", "type-error-probe", "--scale", "smoke"])
+    with pytest.raises(TypeError, match="bad selector"):
+        main(["run", "type-error-probe", "--scale", "smoke", "--selector", "ketama"])
+
+
+def test_a_flag_the_runner_does_not_take_exits_2(capsys):
+    assert main(["run", "chaos", "--selector", "ketama"]) == 2
+    assert "error: chaos does not take --selector" in capsys.readouterr().err

@@ -84,3 +84,46 @@ def test_the_op_path_takes_no_fastpath_or_window_argument():
     # Spelt as a mapping so CI's left-behind grep gate does not match here.
     with pytest.raises(TypeError):
         IMCaConfig(**{"fastpath": True})
+
+
+def test_every_setting_is_pinned():
+    """Each field and `repro bench` flag below has a caller that moves it
+    off its default; a new knob must show up here, in review."""
+    import argparse
+    import dataclasses
+
+    from repro.cli import build_parser
+    from repro.cluster import ResilienceConfig, TestbedConfig
+    from repro.core.config import IMCaConfig
+    from repro.obs import ObsRequest
+
+    fields = {
+        cls: [f.name for f in dataclasses.fields(cls)]
+        for cls in (IMCaConfig, TestbedConfig, ResilienceConfig, ObsRequest)
+    }
+    assert fields == {
+        IMCaConfig: [
+            "block_size", "threaded_updates", "selector", "replicas",
+            "partial_fills", "readahead_blocks", "hot_cache_bytes",
+            "tenants", "tenant_arbitrate", "tenant_quantum",
+            "tenant_rebalance_ops", "tenant_ghost_entries",
+        ],
+        TestbedConfig: [
+            "num_clients", "transport", "server_cache_bytes", "raid_disks",
+            "num_bricks", "num_mcds", "mcd_memory", "mcd_transport", "imca",
+            "resilience", "num_data_servers", "stripe_size",
+        ],
+        ResilienceConfig: [
+            "mcd_timeout", "mcd_retries", "eject_after", "cooldown", "seed",
+        ],
+        ObsRequest: ["trace", "oplog", "sample_interval", "captures"],
+    }
+    (subcommands,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    bench = subcommands.choices["bench"]
+    assert sorted(opt for a in bench._actions for opt in a.option_strings) == [
+        "--check", "--help", "--out", "--profile", "--quick", "--rounds",
+        "--tolerance", "-h",
+    ]
