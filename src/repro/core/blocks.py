@@ -58,7 +58,7 @@ class BlockMapper:
         return aligned - size
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockValue:
     """What SMCache stores in an MCD under a data key.
 
@@ -76,16 +76,21 @@ class BlockValue:
 def split_blocks(mapper: BlockMapper, result: ReadResult, path: str) -> list[BlockValue]:
     """Cut an (aligned) server read into per-block cache values."""
     out: list[BlockValue] = []
+    bs = mapper.block_size
     end = result.offset + result.size
     for idx in mapper.cover(result.offset, result.size):
-        b_start = mapper.block_offset(idx)
-        b_end = min(b_start + mapper.block_size, end)
+        # `block_offset` and `min` written out: a push cuts every block.
+        b_start = idx * bs
+        b_end = b_start + bs
+        if b_end > end:
+            b_end = end
         if b_end <= b_start:
             continue
+        # Each block filters every interval; a pushed read carries one.
         ivs = [
-            (max(s, b_start), min(e, b_end), v)
+            (s if s > b_start else b_start, e if e < b_end else b_end, v)
             for s, e, v in result.intervals
-            if max(s, b_start) < min(e, b_end)
+            if s < b_end and e > b_start
         ]
         data = None
         if result.data is not None:

@@ -125,20 +125,23 @@ class SMCacheXlator(Xlator):
     def _push_blocks(self, path: str, result: ReadResult) -> Generator:
         if result.size == 0:
             return
-        items: list[tuple[str, object, int, int, float]] = []
-        hints: list[int] = []
-        offsets: list[int] = []
-        for bv in split_blocks(self.mapper, result, path):
-            key = self._keys.data_key(path, bv.block_offset)
-            if key is None:
-                self.metrics.inc("uncacheable")
-                continue
-            self.metrics.inc("block_pushes")
-            items.append((key, bv, bv.length, 0, 0))
-            hints.append(self.mapper.block_index(bv.block_offset))
-            offsets.append(bv.block_offset)
-        if not items:
-            return
+        blocks = split_blocks(self.mapper, result, path)
+        # The covering keys in one slice; blocks run on from the first.
+        first = blocks[0].block_offset // self.mapper.block_size
+        stop = first + len(blocks)
+        keys = self._keys.data_keys(path, first, stop)
+        hints = range(first, stop)
+        if None in keys:
+            kept = [i for i, key in enumerate(keys) if key is not None]
+            self.metrics.inc("uncacheable", len(keys) - len(kept))
+            if not kept:
+                return
+            keys = [keys[i] for i in kept]
+            blocks = [blocks[i] for i in kept]
+            hints = [first + i for i in kept]
+        items = [(key, bv, bv.length, 0, 0) for key, bv in zip(keys, blocks)]
+        self.metrics.inc("block_pushes", len(items))
+        offsets = [bv.block_offset for bv in blocks]
         width = self._fanout_width()
         if width:
             self.metrics.inc("replica_pushes", width * len(items))

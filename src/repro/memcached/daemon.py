@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.memcached.engine import MemcachedEngine, McError, McTooLarge, key_nbytes
+from repro.memcached.engine import MemcachedEngine, McError, key_nbytes
 from repro.memcached.tenancy import TenantArbiter
 from repro.net.fabric import Network, Node
 from repro.net.rpc import Endpoint, RpcCall
@@ -146,16 +146,11 @@ class MemcachedDaemon:
             key, value, nbytes, flags, ttl = payload
             return getattr(eng, op)(key, value, nbytes, flags, ttl), 8
         if op == "set_multi":
-            # Sets pipelined on one connection, each stored in request
-            # order — a store is no cheaper, and ``cmd_set``, eviction
-            # and LRU order are what the same sets sent one by one
-            # produce.
-            stored = []
-            for key, value, nbytes, flags, ttl in payload:
-                try:
-                    stored.append(eng.set(key, value, nbytes, flags, ttl))
-                except McTooLarge:
-                    stored.append(False)
+            # Sets pipelined on one connection, stored in request order
+            # by one engine loop — a store is no cheaper, and
+            # ``cmd_set``, eviction and LRU order are what the same sets
+            # sent one by one produce; a too-large item answers False.
+            stored = eng.set_multi(payload)
             return stored, 8 * len(stored)
         if op in ("append", "prepend"):
             key, value, nbytes = payload
@@ -166,7 +161,7 @@ class MemcachedDaemon:
         if op == "delete":
             return eng.delete(payload), 8
         if op == "delete_multi":
-            return sum(1 for k in payload if eng.delete(k)), 8
+            return sum(eng.delete_multi(payload)), 8
         if op == "incr":
             key, delta = payload
             return eng.incr(key, delta), 8
@@ -246,8 +241,12 @@ def request_size(op: str, payload: Any) -> int:
             (len(key) if key.isascii() else len(key.encode())) + KEY_WIRE_OVERHEAD + nbytes
         )
     if op == "set_multi":
-        keys, _values, sizes, _flags, _ttls = zip(*payload)
-        return key_nbytes("".join(keys)) + KEY_WIRE_OVERHEAD * len(keys) + sum(sizes)
+        # One pass over the items (an empty batch sizes to 0, as an
+        # empty get_multi does), `key_nbytes` written out.
+        size = 0
+        for key, _value, nbytes, _flags, _ttl in payload:
+            size += (len(key) if key.isascii() else len(key.encode())) + nbytes
+        return size + KEY_WIRE_OVERHEAD * len(payload)
     if op in ("append", "prepend"):
         key, _value, nbytes = payload
         return key_nbytes(key) + KEY_WIRE_OVERHEAD + nbytes

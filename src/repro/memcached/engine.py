@@ -58,7 +58,7 @@ class McTooLarge(McError):
     alone; a malformed command still fails its whole request."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Item:
     """One stored object."""
 
@@ -116,14 +116,21 @@ class MemcachedEngine:
     def _total_size(self, key: str, nbytes: int) -> int:
         return ITEM_OVERHEAD + key_nbytes(key) + nbytes
 
-    def _unlink(self, item: Item, cause: str = "drop") -> None:
+    def _detach(self, item: Item, cause: str) -> None:
+        """Take *item* out of the table, its class LRU and its chunk:
+        :meth:`_unlink` without the counters, which the batch loops
+        book once per batch."""
+        cls = item.slab
         del self._items[item.key]
-        del self._lru[item.slab.index][item.key]
+        del self._lru[cls.index][item.key]
         if item.exptime != 0:
-            self._ttl_items[item.slab.index] -= 1
+            self._ttl_items[cls.index] -= 1
         if item.tenant is not None:
             self.tenancy.on_unlink(item, item.tenant, cause)
-        self.slabs.free(item.slab)
+        self.slabs.free(cls)
+
+    def _unlink(self, item: Item, cause: str = "drop") -> None:
+        self._detach(item, cause)
         self.stats.inc("curr_items", -1)
         self.stats.inc("bytes", -item.nbytes)
 
@@ -172,24 +179,6 @@ class MemcachedEngine:
                 return False
         return True
 
-    def _insert(self, cls: SlabClass, key: str, value: Any, nbytes: int,
-                flags: int, ttl: float) -> Item:
-        """Link a new item into an already-allocated chunk of *cls*."""
-        self._cas += 1
-        self._seq += 1
-        exptime = self.clock() + ttl if ttl > 0 else 0.0
-        item = Item(key, value, nbytes, flags, exptime, self._cas, cls, self._seq)
-        self._items[key] = item
-        self._lru.setdefault(cls.index, OrderedDict())[key] = item
-        if exptime != 0:
-            self._ttl_items[cls.index] = self._ttl_items.get(cls.index, 0) + 1
-        if self.tenancy is not None:
-            item.tenant = self.tenancy.on_insert(item)
-        self.stats.inc("curr_items")
-        self.stats.inc("total_items")
-        self.stats.inc("bytes", nbytes)
-        return item
-
     def _live_item(self, key: str) -> Optional[Item]:
         item = self._items.get(key)
         if item is None:
@@ -206,43 +195,132 @@ class MemcachedEngine:
             self.tenancy.on_touch(item, item.tenant)
 
     # -- storage commands ----------------------------------------------------
-    def _store(self, key: str, value: Any, nbytes: int, flags: int, ttl: float) -> bool:
-        """Store, preserving any existing value when allocation fails.
+    def set_multi(self, items: Iterable[tuple[str, Any, int, int, float]]) -> list[bool]:
+        """Store many ``(key, value, nbytes, flags, ttl)`` items in order:
+        per item, True (STORED) or False (NOT_STORED: no memory for its
+        class, or too large for any class — either fails that item alone).
 
-        Real memcached allocates the new item *before* replacing the old
-        one, so an OOM-failed store answers SERVER_ERROR and the prior
-        value survives; destroying it first (the pre-fix behaviour)
-        turned every failed overwrite into a silent delete.  When old
-        and new land in the same slab class, freeing the old chunk first
-        makes the allocation infallible, so the old value is never at
-        risk *and* no spurious eviction is charged to a same-size
-        overwrite (the common stat-refresh path).
+        The answers, the stored items, their LRU order and every counter
+        are what a run of :meth:`set` calls leaves; a malformed key or a
+        negative size raises after the items before it are stored and
+        counted.
         """
-        cls = self.slabs.class_for(self._total_size(key, nbytes))
-        if cls is None:
-            raise McTooLarge(f"object too large for cache ({nbytes} bytes)")
-        old = self._items.get(key)
-        if old is not None and old.slab is cls:
-            self._unlink(old, "overwrite")
-        if not self._allocate(key, cls):
-            return False
-        # Eviction during allocation targets only the new item's class;
-        # the old item lives in a different one, but re-check anyway so
-        # a future cross-class eviction policy cannot double-unlink.
-        old = self._items.get(key)
-        if old is not None:
-            self._unlink(old, "overwrite")
-        self._insert(cls, key, value, nbytes, flags, ttl)
-        return True
+        return self._store_all(items, command=True, strict=False)
+
+    def _store_all(
+        self, items: Iterable[tuple[str, Any, int, int, float]], *, command: bool, strict: bool
+    ) -> list[bool]:
+        """The one store loop (:meth:`set` and :meth:`set_multi`, and the
+        re-stores of cas, append/prepend and an incr that outgrew its
+        chunk).  *command*: the items are storage commands, validated
+        and counted in ``cmd_set``.  *strict*: a too-large item raises
+        :class:`McTooLarge` instead of answering False.
+
+        Per item, real memcached's order: allocate the new item *before*
+        unlinking the old one, so an OOM-failed store leaves the prior
+        value intact (destroying it first turned every failed overwrite
+        into a silent delete).  When old and new land in the same slab
+        class the old chunk is freed first, which makes the allocation
+        infallible and charges no eviction to a same-size overwrite (the
+        common stat-refresh path).  With no tenant arbiter and no TTL'd
+        item in the class, an OOM evicts the class's LRU tail here, its
+        chunk passing straight to the new item; otherwise
+        :meth:`_allocate` runs the expired-first reclaim walk and the
+        arbiter's victim pick.  ``cmd_set``, ``curr_items``,
+        ``total_items``, ``bytes`` and ``evictions`` are booked once, in
+        a ``finally``.
+        """
+        out: list[bool] = []
+        objects, lrus, ttl_items, tenancy = self._items, self._lru, self._ttl_items, self.tenancy
+        slabs = self.slabs
+        sets = linked = unlinked = nbytes_delta = evicted = 0
+        try:
+            for key, value, nbytes, flags, ttl in items:
+                if command:
+                    # `_check_key`'s plain-key scan inline.
+                    if _PLAIN_KEY_RE.fullmatch(key) is None:
+                        self._check_key(key)
+                    if nbytes < 0:
+                        raise McError("negative value size")
+                    sets += 1
+                cls = slabs.class_for(self._total_size(key, nbytes))
+                if cls is None:
+                    if strict:
+                        raise McTooLarge(f"object too large for cache ({nbytes} bytes)")
+                    out.append(False)
+                    continue
+                idx = cls.index
+                lru = lrus.get(idx)
+                old = objects.get(key)
+                if old is not None and old.slab is cls:
+                    self._detach(old, "overwrite")
+                    unlinked += 1
+                    nbytes_delta -= old.nbytes
+                    old = None
+                if tenancy is not None or ttl_items.get(idx):
+                    if not self._allocate(key, cls):
+                        out.append(False)
+                        continue
+                elif not slabs.alloc_in(cls):
+                    if not lru:
+                        # The class owns no items (all pages belong to
+                        # other classes): memcached answers SERVER_ERROR.
+                        self.stats.inc("out_of_memory")
+                        out.append(False)
+                        continue
+                    # Out of memory: the class's LRU tail is evicted and
+                    # its chunk is the new item's (its free and the
+                    # retried alloc_in cancel).  No arbiter and no TTL'd
+                    # item in the class, so `_evict_one` would pick the
+                    # same victim.
+                    victim_key, victim = lru.popitem(last=False)
+                    del objects[victim_key]
+                    unlinked += 1
+                    nbytes_delta -= victim.nbytes
+                    evicted += 1
+                if old is not None:
+                    # A different class's old copy; eviction only ever
+                    # takes the new item's class, so it is still there.
+                    self._unlink(old, "overwrite")
+                self._cas += 1
+                self._seq += 1
+                exptime = self.clock() + ttl if ttl > 0 else 0.0
+                item = Item(key, value, nbytes, flags, exptime, self._cas, cls, self._seq)
+                objects[key] = item
+                if lru is None:
+                    lru = lrus[idx] = OrderedDict()
+                lru[key] = item
+                if exptime != 0:
+                    ttl_items[idx] = ttl_items.get(idx, 0) + 1
+                if tenancy is not None:
+                    item.tenant = tenancy.on_insert(item)
+                linked += 1
+                nbytes_delta += nbytes
+                out.append(True)
+        finally:
+            stats = self.stats
+            if sets:
+                stats.inc("cmd_set", sets)
+            if linked or unlinked:
+                stats.inc("curr_items", linked - unlinked)
+                if linked:
+                    stats.inc("total_items", linked)
+                stats.inc("bytes", nbytes_delta)
+            if evicted:
+                stats.inc("evictions", evicted)
+        return out
+
+    def _store(self, key: str, value: Any, nbytes: int, flags: int, ttl: float) -> bool:
+        """Re-store an already validated key, uncounted in ``cmd_set``
+        (cas, append/prepend, an incr that outgrew its chunk); raises
+        :class:`McTooLarge`."""
+        return self._store_all(((key, value, nbytes, flags, ttl),), command=False, strict=True)[0]
 
     def set(self, key: str, value: Any, nbytes: int, flags: int = 0, ttl: float = 0) -> bool:
-        """Store unconditionally.  True (STORED) unless allocation fails
-        (NOT_STORED — any existing value is left intact)."""
-        self._check_key(key)
-        if nbytes < 0:
-            raise McError("negative value size")
-        self.stats.inc("cmd_set")
-        return self._store(key, value, nbytes, flags, ttl)
+        """Store unconditionally: the batch of one.  True (STORED) unless
+        allocation fails (NOT_STORED — any existing value is left
+        intact); a too-large item raises :class:`McTooLarge`."""
+        return self._store_all(((key, value, nbytes, flags, ttl),), command=True, strict=True)[0]
 
     def add(self, key: str, value: Any, nbytes: int, flags: int = 0, ttl: float = 0) -> bool:
         """Store only if absent (NOT_STORED -> False)."""
@@ -361,13 +439,46 @@ class MemcachedEngine:
 
     # -- mutation ----------------------------------------------------------------
     def delete(self, key: str) -> bool:
-        self._check_key(key)
-        self.stats.inc("cmd_delete")
-        item = self._live_item(key)
-        if item is None:
-            return False
-        self._unlink(item, "delete")
-        return True
+        """Remove *key*: the batch of one."""
+        return self.delete_multi((key,))[0]
+
+    def delete_multi(self, keys: Iterable[str]) -> list[bool]:
+        """Remove many keys in order: per key, whether a live item was
+        deleted.  What a run of single deletes leaves, with ``cmd_delete``
+        booked once, in a ``finally``: a malformed key raises after the
+        keys before it are deleted and counted.  A stored key passed
+        :meth:`_check_key` when it was stored, so only a miss is
+        validated, as in :meth:`get_multi`."""
+        out: list[bool] = []
+        objects = self._items
+        deletes = unlinked = nbytes_delta = 0
+        try:
+            for key in keys:
+                item = objects.get(key)
+                if item is None:
+                    if _PLAIN_KEY_RE.fullmatch(key) is None:
+                        self._check_key(key)
+                    deletes += 1
+                    out.append(False)
+                    continue
+                deletes += 1
+                if item.exptime != 0 and self.clock() >= item.exptime:
+                    self._unlink(item, "expire")
+                    self.stats.inc("expired")
+                    out.append(False)
+                    continue
+                self._detach(item, "delete")
+                unlinked += 1
+                nbytes_delta -= item.nbytes
+                out.append(True)
+        finally:
+            stats = self.stats
+            if deletes:
+                stats.inc("cmd_delete", deletes)
+            if unlinked:
+                stats.inc("curr_items", -unlinked)
+                stats.inc("bytes", nbytes_delta)
+        return out
 
     def touch(self, key: str, ttl: float) -> bool:
         """Update an item's TTL without fetching it (``touch_hits``/

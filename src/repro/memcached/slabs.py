@@ -22,7 +22,7 @@ from repro.util.units import MiB
 PAGE_SIZE = 1 * MiB
 
 
-@dataclass
+@dataclass(slots=True)
 class SlabClass:
     """One chunk-size class."""
 

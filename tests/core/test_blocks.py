@@ -237,3 +237,63 @@ def test_assemble_blocks_matches_the_byte_oracle(case):
     bs, blocks, offset, size, file_size = case
     got = assemble_blocks(BlockMapper(bs), blocks, offset, size, file_size=file_size)
     assert got == _oracle(bs, blocks, offset, size, file_size)
+
+
+def reference_split_blocks(mapper, result, path):
+    """``split_blocks`` before ``block_offset`` and the ``max``/``min``
+    clips were written out: every block filters every interval; kept
+    as the reference."""
+    out = []
+    end = result.offset + result.size
+    for idx in mapper.cover(result.offset, result.size):
+        b_start = mapper.block_offset(idx)
+        b_end = min(b_start + mapper.block_size, end)
+        if b_end <= b_start:
+            continue
+        ivs = [
+            (max(s, b_start), min(e, b_end), v)
+            for s, e, v in result.intervals
+            if max(s, b_start) < min(e, b_end)
+        ]
+        data = None
+        if result.data is not None:
+            lo = b_start - result.offset
+            data = result.data[lo : lo + (b_end - b_start)]
+        out.append(BlockValue(path, b_start, b_end - b_start, ivs, data))
+    return out
+
+
+@st.composite
+def multi_interval_results(draw):
+    """A read of 0–6 blocks, its start and end aligned or not (an
+    EOF-short last block), whose sorted, disjoint intervals leave holes
+    and may cross block boundaries."""
+    bs = draw(st.sampled_from([512, 1024, 2048]))
+    offset = draw(st.integers(0, 4)) * bs + draw(st.sampled_from([0, 0, 1, bs // 3]))
+    size = draw(st.sampled_from([0, 1, bs, 3 * bs, 6 * bs])) + draw(st.integers(-1, bs))
+    size = max(0, size)
+    end = offset + size
+    cuts = sorted(draw(st.sets(st.integers(offset, end), max_size=14)))
+    intervals = []
+    for s, e in zip(cuts, cuts[1:]):
+        # Each gap between cuts is an interval or a hole.
+        if draw(st.booleans()):
+            intervals.append((s, e, draw(st.integers(1, 9))))
+    data = bytes(range(256)) * (size // 256 + 1)
+    data = data[:size] if draw(st.booleans()) else None
+    return BlockMapper(bs), ReadResult(offset=offset, size=size, intervals=intervals, data=data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=multi_interval_results())
+def test_split_blocks_is_the_per_block_filter(case):
+    mapper, result = case
+    assert split_blocks(mapper, result, "/f") == reference_split_blocks(mapper, result, "/f")
+
+
+def test_split_blocks_hands_a_spanning_interval_to_every_block():
+    m = BlockMapper(1024)
+    r = ReadResult(offset=0, size=3000, intervals=[(100, 200, 1), (900, 2500, 2)])
+    assert [b.intervals for b in split_blocks(m, r, "/f")] == [
+        [(100, 200, 1), (900, 1024, 2)], [(1024, 2048, 2)], [(2048, 2500, 2)],
+    ]

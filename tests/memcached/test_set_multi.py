@@ -6,12 +6,23 @@ Two banks fed the same history, one through ``set_multi`` and one
 through scalar ``set``s, must end every round indistinguishable daemon
 by daemon: the batch saves messages, it does not change what any MCD
 stores, evicts or counts.
+
+One level down, ``MemcachedEngine.set_multi`` / ``delete_multi`` (one
+store or purge loop per request) must leave an engine exactly as the
+same items stored or deleted one command at a time would: by the
+engine's own ``set`` / ``delete`` (the batch of one), and by the scalar
+store and delete the loop replaced, kept here as the reference.
 """
+
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memcached import McError, MemcacheClient, MemcachedDaemon, PAGE_SIZE
+from repro.memcached import McError, MemcacheClient, MemcachedDaemon, MemcachedEngine, PAGE_SIZE
+from repro.memcached.daemon import request_size
+from repro.memcached.engine import Item, McTooLarge
+from repro.memcached.tenancy import TenantArbiter, TenantSpec
 from repro.net import IPOIB, Endpoint, Network, Node
 from repro.sim import Simulator
 from repro.util import MiB
@@ -178,3 +189,228 @@ def test_delete_multi_legs_run_together():
     assert deleted == sum(client.owners(k) != [3] for k in keys)
     assert not any(d.engine._items for d in daemons[:3])
     assert client.stats.get("errors") == 1
+
+
+def test_an_empty_set_multi_sizes_to_zero():
+    """Sized in one pass over the items: no items, no bytes, as an empty
+    get_multi or delete_multi."""
+    assert request_size("set_multi", []) == 0
+    assert request_size("get_multi", []) == request_size("delete_multi", []) == 0
+    # Σ key bytes (UTF-8) + 24 B framing per item + Σ value bytes.
+    assert request_size("set_multi", [("/f:0", None, 2048, 0, 0)]) == 2076
+    assert request_size("set_multi", [
+        ("/f:0", None, 2048, 0, 0),
+        ("/f:2048", None, 1000, 7, 60.0),
+        ("/\u00e9:stat", None, 120, 0, 0),
+    ]) == 3259
+
+
+# -- the engine's store and purge loops -----------------------------------------
+class FakeClock:
+    def __init__(self):
+        self.t = 0.0
+
+    def __call__(self):
+        return self.t
+
+
+def reference_set(e, key, value, nbytes, flags=0, ttl=0):
+    """The scalar store the loop replaced: validate, count, pick the
+    class, unlink a same-class overwrite, ``_allocate`` (the reclaim
+    walk, the arbiter's pick or the LRU tail), unlink a
+    different-class one, link."""
+    e._check_key(key)
+    if nbytes < 0:
+        raise McError("negative value size")
+    e.stats.inc("cmd_set")
+    cls = e.slabs.class_for(e._total_size(key, nbytes))
+    if cls is None:
+        raise McTooLarge(f"object too large for cache ({nbytes} bytes)")
+    old = e._items.get(key)
+    if old is not None and old.slab is cls:
+        e._unlink(old, "overwrite")
+    if not e._allocate(key, cls):
+        return False
+    old = e._items.get(key)
+    if old is not None:
+        e._unlink(old, "overwrite")
+    e._cas += 1
+    e._seq += 1
+    exptime = e.clock() + ttl if ttl > 0 else 0.0
+    item = Item(key, value, nbytes, flags, exptime, e._cas, cls, e._seq)
+    e._items[key] = item
+    e._lru.setdefault(cls.index, OrderedDict())[key] = item
+    if exptime != 0:
+        e._ttl_items[cls.index] = e._ttl_items.get(cls.index, 0) + 1
+    if e.tenancy is not None:
+        item.tenant = e.tenancy.on_insert(item)
+    e.stats.inc("curr_items")
+    e.stats.inc("total_items")
+    e.stats.inc("bytes", nbytes)
+    return True
+
+
+def reference_delete(e, key):
+    """The scalar delete the loop replaced."""
+    e._check_key(key)
+    e.stats.inc("cmd_delete")
+    item = e._live_item(key)
+    if item is None:
+        return False
+    e._unlink(item, "delete")
+    return True
+
+
+def one_by_one(store):
+    """Per-item stores, a too-large item answering False."""
+    def run(e, items):
+        out = []
+        for item in items:
+            try:
+                out.append(store(e, *item))
+            except McTooLarge:
+                out.append(False)
+        return out
+    return run
+
+
+RUNNERS = {
+    "batch": (MemcachedEngine.set_multi, MemcachedEngine.delete_multi),
+    "scalar": (
+        one_by_one(MemcachedEngine.set),
+        lambda e, keys: [e.delete(k) for k in keys],
+    ),
+    "reference": (
+        one_by_one(reference_set),
+        lambda e, keys: [reference_delete(e, k) for k in keys],
+    ),
+}
+
+#: Twelve keys, four per tenant namespace: a 30-item batch repeats some.
+ENGINE_KEYS = [f"{ns}k{i}" for ns in ("/a/", "/b/", "") for i in range(4)]
+#: Item sizes by class: 3, 5 and ~10,000 to a page, so a page or two
+#: evict; more classes than pages leaves a class with none (NOT_STORED).
+CLASS_SIZES = [300_000, 180_000, 60]
+BAD_KEY = "has space"
+
+
+@st.composite
+def engine_rounds(draw):
+    """A memory limit and up to five rounds: a batch of ≤ 30 stores or
+    deletes over 1–3 slab classes, some with a TTL that the round's
+    clock advance can outlive, maybe a too-large item, maybe a bad key."""
+    classes = draw(st.integers(1, 3))
+    size_st = st.builds(
+        lambda base, extra: base + extra,
+        st.sampled_from(CLASS_SIZES[:classes]), st.integers(0, 40),
+    )
+    if draw(st.booleans()):
+        # Plus the item overhead, too large for any class.
+        size_st = st.one_of(size_st, st.just(PAGE_SIZE))
+    key_st = st.sampled_from(ENGINE_KEYS)
+    rounds = []
+    for _ in range(draw(st.integers(1, 5))):
+        advance = draw(st.sampled_from([0.0, 2.0, 4.0]))
+        if draw(st.integers(0, 2)):
+            kind = "set"
+            batch = draw(st.lists(
+                st.tuples(key_st, size_st, st.sampled_from([0, 7]), st.sampled_from([0, 0, 3.0])),
+                max_size=30,
+            ))
+        else:
+            kind = "delete"
+            batch = draw(st.lists(key_st, max_size=30))
+        bad_at = None
+        if batch and not draw(st.integers(0, 5)):
+            bad_at = draw(st.integers(0, len(batch) - 1))
+        rounds.append((kind, batch, bad_at, advance))
+    return draw(st.sampled_from([1, 2])) * MiB, rounds
+
+
+def make_engine(mem, arbiter):
+    tenancy = None
+    if arbiter:
+        tenancy = TenantArbiter(
+            (TenantSpec("a", "/a/", 0.25), TenantSpec("b", "/b/")), mem
+        )
+    clock = FakeClock()
+    return MemcachedEngine(mem, clock, tenancy=tenancy), clock
+
+
+def engine_state(e):
+    """Everything a store or delete can change, in the orders it can."""
+    return {
+        "items": [
+            (k, i.value, i.nbytes, i.flags, i.exptime, i.cas, i.seq, i.slab.index,
+             i.tenant.name if i.tenant is not None else None)
+            for k, i in e._items.items()
+        ],
+        "lru": {idx: list(lru) for idx, lru in e._lru.items()},
+        "ttl_items": dict(e._ttl_items),
+        "stats": e.stat_dict(),
+        "slabs": [(c.index, c.pages, c.free_chunks, c.used_chunks) for c in e.slabs.classes],
+        "slab_stats": e.slabs.stats.as_dict(),
+        "tenants": e.tenant_stats(),
+        "counters": (e._cas, e._seq),
+    }
+
+
+def outcome(run, e, batch):
+    try:
+        return ("answered", run(e, batch))
+    except McError as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("arbiter", (False, True), ids=("no-arbiter", "arbiter"))
+@settings(max_examples=120, deadline=None)
+@given(case=engine_rounds())
+def test_engine_set_multi_and_delete_multi_are_the_scalar_commands(arbiter, case):
+    mem, rounds = case
+    engines = {name: make_engine(mem, arbiter) for name in RUNNERS}
+    serial = 0
+    for kind, batch, bad_at, advance in rounds:
+        if kind == "set":
+            items = []
+            for key, nbytes, flags, ttl in batch:
+                serial += 1
+                items.append((key, f"v{serial}", nbytes, flags, ttl))
+            if bad_at is not None:
+                items[bad_at] = (BAD_KEY, "bad", 1, 0, 0)
+            batch = items
+        elif bad_at is not None:
+            batch = batch[:bad_at] + [BAD_KEY] + batch[bad_at + 1:]
+        results = {}
+        for name, (store, delete) in RUNNERS.items():
+            e, clock = engines[name]
+            clock.t += advance
+            results[name] = outcome(store if kind == "set" else delete, e, batch)
+            e.check_invariants()
+        assert results["batch"] == results["scalar"] == results["reference"]
+        assert (results["batch"][0] == "raised") == (bad_at is not None)
+        states = {name: engine_state(e) for name, (e, _clock) in engines.items()}
+        assert states["batch"] == states["scalar"] == states["reference"]
+
+
+def test_a_bad_key_at_k_stores_and_deletes_the_k_items_before_it():
+    e, _ = make_engine(2 * MiB, False)
+    items = [("k0", "a", 10, 0, 0), ("k1", "b", 10, 0, 0), (BAD_KEY, "x", 1, 0, 0),
+             ("k2", "c", 10, 0, 0)]
+    with pytest.raises(McError, match="whitespace"):
+        e.set_multi(items)
+    assert list(e._items) == ["k0", "k1"]
+    assert e.stats.get("cmd_set") == 2 and e.stats.get("total_items") == 2
+    with pytest.raises(McError, match="whitespace"):
+        e.delete_multi(["k0", "absent", BAD_KEY, "k1"])
+    assert list(e._items) == ["k1"]
+    assert e.stats.get("cmd_delete") == 2 and e.curr_items == 1
+    e.check_invariants()
+
+
+def test_set_is_the_batch_of_one_and_still_raises_too_large():
+    e, _ = make_engine(2 * MiB, False)
+    with pytest.raises(McTooLarge):
+        e.set("big", "x", PAGE_SIZE)
+    assert e.stats.get("cmd_set") == 1  # counted, as a storage command
+    assert e.set_multi([("big", "x", PAGE_SIZE, 0, 0), ("k", "v", 1, 0, 0)]) == [False, True]
+    assert e.stats.get("cmd_set") == 3

@@ -1,6 +1,6 @@
-"""Python-call budgets of the warm cached read, the stat hit and the
-write side (a 4 KiB write, a close that purges, an open): the host-side
-twin of ``test_event_budget.py``.
+"""Python-call budgets of the warm cached read, the stat hit, the cold
+read that pushes its blocks and the write side (a 4 KiB write, a close
+that purges, an open): the host-side twin of ``test_event_budget.py``.
 
 A warm read costs the simulator no extra scheduler entries per extra
 cached block, so what a block costs is Python calls.  ``sys.setprofile``
@@ -11,6 +11,11 @@ nothing else).  Frames whose code name starts with ``<`` (``<genexpr>``,
 ``<listcomp>``, ``<lambda>``) are skipped: which comprehensions get a
 frame differs between 3.10, 3.11 and 3.12.  A generator resume is a
 ``call`` event, as in the benchmark's cProfile ledger.
+
+A cold read is budgeted the same way: ``/warm`` is closed and reopened
+(its blocks purged), then read, so the server reads the blocks and
+SMCache pushes them — one for 2 KiB, eight for 16 KiB, in one
+``set_multi``.
 
 The write side is budgeted on the same kind of testbed: a
 4 KiB overwrite (two block pushes in one ``set_multi`` and the ``:stat``
@@ -56,6 +61,17 @@ BUDGET = {
     # 42 (the key's route was ``_read_route`` + ``select`` +
     # ``memcache_hash``; it is one memo probe).
     "stat_hit": 40,
+    # 169 and 298 while each pushed block was a scalar store at every
+    # layer (``KeyCache.data_key``, ``block_index``, ``owners``,
+    # ``engine.set`` → ``_check_key``, ``_store``, ``_total_size``,
+    # ``class_for``, ``_allocate``, ``alloc_in``, ``_insert``, four
+    # ``Counter.inc``): ~18 calls per extra pushed block.  A push is one
+    # store loop per layer; an extra pushed block now pays ``owners``
+    # and the store loop's ``_total_size`` → ``key_nbytes``,
+    # ``class_for`` and ``alloc_in`` (5), and the 16 KiB read the page
+    # cache's one ``Counter.inc`` per extra 4 KiB page (3).
+    "cold_read_2k": 163,
+    "cold_read_16k": 201,
     # Before every mutation walked one owner list: 358 / 663 / 149.
     # Routing a key was ``_window_targets`` + ``_replicas_for`` +
     # ``_idx_for`` + ``select``; it is ``owners`` + ``select``.
@@ -71,13 +87,31 @@ BUDGET = {
     # the engine stored or deleted was sized by ``key_nbytes`` rather
     # than passing the one-scan plain-key test.  (Each RPC now also
     # enters the request and answer halves it shares with a batch leg.)
-    "write_4k": 292,
-    "close": 492,
-    "open": 136,
+    # 292 / 492 / 136 while the engine stored and deleted one item per
+    # call: the two pushed blocks and the ``:stat`` refresh each paid
+    # ``data_key``, ``block_index`` and ``engine.set`` with its
+    # ``_check_key``, ``_store``, ``_allocate`` and ``_insert`` frames,
+    # and the close's 32 purged keys each ``engine.delete`` →
+    # ``_check_key``, ``_live_item``, ``_expired``, ``_unlink`` and
+    # three ``Counter.inc``.  Each engine batch is one loop now: a
+    # stored item pays ``owners``, ``_total_size`` → ``key_nbytes``,
+    # ``class_for``, ``alloc_in`` and, overwriting, ``_detach`` →
+    # ``SlabAllocator.free``; a purged key ``owners``, ``_detach`` and
+    # ``free``.
+    "write_4k": 264,
+    "close": 272,
+    "open": 131,
 }
 #: (warm_read_16k - warm_read_2k) / 7: what one more cached block costs
 #: (3 before the covering keys were a slice and owners memoised).
 PER_EXTRA_BLOCK = 0
+#: What one more pushed block costs a cold read: ``owners``,
+#: ``_total_size``, ``key_nbytes``, ``class_for``, ``alloc_in`` (~18
+#: before the store loops).
+PER_PUSHED_BLOCK = 5
+#: The page cache's one ``Counter.inc`` per extra 4 KiB page a 16 KiB
+#: read pays over a 2 KiB one.
+EXTRA_PAGES = 3
 
 
 def _count_calls(sim, op_gen):
@@ -164,4 +198,29 @@ def test_write_close_and_open_cost_their_call_budgets():
     assert tb.sm_stats()["purged_blocks"] == purged + 32
     spent["open"], _ = _count_calls(sim, client.open("/warm"))
     assert tb.sm_stats()["purged_blocks"] == purged + 32
+    assert spent == _budget_for(spent)
+
+
+def test_cold_read_costs_its_call_budget_and_five_calls_per_extra_pushed_block():
+    tb, fd = _warm_testbed()
+    sim, client = tb.sim, tb.clients[0]
+
+    def reopen():
+        yield from client.close(fd)
+        return (yield from client.open("/warm"))
+
+    spent = {}
+    for name, size, blocks in (("cold_read_2k", 2 * KiB, 1), ("cold_read_16k", 16 * KiB, 8)):
+        done = sim.process(reopen())
+        sim.run()
+        fd = done.value
+        pushes = tb.sm_stats()["block_pushes"]
+        misses = tb.cm_stats()["read_misses"]
+        spent[name], result = _count_calls(sim, client.read(fd, 16 * KiB, size))
+        assert result.size == size
+        assert tb.cm_stats()["read_misses"] == misses + 1
+        assert tb.sm_stats()["block_pushes"] == pushes + blocks
+
+    extra = spent["cold_read_16k"] - spent["cold_read_2k"]
+    assert extra == 7 * PER_PUSHED_BLOCK + EXTRA_PAGES, spent
     assert spent == _budget_for(spent)
