@@ -50,9 +50,9 @@ def test_sweep_seconds(benchmark):
 
 # -- key-string construction (the CMCache/SMCache hot loop) -----------------
 # A steady workload formats the same (path, block_offset) keys millions
-# of times; KeyCache turns the f-string format into a dict probe.  The
-# two benchmarks below share a workload shape so the win is readable
-# straight off the comparison table.
+# of times; KeyCache turns the f-string format into a lookup in the
+# path's key list.  The two benchmarks below share a workload shape so
+# the win is readable straight off the comparison table.
 KEY_PATHS = [f"/bench/keys/dir{i % 8}/file{i}" for i in range(64)]
 KEY_BLOCKS = [i * 2048 for i in range(32)]
 KEY_ROUNDS = 8

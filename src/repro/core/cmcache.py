@@ -421,12 +421,16 @@ class CMCacheXlator(Xlator):
         for r in results:
             if r is None or r.size <= 0:
                 continue
-            for bv in split_blocks(self.mapper, r, path):
+            fetched = split_blocks(self.mapper, r, path)
+            for bv in fetched:
                 usable[bv.block_offset] = bv
-                if hot is not None:
-                    key = self._keys.data_key(path, bv.block_offset)
-                    if key is not None:
-                        self._hot_put(hot, key, path, bv, bv.length)
+            if hot is not None:
+                # One slice of the path's keys (the blocks run on from
+                # the first); none is None, or the read had bypassed.
+                first = fetched[0].block_offset // bs
+                keys = self._keys.data_keys(path, first, first + len(fetched))
+                for key, bv in zip(keys, fetched):
+                    self._hot_put(hot, key, path, bv, bv.length)
         assembled = assemble_blocks(
             self.mapper, usable, offset, size, file_size=file_size
         )

@@ -39,10 +39,12 @@ class KeyCache:
     Every cached read names one data key per covering block (plus the
     stat key), and every SMCache push does the same on the server side;
     under a steady workload the same ``(path, block_offset)`` pairs
-    recur millions of times.  This caches the formatted strings per
-    path so the hot path does a dict probe instead of an f-string
-    format — or, for a read's run of blocks (:meth:`data_keys`), one
-    list slice.  Semantics are identical to :func:`data_key` /
+    recur millions of times.  This keeps one list of key strings per
+    path, indexed by block, so the hot path takes a slice of it
+    (:meth:`data_keys`: a read's or push's run of blocks, or a purge's
+    blocks from 0 up) instead of formatting an f-string.  Each key is
+    held once: reads, pushes, fills and purges all slice the same
+    list.  Semantics are identical to :func:`data_key` /
     :func:`stat_key`, including the ``None`` for overlong keys.
 
     A testbed builds one table for all its CMCaches and SMCaches
@@ -60,31 +62,17 @@ class KeyCache:
     hands out a copy.
     """
 
-    __slots__ = ("max_paths", "block_size", "_data", "_blocks", "_stat")
+    __slots__ = ("max_paths", "block_size", "_blocks", "_stat")
 
     def __init__(self, max_paths: int = 4096, block_size: int = 2048) -> None:
         self.max_paths = max_paths
         #: The block size :meth:`data_keys` indexes blocks by.
         self.block_size = block_size
-        #: path -> {block_offset: key-or-None}
-        self._data: dict[str, dict[int, Optional[str]]] = {}
         #: path -> [key-or-None of block 0, block 1, ...], as far as a
-        #: read has reached.
+        #: read, push or purge has reached.
         self._blocks: dict[str, list[Optional[str]]] = {}
         #: path -> stat key-or-None
         self._stat: dict[str, Optional[str]] = {}
-
-    def data_key(self, path: str, block_offset: int) -> Optional[str]:
-        per_path = self._data.get(path)
-        if per_path is None:
-            if len(self._data) >= self.max_paths:
-                self._data.clear()
-            per_path = self._data[path] = {}
-        try:
-            return per_path[block_offset]
-        except KeyError:
-            key = per_path[block_offset] = data_key(path, block_offset)
-            return key
 
     def data_keys(self, path: str, first: int, stop: int) -> list[Optional[str]]:
         """The data keys of blocks ``first .. stop - 1`` of *path*, in
@@ -99,6 +87,14 @@ class KeyCache:
             bs = self.block_size
             keys.extend([data_key(path, i * bs) for i in range(len(keys), stop)])
         return keys[first:stop]
+
+    def data_key(self, path: str, block_offset: int) -> Optional[str]:
+        """The data key at *block_offset*: an entry of the path's key
+        list when it starts a block, else formatted afresh."""
+        index, within = divmod(block_offset, self.block_size)
+        if within:
+            return data_key(path, block_offset)
+        return self.data_keys(path, index, index + 1)[0]
 
     def stat_key(self, path: str) -> Optional[str]:
         try:

@@ -22,15 +22,16 @@ concurrently, as a read's multi-get does.  The ``:stat`` push stays a
 separate, later ``set``: a poller that sees the new mtime trusts the
 blocks against the new size, so the blocks must already be there.
 
-**Purge index** (``_pushed``: path -> block offsets): what ``open`` /
+**Purge index** (``_pushed``: path -> block indices): what ``open`` /
 ``close`` / ``truncate`` / ``unlink`` delete by.  A push enters its
-offsets in the path's *live* set before the request leaves, keeps them
+blocks in the path's *live* set before the request leaves, keeps them
 when a store fails or is refused, and enters them again when the stores
 return — so a purge that runs while the push is in flight deletes its
 blocks too, and a store that lands behind that purge's delete is still
-known to the next one.  At quiescence every ``path:<off>`` key an MCD
-holds is in ``_pushed[path]``; the index may name keys no MCD holds
-(deleting an absent key is harmless).
+known to the next one.  At quiescence the block of every ``path:<off>``
+key an MCD holds is in ``_pushed[path]``; the index may name keys no
+MCD holds (deleting an absent key is harmless).  A purge reads its keys
+out of the key table's list for the path, by block index.
 
 **Replication invariant** (``IMCaConfig.replicas > 1``): every push and
 every purge issued here goes through a replica-aware
@@ -141,41 +142,37 @@ class SMCacheXlator(Xlator):
             hints = [first + i for i in kept]
         items = [(key, bv, bv.length, 0, 0) for key, bv in zip(keys, blocks)]
         self.metrics.inc("block_pushes", len(items))
-        offsets = [bv.block_offset for bv in blocks]
         width = self._fanout_width()
         if width:
             self.metrics.inc("replica_pushes", width * len(items))
         # Indexed in the *live* set before the request leaves, and kept
         # when a store fails or is refused: a purge that runs while the
-        # push is in flight must find these offsets (deleting an absent
+        # push is in flight must find these blocks (deleting an absent
         # key is harmless; a stored key no purge knows of is not).
-        self._pushed.setdefault(path, set()).update(offsets)
+        self._pushed.setdefault(path, set()).update(hints)
         # One pipelined request per MCD, the MCDs concurrently.
         yield from self.mc.set_multi(items, hints)
         # Such a purge took that set, and on a multi-core MCD its small
         # delete can overtake a large store: index what may have landed
         # behind it in the set that is live now.
-        self._pushed.setdefault(path, set()).update(offsets)
+        self._pushed.setdefault(path, set()).update(hints)
 
     def _purge_data(self, path: str) -> Generator:
-        offsets = self._pushed.pop(path, None)
-        if not offsets:
+        pushed = self._pushed.pop(path, None)
+        if not pushed:
             return
-        keys, hints = [], []
-        for off in sorted(offsets):
-            key = self._keys.data_key(path, off)
-            if key is not None:
-                keys.append(key)
-                hints.append(self.mapper.block_index(off))
-        if keys:
-            self.metrics.inc("purges")
-            self.metrics.inc("purged_blocks", len(keys))
-            width = self._fanout_width()
-            if width:
-                # delete_multi invalidates every replica of every key
-                # (the client books the same legs as replica_deletes).
-                self.metrics.inc("replica_purges", width * len(keys))
-            yield from self.mc.delete_multi(keys, hints)
+        # Only blocks whose key exists were pushed, so none is None.
+        hints = sorted(pushed)
+        table = self._keys.data_keys(path, 0, hints[-1] + 1)
+        keys = [table[i] for i in hints]
+        self.metrics.inc("purges")
+        self.metrics.inc("purged_blocks", len(keys))
+        width = self._fanout_width()
+        if width:
+            # delete_multi invalidates every replica of every key
+            # (the client books the same legs as replica_deletes).
+            self.metrics.inc("replica_purges", width * len(keys))
+        yield from self.mc.delete_multi(keys, hints)
 
     def _purge_stat(self, path: str) -> Generator:
         key = self._keys.stat_key(path)

@@ -25,13 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional, Sequence
 
-import numpy as np
-
 from repro.memcached.tenancy import TenantSpec
 from repro.sim.core import Simulator
 from repro.sim.rand import RandomStreams
 from repro.util.stats import OnlineStats
 from repro.util.units import KiB
+from repro.workloads.trace import zipf_weights
 
 
 @dataclass(frozen=True)
@@ -135,15 +134,11 @@ class TenantMixResult:
         return self.ops / self.wall_time if self.wall_time else 0.0
 
 
-def _zipf_weights(n: int, s: float) -> np.ndarray:
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    w = ranks ** (-s)
-    return w / w.sum()
-
-
 def generate_tenant_ops(cfg: TenantMixConfig,
                         streams: Optional[RandomStreams] = None) -> list[TenantOp]:
     """Deterministically synthesise the blended operation list."""
+    import numpy as np
+
     streams = streams or RandomStreams(cfg.seed)
     rng = streams.stream("tenants")
     weights = np.array([t.weight for t in cfg.tenants], dtype=np.float64)
@@ -151,7 +146,7 @@ def generate_tenant_ops(cfg: TenantMixConfig,
     tenant_draw = rng.choice(len(cfg.tenants), size=cfg.operations, p=weights)
     # Per-tenant popularity as cumulative weights; one uniform draw per
     # op indexes into its tenant's CDF (cheaper than per-op rng.choice).
-    cdfs = [np.cumsum(_zipf_weights(t.num_files, t.zipf_s)) for t in cfg.tenants]
+    cdfs = [np.cumsum(zipf_weights(t.num_files, t.zipf_s)) for t in cfg.tenants]
     file_draw = rng.random(cfg.operations)
     offset_draw = rng.random(cfg.operations)
     kind_draw = rng.random(cfg.operations)

@@ -15,14 +15,15 @@ Replay drives any testbed's clients and reports hit rates and latency
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Generator, Optional, Sequence
 
 from repro.sim.core import Simulator
 from repro.sim.rand import RandomStreams
 from repro.util.stats import OnlineStats
 from repro.util.units import KiB
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,10 @@ class TraceResult:
         return self.ops / self.wall_time if self.wall_time else 0.0
 
 
-def _zipf_weights(n: int, s: float) -> np.ndarray:
+def zipf_weights(n: int, s: float) -> np.ndarray:
+    """Zipf(*s*) popularity of ranks 1..*n*, normalised to sum to 1."""
+    import numpy as np
+
     ranks = np.arange(1, n + 1, dtype=np.float64)
     w = ranks ** (-s)
     return w / w.sum()
@@ -86,7 +90,7 @@ def generate_trace(cfg: TraceConfig, streams: Optional[RandomStreams] = None) ->
     """Deterministically synthesise the operation list."""
     streams = streams or RandomStreams(cfg.seed)
     rng = streams.stream("trace")
-    weights = _zipf_weights(cfg.num_files, cfg.zipf_s)
+    weights = zipf_weights(cfg.num_files, cfg.zipf_s)
     file_sizes = rng.choice(cfg.size_choices, size=cfg.num_files)
     files = rng.choice(cfg.num_files, size=cfg.operations, p=weights)
     kinds_draw = rng.random(cfg.operations)

@@ -55,7 +55,7 @@ def test_a_push_in_flight_across_a_purge_stays_purgeable(fop):
     # ... and at quiescence every block an MCD holds — a store can land
     # behind the purge's delete — is one the next purge will find.
     held = {
-        parse_data_key(key)[1]
+        parse_data_key(key)[1] // sm.mapper.block_size
         for mcd in tb.mcds
         for key in mcd.engine._items
         if not key.endswith(":stat")

@@ -110,7 +110,7 @@ def test_key_cache_bounded():
     for i in range(20):
         assert kc.data_key(f"/f{i}", 0) == f"/f{i}:0"
         assert kc.stat_key(f"/f{i}") == f"/f{i}:stat"
-    assert len(kc._data) <= 4
+    assert len(kc._blocks) <= 4
     assert len(kc._stat) <= 4
 
     # Shared by a testbed, the bound counts every path of the testbed:

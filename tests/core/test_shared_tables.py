@@ -77,8 +77,6 @@ def table_sizes(tb):
         sum(len(k._stat) for k in keys),
         sum(len(k._blocks) for k in keys),
         sum(len(b) for k in keys for b in k._blocks.values()),
-        sum(len(k._data) for k in keys),
-        sum(len(d) for k in keys for d in k._data.values()),
         sum(map(len, owners)),
     )
 
@@ -115,7 +113,7 @@ def test_table_sizes_do_not_grow_with_the_client_count():
         sizes.append(table_sizes(tb))
         results.append(outs)
     assert sizes[0] == sizes[1]
-    assert sizes[0][0] == 64 and sizes[0][1] == 64 and sizes[0][5] > 0
+    assert sizes[0][0] == 64 and sizes[0][1] == 64 and sizes[0][3] > 0
     # And every client read the right bytes.
     want = [(p, FILE, bytes([i % 256]) * FILE) for i, p in enumerate(files)]
     assert all(o == want for outs in results for o in outs)
@@ -165,14 +163,13 @@ def test_every_shared_entry_is_the_pure_function(selector):
     run(tb, *(stat_and_read(c, files, []) for c in tb.clients))
     keys = tb.cmcaches[0]._keys
     bs = keys.block_size
-    assert keys._stat and keys._blocks and keys._data
+    assert keys._stat and keys._blocks
     for path, key in keys._stat.items():
         assert key == stat_key(path)
     for path, blocks in keys._blocks.items():
         assert blocks == [data_key(path, i * bs) for i in range(len(blocks))]
-    for path, per_path in keys._data.items():
-        for off, key in per_path.items():
-            assert key == data_key(path, off)
+        # A purge or fill reads the very strings a read sliced.
+        assert all(keys.data_key(path, i * bs) is key for i, key in enumerate(blocks))
     sel = tb.cmcaches[0].mc.selector
     ring = tb.membership.ring_ids
     table = tb.membership.owner_table(sel)

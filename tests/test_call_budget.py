@@ -99,7 +99,11 @@ BUDGET = {
     # ``SlabAllocator.free``; a purged key ``owners``, ``_detach`` and
     # ``free``.
     "write_4k": 264,
-    "close": 272,
+    # 272 while the purge asked ``KeyCache.data_key`` and
+    # ``block_index`` once per purged block (64 calls for 32); the
+    # purge index holds block indices and the keys are one
+    # ``data_keys`` slice of the path's key list.
+    "close": 209,
     "open": 131,
 }
 #: (warm_read_16k - warm_read_2k) / 7: what one more cached block costs

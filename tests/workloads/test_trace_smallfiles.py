@@ -11,7 +11,7 @@ from repro.workloads import (
     replay_trace,
     run_small_files,
 )
-from repro.workloads.trace import _zipf_weights, file_path
+from repro.workloads.trace import file_path, zipf_weights
 
 
 # -- trace generation -------------------------------------------------------
@@ -25,7 +25,7 @@ def test_trace_config_validation():
 
 
 def test_zipf_weights_normalised_and_skewed():
-    w = _zipf_weights(100, 0.99)
+    w = zipf_weights(100, 0.99)
     assert w.sum() == pytest.approx(1.0)
     assert w[0] > w[10] > w[99]
     # The head dominates: top-10 of 100 files carry a large share.
