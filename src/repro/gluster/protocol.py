@@ -17,7 +17,8 @@ from repro.net.rpc import Endpoint, RetryPolicy
 
 
 class ClientProtocol(Xlator):
-    """The bottom of a client-side stack: one connection to one brick."""
+    """The bottom of a client-side stack: one connection to one brick.
+    Each fop returns the RPC's generator, not a frame around it."""
 
     def __init__(
         self,
@@ -37,41 +38,31 @@ class ClientProtocol(Xlator):
         )
 
     def lookup(self, path):
-        result = yield from self._call("lookup", (path,))
-        return result
+        return self._call("lookup", (path,))
 
     def create(self, path):
-        result = yield from self._call("create", (path,))
-        return result
+        return self._call("create", (path,))
 
     def open(self, path):
-        result = yield from self._call("open", (path,))
-        return result
+        return self._call("open", (path,))
 
     def read(self, path, offset, size):
-        result = yield from self._call("read", (path, offset, size))
-        return result
+        return self._call("read", (path, offset, size))
 
     def write(self, path, offset, size, data=None):
-        result = yield from self._call("write", (path, offset, size, data))
-        return result
+        return self._call("write", (path, offset, size, data))
 
     def stat(self, path):
-        result = yield from self._call("stat", (path,))
-        return result
+        return self._call("stat", (path,))
 
     def truncate(self, path, length):
-        result = yield from self._call("truncate", (path, length))
-        return result
+        return self._call("truncate", (path, length))
 
     def unlink(self, path):
-        result = yield from self._call("unlink", (path,))
-        return result
+        return self._call("unlink", (path,))
 
     def flush(self, path):
-        result = yield from self._call("flush", (path,))
-        return result
+        return self._call("flush", (path,))
 
     def fsync(self, path):
-        result = yield from self._call("fsync", (path,))
-        return result
+        return self._call("fsync", (path,))

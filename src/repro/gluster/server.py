@@ -17,7 +17,7 @@ from repro.gluster.costs import (
     SERVER_OP_CPU,
     STAT_WIRE,
 )
-from repro.gluster.xlator import Xlator
+from repro.gluster.xlator import FOPS, Xlator
 from repro.localfs.fs import LocalFS
 from repro.localfs.types import ReadResult, StatBuf
 from repro.net.fabric import Network, Node
@@ -31,65 +31,58 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: RPC service name for the GlusterFS protocol.
 SERVICE = "gluster"
+#: The server's per-fop counter names, formatted once.
+FOP_COUNTERS = {fop: f"fop_{fop}" for fop in FOPS}
 
 
 class PosixXlator(Xlator):
-    """The storage/posix brick: terminates the stack on a LocalFS."""
+    """The storage/posix brick: terminates the stack on a LocalFS.
+    Each fop books its CPU visit in its own frame: one frame per fop."""
 
     def __init__(self, fs: LocalFS, cpu: FifoStation) -> None:
         super().__init__("posix")
         self.fs = fs
         self.cpu = cpu
 
-    def _charge(self) -> Generator:
-        yield self.cpu.run(POSIX_OP_CPU)
-
     def lookup(self, path: str) -> Generator:
-        yield from self._charge()
-        result = yield from self.fs.lookup(path)
-        return result
+        yield self.cpu.run(POSIX_OP_CPU)
+        return (yield from self.fs.lookup(path))
 
     def create(self, path: str) -> Generator:
-        yield from self._charge()
-        result = yield from self.fs.create(path)
-        return result
+        yield self.cpu.run(POSIX_OP_CPU)
+        return (yield from self.fs.create(path))
 
     def open(self, path: str) -> Generator:
-        yield from self._charge()
-        result = yield from self.fs.lookup(path)
-        return result
+        yield self.cpu.run(POSIX_OP_CPU)
+        return (yield from self.fs.lookup(path))
 
     def read(self, path: str, offset: int, size: int) -> Generator:
-        yield from self._charge()
-        result = yield from self.fs.read(path, offset, size)
-        return result
+        yield self.cpu.run(POSIX_OP_CPU)
+        return (yield from self.fs.read(path, offset, size))
 
     def write(self, path: str, offset: int, size: int, data=None) -> Generator:
-        yield from self._charge()
-        version = yield from self.fs.write(path, offset, size, data)
-        return version
+        yield self.cpu.run(POSIX_OP_CPU)
+        return (yield from self.fs.write(path, offset, size, data))
 
     def stat(self, path: str) -> Generator:
-        yield from self._charge()
-        result = yield from self.fs.stat(path)
-        return result
+        yield self.cpu.run(POSIX_OP_CPU)
+        return (yield from self.fs.stat(path))
 
     def truncate(self, path: str, length: int) -> Generator:
-        yield from self._charge()
-        result = yield from self.fs.truncate(path, length)
-        return result
+        yield self.cpu.run(POSIX_OP_CPU)
+        return (yield from self.fs.truncate(path, length))
 
     def unlink(self, path: str) -> Generator:
-        yield from self._charge()
+        yield self.cpu.run(POSIX_OP_CPU)
         yield from self.fs.unlink(path)
         return None
 
     def flush(self, path: str) -> Generator:
-        yield from self._charge()
+        yield self.cpu.run(POSIX_OP_CPU)
         return None
 
     def fsync(self, path: str) -> Generator:
-        yield from self._charge()
+        yield self.cpu.run(POSIX_OP_CPU)
         yield from self.fs.fsync(path)
         return None
 
@@ -120,7 +113,7 @@ class GlusterServer:
 
     def _handle(self, call: RpcCall) -> Generator:
         fop, args = call.args
-        self.stats.inc(f"fop_{fop}")
+        self.stats.inc(FOP_COUNTERS[fop])
         if self.tracer.enabled:
             with self.tracer.span("server", f"server.{fop}"):
                 if self.tracer.oplog is not None:

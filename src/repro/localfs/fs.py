@@ -131,19 +131,22 @@ class LocalFS:
             return self.device.access_time(self._inode_block(ino), META_IO_SIZE, write=True)
         if self.meta_cache.get(path) is not None:
             self.stats.inc("meta_hits")
-            return self.sim.now
+            return self.sim._now
         self.stats.inc("meta_misses")
         done = self.device.access_time(self._inode_block(ino), META_IO_SIZE)
         self.meta_cache.put(path, True)
         return done
 
-    def _wait(self, until: float, op: Optional[str] = None) -> Generator:
-        if until > self.sim.now:
-            if op is not None and self.tracer.enabled:
-                with self.tracer.span("disk", f"{self.name}.{op}"):
-                    yield self.sim.timeout(until - self.sim.now)
-            else:
-                yield self.sim.timeout(until - self.sim.now)
+    def _wait(self, until: float, op: str) -> Generator:
+        """Sleep until *until* (ahead of the clock; callers check) under
+        a ``disk`` span when tracing: on the float ``now + (until - now)``,
+        the instant and entry ``sim.timeout(until - now)`` would have had."""
+        now = self.sim._now
+        if self.tracer.enabled:
+            with self.tracer.span("disk", f"{self.name}.{op}"):
+                yield now + (until - now)
+        else:
+            yield now + (until - now)
 
     # -- operations ---------------------------------------------------------
     def create(self, path: str, mode: int = 0o100644) -> Generator:
@@ -152,26 +155,27 @@ class LocalFS:
             raise FsError("EEXIST", path)
         ino = self._next_ino
         self._next_ino += 1
-        now = self.sim.now
+        now = self.sim._now
         stat = StatBuf(ino=ino, mode=mode, atime=now, mtime=now, ctime=now)
         self._files[path] = Inode(stat=stat)
         self.stats.inc("creates")
         done = self._meta_access(path, ino, write=True)
-        yield from self._wait(done, "create")
+        if done > self.sim._now:
+            yield from self._wait(done, "create")
         return stat.copy()
 
     def lookup(self, path: str) -> Generator:
         """Timed existence + stat fetch (the namei walk)."""
         inode = self._inode(path)
         done = self._meta_access(path, inode.stat.ino, write=False)
-        yield from self._wait(done, "lookup")
+        if done > self.sim._now:
+            yield from self._wait(done, "lookup")
         return inode.stat.copy()
 
     def stat(self, path: str) -> Generator:
-        """POSIX stat: metadata read."""
+        """POSIX stat: metadata read (the lookup's generator)."""
         self.stats.inc("stats")
-        result = yield from self.lookup(path)
-        return result
+        return self.lookup(path)
 
     def read(self, path: str, offset: int, size: int) -> Generator:
         """Ranged read.  Returns a :class:`ReadResult`; short at EOF."""
@@ -179,25 +183,31 @@ class LocalFS:
             raise ValueError("negative offset/size")
         inode = self._inode(path)
         self.stats.inc("reads")
-        actual = max(0, min(size, inode.stat.size - offset))
+        stat = inode.stat
+        actual = max(0, min(size, stat.size - offset))
         if actual == 0:
             return ReadResult(offset=offset, size=0)
-        missing = self.page_cache.lookup(inode.stat.ino, offset, actual)
-        done = self.sim.now
-        for m_off, m_len in missing:
-            # Clamp page-aligned miss ranges to the file's extent space.
-            for dev_off, length in self._device_runs(inode, m_off, m_len):
-                done = max(done, self.device.access_time(dev_off, length))
+        missing = self.page_cache.lookup(stat.ino, offset, actual)
+        now = done = self.sim._now
         if missing:
-            self.page_cache.insert(
-                inode.stat.ino, missing[0][0],
-                missing[-1][0] + missing[-1][1] - missing[0][0],
-            )
-        yield from self._wait(done, "read")
-        inode.stat.atime = self.sim.now
+            for m_off, m_len in missing:
+                # Clamp page-aligned miss ranges to the file's extent space.
+                for dev_off, length in self._device_runs(inode, m_off, m_len):
+                    done = max(done, self.device.access_time(dev_off, length))
+            first = missing[0][0]
+            self.page_cache.insert(stat.ino, first, missing[-1][0] + missing[-1][1] - first)
+        if done > now:
+            # The disk wake resumes this frame, not a ``_wait`` under it.
+            if self.tracer.enabled:
+                yield from self._wait(done, "read")
+            else:
+                yield now + (done - now)
+            now = self.sim._now
+        stat.atime = now
         data: Optional[bytes] = None
         if inode.data is not None:
-            data = bytes(inode.data[offset : offset + actual])
+            # One copy: a slice of the bytearray would be a second.
+            data = bytes(memoryview(inode.data)[offset : offset + actual])
         return ReadResult(
             offset=offset,
             size=actual,
@@ -244,7 +254,7 @@ class LocalFS:
             else:
                 inode.data = None  # grew past the limit: drop literal bytes
 
-        done = self.sim.now
+        done = self.sim._now
         if size:
             self.page_cache.insert(inode.stat.ino, offset, size)
             for dev_off, length in self._device_runs(inode, offset, size):
@@ -258,9 +268,10 @@ class LocalFS:
         # Size/mtime updates ride the journal (batched, off the critical
         # path); only namespace mutations pay a synchronous inode write.
         inode.stat.size = max(inode.stat.size, offset + size)
-        inode.stat.mtime = self.sim.now
+        inode.stat.mtime = self.sim._now
         self.meta_cache.put(path, True)
-        yield from self._wait(done, "write")
+        if done > self.sim._now:
+            yield from self._wait(done, "write")
         return version
 
     def fsync(self, path: str) -> Generator:
@@ -268,7 +279,8 @@ class LocalFS:
         inode = self._inode(path)
         self.stats.inc("fsyncs")
         flushed = self._flush_times.get(inode.stat.ino, 0.0)
-        yield from self._wait(flushed, "fsync")
+        if flushed > self.sim._now:
+            yield from self._wait(flushed, "fsync")
 
     def truncate(self, path: str, length: int) -> Generator:
         """Truncate/extend to *length* bytes."""
@@ -287,9 +299,10 @@ class LocalFS:
                     new_map.write(s, e, v)
             inode.versions = new_map
         inode.stat.size = length
-        inode.stat.mtime = self.sim.now
+        inode.stat.mtime = self.sim._now
         done = self._meta_access(path, inode.stat.ino, write=True)
-        yield from self._wait(done, "truncate")
+        if done > self.sim._now:
+            yield from self._wait(done, "truncate")
         return inode.stat.copy()
 
     def unlink(self, path: str) -> Generator:
@@ -300,13 +313,5 @@ class LocalFS:
         self.meta_cache.remove(path)
         del self._files[path]
         done = self.device.access_time(self._inode_block(inode.stat.ino), META_IO_SIZE, write=True)
-        yield from self._wait(done, "unlink")
-
-    def listdir(self, prefix: str) -> list[str]:
-        """Untimed namespace scan (harness/test helper)."""
-        if not prefix.endswith("/"):
-            prefix += "/"
-        return sorted(p for p in self._files if p.startswith(prefix))
-
-    def file_count(self) -> int:
-        return len(self._files)
+        if done > self.sim._now:
+            yield from self._wait(done, "unlink")

@@ -31,10 +31,6 @@ class PageCache:
     def __len__(self) -> int:
         return len(self._pages)
 
-    @property
-    def resident_bytes(self) -> int:
-        return len(self._pages) * self.page_size
-
     def _page_range(self, offset: int, size: int) -> range:
         if offset < 0 or size < 0:
             raise ValueError("negative offset/size")
@@ -46,21 +42,29 @@ class PageCache:
         """Probe pages covering ``[offset, offset+size)``.
 
         Promotes resident pages and returns the **missing byte ranges**
-        (page-aligned, merged); an empty list means a full hit.
+        (page-aligned, merged); an empty list means a full hit.  The
+        hit and miss counts are booked once per call.
         """
+        pages = self._pages
+        page_size = self.page_size
         missing: list[tuple[int, int]] = []
-        for page in self._page_range(offset, size):
+        hits = 0
+        span = self._page_range(offset, size)
+        for page in span:
             key = (file_id, page)
-            if key in self._pages:
-                self._pages.move_to_end(key)
-                self.stats.inc("page_hits")
+            if key in pages:
+                pages.move_to_end(key)
+                hits += 1
             else:
-                self.stats.inc("page_misses")
-                start = page * self.page_size
+                start = page * page_size
                 if missing and missing[-1][0] + missing[-1][1] == start:
-                    missing[-1] = (missing[-1][0], missing[-1][1] + self.page_size)
+                    missing[-1] = (missing[-1][0], missing[-1][1] + page_size)
                 else:
-                    missing.append((start, self.page_size))
+                    missing.append((start, page_size))
+        if hits:
+            self.stats.inc("page_hits", hits)
+        if hits < len(span):
+            self.stats.inc("page_misses", len(span) - hits)
         return missing
 
     def contains(self, file_id: Hashable, offset: int, size: int) -> bool:
@@ -72,16 +76,19 @@ class PageCache:
     def insert(self, file_id: Hashable, offset: int, size: int) -> int:
         """Make all pages covering the range resident; returns number of
         pages evicted to fit."""
+        pages = self._pages
+        capacity = self.capacity_pages
         evicted = 0
         for page in self._page_range(offset, size):
             key = (file_id, page)
-            if key in self._pages:
-                self._pages.move_to_end(key)
+            if key in pages:
+                pages.move_to_end(key)
             else:
-                self._pages[key] = None
-            while len(self._pages) > self.capacity_pages:
-                self._pages.popitem(last=False)
-                evicted += 1
+                pages[key] = None
+                # At most one page over: the cache was within capacity.
+                if len(pages) > capacity:
+                    pages.popitem(last=False)
+                    evicted += 1
         self.stats.inc("evictions", evicted)
         return evicted
 

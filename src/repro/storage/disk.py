@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.sim.events import Timeout
 from repro.sim.station import FifoStation
 from repro.util.stats import Counter
 from repro.util.units import GiB, MiB, MSEC, USEC
@@ -103,16 +102,14 @@ class Disk:
         if self._slowdown != 1.0:
             service *= self._slowdown
         _, end = self.arm.reserve(service)
-        self.stats.inc("writes" if write else "reads")
-        self.stats.inc("bytes", size)
+        # The counters in one update of their dict, not a call apiece.
+        values = self.stats.values
+        kind = "writes" if write else "reads"
+        values[kind] = values.get(kind, 0) + 1
+        values["bytes"] = values.get("bytes", 0) + size
         if seek:
-            self.stats.inc("seeks")
+            values["seeks"] = values.get("seeks", 0) + 1
         return end
-
-    def access(self, offset: int, size: int, write: bool = False) -> Timeout:
-        """``yield disk.access(off, n)`` — completes when the I/O does."""
-        end = self.access_time(offset, size, write)
-        return Timeout(self.sim, end - self.sim.now)
 
     @property
     def head(self) -> int:

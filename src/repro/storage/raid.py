@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.sim.events import Timeout
 from repro.storage.disk import Disk, DiskProfile, SATA_2007
 from repro.util.stats import Counter
 from repro.util.units import KiB
@@ -73,26 +72,32 @@ class Raid0:
         return per_disk
 
     def access_time(self, offset: int, size: int, write: bool = False) -> float:
-        """Reserve all members; return completion of the slowest."""
+        """Reserve all members; return completion of the slowest.  An
+        access inside one chunk goes straight to its member, unsplit."""
         if offset < 0 or size < 0:
             raise ValueError("negative offset/size")
         if offset + size > self.capacity:
             raise ValueError("access beyond array capacity")
-        self.stats.inc("writes" if write else "reads")
-        self.stats.inc("bytes", size)
+        values = self.stats.values
+        kind = "writes" if write else "reads"
+        values[kind] = values.get(kind, 0) + 1
+        values["bytes"] = values.get("bytes", 0) + size
         if size == 0:
             # Zero-length access: a bare command to member 0.
             return self.members[0].access_time(offset % self.members[0].profile.capacity, 0, write)
-        done = self.sim.now
+        members = self.members
+        cs = self.chunk_size
+        chunk = offset // cs
+        within = offset - chunk * cs
+        if within + size <= cs:
+            n = len(members)
+            return members[chunk % n].access_time((chunk // n) * cs + within, size, write)
+        done = self.sim._now
         for disk_idx, runs in self._split(offset, size).items():
-            disk = self.members[disk_idx]
+            disk = members[disk_idx]
             for member_off, length in runs:
                 done = max(done, disk.access_time(member_off, length, write))
         return done
-
-    def access(self, offset: int, size: int, write: bool = False) -> Timeout:
-        end = self.access_time(offset, size, write)
-        return Timeout(self.sim, end - self.sim.now)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Raid0 {self.name} x{len(self.members)} chunk={self.chunk_size}>"

@@ -176,7 +176,9 @@ def test_multi_brick_distribute_spreads_files():
             yield from c.close(fd)
 
     drive(tb, w())
-    counts = [s.fs.file_count() for s in tb.servers]
+    counts = [
+        sum(s.fs.exists(f"/spread/f{i:03d}") for i in range(40)) for s in tb.servers
+    ]
     assert sum(counts) == 40
     assert sum(1 for n in counts if n > 0) >= 3  # spread over bricks
 

@@ -188,9 +188,86 @@ def test_sequential_write_is_streaming():
     assert per_op < 0.002  # no 12ms seek+rotate per op
 
 
-def test_listdir_and_count():
+def _disk_bound_reads(old_wait):
+    """Twelve readers, each on its own uncached 16 KiB file, queued on
+    the array behind the files' own inode and write-back I/O from
+    staggered starts; returns each reader's ``(path, wake time)`` in
+    wake order."""
     sim, fs = make_fs()
-    for name in ("/d/a", "/d/b", "/e/c"):
-        drive(sim, fs.create(name))
-    assert fs.listdir("/d") == ["/d/a", "/d/b"]
-    assert fs.file_count() == 3
+    wakes = []
+
+    def reader(path, start):
+        # The file exists at once; its inode write queues on the array.
+        sim.process(fs.create(path))
+        yield sim.timeout(start)
+        yield from fs.write(path, 0, 16 * KiB)
+        inode = fs._files[path]
+        fs.page_cache.invalidate(inode.stat.ino, 0, 16 * KiB)
+        if old_wait:
+            # ``read``'s device booking, then the Timeout it slept on.
+            now = sim.now
+            missing = fs.page_cache.lookup(inode.stat.ino, 0, 16 * KiB)
+            done = now
+            for m_off, m_len in missing:
+                for dev_off, length in fs._device_runs(inode, m_off, m_len):
+                    done = max(done, fs.device.access_time(dev_off, length))
+            fs.page_cache.insert(inode.stat.ino, 0, 16 * KiB)
+            yield sim.timeout(done - now)
+        else:
+            yield from fs.read(path, 0, 16 * KiB)
+        wakes.append((path, sim.now))
+
+    for i in range(12):
+        sim.process(reader(f"/q{i}", (i + 1) * 1e-3))
+    sim.run()
+    return wakes
+
+
+def test_disk_bound_reads_wake_where_their_timeouts_did():
+    """A read that misses the page cache sleeps on a float, not a
+    ``Timeout``: twelve queued readers wake at the same instants, in
+    the same order, as readers that slept on the Timeout."""
+    wakes = _disk_bound_reads(old_wait=False)
+    assert len(wakes) == 12
+    assert wakes == _disk_bound_reads(old_wait=True)
+
+
+class _FixedDevice:
+    """A device whose every access completes at ``done``."""
+
+    capacity = 1 << 40
+
+    def __init__(self, done):
+        self.done = done
+
+    def access_time(self, offset, size, write=False):
+        return self.done
+
+
+def test_disk_bound_read_wakes_at_now_plus_its_delay_not_at_done():
+    """The wake is ``now + (done - now)``, the instant
+    ``sim.timeout(done - now)`` fires at, and for these two clocks that
+    is not ``done`` itself."""
+    now, done = 0.0018939132855435616, 0.03493836226044441
+    assert now + (done - now) != done
+    woke = []
+    for old_wait in (False, True):
+        sim = Simulator()
+        device = _FixedDevice(0.0)
+        fs = LocalFS(sim, device=device, page_cache=PageCache(64 * MiB))
+        drive(sim, fs.create("/f"))
+        drive(sim, fs.write("/f", 0, 16 * KiB))
+        fs.page_cache.clear()
+        sim.run(until=now)
+        device.done = done
+
+        def reader():
+            if old_wait:
+                yield sim.timeout(done - sim.now)
+            else:
+                yield from fs.read("/f", 0, 16 * KiB)
+            woke.append(sim.now)
+
+        sim.process(reader())
+        sim.run()
+    assert woke[0] == woke[1] == now + (done - now)

@@ -147,4 +147,77 @@ def test_pagecache_validation():
 def test_resident_bytes():
     pc = PageCache(capacity_bytes=64 * 4096)
     pc.insert("f", 0, 3 * 4096)
-    assert pc.resident_bytes == 3 * 4096
+    assert len(pc) * pc.page_size == 3 * 4096
+
+
+class _ReferencePageLru:
+    """The page cache spelled out one page at a time: an LRU list of
+    ``(file, page)`` entries and a counter bump per page probed."""
+
+    def __init__(self, capacity_pages: int, page_size: int) -> None:
+        self.capacity = capacity_pages
+        self.page_size = page_size
+        self.order: list = []
+        self.hits = self.misses = self.evictions = 0
+
+    def _pages(self, offset, size):
+        if not size:
+            return []
+        return range(offset // self.page_size, (offset + size - 1) // self.page_size + 1)
+
+    def lookup(self, file_id, offset, size):
+        missing = []
+        for page in self._pages(offset, size):
+            key = (file_id, page)
+            if key in self.order:
+                self.order.remove(key)
+                self.order.append(key)
+                self.hits += 1
+            else:
+                self.misses += 1
+                start = page * self.page_size
+                if missing and sum(missing[-1]) == start:
+                    missing[-1] = (missing[-1][0], missing[-1][1] + self.page_size)
+                else:
+                    missing.append((start, self.page_size))
+        return missing
+
+    def insert(self, file_id, offset, size):
+        evicted = 0
+        for page in self._pages(offset, size):
+            key = (file_id, page)
+            if key in self.order:
+                self.order.remove(key)
+            self.order.append(key)
+            while len(self.order) > self.capacity:
+                self.order.pop(0)
+                evicted += 1
+        self.evictions += evicted
+        return evicted
+
+
+@given(
+    st.integers(1, 12),
+    st.lists(
+        st.tuples(
+            st.booleans(), st.integers(0, 2), st.integers(0, 40_000), st.integers(0, 20_000)
+        ),
+        max_size=60,
+    ),
+)
+def test_pagecache_matches_a_one_entry_per_page_lru(capacity_pages, ops):
+    """``lookup`` and ``insert`` hoist their state and book their
+    counters once per call; a reference that walks and counts page by
+    page returns the same missing ranges and evictions, and ends with
+    the same LRU order and counters."""
+    pc = PageCache(capacity_bytes=capacity_pages * 4096)
+    ref = _ReferencePageLru(capacity_pages, 4096)
+    for is_insert, file_id, offset, size in ops:
+        if is_insert:
+            assert pc.insert(file_id, offset, size) == ref.insert(file_id, offset, size)
+        else:
+            assert pc.lookup(file_id, offset, size) == ref.lookup(file_id, offset, size)
+        assert list(pc._pages) == ref.order
+    assert pc.stats.get("page_hits") == ref.hits
+    assert pc.stats.get("page_misses") == ref.misses
+    assert pc.stats.get("evictions") == ref.evictions

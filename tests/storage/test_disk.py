@@ -25,7 +25,7 @@ def run_accesses(disk, accesses):
 
     def proc(sim, disk):
         for off, size in accesses:
-            yield disk.access(off, size)
+            yield disk.access_time(off, size)
             times.append(sim.now)
 
     sim.process(proc(sim, disk))
@@ -84,7 +84,7 @@ def test_arm_is_fifo_under_concurrency():
     done = []
 
     def client(sim, disk, tag, off):
-        yield disk.access(off, 4 * KiB)
+        yield disk.access_time(off, 4 * KiB)
         done.append(tag)
 
     for tag, off in [("a", 0), ("b", 1 * MiB), ("c", 2 * MiB)]:
@@ -107,8 +107,8 @@ def test_stats_counting():
     disk = Disk(sim, FAST)
 
     def proc(sim, disk):
-        yield disk.access(0, 100)
-        yield disk.access(100, 50, write=True)
+        yield disk.access_time(0, 100)
+        yield disk.access_time(100, 50, write=True)
 
     sim.process(proc(sim, disk))
     sim.run()

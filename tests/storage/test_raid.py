@@ -1,6 +1,7 @@
 """Tests for RAID-0 striping."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import Simulator
 from repro.storage import Raid0
@@ -21,7 +22,7 @@ def one_access(raid, offset, size, write=False):
     sim = raid.sim
 
     def proc(sim, raid):
-        yield raid.access(offset, size, write)
+        yield raid.access_time(offset, size, write)
 
     sim.process(proc(sim, raid))
     sim.run()
@@ -86,11 +87,62 @@ def test_stats():
     raid = Raid0(sim, disks=2, profile=FAST)
 
     def proc(sim, raid):
-        yield raid.access(0, 1000)
-        yield raid.access(0, 500, write=True)
+        yield raid.access_time(0, 1000)
+        yield raid.access_time(0, 500, write=True)
 
     sim.process(proc(sim, raid))
     sim.run()
     assert raid.stats.get("reads") == 1
     assert raid.stats.get("writes") == 1
     assert raid.stats.get("bytes") == 1500
+
+
+def _split_access_time(raid, offset, size, write=False):
+    """Every non-empty access through ``_split``, the general path:
+    what ``access_time`` did for one that fits in a chunk too."""
+    values = raid.stats.values
+    kind = "writes" if write else "reads"
+    values[kind] = values.get(kind, 0) + 1
+    values["bytes"] = values.get("bytes", 0) + size
+    done = raid.sim.now
+    for disk_idx, runs in raid._split(offset, size).items():
+        for member_off, length in runs:
+            done = max(done, raid.members[disk_idx].access_time(member_off, length, write))
+    return done
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.sampled_from([512, 4 * KiB, 64 * KiB]),
+    st.lists(
+        st.tuples(
+            st.integers(0, 4 * MiB),
+            st.integers(1, 80 * KiB),
+            st.booleans(),
+            st.sampled_from([0.0, 1e-6, 3e-3, 0.02]),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_one_chunk_shortcut_matches_the_split_path(disks, chunk_size, accesses):
+    """Twin arrays, one driven by ``access_time`` (whose one-chunk
+    accesses skip ``_split``), the other by the split path for every
+    access: the same completion times, member heads and stats."""
+    fast_sim, split_sim = Simulator(), Simulator()
+    fast = Raid0(fast_sim, disks=disks, profile=FAST, chunk_size=chunk_size)
+    split = Raid0(split_sim, disks=disks, profile=FAST, chunk_size=chunk_size)
+    for offset, size, write, gap in accesses:
+        if gap:
+            fast_sim.run(until=fast_sim.now + gap)
+            split_sim.run(until=split_sim.now + gap)
+        assert fast.access_time(offset, size, write) == _split_access_time(
+            split, offset, size, write
+        )
+    assert [d.head for d in fast.members] == [d.head for d in split.members]
+    assert [d.stats.as_dict() for d in fast.members] == [
+        d.stats.as_dict() for d in split.members
+    ]
+    assert [d.arm.busy_time for d in fast.members] == [d.arm.busy_time for d in split.members]
+    assert fast.stats.as_dict() == split.stats.as_dict()

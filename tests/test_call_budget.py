@@ -1,6 +1,7 @@
 """Python-call budgets of the warm cached read, the stat hit, the cold
 read that pushes its blocks and the write side (a 4 KiB write, a close
-that purges, an open): the host-side twin of ``test_event_budget.py``.
+that purges, an open, and a NoCache read that misses or hits the
+server's page cache): the host-side twin of ``test_event_budget.py``.
 
 A warm read costs the simulator no extra scheduler entries per extra
 cached block, so what a block costs is Python calls.  ``sys.setprofile``
@@ -22,6 +23,10 @@ The write side is budgeted on the same kind of testbed: a
 refresh), the close that purges the file's 32 pushed blocks in one
 ``delete_multi``, and the open that follows (nothing left to purge; one ``:stat`` push) — so
 a refactor of the store or purge path cannot add frames unseen.
+
+The brick path is budgeted alone on a NoCache testbed whose page cache
+holds one 64 KiB file: a 16 KiB read of an evicted file, whose disk
+wake resumes one frame per layer, then the same read again.
 
 Lower a number when a change removes calls; never raise one without
 saying why in CHANGES.md.
@@ -69,9 +74,12 @@ BUDGET = {
     # store loop per layer; an extra pushed block now pays ``owners``
     # and the store loop's ``_total_size`` → ``key_nbytes``,
     # ``class_for`` and ``alloc_in`` (5), and the 16 KiB read the page
-    # cache's one ``Counter.inc`` per extra 4 KiB page (3).
-    "cold_read_2k": 163,
-    "cold_read_16k": 201,
+    # cache's one ``Counter.inc`` per extra 4 KiB page (3).  163 / 201
+    # while the brick fop resumed a ``ClientProtocol`` frame around
+    # ``Endpoint.call`` and a ``PosixXlator._charge`` frame, and the
+    # page cache booked a ``Counter.inc`` per page.
+    "cold_read_2k": 151,
+    "cold_read_16k": 186,
     # Before every mutation walked one owner list: 358 / 663 / 149.
     # Routing a key was ``_window_targets`` + ``_replicas_for`` +
     # ``_idx_for`` + ``select``; it is ``owners`` + ``select``.
@@ -97,14 +105,22 @@ BUDGET = {
     # stored item pays ``owners``, ``_total_size`` → ``key_nbytes``,
     # ``class_for``, ``alloc_in`` and, overwriting, ``_detach`` →
     # ``SlabAllocator.free``; a purged key ``owners``, ``_detach`` and
-    # ``free``.
-    "write_4k": 264,
+    # ``free``.  264 / 209 / 131 while the brick fop resumed its
+    # ``ClientProtocol`` and ``_charge`` frames and ``LocalFS`` entered
+    # ``_wait`` even with nothing to wait for.
+    "write_4k": 230,
     # 272 while the purge asked ``KeyCache.data_key`` and
     # ``block_index`` once per purged block (64 calls for 32); the
     # purge index holds block indices and the keys are one
     # ``data_keys`` slice of the path's key list.
-    "close": 209,
-    "open": 131,
+    "close": 201,
+    "open": 120,
+    # NoCache, the brick path alone.  89 / 60 while the fop resumed a
+    # ``ClientProtocol`` frame, a ``_charge`` frame and (on the disk
+    # wake) ``LocalFS._wait``, the wait was a ``Timeout`` and the page
+    # cache booked a ``Counter.inc`` per page.
+    "uncached_read_16k_page_miss": 58,
+    "uncached_read_16k_page_hit": 43,
 }
 #: (warm_read_16k - warm_read_2k) / 7: what one more cached block costs
 #: (3 before the covering keys were a slice and owners memoised).
@@ -113,9 +129,10 @@ PER_EXTRA_BLOCK = 0
 #: ``_total_size``, ``key_nbytes``, ``class_for``, ``alloc_in`` (~18
 #: before the store loops).
 PER_PUSHED_BLOCK = 5
-#: The page cache's one ``Counter.inc`` per extra 4 KiB page a 16 KiB
-#: read pays over a 2 KiB one.
-EXTRA_PAGES = 3
+#: What the extra 4 KiB pages a 16 KiB read probes cost over a 2 KiB
+#: one: the page cache books its counters once per call (3 while it
+#: paid one ``Counter.inc`` per page).
+EXTRA_PAGES = 0
 
 
 def _count_calls(sim, op_gen):
@@ -227,4 +244,38 @@ def test_cold_read_costs_its_call_budget_and_five_calls_per_extra_pushed_block()
 
     extra = spent["cold_read_16k"] - spent["cold_read_2k"]
     assert extra == 7 * PER_PUSHED_BLOCK + EXTRA_PAGES, spent
+    assert spent == _budget_for(spent)
+
+
+def test_uncached_reads_cost_their_call_budget():
+    """The brick path alone: a NoCache 16 KiB read that misses the
+    server's page cache (its disk wake resumes one frame per layer) and
+    the same read again, now a page-cache hit."""
+    tb = build_gluster_testbed(
+        TestbedConfig(num_clients=1, num_mcds=0, server_cache_bytes=64 * KiB)
+    )
+    sim, client = tb.sim, tb.clients[0]
+    opened = []
+
+    def setup():
+        fd = yield from client.create("/a")
+        yield from client.write(fd, 0, 64 * KiB)
+        # As large as the page cache: every page of /a is evicted.
+        other = yield from client.create("/b")
+        yield from client.write(other, 0, 64 * KiB)
+        opened.append(fd)
+
+    sim.process(setup())
+    sim.run()
+    (fd,) = opened
+    pages = tb.server.fs.page_cache.stats
+    spent = {}
+    for name, counter in (
+        ("uncached_read_16k_page_miss", "page_misses"),
+        ("uncached_read_16k_page_hit", "page_hits"),
+    ):
+        before = pages.get(counter)
+        spent[name], result = _count_calls(sim, client.read(fd, 16 * KiB, 16 * KiB))
+        assert result.size == 16 * KiB
+        assert pages.get(counter) == before + 4
     assert spent == _budget_for(spent)

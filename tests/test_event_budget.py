@@ -161,3 +161,50 @@ def test_distinct_file_burst_costs_what_the_same_ops_cost_one_at_a_time():
     # Every op of the warm pass, the serial pass and the burst hit.
     assert tb.cm_stats()["stat_hits"] == 2 * k and tb.cm_stats()["read_hits"] == 3 * k
     assert not any(tb.fastpath_stats().values())
+
+
+#: Entries per uncached 16 KiB read on a 1-client NoCache testbed (no
+#: MCD): the request, the io-thread visit, the posix CPU visit and the
+#: response; a read that misses the server's page cache adds its disk
+#: wait.
+BRICK_BUDGET = {
+    "uncached_read_16k_page_hit": 4,
+    "uncached_read_16k_page_miss": 5,
+}
+
+
+def test_uncached_reads_cost_exactly_their_event_budget():
+    tb = build_gluster_testbed(
+        TestbedConfig(num_clients=1, num_mcds=0, server_cache_bytes=64 * KiB)
+    )
+    sim, client = tb.sim, tb.clients[0]
+    page_stats = tb.server.fs.page_cache.stats
+    spent = {}
+
+    def measured(name, op):
+        before = sim._seq
+        result = yield from op
+        spent[name] = sim._seq - before
+        return result
+
+    def scenario():
+        fd = yield from client.create("/a")
+        yield from client.write(fd, 0, 64 * KiB)
+        # A second file as large as the page cache evicts every page of /a.
+        other = yield from client.create("/b")
+        yield from client.write(other, 0, 64 * KiB)
+        misses = page_stats.get("page_misses")
+        miss = yield from measured(
+            "uncached_read_16k_page_miss", client.read(fd, 16 * KiB, 16 * KiB)
+        )
+        assert page_stats.get("page_misses") == misses + 4
+        hits = page_stats.get("page_hits")
+        hit = yield from measured(
+            "uncached_read_16k_page_hit", client.read(fd, 16 * KiB, 16 * KiB)
+        )
+        assert page_stats.get("page_hits") == hits + 4
+        assert miss.size == hit.size == 16 * KiB
+
+    sim.process(scenario())
+    sim.run()
+    assert spent == BRICK_BUDGET
