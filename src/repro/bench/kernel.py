@@ -70,7 +70,7 @@ def _kernel_workload() -> int:
     """
     sim = Simulator()
     # Measure the unobserved configuration (what experiment runs pay).
-    sim.track_station_waits = False
+    sim.track_station_stats = False
     station = FifoStation(sim, servers=4, name="bench")
 
     def worker(k: int):
@@ -85,9 +85,10 @@ def _kernel_workload() -> int:
 
 
 def _hop_workload() -> int:
-    """Five-station network hop: senders hammering one receiver."""
+    """Network hops (four station visits and one wire latency each):
+    senders hammering one receiver."""
     sim = Simulator()
-    sim.track_station_waits = False
+    sim.track_station_stats = False
     net = Network(sim, profile("ipoib"))
     src = Node(sim, "bench-src")
     dst = Node(sim, "bench-dst")

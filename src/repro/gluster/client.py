@@ -66,7 +66,7 @@ class GlusterClient:
         ahead of it rather than sleep on it.
 
         The crossing's end becomes the process's ``ready``, and the op's
-        first message departs no earlier (`Network.delivery_time`), so an
+        first message departs no earlier (`Network.transfer`), so an
         op that sends costs no wake-up for the crossing.  An op that
         returns — or raises — before the clock reaches ``ready`` (a
         hot-cache hit, a singleflight follower whose flight ended first,

@@ -2,11 +2,12 @@
 
 A :class:`Node` owns a host CPU station (``cores`` service threads).
 A :class:`Network` attaches a pair of NIC serialiser stations (tx/rx)
-to each node and moves messages through five FIFO stations::
+to each node and moves each message through four FIFO station visits
+and one wire latency::
 
     sender CPU -> sender NIC tx -> wire latency -> receiver NIC rx -> receiver CPU
 
-Each hop is an analytic :class:`~repro.sim.station.FifoStation`
+Each visit is an analytic :class:`~repro.sim.station.FifoStation`
 reservation chained through the message's in-flight time, so a complete
 one-way transfer costs a *single* schedule entry.  Contention (many clients
 hammering one server NIC) emerges from the rx station's queue.
@@ -170,135 +171,6 @@ class Network:
             raise NetworkError(f"{node.name} not attached to {self.name}") from None
 
     # -- data movement ---------------------------------------------------
-    def delivery_time(
-        self,
-        src: Node,
-        dst: Node,
-        size: int,
-        send_cpu: float = 0.0,
-        recv_cpu: float = 0.0,
-        depart: Optional[float] = None,
-    ) -> float:
-        """Reserve all stations for one message; return absolute delivery
-        time.  Raises :class:`NetworkError` if either endpoint is dead.
-
-        The sender's CPU visit arrives at *depart*: by default now, or
-        the active runner's ``ready`` if that is later — a message sent
-        by an op that runs ahead of its FUSE crossing leaves when the
-        crossing ends (DESIGN §7, "The FUSE crossing runs ahead").  No
-        other station looks at ``ready``.
-
-        *send_cpu* and *recv_cpu* are extra host-CPU seconds the sender's
-        and the receiver's CPU visits carry on top of the protocol cost:
-        work that sits back to back with the hop on the same station (an
-        RPC service's command CPU, its reply copy) rides the hop's visit
-        instead of booking one of its own.  Adding ``0.0`` is exact, so a
-        plain message is float-identical to one without the arguments.
-
-        The four visits are :meth:`FifoStation.reserve` written out in
-        line, each arriving when the one before it lets go (``reserve``
-        is the specification; ``tests/net/test_one_pass_hop.py`` holds
-        this pass to it).  A NIC serialiser has one server, so its free
-        heap is a plain cell.
-        """
-        if not src.alive:
-            raise NetworkError(f"source {src.name} is down")
-        if not dst.alive:
-            raise NetworkError(f"destination {dst.name} is down")
-        if size < 0:
-            raise ValueError("negative message size")
-        p = self.transport
-        nics = self._nics
-        try:
-            tx = nics[src.name].tx
-            rx = nics[dst.name].rx
-        except KeyError as e:
-            raise NetworkError(f"{e.args[0]} not attached to {self.name}") from None
-
-        # Profile maths inlined (same expressions as TransportProfile's
-        # host_cost/serialization, so timestamps stay float-identical).
-        wire = p.wire_latency
-        if self._impaired:
-            wire += self._extra_wire(src, dst)
-        copy_cost = p.cpu_per_byte * size
-        ser = size / p.bandwidth
-        if depart is None:
-            depart = departure(self.sim)
-
-        # Sender host CPU (protocol + copy for non-RDMA transports).
-        cpu = src.cpu
-        service = p.cpu_send + copy_cost + send_cpu
-        free_heap = cpu._free
-        free = free_heap[0]
-        start = free if free > depart else depart
-        t = start + service
-        if cpu.servers == 1:
-            free_heap[0] = t
-        else:
-            heapreplace(free_heap, t)
-        if t > cpu._latest_free:
-            cpu._latest_free = t
-        cpu.busy_time += service
-        cpu.jobs += 1
-        if cpu._track_waits:
-            cpu.wait_stats.add(start - depart)
-
-        # Sender NIC serialisation.
-        free = tx._free[0]
-        tx_start = free if free > t else t
-        tx_end = tx_start + ser
-        tx._free[0] = tx_end
-        if tx_end > tx._latest_free:
-            tx._latest_free = tx_end
-        tx.busy_time += ser
-        tx.jobs += 1
-        if tx._track_waits:
-            tx.wait_stats.add(tx_start - t)
-
-        # Cut-through: the receiver NIC starts taking bytes one wire
-        # latency after the first byte leaves, and finishes no earlier
-        # than one wire latency after the last byte leaves.
-        arrival = tx_start + wire
-        free = rx._free[0]
-        start = free if free > arrival else arrival
-        rx_end = start + ser
-        rx._free[0] = rx_end
-        if rx_end > rx._latest_free:
-            rx._latest_free = rx_end
-        rx.busy_time += ser
-        rx.jobs += 1
-        if rx._track_waits:
-            rx.wait_stats.add(start - arrival)
-        tx_end += wire
-        arrival = tx_end if tx_end > rx_end else rx_end
-
-        # Receiver host CPU.
-        cpu = dst.cpu
-        service = p.cpu_recv + copy_cost + recv_cpu
-        free_heap = cpu._free
-        free = free_heap[0]
-        start = free if free > arrival else arrival
-        t = start + service
-        if cpu.servers == 1:
-            free_heap[0] = t
-        else:
-            heapreplace(free_heap, t)
-        if t > cpu._latest_free:
-            cpu._latest_free = t
-        cpu.busy_time += service
-        cpu.jobs += 1
-        if cpu._track_waits:
-            cpu.wait_stats.add(start - arrival)
-
-        values = self.stats.values
-        if "messages" in values:
-            values["messages"] += 1
-            values["bytes"] += size
-        else:
-            values["messages"] = 1
-            values["bytes"] = size
-        return t
-
     def _undeliverable(
         self, src: Node, dst: Node, size: int, send_cpu: float, reason: str
     ) -> Event:
@@ -334,8 +206,28 @@ class Network:
         """One-way message: returns the absolute time the last byte
         lands in the receiver's memory (and the receiver's CPU visit,
         *recv_cpu* included, ends), for the calling process to yield.
-        ``yield net.transfer(a, b, nbytes)``.  See :meth:`delivery_time`
-        for the extra CPU arguments.
+        ``yield net.transfer(a, b, nbytes)``.
+
+        The sender's CPU visit arrives at the message's departure: now,
+        or the active runner's ``ready`` if that is later — a message
+        sent by an op that runs ahead of its FUSE crossing leaves when
+        the crossing ends (DESIGN §7, "The FUSE crossing runs ahead").
+        No other station looks at ``ready``.
+
+        *send_cpu* and *recv_cpu* are extra host-CPU seconds the sender's
+        and the receiver's CPU visits carry on top of the protocol cost:
+        work that sits back to back with the hop on the same station (an
+        RPC service's command CPU, its reply copy) rides the hop's visit
+        instead of booking one of its own.  Adding ``0.0`` is exact, so a
+        plain message is float-identical to one without the arguments.
+
+        A message is one pass.  The four visits are
+        :meth:`FifoStation.reserve` written out in line, each arriving
+        when the one before it lets go (``reserve`` is the
+        specification; ``tests/net/test_one_pass_hop.py`` holds this
+        pass to it); a NIC serialiser has one server, so its free heap is
+        a plain cell.  The stations' statistics are booked in one block
+        after the four, and only while ``sim.track_station_stats`` is on.
 
         A dead *destination* (or a message lost on a degraded link) does
         not raise here: what is returned is an event that **fails** with
@@ -352,18 +244,97 @@ class Network:
             return self._undeliverable(
                 src, dst, size, send_cpu, f"destination {dst.name} is down"
             )
-        if self._impaired and self._drop_message(src, dst):
-            self.stats.inc("lost")
-            return self._undeliverable(
-                src, dst, size, send_cpu, f"message {src.name} -> {dst.name} lost"
-            )
+        p = self.transport
+        # Profile maths inlined (same expressions as TransportProfile's
+        # host_cost/serialization, so timestamps stay float-identical).
+        wire = p.wire_latency
+        if self._impaired:
+            if self._drop_message(src, dst):
+                self.stats.inc("lost")
+                return self._undeliverable(
+                    src, dst, size, send_cpu, f"message {src.name} -> {dst.name} lost"
+                )
+            wire += self._extra_wire(src, dst)
+        nics = self._nics
+        try:
+            tx = nics[src.name].tx
+            rx = nics[dst.name].rx
+        except KeyError as e:
+            raise NetworkError(f"{e.args[0]} not attached to {self.name}") from None
+        copy_cost = p.cpu_per_byte * size
+        ser = size / p.bandwidth
         # `departure(sim)`, written out: a call per message would cost
         # every op in `tests/test_call_budget.py` a frame per hop.
         depart = sim._now
         runner = sim._active_process
         if runner is not None and runner.ready > depart:
             depart = runner.ready
-        t = self.delivery_time(src, dst, size, send_cpu, recv_cpu, depart)
+
+        # Sender host CPU (protocol + copy for non-RDMA transports).
+        src_cpu = src.cpu
+        send = p.cpu_send + copy_cost + send_cpu
+        free_heap = src_cpu._free
+        free = free_heap[0]
+        send_start = free if free > depart else depart
+        sent = send_start + send
+        if src_cpu.servers == 1:
+            free_heap[0] = sent
+        else:
+            heapreplace(free_heap, sent)
+
+        # Sender NIC serialisation.
+        free = tx._free[0]
+        tx_start = free if free > sent else sent
+        tx_end = tx_start + ser
+        tx._free[0] = tx_end
+
+        # Cut-through: the receiver NIC starts taking bytes one wire
+        # latency after the first byte leaves, and finishes no earlier
+        # than one wire latency after the last byte leaves.
+        rx_arrival = tx_start + wire
+        free = rx._free[0]
+        rx_start = free if free > rx_arrival else rx_arrival
+        rx_end = rx_start + ser
+        rx._free[0] = rx_end
+        tx_end += wire
+        arrival = tx_end if tx_end > rx_end else rx_end
+
+        # Receiver host CPU.
+        dst_cpu = dst.cpu
+        recv = p.cpu_recv + copy_cost + recv_cpu
+        free_heap = dst_cpu._free
+        free = free_heap[0]
+        recv_start = free if free > arrival else arrival
+        t = recv_start + recv
+        if dst_cpu.servers == 1:
+            free_heap[0] = t
+        else:
+            heapreplace(free_heap, t)
+
+        if sim.track_station_stats:
+            # What `reserve` books per visit, in visit order.
+            src_cpu.busy_time += send
+            src_cpu.jobs += 1
+            src_cpu.wait_stats.add(send_start - depart)
+            tx.busy_time += ser
+            tx.jobs += 1
+            tx.wait_stats.add(tx_start - sent)
+            rx.busy_time += ser
+            rx.jobs += 1
+            rx.wait_stats.add(rx_start - rx_arrival)
+            dst_cpu.busy_time += recv
+            dst_cpu.jobs += 1
+            dst_cpu.wait_stats.add(recv_start - arrival)
+
+        # Every message, observed or not: `perf/ledger.py` reads these
+        # from an unobserved pass.
+        values = self.stats.values
+        if "messages" in values:
+            values["messages"] += 1
+            values["bytes"] += size
+        else:
+            values["messages"] = 1
+            values["bytes"] = size
         # Not `t`: a delay from the departure, as `FifoStation.run` is
         # one from now (a runner that waited out its `ready` would wake
         # at that float and send from there).

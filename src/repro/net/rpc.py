@@ -14,11 +14,12 @@ created per RPC (there can be tens of millions)::
 
     reply = yield from client_ep.call(server_node, "stat", args, req_size)
 
-Timing: the request message traverses the network (five stations), the
-handler body charges whatever server-side stations it needs, and the
-response traverses the network back.  Server concurrency is bounded by
-the server's CPU/disk stations, not by process multiplicity, which is
-exactly how an event-loop daemon like glusterfsd or memcached behaves.
+Timing: the request message traverses the network (four station
+visits and one wire latency), the handler body charges whatever
+server-side stations it needs, and the response traverses the network
+back.  Server concurrency is bounded by the server's CPU/disk
+stations, not by process multiplicity, which is exactly how an
+event-loop daemon like glusterfsd or memcached behaves.
 
 A service whose work is CPU on the node that receives the request — a
 memcached command — declares it instead of yielding it::
@@ -34,9 +35,11 @@ A caller that forks one call per peer under a join need not be a
 generator at all: a :class:`Leg` books its request at once, runs the
 handler at the request's arrival from the timed wake, books the
 response and lands the reply on the join (DESIGN §7, "Legs are booked
-callbacks").  :meth:`Endpoint.call` and a leg share the request half
-(:meth:`Endpoint._request`) and the answer half
-(:meth:`Endpoint._answer`), so an RPC fails the same way on both.
+callbacks").  A leg is its own call record: it carries the fields of an
+:class:`RpcCall`, and its handler sees the leg.  :meth:`Endpoint.call`
+and a leg share the request half (:meth:`Endpoint._request`) and the
+answer half (:meth:`Endpoint._answer`), so an RPC fails the same way on
+both.
 """
 
 from __future__ import annotations
@@ -121,7 +124,8 @@ class RetryPolicy:
 
 @dataclass(slots=True)
 class RpcCall:
-    """Handler-visible view of one in-flight call."""
+    """Handler-visible view of one in-flight call.  A :class:`Leg`
+    carries the same fields and is its own record."""
 
     src: Node
     dst: Node
@@ -131,7 +135,7 @@ class RpcCall:
     #: Host-CPU seconds the handler leaves for the response's send visit
     #: on its node (a reply copy).
     reply_cpu: float = 0.0
-    #: The service's handler, looked up by the request half.
+    #: The service's handler, set by the request half.
     handler: Optional[Callable[["RpcCall"], Any]] = None
     #: The call's open network span (``net.req``, then ``net.resp``)
     #: on a traced endpoint.
@@ -173,9 +177,6 @@ class Endpoint:
             raise ValueError(f"service {service!r} already registered on {self.node.name}")
         self.node.services[service] = (handler, arrival_cpu)
 
-    def unregister(self, service: str) -> None:
-        self.node.services.pop(service, None)
-
     def call(
         self,
         dst: Node,
@@ -211,7 +212,8 @@ class Endpoint:
         if timeout is not None:
             reply = yield from self._call_deadlined(dst, service, args, req_size, timeout)
             return reply
-        call, due = self._request(dst, service, args, req_size)
+        call = RpcCall(self.node, dst, service, args, req_size)
+        due = self._request(call)
         try:
             yield due
         except NetworkError as e:
@@ -236,36 +238,35 @@ class Endpoint:
             call.span.__exit__(None, None, None)
         return reply
 
-    def _request(
-        self, dst: Node, service: str, args: Any, req_size: int
-    ) -> tuple[RpcCall, Any]:
+    def _request(self, call) -> Any:
         """The request half of every plain call (:meth:`call`, a
-        :class:`Leg`): book the request's transfer, the service's
-        arrival CPU riding its receive visit.  Returns ``(call, due)``:
-        *due* is the float instant that visit ends, or the event that
-        fails once an undeliverable request has been charged.  Raises
+        :class:`Leg`): book the request of *call* — an :class:`RpcCall`,
+        or a leg, which is its own record — from this node to
+        ``call.dst``, the service's arrival CPU riding its receive
+        visit, and set ``call.handler``.  Returns *due*: the float
+        instant that visit ends, or the event that fails once an
+        undeliverable request has been charged.  Raises
         :class:`RpcUnavailable` for a service a live node does not
         serve, or a dead source (one ``errors``)."""
-        handler, arrival_cpu = dst.services.get(service, _UNREGISTERED)
+        dst = call.dst
+        handler, arrival_cpu = dst.services.get(call.service, _UNREGISTERED)
         if handler is None and dst.alive:
             # (Dead and unregistered: the transfer below fails.)
-            raise RpcUnavailable(f"no service {service!r} on {dst.name}")
-        recv_cpu = 0.0 if arrival_cpu is None else arrival_cpu(args)
+            raise RpcUnavailable(f"no service {call.service!r} on {dst.name}")
+        call.handler = handler
+        recv_cpu = 0.0 if arrival_cpu is None else arrival_cpu(call.args)
         self.stats.inc("calls")
-        node = self.node
-        call = RpcCall(node, dst, service, args, req_size, 0.0, handler)
         tracer = self.tracer
         if tracer.enabled:
             # The handler is entered inside the request's span so it
             # can book its arrival CPU as a child of it.
-            call.span = tracer.span("network", f"net.req.{service}").__enter__()
+            call.span = tracer.span("network", f"net.req.{call.service}").__enter__()
         try:
-            due = self.net.transfer(node, dst, HEADER_SIZE + req_size, 0.0, recv_cpu)
+            return self.net.transfer(self.node, dst, HEADER_SIZE + call.req_size, 0.0, recv_cpu)
         except NetworkError as e:
             self._answer(call, e)
-        return call, due
 
-    def _answer(self, call: RpcCall, failure: Optional[NetworkError] = None) -> Any:
+    def _answer(self, call, failure: Optional[NetworkError] = None) -> Any:
         """The answer half: what the caller learns when a message of
         *call* was due.  With a *failure* — a request or response that
         could not be delivered — or a destination that died before the
@@ -366,8 +367,11 @@ class Leg(JoinChild):
     """One plain RPC as a child of a :class:`~repro.sim.process.Join`,
     run as booked callbacks rather than a generator.
 
-    The constructor books the request (:meth:`Endpoint._request`) and
-    mints the request's timed-wake entry at once — the entry, and its
+    A leg is its own call record: it carries an :class:`RpcCall`'s
+    fields (``src``, ``dst``, ``service``, ``args``, ``req_size``,
+    ``reply_cpu``, ``handler``, ``span``), and the handler is handed the
+    leg.  The constructor books the request (:meth:`Endpoint._request`)
+    and mints the request's timed-wake entry at once — the entry, and its
     seq, a strand yielding the same transfer would mint.  The wake runs
     :meth:`_resume` at the request's arrival: the answer half
     (:meth:`Endpoint._answer`), the response's booking, and the reply
@@ -391,7 +395,9 @@ class Leg(JoinChild):
 
     __slots__ = (
         "sim", "name", "serial", "parent", "ready", "_wake", "_join", "_index",
-        "_endpoint", "_call", "_errors", "_span",
+        "_endpoint", "_errors", "_span",
+        # The call record (:class:`RpcCall`'s fields).
+        "src", "dst", "service", "args", "req_size", "reply_cpu", "handler", "span",
     )
 
     def __init__(
@@ -420,14 +426,20 @@ class Leg(JoinChild):
         self._index = index
         self._endpoint = endpoint
         self._errors = errors
-        self._call: Optional[RpcCall] = None
         self._span = None
+        self.src = endpoint.node
+        self.dst = dst
+        self.service = service
+        self.args = args
+        self.req_size = req_size
+        self.reply_cpu = 0.0
+        self.handler = None
+        self.span = None
         sim._active_process = self
         try:
             if span is not None and endpoint.tracer.enabled:
                 self._span = endpoint.tracer.span(*span).__enter__()
-            call, due = endpoint._request(dst, service, args, req_size)
-            self._call = call
+            due = endpoint._request(self)
             if due.__class__ is float:
                 # As `_Runner._resume` mints a yielded float's wake.
                 sim._seq = self._wake = seq = sim._seq + 1
@@ -448,26 +460,26 @@ class Leg(JoinChild):
         sim = self.sim
         sim._active_process = self
         endpoint = self._endpoint
-        call = self._call
         try:
             if event._ok:
-                reply, resp_size = endpoint._answer(call)
+                reply, resp_size = endpoint._answer(self)
             else:
                 event._defused = True
-                endpoint._answer(call, event._value)
+                endpoint._answer(self, event._value)
             tracer = endpoint.tracer
             if tracer.enabled:
-                call.span = tracer.span("network", f"net.resp.{call.service}").__enter__()
+                self.span = tracer.span("network", f"net.resp.{self.service}").__enter__()
             try:
                 due = endpoint.net.transfer(
-                    call.dst, endpoint.node, HEADER_SIZE + int(resp_size), call.reply_cpu
+                    self.dst, endpoint.node, HEADER_SIZE + int(resp_size), self.reply_cpu
                 )
             except NetworkError as e:
-                endpoint._answer(call, e)
+                endpoint._answer(self, e)
             if due.__class__ is float:
-                if call.span is not None:
-                    call.span.end = due
-                    call.span.__exit__(None, None, None)
+                span = self.span
+                if span is not None:
+                    span.end = due
+                    span.__exit__(None, None, None)
                     self._close_span(due)
                 self.land(reply, due)
             else:
@@ -486,7 +498,7 @@ class Leg(JoinChild):
         sim = self.sim
         sim._active_process = self
         try:
-            self._endpoint._answer(self._call, event._value)
+            self._endpoint._answer(self, event._value)
         except RpcError:
             self._failed()
         finally:

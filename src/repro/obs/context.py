@@ -76,10 +76,10 @@ class Observability:
                     raise ValueError("Observability already bound to another simulator")
             else:
                 self.tracer = SimTracer(sim, limit=self.trace_limit, oplog=self.oplog)
-        # Stations only pay for per-visit wait statistics when someone
-        # can observe them; a fully disabled bundle turns them off for
-        # every station built against this simulator.
-        sim.track_station_waits = bool(
+        # Stations only pay for their statistics (busy time, jobs,
+        # waits) when someone can observe them; a fully disabled bundle
+        # turns them off for every station of this simulator.
+        sim.track_station_stats = bool(
             self.trace_requested or self.sample_interval
         )
         return self

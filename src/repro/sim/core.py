@@ -59,12 +59,12 @@ class Simulator:
         #: state deterministically across runs.
         self._proc_seq = 0
         self._active_process: Process | None = None
-        #: Whether analytic stations should accumulate per-visit wait
-        #: statistics.  Observability bundles flip this on when a tracer
-        #: or sampler is attached; unobserved experiment runs skip the
-        #: bookkeeping on every reservation.  Bare simulators keep it on
-        #: so direct station users (tests, notebooks) see their stats.
-        self.track_station_waits = True
+        #: Whether analytic stations book their statistics (busy time,
+        #: jobs, per-visit waits).  Observability bundles turn this on
+        #: when a tracer or sampler is attached; an unobserved run books
+        #: each visit's queue and nothing else.  Bare simulators keep it
+        #: on so direct station users (tests, notebooks) see their stats.
+        self.track_station_stats = True
 
     # -- public clock/state ----------------------------------------------
     @property

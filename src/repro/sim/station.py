@@ -49,11 +49,9 @@ class FifoStation:
         "name",
         "servers",
         "_free",
-        "_latest_free",
         "busy_time",
         "jobs",
         "wait_stats",
-        "_track_waits",
         "_created_at",
     )
 
@@ -64,19 +62,16 @@ class FifoStation:
         self.name = name
         self.servers = servers
         # Earliest-free-server heap; server assignment by earliest free
-        # time is exact for FIFO multi-server queues.
+        # time is exact for FIFO multi-server queues.  A server's free
+        # time only grows (a visit ends no earlier than the free time it
+        # replaced), so the heap's maximum is when all servers are free.
         self._free = [0.0] * servers
-        #: Latest free time across all servers, maintained incrementally:
-        #: every reservation's end is >= the popped minimum, so the max
-        #: never decreases and ``max(latest, end)`` is exact.
-        self._latest_free = 0.0
+        # Statistics, booked only while ``sim.track_station_stats`` is
+        # on (a tracer or sampler attached; bare simulators default to
+        # on).  An unobserved visit books its queue and nothing else.
         self.busy_time = 0.0
         self.jobs = 0
         self.wait_stats = OnlineStats()
-        # Per-visit wait statistics are skipped when the owning
-        # simulator is unobserved (no tracer/sampler attached); bare
-        # simulators default to tracking.
-        self._track_waits = getattr(sim, "track_station_waits", True)
         self._created_at = sim.now
 
     def reserve(self, service: float, arrival: float | None = None) -> tuple[float, float]:
@@ -88,8 +83,9 @@ class FifoStation:
         """
         if service < 0:
             raise ValueError(f"negative service time: {service}")
+        sim = self.sim
         if arrival is None:
-            arrival = self.sim._now
+            arrival = sim._now
         free_heap = self._free
         # The earliest-free server takes the job.  `_free[0]` is the heap
         # minimum, so one `heapreplace` is the pop-then-push of the same
@@ -101,11 +97,9 @@ class FifoStation:
             free_heap[0] = end
         else:
             heapreplace(free_heap, end)
-        if end > self._latest_free:
-            self._latest_free = end
-        self.busy_time += service
-        self.jobs += 1
-        if self._track_waits:
+        if sim.track_station_stats:
+            self.busy_time += service
+            self.jobs += 1
             self.wait_stats.add(start - arrival)
         return start, end
 
@@ -122,7 +116,8 @@ class FifoStation:
         """
         if service < 0:
             raise ValueError(f"negative service time: {service}")
-        arrival = self.sim._now
+        sim = self.sim
+        arrival = sim._now
         free_heap = self._free
         free = free_heap[0]
         start = free if free > arrival else arrival
@@ -131,31 +126,33 @@ class FifoStation:
             free_heap[0] = end
         else:
             heapreplace(free_heap, end)
-        if end > self._latest_free:
-            self._latest_free = end
-        self.busy_time += service
-        self.jobs += 1
-        if self._track_waits:
+        if sim.track_station_stats:
+            self.busy_time += service
+            self.jobs += 1
             self.wait_stats.add(start - arrival)
         # Not `end`: a completion is a delay from now, as
         # `sim.timeout(end - now)` would schedule it, and
         # `now + (end - now)` can differ from `end` in the last bit.
         return arrival + (end - arrival)
 
-    def next_free(self) -> float:
-        """Earliest time a server becomes available."""
-        # The earliest-free heap invariant keeps the minimum at index 0.
-        return self._free[0]
-
     def backlog(self) -> float:
         """Seconds until *all* servers are free (queue depth proxy)."""
-        remaining = self._latest_free - self.sim._now
+        remaining = max(self._free) - self.sim._now
         return remaining if remaining > 0.0 else 0.0
 
     def utilization(self, since: float | None = None) -> float:
         """Busy fraction of total server-time since *since* (creation
         by default).  May exceed 1.0 transiently because reservations
-        extend into the future."""
+        extend into the future.
+
+        Busy time is a statistic, booked only while the simulator's
+        ``track_station_stats`` is on: on an unobserved station this
+        raises :class:`RuntimeError` rather than report an idle 0.0."""
+        if not self.sim.track_station_stats:
+            raise RuntimeError(
+                f"{self.name or 'station'}: utilization needs "
+                "sim.track_station_stats (an unobserved station books no busy time)"
+            )
         if since is None:
             since = self._created_at
         elapsed = self.sim.now - since

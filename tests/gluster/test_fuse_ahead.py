@@ -132,6 +132,8 @@ def _run(config, ops, ahead):
         TestbedConfig(num_clients=1, num_mcds=2, mcd_memory=1 * MiB, **CONFIGS[config])
     )
     sim, client = tb.sim, tb.clients[0]
+    # Book the stations' statistics too, so the twins compare them.
+    sim.track_station_stats = True
     if not ahead:
         client._crossing = MethodType(_waiting_crossing, client)
     fds = {}

@@ -145,7 +145,7 @@ def test_unattached_node_rejected():
     b = Node(sim, "b")
     net.attach(a)
     with pytest.raises(NetworkError):
-        net.delivery_time(a, b, 10)
+        net.transfer(a, b, 10)
 
 
 def test_double_attach_rejected():

@@ -184,6 +184,8 @@ def folded_gluster_call(ep, server, fop, args):
 def _gluster_run(calls, fops):
     tb = build_gluster_testbed(TestbedConfig(num_clients=1, num_mcds=0))
     sim, ep, server = tb.sim, tb.client_endpoints[0], tb.server
+    # Book the stations' statistics too, so the twins compare them.
+    sim.track_station_stats = True
     out = []
 
     def proc():
@@ -200,7 +202,7 @@ def _gluster_run(calls, fops):
         nic = tb.net.nic(node)
         stations += [node.cpu, nic.tx, nic.rx]
     state = [
-        (s.name, sorted(s._free), s._latest_free, s.busy_time, s.jobs) for s in stations
+        (s.name, sorted(s._free), s.busy_time, s.jobs) for s in stations
     ]
     return out, state, server.stats.as_dict()
 

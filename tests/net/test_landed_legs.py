@@ -93,7 +93,7 @@ def _stations(mc, daemons):
     for node in nodes:
         nic = net.nic(node)
         stations += [node.cpu, nic.tx, nic.rx]
-    return [(s.name, sorted(s._free), s._latest_free, s.busy_time, s.jobs) for s in stations]
+    return [(s.name, sorted(s._free), s.busy_time, s.jobs) for s in stations]
 
 
 def _engines(daemons):

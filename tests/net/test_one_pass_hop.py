@@ -1,15 +1,20 @@
-"""A message hop is one pass: ``Network.delivery_time`` books sender
-CPU, tx, rx and receiver CPU in line, without calling
-``FifoStation.reserve``.
+"""A message hop is one pass: ``Network.transfer`` books sender CPU,
+tx, rx and receiver CPU in line, without calling
+``FifoStation.reserve``, and books the four stations' statistics in one
+block only while the simulator is observed.
 
 ``reserve`` stays the specification.  The reference below is the hop
 written as four chained ``reserve(arrival=)`` calls; random message
 sequences run through both on twin fabrics, and after every message the
 return value and every station's whole state must be equal — on 1- and
 8-core hosts, with many senders contending for one receiver's rx, across
-an impaired link, with wait statistics tracked and not, with and without
-extra sender/receiver CPU riding the host visits.
+an impaired link, with station statistics tracked and not, with and
+without extra sender/receiver CPU riding the host visits.  Tracked,
+every station's busy time, jobs and waits equal the chain's; untracked,
+the free times and the return value are equal and no statistic moves.
 """
+
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -40,9 +45,9 @@ def reference_delivery_time(net, src, dst, size, send_cpu=0.0, recv_cpu=0.0):
     return t
 
 
-def _fabric(transport, cores, track_waits):
+def _fabric(transport, cores, track_stats):
     sim = Simulator()
-    sim.track_station_waits = track_waits
+    sim.track_station_stats = track_stats
     net = Network(sim, transport)
     nodes = [Node(sim, f"n{i}", cores=cores) for i in range(HOSTS)]
     for node in nodes:
@@ -58,7 +63,7 @@ def _state(net, nodes):
         for station in (node.cpu, nic.tx, nic.rx):
             w = station.wait_stats
             out.append((
-                station.name, sorted(station._free), station._latest_free,
+                station.name, sorted(station._free),
                 station.busy_time, station.jobs,
                 (w.n, w.total, w.mean, w.variance, w.min, w.max),
             ))
@@ -87,10 +92,10 @@ messages = st.lists(
     messages,
 )
 def test_one_pass_hop_matches_four_chained_reservations(
-    transport, cores, track_waits, impaired, sequence
+    transport, cores, track_stats, impaired, sequence
 ):
-    sim_a, net_a, nodes_a = _fabric(transport, cores, track_waits)
-    sim_b, net_b, nodes_b = _fabric(transport, cores, track_waits)
+    sim_a, net_a, nodes_a = _fabric(transport, cores, track_stats)
+    sim_b, net_b, nodes_b = _fabric(transport, cores, track_stats)
     if impaired is not None:
         net_a.degrade(nodes_a[impaired], extra_latency=7e-6)
         net_b.degrade(nodes_b[impaired], extra_latency=7e-6)
@@ -99,14 +104,19 @@ def test_one_pass_hop_matches_four_chained_reservations(
             d = 0
         for sim in (sim_a, sim_b):
             sim.run(until=sim.now + advance)
-        got = net_a.delivery_time(nodes_a[s], nodes_a[d], size, *extra)
+        now = sim_a.now
+        got = net_a.transfer(nodes_a[s], nodes_a[d], size, *extra)
         want = reference_delivery_time(net_b, nodes_b[s], nodes_b[d], size, *extra)
-        assert got == want
+        assert got == now + (want - now)
         assert _state(net_a, nodes_a) == _state(net_b, nodes_b)
     assert net_a.stats.values["messages"] == len(sequence)
     assert net_a.stats.values["bytes"] == sum(size for _, _, size, *_ in sequence)
-    tracked = sum(waits[0] for *_, waits in _state(net_a, nodes_a))
-    assert tracked == (4 * len(sequence) if track_waits else 0)
+    state = _state(net_a, nodes_a)
+    visits = 4 * len(sequence) if track_stats else 0
+    assert sum(jobs for _, _, _, jobs, _ in state) == visits
+    assert sum(waits[0] for *_, waits in state) == visits
+    if not track_stats:
+        assert all(busy == 0.0 for _, _, busy, _, _ in state)
 
 
 def test_transfer_returns_the_delivery_time_as_now_plus_delay():
@@ -136,5 +146,27 @@ def test_transfer_returns_the_delivery_time_as_now_plus_delay():
 def test_negative_size_is_rejected_before_any_station_is_booked():
     sim, net, (_, a, b, _) = _fabric(IPOIB, 8, True)
     with pytest.raises(ValueError):
-        net.delivery_time(a, b, -1)
+        net.transfer(a, b, -1)
     assert a.cpu.jobs == 0 and net.nic(a).tx.jobs == 0
+    assert a.cpu._free == [0.0] * 8 and net.nic(a).tx._free == [0.0]
+
+
+@pytest.mark.parametrize("cores", (1, 8))
+def test_a_healthy_unobserved_transfer_makes_no_python_call(cores):
+    """The per-message pass is one frame: checks, four visits and the
+    message counters written out, no helper entered (a ``heapreplace``
+    on an 8-core CPU is a C call)."""
+    sim, net, (_, a, b, _) = _fabric(IPOIB, cores, False)
+    net.transfer(a, b, 96)  # the counters' first message
+    calls = []
+
+    def profiler(frame, event, _arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        net.transfer(a, b, 2144, 1e-6, 3e-6)
+    finally:
+        sys.setprofile(None)
+    assert calls == ["transfer"]

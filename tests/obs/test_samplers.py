@@ -96,7 +96,10 @@ def test_testbed_sampler_is_opt_in():
 
 
 def test_gluster_probes_are_all_callable():
-    tb = build_gluster_testbed(TestbedConfig(num_clients=1, num_mcds=1))
+    # Probes are attached only to a sampled (so observed) testbed: an
+    # unobserved station books no busy time to report.
+    obs = Observability("s", sample_interval=0.005)
+    tb = build_gluster_testbed(TestbedConfig(num_clients=1, num_mcds=1), obs=obs)
     probes = gluster_probes(tb)
     assert probes
     for name, probe in probes:

@@ -78,21 +78,24 @@ def test_next_free_is_the_heap_minimum():
     st.reserve(5.0)
     st.reserve(1.0)
     st.reserve(3.0)
-    assert st.next_free() == 1.0 == min(st._free)
+    assert st._free[0] == 1.0 == min(st._free)
     st.reserve(1.0)  # lands on the server free at 1.0
-    assert st.next_free() == 2.0 == min(st._free)
+    assert st._free[0] == 2.0 == min(st._free)
 
 
 def test_backlog_matches_recomputed_latest_free():
     sim = Simulator()
     st = FifoStation(sim, servers=3)
-    # Deterministic pseudo-random reservation pattern.
+    # Deterministic pseudo-random reservation pattern.  A server's free
+    # time only grows, so the latest free time never falls.
     x = 1
+    latest = 0.0
     for _ in range(200):
         x = (x * 1103515245 + 12345) % (1 << 31)
-        st.reserve((x % 997) / 100.0)
-        assert st._latest_free == max(st._free)
-        assert st.backlog() == max(0.0, max(st._free) - sim.now)
+        _, end = st.reserve((x % 997) / 100.0)
+        latest = max(latest, end)
+        assert max(st._free) == latest
+        assert st.backlog() == max(0.0, latest - sim.now)
 
 
 def test_backlog_zero_when_idle():
@@ -148,7 +151,7 @@ def test_run_until_past_raises():
 
 
 # --------------------------------------------------------------------------- #
-# wait-stats gating
+# station-statistics gating
 # --------------------------------------------------------------------------- #
 def test_bare_simulator_tracks_wait_stats_by_default():
     sim = Simulator()
@@ -156,11 +159,12 @@ def test_bare_simulator_tracks_wait_stats_by_default():
     st.reserve(1.0)
     st.reserve(1.0)
     assert st.wait_stats.n == 2
+    assert (st.jobs, st.busy_time) == (2, 2.0)
 
 
 def test_untracked_simulator_skips_wait_stats():
     sim = Simulator()
-    sim.track_station_waits = False
+    sim.track_station_stats = False
     st = FifoStation(sim)
     st.reserve(1.0)
     st.reserve(1.0)
@@ -171,4 +175,6 @@ def test_untracked_simulator_skips_wait_stats():
     sim.process(proc())
     sim.run()
     assert st.wait_stats.n == 0
-    assert st.jobs == 3  # job accounting itself is unaffected
+    # No statistic moves; the queue itself is booked as ever.
+    assert (st.jobs, st.busy_time) == (0, 0.0)
+    assert st._free == [3.0]

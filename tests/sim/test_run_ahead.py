@@ -38,7 +38,7 @@ def _state(net, nodes):
         for station in (node.cpu, nic.tx, nic.rx):
             w = station.wait_stats
             out.append((
-                station.name, sorted(station._free), station._latest_free,
+                station.name, sorted(station._free),
                 station.busy_time, station.jobs, (w.n, w.total, w.max),
             ))
     return out

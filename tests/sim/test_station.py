@@ -116,6 +116,24 @@ def test_utilization_and_backlog():
     assert st.utilization() == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("observed", [True, False])
+def test_utilization_needs_an_observed_station(observed):
+    """Busy time is booked only while the simulator is observed, so an
+    unobserved station's utilization is an error naming the flag, not a
+    silent 0.0."""
+    sim = Simulator()
+    sim.track_station_stats = observed
+    st = FifoStation(sim, name="nic")
+    sim.at(st.run(3.0))
+    sim.run(until=4.0)
+    if observed:
+        assert st.utilization() == pytest.approx(0.75)
+    else:
+        with pytest.raises(RuntimeError, match="track_station_stats"):
+            st.utilization()
+        assert st.backlog() == 0.0 and st._free == [3.0]
+
+
 def test_wait_stats_accumulate():
     sim = Simulator()
     st = FifoStation(sim)
@@ -193,8 +211,8 @@ def test_heapreplace_visits_match_pop_then_push(servers, sequence):
             _, end = ref.reserve(service, now)
             assert station.run(service) == now + (end - now)
         assert sorted(station._free) == sorted(ref.free)
-        assert station.next_free() == min(ref.free)
-        assert station._latest_free == ref.latest_free
+        assert station._free[0] == min(ref.free)
+        assert max(station._free) == ref.latest_free
         assert (station.busy_time, station.jobs) == (ref.busy_time, ref.jobs)
     assert station.wait_stats.n == len(ref.waits)
     assert station.wait_stats.total == sum(ref.waits)

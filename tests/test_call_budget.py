@@ -55,17 +55,19 @@ BUDGET = {
     # the wake's ``_resume`` and a resume of every frame of the op); 56
     # while the leg was a strand driving ``_leg`` and ``Endpoint.call``
     # (``Strand.__init__``, two resumes of each, ``Landing``) and the
-    # batch's size and reply each called ``key_nbytes``.
-    "warm_read_2k": 45,
+    # batch's size and reply each called ``key_nbytes``; 45 while each
+    # message's ``transfer`` called ``delivery_time`` (two messages).
+    "warm_read_2k": 43,
     # 107, 97, 96, 86, 83, 77: the last three also paid 3 calls per
     # extra block (``KeyCache.data_key``, ``Crc32Selector.select``,
     # ``memcache_hash``) before the covering keys were one slice and
-    # each key's owner was memoised.
-    "warm_read_16k": 45,
+    # each key's owner was memoised.  45 with ``delivery_time``.
+    "warm_read_16k": 43,
     # 82, 72, 71 (no _stat_scalar / _get_scalar wrapper frames), 61, 47,
     # 42 (the key's route was ``_read_route`` + ``select`` +
-    # ``memcache_hash``; it is one memo probe).
-    "stat_hit": 40,
+    # ``memcache_hash``; it is one memo probe), 40 while each of its
+    # two messages' ``transfer`` called ``delivery_time``.
+    "stat_hit": 38,
     # 169 and 298 while each pushed block was a scalar store at every
     # layer (``KeyCache.data_key``, ``block_index``, ``owners``,
     # ``engine.set`` → ``_check_key``, ``_store``, ``_total_size``,
@@ -77,9 +79,10 @@ BUDGET = {
     # cache's one ``Counter.inc`` per extra 4 KiB page (3).  163 / 201
     # while the brick fop resumed a ``ClientProtocol`` frame around
     # ``Endpoint.call`` and a ``PosixXlator._charge`` frame, and the
-    # page cache booked a ``Counter.inc`` per page.
-    "cold_read_2k": 151,
-    "cold_read_16k": 186,
+    # page cache booked a ``Counter.inc`` per page.  151 / 186 while each
+    # of the six messages' ``transfer`` called ``delivery_time``.
+    "cold_read_2k": 145,
+    "cold_read_16k": 180,
     # Before every mutation walked one owner list: 358 / 663 / 149.
     # Routing a key was ``_window_targets`` + ``_replicas_for`` +
     # ``_idx_for`` + ``select``; it is ``owners`` + ``select``.
@@ -107,20 +110,23 @@ BUDGET = {
     # ``SlabAllocator.free``; a purged key ``owners``, ``_detach`` and
     # ``free``.  264 / 209 / 131 while the brick fop resumed its
     # ``ClientProtocol`` and ``_charge`` frames and ``LocalFS`` entered
-    # ``_wait`` even with nothing to wait for.
-    "write_4k": 230,
+    # ``_wait`` even with nothing to wait for.  230 / 201 / 120 while
+    # each message's ``transfer`` called ``delivery_time`` (6 / 4 / 4
+    # messages).
+    "write_4k": 224,
     # 272 while the purge asked ``KeyCache.data_key`` and
     # ``block_index`` once per purged block (64 calls for 32); the
     # purge index holds block indices and the keys are one
     # ``data_keys`` slice of the path's key list.
-    "close": 201,
-    "open": 120,
+    "close": 197,
+    "open": 116,
     # NoCache, the brick path alone.  89 / 60 while the fop resumed a
     # ``ClientProtocol`` frame, a ``_charge`` frame and (on the disk
     # wake) ``LocalFS._wait``, the wait was a ``Timeout`` and the page
-    # cache booked a ``Counter.inc`` per page.
-    "uncached_read_16k_page_miss": 58,
-    "uncached_read_16k_page_hit": 43,
+    # cache booked a ``Counter.inc`` per page.  58 / 43 while each of the
+    # two messages' ``transfer`` called ``delivery_time``.
+    "uncached_read_16k_page_miss": 56,
+    "uncached_read_16k_page_hit": 41,
 }
 #: (warm_read_16k - warm_read_2k) / 7: what one more cached block costs
 #: (3 before the covering keys were a slice and owners memoised).
