@@ -56,18 +56,17 @@ class ResilienceConfig:
     """Failure-handling knobs for a testbed (all default-off: a config
     without one behaves byte-identically to the pre-fault-layer code).
 
-    MCD traffic gets per-call deadlines plus health tracking (a slow or
-    dead daemon is ejected and treated as a miss); brick traffic gets a
+    MCD traffic gets a deadline per call plus health tracking (a slow or
+    dead daemon is ejected and treated as a miss), and no retries; brick
+    traffic gets a
     deadline-free bounded-backoff retry loop (a brick holds the only
     copy of its data, so the client stalls through a flap rather than
     degrading).  All jitter/loss randomness derives from ``seed`` via
     named :class:`~repro.sim.rand.RandomStreams`.
     """
 
-    #: Per-attempt deadline for MCD RPCs (seconds).
+    #: Deadline for each MCD RPC (seconds); a miss counts as an error.
     mcd_timeout: float = 2e-3
-    #: Retries after the first MCD attempt.
-    mcd_retries: int = 1
     # -- MCD health tracking ------------------------------------------------
     eject_after: int = 2
     cooldown: float = 0.02
@@ -77,8 +76,6 @@ class ResilienceConfig:
     def __post_init__(self) -> None:
         if self.mcd_timeout <= 0:
             raise ValueError("mcd_timeout must be > 0")
-        if self.mcd_retries < 0:
-            raise ValueError("mcd_retries must be >= 0")
 
 
 @dataclass
@@ -317,9 +314,9 @@ class GlusterTestbed:
 #: Retry budget for brick fops under a :class:`ResilienceConfig` (must
 #: ride out a server flap).
 SERVER_RETRIES = 10
-#: Backoff between retries under a :class:`ResilienceConfig`, MCD and
-#: brick alike: the first sleep, its growth per attempt, its cap, and
-#: the seeded jitter fraction added on top.
+#: Backoff between brick retries under a :class:`ResilienceConfig`: the
+#: first sleep, its growth per attempt, its cap, and the seeded jitter
+#: fraction added on top.
 RETRY_BACKOFF = 2e-4
 RETRY_BACKOFF_FACTOR = 2.0
 RETRY_MAX_BACKOFF = 5e-3
@@ -357,17 +354,7 @@ def build_gluster_testbed(
         streams = RandomStreams(res.seed)
         jitter_rng = streams.stream("rpc.jitter")
         mcd_health = HealthPolicy(
-            eject_after=res.eject_after,
-            cooldown=res.cooldown,
-            retry=RetryPolicy(
-                timeout=res.mcd_timeout,
-                max_retries=res.mcd_retries,
-                backoff=RETRY_BACKOFF,
-                backoff_factor=RETRY_BACKOFF_FACTOR,
-                max_backoff=RETRY_MAX_BACKOFF,
-                jitter=RETRY_JITTER,
-                rng=jitter_rng,
-            ),
+            eject_after=res.eject_after, cooldown=res.cooldown, timeout=res.mcd_timeout
         )
         # No deadline for brick fops: a loaded disk legitimately takes
         # tens of milliseconds, and a dead brick fails fast at the

@@ -78,7 +78,6 @@ def testbed(
     if resilient and num_mcds:
         resilience = ResilienceConfig(
             mcd_timeout=p["mcd_timeout"],
-            mcd_retries=0,
             cooldown=p["cooldown"],
             eject_after=2,
             seed=p["seed"],

@@ -9,9 +9,9 @@ a failed server makes gets miss and stores no-ops, never an error —
 With a :class:`HealthPolicy` the client also *tracks* daemon health:
 after ``eject_after`` consecutive RPC errors a server is ejected and
 skipped outright (zero simulated cost — the fast degraded path), then
-re-probed after ``cooldown``.  Rejoin mandates a purge (``flush_all``)
-so a daemon that merely blinked — recovered without a cold restart —
-can never serve pre-crash data.
+re-probed after ``cooldown``.  Rejoin mandates a purge (``flush_all``),
+and readmits only when it answers, so a daemon that merely blinked —
+recovered without a cold restart — can never serve pre-crash data.
 
 Every key has an **owner list** (:meth:`MemcacheClient.owners`):
 ``[primary, *others]``, by stable node id, over the bank's
@@ -37,11 +37,11 @@ answers None — it costs that owner's share and nothing else.  A leg is
 a :class:`~repro.net.rpc.Leg`: no generator, just its request booked
 and its wake minted; at the request's arrival it runs the command,
 books the response and *lands* the reply on the join, so K legs cost
-K + 1 scheduler entries: one per request and the join's.  Under a
-:class:`HealthPolicy` a leg stays a strand (:meth:`_fork`).  A mutation
+K + 1 scheduler entries: one per request and the join's.  A mutation
 with a single leg runs in the caller's frame and mints no join entry,
 which costs the same 2; ``get_multi`` always joins (for span
-attribution).
+attribution).  Under a :class:`HealthPolicy` every MCD RPC is a leg
+that wakes when its outcome is known, to book it (:class:`_TrackedLeg`).
 
 A key's primary owner is worked out once per membership epoch
 (:meth:`MemcacheClient._primary`): the selector's pick is memoised by
@@ -77,7 +77,7 @@ from repro.memcached.hashing import (
     ServerSelector,
 )
 from repro.memcached.membership import LIVE, McdMembership
-from repro.net.rpc import Endpoint, Leg, RetryPolicy, RpcError, RpcUnavailable
+from repro.net.rpc import Endpoint, Leg, RpcError, RpcUnavailable, TimedLeg
 from repro.sim.events import Event
 from repro.sim.process import Join, departure
 from repro.util.stats import Counter
@@ -87,22 +87,24 @@ from repro.util.stats import Counter
 class HealthPolicy:
     """Client-side MCD health tracking knobs.
 
-    ``retry`` (optional) adds per-call deadlines/backoff to every MCD
-    RPC; ejection counts a call as one error after its retries are
-    exhausted.  The probe that readmits a server always wipes it first
+    ``timeout`` (optional) gives every MCD RPC a deadline
+    (:class:`~repro.net.rpc.TimedLeg`): one that misses it counts as
+    one error.  The probe that readmits a server always wipes it first
     (the coherence guarantee): cold-start semantics even when the
     daemon recovered with its memory intact.
     """
 
     eject_after: int = 3
     cooldown: float = 0.02
-    retry: Optional[RetryPolicy] = None
+    timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.eject_after < 1:
             raise ValueError(f"eject_after must be >= 1: {self.eject_after}")
         if self.cooldown < 0:
             raise ValueError(f"cooldown must be >= 0: {self.cooldown}")
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError(f"timeout must be > 0: {self.timeout}")
 
 
 class _ServerHealth:
@@ -215,9 +217,6 @@ class MemcacheClient:
         the new daemon."""
         self.membership.attach(self.membership.alloc_id(), server, LIVE)
 
-    def server_for(self, key: str, hint: Optional[int] = None) -> MemcachedDaemon:
-        return self.membership.daemon(self.owners(key, hint)[0])
-
     def owners(self, key: str, hint: Optional[int] = None) -> list[int]:
         """``[primary, *others]``: every daemon a mutation of *key* must
         reach.  The others are the key's replicas or, inside a
@@ -311,45 +310,27 @@ class MemcacheClient:
         return self._health[idx].ejected_until >= 0.0
 
     def _call(self, idx: int, op: str, payload: Any) -> Generator:
-        """One MCD RPC.  With no health policy there is nothing to wrap:
-        the generator returned is :meth:`Endpoint.call`'s own."""
+        """One MCD RPC; raises :class:`RpcError` when it failed.  With no
+        health policy the generator returned is :meth:`Endpoint.call`'s
+        own.  Under one it waits on an inline :class:`_TrackedLeg`, which
+        books its error on a counter of its own: the caller books it."""
         if self.health is None:
             return self.endpoint.call(
                 self.membership.members[idx].daemon.node, SERVICE, (op, payload),
                 request_size(op, payload),
             )
-        return self._call_tracked(idx, op, payload)
+        return self._call_leg(idx, op, payload)
 
-    def _call_tracked(self, idx: int, op: str, payload: Any) -> Generator:
-        """:meth:`_call` under a health policy: skip an ejected server,
-        probe it back in after the cooldown, count consecutive errors."""
-        server = self.membership.daemon(idx)
-        h = self._health[idx]
-        if h.ejected_until >= 0.0:
-            if departure(self.endpoint.net.sim) < h.ejected_until or h.probing:
-                # Fast degraded path: no RPC, no simulated time —
-                # the caller sees a miss instantly.  ``probing``
-                # keeps concurrent batches from racing into a
-                # second half-open probe of the same server.
-                self.stats.inc("ejected_skips")
-                if self.tracer.oplog is not None:
-                    self.tracer.op_count("ejected_skips")
-                raise RpcUnavailable(
-                    f"{server.node.name} ejected (cooldown in progress)"
-                )
-            yield from self._probe_rejoin(idx, op)
+    def _call_leg(self, idx: int, op: str, payload: Any) -> Generator:
+        sim = self.endpoint.net.sim
+        join, failed, parent = Join(sim, 1), Counter(), sim._active_process
         try:
-            reply = yield from self.endpoint.call_retry(
-                server.node,
-                SERVICE,
-                (op, payload),
-                req_size=request_size(op, payload),
-                policy=self.health.retry,
-            )
-        except RpcError:
-            self._note_failure(h)
-            raise
-        h.consecutive_errors = 0
+            _TrackedLeg(self, idx, op, payload, join, 0, "mc-call", parent, failed, True)
+        finally:
+            sim._active_process = parent
+        (reply,) = yield join
+        if failed.get("errors"):
+            raise RpcUnavailable(f"{op} on MCD {idx} failed")
         return reply
 
     def _note_failure(self, h: _ServerHealth) -> None:
@@ -360,40 +341,6 @@ class MemcacheClient:
             self.stats.inc("ejections")
             if self.tracer.oplog is not None:
                 self.tracer.op_count("mcd_ejections")
-
-    def _probe_rejoin(self, idx: int, op: str) -> Generator:
-        """Half-open probe after cooldown: purge, then readmit.
-
-        The purge is mandatory (unless the op *is* the purge): a server
-        that revived without a cold restart still holds pre-crash items,
-        and SMCache updates issued while it was ejected never reached
-        it, so anything it holds is potentially stale.  A failed probe
-        re-ejects for another cooldown.
-        """
-        policy = self.health
-        server = self.membership.daemon(idx)
-        h = self._health[idx]
-        h.probing = True
-        try:
-            if op != "flush_all":
-                try:
-                    yield from self.endpoint.call_retry(
-                        server.node,
-                        SERVICE,
-                        ("flush_all", None),
-                        req_size=request_size("flush_all", None),
-                        policy=policy.retry,
-                    )
-                except RpcError:
-                    h.ejected_until = self.endpoint.net.sim.now + policy.cooldown
-                    self.stats.inc("failed_probes")
-                    raise
-                self.stats.inc("rejoin_purges")
-            h.ejected_until = -1.0
-            h.consecutive_errors = 0
-            self.stats.inc("rejoins")
-        finally:
-            h.probing = False
 
     # -- retrieval -------------------------------------------------------------
     def get(self, key: str, hint: Optional[int] = None) -> Generator:
@@ -604,7 +551,7 @@ class MemcacheClient:
                     idx = self._read_memo().get(key)
                     if idx is None:
                         idx = self._read_idx(key, hint)
-                    reply = yield from self._call_or_none(idx, "get_multi", [key])
+                    (reply,) = yield from self._legs("get_multi", [(idx, [key])], "mc-rider")
                     payload = reply.get(key) if reply is not None else None
                     if payload is None and self.membership.windows:
                         payload = yield from self._forward_get(key, idx)
@@ -618,47 +565,29 @@ class MemcacheClient:
     def _fork(self, op: str, legs, name: str) -> Join:
         """A join of *op* once per ``(owner, payload)`` leg, started in
         leg order: each leg's reply, or None — booked as one ``errors``
-        — for a leg whose RPC failed.
-
-        With no health policy a leg is a :class:`~repro.net.rpc.Leg`
-        that lands its reply on the join.  Under a policy a leg needs
-        timers and may need an RPC before its own — a deadline, retries,
-        a rejoin probe — so it runs :meth:`_call_or_none` as a strand,
-        which sleeps on its response."""
+        — for a leg whose RPC failed.  A leg is a
+        :class:`~repro.net.rpc.Leg` that lands its reply on the join, or
+        under a health policy a :class:`_TrackedLeg`."""
         sim = self.endpoint.net.sim
-        if self.health is not None:
-            return sim.gather(
-                [self._call_or_none(idx, op, payload) for idx, payload in legs], name=name
-            )
         legs = list(legs)
         join = Join(sim, len(legs))
         endpoint, members, errors = self.endpoint, self.membership.members, self.stats
         parent = sim._active_process
         try:
-            for index, (idx, payload) in enumerate(legs):
-                Leg(
-                    endpoint, members[idx].daemon.node, SERVICE, (op, payload),
-                    request_size(op, payload), join, index, name, parent, errors, _LEG_SPAN,
-                )
+            if self.health is None:
+                for index, (idx, payload) in enumerate(legs):
+                    Leg(
+                        endpoint, members[idx].daemon.node, SERVICE, (op, payload),
+                        request_size(op, payload), join, index, name, parent, errors,
+                        _LEG_SPAN,
+                    )
+            else:
+                for index, (idx, payload) in enumerate(legs):
+                    sim._active_process = parent  # (health as of its departure)
+                    _TrackedLeg(self, idx, op, payload, join, index, name, parent, errors)
         finally:
             sim._active_process = parent
         return join
-
-    def _call_or_none(self, idx: int, op: str, payload: Any) -> Generator:
-        """One MCD RPC in a generator: its reply, or None — booked as one
-        ``errors`` — when it failed.  The body of a leg under a health
-        policy (:meth:`_fork`) and of ``get_multi``'s re-dispersed
-        rider, which runs it in the op's own frame."""
-        try:
-            if self.tracer.enabled:
-                with self.tracer.span(*_LEG_SPAN):
-                    reply = yield from self._call(idx, op, payload)
-            else:
-                reply = yield from self._call(idx, op, payload)
-        except RpcError:
-            self.stats.inc("errors")
-            return None
-        return reply
 
     def _legs(self, op: str, legs: list[tuple[int, Any]], name: str) -> Generator:
         """*op* once per ``(owner, payload)`` leg; the replies in leg
@@ -938,13 +867,73 @@ class MemcacheClient:
             except RpcError:
                 self.stats.inc("errors")
 
-    def stats_all(self) -> Generator:
-        """Collect engine stats from every live server."""
-        out = []
-        for idx in self.membership.reachable_ids():
-            try:
-                d = yield from self._call(idx, "stats", None)
-            except RpcError:
-                d = None
-            out.append(d)
-        return out
+
+class _TrackedLeg(TimedLeg):
+    """One MCD leg under a :class:`HealthPolicy`, with its deadline.
+
+    It books its server's health when its outcome settles, never at
+    booking: a response resets the error streak, a failure or a timeout
+    counts towards ejection.  A leg to a server that is cooling, or
+    that another leg is probing, lands None at once: no RPC, no entry.
+    After the cooldown the first leg is the half-open probe, a
+    ``flush_all`` whose answer readmits the server and only then starts
+    the real leg on the same join slot; a probe that fails or times out
+    re-ejects.  A ``flush_all`` op is its own probe.
+    """
+
+    __slots__ = ("_client", "_idx", "_then")
+
+    def __init__(
+        self, client: MemcacheClient, idx: int, op: str, payload: Any, join: Join,
+        index: int, name: str, parent, errors: Counter, inline: bool = False,
+    ) -> None:
+        self._client = client
+        self._idx = idx
+        h = client._health[idx]
+        then = None
+        if h.ejected_until >= 0.0:
+            if client._cooling(idx):
+                client.stats.inc("ejected_skips")
+                if client.tracer.oplog is not None:
+                    client.tracer.op_count("ejected_skips")
+                self.sim, self._join, self._index = client.endpoint.net.sim, join, index
+                self._errors, self.inline = errors, inline
+                TimedLeg._settle(self, None, True)
+                return
+            h.probing = True
+            then = () if op == "flush_all" else (op, payload)
+            op, payload = "flush_all", None
+        #: None, or for a probe the ``(op, payload)`` its answer starts
+        #: (``()``: the probe is the op).
+        self._then = then
+        TimedLeg.__init__(
+            self, client.endpoint, client.membership.members[idx].daemon.node, SERVICE,
+            (op, payload), request_size(op, payload), join, index, name, parent, errors,
+            _LEG_SPAN, timeout=client.health.timeout, inline=inline,
+        )
+
+    def _settle(self, reply: Any, failed: bool) -> None:
+        client, then = self._client, self._then
+        h = client._health[self._idx]
+        if then is None:
+            if failed:
+                client._note_failure(h)
+            else:
+                h.consecutive_errors = 0
+        elif failed:
+            h.probing = False
+            h.ejected_until = self.sim.now + client.health.cooldown
+            client.stats.inc("failed_probes")
+        else:
+            h.probing = False
+            if then:
+                client.stats.inc("rejoin_purges")
+            h.ejected_until = -1.0
+            h.consecutive_errors = 0
+            client.stats.inc("rejoins")
+            if then:
+                self._open = False
+                _TrackedLeg(client, self._idx, *then, self._join, self._index, self.name,
+                            self.parent, self._errors, self.inline)
+                return
+        TimedLeg._settle(self, reply, failed)

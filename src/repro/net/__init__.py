@@ -13,7 +13,6 @@ from repro.net.rpc import (
     RetryPolicy,
     RpcCall,
     RpcError,
-    RpcTimeout,
     RpcUnavailable,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "RetryPolicy",
     "RpcCall",
     "RpcError",
-    "RpcTimeout",
     "RpcUnavailable",
     "HEADER_SIZE",
 ]

@@ -66,33 +66,15 @@ class RpcUnavailable(RpcError):
     caching tier should treat the peer as failed (miss / eject)."""
 
 
-class RpcTimeout(RpcError):
-    """The call exceeded its deadline but the destination may be *slow*,
-    not dead.
-
-    The request may still be executing server-side (at-least-once
-    semantics): the abandoned handler keeps consuming server resources,
-    exactly as a real timed-out RPC would."""
-
-
-def _defuse_failure(event) -> None:
-    """Callback for an abandoned in-flight call: swallow its eventual
-    failure so the engine does not crash on an error nobody awaits."""
-    if not event._ok:
-        event._defused = True
-
-
 @dataclass
 class RetryPolicy:
-    """Per-call timeout and bounded exponential backoff with jitter.
-
-    ``timeout=None`` disables the deadline (the call only fails if the
-    fabric reports the peer dead).  ``rng`` is a numpy Generator from a
-    named :class:`~repro.sim.rand.RandomStreams` stream, so the jitter
-    sequence is deterministic and isolated from every other stream.
+    """Bounded exponential backoff with jitter between attempts of a
+    call that failed (the fabric reported the peer dead).  ``rng`` is a
+    numpy Generator from a named :class:`~repro.sim.rand.RandomStreams`
+    stream, so the jitter sequence is deterministic and isolated from
+    every other stream.
     """
 
-    timeout: Optional[float] = None
     max_retries: int = 0
     backoff: float = 0.001
     backoff_factor: float = 2.0
@@ -101,8 +83,6 @@ class RetryPolicy:
     rng: Any = None
 
     def __post_init__(self) -> None:
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0: {self.timeout}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0: {self.max_retries}")
         if self.backoff < 0 or self.max_backoff < 0:
@@ -178,30 +158,20 @@ class Endpoint:
         self.node.services[service] = (handler, arrival_cpu)
 
     def call(
-        self,
-        dst: Node,
-        service: str,
-        args: Any = None,
-        req_size: int = 0,
-        timeout: Optional[float] = None,
+        self, dst: Node, service: str, args: Any = None, req_size: int = 0
     ) -> Generator[Any, Any, Any]:
         """Invoke *service* on *dst*; yields from the caller's process.
 
         Returns the handler's reply payload.  Raises
         :class:`RpcUnavailable` if the destination is dead at request or
         response time (the caller decides whether that is fatal — IMCa
-        treats a dead MCD as a cache miss), or :class:`RpcTimeout` when
-        a *timeout* is given and the call runs past the deadline.
+        treats a dead MCD as a cache miss).
 
-        Without a timeout the whole call — request transfer, handler,
-        response transfer — runs in this one generator frame (``yield
-        from`` on a generator handler, a plain call of one that yields
-        nothing): no per-RPC process, no wrapper
-        frames to walk on every resume (the hot path).  With one, the
-        same body runs as a child process raced against the deadline; on
-        timeout the in-flight call is *abandoned*, not cancelled: the
-        server keeps doing the work, the caller just stops waiting —
-        which is how a real timed-out RPC behaves.
+        The whole call — request transfer, handler, response transfer —
+        runs in this one generator frame (``yield from`` on a generator
+        handler, a plain call of one that yields nothing): no per-RPC
+        process, no wrapper frames to walk on every resume (the hot
+        path).  A call with a deadline is a :class:`TimedLeg`.
 
         A service's declared arrival CPU is part of the request's
         receive visit, so the handler runs when that visit ends; if the
@@ -209,9 +179,6 @@ class Endpoint:
         A request that never arrives (dead node, lost frame) costs the
         far end nothing.
         """
-        if timeout is not None:
-            reply = yield from self._call_deadlined(dst, service, args, req_size, timeout)
-            return reply
         call = RpcCall(self.node, dst, service, args, req_size)
         due = self._request(call)
         try:
@@ -288,34 +255,6 @@ class Endpoint:
                 call.span = None
                 span.__exit__(None, None, None)
 
-    def _call_deadlined(
-        self, dst: Node, service: str, args: Any, req_size: int, timeout: float
-    ) -> Generator[Any, Any, Any]:
-        """:meth:`call` raced against a deadline as a child process."""
-        sim = self.net.sim
-        proc = sim.process(self.call(dst, service, args, req_size), name=f"rpc.{service}")
-        # The budget runs from when the request may leave: an op ahead
-        # of its FUSE crossing sends at its ``ready`` (DESIGN §7).
-        deadline = sim.at(departure(sim) + timeout)
-        # A failed sub-event fails the AnyOf, which throws into *this*
-        # generator — so an RpcUnavailable from the call body propagates
-        # to the caller exactly as on the inline path.
-        yield sim.any_of((proc, deadline))
-        if proc.triggered:
-            if proc.ok:
-                return proc.value
-            # Triggered-but-unprocessed failure at the deadline instant:
-            # take ownership of it here.
-            proc.defused()
-            raise proc.value
-        # Deadline won: abandon the in-flight call.
-        self.stats.inc("timeouts")
-        if self.tracer.oplog is not None:
-            self.tracer.op_count("rpc_timeouts")
-        if proc.callbacks is not None:
-            proc.callbacks.append(_defuse_failure)
-        raise RpcTimeout(f"{service} on {dst.name} exceeded {timeout:g}s deadline")
-
     def call_retry(
         self,
         dst: Node,
@@ -324,16 +263,15 @@ class Endpoint:
         req_size: int = 0,
         policy: Optional[RetryPolicy] = None,
     ) -> Generator[Any, Any, Any]:
-        """:meth:`call` with the policy's deadline and bounded retries.
+        """:meth:`call` with the policy's bounded retries.
 
-        Retries both flavours of :class:`RpcError`, sleeping the
-        policy's backoff between attempts.  ``policy=None`` *is* a plain
-        inline :meth:`call` — the generator returned is that call's, so
-        the default path pays no frame for the wrapper.  Semantics are
-        at-least-once: a timed-out attempt may still have executed
+        Retries an :class:`RpcError`, sleeping the policy's backoff
+        between attempts.  ``policy=None`` *is* a plain inline
+        :meth:`call` — the generator returned is that call's, so the
+        default path pays no frame for the wrapper.  Semantics are
+        at-least-once: an attempt whose response was lost has executed
         server-side, so non-idempotent services must tolerate replays
-        (every memcached and GlusterFS fop here is idempotent or
-        last-writer-wins).
+        (every GlusterFS fop here is idempotent or last-writer-wins).
         """
         if policy is None:
             return self.call(dst, service, args, req_size)
@@ -346,9 +284,7 @@ class Endpoint:
         attempts = policy.max_retries + 1
         for attempt in range(attempts):
             try:
-                reply = yield from self.call(
-                    dst, service, args, req_size, timeout=policy.timeout
-                )
+                reply = yield from self.call(dst, service, args, req_size)
             except RpcError:
                 if attempt + 1 >= attempts:
                     raise
@@ -388,9 +324,8 @@ class Leg(JoinChild):
     call's ``net.resp`` span, at the landing instant.
 
     The handler must answer without yielding (a generator handler needs
-    a generator caller: :meth:`Endpoint.call`).  Anything that needs a
-    timer or a preceding RPC — a deadline, retries, a health probe —
-    stays a strand over :meth:`Endpoint.call`.
+    a generator caller: :meth:`Endpoint.call`).  A leg with a deadline
+    is a :class:`TimedLeg`; retries stay a strand (:meth:`Endpoint.call_retry`).
     """
 
     __slots__ = (
@@ -516,3 +451,94 @@ class Leg(JoinChild):
             self._span = None
             span.end = end
             span.__exit__(None, None, None)
+
+
+class TimedLeg(Leg):
+    """A :class:`Leg` (same arguments, then *timeout* and *inline*) that
+    *settles* (:meth:`_settle`) where a strand sleeping on the call
+    would learn its outcome — the response's arrival, the failure, the
+    deadline — so that a subclass can book it there.  An *inline* leg is
+    the one leg of a join standing for a single call: the join's waiter
+    resumes in the entry the outcome comes in, and the join mints none.
+
+    The deadline is ``departure + timeout`` (from ``ready``), compared
+    with the instants the leg has booked: a response due by then settles
+    at its arrival, a failure that comes first settles as a failure, and
+    otherwise the leg settles None at the deadline with one ``timeouts``
+    (``rpc_timeouts`` on the op).  The request still runs on the far end
+    and its response is sent (at-least-once); a failure it meets later
+    books the endpoint's ``errors`` and nothing else.
+    """
+
+    __slots__ = ("deadline", "inline", "_open", "_reply")
+
+    def __init__(
+        self, *args: Any, timeout: Optional[float] = None, inline: bool = False
+    ) -> None:
+        self.inline = inline
+        #: Whether the outcome is still to settle.
+        self._open = True
+        #: The deadline still to meet: inf once an answer is due by it.
+        self.deadline = inf
+        Leg.__init__(self, *args)
+        if timeout is not None and self._open:
+            sim = self.sim
+            self.deadline = max(sim._now, self.ready) + timeout
+            sim.at(self.deadline).callbacks.append(self._expire)
+
+    def land(self, value: Any, at: float = -inf) -> None:
+        """The response, booked to arrive at *at*: wake there to settle
+        with *value*, unless the deadline comes first."""
+        if self._open and at <= self.deadline:
+            self._reply = value
+            self.deadline = inf
+            self.sim.at(at).callbacks.append(self._woken)
+
+    def _expire(self, _event) -> None:
+        if self._open and self.deadline < inf:
+            self._woken(None)
+
+    def _woken(self, event) -> None:
+        """Settle at a landing wake, or (*event* None) at the deadline."""
+        sim = self.sim
+        sim._active_process = self
+        try:
+            if event is not None:
+                self._settle(self._reply, False)
+                return
+            endpoint = self._endpoint
+            endpoint.stats.inc("timeouts")
+            if endpoint.tracer.oplog is not None:
+                endpoint.tracer.op_count("rpc_timeouts")
+            self._settle(None, True)
+        finally:
+            sim._active_process = None
+
+    def _failed(self) -> None:
+        self._close_span()
+        if self._open:
+            self._settle(None, True)
+
+    def fail(self, exception: BaseException) -> None:
+        # An abandoned call's exception has nobody left to tell.
+        if self._open:
+            self._open = False
+            JoinChild.fail(self, exception)
+
+    def _settle(self, reply: Any, failed: bool) -> None:
+        """The outcome, now: land *reply*, or None with one ``errors``
+        when the call *failed*."""
+        self._open = False
+        if failed:
+            self._errors.inc("errors")
+        if not self.inline:
+            JoinChild.land(self, reply)
+            return
+        # The one leg of a call's join: its waiter resumes in this entry,
+        # as a caller sleeping on the call itself would.
+        join = self._join
+        join._results[0] = reply
+        join._pending, join._value = 0, join._results
+        callbacks, join.callbacks = join.callbacks, None
+        for callback in callbacks:
+            callback(join)

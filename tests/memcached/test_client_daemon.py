@@ -165,23 +165,6 @@ def test_delete_multi_and_flush():
     assert after_flush == 0
 
 
-def test_stats_all():
-    sim, client, daemons = make_cluster(n_mcds=2)
-
-    def proc():
-        yield from client.set("a", None, 10)
-        yield from client.get("a")
-        yield from client.get("zzz")
-        stats = yield from client.stats_all()
-        return stats
-
-    stats = drive(sim, proc())
-    assert len(stats) == 2
-    total_hits = sum(s["get_hits"] for s in stats)
-    total_misses = sum(s["get_misses"] for s in stats)
-    assert total_hits == 1 and total_misses == 1
-
-
 def test_bigger_values_cost_more_wire_time():
     sim1, client1, _ = make_cluster(n_mcds=1)
 

@@ -113,6 +113,34 @@ def test_failed_probe_reejects():
     assert client.stats.get("rejoins") == 1
 
 
+def test_a_failed_flush_after_the_cooldown_does_not_readmit_the_server():
+    """A ``flush_all`` past the cooldown is the server's probe: it
+    readmits the server only when it answers.  Sent while the node is
+    still down, it fails, re-ejects the server and books no rejoin, so
+    the node that comes back with its memory intact is never asked for
+    its pre-crash bytes."""
+    sim, client, (mcd,) = make_cluster(health=HealthPolicy(eject_after=2, cooldown=0.005))
+    got = []
+
+    def proc():
+        yield from client.set("k", b"pre-crash", 9)
+        mcd.node.fail()                     # memory intact
+        yield from client.get("k")
+        yield from client.get("k")          # second error: ejected
+        assert client.ejected(0)
+        yield sim.timeout(0.01)
+        yield from client.flush_all()       # the probe, still down: fails
+        got.append(client.ejected(0))
+        mcd.node.recover()
+        got.append((yield from client.get("k")))
+
+    drive(sim, proc())
+    assert got == [True, None]
+    assert client.stats.get("failed_probes") == 1
+    assert client.stats.get("rejoins", 0) == 0
+    assert mcd.engine.get("k") is not None  # never purged, never read
+
+
 def test_concurrent_callers_share_one_rejoin_probe():
     """Two requests racing past an elapsed cooldown must not both run
     the half-open probe: the first sets ``probing`` and purges, the

@@ -312,7 +312,9 @@ def test_client_static_path_identical_with_idle_membership():
     )
     for i in range(300):
         k = f"somekey{i}"
-        assert client.server_for(k) is legacy.server_for(k)
+        assert client.membership.daemon(client.owners(k)[0]) is (
+            legacy.membership.daemon(legacy.owners(k)[0])
+        )
 
 
 def _fresh_pick(client, key, hint=None):

@@ -124,7 +124,8 @@ def test_duplicate_keys_keep_the_last_value():
     sim, client, daemons = small_bank(2)
     items = [("k", b"first", 5, 0, 0), ("other", b"o", 1, 0, 0), ("k", b"last", 4, 0, 0)]
     assert drive(sim, client.set_multi(items)) == {"k", "other"}
-    assert client.server_for("k").engine._items["k"].value == b"last"
+    owner = client.membership.daemon(client.owners("k")[0])
+    assert owner.engine._items["k"].value == b"last"
     assert client.stats.get("sets") == 3
     assert sum(d.engine.stats.get("cmd_set") for d in daemons) == 3
 

@@ -1,4 +1,4 @@
-"""Resilience-layer tests: physical failure timing, deadlines, retries."""
+"""Resilience-layer tests: physical failure timing, leg deadlines, retries."""
 
 import pytest
 
@@ -10,12 +10,13 @@ from repro.net import (
     NetworkError,
     Node,
     RetryPolicy,
-    RpcTimeout,
     RpcUnavailable,
 )
+from repro.net.rpc import TimedLeg
 from repro.sim import Simulator
+from repro.sim.process import Join
 from repro.sim.rand import RandomStreams
-from repro.util import USEC
+from repro.util import USEC, Counter
 
 
 def make_net(nodes=2):
@@ -126,48 +127,95 @@ def test_loss_draws_are_seed_deterministic():
 
 
 # --------------------------------------------------------------------------- #
-# RPC: deadlines and retries
+# RPC: a leg's deadline, and retries
 # --------------------------------------------------------------------------- #
-def test_slow_call_times_out_at_the_deadline():
+def leg_call(sim, cep, dst, service, timeout, errors):
+    """One :class:`TimedLeg` with *timeout*, joined: its reply, or None
+    when it failed or missed its deadline."""
+    join = Join(sim, 1)
+    TimedLeg(cep, dst, service, None, 0, join, 0, "leg", sim.active_process, errors,
+             timeout=timeout)
+    (reply,) = yield join
+    return reply
+
+
+def _deadline_run(register, timeout):
+    """Run one leg with *timeout* against the service *register* sets
+    up; returns (landing instant, reply, errors, endpoint stats, when the
+    handler ran, messages sent)."""
     sim, net, client, server, cep, sep = make_pair()
-
-    def sluggish(call):
-        yield call.dst.cpu.run(0.05)
-        return "late", 16
-
-    sep.register("sluggish", sluggish)
-    seen = []
+    ran = []
+    register(sep, lambda: ran.append(sim.now))
+    seen, errors = [], Counter()
 
     def proc():
-        try:
-            yield from cep.call(server, "sluggish", timeout=0.002)
-        except RpcTimeout as e:
-            seen.append((sim.now, str(e)))
+        reply = yield from leg_call(sim, cep, server, "svc", timeout, errors)
+        seen.append((sim.now, reply))
 
     sim.process(proc())
     sim.run()
-    assert seen and seen[0][0] == pytest.approx(0.002)
-    assert cep.stats.get("timeouts") == 1
+    ((when, reply),) = seen
+    return when, reply, errors.as_dict(), cep.stats.as_dict(), ran, net.stats["messages"]
+
+
+def _slow_request(sep, note):
+    def handler(call):
+        note()
+        return "late", 16
+
+    sep.register("svc", handler, arrival_cpu=lambda args: 0.05)
+
+
+def test_slow_call_times_out_at_the_deadline():
+    """The request cannot arrive by the deadline: the leg lands None at
+    it with one ``timeouts``, and the request still runs on the server
+    (at-least-once) and its response is still sent."""
+    when, reply, errors, stats, ran, messages = _deadline_run(_slow_request, 0.002)
+    assert (when, reply) == (pytest.approx(0.002), None)
+    assert stats["timeouts"] == 1 and errors == {"errors": 1}
+    assert len(ran) == 1 and ran[0] > 0.05 and messages == 2
+    assert "errors" not in stats
+
+
+def test_a_response_that_misses_the_deadline_times_out_at_it():
+    """The request arrives in time and the handler runs, but its reply
+    copy holds the response past the deadline."""
+    def register(sep, note):
+        def handler(call):
+            note()
+            call.reply_cpu = 0.05
+            return "late", 16
+
+        sep.register("svc", handler)
+
+    when, reply, errors, stats, ran, messages = _deadline_run(register, 0.002)
+    assert (when, reply) == (pytest.approx(0.002), None)
+    assert ran[0] < 0.002 and messages == 2
+    assert stats["timeouts"] == 1 and errors == {"errors": 1}
 
 
 def test_fast_call_with_deadline_succeeds():
-    sim, net, client, server, cep, sep = make_pair()
+    def register(sep, note):
+        def handler(call):
+            note()
+            return "fast", 16
 
-    def echo(call):
-        yield call.dst.cpu.run(5 * USEC)
-        return "fast", 16
+        sep.register("svc", handler, arrival_cpu=lambda args: 5 * USEC)
 
-    sep.register("echo", echo)
-    got = []
+    when, reply, errors, stats, ran, messages = _deadline_run(register, 0.01)
+    assert reply == "fast" and ran[0] < when < 0.01
+    assert "timeouts" not in stats and errors == {}
 
-    def proc():
-        reply = yield from cep.call(server, "echo", timeout=0.01)
-        got.append(reply)
 
-    sim.process(proc())
-    sim.run()
-    assert got == ["fast"]
-    assert cep.stats.get("timeouts", 0) == 0
+def test_a_failure_before_the_deadline_is_a_failure_not_a_timeout():
+    def register(sep, note):
+        sep.register("svc", lambda call: ("x", 16))
+        sep.node.fail()
+
+    when, reply, errors, stats, ran, messages = _deadline_run(register, 0.01)
+    assert reply is None and when < 0.01 and ran == []
+    assert errors == {"errors": 1} and stats["errors"] == 1
+    assert "timeouts" not in stats
 
 
 def test_retry_rides_through_a_server_flap():

@@ -424,15 +424,16 @@ def test_strand_spans_and_annotations_attribute_like_processes():
 
 def test_replicated_set_oplog_counts_with_a_dead_replica():
     """A replicated push fans out through ``MemcacheClient._fanout``;
-    the per-replica legs run as strands and what they count (ejections,
-    skipped servers) must land on the client op that caused the push —
-    the numbers below are what the ``process``-per-leg form recorded."""
+    the per-replica legs run as health-tracked callback legs, and what
+    they count (ejections, skipped servers) must land on the client op
+    that caused the push — the numbers below are what the
+    ``process``-per-leg form recorded."""
     obs = Observability("t", oplog=True)
     cfg = TestbedConfig(
         num_clients=1,
         num_mcds=3,
         imca=IMCaConfig(replicas=2),
-        resilience=ResilienceConfig(eject_after=1, mcd_retries=0),
+        resilience=ResilienceConfig(eject_after=1),
     )
     tb = build_gluster_testbed(cfg, obs=obs)
 

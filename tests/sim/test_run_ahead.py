@@ -14,9 +14,11 @@ import pytest
 from repro.gluster.client import GlusterClient
 from repro.gluster.costs import FUSE_OP_CPU
 from repro.net import IPOIB, Network, NetworkError, Node
-from repro.net.rpc import Endpoint, RetryPolicy
+from repro.net.rpc import Endpoint, RetryPolicy, TimedLeg
 from repro.obs.trace import SimTracer
 from repro.sim import Simulator
+from repro.sim.process import Join
+from repro.util import Counter
 
 READY = 25e-6
 SIZE = 2144
@@ -123,12 +125,11 @@ def test_strands_and_child_processes_inherit_ready():
 
 @pytest.mark.parametrize("case", ["deadline", "backoff"])
 def test_a_deadline_and_a_backoff_run_from_ready(case):
-    """A deadlined call's budget and a retry's backoff start when the
-    request may leave, not at op start.  *deadline*: the call's ~101 us
-    round trip fits a 110 us budget counted from READY, not one counted
-    from 0.  *backoff*: the first attempt fails at once (no service
-    yet); the retry, 10 us later, finds the service that appears at
-    READY + 5 us."""
+    """A leg's deadline and a retry's backoff start when the request may
+    leave, not at op start.  *deadline*: the leg's ~101 us round trip
+    fits a 110 us budget counted from READY, not one counted from 0.
+    *backoff*: the first attempt fails at once (no service yet); the
+    retry, 10 us later, finds the service that appears at READY + 5 us."""
     def body(sim, net, nodes, log):
         caller, callee = Endpoint(net, nodes[0]), Endpoint(net, nodes[1])
 
@@ -137,11 +138,15 @@ def test_a_deadline_and_a_backoff_run_from_ready(case):
 
         if case == "deadline":
             serve()
-            policy = RetryPolicy(timeout=110e-6)
+            join = Join(sim, 1)
+            TimedLeg(caller, nodes[1], "echo", "hi", SIZE, join, 0, "leg",
+                     sim.active_process, Counter(), timeout=110e-6)
+            (reply,) = yield join
         else:
             sim.at(READY + 5e-6).callbacks.append(serve)
-            policy = RetryPolicy(timeout=1e-3, max_retries=1, backoff=10e-6)
-        log.append((yield from caller.call_retry(nodes[1], "echo", "hi", SIZE, policy)))
+            policy = RetryPolicy(max_retries=1, backoff=10e-6)
+            reply = yield from caller.call_retry(nodes[1], "echo", "hi", SIZE, policy)
+        log.append(reply)
         log.append(sim.now)
         log.append(dict(caller.stats.values))
 

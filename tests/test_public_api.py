@@ -114,7 +114,7 @@ def test_every_setting_is_pinned():
             "resilience", "num_data_servers", "stripe_size",
         ],
         ResilienceConfig: [
-            "mcd_timeout", "mcd_retries", "eject_after", "cooldown", "seed",
+            "mcd_timeout", "eject_after", "cooldown", "seed",
         ],
         ObsRequest: ["trace", "oplog", "sample_interval", "captures"],
     }
