@@ -403,7 +403,7 @@ def build_gluster_testbed(
     # epoch (McdMembership.owner_table): memory per client does not grow
     # with the keyspace.
     keys = KeyCache(block_size=cfg.imca.block_size)
-    select = make_selector(cfg.imca.selector)
+    select = make_selector(cfg.imca.selector, cfg.imca.block_size)
 
     # Brick servers (one in the paper's configuration).
     servers: list[GlusterServer] = []

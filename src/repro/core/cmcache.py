@@ -5,6 +5,11 @@ Sits at the top of the GlusterFS client stack.  Intercepts ``stat`` and
 everything else (and every miss) propagates to the server.  ``Write``
 is deliberately not intercepted — writes must be persistent (§4.3.2).
 
+A read hands the MCD client its covering keys and the ``:stat`` key,
+nothing else: a data key names its block, and the client's selector
+routes it from the key alone (the modulo selector reads the block's
+ordinal off the key's offset).
+
 With a replicated :class:`~repro.memcached.client.MemcacheClient`
 (``IMCaConfig.replicas > 1``) each get/multi-get is spread over the
 key's replicas (seeded round-robin, skipping ejected daemons), so a
@@ -269,9 +274,8 @@ class CMCacheXlator(Xlator):
         # Each covering block's offset is computed once: it filters at
         # EOF and is what a fetched block is found under.
         cover = self.mapper.cover(offset, size)
-        hints: list[Optional[int]] = list(cover)
         bs = self.mapper.block_size
-        offsets = [idx * bs for idx in hints]
+        offsets = [idx * bs for idx in cover]
         keys = self._keys.data_keys(path, cover.start, cover.stop)
         if None in keys:
             # Path too long to cache: bypass entirely.
@@ -289,8 +293,7 @@ class CMCacheXlator(Xlator):
         have_stat = False
         if hot is not None:
             fetch_keys: list[str] = []
-            fetch_hints: list[Optional[int]] = []
-            for key, idx in zip(keys, hints):
+            for key in keys:
                 value = hot.get(key)
                 if isinstance(value, BlockValue):
                     blocks[value.block_offset] = value
@@ -299,7 +302,6 @@ class CMCacheXlator(Xlator):
                         tr.op_count("hot_block_hits")
                 else:
                     fetch_keys.append(key)
-                    fetch_hints.append(idx)
             if skey is not None:
                 value = hot.get(skey)
                 if isinstance(value, StatBuf):
@@ -308,15 +310,13 @@ class CMCacheXlator(Xlator):
                     self.metrics.inc("hot_stat_hits")
         else:
             fetch_keys = keys
-            fetch_hints = hints
         if skey is not None and not have_stat:
             fetch_keys = fetch_keys + [skey]
-            fetch_hints = fetch_hints + [None]
 
         self.metrics.inc("blocks_requested", len(offsets))
         found = {}
         if fetch_keys:
-            found = yield from self.mc.get_multi(fetch_keys, fetch_hints)
+            found = yield from self.mc.get_multi(fetch_keys)
 
         if skey is not None and not have_stat:
             cached_stat = found.pop(skey, None)

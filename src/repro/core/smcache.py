@@ -21,6 +21,7 @@ the covering blocks leave as one pipelined request per MCD, the MCDs
 concurrently, as a read's multi-get does.  The ``:stat`` push stays a
 separate, later ``set``: a poller that sees the new mtime trusts the
 blocks against the new size, so the blocks must already be there.
+Pushes and purges hand the client keys only; it routes each by its key.
 
 **Purge index** (``_pushed``: path -> block indices): what ``open`` /
 ``close`` / ``truncate`` / ``unlink`` delete by.  A push enters its
@@ -36,7 +37,8 @@ out of the key table's list for the path, by block index.
 **Replication invariant** (``IMCaConfig.replicas > 1``): every push and
 every purge issued here goes through a replica-aware
 :class:`~repro.memcached.client.MemcacheClient`, which fans stores and
-deletes out to *all* replicas of a key.  A purge that skipped a replica
+deletes out to *all* replicas of a key and counts the extra copies
+(``replica_writes`` / ``replica_deletes``).  A purge that skipped a replica
 would leave a stale ``:stat`` or data block serveable to the read
 spreader, so SMCache must never bypass the client's fan-out (e.g. by
 talking to a daemon directly).
@@ -78,7 +80,7 @@ class SMCacheXlator(Xlator):
         self.mc = mc
         self.config = config or IMCaConfig()
         self.mapper = BlockMapper(self.config.block_size)
-        #: path -> block offsets this server has pushed (purge index).
+        #: path -> block indices this server has pushed (purge index).
         self._pushed: dict[str, set[int]] = {}
         #: The testbed's one key table, or a private one.
         self._keys = key_table(keys, self.config.block_size)
@@ -109,18 +111,11 @@ class SMCacheXlator(Xlator):
             yield from task()
 
     # -- MCD plumbing -------------------------------------------------------------
-    def _fanout_width(self) -> int:
-        """Extra copies each replicated store/purge writes (0 when off)."""
-        return min(self.mc.replicas, len(self.mc.servers)) - 1
-
     def _push_stat(self, path: str, stat: StatBuf) -> Generator:
         key = self._keys.stat_key(path)
         if key is None:
             return
         self.metrics.inc("stat_pushes")
-        width = self._fanout_width()
-        if width:
-            self.metrics.inc("replica_pushes", width)
         yield from self.mc.set(key, stat.copy(), nbytes=StatBuf.WIRE_SIZE)
 
     def _push_blocks(self, path: str, result: ReadResult) -> Generator:
@@ -131,7 +126,7 @@ class SMCacheXlator(Xlator):
         first = blocks[0].block_offset // self.mapper.block_size
         stop = first + len(blocks)
         keys = self._keys.data_keys(path, first, stop)
-        hints = range(first, stop)
+        indices = range(first, stop)
         if None in keys:
             kept = [i for i, key in enumerate(keys) if key is not None]
             self.metrics.inc("uncacheable", len(keys) - len(kept))
@@ -139,47 +134,36 @@ class SMCacheXlator(Xlator):
                 return
             keys = [keys[i] for i in kept]
             blocks = [blocks[i] for i in kept]
-            hints = [first + i for i in kept]
+            indices = [first + i for i in kept]
         items = [(key, bv, bv.length, 0, 0) for key, bv in zip(keys, blocks)]
         self.metrics.inc("block_pushes", len(items))
-        width = self._fanout_width()
-        if width:
-            self.metrics.inc("replica_pushes", width * len(items))
         # Indexed in the *live* set before the request leaves, and kept
         # when a store fails or is refused: a purge that runs while the
         # push is in flight must find these blocks (deleting an absent
         # key is harmless; a stored key no purge knows of is not).
-        self._pushed.setdefault(path, set()).update(hints)
+        self._pushed.setdefault(path, set()).update(indices)
         # One pipelined request per MCD, the MCDs concurrently.
-        yield from self.mc.set_multi(items, hints)
+        yield from self.mc.set_multi(items)
         # Such a purge took that set, and on a multi-core MCD its small
         # delete can overtake a large store: index what may have landed
         # behind it in the set that is live now.
-        self._pushed.setdefault(path, set()).update(hints)
+        self._pushed.setdefault(path, set()).update(indices)
 
     def _purge_data(self, path: str) -> Generator:
         pushed = self._pushed.pop(path, None)
         if not pushed:
             return
         # Only blocks whose key exists were pushed, so none is None.
-        hints = sorted(pushed)
-        table = self._keys.data_keys(path, 0, hints[-1] + 1)
-        keys = [table[i] for i in hints]
+        indices = sorted(pushed)
+        table = self._keys.data_keys(path, 0, indices[-1] + 1)
+        keys = [table[i] for i in indices]
         self.metrics.inc("purges")
         self.metrics.inc("purged_blocks", len(keys))
-        width = self._fanout_width()
-        if width:
-            # delete_multi invalidates every replica of every key
-            # (the client books the same legs as replica_deletes).
-            self.metrics.inc("replica_purges", width * len(keys))
-        yield from self.mc.delete_multi(keys, hints)
+        yield from self.mc.delete_multi(keys)
 
     def _purge_stat(self, path: str) -> Generator:
         key = self._keys.stat_key(path)
         if key is not None:
-            width = self._fanout_width()
-            if width:
-                self.metrics.inc("replica_purges", width)
             yield from self.mc.delete(key)
 
     # -- fops ---------------------------------------------------------------------

@@ -43,13 +43,14 @@ which costs the same 2; ``get_multi`` always joins (for span
 attribution).  Under a :class:`HealthPolicy` every MCD RPC is a leg
 that wakes when its outcome is known, to book it (:class:`_TrackedLeg`).
 
-A key's primary owner is worked out once per membership epoch
-(:meth:`MemcacheClient._primary`): the selector's pick is memoised by
-key, wherever the selector's answer cannot depend on the hint, in the
-membership's owner table for the client's selector instance
-(:meth:`McdMembership.owner_table`).  Clients that share a membership
-and a selector instance — every client of a testbed — share the table;
-the membership drops it with the epoch's ring.
+The key is the only routing input: a data key names its block, so no
+caller passes a block ordinal beside it.  A key's primary owner is
+worked out once per membership epoch (:meth:`MemcacheClient._primary`):
+the selector's pick is memoised by key in the membership's owner table
+for the client's selector instance (:meth:`McdMembership.owner_table`).
+Clients that share a membership and a selector instance — every client
+of a testbed — share the table; the membership drops it with the
+epoch's ring.
 
 Reads are **singleflighted** per client (DESIGN §15): a ``get`` or
 ``get_multi`` that finds its key already being fetched parks on that
@@ -66,7 +67,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Any, Generator, Mapping, Optional
 
 from repro.memcached.daemon import McValue, MemcachedDaemon, SERVICE, request_size
@@ -130,10 +130,6 @@ class _ServerHealth:
 #: server-specific) failure.
 _SF_FAILED = object()
 
-#: What a read probes for a memoised route when reads do not go to the
-#: memoised primary (replication, a selector that reads the hint).
-_NO_MEMO: Mapping[str, int] = MappingProxyType({})
-
 #: The span a batch leg opens on a traced client.
 _LEG_SPAN = ("mcd", "mc.batch")
 
@@ -169,9 +165,6 @@ class MemcacheClient:
         self._ketama: Optional[KetamaSelector] = (
             self.selector if isinstance(self.selector, KetamaSelector) else None
         )
-        #: Whether the selector's pick can depend on the hint: then only
-        #: hint-less picks are memoised (:meth:`_primary`).
-        self._hinted = getattr(self.selector, "uses_hint", True)
         #: The replica map; None at R=1 (every key has one replica).
         self._replication: Optional[ReplicatedSelector] = (
             ReplicatedSelector(self.selector, replicas) if replicas > 1 else None
@@ -217,7 +210,7 @@ class MemcacheClient:
         the new daemon."""
         self.membership.attach(self.membership.alloc_id(), server, LIVE)
 
-    def owners(self, key: str, hint: Optional[int] = None) -> list[int]:
+    def owners(self, key: str) -> list[int]:
         """``[primary, *others]``: every daemon a mutation of *key* must
         reach.  The others are the key's replicas or, inside a
         forwarding window, its old owners — until the window closes an
@@ -230,44 +223,40 @@ class MemcacheClient:
             self._resync()
         if self._replication is not None:
             ring = self._ring
-            return [ring[i] for i in self._replication.replicas_for(key, len(ring), hint)]
-        primary = self._primaries.get(key) if hint is None or not self._hinted else None
+            return [ring[i] for i in self._replication.replicas_for(key, len(ring))]
+        primary = self._primaries.get(key)
         if primary is None:
-            primary = self._primary(key, hint)
+            primary = self._primary(key)
         if self._ketama is not None and m.windows:
             peers = m.window_peers(key, primary, self._ketama, self.endpoint.net.sim.now)
             if peers:
                 return [primary, *peers]
         return [primary]
 
-    def _primary(self, key: str, hint: Optional[int] = None) -> int:
+    def _primary(self, key: str) -> int:
         """The selector's pick of *key*'s primary over the current ring
         (the caller has resynced the epoch), memoised in
-        ``_primaries`` unless the pick reads *hint*.  Unreplicated: a
-        ring walk, or, for a positional selector, its index into the
-        ring — a membership change renumbers the map (the naive-resize
-        comparison case)."""
+        ``_primaries``.  Unreplicated: a ring walk, or, for a positional
+        selector, its index into the ring — a membership change
+        renumbers the map (the naive-resize comparison case)."""
         ring = self._ring
         if self._ketama is not None:
             primary = self._ketama.owner(key, ring)
         else:
-            primary = ring[self.selector.select(key, len(ring), hint)]
-        if hint is None or not self._hinted:
-            self._primaries[key] = primary
+            primary = ring[self.selector.select(key, len(ring))]
+        self._primaries[key] = primary
         return primary
 
     def _read_memo(self) -> Mapping[str, int]:
         """What a read probes first for the server of a key: the primary
-        memo when reads go to the primary and its pick ignores hints,
-        else nothing.  A miss there is :meth:`_read_idx`.  Resyncs the
-        epoch, once per request."""
+        memo when reads go to the primary (an unreplicated bank), else
+        nothing.  A miss there is :meth:`_read_idx`.  Resyncs the epoch,
+        once per request."""
         if self._epoch != self.membership.epoch:
             self._resync()
-        if self._replication is None and not self._hinted:
-            return self._primaries
-        return _NO_MEMO
+        return self._primaries if self._replication is None else {}
 
-    def _read_idx(self, key: str, hint: Optional[int] = None) -> int:
+    def _read_idx(self, key: str) -> int:
         """The server a read of *key* goes to: its primary or, with
         replication, a seeded per-key round-robin over the replicas not
         currently sitting out an ejection cooldown (all of them, if
@@ -278,8 +267,8 @@ class MemcacheClient:
         reads exactly 1/R.  Cursor memory is one small int per distinct
         key this client has read (bounded by its keyspace)."""
         if self._replication is None:
-            return self._primary(key, hint)
-        replicas = self.owners(key, hint)
+            return self._primary(key)
+        replicas = self.owners(key)
         live = [i for i in replicas if not self._cooling(i)]
         if not live:
             live = replicas
@@ -343,7 +332,7 @@ class MemcacheClient:
                 self.tracer.op_count("mcd_ejections")
 
     # -- retrieval -------------------------------------------------------------
-    def get(self, key: str, hint: Optional[int] = None) -> Generator:
+    def get(self, key: str) -> Generator:
         """Fetch one value; returns :class:`McValue` or None on miss.
 
         A dead server counts as a miss (plus an ``errors`` stat).
@@ -372,7 +361,7 @@ class MemcacheClient:
         try:
             idx = self._read_memo().get(key)
             if idx is None:
-                idx = self._read_idx(key, hint)
+                idx = self._read_idx(key)
             failed = False
             try:
                 if self.tracer.enabled:
@@ -456,9 +445,7 @@ class MemcacheClient:
             self.stats.inc("errors")
         return value
 
-    def get_multi(
-        self, keys: list[str], hints: Optional[list[Optional[int]]] = None
-    ) -> Generator:
+    def get_multi(self, keys: list[str]) -> Generator:
         """Fetch many keys, batched one request per server.
 
         Returns ``{key: McValue}`` containing only the hits.  Batches to
@@ -471,31 +458,23 @@ class MemcacheClient:
         a batch; the keys a batch does fetch are its to publish (see
         :meth:`get`).
         """
-        if hints is None:
-            hints = [None] * len(keys)
-        elif len(hints) != len(keys):
-            # zip() would silently drop the tail keys from the fetch,
-            # turning a caller bug into phantom misses.
-            raise ValueError(
-                f"get_multi: {len(keys)} keys but {len(hints)} hints"
-            )
         inflight = self._inflight
-        #: key -> (flight, hint) for every key somebody is already fetching.
-        riders: dict[str, tuple[Event, Optional[int]]] = {}
+        #: key -> flight for every key somebody is already fetching.
+        riders: dict[str, Event] = {}
         by_server: dict[int, list[str]] = {}
         seen: set[str] = set()
         memo = self._read_memo()
-        for key, hint in zip(keys, hints):
+        for key in keys:
             if key in seen:
                 continue
             seen.add(key)
             if key in inflight:
                 # Ride the in-flight fetch instead of re-issuing it.
-                riders[key] = (self._follow(key), hint)
+                riders[key] = self._follow(key)
                 continue
             idx = memo.get(key)
             if idx is None:
-                idx = self._read_idx(key, hint)
+                idx = self._read_idx(key)
             by_server.setdefault(idx, []).append(key)
             inflight[key] = None
         out: dict[str, McValue] = {}
@@ -539,8 +518,8 @@ class MemcacheClient:
                         ok = completed and key not in failed
                         flight.succeed(out.get(key) if ok else _SF_FAILED)
         if riders:
-            results = yield self.endpoint.net.sim.all_of([ev for ev, _ in riders.values()])
-            for key, (ev, hint) in riders.items():
+            results = yield self.endpoint.net.sim.all_of(list(riders.values()))
+            for key, ev in riders.items():
                 payload = results[ev]
                 if payload is _SF_FAILED:
                     # The flight we rode failed: fetch the key ourselves,
@@ -550,7 +529,7 @@ class MemcacheClient:
                     self._note_redispersed()
                     idx = self._read_memo().get(key)
                     if idx is None:
-                        idx = self._read_idx(key, hint)
+                        idx = self._read_idx(key)
                     (reply,) = yield from self._legs("get_multi", [(idx, [key])], "mc-rider")
                     payload = reply.get(key) if reply is not None else None
                     if payload is None and self.membership.windows:
@@ -642,14 +621,14 @@ class MemcacheClient:
         return any(results)
 
     def _mutate(
-        self, op: str, key: str, payload: Any, hint: Optional[int],
+        self, op: str, key: str, payload: Any,
         booked: Optional[str] = None, span: Optional[str] = None,
     ) -> Generator:
         """The one keyed mutation: *op* reaches every owner of *key*.
         True when at least one owner applied it (the value is serveable
         / the key was there); False when the bank is down or refused.
         *booked* counts the op once some owner answered."""
-        send = self._send(self.owners(key, hint), op, payload)
+        send = self._send(self.owners(key), op, payload)
         try:
             if span is not None and self.tracer.enabled:
                 with self.tracer.span("mcd", span):
@@ -672,7 +651,6 @@ class MemcacheClient:
         nbytes: int,
         flags: int = 0,
         ttl: float = 0,
-        hint: Optional[int] = None,
     ) -> Generator:
         """Store; False when the bank is down or rejected the item.
 
@@ -680,7 +658,7 @@ class MemcacheClient:
         it: the perf ledger attributes store time to the frame named
         ``MemcacheClient.set``, and a wrapper frame would be walked on
         every resume of every ``:stat`` push."""
-        send = self._send(self.owners(key, hint), "set", (key, value, nbytes, flags, ttl))
+        send = self._send(self.owners(key), "set", (key, value, nbytes, flags, ttl))
         try:
             if self.tracer.enabled:
                 with self.tracer.span("mcd", "mc.set"):
@@ -695,11 +673,7 @@ class MemcacheClient:
         self.stats.inc("sets")
         return ok
 
-    def set_multi(
-        self,
-        items: list[tuple[str, Any, int, int, float]],
-        hints: Optional[list[Optional[int]]] = None,
-    ) -> Generator:
+    def set_multi(self, items: list[tuple[str, Any, int, int, float]]) -> Generator:
         """Store many ``(key, value, nbytes, flags, ttl)`` items, one
         pipelined request per owner; returns the keys some owner stored.
 
@@ -707,16 +681,11 @@ class MemcacheClient:
         (a duplicated key keeps its last value); a refused item fails
         alone.  ``sets`` counts the items some owner answered.
         """
-        if hints is None:
-            hints = [None] * len(items)
-        elif len(hints) != len(items):
-            # zip() would silently drop the tail items from the push.
-            raise ValueError(f"set_multi: {len(items)} items but {len(hints)} hints")
         by_owner: dict[int, list[tuple]] = {}
         routes: list[list[int]] = []
         owners = self.owners
-        for item, hint in zip(items, hints):
-            idxs = owners(item[0], hint)
+        for item in items:
+            idxs = owners(item[0])
             routes.append(idxs)
             if len(idxs) > 1:
                 self._book_extras(len(idxs) - 1, "replica_writes")
@@ -743,39 +712,39 @@ class MemcacheClient:
             self.stats.inc("sets", answered)
         return stored
 
-    def append(self, key: str, value: Any, nbytes: int, hint: Optional[int] = None) -> Generator:
+    def append(self, key: str, value: Any, nbytes: int) -> Generator:
         # Concats commute with the coherence invariant: whichever
         # copies exist get the same bytes appended.
-        return self._mutate("append", key, (key, value, nbytes), hint)
+        return self._mutate("append", key, (key, value, nbytes))
 
-    def prepend(self, key: str, value: Any, nbytes: int, hint: Optional[int] = None) -> Generator:
-        return self._mutate("prepend", key, (key, value, nbytes), hint)
+    def prepend(self, key: str, value: Any, nbytes: int) -> Generator:
+        return self._mutate("prepend", key, (key, value, nbytes))
 
-    def touch(self, key: str, ttl: float, hint: Optional[int] = None) -> Generator:
-        return self._mutate("touch", key, (key, ttl), hint)
+    def touch(self, key: str, ttl: float) -> Generator:
+        return self._mutate("touch", key, (key, ttl))
 
-    def delete(self, key: str, hint: Optional[int] = None) -> Generator:
+    def delete(self, key: str) -> Generator:
         """Remove *key* from **every** owner — a skipped one would keep
         serving the stale value."""
-        return self._mutate("delete", key, key, hint, "deletes", "mc.delete")
+        return self._mutate("delete", key, key, "deletes", "mc.delete")
 
-    def add(self, key: str, value: Any, nbytes: int, flags: int = 0, ttl: float = 0,
-            hint: Optional[int] = None) -> Generator:
+    def add(self, key: str, value: Any, nbytes: int, flags: int = 0, ttl: float = 0) -> Generator:
         """Store only if absent."""
-        return self._conditional("add", key, (key, value, nbytes, flags, ttl), hint)
+        return self._conditional("add", key, (key, value, nbytes, flags, ttl))
 
-    def replace(self, key: str, value: Any, nbytes: int, flags: int = 0, ttl: float = 0,
-                hint: Optional[int] = None) -> Generator:
+    def replace(
+        self, key: str, value: Any, nbytes: int, flags: int = 0, ttl: float = 0
+    ) -> Generator:
         """Store only if present."""
-        return self._conditional("replace", key, (key, value, nbytes, flags, ttl), hint)
+        return self._conditional("replace", key, (key, value, nbytes, flags, ttl))
 
-    def _conditional(self, op: str, key: str, payload: Any, hint: Optional[int]) -> Generator:
+    def _conditional(self, op: str, key: str, payload: Any) -> Generator:
         """add/replace resolve against the **primary**; a successful
         store is then mirrored onto the other owners with a plain set —
         fanning the conditional op out verbatim could leave two owners
         holding different values (e.g. add succeeding on the empty new
         node of a resize but not on the old one)."""
-        idxs = self.owners(key, hint)
+        idxs = self.owners(key)
         try:
             ok = yield from self._call(idxs[0], op, payload)
         except RpcError:
@@ -788,24 +757,20 @@ class MemcacheClient:
         return ok
 
     def cas(self, key: str, value: Any, nbytes: int, cas: int, flags: int = 0,
-            ttl: float = 0, hint: Optional[int] = None) -> Generator:
+            ttl: float = 0) -> Generator:
         """Compare-and-swap; returns 'STORED' / 'EXISTS' / 'NOT_FOUND' /
         'NOT_STORED' (allocation failure), or 'NOT_FOUND' when the
         server is down."""
-        return self._primary_only(
-            "cas", key, (key, value, nbytes, cas, flags, ttl), hint, "NOT_FOUND"
-        )
+        return self._primary_only("cas", key, (key, value, nbytes, cas, flags, ttl), "NOT_FOUND")
 
-    def incr(self, key: str, delta: int = 1, hint: Optional[int] = None) -> Generator:
+    def incr(self, key: str, delta: int = 1) -> Generator:
         """Numeric increment; None on miss or dead server."""
-        return self._primary_only("incr", key, (key, delta), hint, None)
+        return self._primary_only("incr", key, (key, delta), None)
 
-    def decr(self, key: str, delta: int = 1, hint: Optional[int] = None) -> Generator:
-        return self._primary_only("decr", key, (key, delta), hint, None)
+    def decr(self, key: str, delta: int = 1) -> Generator:
+        return self._primary_only("decr", key, (key, delta), None)
 
-    def _primary_only(
-        self, op: str, key: str, payload: Any, hint: Optional[int], down: Any
-    ) -> Generator:
+    def _primary_only(self, op: str, key: str, payload: Any, down: Any) -> Generator:
         """cas/incr/decr mutate the **primary** copy only: CAS tokens
         and counters are per-engine, so a token from one owner can never
         match on another and fanned-out counters would drift apart.
@@ -814,7 +779,7 @@ class MemcacheClient:
         old owner a forward probe consults) must miss, never serve the
         pre-mutation value.  *down* is the answer when the primary is
         unreachable."""
-        idxs = self.owners(key, hint)
+        idxs = self.owners(key)
         try:
             reply = yield from self._call(idxs[0], op, payload)
         except RpcError:
@@ -825,26 +790,18 @@ class MemcacheClient:
             yield from self._fanout(idxs[1:], "delete", key)
         return reply
 
-    def delete_multi(self, keys: list[str], hints: Optional[list[Optional[int]]] = None) -> Generator:
+    def delete_multi(self, keys: list[str]) -> Generator:
         """Best-effort bulk delete, batched one RPC per server (used by
         SMCache purges, which may cover every block of a file).
 
         Every key's delete lands on **all** of its owners; ``deletes``
         counts primary-copy removals.
         """
-        if hints is None:
-            hints = [None] * len(keys)
-        elif len(hints) != len(keys):
-            # zip() would silently skip deleting the tail keys — a
-            # coherence hole, not just a perf bug, for SMCache purges.
-            raise ValueError(
-                f"delete_multi: {len(keys)} keys but {len(hints)} hints"
-            )
         primary: dict[int, list[str]] = {}
         extras: dict[int, list[str]] = {}
         owners = self.owners
-        for key, hint in zip(keys, hints):
-            idxs = owners(key, hint)
+        for key in keys:
+            idxs = owners(key)
             primary.setdefault(idxs[0], []).append(key)
             if len(idxs) > 1:
                 self._book_extras(len(idxs) - 1, "replica_deletes")

@@ -4,26 +4,24 @@ IMCa's default is libmemcache's CRC32 hash (§4.2, §5.1); the IOzone
 throughput experiment (§5.5) replaces it with "a static modulo function
 (round-robin) for distributing the data across the cache servers".
 The paper's future work (§7) calls for "different hashing algorithms",
-so the selector is pluggable.
+so the selector is pluggable.  A selector reads nothing but the key: a
+data key names its block (``abspath:<block-offset>``), so the block's
+ordinal is the key's offset suffix over the block size.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from repro.util.crc32 import crc32, memcache_hash
 
 
 class ServerSelector(Protocol):
-    """Maps a key (plus an optional ordinal hint) to a server index."""
+    """Maps a key to a server index."""
 
     name: str
-    #: Whether ``select`` can answer differently for one key under two
-    #: hints.  A client memoises a key's pick only where it cannot (an
-    #: implementation without the attribute is taken to read hints).
-    uses_hint: bool
 
-    def select(self, key: str, nservers: int, hint: Optional[int] = None) -> int:
+    def select(self, key: str, nservers: int) -> int:
         ...  # pragma: no cover
 
 
@@ -31,26 +29,32 @@ class Crc32Selector:
     """libmemcache default: fold CRC32 to 15 bits, modulo server count."""
 
     name = "crc32"
-    uses_hint = False
 
-    def select(self, key: str, nservers: int, hint: Optional[int] = None) -> int:
+    def select(self, key: str, nservers: int) -> int:
         return memcache_hash(key) % nservers
 
 
 class ModuloSelector:
     """Round-robin by block ordinal (the §5.5 striping distribution).
 
-    Callers pass the block index as *hint*; keys without a hint fall
-    back to CRC32 so metadata (``:stat``) entries still distribute.
+    A data key ``abspath:<block-offset>`` goes to its block's ordinal,
+    ``offset // block_size``, modulo the server count; any other key
+    (``:stat``) falls back to CRC32, so metadata entries still
+    distribute.
     """
 
     name = "modulo"
-    uses_hint = True
 
-    def select(self, key: str, nservers: int, hint: Optional[int] = None) -> int:
-        if hint is None:
-            return memcache_hash(key) % nservers
-        return hint % nservers
+    def __init__(self, block_size: int) -> None:
+        if block_size < 1:
+            raise ValueError(f"block_size must be >= 1: {block_size}")
+        self.block_size = block_size
+
+    def select(self, key: str, nservers: int) -> int:
+        _, colon, offset = key.rpartition(":")
+        if colon and offset.isdecimal():
+            return int(offset) // self.block_size % nservers
+        return memcache_hash(key) % nservers
 
 
 class KetamaSelector:
@@ -64,7 +68,6 @@ class KetamaSelector:
     """
 
     name = "ketama"
-    uses_hint = False
 
     def __init__(self, vnodes: int = 160) -> None:
         if vnodes < 1:
@@ -130,7 +133,7 @@ class KetamaSelector:
             idx = 0
         return owners[idx]
 
-    def select(self, key: str, nservers: int, hint: Optional[int] = None) -> int:
+    def select(self, key: str, nservers: int) -> int:
         if nservers == 1:
             return 0
         hashes, owners = self._ring(nservers)
@@ -171,13 +174,13 @@ class ReplicatedSelector:
         self.replicas = replicas
         self._ring = KetamaSelector(vnodes)
 
-    def select(self, key: str, nservers: int, hint: Optional[int] = None) -> int:
+    def select(self, key: str, nservers: int) -> int:
         """The primary owner — identical to the base selector's pick."""
-        return self.base.select(key, nservers, hint)
+        return self.base.select(key, nservers)
 
-    def replicas_for(self, key: str, nservers: int, hint: Optional[int] = None) -> list[int]:
+    def replicas_for(self, key: str, nservers: int) -> list[int]:
         """All owners of *key*, primary first; ``min(R, nservers)`` long."""
-        primary = self.base.select(key, nservers, hint)
+        primary = self.base.select(key, nservers)
         r = min(self.replicas, nservers)
         if r <= 1:
             return [primary]
@@ -201,8 +204,10 @@ class ReplicatedSelector:
 SELECTORS = {"crc32": Crc32Selector, "modulo": ModuloSelector, "ketama": KetamaSelector}
 
 
-def selector(name: str) -> ServerSelector:
+def selector(name: str, block_size: int = 2048) -> ServerSelector:
+    """The selector *name*; ``modulo`` stripes blocks of *block_size*."""
     try:
-        return SELECTORS[name]()
+        cls = SELECTORS[name]
     except KeyError:
         raise KeyError(f"unknown selector {name!r}; available: {sorted(SELECTORS)}") from None
+    return cls(block_size) if cls is ModuloSelector else cls()

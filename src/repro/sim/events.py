@@ -85,12 +85,6 @@ class Event:
         self.sim._schedule(self, NORMAL)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy state from an already-triggered *event* (chaining)."""
-        self._ok = event._ok
-        self._value = event._value
-        self.sim._schedule(self, NORMAL)
-
     def defused(self) -> None:
         """Mark a failed event as handled so the engine won't re-raise."""
         self._defused = True

@@ -1,6 +1,6 @@
 """Read-path optimisations: partial fills, readahead, the hot cache —
-plus the satellite fixes that ride along (hint-length validation,
-key-string memoisation, open-db refcounting, write push ordering)."""
+plus the satellite fixes that ride along (key-string memoisation,
+open-db refcounting, write push ordering)."""
 
 import pytest
 
@@ -545,9 +545,9 @@ def test_write_pushes_blocks_before_fresh_stat():
         pushed.append(key)
         return orig_set(key, value, **kw)
 
-    def recording_set_multi(items, hints=None):
+    def recording_set_multi(items):
         pushed.extend(item[0] for item in items)
-        return orig_set_multi(items, hints)
+        return orig_set_multi(items)
 
     sm.mc.set = recording_set
     sm.mc.set_multi = recording_set_multi
@@ -564,18 +564,3 @@ def test_write_pushes_blocks_before_fresh_stat():
     assert block_positions, "write read-back pushed no blocks"
     assert stat_positions, "write pushed no fresh stat"
     assert min(stat_positions) > max(block_positions)
-
-
-# --------------------------------------------------------------------------- #
-# hint-length validation (satellite)
-# --------------------------------------------------------------------------- #
-def test_multi_ops_reject_mismatched_hints():
-    tb = make()
-    mc = tb.cmcaches[0].mc
-    with pytest.raises(ValueError, match="2 keys but 1 hints"):
-        next(mc.get_multi(["/a:0", "/a:2048"], [0]))
-    with pytest.raises(ValueError, match="1 keys but 3 hints"):
-        next(mc.delete_multi(["/a:0"], [0, 1, 2]))
-    # None hints (the common internal call) still work.
-    r = drive(tb, mc.get_multi(["/a:0", "/a:2048"]))
-    assert r == {}

@@ -72,15 +72,19 @@ def test_keys_distribute_across_servers():
 
 
 def test_modulo_selector_round_robins_hints():
-    sim, client, daemons = make_cluster(n_mcds=4, selector=ModuloSelector())
+    """Block ``b``'s key goes to daemon ``b % 4``: the key's offset is
+    the only routing input."""
+    sim, client, daemons = make_cluster(n_mcds=4, selector=ModuloSelector(2048))
 
     def proc():
         for block in range(100):
-            yield from client.set(f"/f:{block * 2048}", None, 100, hint=block)
+            yield from client.set(f"/f:{block * 2048}", None, 100)
 
     drive(sim, proc())
     counts = [d.engine.curr_items for d in daemons]
     assert counts == [25, 25, 25, 25]
+    for block in range(100):
+        assert f"/f:{block * 2048}" in daemons[block % 4].engine._items
 
 
 def test_get_multi_batches_per_server():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.keys import KeyCache
 from repro.memcached import MemcacheClient, MemcachedDaemon
 from repro.memcached.hashing import (
     Crc32Selector,
@@ -13,6 +14,7 @@ from repro.memcached.hashing import (
 from repro.net import IPOIB, Endpoint, Network, Node
 from repro.sim import Simulator
 from repro.util import MiB
+from repro.util.crc32 import memcache_hash
 
 
 def keys(n=2000):
@@ -51,10 +53,32 @@ def test_distribution_roughly_uniform(name):
 
 
 def test_modulo_uses_hint():
-    sel = ModuloSelector()
-    assert [sel.select("k", 4, hint=h) for h in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
-    # No hint: falls back to hashing, still in range.
-    assert 0 <= sel.select("k", 4) < 4
+    """The block ordinal a data key carries (its offset over the block
+    size) is the modulo pick; a key with no decimal offset suffix falls
+    back to hashing, still in range."""
+    sel = ModuloSelector(2048)
+    assert [sel.select(f"/f:{b * 2048}", 4) for b in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
+    assert [sel.select(f"/f:{b * 2048}", 4) for b in range(8)] == [
+        ModuloSelector(4096).select(f"/f:{b * 4096}", 4) for b in range(8)
+    ]
+    for key in ("k", "/f:stat", "/f:", "/f:-2048", "2048", "/f:1e3"):
+        assert sel.select(key, 4) == memcache_hash(key) % 4
+    with pytest.raises(ValueError):
+        ModuloSelector(0)
+
+
+@pytest.mark.parametrize("block_size", [256, 2048, 8192])
+@pytest.mark.parametrize("n", [1, 3, 4, 5])
+def test_modulo_picks_a_key_tables_block_index_and_hashes_stat_keys(block_size, n):
+    """Every key a :class:`KeyCache` names for block ``i`` goes to
+    ``i % n``, and every ``:stat`` key to ``memcache_hash(key) % n``,
+    even for a path that itself contains ``:`` and digits."""
+    sel, table = selector("modulo", block_size), KeyCache(block_size=block_size)
+    for path in ("/mnt/vol/a", "/mnt/vol/odd:name/x:7", "/a:0"):
+        for index, key in enumerate(table.data_keys(path, 0, 40)):
+            assert sel.select(key, n) == index % n, key
+        skey = table.stat_key(path)
+        assert sel.select(skey, n) == memcache_hash(skey) % n
 
 
 def test_ketama_minimal_remap_on_grow():
@@ -179,25 +203,20 @@ def test_remap_fraction_bounded_on_remove(n):
 
 
 @pytest.mark.parametrize("name", ["crc32", "modulo", "ketama"])
-def test_a_clients_memoised_owner_is_the_selectors_pick_for_every_key_and_hint(name):
-    """A client memoises a key's owner (per membership epoch) where the
-    pick cannot depend on the hint; ``ModuloSelector`` reads it, so the
-    same key under two hints must still land on two owners.  Every
-    lookup is asked twice, so the second answer comes from the memo
-    wherever there is one."""
+def test_a_clients_memoised_owner_is_the_selectors_pick_for_every_key_and_selector(name):
+    """A client memoises every key's owner (per membership epoch) under
+    every selector, ``modulo`` included: the pick reads the key alone.
+    Every lookup is asked twice, so the second answer comes from the
+    memo."""
     sim = Simulator()
     net = Network(sim, IPOIB)
     daemons = [MemcachedDaemon(sim, net, Node(sim, f"m{i}"), MiB) for i in range(4)]
     sel = selector(name)
     mc = MemcacheClient(Endpoint(net, Node(sim, "client")), daemons, selector(name))
-    for key in keys(100):
-        for hint in (None, 0, 1, 2, 3, 5, None, 6, 7, 0):
-            want = sel.select(key, 4, hint)
-            for _ in range(2):
-                assert mc.owners(key, hint) == [want], (key, hint)
-                memo = mc._read_memo()
-                assert memo.get(key, mc._read_idx(key, hint)) == want, (key, hint)
-    # Only hint-free picks are memoised under a selector that reads hints.
-    assert not sel.uses_hint or all(
-        mc._primaries[k] == sel.select(k, 4) for k in mc._primaries
-    )
+    ks = keys(100) + [f"/mnt/vol/f{i}:stat" for i in range(20)]
+    for key in ks:
+        want = sel.select(key, 4)
+        for _ in range(2):
+            assert mc.owners(key) == [want], key
+            assert mc._read_memo().get(key, mc._read_idx(key)) == want, key
+    assert mc._primaries == {k: sel.select(k, 4) for k in ks}

@@ -317,12 +317,12 @@ def test_client_static_path_identical_with_idle_membership():
         )
 
 
-def _fresh_pick(client, key, hint=None):
+def _fresh_pick(client, key):
     """*key*'s primary computed from scratch over the current ring."""
     ring = client.membership.ring_ids
     if isinstance(client.selector, KetamaSelector):
         return KetamaSelector().owner(key, ring)
-    return ring[client.selector.select(key, len(ring), hint)]
+    return ring[client.selector.select(key, len(ring))]
 
 
 @pytest.mark.parametrize(
@@ -351,28 +351,27 @@ def test_a_resize_never_routes_by_a_stale_memoised_owner(selector_name, change):
         )
 
     b, brick = peer("client-b"), peer("brick")
-    ks = [f"/f{i % 7}:{i * 2048}" for i in range(200)]
-    hints = [None if i % 6 == 0 else i % 5 for i in range(200)]
+    # Data keys of 2 KiB blocks, every sixth a ``:stat`` key instead.
+    ks = [f"/f{i % 7}:stat" if i % 6 == 0 else f"/f{i % 7}:{i * 2048}" for i in range(200)]
 
     def routes(c):
         memo = c._read_memo()
-        return [
-            (c.owners(k, h)[0], memo.get(k, c._read_idx(k, h)))
-            for k, h in zip(ks, hints)
-        ]
+        return [(c.owners(k)[0], memo.get(k, c._read_idx(k))) for k in ks]
 
     def fresh():
-        return [(_fresh_pick(client, k, h),) * 2 for k, h in zip(ks, hints)]
+        return [(_fresh_pick(client, k),) * 2 for k in ks]
 
-    def hintless_only(table):
-        # A selector that reads hints memoises only hint-free picks.
-        return all(v == _fresh_pick(client, k) for k, v in table.items())
+    def memoised_fresh(table):
+        # Every routed key's pick is memoised, and is the fresh pick.
+        return table.keys() == set(ks) and all(
+            v == _fresh_pick(client, k) for k, v in table.items()
+        )
 
     before = routes(client)
     assert before == fresh()
     assert routes(b)[:3] == before[:3]  # B holds this epoch's table
     old = ms.owner_table(sel)
-    assert old and b._primaries is old and hintless_only(old)
+    assert b._primaries is old and memoised_fresh(old)
     snapshot = dict(old)
     if change == "add":
         ctrl.add(window=0.01)
@@ -390,13 +389,13 @@ def test_a_resize_never_routes_by_a_stale_memoised_owner(selector_name, change):
     new = ms.owner_table(sel)
     assert new is not old and dict(old) == snapshot
     assert client._primaries is new and b._primaries is new and brick._primaries is new
-    assert new and hintless_only(new)
+    assert memoised_fresh(new)
     # A different selector instance on the same membership routes alike
     # from a table of its own.
     other = peer("client-d", make_selector(selector_name))
     assert routes(other) == after
     assert other._primaries is not new and other._primaries == new
     # A batch routes by the same picks: every key lands on its new owner.
-    drive(sim, b.set_multi([(k, i, 8, 0, 0) for i, k in enumerate(ks)], hints))
+    drive(sim, b.set_multi([(k, i, 8, 0, 0) for i, k in enumerate(ks)]))
     for (owner, _), k in zip(after, ks):
         assert ms.members[owner].daemon.engine.get(k) is not None

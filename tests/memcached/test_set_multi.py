@@ -114,12 +114,6 @@ def small_bank(n, mem=PAGE_SIZE):
     return sim, MemcacheClient(Endpoint(net, Node(sim, "client")), daemons), daemons
 
 
-def test_set_multi_rejects_mismatched_hints():
-    _sim, client, _ = small_bank(2)
-    with pytest.raises(ValueError, match="2 items but 1 hints"):
-        next(client.set_multi([("a", b"x", 1, 0, 0), ("b", b"y", 1, 0, 0)], [0]))
-
-
 def test_duplicate_keys_keep_the_last_value():
     sim, client, daemons = small_bank(2)
     items = [("k", b"first", 5, 0, 0), ("other", b"o", 1, 0, 0), ("k", b"last", 4, 0, 0)]

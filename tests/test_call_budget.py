@@ -80,9 +80,11 @@ BUDGET = {
     # while the brick fop resumed a ``ClientProtocol`` frame around
     # ``Endpoint.call`` and a ``PosixXlator._charge`` frame, and the
     # page cache booked a ``Counter.inc`` per page.  151 / 186 while each
-    # of the six messages' ``transfer`` called ``delivery_time``.
-    "cold_read_2k": 145,
-    "cold_read_16k": 180,
+    # of the six messages' ``transfer`` called ``delivery_time``.  145 /
+    # 180 while SMCache's push asked ``_fanout_width`` for a replica
+    # count its client already books.
+    "cold_read_2k": 144,
+    "cold_read_16k": 179,
     # Before every mutation walked one owner list: 358 / 663 / 149.
     # Routing a key was ``_window_targets`` + ``_replicas_for`` +
     # ``_idx_for`` + ``select``; it is ``owners`` + ``select``.
@@ -112,14 +114,16 @@ BUDGET = {
     # ``ClientProtocol`` and ``_charge`` frames and ``LocalFS`` entered
     # ``_wait`` even with nothing to wait for.  230 / 201 / 120 while
     # each message's ``transfer`` called ``delivery_time`` (6 / 4 / 4
-    # messages).
-    "write_4k": 224,
+    # messages).  224 / 197 / 116 while every SMCache push and purge
+    # asked ``_fanout_width`` (two pushes in the write, one purge in the
+    # close, one ``:stat`` push in the open).
+    "write_4k": 222,
     # 272 while the purge asked ``KeyCache.data_key`` and
     # ``block_index`` once per purged block (64 calls for 32); the
     # purge index holds block indices and the keys are one
     # ``data_keys`` slice of the path's key list.
-    "close": 197,
-    "open": 116,
+    "close": 196,
+    "open": 115,
     # NoCache, the brick path alone.  89 / 60 while the fop resumed a
     # ``ClientProtocol`` frame, a ``_charge`` frame and (on the disk
     # wake) ``LocalFS._wait``, the wait was a ``Timeout`` and the page
