@@ -20,7 +20,6 @@ from repro.core.config import IMCaConfig
 from repro.core.keys import KeyCache
 from repro.core.smcache import SMCacheXlator
 from repro.gluster.client import GlusterClient
-from repro.gluster.distribute import DistributeXlator
 from repro.gluster.protocol import ClientProtocol
 from repro.gluster.server import GlusterServer
 from repro.gluster.xlator import Xlator
@@ -90,8 +89,6 @@ class TestbedConfig:
     server_cache_bytes: int = 6 * GiB
     #: RAID members at the GlusterFS/NFS server (§5.1: 8 disks).
     raid_disks: int = 8
-    #: GlusterFS bricks (1 in the paper; >1 exercises distribute).
-    num_bricks: int = 1
 
     # -- IMCa -----------------------------------------------------------------
     #: Number of MemCached daemons (0 = the paper's "NoCache").
@@ -110,15 +107,12 @@ class TestbedConfig:
     # -- Lustre ------------------------------------------------------------------
     #: Data servers (1DS / 4DS in §5).
     num_data_servers: int = 1
-    stripe_size: int = 1 * MiB
 
     def __post_init__(self) -> None:
         if self.num_clients < 1:
             raise ValueError("need at least one client")
         if self.num_mcds < 0:
             raise ValueError("num_mcds must be >= 0")
-        if self.num_bricks < 1:
-            raise ValueError("num_bricks must be >= 1")
         # Replication needs R distinct daemons to hold R copies; a
         # config asking for more replicas than MCDs is a sizing mistake,
         # not something to silently clamp.
@@ -150,6 +144,7 @@ class GlusterTestbed:
     sim: Simulator
     net: Network
     config: TestbedConfig
+    #: One brick (§5.1): ``servers`` and ``smcaches`` are lists of one.
     servers: list[GlusterServer]
     mcds: list[MemcachedDaemon]
     clients: list[GlusterClient]
@@ -246,7 +241,7 @@ class GlusterTestbed:
         return merged_counters(cm.metrics if cm else None for cm in self.cmcaches)
 
     def sm_stats(self) -> dict[str, int]:
-        """Aggregated SMCache translator counters across all bricks."""
+        """The brick's SMCache translator counters."""
         return merged_counters(sm.metrics if sm else None for sm in self.smcaches)
 
     def mcclient_stats(self) -> dict[str, int]:
@@ -405,32 +400,27 @@ def build_gluster_testbed(
     keys = KeyCache(block_size=cfg.imca.block_size)
     select = make_selector(cfg.imca.selector, cfg.imca.block_size)
 
-    # Brick servers (one in the paper's configuration).
-    servers: list[GlusterServer] = []
-    smcaches: list[Optional[SMCacheXlator]] = []
-    for b in range(cfg.num_bricks):
-        snode = Node(sim, f"gfs-server{b}" if cfg.num_bricks > 1 else "gfs-server")
-        fs = _make_fs(sim, f"brick{b}", cfg.raid_disks, cfg.server_cache_bytes, tracer)
-        server_xlators: list[Xlator] = []
-        smcache: Optional[SMCacheXlator] = None
-        if use_imca:
-            # rr_seed staggers the read round-robin start per holder so
-            # concurrent readers don't stampede the same replica first.
-            mc = MemcacheClient(
-                Endpoint(cache_net, snode, tracer=tracer), mcds,
-                select, health=mcd_health,
-                replicas=cfg.imca.replicas, rr_seed=b,
-                membership=membership,
-            )
-            smcache = SMCacheXlator(
-                sim, mc, cfg.imca, metrics=reg.component(f"smcache.{snode.name}"),
-                keys=keys,
-            )
-            server_xlators.append(smcache)
-        servers.append(
-            GlusterServer(sim, net, snode, fs, server_xlators, tracer=tracer)
+    # The one brick server (§5.1).
+    snode = Node(sim, "gfs-server")
+    fs = _make_fs(sim, "brick0", cfg.raid_disks, cfg.server_cache_bytes, tracer)
+    server_xlators: list[Xlator] = []
+    smcache: Optional[SMCacheXlator] = None
+    if use_imca:
+        # rr_seed staggers the read round-robin start per holder (the
+        # brick's is 0, client i's is 1 + i) so concurrent readers don't
+        # stampede the same replica first.
+        mc = MemcacheClient(
+            Endpoint(cache_net, snode, tracer=tracer), mcds,
+            select, health=mcd_health,
+            replicas=cfg.imca.replicas, rr_seed=0,
+            membership=membership,
         )
-        smcaches.append(smcache)
+        smcache = SMCacheXlator(
+            sim, mc, cfg.imca, metrics=reg.component(f"smcache.{snode.name}"),
+            keys=keys,
+        )
+        server_xlators.append(smcache)
+    server = GlusterServer(sim, net, snode, fs, server_xlators, tracer=tracer)
 
     # Clients.
     clients: list[GlusterClient] = []
@@ -439,15 +429,14 @@ def build_gluster_testbed(
     for i in range(cfg.num_clients):
         cnode = Node(sim, f"client{i}")
         ep = Endpoint(net, cnode, tracer=tracer)
-        protocols = [ClientProtocol(ep, server, retry=server_retry) for server in servers]
-        bottom: Xlator = protocols[0] if len(protocols) == 1 else DistributeXlator(protocols)
+        protocol = ClientProtocol(ep, server, retry=server_retry)
         stack: list[Xlator] = []
         cmcache: Optional[CMCacheXlator] = None
         if use_imca:
             mc_ep = ep if cache_net is net else Endpoint(cache_net, cnode, tracer=tracer)
             mc = MemcacheClient(
                 mc_ep, mcds, select, health=mcd_health,
-                replicas=cfg.imca.replicas, rr_seed=cfg.num_bricks + i,
+                replicas=cfg.imca.replicas, rr_seed=1 + i,
                 membership=membership,
             )
             cmcache = CMCacheXlator(
@@ -455,7 +444,7 @@ def build_gluster_testbed(
                 sim=sim, keys=keys,
             )
             stack.append(cmcache)
-        stack.append(bottom)
+        stack.append(protocol)
         clients.append(GlusterClient(sim, cnode, Xlator.build_stack(stack), tracer=tracer))
         cmcaches.append(cmcache)
         client_endpoints.append(ep)
@@ -463,7 +452,7 @@ def build_gluster_testbed(
             client_endpoints.append(cmcache.mc.endpoint)
 
     tb = GlusterTestbed(
-        sim, net, cfg, servers, mcds, clients, cmcaches, smcaches, obs,
+        sim, net, cfg, [server], mcds, clients, cmcaches, [smcache], obs,
         streams=streams, membership=membership, spawn_mcd=spawn_mcd,
         client_endpoints=client_endpoints,
     )
@@ -490,9 +479,10 @@ class LustreTestbed:
     obs: Observability = field(default_factory=Observability)
 
 
-#: Lustre node sizing: per-client cache budget, and each data server's
-#: page cache and disk count.
+#: Lustre node sizing: per-client cache budget, stripe size, and each
+#: data server's page cache and disk count.
 LUSTRE_CLIENT_CACHE = 1 * GiB
+LUSTRE_STRIPE_SIZE = 1 * MiB
 OST_CACHE_BYTES = 6 * GiB
 OST_DISKS = 2
 
@@ -507,7 +497,7 @@ def build_lustre_testbed(
     tracer = obs.tracer
     net = Network(sim, profile(cfg.transport))
 
-    layout = StripeLayout(count=cfg.num_data_servers, stripe_size=cfg.stripe_size)
+    layout = StripeLayout(count=cfg.num_data_servers, stripe_size=LUSTRE_STRIPE_SIZE)
     mds_node = Node(sim, "mds")
     mds_fs = _make_fs(sim, "mdt", disks=2, cache_bytes=2 * GiB, tracer=tracer)
     mds = MetadataServer(sim, net, mds_node, mds_fs, layout)

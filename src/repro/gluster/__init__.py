@@ -1,10 +1,14 @@
 """A GlusterFS-like clustered file system (§2.1 of the paper).
 
-Translator (xlator) architecture with client and server stacks:
+Translator (xlator) architecture with client and server stacks, over
+one server brick (§5.1):
 
-* client: FUSE entry -> [CMCache] -> [read-ahead/write-behind] ->
-  [distribute] -> protocol/client
+* client: FUSE entry -> [CMCache] -> protocol/client
 * server: protocol service -> [SMCache] -> storage/posix -> LocalFS
+
+io-cache (the client-side cache of the §1 coherency anti-pattern) and
+io-stats (a measurement probe) are translators a test or an ablation
+can put into a client stack; the default testbed builds neither.
 
 The IMCa translators live in :mod:`repro.core` and plug into these
 stacks exactly as §4.1 describes.
@@ -19,13 +23,10 @@ from repro.gluster.costs import (
     SERVER_OP_CPU,
     STAT_WIRE,
 )
-from repro.gluster.distribute import DistributeXlator
 from repro.gluster.iocache import IoCacheXlator
 from repro.gluster.iostats import IoStatsXlator
 from repro.gluster.protocol import ClientProtocol
-from repro.gluster.readahead import ReadAheadXlator
 from repro.gluster.server import GlusterServer, PosixXlator, SERVICE
-from repro.gluster.writebehind import WriteBehindXlator
 from repro.gluster.xlator import FOPS, Xlator
 
 __all__ = [
@@ -35,11 +36,8 @@ __all__ = [
     "GlusterServer",
     "PosixXlator",
     "ClientProtocol",
-    "DistributeXlator",
     "IoCacheXlator",
     "IoStatsXlator",
-    "ReadAheadXlator",
-    "WriteBehindXlator",
     "BadFd",
     "SERVICE",
     "FUSE_OP_CPU",

@@ -133,9 +133,6 @@ class GlusterClient:
         self.stats.inc("stats")
         return self._op("client.stat", path, self.stack.stat(path))
 
-    def fstat(self, fd: int) -> Generator:
-        return self.stat(self.path_of(fd))
-
     def truncate(self, path: str, length: int) -> Generator:
         return self._op("client.truncate", path, self.stack.truncate(path, length))
 

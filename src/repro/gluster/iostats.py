@@ -1,9 +1,9 @@
 """debug/io-stats translator: per-fop counters and latency statistics.
 
 Like GlusterFS's io-stats, it can be dropped anywhere in a stack to
-observe the traffic crossing that point — experiments use one above
-and one below CMCache to attribute latency to cache hits vs the server
-path.
+observe the traffic crossing that point.  No testbed builds one; a test
+puts it into a client stack by hand (above CMCache, it times cache hits
+and server round trips alike).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.util.intervals import IntervalVersionMap, intervals_equal
+from repro.util.intervals import IntervalVersionMap
 
 
 @dataclass
@@ -53,14 +53,6 @@ class ReadResult:
     size: int  # actual bytes returned (may be short at EOF)
     intervals: list[tuple[int, int, int]] = field(default_factory=list)
     data: Optional[bytes] = None
-
-    def same_content(self, other: "ReadResult") -> bool:
-        """True iff both results describe identical bytes."""
-        if (self.offset, self.size) != (other.offset, other.size):
-            return False
-        if self.data is not None and other.data is not None:
-            return self.data == other.data
-        return intervals_equal(self.intervals, other.intervals)
 
 
 def slice_result(r: ReadResult, offset: int, size: int) -> ReadResult:

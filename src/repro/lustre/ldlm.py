@@ -103,7 +103,3 @@ class LockManager:
                 self.release(holder, path)
                 n += 1
         return n
-
-    def holder_count(self, path: str) -> int:
-        fl = self._files.get(path)
-        return len(fl.granted) if fl else 0

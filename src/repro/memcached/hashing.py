@@ -153,8 +153,8 @@ class ReplicatedSelector:
     ``abspath:stat`` key to a single daemon, so one MCD saturates while
     the rest idle.  Replication gives each key R *distinct* owners:
 
-    * the **primary** is whatever the base selector picks — ``select``
-      returns it unchanged, so R=1 behaves byte-identically to the base;
+    * the **primary** is whatever the base selector picks, so R=1
+      behaves byte-identically to the base;
     * the remaining replicas come from walking a ketama ring clockwise
       from the key's hash point, skipping servers already chosen.  The
       ring walk keeps replica sets stable when the array grows and
@@ -173,10 +173,6 @@ class ReplicatedSelector:
         self.base = base
         self.replicas = replicas
         self._ring = KetamaSelector(vnodes)
-
-    def select(self, key: str, nservers: int) -> int:
-        """The primary owner — identical to the base selector's pick."""
-        return self.base.select(key, nservers)
 
     def replicas_for(self, key: str, nservers: int) -> list[int]:
         """All owners of *key*, primary first; ``min(R, nservers)`` long."""

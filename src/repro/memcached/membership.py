@@ -186,9 +186,6 @@ class McdMembership:
     def close_window(self, subject: int) -> None:
         self.windows = [w for w in self.windows if w.subject != subject]
 
-    def has_active_windows(self, now: float) -> bool:
-        return any(w.active(now) for w in self.windows)
-
     def forward_source(
         self, key: str, owner_id: int, ketama: KetamaSelector, now: float
     ) -> Optional[int]:

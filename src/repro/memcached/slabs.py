@@ -79,12 +79,6 @@ class SlabAllocator:
             return None
         return self.classes[bisect_left(self._chunk_sizes, size)]
 
-    def alloc(self, size: int) -> SlabClass | None:
-        """Take one chunk for an item of *size* bytes: the class used,
-        or ``None`` when it does not fit a page or memory is exhausted."""
-        cls = self.class_for(size)
-        return cls if cls is not None and self.alloc_in(cls) else None
-
     def alloc_in(self, cls: SlabClass) -> bool:
         """Take one chunk of *cls* (the caller's :meth:`class_for` pick).
 

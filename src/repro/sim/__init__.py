@@ -18,7 +18,7 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.monitor import Metrics, Tracer
-from repro.sim.process import Join, Landing, Process, ProcessGenerator
+from repro.sim.process import Join, Process, ProcessGenerator
 from repro.sim.rand import RandomStreams
 from repro.sim.resources import Container, PriorityResource, Request, Resource
 from repro.sim.station import FifoStation
@@ -35,7 +35,6 @@ __all__ = [
     "AnyOf",
     "Process",
     "Join",
-    "Landing",
     "ProcessGenerator",
     "Interrupt",
     "SimulationError",

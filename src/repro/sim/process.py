@@ -12,11 +12,10 @@ A :class:`Join` (``Simulator.gather``) is the fork-join form for
 short-lived children: each child runs as a :class:`Strand` — the same
 resume loop, the same identity the tracer keys on — but starts inside
 the call and reports to the join instead of owning schedule entries.
-A strand whose last step is a booked arrival may return a
-:class:`Landing` instead of sleeping on it.  A child need not be a
-generator at all: anything that reports through :class:`JoinChild`
-(an RPC leg booked as callbacks, ``repro.net.rpc.Leg``) joins the same
-way.
+A child need not be a generator at all: anything that reports through
+:class:`JoinChild` (an RPC leg booked as callbacks, ``repro.net.rpc.Leg``)
+joins the same way, and may land its value at a booked arrival instead
+of sleeping on it.
 
 Every runner carries ``ready``: the instant before which nothing it
 sends may depart.  A runner that has booked work it need not sleep on —
@@ -73,23 +72,6 @@ def departure(sim: "Simulator") -> float:
     if runner is not None and runner.ready > now:
         return runner.ready
     return now
-
-
-class Landing:
-    """A strand's return value that has not arrived yet: *value*, due at
-    the absolute time *at* (a float a timed wait would have yielded).
-
-    Returning it instead of yielding *at* and then returning *value*
-    saves the strand's wake-up; its :class:`Join` fires no earlier than
-    the latest landing of its strands (DESIGN §7, "Landed legs").  A
-    landing at or before ``now`` is a plain return.
-    """
-
-    __slots__ = ("value", "at")
-
-    def __init__(self, value: Any, at: float) -> None:
-        self.value = value
-        self.at = at
 
 
 class _Runner:
@@ -245,8 +227,12 @@ class JoinChild:
     __slots__ = ()
 
     def land(self, value: Any, at: float = -inf) -> None:
-        """Report *value*, counted from the instant *at* (a
-        :class:`Landing`'s; a plain return is ``-inf``)."""
+        """Report *value*, counted from the absolute instant *at* (a
+        float a timed wait would have yielded; a plain return is
+        ``-inf``).  To land rather than sleep until *at* saves the
+        child's wake-up; the :class:`Join` fires no earlier than the
+        latest landing (DESIGN §7, "Landed legs"), and a landing at or
+        before ``now`` is a plain return."""
         join = self._join
         if at > join._landing:
             join._landing = at
@@ -305,11 +291,8 @@ class Strand(_Runner, JoinChild):
         self._index = index
         self._resume(NO_EVENT)
 
-    def succeed(self, value: Any) -> None:
-        if value.__class__ is Landing:
-            self.land(value.value, value.at)
-        else:
-            self.land(value)
+    #: A strand's return value is a plain return: it lands now.
+    succeed = JoinChild.land
 
 
 class Join(Event):
@@ -323,10 +306,10 @@ class Join(Event):
     :class:`Process`.  Delivery is an ordinary scheduled event, not a
     synchronous wake-up (DESIGN §7).
 
-    A child may report a landing (:meth:`JoinChild.land`, a strand's
-    :class:`Landing`): its value then counts from the landing's
-    instant, and the join's one entry is booked, when the last child
-    reports, at the latest landing (or now, if later).
+    A child may report a landing (:meth:`JoinChild.land` with an
+    instant): its value then counts from the landing's instant, and
+    the join's one entry is booked, when the last child reports, at the
+    latest landing (or now, if later).
 
     The first child to raise fails the join with its exception, at the
     instant it raises; the other children keep running and their

@@ -51,7 +51,3 @@ class RandomStreams:
             gen = np.random.default_rng(child)
             self._streams[name] = gen
         return gen
-
-    def reset(self) -> None:
-        """Drop all streams; the next `stream()` calls start fresh."""
-        self._streams.clear()

@@ -104,10 +104,6 @@ class IntervalVersionMap:
             out.append((pos, end, HOLE))
         return out
 
-    def max_version(self, start: int, end: int) -> int:
-        """Highest version present in ``[start, end)`` (HOLE if none)."""
-        return max((v for _, _, v in self.read(start, end)), default=HOLE)
-
     def check_invariants(self) -> None:
         """Raise AssertionError if internal structure is corrupt
         (sorted, disjoint, coalesced, positive versions)."""

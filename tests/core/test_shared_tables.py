@@ -24,10 +24,10 @@ from repro.util import KiB, MiB
 FILE = 8 * KiB
 
 
-def make(num_clients=4, num_bricks=2, selector="crc32", num_mcds=3):
+def make(num_clients=4, selector="crc32", num_mcds=3):
     return build_gluster_testbed(
         TestbedConfig(
-            num_clients=num_clients, num_bricks=num_bricks, num_mcds=num_mcds,
+            num_clients=num_clients, num_mcds=num_mcds,
             imca=IMCaConfig(selector=selector),
         )
     )
@@ -89,7 +89,7 @@ def test_every_translator_and_client_of_a_testbed_shares_one_table_each():
     keys = tb.cmcaches[0]._keys
     assert all(x._keys is keys for x in tb.cmcaches + tb.smcaches)
     mcs = every_mc(tb)
-    assert len(mcs) == 6
+    assert len(mcs) == 5
     sel = mcs[0].selector
     assert all(mc.selector is sel for mc in mcs)
     assert all(mc.membership is tb.membership for mc in mcs)
@@ -106,7 +106,7 @@ def test_table_sizes_do_not_grow_with_the_client_count():
     files = paths(64)
     sizes, results = [], []
     for n in (1, 16):
-        tb = make(num_clients=n, num_bricks=1)
+        tb = make(num_clients=n)
         create(tb, files)
         outs = [[] for _ in range(n)]
         run(tb, *(stat_and_read(c, files, o) for c, o in zip(tb.clients, outs)))

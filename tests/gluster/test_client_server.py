@@ -163,35 +163,3 @@ def test_write_data_optional():
     assert v2 > v1
     assert r.size == 20
     assert [iv[2] for iv in r.intervals] == [v1, v2]
-
-
-def test_multi_brick_distribute_spreads_files():
-    tb = make(num_bricks=4)
-    c = tb.clients[0]
-
-    def w():
-        for i in range(40):
-            fd = yield from c.create(f"/spread/f{i:03d}")
-            yield from c.write(fd, 0, 64)
-            yield from c.close(fd)
-
-    drive(tb, w())
-    counts = [
-        sum(s.fs.exists(f"/spread/f{i:03d}") for i in range(40)) for s in tb.servers
-    ]
-    assert sum(counts) == 40
-    assert sum(1 for n in counts if n > 0) >= 3  # spread over bricks
-
-
-def test_fstat_uses_fd_path():
-    tb = make()
-    c = tb.clients[0]
-
-    def w():
-        fd = yield from c.create("/f")
-        yield from c.write(fd, 0, 5, b"aaaaa")
-        st = yield from c.fstat(fd)
-        return st
-
-    st = drive(tb, w())
-    assert st.size == 5

@@ -79,41 +79,3 @@ def test_fsync_through_gluster_stack():
     assert elapsed > 0.005  # durability barrier reached the RAID
     assert tb.server.stats.get("fop_fsync") == 1
     assert tb.server.fs.stats.get("fsyncs") == 1
-
-
-def test_fsync_through_writebehind_flushes_pending():
-    from repro.gluster.client import GlusterClient
-    from repro.gluster.protocol import ClientProtocol
-    from repro.gluster.writebehind import WriteBehindXlator
-    from repro.gluster.xlator import Xlator
-    from repro.net.fabric import Node
-    from repro.net.rpc import Endpoint
-
-    tb = build_gluster_testbed(TestbedConfig(num_clients=1))
-    node = Node(tb.sim, "wb-client")
-    wb = WriteBehindXlator(window=1 * MiB)
-    stack = Xlator.build_stack([wb, ClientProtocol(Endpoint(tb.net, node), tb.server)])
-    c = GlusterClient(tb.sim, node, stack)
-
-    def w():
-        fd = yield from c.create("/f")
-        yield from c.write(fd, 0, 4 * KiB, b"q" * 4 * KiB)  # buffered
-        yield from c.fsync(fd)  # must flush then sync
-        return tb.server.fs._files["/f"].stat.size
-
-    assert drive(tb.sim, w()) == 4 * KiB
-    assert wb.stats.get("wb_flushes") == 1
-
-
-def test_fsync_through_distribute():
-    tb = build_gluster_testbed(TestbedConfig(num_clients=1, num_bricks=2))
-    c = tb.clients[0]
-
-    def w():
-        fd = yield from c.create("/f")
-        yield from c.write(fd, 0, 64 * KiB)
-        yield from c.fsync(fd)
-
-    drive(tb.sim, w())
-    total_fsyncs = sum(s.stats.get("fop_fsync", 0) for s in tb.servers)
-    assert total_fsyncs == 1

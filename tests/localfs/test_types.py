@@ -74,19 +74,6 @@ def test_slice_without_data():
     assert s.intervals == [(10, 30, 3)]
 
 
-def test_same_content_via_data_and_intervals():
-    a = _result(0, 10)
-    b = _result(0, 10)
-    assert a.same_content(b)
-    c = ReadResult(offset=0, size=10, intervals=[(0, 10, 1)])
-    d = ReadResult(offset=0, size=10, intervals=[(0, 5, 1), (5, 10, 1)])
-    assert c.same_content(d)  # fragmentation normalised
-    e = ReadResult(offset=0, size=10, intervals=[(0, 10, 2)])
-    assert not c.same_content(e)
-    f = ReadResult(offset=1, size=10, intervals=[(1, 11, 1)])
-    assert not c.same_content(f)  # different window
-
-
 @given(
     st.integers(0, 200),
     st.integers(1, 200),

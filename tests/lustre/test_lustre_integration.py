@@ -34,7 +34,7 @@ def test_create_write_read_roundtrip():
 
 
 def test_striping_places_objects_on_all_osts():
-    tb = make(num_data_servers=4, stripe_size=1 * MiB)
+    tb = make(num_data_servers=4)
     c = tb.clients[0]
 
     def w():
@@ -164,7 +164,7 @@ def test_multiple_ds_spread_read_load():
     from repro.sim import Barrier
 
     def cold_read_time(n_ds):
-        tb = make(num_clients=4, num_data_servers=n_ds, stripe_size=256 * KiB)
+        tb = make(num_clients=4, num_data_servers=n_ds)
         sim = tb.sim
         barrier = Barrier(sim, len(tb.clients))
         marks = {}

@@ -135,10 +135,10 @@ def test_add_warms_then_goes_live():
     nid = ctrl.add(window=0.01)
     assert ms.members[nid].state == WARMING
     assert nid in ms.ring_ids
-    assert ms.has_active_windows(sim.now)
+    assert any(w.active(sim.now) for w in ms.windows)
     sim.run()
     assert ms.members[nid].state == LIVE
-    assert not ms.has_active_windows(sim.now)
+    assert not any(w.active(sim.now) for w in ms.windows)
 
 
 def test_drain_leaves_ring_immediately_then_detaches():
@@ -158,7 +158,7 @@ def test_remove_is_instant_and_crash_like():
     assert ms.members[1].state == DETACHED
     assert not ms.members[1].daemon.alive
     assert ms.ring_ids == (0, 2)
-    assert not ms.has_active_windows(sim.now)  # unplanned: no window, no warmth
+    assert not any(w.active(sim.now) for w in ms.windows)  # unplanned: no window, no warmth
 
 
 def test_membership_guards():
@@ -180,7 +180,7 @@ def test_naive_selector_skips_windows():
     # Without the ring there is no "old owner of this key" to forward
     # to: the node goes straight to live and no window opens.
     assert ms.members[nid].state == LIVE
-    assert not ms.has_active_windows(sim.now)
+    assert not any(w.active(sim.now) for w in ms.windows)
 
 
 def _fill(client, keys):

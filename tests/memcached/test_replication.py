@@ -52,14 +52,6 @@ def test_replicas_clamped_to_server_count():
     assert sorted(owners) == [0, 1]
 
 
-def test_select_is_the_base_selectors_pick():
-    base = Crc32Selector()
-    sel = ReplicatedSelector(base, replicas=3)
-    for i in range(50):
-        key = f"key-{i}"
-        assert sel.select(key, 4) == base.select(key, 4)
-
-
 def test_replica_placement_is_deterministic():
     a = ReplicatedSelector(Crc32Selector(), replicas=2)
     b = ReplicatedSelector(Crc32Selector(), replicas=2)

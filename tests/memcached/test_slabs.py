@@ -6,6 +6,14 @@ from repro.memcached.slabs import PAGE_SIZE, SlabAllocator
 from repro.util import MiB
 
 
+def alloc(a, size):
+    """One chunk for an item of *size* bytes, taken as the engine takes
+    it (:meth:`class_for`, then :meth:`alloc_in`): the class used, or
+    None when memory is exhausted."""
+    cls = a.class_for(size)
+    return cls if a.alloc_in(cls) else None
+
+
 def test_class_sizes_grow_geometrically():
     a = SlabAllocator(16 * MiB)
     sizes = [c.chunk_size for c in a.classes]
@@ -34,7 +42,7 @@ def test_class_for_oversized_returns_none():
 def test_alloc_takes_pages_lazily():
     a = SlabAllocator(4 * MiB)
     assert a.total_pages == 0
-    cls = a.alloc(100)
+    cls = alloc(a, 100)
     assert a.total_pages == 1
     assert cls.used_chunks == 1
     assert cls.free_chunks == cls.chunks_per_page - 1
@@ -42,14 +50,14 @@ def test_alloc_takes_pages_lazily():
 
 def test_alloc_fails_when_out_of_pages():
     a = SlabAllocator(1 * MiB)  # exactly one page
-    assert a.alloc(PAGE_SIZE) is not None  # takes the only page
-    assert a.alloc(100) is None  # different class, no pages left
+    assert alloc(a, PAGE_SIZE) is not None  # takes the only page
+    assert alloc(a, 100) is None  # different class, no pages left
     assert a.stats.get("alloc_failures") == 1
 
 
 def test_free_returns_chunk():
     a = SlabAllocator(2 * MiB)
-    cls = a.alloc(100)
+    cls = alloc(a, 100)
     a.free(cls)
     assert cls.used_chunks == 0
     assert cls.free_chunks == cls.chunks_per_page
@@ -57,7 +65,7 @@ def test_free_returns_chunk():
 
 def test_double_free_detected():
     a = SlabAllocator(2 * MiB)
-    cls = a.alloc(100)
+    cls = alloc(a, 100)
     a.free(cls)
     with pytest.raises(RuntimeError):
         a.free(cls)
@@ -72,8 +80,8 @@ def test_validation():
 
 def test_bytes_allocated_tracks_pages():
     a = SlabAllocator(8 * MiB)
-    a.alloc(100)
-    a.alloc(500_000)
+    alloc(a, 100)
+    alloc(a, 500_000)
     assert a.bytes_allocated == 2 * PAGE_SIZE
 
 
@@ -81,7 +89,7 @@ def test_fill_one_class_to_capacity():
     a = SlabAllocator(2 * MiB)
     cls0 = a.class_for(1000)
     n = 0
-    while a.alloc(1000) is not None:
+    while alloc(a, 1000) is not None:
         n += 1
     # Both pages went to this class.
     assert n == 2 * cls0.chunks_per_page

@@ -3,8 +3,8 @@ child + ``all_of`` on the op path.  It must be indistinguishable from
 that pattern in everything the model can see — values, the instant the
 parent resumes, the order shared stations are reserved in, who the
 tracer thinks is running — and differ only in schedule entries.  A
-strand that returns a ``Landing`` is held to one that sleeps until the
-landing and then returns, on the same terms."""
+child that lands its value at a later instant holds the join until
+then."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +13,8 @@ from repro.cluster import ResilienceConfig, TestbedConfig, build_gluster_testbed
 from repro.core.config import IMCaConfig
 from repro.obs import Observability, OpLog
 from repro.obs.trace import SimTracer
-from repro.sim import FifoStation, Interrupt, Landing, SimulationError, Simulator
+from repro.sim import FifoStation, Interrupt, SimulationError, Simulator
+from repro.sim.process import Join, JoinChild, Strand
 
 
 def _fork(sim, kind, children):
@@ -80,74 +81,46 @@ def test_gather_matches_process_all_of(spec):
 
 
 # --------------------------------------------------------------------------- #
-# landed strands: a return value due later, without the wake-up
+# landings: a child's value due later, without the wake-up
 # --------------------------------------------------------------------------- #
-def _landing_run(spec, landed):
-    """Each child visits the shared station like ``_fork_join_run``'s,
-    then books a last visit and either sleeps until it ends and returns
-    (``landed=False``) or, where its spec says so, returns a
-    :class:`Landing` of its value at that end."""
-    sim = Simulator()
-    station = FifoStation(sim, name="shared")
-    log = []
+class _Landed(JoinChild):
+    """The least child that lands: reports *value* due at *at* as soon
+    as it is made, as an RPC leg lands its reply at the response's
+    arrival.  (``tests/net/test_landed_legs.py`` holds real legs to
+    strands that sleep until the landing.)"""
 
-    def child(tag, delays, last, lands):
-        for d in delays:
-            yield sim.timeout(d)
-            log.append((tag, sim.now, station.run(0.5)))
-            yield log[-1][2]
-        at = station.run(last)
-        log.append((tag, "last", sim.now, at))
-        if landed and lands:
-            return Landing(tag * 10, at)
-        yield at
-        return tag * 10
+    __slots__ = ("sim", "_join", "_index")
 
-    out = {}
-
-    def parent():
-        yield sim.timeout(1.0)
-        joined = yield sim.gather(
-            [child(i, *c) for i, c in enumerate(spec)], name="child"
-        )
-        out["values"] = joined
-        out["joined_at"] = sim.now
-        log.append(("parent", sim.now))
-        yield station.run(0.5)
-        out["done_at"] = sim.now
-
-    sim.process(parent())
-    sim.run()
-    return out, log, (station.busy_time, station.jobs), sim._seq
+    def __init__(self, sim, join, index, value, at):
+        self.sim = sim
+        self._join = join
+        self._index = index
+        self.land(value, at)
 
 
-_landing_child = st.tuples(_delays, st.sampled_from([0.0, 0.5, 2.0]), st.booleans())
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_landing_child, max_size=5))
-def test_landed_strands_match_waiting_ones_one_entry_cheaper(spec):
-    new, new_log, new_station, new_entries = _landing_run(spec, landed=True)
-    old, old_log, old_station, old_entries = _landing_run(spec, landed=False)
-    assert new == old
-    assert new_log == old_log
-    assert new_station == old_station
-    assert new["values"] == [i * 10 for i in range(len(spec))]
-    assert old_entries - new_entries == sum(lands for *_, lands in spec)
+def _join(sim, children):
+    """``sim.gather`` over *children*, where a ``(value, at)`` pair is a
+    :class:`_Landed` child and anything else a generator's strand."""
+    join = Join(sim, len(children))
+    parent = sim.active_process
+    for index, child in enumerate(children):
+        if isinstance(child, tuple):
+            _Landed(sim, join, index, *child)
+        else:
+            Strand(sim, child, join, index, "child", parent)
+            sim._active_process = parent
+    return join
 
 
 def test_a_landing_at_or_before_now_is_a_plain_return():
     sim = Simulator()
     seen = []
 
-    def past(v, back):
-        return Landing(v, sim.now - back)
-        yield  # pragma: no cover - makes this a generator
-
     def parent():
         yield sim.timeout(2.0)
         before = sim._seq
-        got = yield sim.gather([past(1, 1.0), past(2, 0.0), past(3, 2.0)])
+        now = sim.now
+        got = yield _join(sim, [(1, now - 1.0), (2, now), (3, now - 2.0)])
         seen.append((got, sim.now, sim._seq - before))
 
     sim.process(parent())
@@ -160,17 +133,13 @@ def test_a_landing_later_than_a_plain_return_sets_the_join_instant():
     sim = Simulator()
     seen = []
 
-    def lands(v, at):
-        return Landing(v, at)
-        yield  # pragma: no cover
-
     def waits(v, delay):
         yield sim.now + delay
         return v
 
     def parent():
         yield sim.timeout(1.0)
-        got = yield sim.gather([lands("a", 4.0), waits("b", 1.0), lands("c", 3.0)])
+        got = yield _join(sim, [("a", 4.0), waits("b", 1.0), ("c", 3.0)])
         seen.append((got, sim.now))
 
     sim.process(parent())
@@ -183,17 +152,13 @@ def test_a_strand_that_raises_after_another_landed_fails_the_join_then(landing_a
     sim = Simulator()
     trail = []
 
-    def lands():
-        return Landing("landed", landing_at)
-        yield  # pragma: no cover
-
     def boom():
         yield sim.timeout(3.0)
         raise ValueError("late")
 
     def parent():
         try:
-            yield sim.gather([lands(), boom()])
+            yield _join(sim, [("landed", landing_at), boom()])
         except ValueError as e:
             trail.append(("caught", str(e), sim.now))
 

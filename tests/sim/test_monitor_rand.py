@@ -103,14 +103,6 @@ def test_stream_independent_of_creation_order():
     assert np.allclose(first, second)
 
 
-def test_reset_restarts_streams():
-    rs = RandomStreams(7)
-    x = rs.stream("s").random(5)
-    rs.reset()
-    y = rs.stream("s").random(5)
-    assert np.allclose(x, y)
-
-
 def test_names_that_share_a_long_prefix_get_different_streams():
     rs = RandomStreams(7)
     a = rs.stream("replica.read.jitter.a").random(5)

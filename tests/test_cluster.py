@@ -20,8 +20,6 @@ def test_config_validation():
         TestbedConfig(num_clients=0)
     with pytest.raises(ValueError):
         TestbedConfig(num_mcds=-1)
-    with pytest.raises(ValueError):
-        TestbedConfig(num_bricks=0)
 
 
 def test_scaled_copies_with_overrides():
@@ -46,12 +44,6 @@ def test_gluster_testbed_nocache_has_no_imca():
     assert tb.mcds == []
     assert all(cm is None for cm in tb.cmcaches)
     assert tb.smcaches == [None]
-
-
-def test_multi_brick_testbed():
-    tb = build_gluster_testbed(TestbedConfig(num_clients=1, num_bricks=3, num_mcds=1))
-    assert len(tb.servers) == 3
-    assert len(tb.smcaches) == 3
 
 
 def test_mcd_transport_separate_network():

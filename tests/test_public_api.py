@@ -81,7 +81,7 @@ def test_the_op_path_takes_no_fastpath_or_window_argument():
     }
     for cls, param in gone.items():
         assert param not in inspect.signature(cls.__init__).parameters, cls
-    # Spelt as a mapping so CI's left-behind grep gate does not match here.
+    # Spelt as a mapping so tests/test_guards.py does not match here.
     with pytest.raises(TypeError):
         IMCaConfig(**{"fastpath": True})
 
@@ -110,8 +110,8 @@ def test_every_setting_is_pinned():
         ],
         TestbedConfig: [
             "num_clients", "transport", "server_cache_bytes", "raid_disks",
-            "num_bricks", "num_mcds", "mcd_memory", "mcd_transport", "imca",
-            "resilience", "num_data_servers", "stripe_size",
+            "num_mcds", "mcd_memory", "mcd_transport", "imca",
+            "resilience", "num_data_servers",
         ],
         ResilienceConfig: [
             "mcd_timeout", "eject_after", "cooldown", "seed",

@@ -78,15 +78,6 @@ def test_validation():
         m.read(5, 3)
 
 
-def test_max_version():
-    m = IntervalVersionMap()
-    m.write(0, 10, 2)
-    m.write(10, 20, 5)
-    assert m.max_version(0, 20) == 5
-    assert m.max_version(0, 10) == 2
-    assert m.max_version(50, 60) == HOLE
-
-
 def test_intervals_equal_normalises_fragmentation():
     a = [(0, 5, 1), (5, 10, 1)]
     b = [(0, 10, 1)]
