@@ -10,7 +10,7 @@ blocksize" (§4.3.1, Fig 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.localfs.types import ReadResult
 from repro.util.intervals import coalesce_spans
@@ -116,12 +116,17 @@ def missing_ranges(
 
 def assemble_blocks(
     mapper: BlockMapper,
-    blocks: dict[int, BlockValue],
+    blocks: Sequence[Optional[BlockValue]],
     offset: int,
     size: int,
     file_size: Optional[int] = None,
 ) -> Optional[ReadResult]:
     """Rebuild a client read from cached blocks.
+
+    *blocks* holds the cached value of each block of
+    ``mapper.cover(offset, size)`` in order, None where the cache has
+    none; entries past what the read needs (blocks past a known EOF) are
+    not looked at.
 
     Returns None when the blocks cannot satisfy the request contiguously
     from ``offset`` (treated as a miss by CMCache).
@@ -147,13 +152,14 @@ def assemble_blocks(
     data_parts: list[bytes] = []
     pos = offset
     end = offset + size
+    boff = offset - offset % bs
     # The interval being grown, ``[run_s, run_e)`` of version ``run_v``:
     # appended once the next piece cannot extend it.
     run_s = run_e = offset
     run_v = None
-    for idx in mapper.cover(offset, size):
-        boff = idx * bs
-        bv = blocks.get(boff)
+    for bv in blocks:
+        if pos >= end:
+            break
         if bv is None:
             return None
         length = bv.length
@@ -178,9 +184,14 @@ def assemble_blocks(
                     if run_e > run_s:
                         intervals.append((run_s, run_e, run_v))
                     run_s, run_e, run_v = s, e, v
-        if bv.data is not None:
-            data_parts.append(bv.data[pos - boff : take_end - boff])
-        pos = take_end
+        data = bv.data
+        if data is not None:
+            data_parts.append(data[pos - boff : take_end - boff])
+        # Only the last block can end short of the next one's start.
+        pos = boff = take_end
+    if pos < end:
+        # Fewer blocks than the read covers.
+        return None
     if run_e > run_s:
         intervals.append((run_s, run_e, run_v))
     actual = pos - offset

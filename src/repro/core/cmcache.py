@@ -266,16 +266,16 @@ class CMCacheXlator(Xlator):
         refreshes it on every write, so its size lets the client trust
         short (EOF) blocks and clamp reads at EOF — without it, any
         request touching a short block must conservatively miss.
+
+        A data key holds the :class:`BlockValue` SMCache pushed for its
+        block, so the values found are handed to
+        :func:`assemble_blocks` in cover order as they are.
         """
         tr = self.tracer
         if size <= 0:
             result = yield from self._down().read(path, offset, size)
             return result
-        # Each covering block's offset is computed once: it filters at
-        # EOF and is what a fetched block is found under.
         cover = self.mapper.cover(offset, size)
-        bs = self.mapper.block_size
-        offsets = [idx * bs for idx in cover]
         keys = self._keys.data_keys(path, cover.start, cover.stop)
         if None in keys:
             # Path too long to cache: bypass entirely.
@@ -286,72 +286,40 @@ class CMCacheXlator(Xlator):
             return result
         skey = self._keys.stat_key(path)
 
-        # ---- hot tier first: anything it holds skips the multi-get.
         hot = self._hot_for(path)
-        blocks: dict[int, BlockValue] = {}
-        file_size: Optional[int] = None
-        have_stat = False
-        if hot is not None:
-            fetch_keys: list[str] = []
-            for key in keys:
-                value = hot.get(key)
-                if isinstance(value, BlockValue):
-                    blocks[value.block_offset] = value
-                    self.metrics.inc("hot_data_hits")
-                    if tr.oplog is not None:
-                        tr.op_count("hot_block_hits")
-                else:
-                    fetch_keys.append(key)
-            if skey is not None:
-                value = hot.get(skey)
-                if isinstance(value, StatBuf):
-                    file_size = value.size
-                    have_stat = True
-                    self.metrics.inc("hot_stat_hits")
-        else:
-            fetch_keys = keys
-        if skey is not None and not have_stat:
-            fetch_keys = fetch_keys + [skey]
-
-        self.metrics.inc("blocks_requested", len(offsets))
-        found = {}
-        if fetch_keys:
-            found = yield from self.mc.get_multi(fetch_keys)
-
-        if skey is not None and not have_stat:
-            cached_stat = found.pop(skey, None)
+        if hot is None:
+            self.metrics.inc("blocks_requested", len(keys))
+            found = yield from self.mc.get_multi(keys if skey is None else keys + [skey])
+            file_size: Optional[int] = None
+            cached_stat = found.get(skey)
             if cached_stat is not None and isinstance(cached_stat.value, StatBuf):
                 file_size = cached_stat.value.size
-                if hot is not None:
-                    self._hot_put(
-                        hot, skey, path, cached_stat.value.copy(), StatBuf.WIRE_SIZE
-                    )
-        for key, item in found.items():
-            bv = item.value
-            if isinstance(bv, BlockValue):
-                blocks[bv.block_offset] = bv
-                if hot is not None:
-                    self._hot_put(hot, key, path, bv, bv.length)
+            # A found item is an McValue (always true): its value, else None.
+            blocks = [item and item.value for item in map(found.get, keys)]
+        else:
+            # The hot tier first: anything it holds skips the multi-get.
+            blocks, file_size = yield from self._lookup_hot(hot, path, cover.start, keys, skey)
 
-        # With a known size, blocks entirely past EOF are not needed.
-        needed = offsets
-        if file_size is not None:
-            needed = [boff for boff in offsets if boff < file_size]
         if self._prefetched:
-            self._note_prefetch_hits(path, needed, blocks)
-        if all(map(blocks.__contains__, needed)):
-            assembled = assemble_blocks(
-                self.mapper, blocks, offset, size, file_size=file_size
-            )
-            if assembled is not None:
-                self.metrics.inc("read_hits")
-                if tr.oplog is not None:
-                    tr.op_tag("read-hit")
-                self._note_read(path, offset, size, file_size)
-                return assembled
+            self._note_prefetch_hits(path, cover.start, blocks, file_size)
+        if (
+            file_size is not None and offset >= file_size
+            and blocks[0] is None and cover.start * self.mapper.block_size < file_size
+        ):
+            # A read at or past EOF is served empty only when the block
+            # EOF falls in, if it is a covering one, is cached.
+            assembled = None
+        else:
+            assembled = assemble_blocks(self.mapper, blocks, offset, size, file_size=file_size)
+        if assembled is not None:
+            self.metrics.inc("read_hits")
+            if tr.oplog is not None:
+                tr.op_tag("read-hit")
+            self._note_read(path, offset, size, file_size)
+            return assembled
         if self.config.partial_fills and file_size is not None:
             assembled = yield from self._fill_partial(
-                path, offset, size, needed, blocks, file_size, hot
+                path, offset, size, cover.start, blocks, file_size, hot
             )
             if assembled is not None:
                 self.metrics.inc("read_partial_hits")
@@ -366,36 +334,85 @@ class CMCacheXlator(Xlator):
         self._note_read(path, offset, size, file_size)
         return result
 
+    def _lookup_hot(
+        self, hot: HotCache, path: str, first: int, keys: list[str], skey: Optional[str]
+    ) -> Generator:
+        """A read's covering blocks and file size from the hot tier,
+        then the MCD array for whatever it lacks (entered in the hot
+        tier as found): ``(blocks in cover order, file size or None)``."""
+        tr = self.tracer
+        blocks: list[Optional[BlockValue]] = []
+        fetch_keys: list[str] = []
+        file_size: Optional[int] = None
+        for key in keys:
+            value = hot.get(key)
+            if isinstance(value, BlockValue):
+                blocks.append(value)
+                self.metrics.inc("hot_data_hits")
+                if tr.oplog is not None:
+                    tr.op_count("hot_block_hits")
+            else:
+                blocks.append(None)
+                fetch_keys.append(key)
+        if skey is not None:
+            value = hot.get(skey)
+            if isinstance(value, StatBuf):
+                file_size = value.size
+                self.metrics.inc("hot_stat_hits")
+            else:
+                fetch_keys.append(skey)
+        self.metrics.inc("blocks_requested", len(keys))
+        if not fetch_keys:
+            return blocks, file_size
+        found = yield from self.mc.get_multi(fetch_keys)
+        if file_size is None and skey is not None:
+            cached_stat = found.pop(skey, None)
+            if cached_stat is not None and isinstance(cached_stat.value, StatBuf):
+                file_size = cached_stat.value.size
+                self._hot_put(hot, skey, path, cached_stat.value.copy(), StatBuf.WIRE_SIZE)
+        bs = self.mapper.block_size
+        for key, item in found.items():
+            bv = item.value
+            if isinstance(bv, BlockValue):
+                blocks[bv.block_offset // bs - first] = bv
+                self._hot_put(hot, key, path, bv, bv.length)
+        return blocks, file_size
+
     # -- partial-hit fills --------------------------------------------------
     def _fill_partial(
         self,
         path: str,
         offset: int,
         size: int,
-        needed: list[int],
-        blocks: dict[int, BlockValue],
+        first: int,
+        blocks: list[Optional[BlockValue]],
         file_size: int,
         hot: Optional[HotCache],
     ) -> Generator:
         """Read only the missing block ranges and assemble the reply.
 
-        *needed* holds the block offsets the read needs.  Returns the
-        assembled :class:`ReadResult`, or None when the partial path
-        does not apply (nothing cached, nothing missing, too many fill
-        ranges) or assembly still fails — the caller then falls back to
-        the legacy full-size read.
+        *blocks* holds the cached value of each covering block from
+        block *first* on, None where there is none; the read needs the
+        ones before EOF.  Returns the assembled :class:`ReadResult`, or
+        None when the partial path does not apply (nothing cached,
+        nothing missing, too many fill ranges) or assembly still fails —
+        the caller then falls back to the legacy full-size read.
         """
         bs = self.mapper.block_size
-        usable: dict[int, BlockValue] = {}
+        usable = list(blocks)
         missing: list[int] = []
-        for boff in needed:
-            bv = blocks.get(boff)
+        cached = 0
+        for i, bv in enumerate(blocks):
+            boff = (first + i) * bs
+            if boff >= file_size:
+                break
             if bv is None or (bv.length < bs and bv.length != min(bs, file_size - boff)):
                 # Absent, or a stale short block (the file grew past it).
-                missing.append(boff // bs)
+                missing.append(first + i)
+                usable[i] = None
             else:
-                usable[boff] = bv
-        if not usable or not missing:
+                cached += 1
+        if not cached or not missing:
             return None
         ranges = missing_ranges(self.mapper, missing)
         if len(ranges) > MAX_FILL_RANGES:
@@ -403,7 +420,7 @@ class CMCacheXlator(Xlator):
             return None
         self.metrics.inc("fill_reads", len(ranges))
         self.metrics.inc("fill_blocks", len(missing))
-        self.metrics.inc("fill_cached_blocks", len(usable))
+        self.metrics.inc("fill_cached_blocks", cached)
         if self.tracer.oplog is not None:
             self.tracer.op_count("fill_ranges", len(ranges))
             self.tracer.op_count("fill_blocks", len(missing))
@@ -423,12 +440,12 @@ class CMCacheXlator(Xlator):
                 continue
             fetched = split_blocks(self.mapper, r, path)
             for bv in fetched:
-                usable[bv.block_offset] = bv
+                usable[bv.block_offset // bs - first] = bv
             if hot is not None:
                 # One slice of the path's keys (the blocks run on from
                 # the first); none is None, or the read had bypassed.
-                first = fetched[0].block_offset // bs
-                keys = self._keys.data_keys(path, first, first + len(fetched))
+                start = fetched[0].block_offset // bs
+                keys = self._keys.data_keys(path, start, start + len(fetched))
                 for key, bv in zip(keys, fetched):
                     self._hot_put(hot, key, path, bv, bv.length)
         assembled = assemble_blocks(
@@ -501,15 +518,21 @@ class CMCacheXlator(Xlator):
             marks.add(self.mapper.block_offset(i))
 
     def _note_prefetch_hits(
-        self, path: str, needed: list[int], blocks: dict[int, BlockValue]
+        self, path: str, first: int, blocks: list[Optional[BlockValue]],
+        file_size: Optional[int],
     ) -> None:
         """Count needed blocks served thanks to an earlier prefetch
-        (each prefetched block is counted at most once)."""
+        (each prefetched block is counted at most once).  *blocks*: the
+        cached value of each covering block from block *first* on."""
         marks = self._prefetched.get(path)
         if not marks:
             return
-        for boff in needed:
-            if boff in marks and boff in blocks:
+        bs = self.mapper.block_size
+        for i, bv in enumerate(blocks):
+            boff = (first + i) * bs
+            if file_size is not None and boff >= file_size:
+                break
+            if bv is not None and boff in marks:
                 marks.discard(boff)
                 self.metrics.inc("prefetch_hits")
                 if self.tracer.oplog is not None:

@@ -9,8 +9,15 @@ those mechanics.
 """
 
 from repro.memcached.client import MemcacheClient
-from repro.memcached.daemon import McValue, MemcachedDaemon, SERVICE
-from repro.memcached.engine import ITEM_OVERHEAD, Item, MAX_KEY_LEN, McError, MemcachedEngine
+from repro.memcached.daemon import MemcachedDaemon, SERVICE
+from repro.memcached.engine import (
+    ITEM_OVERHEAD,
+    Item,
+    MAX_KEY_LEN,
+    McError,
+    McValue,
+    MemcachedEngine,
+)
 from repro.memcached.hashing import (
     Crc32Selector,
     KetamaSelector,

@@ -67,9 +67,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Generator, Mapping, Optional
 
-from repro.memcached.daemon import McValue, MemcachedDaemon, SERVICE, request_size
+from repro.memcached.daemon import MemcachedDaemon, SERVICE, request_size
+from repro.memcached.engine import McValue
 from repro.memcached.hashing import (
     Crc32Selector,
     KetamaSelector,
@@ -232,6 +234,32 @@ class MemcacheClient:
             if peers:
                 return [primary, *peers]
         return [primary]
+
+    def _sole_batches(self, entries: list, keyed: bool) -> Optional[dict[int, list]]:
+        """*entries* — keys, or items whose key comes first (*keyed*) —
+        grouped by owner in order, when every key's owner list is its
+        primary alone: no replicas and no forwarding window open.  That
+        is :meth:`owners`'s epoch check and mode test, made once for the
+        batch; each key is then one probe of the primary memo.  None
+        otherwise: the caller walks each key's owner list."""
+        m = self.membership
+        if self._epoch != m.epoch:
+            self._resync()
+        if self._replication is not None or (self._ketama is not None and m.windows):
+            return None
+        primaries = self._primaries
+        batches: dict[int, list] = {}
+        for entry in entries:
+            key = entry[0] if keyed else entry
+            idx = primaries.get(key)
+            if idx is None:
+                idx = self._primary(key)
+            batch = batches.get(idx)
+            if batch is None:
+                batches[idx] = [entry]
+            else:
+                batch.append(entry)
+        return batches
 
     def _primary(self, key: str) -> int:
         """The selector's pick of *key*'s primary over the current ring
@@ -457,29 +485,40 @@ class MemcacheClient:
         client is already fetching rides that fetch instead of joining
         a batch; the keys a batch does fetch are its to publish (see
         :meth:`get`).
+
+        Per key there is one loop, the routing one: the riders are found
+        by one set test against the in-flight table, and the fetched
+        keys are marked in flight in one update and unmarked in one
+        pass.
         """
         inflight = self._inflight
-        #: key -> flight for every key somebody is already fetching.
+        unique = dict.fromkeys(keys)
+        #: Keys somebody is already fetching (empty: nobody is).
+        ride = inflight.keys() & unique if inflight else ()
+        #: key -> flight for every key that rides, in key order.
         riders: dict[str, Event] = {}
         by_server: dict[int, list[str]] = {}
-        seen: set[str] = set()
         memo = self._read_memo()
-        for key in keys:
-            if key in seen:
-                continue
-            seen.add(key)
-            if key in inflight:
+        for key in unique:
+            if key in ride:
                 # Ride the in-flight fetch instead of re-issuing it.
                 riders[key] = self._follow(key)
                 continue
             idx = memo.get(key)
             if idx is None:
                 idx = self._read_idx(key)
-            by_server.setdefault(idx, []).append(key)
-            inflight[key] = None
+            batch = by_server.get(idx)
+            if batch is None:
+                by_server[idx] = [key]
+            else:
+                batch.append(key)
+        # Every key not riding is this call's to fetch: marked at once.
+        if ride:
+            inflight.update(dict.fromkeys(k for k in unique if k not in ride))
+        else:
+            inflight.update(unique)
         out: dict[str, McValue] = {}
-        #: Keys of the batches whose RPC failed.
-        failed: set[str] = set()
+        results: list = []
         completed = False
         try:
             # Nothing left to fetch (every key rides a flight): no join.
@@ -493,12 +532,10 @@ class MemcacheClient:
                         results = yield self._fork("get_multi", by_server.items(), "mc-multiget")
                 else:
                     results = yield self._fork("get_multi", by_server.items(), "mc-multiget")
-                for batch, partial in zip(by_server.values(), results):
+                for partial in results:
                     if partial is not None:
                         out.update(partial)
-                    else:
-                        failed.update(batch)
-            if self.membership.windows and len(out) < len(seen):
+            if self.membership.windows and len(out) < len(unique):
                 for idx, batch in by_server.items():
                     for key in batch:
                         if key in out:
@@ -508,15 +545,18 @@ class MemcacheClient:
                             out[key] = value
             completed = True
         finally:
-            # Publish our fetches to the followers that parked on them
-            # (a failed batch re-disperses its riders, never a result —
-            # and an aborted multi-get never publishes a phantom miss).
-            for batch in by_server.values():
-                for key in batch:
-                    flight = inflight.pop(key)
-                    if flight is not None:
-                        ok = completed and key not in failed
-                        flight.succeed(out.get(key) if ok else _SF_FAILED)
+            # Unmark our fetches in one pass, then publish them, batch
+            # by batch, to the followers that parked on them (a failed
+            # batch re-disperses its riders, never a result — and an
+            # aborted multi-get never publishes a phantom miss).
+            flights = list(map(inflight.pop, chain.from_iterable(by_server.values())))
+            if any(flights):
+                parked = iter(flights)
+                for n, batch in enumerate(by_server.values()):
+                    ok = completed and results[n] is not None
+                    for key, flight in zip(batch, parked):
+                        if flight is not None:
+                            flight.succeed(out.get(key) if ok else _SF_FAILED)
         if riders:
             results = yield self.endpoint.net.sim.all_of(list(riders.values()))
             for key, ev in riders.items():
@@ -537,7 +577,7 @@ class MemcacheClient:
                 if payload is not None:
                     out[key] = payload
         self.stats.inc("hits", len(out))
-        self.stats.inc("misses", len(seen) - len(out))
+        self.stats.inc("misses", len(unique) - len(out))
         return out
 
     # -- legs ------------------------------------------------------------------
@@ -681,16 +721,19 @@ class MemcacheClient:
         (a duplicated key keeps its last value); a refused item fails
         alone.  ``sets`` counts the items some owner answered.
         """
-        by_owner: dict[int, list[tuple]] = {}
-        routes: list[list[int]] = []
-        owners = self.owners
-        for item in items:
-            idxs = owners(item[0])
-            routes.append(idxs)
-            if len(idxs) > 1:
-                self._book_extras(len(idxs) - 1, "replica_writes")
-            for i in idxs:
-                by_owner.setdefault(i, []).append(item)
+        by_owner = self._sole_batches(items, True)
+        #: Each item's owner list, walked only when a key may have several.
+        routes: Optional[list[list[int]]] = None
+        if by_owner is None:
+            by_owner, routes = {}, []
+            owners = self.owners
+            for item in items:
+                idxs = owners(item[0])
+                routes.append(idxs)
+                if len(idxs) > 1:
+                    self._book_extras(len(idxs) - 1, "replica_writes")
+                for i in idxs:
+                    by_owner.setdefault(i, []).append(item)
         legs = list(by_owner.items())
         if self.tracer.enabled:
             with self.tracer.span("mcd", "mc.set_multi"):
@@ -707,7 +750,12 @@ class MemcacheClient:
                 if ok:
                     stored.add(item[0])
         # An item counts once, however many of its owners answered.
-        answered = sum(not down.issuperset(idxs) for idxs in routes) if down else len(items)
+        if not down:
+            answered = len(items)
+        elif routes is None:
+            answered = len(items) - sum(len(by_owner[i]) for i in down)
+        else:
+            answered = sum(not down.issuperset(idxs) for idxs in routes)
         if answered:
             self.stats.inc("sets", answered)
         return stored
@@ -797,16 +845,18 @@ class MemcacheClient:
         Every key's delete lands on **all** of its owners; ``deletes``
         counts primary-copy removals.
         """
-        primary: dict[int, list[str]] = {}
+        primary = self._sole_batches(keys, False)
         extras: dict[int, list[str]] = {}
-        owners = self.owners
-        for key in keys:
-            idxs = owners(key)
-            primary.setdefault(idxs[0], []).append(key)
-            if len(idxs) > 1:
-                self._book_extras(len(idxs) - 1, "replica_deletes")
-                for i in idxs[1:]:
-                    extras.setdefault(i, []).append(key)
+        if primary is None:
+            primary = {}
+            owners = self.owners
+            for key in keys:
+                idxs = owners(key)
+                primary.setdefault(idxs[0], []).append(key)
+                if len(idxs) > 1:
+                    self._book_extras(len(idxs) - 1, "replica_deletes")
+                    for i in idxs[1:]:
+                        extras.setdefault(i, []).append(key)
         legs = [*primary.items(), *extras.items()]
         if self.tracer.enabled:
             with self.tracer.span("mcd", "mc.delete_multi"):

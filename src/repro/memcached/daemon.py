@@ -10,10 +10,10 @@ which is precisely why a bank of MCDs scales past the GlusterFS server
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.memcached.engine import MemcachedEngine, McError, key_nbytes
+from repro.memcached.engine import McError, MemcachedEngine, key_nbytes
 from repro.memcached.tenancy import TenantArbiter
 from repro.net.fabric import Network, Node
 from repro.net.rpc import Endpoint, RpcCall
@@ -34,17 +34,7 @@ COPY_PER_BYTE = 1.0 / (4 * GiB)
 KEY_WIRE_OVERHEAD = 24
 VALUE_WIRE_OVERHEAD = 40
 
-
-@dataclass(slots=True, frozen=True)
-class McValue:
-    """Client-visible stored value.  Immutable: the daemon builds one
-    per stored item and hands that same object to every get that hits
-    it (:meth:`MemcachedDaemon._serve`)."""
-
-    value: Any
-    nbytes: int
-    flags: int
-    cas: int
+_NBYTES = attrgetter("nbytes")
 
 
 class MemcachedDaemon:
@@ -122,25 +112,20 @@ class MemcachedDaemon:
             self.tracer.interval("mcd", f"mcd.{op}", self.sim.now - command_cpu(call.args))
         eng = self.engine
         if op == "get_multi":
-            # One walk over the hits builds the reply and sizes it: the
-            # values sent are the ones the lookup found and billed.  An
-            # item's McValue is built on its first hit and kept on the
-            # item (``Item.reply``) until the item changes in place.
-            reply = {}
-            resp_bytes = 0
-            for k, it in eng.get_multi(payload).items():
-                value = it.reply
-                if value is None:
-                    value = it.reply = McValue(it.value, it.nbytes, it.flags, it.cas)
-                reply[k] = value
-                resp_bytes += value.nbytes
-            if reply:
-                # The keys' bytes in one pass (`key_nbytes`, written out:
-                # UTF-8 lengths add under join).
-                keys = "".join(reply)
-                resp_bytes += len(keys) if keys.isascii() else len(keys.encode())
-                resp_bytes += VALUE_WIRE_OVERHEAD * len(reply)
-                call.reply_cpu = COPY_PER_BYTE * resp_bytes
+            # The engine's lookup loop builds the reply: the values sent
+            # are the ones it found and billed.  Sized in C-level passes
+            # over it (`key_nbytes` written out: UTF-8 lengths add under
+            # join).
+            reply = eng.get_multi(payload)
+            if not reply:
+                return reply, 0
+            keys = "".join(reply)
+            resp_bytes = (
+                sum(map(_NBYTES, reply.values()))
+                + (len(keys) if keys.isascii() else len(keys.encode()))
+                + VALUE_WIRE_OVERHEAD * len(reply)
+            )
+            call.reply_cpu = COPY_PER_BYTE * resp_bytes
             return reply, resp_bytes
         if op in ("set", "add", "replace"):
             key, value, nbytes, flags, ttl = payload

@@ -15,11 +15,12 @@ accounting behaves as if the literal bytes were stored.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
-from repro.memcached.slabs import SlabAllocator, SlabClass
+from repro.memcached.slabs import PAGE_SIZE, SlabAllocator, SlabClass
 from repro.memcached.tenancy import TenantAccount, TenantArbiter
 from repro.util.stats import Counter
 
@@ -58,6 +59,18 @@ class McTooLarge(McError):
     alone; a malformed command still fails its whole request."""
 
 
+@dataclass(slots=True, frozen=True)
+class McValue:
+    """Client-visible stored value.  Immutable: the engine builds one
+    per stored item on its first hit and hands that same object to
+    every get that hits it (:meth:`MemcachedEngine.get_multi`)."""
+
+    value: Any
+    nbytes: int
+    flags: int
+    cas: int
+
+
 @dataclass(slots=True)
 class Item:
     """One stored object."""
@@ -75,9 +88,10 @@ class Item:
     seq: int = 0
     #: Owning tenant account when the engine runs with a TenantArbiter.
     tenant: Optional[TenantAccount] = field(default=None, repr=False)
-    #: The daemon's client-visible view of this item, built on its first
-    #: hit; whatever changes the item in place resets it (:meth:`_delta`).
-    reply: Any = field(default=None, repr=False, compare=False)
+    #: The client-visible :class:`McValue` of this item, built on its
+    #: first hit; whatever changes the item in place resets it
+    #: (:meth:`MemcachedEngine._delta`).
+    reply: Optional[McValue] = field(default=None, repr=False, compare=False)
 
 
 class MemcachedEngine:
@@ -222,18 +236,22 @@ class MemcachedEngine:
         into a silent delete).  When old and new land in the same slab
         class the old chunk is freed first, which makes the allocation
         infallible and charges no eviction to a same-size overwrite (the
-        common stat-refresh path).  With no tenant arbiter and no TTL'd
-        item in the class, an OOM evicts the class's LRU tail here, its
-        chunk passing straight to the new item; otherwise
-        :meth:`_allocate` runs the expired-first reclaim walk and the
-        arbiter's victim pick.  ``cmd_set``, ``curr_items``,
-        ``total_items``, ``bytes`` and ``evictions`` are booked once, in
-        a ``finally``.
+        common stat-refresh path).  Each item is sized, placed in its
+        class and given a chunk here: :meth:`_total_size`,
+        :meth:`SlabAllocator.class_for` and :meth:`SlabAllocator.alloc_in`
+        written out.  With no tenant arbiter and no TTL'd item in the
+        class, an OOM evicts the class's LRU tail here, its chunk passing
+        straight to the new item; otherwise :meth:`_allocate` runs the
+        expired-first reclaim walk and the arbiter's victim pick.
+        ``cmd_set``, ``curr_items``, ``total_items``, ``bytes``,
+        ``evictions`` and the allocator's ``pages_allocated`` and
+        ``alloc_failures`` are booked once, in a ``finally``.
         """
         out: list[bool] = []
         objects, lrus, ttl_items, tenancy = self._items, self._lru, self._ttl_items, self.tenancy
         slabs = self.slabs
-        sets = linked = unlinked = nbytes_delta = evicted = 0
+        classes, chunk_sizes = slabs.classes, slabs.chunk_sizes
+        sets = linked = unlinked = nbytes_delta = evicted = pages = failures = 0
         try:
             for key, value, nbytes, flags, ttl in items:
                 if command:
@@ -243,12 +261,13 @@ class MemcachedEngine:
                     if nbytes < 0:
                         raise McError("negative value size")
                     sets += 1
-                cls = slabs.class_for(self._total_size(key, nbytes))
-                if cls is None:
+                size = ITEM_OVERHEAD + (len(key) if key.isascii() else len(key.encode())) + nbytes
+                if size > PAGE_SIZE:
                     if strict:
                         raise McTooLarge(f"object too large for cache ({nbytes} bytes)")
                     out.append(False)
                     continue
+                cls = classes[bisect_left(chunk_sizes, size)]
                 idx = cls.index
                 lru = lrus.get(idx)
                 old = objects.get(key)
@@ -261,7 +280,17 @@ class MemcachedEngine:
                     if not self._allocate(key, cls):
                         out.append(False)
                         continue
-                elif not slabs.alloc_in(cls):
+                elif cls.free_chunks:
+                    cls.free_chunks -= 1
+                    cls.used_chunks += 1
+                elif slabs.total_pages < slabs.max_pages:
+                    slabs.total_pages += 1
+                    cls.pages += 1
+                    cls.free_chunks += PAGE_SIZE // cls.chunk_size - 1
+                    cls.used_chunks += 1
+                    pages += 1
+                else:
+                    failures += 1
                     if not lru:
                         # The class owns no items (all pages belong to
                         # other classes): memcached answers SERVER_ERROR.
@@ -270,9 +299,9 @@ class MemcachedEngine:
                         continue
                     # Out of memory: the class's LRU tail is evicted and
                     # its chunk is the new item's (its free and the
-                    # retried alloc_in cancel).  No arbiter and no TTL'd
-                    # item in the class, so `_evict_one` would pick the
-                    # same victim.
+                    # retried allocation cancel).  No arbiter and no
+                    # TTL'd item in the class, so `_evict_one` would
+                    # pick the same victim.
                     victim_key, victim = lru.popitem(last=False)
                     del objects[victim_key]
                     unlinked += 1
@@ -308,6 +337,10 @@ class MemcachedEngine:
                 stats.inc("bytes", nbytes_delta)
             if evicted:
                 stats.inc("evictions", evicted)
+            if pages:
+                slabs.stats.inc("pages_allocated", pages)
+            if failures:
+                slabs.stats.inc("alloc_failures", failures)
         return out
 
     def _store(self, key: str, value: Any, nbytes: int, flags: int, ttl: float) -> bool:
@@ -386,33 +419,35 @@ class MemcachedEngine:
         return self._concat(key, value, nbytes, append=False)
 
     # -- retrieval -------------------------------------------------------------
-    def get(self, key: str) -> Optional[Item]:
-        """Fetch one item (promotes in LRU); None on miss."""
+    def get(self, key: str) -> Optional[McValue]:
+        """Fetch one value (promotes in LRU); None on miss."""
         return self.get_multi((key,)).get(key)
 
-    def get_multi(self, keys: Iterable[str]) -> dict[str, Item]:
-        """Fetch many keys; only hits appear in the result.
+    def get_multi(self, keys: Iterable[str]) -> dict[str, McValue]:
+        """Fetch many keys: ``{key: McValue}``, hits only, in first-hit
+        order — the reply a multi-get sends.
 
         The one lookup loop (:meth:`get` is the batch of one): each key
         in turn is probed, lazily expired, promoted in its class LRU and
-        reported to the tenant arbiter, as a run of single gets would;
-        only the three counters are booked once per batch — in a
-        ``finally``, so a bad key still books the keys before it.  A key
-        is validated only when it misses: one that is stored passed
-        :meth:`_check_key` when it was, and a bad key is never stored,
-        so it misses and raises there.
+        reported to the tenant arbiter, as a run of single gets would,
+        and a hit answers the item's :class:`McValue`, built on its
+        first hit and kept on the item (``Item.reply``) until the item
+        changes in place.  Only the three counters are booked once per
+        batch — in a ``finally``, so a bad key still books the keys
+        before it.  A key is validated only when it misses: one that is
+        stored passed :meth:`_check_key` when it was, and a bad key is
+        never stored, so it misses and raises there.
         """
-        out: dict[str, Item] = {}
+        out: dict[str, McValue] = {}
         items, lru, tenancy = self._items, self._lru, self.tenancy
         hits = misses = 0
         try:
             for key in keys:
                 item = items.get(key)
-                if item is not None and item.exptime != 0 and self.clock() >= item.exptime:
-                    self._unlink(item, "expire")
-                    self.stats.inc("expired")
-                    item = None
-                if item is None:
+                if item is None or (item.exptime and self.clock() >= item.exptime):
+                    if item is not None:
+                        self._unlink(item, "expire")
+                        self.stats.inc("expired")
                     # `_check_key`'s plain-key scan inline: a miss on a
                     # valid key costs no call.
                     if _PLAIN_KEY_RE.fullmatch(key) is None:
@@ -422,12 +457,14 @@ class MemcachedEngine:
                         tenancy.record_miss(key)
                     continue
                 lru[item.slab.index].move_to_end(key)
-                tenant = item.tenant
-                if tenant is not None:
-                    tenancy.on_touch(item, tenant)
-                    tenancy.record_hit(tenant)
+                if tenancy is not None and item.tenant is not None:
+                    tenancy.on_touch(item, item.tenant)
+                    tenancy.record_hit(item.tenant)
                 hits += 1
-                out[key] = item
+                value = item.reply
+                if value is None:
+                    value = item.reply = McValue(item.value, item.nbytes, item.flags, item.cas)
+                out[key] = value
         finally:
             if hits or misses:
                 self.stats.inc("cmd_get", hits + misses)

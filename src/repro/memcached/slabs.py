@@ -68,8 +68,9 @@ class SlabAllocator:
             size = (size + 7) & ~7
             idx += 1
         self.classes.append(SlabClass(index=idx, chunk_size=PAGE_SIZE))
-        #: Ascending chunk sizes, for :meth:`class_for`'s bisect.
-        self._chunk_sizes = [c.chunk_size for c in self.classes]
+        #: Ascending chunk sizes, for :meth:`class_for`'s bisect (and the
+        #: engine's store loop, which places its items itself).
+        self.chunk_sizes = [c.chunk_size for c in self.classes]
         self.total_pages = 0
         self.stats = Counter()
 
@@ -77,7 +78,7 @@ class SlabAllocator:
         """Smallest class whose chunk fits *size* (None if > page)."""
         if size > PAGE_SIZE:
             return None
-        return self.classes[bisect_left(self._chunk_sizes, size)]
+        return self.classes[bisect_left(self.chunk_sizes, size)]
 
     def alloc_in(self, cls: SlabClass) -> bool:
         """Take one chunk of *cls* (the caller's :meth:`class_for` pick).

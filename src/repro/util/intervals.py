@@ -134,22 +134,3 @@ def coalesce_spans(values: Iterable[int]) -> list[tuple[int, int]]:
             out.append((v, v + 1))
     return out
 
-
-def intervals_equal(
-    a: Iterable[tuple[int, int, int]], b: Iterable[tuple[int, int, int]]
-) -> bool:
-    """Compare two interval lists as *content*: equal iff every byte has
-    the same version (normalises fragmentation differences)."""
-
-    def normalise(ivs: Iterable[tuple[int, int, int]]):
-        out: list[tuple[int, int, int]] = []
-        for s, e, v in ivs:
-            if s == e:
-                continue
-            if out and out[-1][2] == v and out[-1][1] == s:
-                out[-1] = (out[-1][0], e, v)
-            else:
-                out.append((s, e, v))
-        return out
-
-    return normalise(a) == normalise(b)

@@ -10,6 +10,14 @@ from repro.memcached.slabs import PAGE_SIZE
 from repro.util import KiB
 
 
+def _assemble(m, blocks, offset, size, file_size=None):
+    """``assemble_blocks`` over a ``{block offset: value}`` map: its
+    blocks are the value of each covering block in order, None where
+    the map has none."""
+    cover = [blocks.get(m.block_offset(i)) for i in m.cover(offset, size)]
+    return assemble_blocks(m, cover, offset, size, file_size=file_size)
+
+
 def test_cover_basics():
     m = BlockMapper(2 * KiB)
     assert list(m.cover(0, 1)) == [0]
@@ -109,7 +117,7 @@ def test_assemble_exact_roundtrip():
     m = BlockMapper(1024)
     r = _result(0, 8192, version=3)
     blocks = {b.block_offset: b for b in split_blocks(m, r, "/f")}
-    got = assemble_blocks(m, blocks, 100, 3000)
+    got = _assemble(m, blocks, 100, 3000)
     assert got is not None
     assert got.size == 3000
     assert got.data == r.data[100:3100]
@@ -121,7 +129,7 @@ def test_assemble_missing_block_is_none():
     r = _result(0, 4096)
     blocks = {b.block_offset: b for b in split_blocks(m, r, "/f")}
     del blocks[1024]
-    assert assemble_blocks(m, blocks, 0, 4096) is None
+    assert _assemble(m, blocks, 0, 4096) is None
 
 
 def test_assemble_short_block_is_a_miss():
@@ -131,9 +139,9 @@ def test_assemble_short_block_is_a_miss():
     m = BlockMapper(1024)
     r = _result(0, 2500)
     blocks = {b.block_offset: b for b in split_blocks(m, r, "/f")}
-    assert assemble_blocks(m, blocks, 2000, 2000) is None
+    assert _assemble(m, blocks, 2000, 2000) is None
     # Full blocks before the short tail remain servable.
-    got = assemble_blocks(m, blocks, 0, 2048)
+    got = _assemble(m, blocks, 0, 2048)
     assert got is not None and got.size == 2048
 
 
@@ -144,7 +152,7 @@ def test_assemble_matches_source(blocks_scale, offset, size):
     m = BlockMapper(512 * blocks_scale)
     full = _result(0, 8192, version=5)
     blocks = {b.block_offset: b for b in split_blocks(m, full, "/f")}
-    got = assemble_blocks(m, blocks, offset, size)
+    got = _assemble(m, blocks, offset, size)
     block_size = 512 * blocks_scale
     covers_short_or_missing = offset + size > (8192 // block_size) * block_size
     if covers_short_or_missing:
@@ -235,7 +243,7 @@ def _cached_file(draw):
 @given(_cached_file())
 def test_assemble_blocks_matches_the_byte_oracle(case):
     bs, blocks, offset, size, file_size = case
-    got = assemble_blocks(BlockMapper(bs), blocks, offset, size, file_size=file_size)
+    got = _assemble(BlockMapper(bs), blocks, offset, size, file_size=file_size)
     assert got == _oracle(bs, blocks, offset, size, file_size)
 
 

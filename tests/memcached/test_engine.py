@@ -441,11 +441,11 @@ def test_incr_reallocates_when_numeric_width_crosses_class():
     )
     key = "k" * klen
     e.set(key, 9, 1)
-    old_chunk = e.get(key).slab.chunk_size
+    old_chunk = e._items[key].slab.chunk_size
     assert e.incr(key, 1) == 10
-    item = e.get(key)
-    assert item.value == 10 and item.nbytes == 2
-    assert item.slab.chunk_size > old_chunk
+    value = e.get(key)
+    assert value.value == 10 and value.nbytes == 2
+    assert e._items[key].slab.chunk_size > old_chunk
     e.check_invariants()
 
 

@@ -11,7 +11,11 @@ One level down, ``MemcachedEngine.set_multi`` / ``delete_multi`` (one
 store or purge loop per request) must leave an engine exactly as the
 same items stored or deleted one command at a time would: by the
 engine's own ``set`` / ``delete`` (the batch of one), and by the scalar
-store and delete the loop replaced, kept here as the reference.
+store and delete the loop replaced, kept here as the reference.  The
+loop sizes, places and allocates each item itself; the reference does
+it with ``_total_size``, ``class_for`` and ``_allocate`` → ``alloc_in``,
+so every class, answer and engine and slab counter must agree, non-ASCII
+keys and items on a class boundary included.
 """
 
 from collections import OrderedDict
@@ -21,7 +25,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.memcached import McError, MemcacheClient, MemcachedDaemon, MemcachedEngine, PAGE_SIZE
 from repro.memcached.daemon import request_size
-from repro.memcached.engine import Item, McTooLarge
+from repro.memcached.engine import ITEM_OVERHEAD, Item, McTooLarge, key_nbytes
+from repro.memcached.slabs import SlabAllocator
 from repro.memcached.tenancy import TenantArbiter, TenantSpec
 from repro.net import IPOIB, Endpoint, Network, Node
 from repro.sim import Simulator
@@ -281,19 +286,38 @@ RUNNERS = {
     ),
 }
 
-#: Twelve keys, four per tenant namespace: a 30-item batch repeats some.
-ENGINE_KEYS = [f"{ns}k{i}" for ns in ("/a/", "/b/", "") for i in range(4)]
+#: Fifteen keys, five per tenant namespace, one of them not ASCII (its
+#: UTF-8 bytes, not its characters, are what an item is charged): a
+#: 30-item batch repeats some.
+ENGINE_KEYS = [
+    f"{ns}{k}" for ns in ("/a/", "/b/", "") for k in ("k0", "k1", "k2", "k3", "ké\u4e2d")
+]
 #: Item sizes by class: 3, 5 and ~10,000 to a page, so a page or two
 #: evict; more classes than pages leaves a class with none (NOT_STORED).
 CLASS_SIZES = [300_000, 180_000, 60]
+#: Whole-item sizes (overhead and key bytes included) on the class
+#: boundaries: a chunk size exactly, one byte over it (the next class),
+#: a whole page, and a byte more than a page (no class).
+BOUNDARY_TOTALS = sorted(
+    {t for c in SlabAllocator(PAGE_SIZE).chunk_sizes for t in (c, c + 1)} | {PAGE_SIZE + 1}
+)
 BAD_KEY = "has space"
+
+
+def value_bytes(key, size):
+    """An item's value size: *size* itself, or for ``("total", t)`` the
+    value bytes that make the whole item *t* bytes for this key."""
+    if isinstance(size, tuple):
+        return size[1] - ITEM_OVERHEAD - key_nbytes(key)
+    return size
 
 
 @st.composite
 def engine_rounds(draw):
     """A memory limit and up to five rounds: a batch of ≤ 30 stores or
     deletes over 1–3 slab classes, some with a TTL that the round's
-    clock advance can outlive, maybe a too-large item, maybe a bad key."""
+    clock advance can outlive, maybe a too-large item, maybe a bad key,
+    maybe items sized onto a class boundary."""
     classes = draw(st.integers(1, 3))
     size_st = st.builds(
         lambda base, extra: base + extra,
@@ -302,6 +326,8 @@ def engine_rounds(draw):
     if draw(st.booleans()):
         # Plus the item overhead, too large for any class.
         size_st = st.one_of(size_st, st.just(PAGE_SIZE))
+    if draw(st.booleans()):
+        size_st = st.one_of(size_st, st.tuples(st.just("total"), st.sampled_from(BOUNDARY_TOTALS)))
     key_st = st.sampled_from(ENGINE_KEYS)
     rounds = []
     for _ in range(draw(st.integers(1, 5))):
@@ -367,9 +393,9 @@ def test_engine_set_multi_and_delete_multi_are_the_scalar_commands(arbiter, case
     for kind, batch, bad_at, advance in rounds:
         if kind == "set":
             items = []
-            for key, nbytes, flags, ttl in batch:
+            for key, size, flags, ttl in batch:
                 serial += 1
-                items.append((key, f"v{serial}", nbytes, flags, ttl))
+                items.append((key, f"v{serial}", value_bytes(key, size), flags, ttl))
             if bad_at is not None:
                 items[bad_at] = (BAD_KEY, "bad", 1, 0, 0)
             batch = items
@@ -409,3 +435,25 @@ def test_set_is_the_batch_of_one_and_still_raises_too_large():
     assert e.stats.get("cmd_set") == 1  # counted, as a storage command
     assert e.set_multi([("big", "x", PAGE_SIZE, 0, 0), ("k", "v", 1, 0, 0)]) == [False, True]
     assert e.stats.get("cmd_set") == 3
+
+
+@pytest.mark.parametrize("key", ("plain", "wideé中"), ids=("ascii", "utf8"))
+def test_the_store_loop_places_every_boundary_size_as_class_for_does(key):
+    """Each boundary total on a fresh one-page engine, stored by the
+    loop and by the reference: the same answer, the class that
+    ``class_for(_total_size(...))`` picks, and the same counters."""
+    for total in BOUNDARY_TOTALS:
+        nbytes = value_bytes(key, ("total", total))
+        items = [(key, "v", nbytes, 0, 0), (key, "w", nbytes, 0, 0)]
+        batch, _ = make_engine(PAGE_SIZE, False)
+        ref, _ = make_engine(PAGE_SIZE, False)
+        answer = batch.set_multi(items)
+        assert answer == one_by_one(reference_set)(ref, items)
+        cls = ref.slabs.class_for(ref._total_size(key, nbytes))
+        assert answer == [cls is not None] * 2, total
+        if cls is not None:
+            assert batch._items[key].slab.index == cls.index
+            smaller = ref.slabs.classes[cls.index - 1].chunk_size if cls.index else 0
+            assert smaller < total <= cls.chunk_size
+        assert engine_state(batch) == engine_state(ref), total
+        batch.check_invariants()

@@ -5,9 +5,14 @@ of re-issuing it; a failed or interrupted leader re-disperses its
 followers and never publishes a poisoned miss.  A flight is a bare
 table entry until a follower arrives, so a fetch nobody shares costs
 no Event and no scheduler entry.
+
+The batch loop of ``get_multi`` is checked against the per-key loop it
+replaced (kept below as the reference) on random concurrent batches
+with duplicated and overlapping keys, an MCD dying partway.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.memcached import MemcacheClient, MemcachedDaemon
 from repro.memcached import client as client_mod
@@ -345,3 +350,135 @@ def test_aborted_get_multi_leaves_no_key_behind():
     assert out == {"multi": "interrupted", "follower": b"2"}
     assert mc.stats.values["sf_redispersed"] == 1
     assert mc._inflight == {}
+
+
+# -- batches against the per-key reference -------------------------------------
+class ReferenceClient(MemcacheClient):
+    """``get_multi`` as it stood when every key paid its own work: a
+    seen set, a per-key in-flight mark and a per-key publish.  Kept as
+    the reference the batch loop must match."""
+
+    def get_multi(self, keys):
+        inflight = self._inflight
+        riders = {}
+        by_server = {}
+        seen = set()
+        memo = self._read_memo()
+        for key in keys:
+            if key in seen:
+                continue
+            seen.add(key)
+            if key in inflight:
+                riders[key] = self._follow(key)
+                continue
+            idx = memo.get(key)
+            if idx is None:
+                idx = self._read_idx(key)
+            by_server.setdefault(idx, []).append(key)
+            inflight[key] = None
+        out = {}
+        failed = set()
+        completed = False
+        try:
+            if by_server:
+                results = yield self._fork("get_multi", by_server.items(), "mc-multiget")
+                for batch, partial in zip(by_server.values(), results):
+                    if partial is not None:
+                        out.update(partial)
+                    else:
+                        failed.update(batch)
+            completed = True
+        finally:
+            for batch in by_server.values():
+                for key in batch:
+                    flight = inflight.pop(key)
+                    if flight is not None:
+                        ok = completed and key not in failed
+                        flight.succeed(out.get(key) if ok else client_mod._SF_FAILED)
+        if riders:
+            results = yield self.endpoint.net.sim.all_of(list(riders.values()))
+            for key, ev in riders.items():
+                payload = results[ev]
+                if payload is client_mod._SF_FAILED:
+                    self._note_redispersed()
+                    idx = self._read_memo().get(key)
+                    if idx is None:
+                        idx = self._read_idx(key)
+                    (reply,) = yield from self._legs("get_multi", [(idx, [key])], "mc-rider")
+                    payload = reply.get(key) if reply is not None else None
+                if payload is not None:
+                    out[key] = payload
+        self.stats.inc("hits", len(out))
+        self.stats.inc("misses", len(seen) - len(out))
+        return out
+
+
+SF_KEYS = [f"k{i}" for i in range(6)]
+#: Gaps before an op: most start together, some just behind a fetch in
+#: flight (a get's round trip is tens of µs).
+SF_GAPS = [0.0, 0.0, 0.0, 2e-6, 10e-6, 40e-6]
+
+sf_op = st.one_of(
+    st.tuples(st.just("get"), st.sampled_from(SF_KEYS)),
+    st.tuples(st.just("get_multi"), st.lists(st.sampled_from(SF_KEYS), max_size=6)),
+)
+sf_case = st.fixed_dictionaries({
+    "mcds": st.integers(2, 3),
+    "stored": st.sets(st.sampled_from(SF_KEYS)),
+    "procs": st.lists(
+        st.lists(st.tuples(st.sampled_from(SF_GAPS), sf_op), min_size=1, max_size=5),
+        min_size=2, max_size=3,
+    ),
+    "victim": st.integers(0, 2),
+    "kill_at": st.sampled_from([0.0, 5e-6, 20e-6, 60e-6, 150e-6]),
+})
+
+
+def run_sf_case(client_cls, case):
+    """One client, 2–3 processes issuing gets and multi-gets, one MCD
+    killed partway: what each op returned and when, the client's
+    counters, the RPCs it issued and what is left in flight."""
+    sim = Simulator()
+    net = Network(sim, IPOIB)
+    daemons = [
+        MemcachedDaemon(sim, net, Node(sim, f"m{i}"), 16 * MiB) for i in range(case["mcds"])
+    ]
+    mc = client_cls(Endpoint(net, Node(sim, "client")), daemons)
+    _seed(sim, mc, [(k, f"v-{k}".encode()) for k in sorted(case["stored"])])
+    mc.stats.values.clear()
+    mc.endpoint.stats.values.clear()
+    start = sim.now
+    seen = [[] for _ in case["procs"]]
+
+    def proc(ops, log):
+        for gap, (op, arg) in ops:
+            if gap:
+                yield sim.timeout(gap)
+            if op == "get":
+                v = yield from mc.get(arg)
+                got = None if v is None else v.value
+            else:
+                got = {k: v.value for k, v in (yield from mc.get_multi(arg)).items()}
+            log.append((op, got, sim.now - start))
+
+    def killer():
+        yield sim.timeout(case["kill_at"])
+        daemons[case["victim"] % len(daemons)].kill()
+
+    for ops, log in zip(case["procs"], seen):
+        sim.process(proc(ops, log))
+    sim.process(killer())
+    sim.run()
+    counters = {n: mc.stats.get(n) for n in ("hits", "misses", "sf_follows", "sf_redispersed")}
+    return seen, counters, mc.endpoint.stats.get("calls"), dict(mc._inflight)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sf_case)
+def test_batched_get_multi_matches_the_per_key_reference(case):
+    got = run_sf_case(MemcacheClient, case)
+    want = run_sf_case(ReferenceClient, case)
+    assert got == want
+    assert got[3] == {}  # nothing left in flight at quiescence
+    # Every op answered: a dead MCD is a miss, never a hang.
+    assert [len(log) for log in got[0]] == [len(ops) for ops in case["procs"]]

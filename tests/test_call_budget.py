@@ -56,13 +56,17 @@ BUDGET = {
     # while the leg was a strand driving ``_leg`` and ``Endpoint.call``
     # (``Strand.__init__``, two resumes of each, ``Landing``) and the
     # batch's size and reply each called ``key_nbytes``; 45 while each
-    # message's ``transfer`` called ``delivery_time`` (two messages).
-    "warm_read_2k": 43,
+    # message's ``transfer`` called ``delivery_time`` (two messages); 43
+    # while ``assemble_blocks`` worked out the read's cover a second time
+    # (``BlockMapper.cover``) instead of walking the found values in
+    # cover order.
+    "warm_read_2k": 42,
     # 107, 97, 96, 86, 83, 77: the last three also paid 3 calls per
     # extra block (``KeyCache.data_key``, ``Crc32Selector.select``,
     # ``memcache_hash``) before the covering keys were one slice and
-    # each key's owner was memoised.  45 with ``delivery_time``.
-    "warm_read_16k": 43,
+    # each key's owner was memoised.  45 with ``delivery_time``, 43 with
+    # the second ``cover``.
+    "warm_read_16k": 42,
     # 82, 72, 71 (no _stat_scalar / _get_scalar wrapper frames), 61, 47,
     # 42 (the key's route was ``_read_route`` + ``select`` +
     # ``memcache_hash``; it is one memo probe), 40 while each of its
@@ -73,7 +77,7 @@ BUDGET = {
     # ``engine.set`` → ``_check_key``, ``_store``, ``_total_size``,
     # ``class_for``, ``_allocate``, ``alloc_in``, ``_insert``, four
     # ``Counter.inc``): ~18 calls per extra pushed block.  A push is one
-    # store loop per layer; an extra pushed block now pays ``owners``
+    # store loop per layer; an extra pushed block then paid ``owners``
     # and the store loop's ``_total_size`` → ``key_nbytes``,
     # ``class_for`` and ``alloc_in`` (5), and the 16 KiB read the page
     # cache's one ``Counter.inc`` per extra 4 KiB page (3).  163 / 201
@@ -82,9 +86,16 @@ BUDGET = {
     # page cache booked a ``Counter.inc`` per page.  151 / 186 while each
     # of the six messages' ``transfer`` called ``delivery_time``.  145 /
     # 180 while SMCache's push asked ``_fanout_width`` for a replica
-    # count its client already books.
-    "cold_read_2k": 144,
-    "cold_read_16k": 179,
+    # count its client already books.  144 / 179 while ``set_multi``
+    # asked ``owners`` per item and the store loop sized, placed and
+    # allocated each item through ``_total_size`` → ``key_nbytes``,
+    # ``class_for`` and ``alloc_in`` (5 per pushed block); the batch
+    # makes ``owners``'s epoch check and mode test once
+    # (``_sole_batches``, +1) and the loop does the rest inline.  A miss
+    # now enters ``assemble_blocks`` (+1), which stops at the first
+    # absent block, in place of the read's own presence probe.
+    "cold_read_2k": 141,
+    "cold_read_16k": 141,
     # Before every mutation walked one owner list: 358 / 663 / 149.
     # Routing a key was ``_window_targets`` + ``_replicas_for`` +
     # ``_idx_for`` + ``select``; it is ``owners`` + ``select``.
@@ -116,14 +127,18 @@ BUDGET = {
     # each message's ``transfer`` called ``delivery_time`` (6 / 4 / 4
     # messages).  224 / 197 / 116 while every SMCache push and purge
     # asked ``_fanout_width`` (two pushes in the write, one purge in the
-    # close, one ``:stat`` push in the open).
-    "write_4k": 222,
+    # close, one ``:stat`` push in the open).  222 / 196 / 115 while each
+    # stored item paid ``_total_size`` → ``key_nbytes``, ``class_for``
+    # and ``alloc_in`` (three stores in the write, one in the open) and
+    # each pushed or purged key an ``owners`` (two pushed blocks, 32
+    # purged keys); a batch pays one ``_sole_batches``.
+    "write_4k": 209,
     # 272 while the purge asked ``KeyCache.data_key`` and
     # ``block_index`` once per purged block (64 calls for 32); the
     # purge index holds block indices and the keys are one
     # ``data_keys`` slice of the path's key list.
-    "close": 196,
-    "open": 115,
+    "close": 165,
+    "open": 111,
     # NoCache, the brick path alone.  89 / 60 while the fop resumed a
     # ``ClientProtocol`` frame, a ``_charge`` frame and (on the disk
     # wake) ``LocalFS._wait``, the wait was a ``Timeout`` and the page
@@ -135,10 +150,10 @@ BUDGET = {
 #: (warm_read_16k - warm_read_2k) / 7: what one more cached block costs
 #: (3 before the covering keys were a slice and owners memoised).
 PER_EXTRA_BLOCK = 0
-#: What one more pushed block costs a cold read: ``owners``,
-#: ``_total_size``, ``key_nbytes``, ``class_for``, ``alloc_in`` (~18
-#: before the store loops).
-PER_PUSHED_BLOCK = 5
+#: What one more pushed block costs a cold read: nothing (~18 before the
+#: store loops; 5 while each paid ``owners``, ``_total_size``,
+#: ``key_nbytes``, ``class_for`` and ``alloc_in``).
+PER_PUSHED_BLOCK = 0
 #: What the extra 4 KiB pages a 16 KiB read probes cost over a 2 KiB
 #: one: the page cache books its counters once per call (3 while it
 #: paid one ``Counter.inc`` per page).
@@ -232,7 +247,7 @@ def test_write_close_and_open_cost_their_call_budgets():
     assert spent == _budget_for(spent)
 
 
-def test_cold_read_costs_its_call_budget_and_five_calls_per_extra_pushed_block():
+def test_cold_read_costs_its_call_budget_and_no_calls_per_extra_pushed_block():
     tb, fd = _warm_testbed()
     sim, client = tb.sim, tb.clients[0]
 

@@ -153,6 +153,13 @@ GUARDS = [
         "the lock's granted set itself.",
         "delete the code nothing runs",
     ),
+    Guard(
+        r"intervals_equa[l]",
+        ("src",),
+        "Nothing compares two interval lists as content since "
+        "ReadResult.same_content went; only a test called the helper.",
+        "a cached read and a block push pay per batch",
+    ),
 ]
 
 

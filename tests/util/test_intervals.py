@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.util.intervals import HOLE, IntervalVersionMap, intervals_equal
+from repro.util.intervals import HOLE, IntervalVersionMap
 
 
 def test_empty_read_is_hole():
@@ -76,14 +76,6 @@ def test_validation():
         m.write(0, 5, 0)  # HOLE version reserved
     with pytest.raises(ValueError):
         m.read(5, 3)
-
-
-def test_intervals_equal_normalises_fragmentation():
-    a = [(0, 5, 1), (5, 10, 1)]
-    b = [(0, 10, 1)]
-    assert intervals_equal(a, b)
-    assert not intervals_equal([(0, 10, 1)], [(0, 10, 2)])
-    assert intervals_equal([], [(3, 3, 9)])  # empty fragments ignored
 
 
 # -- property tests: the map must agree with a naive byte array -------------
