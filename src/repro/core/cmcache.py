@@ -52,6 +52,7 @@ from repro.localfs.types import ReadResult, StatBuf
 from repro.memcached.client import MemcacheClient
 from repro.obs.registry import ComponentMetrics
 from repro.sim.events import Event
+from repro.util.stats import Tally
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -82,8 +83,13 @@ class _Stream:
     ra_until: int = 0
 
 
-class CMCacheXlator(Xlator):
+class CMCacheXlator(Xlator, Tally):
     """Client-side IMCa translator."""
+
+    TALLY = tuple(
+        (f"_n_{key}", key)
+        for key in ("stat_hits", "stat_misses", "blocks_requested", "read_hits", "read_misses")
+    )
 
     def __init__(
         self,
@@ -107,7 +113,7 @@ class CMCacheXlator(Xlator):
         #: Instruments live in a registry component when the testbed has
         #: one; ``metrics`` keeps its Counter shape for existing callers.
         self.component = metrics or ComponentMetrics("cmcache")
-        self.metrics = self.component.counters
+        self.metrics = self._tally(self.component.counters)
         #: Shared with the MCD client: op-lifecycle annotations (tags
         #: like ``read-partial-fill``) ride on the testbed's tracer.
         self.tracer = mc.tracer
@@ -152,16 +158,6 @@ class CMCacheXlator(Xlator):
         stale = self._prefetched.pop(path, None)
         if stale:
             self.metrics.inc("prefetch_wasted", len(stale))
-
-    def _hot_for(self, path: str) -> Optional[HotCache]:
-        """The hot tier, iff enabled *and* this client holds the file
-        open (the close-to-open consistency gate: a path without an open
-        session has no invalidation hooks, so it must not be served from
-        client-local state)."""
-        hot = self._hot
-        if hot is not None and path in self.open_db:
-            return hot
-        return None
 
     def _hot_put(self, hot: HotCache, key: str, path: str, value, nbytes: int) -> None:
         before = hot.evictions
@@ -224,26 +220,29 @@ class CMCacheXlator(Xlator):
             booked = result = None
             key = self._keys.stat_key(path)
             if key is not None:
-                hot = self._hot_for(path)
+                # Close-to-open: no open session, no invalidation hooks.
+                hot = self._hot
+                if hot is not None and path not in self.open_db:
+                    hot = None
                 if hot is not None:
                     value = hot.get(key)
                     if isinstance(value, StatBuf):
                         self.metrics.inc("hot_stat_hits")
-                        self.metrics.inc("stat_hits")
+                        self._n_stat_hits += 1
                         if tr.oplog is not None:
                             tr.op_tag("stat-hot-hit")
                         booked, result = "stat_hits", value.copy()
                 if result is None:
                     cached = yield from self.mc.get(key)
                     if cached is not None and isinstance(cached.value, StatBuf):
-                        self.metrics.inc("stat_hits")
+                        self._n_stat_hits += 1
                         if tr.oplog is not None:
                             tr.op_tag("stat-mcd-hit")
                         if hot is not None:
                             self._hot_put(hot, key, path, cached.value.copy(), StatBuf.WIRE_SIZE)
                         booked, result = "stat_hits", cached.value.copy()
                     else:
-                        self.metrics.inc("stat_misses")
+                        self._n_stat_misses += 1
                         if tr.oplog is not None:
                             tr.op_tag("stat-miss")
                         booked = "stat_misses"
@@ -286,9 +285,11 @@ class CMCacheXlator(Xlator):
             return result
         skey = self._keys.stat_key(path)
 
-        hot = self._hot_for(path)
+        hot = self._hot  # (close-to-open, as in :meth:`stat`)
+        if hot is not None and path not in self.open_db:
+            hot = None
         if hot is None:
-            self.metrics.inc("blocks_requested", len(keys))
+            self._n_blocks_requested += len(keys)
             found = yield from self.mc.get_multi(keys if skey is None else keys + [skey])
             file_size: Optional[int] = None
             cached_stat = found.get(skey)
@@ -312,7 +313,7 @@ class CMCacheXlator(Xlator):
         else:
             assembled = assemble_blocks(self.mapper, blocks, offset, size, file_size=file_size)
         if assembled is not None:
-            self.metrics.inc("read_hits")
+            self._n_read_hits += 1
             if tr.oplog is not None:
                 tr.op_tag("read-hit")
             self._note_read(path, offset, size, file_size)
@@ -327,7 +328,7 @@ class CMCacheXlator(Xlator):
                     tr.op_tag("read-partial-fill")
                 self._note_read(path, offset, size, file_size)
                 return assembled
-        self.metrics.inc("read_misses")
+        self._n_read_misses += 1
         if tr.oplog is not None:
             tr.op_tag("read-miss")
         result = yield from self._down().read(path, offset, size)
@@ -361,7 +362,7 @@ class CMCacheXlator(Xlator):
                 self.metrics.inc("hot_stat_hits")
             else:
                 fetch_keys.append(skey)
-        self.metrics.inc("blocks_requested", len(keys))
+        self._n_blocks_requested += len(keys)
         if not fetch_keys:
             return blocks, file_size
         found = yield from self.mc.get_multi(fetch_keys)

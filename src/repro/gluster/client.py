@@ -16,7 +16,7 @@ from repro.gluster.costs import FUSE_OP_CPU
 from repro.gluster.xlator import Xlator
 from repro.net.fabric import Node
 from repro.obs.trace import NULL_TRACER
-from repro.util.stats import Counter
+from repro.util.stats import Counter, Tally
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -26,8 +26,13 @@ class BadFd(Exception):
     """Operation on a closed or never-opened file descriptor."""
 
 
-class GlusterClient:
+class GlusterClient(Tally):
     """A mounted GlusterFS client on one node."""
+
+    TALLY = tuple(
+        (f"_n_{key}", key)
+        for key in ("creates", "opens", "reads", "writes", "stats", "unlinks", "fsyncs", "closes")
+    )
 
     def __init__(
         self, sim: "Simulator", node: Node, stack_top: Xlator, tracer=NULL_TRACER
@@ -37,7 +42,7 @@ class GlusterClient:
         self.stack = stack_top
         self._fds: dict[int, str] = {}
         self._next_fd = 3
-        self.stats = Counter()
+        self.stats = self._tally(Counter())
         self.tracer = tracer
 
     # -- fd bookkeeping ------------------------------------------------------
@@ -104,51 +109,51 @@ class GlusterClient:
     # -- POSIX-style entry points ------------------------------------------------
     def create(self, path: str) -> Generator:
         """creat(2): create + open; returns an fd."""
-        self.stats.inc("creates")
+        self._n_creates += 1
         yield from self._op("client.create", path, self.stack.create(path))
         return self._new_fd(path)
 
     def open(self, path: str) -> Generator:
         """open(2); returns an fd."""
-        self.stats.inc("opens")
+        self._n_opens += 1
         yield from self._op("client.open", path, self.stack.open(path))
         return self._new_fd(path)
 
     def read(self, fd: int, offset: int, size: int) -> Generator:
         """pread(2); returns a :class:`ReadResult`."""
         path = self.path_of(fd)
-        self.stats.inc("reads")
+        self._n_reads += 1
         return self._op("client.read", path, self.stack.read(path, offset, size), size)
 
     def write(self, fd: int, offset: int, size: int, data=None) -> Generator:
         """pwrite(2); returns the server-assigned version."""
         path = self.path_of(fd)
-        self.stats.inc("writes")
+        self._n_writes += 1
         return self._op(
             "client.write", path, self.stack.write(path, offset, size, data), size
         )
 
     def stat(self, path: str) -> Generator:
         """stat(2) by path; returns a :class:`StatBuf`."""
-        self.stats.inc("stats")
+        self._n_stats += 1
         return self._op("client.stat", path, self.stack.stat(path))
 
     def truncate(self, path: str, length: int) -> Generator:
         return self._op("client.truncate", path, self.stack.truncate(path, length))
 
     def unlink(self, path: str) -> Generator:
-        self.stats.inc("unlinks")
+        self._n_unlinks += 1
         return self._op("client.unlink", path, self.stack.unlink(path))
 
     def fsync(self, fd: int) -> Generator:
         """fsync(2): returns once the server's write-back is durable."""
         path = self.path_of(fd)
-        self.stats.inc("fsyncs")
+        self._n_fsyncs += 1
         return self._op("client.fsync", path, self.stack.fsync(path))
 
     def close(self, fd: int) -> Generator:
         """close(2): winds a flush then releases the fd."""
         path = self.path_of(fd)
-        self.stats.inc("closes")
+        self._n_closes += 1
         yield from self._op("client.close", path, self.stack.flush(path))
         del self._fds[fd]

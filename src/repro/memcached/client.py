@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Generator, Mapping, Optional
 
-from repro.memcached.daemon import MemcachedDaemon, SERVICE, request_size
+from repro.memcached.daemon import MemcachedDaemon, SERVICE, command_cost
 from repro.memcached.engine import McValue
 from repro.memcached.hashing import (
     Crc32Selector,
@@ -82,7 +82,7 @@ from repro.memcached.membership import LIVE, McdMembership
 from repro.net.rpc import Endpoint, Leg, RpcError, RpcUnavailable, TimedLeg
 from repro.sim.events import Event
 from repro.sim.process import Join, departure
-from repro.util.stats import Counter
+from repro.util.stats import Counter, Tally
 
 
 @dataclass
@@ -136,8 +136,16 @@ _SF_FAILED = object()
 _LEG_SPAN = ("mcd", "mc.batch")
 
 
-class MemcacheClient:
-    """A client node's view of the MCD array."""
+class MemcacheClient(Tally):
+    """A client node's view of the MCD array.  Each MCD RPC is priced
+    once, here (:func:`command_cost`); a ``get_multi`` books both
+    ``hits`` and ``misses``, a zero included."""
+
+    TALLY = (
+        ("_n_hits", "hits"),
+        ("_n_misses", "misses"),
+        ("_n_multi_gets", None, "hits", "misses"),
+    )
 
     def __init__(
         self,
@@ -183,7 +191,7 @@ class MemcacheClient:
         #: publishes only if one is there, so a fetch nobody shares
         #: costs a dict slot and nothing else.
         self._inflight: dict[str, Optional[Event]] = {}
-        self.stats = Counter()
+        self.stats = self._tally(Counter())
         # Spans share the endpoint's tracer; MCD time observed from the
         # client side (RPC wait included) is attributed to the mcd tier.
         self.tracer = endpoint.tracer
@@ -332,9 +340,9 @@ class MemcacheClient:
         own.  Under one it waits on an inline :class:`_TrackedLeg`, which
         books its error on a counter of its own: the caller books it."""
         if self.health is None:
+            req_size, cpu = command_cost(op, payload)
             return self.endpoint.call(
-                self.membership.members[idx].daemon.node, SERVICE, (op, payload),
-                request_size(op, payload),
+                self.membership.members[idx].daemon.node, SERVICE, (op, payload), req_size, cpu
             )
         return self._call_leg(idx, op, payload)
 
@@ -382,7 +390,10 @@ class MemcacheClient:
         else:
             payload = yield self._follow(key)
             if payload is not _SF_FAILED:
-                self.stats.inc("hits" if payload is not None else "misses")
+                if payload is not None:
+                    self._n_hits += 1
+                else:
+                    self._n_misses += 1
                 return payload
             self._note_redispersed()
         published = _SF_FAILED
@@ -411,7 +422,10 @@ class MemcacheClient:
                 flight = inflight.pop(key)
                 if flight is not None:
                     flight.succeed(published)
-        self.stats.inc("hits" if value is not None else "misses")
+        if value is not None:
+            self._n_hits += 1
+        else:
+            self._n_misses += 1
         return value
 
     def _follow(self, key: str) -> Event:
@@ -576,8 +590,9 @@ class MemcacheClient:
                         payload = yield from self._forward_get(key, idx)
                 if payload is not None:
                     out[key] = payload
-        self.stats.inc("hits", len(out))
-        self.stats.inc("misses", len(unique) - len(out))
+        self._n_hits += len(out)
+        self._n_misses += len(unique) - len(out)
+        self._n_multi_gets += 1
         return out
 
     # -- legs ------------------------------------------------------------------
@@ -595,10 +610,10 @@ class MemcacheClient:
         try:
             if self.health is None:
                 for index, (idx, payload) in enumerate(legs):
+                    req_size, cpu = command_cost(op, payload)
                     Leg(
                         endpoint, members[idx].daemon.node, SERVICE, (op, payload),
-                        request_size(op, payload), join, index, name, parent, errors,
-                        _LEG_SPAN,
+                        req_size, cpu, join, index, name, parent, errors, _LEG_SPAN,
                     )
             else:
                 for index, (idx, payload) in enumerate(legs):
@@ -915,7 +930,7 @@ class _TrackedLeg(TimedLeg):
         self._then = then
         TimedLeg.__init__(
             self, client.endpoint, client.membership.members[idx].daemon.node, SERVICE,
-            (op, payload), request_size(op, payload), join, index, name, parent, errors,
+            (op, payload), *command_cost(op, payload), join, index, name, parent, errors,
             _LEG_SPAN, timeout=client.health.timeout, inline=inline,
         )
 

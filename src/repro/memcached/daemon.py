@@ -62,7 +62,7 @@ class MemcachedDaemon:
         )
         self.endpoint = Endpoint(net, node, tracer=tracer)
         self.tracer = tracer
-        self.endpoint.register(SERVICE, self._serve, arrival_cpu=command_cpu)
+        self.endpoint.register(SERVICE, self._serve)
         #: Lifecycle counters for the fault layer.
         self.crashes = 0
         self.restarts = 0
@@ -102,14 +102,15 @@ class MemcachedDaemon:
     def _serve(self, call: RpcCall):
         """The RPC handler.  It runs when the request's receive visit on
         this node's CPU ends, and that visit already carried the
-        command's :func:`command_cpu`; so it yields nothing: it does the
-        engine work, leaves a reply's copy on ``call.reply_cpu`` for the
+        command's CPU (``call.recv_cpu``, priced by the caller with
+        :func:`command_cost`); so it yields nothing: it does the engine
+        work, leaves a reply's copy on ``call.reply_cpu`` for the
         response's send visit, and returns ``(reply, resp_bytes)``."""
         op, payload = call.args
         if self.tracer.enabled:
             # The command's CPU is the tail of the receive visit: book it
             # to the mcd tier, inside the request's network span.
-            self.tracer.interval("mcd", f"mcd.{op}", self.sim.now - command_cpu(call.args))
+            self.tracer.interval("mcd", f"mcd.{op}", self.sim.now - call.recv_cpu)
         eng = self.engine
         if op == "get_multi":
             # The engine's lookup loop builds the reply: the values sent
@@ -175,71 +176,62 @@ class MemcachedDaemon:
         raise McError(f"unknown command {op!r}")
 
 
-def command_cpu(args: tuple[str, Any]) -> float:
-    """CPU a command — a request's ``(op, payload)`` args — costs the
-    daemon before it can answer: the event loop and hash-table work per
-    key, plus copying any value in.  It is the service's arrival-CPU
-    declaration: the RPC layer charges it as part of the request's
-    receive visit."""
-    op, payload = args
-    if op in ("get_multi", "delete_multi"):
-        return OP_CPU * max(1, len(payload))
-    if op == "set_multi":
-        # Pipelined sets: one visit for the sum of their costs.
-        cost = 0.0
-        for item in payload:
-            cost += OP_CPU + COPY_PER_BYTE * item[2]
-        return cost
-    if op in ("set", "add", "replace", "append", "prepend", "cas"):
-        return OP_CPU + COPY_PER_BYTE * payload[2]
-    if op == "scan":
-        return OP_CPU * max(1, payload[1])
-    if op in ("delete", "incr", "decr", "touch", "flush_all", "stats"):
-        return OP_CPU
-    # An unknown command is refused before any work.
-    return 0.0
+def command_cost(op: str, payload: Any) -> tuple[int, float]:
+    """``(req_bytes, cpu)``: what a command costs, priced in one pass.
 
-
-def request_size(op: str, payload: Any) -> int:
-    """Wire size of a request: each key's UTF-8 bytes plus a flat
-    ``KEY_WIRE_OVERHEAD`` (24 B) of framing per key, plus any value
-    bytes.  This is not the text protocol's encoding: for the keys
+    *req_bytes* is the request's wire size: each key's UTF-8 bytes plus
+    a flat ``KEY_WIRE_OVERHEAD`` (24 B) of framing per key, plus any
+    value bytes.  This is not the text protocol's encoding: for the keys
     CMCache mints (``abspath:<offset>``, ``abspath:stat``), a ``get`` of
     1, 3 and 9 keys is charged 18, 21.3 and 22.4 B per key more than its
     encoded ``get <key>*`` line, a 2 KiB block ``set`` 7 B more, a
     ``:stat`` set 8 B more and a ``delete`` 15 B more; a response is
     charged about 21 B per value more than its ``VALUE`` framing
     (``VALUE_WIRE_OVERHEAD``, 40 B).  Against a 2 KiB block that is
-    under 1.1% of the bytes."""
+    under 1.1% of the bytes.
+
+    *cpu* is what the daemon spends before it can answer: the event
+    loop and hash-table work per key, plus copying any value in.  The
+    RPC layer charges it as part of the request's receive visit on the
+    daemon's CPU (``Endpoint.call``'s *recv_cpu*).  An unknown command
+    is refused before any work.  Keys are sized as :func:`key_nbytes`
+    does, written out for a batch or a ``:stat`` push."""
     if op in ("get_multi", "delete_multi"):
-        # The keys' bytes in one pass (`key_nbytes`, written out: UTF-8
-        # lengths add under join).
+        n = len(payload)
         keys = "".join(payload)
+        # (`n or 1` is `max(1, n)`: a batch of none costs one command.)
         return (
-            (len(keys) if keys.isascii() else len(keys.encode()))
-            + KEY_WIRE_OVERHEAD * len(payload)
+            (len(keys) if keys.isascii() else len(keys.encode())) + KEY_WIRE_OVERHEAD * n,
+            OP_CPU * (n or 1),
         )
     if op in ("set", "add", "replace"):
         key, _value, nbytes, _flags, _ttl = payload
-        # `key_nbytes`, written out: every `:stat` push sizes one.
         return (
-            (len(key) if key.isascii() else len(key.encode())) + KEY_WIRE_OVERHEAD + nbytes
+            (len(key) if key.isascii() else len(key.encode())) + KEY_WIRE_OVERHEAD + nbytes,
+            OP_CPU + COPY_PER_BYTE * nbytes,
         )
     if op == "set_multi":
-        # One pass over the items (an empty batch sizes to 0, as an
-        # empty get_multi does), `key_nbytes` written out.
+        # Pipelined sets: one pass over the items (an empty batch sizes
+        # to 0, as an empty get_multi does), one visit for the sum of
+        # their costs.
         size = 0
+        cpu = 0.0
         for key, _value, nbytes, _flags, _ttl in payload:
             size += (len(key) if key.isascii() else len(key.encode())) + nbytes
-        return size + KEY_WIRE_OVERHEAD * len(payload)
+            cpu += OP_CPU + COPY_PER_BYTE * nbytes
+        return size + KEY_WIRE_OVERHEAD * len(payload), cpu
     if op in ("append", "prepend"):
         key, _value, nbytes = payload
-        return key_nbytes(key) + KEY_WIRE_OVERHEAD + nbytes
+        return key_nbytes(key) + KEY_WIRE_OVERHEAD + nbytes, OP_CPU + COPY_PER_BYTE * nbytes
     if op == "cas":
         key, _value, nbytes, _cas, _flags, _ttl = payload
-        return key_nbytes(key) + KEY_WIRE_OVERHEAD + nbytes
+        return key_nbytes(key) + KEY_WIRE_OVERHEAD + nbytes, OP_CPU + COPY_PER_BYTE * nbytes
     if op == "delete":
-        return key_nbytes(payload) + KEY_WIRE_OVERHEAD
+        return key_nbytes(payload) + KEY_WIRE_OVERHEAD, OP_CPU
     if op in ("incr", "decr", "touch"):
-        return key_nbytes(payload[0]) + KEY_WIRE_OVERHEAD
-    return KEY_WIRE_OVERHEAD
+        return key_nbytes(payload[0]) + KEY_WIRE_OVERHEAD, OP_CPU
+    if op == "scan":
+        return KEY_WIRE_OVERHEAD, OP_CPU * max(1, payload[1])
+    if op in ("flush_all", "stats"):
+        return KEY_WIRE_OVERHEAD, OP_CPU
+    return KEY_WIRE_OVERHEAD, 0.0

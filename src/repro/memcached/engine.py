@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from repro.memcached.slabs import PAGE_SIZE, SlabAllocator, SlabClass
 from repro.memcached.tenancy import TenantAccount, TenantArbiter
-from repro.util.stats import Counter
+from repro.util.stats import Counter, Tally
 
 #: Real memcached's limits: 250-byte keys, 1 MiB values (§2.2 rounds the
 #: key limit to "256 bytes"; the actual constant is 250).
@@ -94,8 +94,14 @@ class Item:
     reply: Optional[McValue] = field(default=None, repr=False, compare=False)
 
 
-class MemcachedEngine:
+class MemcachedEngine(Tally):
     """A single daemon's item store."""
+
+    TALLY = (
+        ("_n_cmd_get", "cmd_get"),
+        ("_n_get_hits", "get_hits"),
+        ("_n_get_misses", "get_misses"),
+    )
 
     def __init__(
         self,
@@ -116,7 +122,7 @@ class MemcachedEngine:
         self._ttl_items: dict[int, int] = {}
         self._cas = 0
         self._seq = 0
-        self.stats = Counter()
+        self.stats = self._tally(Counter())
 
     # -- helpers -----------------------------------------------------------
     def _check_key(self, key: str) -> None:
@@ -432,8 +438,8 @@ class MemcachedEngine:
         reported to the tenant arbiter, as a run of single gets would,
         and a hit answers the item's :class:`McValue`, built on its
         first hit and kept on the item (``Item.reply``) until the item
-        changes in place.  Only the three counters are booked once per
-        batch — in a ``finally``, so a bad key still books the keys
+        changes in place.  Only the three tallies are bumped once per
+        batch — in a ``finally``, so a bad key still counts the keys
         before it.  A key is validated only when it misses: one that is
         stored passed :meth:`_check_key` when it was, and a bad key is
         never stored, so it misses and raises there.
@@ -466,12 +472,9 @@ class MemcachedEngine:
                     value = item.reply = McValue(item.value, item.nbytes, item.flags, item.cas)
                 out[key] = value
         finally:
-            if hits or misses:
-                self.stats.inc("cmd_get", hits + misses)
-            if hits:
-                self.stats.inc("get_hits", hits)
-            if misses:
-                self.stats.inc("get_misses", misses)
+            self._n_cmd_get += hits + misses
+            self._n_get_hits += hits
+            self._n_get_misses += misses
         return out
 
     # -- mutation ----------------------------------------------------------------

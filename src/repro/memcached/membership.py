@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.memcached.daemon import SERVICE, MemcachedDaemon, request_size
+from repro.memcached.daemon import SERVICE, MemcachedDaemon, command_cost
 from repro.memcached.hashing import KetamaSelector, ServerSelector
 from repro.net.fabric import Network, Node
 from repro.net.rpc import Endpoint, RpcError
@@ -371,7 +371,7 @@ class ElasticController:
     def _rpc(self, node_id: int, op: str, payload):
         daemon = self.membership.daemon(node_id)
         reply = yield from self.endpoint.call(
-            daemon.node, SERVICE, (op, payload), req_size=request_size(op, payload)
+            daemon.node, SERVICE, (op, payload), *command_cost(op, payload)
         )
         return reply
 

@@ -2,8 +2,8 @@
 
 "The Memcache daemon may be accessed through TCP/IP connections" (§2.2)
 speaking the classic text protocol.  The simulation transports opaque
-payloads and does not use this codec: it charges
-``memcached.daemon.request_size`` (key bytes plus a flat 24 B of framing
+payloads and does not use this codec: it charges the request bytes of
+``memcached.daemon.command_cost`` (key bytes plus a flat 24 B of framing
 per key, plus value bytes), whose docstring states how far that is from
 the encoded length measured here.  Nothing under ``src/`` imports this
 module; only its round-trip tests do.
@@ -223,7 +223,7 @@ def parse_values_response(raw: bytes) -> list[Value]:
 
 def request_wire_size(req: Request) -> int:
     """Exact encoded size of a request.  (Not what the simulation
-    charges: see ``memcached.daemon.request_size``.)"""
+    charges: see ``memcached.daemon.command_cost``.)"""
     if req.command in RETRIEVAL_COMMANDS:
         return len(encode_get(req.keys, with_cas=req.command == "gets"))
     if req.command in STORAGE_COMMANDS:

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapreplace
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.sim.events import Event
 from repro.sim.process import departure
 from repro.sim.station import FifoStation
-from repro.util.stats import Counter
+from repro.util.stats import Counter, Tally
 
 from repro.net.profiles import TransportProfile
 
@@ -67,9 +67,8 @@ class Node:
         self.name = name
         self.cpu = FifoStation(sim, servers=cores, name=f"{name}.cpu")
         self.alive = True
-        #: Service registry used by the RPC layer (service name ->
-        #: (handler, arrival CPU or None); see ``Endpoint.register``).
-        self.services: dict[str, tuple] = {}
+        #: The RPC layer's service name -> handler (``Endpoint.register``).
+        self.services: dict[str, Callable] = {}
 
     def fail(self) -> None:
         """Mark the node dead; future transfers to it raise/err."""
@@ -92,15 +91,17 @@ class _Nic:
         self.rx = FifoStation(sim, 1, f"{name}.rx")
 
 
-class Network:
+class Network(Tally):
     """A switched network running one transport profile."""
+
+    TALLY = (("_n_messages", "messages", "bytes"), ("_n_bytes", "bytes"))
 
     def __init__(self, sim: "Simulator", transport: TransportProfile, name: str = "net"):
         self.sim = sim
         self.transport = transport
         self.name = name
         self._nics: dict[str, _Nic] = {}
-        self.stats = Counter()
+        self.stats = self._tally(Counter())
         #: Per-endpoint impairments (node name -> :class:`LinkImpairment`).
         #: Empty on a healthy fabric; the delivery-time fast path skips
         #: the lookup entirely so healthy runs stay float-identical.
@@ -328,13 +329,8 @@ class Network:
 
         # Every message, observed or not: `perf/ledger.py` reads these
         # from an unobserved pass.
-        values = self.stats.values
-        if "messages" in values:
-            values["messages"] += 1
-            values["bytes"] += size
-        else:
-            values["messages"] = 1
-            values["bytes"] = size
+        self._n_messages += 1
+        self._n_bytes += size
         # Not `t`: a delay from the departure, as `FifoStation.run` is
         # one from now (a runner that waited out its `ready` would wake
         # at that float and send from there).

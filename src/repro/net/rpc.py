@@ -22,12 +22,13 @@ stations, not by process multiplicity, which is exactly how an
 event-loop daemon like glusterfsd or memcached behaves.
 
 A service whose work is CPU on the node that receives the request — a
-memcached command — declares it instead of yielding it::
+memcached command — is priced by its caller, once, beside the request's
+size, instead of yielded by its handler::
 
-    endpoint.register("get", get_handler, arrival_cpu=lambda args: cost)
+    reply = yield from ep.call(mcd_node, "memcached", args, req_size, recv_cpu)
 
-The cost rides the request's receive visit on that CPU, the handler
-runs when the visit ends and returns ``(reply, size)`` without
+*recv_cpu* rides the request's receive visit on that node's CPU, the
+handler runs when the visit ends and returns ``(reply, size)`` without
 yielding, and any CPU it leaves on :attr:`RpcCall.reply_cpu` rides the
 response's send visit: a round trip is two scheduler entries.
 
@@ -52,7 +53,7 @@ from repro.net.fabric import Network, NetworkError, Node
 from repro.obs.trace import NULL_TRACER
 from repro.sim.events import NORMAL
 from repro.sim.process import JoinChild, departure
-from repro.util.stats import Counter
+from repro.util.stats import Counter, Tally
 
 
 class RpcError(Exception):
@@ -112,6 +113,8 @@ class RpcCall:
     service: str
     args: Any
     req_size: int
+    #: Host-CPU seconds the request costs the far end on arrival.
+    recv_cpu: float = 0.0
     #: Host-CPU seconds the handler leaves for the response's send visit
     #: on its node (a reply copy).
     reply_cpu: float = 0.0
@@ -127,38 +130,32 @@ class RpcCall:
 #: node's CPU is all declared as arrival and reply CPU.
 RpcHandler = Callable[[RpcCall], Any]
 
-#: Arrival-CPU declaration: the call's args -> host-CPU seconds.
-ArrivalCpu = Callable[[Any], float]
-
 #: Fixed wire overhead of an RPC header (XDR-ish framing).
 HEADER_SIZE = 96
 
-#: ``Node.services`` lookup default: no handler, no arrival CPU.
-_UNREGISTERED = (None, None)
 
-
-class Endpoint:
+class Endpoint(Tally):
     """RPC endpoint binding one node to one network."""
+
+    TALLY = (("_n_calls", "calls"),)
 
     def __init__(self, net: Network, node: Node, tracer=NULL_TRACER) -> None:
         if not net.attached(node):
             net.attach(node)
         self.net = net
         self.node = node
-        self.stats = Counter()
+        self.stats = self._tally(Counter())
         self.tracer = tracer
 
-    def register(
-        self, service: str, handler: RpcHandler, arrival_cpu: Optional[ArrivalCpu] = None
-    ) -> None:
-        """Serve *service* on this node.  *arrival_cpu*, if given, prices
-        the CPU each request costs this node on arrival, from its args."""
+    def register(self, service: str, handler: RpcHandler) -> None:
+        """Serve *service* on this node."""
         if service in self.node.services:
             raise ValueError(f"service {service!r} already registered on {self.node.name}")
-        self.node.services[service] = (handler, arrival_cpu)
+        self.node.services[service] = handler
 
     def call(
-        self, dst: Node, service: str, args: Any = None, req_size: int = 0
+        self, dst: Node, service: str, args: Any = None, req_size: int = 0,
+        recv_cpu: float = 0.0,
     ) -> Generator[Any, Any, Any]:
         """Invoke *service* on *dst*; yields from the caller's process.
 
@@ -173,20 +170,23 @@ class Endpoint:
         process, no wrapper frames to walk on every resume (the hot
         path).  A call with a deadline is a :class:`TimedLeg`.
 
-        A service's declared arrival CPU is part of the request's
-        receive visit, so the handler runs when that visit ends; if the
-        node dies before then the call fails and the handler never runs.
-        A request that never arrives (dead node, lost frame) costs the
-        far end nothing.
+        *recv_cpu* — the CPU the request costs *dst* on arrival — is
+        part of the request's receive visit, so the handler runs when
+        that visit ends; if the node dies before then the call fails and
+        the handler never runs.  A request that never arrives (dead
+        node, lost frame) costs the far end nothing.
         """
-        call = RpcCall(self.node, dst, service, args, req_size)
+        call = RpcCall(self.node, dst, service, args, req_size, recv_cpu)
         due = self._request(call)
         try:
             yield due
         except NetworkError as e:
             # The request could not arrive: the failing event's error.
             self._answer(call, e)
-        served = self._answer(call)
+        if call.span is None and dst.alive:
+            served = call.handler(call)  # (`_answer`'s healthy case, inline)
+        else:
+            served = self._answer(call)
         # Request delivered: the handler's reply goes back.
         if type(served) is tuple:
             reply, resp_size = served
@@ -209,27 +209,28 @@ class Endpoint:
         """The request half of every plain call (:meth:`call`, a
         :class:`Leg`): book the request of *call* — an :class:`RpcCall`,
         or a leg, which is its own record — from this node to
-        ``call.dst``, the service's arrival CPU riding its receive
-        visit, and set ``call.handler``.  Returns *due*: the float
+        ``call.dst``, its ``recv_cpu`` riding its receive visit, and set
+        ``call.handler``.  Returns *due*: the float
         instant that visit ends, or the event that fails once an
         undeliverable request has been charged.  Raises
         :class:`RpcUnavailable` for a service a live node does not
         serve, or a dead source (one ``errors``)."""
         dst = call.dst
-        handler, arrival_cpu = dst.services.get(call.service, _UNREGISTERED)
+        handler = dst.services.get(call.service)
         if handler is None and dst.alive:
             # (Dead and unregistered: the transfer below fails.)
             raise RpcUnavailable(f"no service {call.service!r} on {dst.name}")
         call.handler = handler
-        recv_cpu = 0.0 if arrival_cpu is None else arrival_cpu(call.args)
-        self.stats.inc("calls")
+        self._n_calls += 1
         tracer = self.tracer
         if tracer.enabled:
             # The handler is entered inside the request's span so it
             # can book its arrival CPU as a child of it.
             call.span = tracer.span("network", f"net.req.{call.service}").__enter__()
         try:
-            return self.net.transfer(self.node, dst, HEADER_SIZE + call.req_size, 0.0, recv_cpu)
+            return self.net.transfer(
+                self.node, dst, HEADER_SIZE + call.req_size, 0.0, call.recv_cpu
+            )
         except NetworkError as e:
             self._answer(call, e)
 
@@ -240,7 +241,8 @@ class Endpoint:
         request's receive visit ended, it books one ``errors``, closes
         the open network span and raises :class:`RpcUnavailable`.
         Otherwise it runs the handler, which returns ``(reply, size)``
-        or a generator of them, and closes the request's span."""
+        or a generator of them, and closes the request's span (with no
+        span, the handler call alone: :meth:`call` and a leg inline it)."""
         span = call.span
         try:
             if failure is None:
@@ -305,8 +307,8 @@ class Leg(JoinChild):
 
     A leg is its own call record: it carries an :class:`RpcCall`'s
     fields (``src``, ``dst``, ``service``, ``args``, ``req_size``,
-    ``reply_cpu``, ``handler``, ``span``), and the handler is handed the
-    leg.  The constructor books the request (:meth:`Endpoint._request`)
+    ``recv_cpu``, ``reply_cpu``, ``handler``, ``span``), and the handler
+    is handed the leg.  The constructor books the request (:meth:`Endpoint._request`)
     and mints the request's timed-wake entry at once — the entry, and its
     seq, a strand yielding the same transfer would mint.  The wake runs
     :meth:`_resume` at the request's arrival: the answer half
@@ -332,7 +334,8 @@ class Leg(JoinChild):
         "sim", "name", "serial", "parent", "ready", "_wake", "_join", "_index",
         "_endpoint", "_errors", "_span",
         # The call record (:class:`RpcCall`'s fields).
-        "src", "dst", "service", "args", "req_size", "reply_cpu", "handler", "span",
+        "src", "dst", "service", "args", "req_size", "recv_cpu", "reply_cpu", "handler",
+        "span",
     )
 
     def __init__(
@@ -342,6 +345,7 @@ class Leg(JoinChild):
         service: str,
         args: Any,
         req_size: int,
+        recv_cpu: float,
         join,
         index: int,
         name: str,
@@ -367,6 +371,7 @@ class Leg(JoinChild):
         self.service = service
         self.args = args
         self.req_size = req_size
+        self.recv_cpu = recv_cpu
         self.reply_cpu = 0.0
         self.handler = None
         self.span = None
@@ -396,11 +401,13 @@ class Leg(JoinChild):
         sim._active_process = self
         endpoint = self._endpoint
         try:
-            if event._ok:
-                reply, resp_size = endpoint._answer(self)
-            else:
+            if not event._ok:
                 event._defused = True
                 endpoint._answer(self, event._value)
+            elif self.span is None and self.dst.alive:
+                reply, resp_size = self.handler(self)  # (`_answer`, inline)
+            else:
+                reply, resp_size = endpoint._answer(self)
             tracer = endpoint.tracer
             if tracer.enabled:
                 self.span = tracer.span("network", f"net.resp.{self.service}").__enter__()

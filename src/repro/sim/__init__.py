@@ -17,7 +17,6 @@ from repro.sim.events import (
     Event,
     Timeout,
 )
-from repro.sim.monitor import Metrics, Tracer
 from repro.sim.process import Join, Process, ProcessGenerator
 from repro.sim.rand import RandomStreams
 from repro.sim.resources import Container, PriorityResource, Request, Resource
@@ -50,7 +49,5 @@ __all__ = [
     "Barrier",
     "Lock",
     "CountdownLatch",
-    "Metrics",
-    "Tracer",
     "RandomStreams",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.sim.station import FifoStation
-from repro.util.stats import Counter
+from repro.util.stats import Counter, Tally
 from repro.util.units import GiB, MiB, MSEC, USEC
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,13 +55,20 @@ SATA_2007 = DiskProfile(
 )
 
 
-class Disk:
+class Disk(Tally):
     """One spindle: a FIFO arm with head-position tracking.
 
     Head position evolves in reservation order, which equals service
     order for a FIFO arm, so sequential streams detected at reservation
     time are exact.
     """
+
+    TALLY = (
+        ("_n_reads", "reads", "bytes"),
+        ("_n_writes", "writes", "bytes"),
+        ("_n_bytes", "bytes"),
+        ("_n_seeks", "seeks"),
+    )
 
     def __init__(self, sim: "Simulator", profile: DiskProfile = SATA_2007, name: str = "disk"):
         self.sim = sim
@@ -75,7 +82,7 @@ class Disk:
         #: retrying sectors).  1.0 = healthy; never changes healthy
         #: timestamps because the multiply is skipped entirely.
         self._slowdown = 1.0
-        self.stats = Counter()
+        self.stats = self._tally(Counter())
 
     @property
     def slowdown(self) -> float:
@@ -102,13 +109,13 @@ class Disk:
         if self._slowdown != 1.0:
             service *= self._slowdown
         _, end = self.arm.reserve(service)
-        # The counters in one update of their dict, not a call apiece.
-        values = self.stats.values
-        kind = "writes" if write else "reads"
-        values[kind] = values.get(kind, 0) + 1
-        values["bytes"] = values.get("bytes", 0) + size
+        if write:
+            self._n_writes += 1
+        else:
+            self._n_reads += 1
+        self._n_bytes += size
         if seek:
-            values["seeks"] = values.get("seeks", 0) + 1
+            self._n_seeks += 1
         return end
 
     @property

@@ -13,15 +13,21 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.storage.disk import Disk, DiskProfile, SATA_2007
-from repro.util.stats import Counter
+from repro.util.stats import Counter, Tally
 from repro.util.units import KiB
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
 
 
-class Raid0:
+class Raid0(Tally):
     """A striped array presenting a flat logical byte space."""
+
+    TALLY = (
+        ("_n_reads", "reads", "bytes"),
+        ("_n_writes", "writes", "bytes"),
+        ("_n_bytes", "bytes"),
+    )
 
     def __init__(
         self,
@@ -42,7 +48,7 @@ class Raid0:
             Disk(sim, profile, name=f"{name}.d{i}") for i in range(disks)
         ]
         self.capacity = profile.capacity * disks
-        self.stats = Counter()
+        self.stats = self._tally(Counter())
 
     def set_slowdown(self, factor: float) -> None:
         """Degrade every member (fault injection: slow-disk episodes)."""
@@ -78,10 +84,11 @@ class Raid0:
             raise ValueError("negative offset/size")
         if offset + size > self.capacity:
             raise ValueError("access beyond array capacity")
-        values = self.stats.values
-        kind = "writes" if write else "reads"
-        values[kind] = values.get(kind, 0) + 1
-        values["bytes"] = values.get("bytes", 0) + size
+        if write:
+            self._n_writes += 1
+        else:
+            self._n_reads += 1
+        self._n_bytes += size
         if size == 0:
             # Zero-length access: a bare command to member 0.
             return self.members[0].access_time(offset % self.members[0].profile.capacity, 0, write)

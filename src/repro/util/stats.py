@@ -9,7 +9,7 @@ of millions of floats).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 
 class OnlineStats:
@@ -189,19 +189,37 @@ class Histogram:
         self.stats.merge(other.stats)
 
 
-@dataclass
 class Counter:
-    """A named bag of integer counters (hits, misses, evictions, ...)."""
+    """A named bag of integer counters (hits, misses, evictions, ...).
 
-    values: dict[str, int] = field(default_factory=dict)
+    Every read — :attr:`values`, :meth:`get`, :meth:`as_dict`, ``[]``,
+    a merge — and every new key first runs the bag's ``pulls``: folds
+    that add the counts components keep outside it (:class:`Tally`)."""
+
+    __slots__ = ("_values", "pulls")
+
+    def __init__(self, values: Optional[dict[str, int]] = None) -> None:
+        self._values: dict[str, int] = {} if values is None else values
+        self.pulls: list[Callable[[dict[str, int]], None]] = []
+
+    @property
+    def values(self) -> dict[str, int]:
+        values = self._values
+        for fold in self.pulls:
+            fold(values)
+        return values
 
     def inc(self, name: str, by: int = 1) -> None:
-        # Hot path (one or more increments per simulated op): in-place
-        # add with an EAFP miss branch beats dict.get by ~40%.
+        # In-place add with an EAFP miss branch beats dict.get by ~40%.
+        values = self._values
         try:
-            self.values[name] += by
+            values[name] += by
         except KeyError:
-            self.values[name] = by
+            # A new key: fold the pending counts in first, so keys keep
+            # the order eager counting inserted them in.
+            for fold in self.pulls:
+                fold(values)
+            values[name] = values.get(name, 0) + by
 
     def get(self, name: str, default: int = 0) -> int:
         return self.values.get(name, default)
@@ -215,3 +233,34 @@ class Counter:
 
     def __getitem__(self, name: str) -> int:
         return self.get(name)
+
+
+class Tally:
+    """Hot counts kept as plain int attributes, read only when asked.
+
+    A subclass lists them in ``TALLY`` as ``(attribute, key, *zeros)``
+    and counts with ``self.<attribute> += n``, entering no frame.  Its
+    counter, when read, adds each non-zero attribute to *key* (None: to
+    none), zeroes it, and puts each of its *zeros* keys in at 0 if
+    absent, as booking a zero with :meth:`Counter.inc` did: a key
+    appears exactly when eager counting made it appear."""
+
+    __slots__ = ()
+
+    TALLY: tuple[tuple[Optional[str], ...], ...] = ()
+
+    def _tally(self, counter: Counter) -> Counter:
+        for attr, *_ in self.TALLY:
+            setattr(self, attr, 0)
+        counter.pulls.append(self._fold)
+        return counter
+
+    def _fold(self, values: dict[str, int]) -> None:
+        for attr, key, *zeros in self.TALLY:
+            n = getattr(self, attr)
+            if n:
+                setattr(self, attr, 0)
+                if key is not None:
+                    values[key] = values.get(key, 0) + n
+                for zero in zeros:
+                    values.setdefault(zero, 0)

@@ -193,7 +193,7 @@ def test_client_requires_servers():
 
 
 def test_scan_op_over_rpc():
-    from repro.memcached.daemon import SERVICE, request_size
+    from repro.memcached.daemon import SERVICE, command_cost
     from repro.net import Endpoint, Node as _Node
 
     sim, client, daemons = make_cluster(n_mcds=1)
@@ -204,7 +204,7 @@ def test_scan_op_over_rpc():
         ep = client.endpoint
         next_cursor, entries = yield from ep.call(
             daemons[0].node, SERVICE, ("scan", (0, 3, True)),
-            req_size=request_size("scan", (0, 3, True)),
+            *command_cost("scan", (0, 3, True)),
         )
         assert next_cursor > 0
         assert [k for k, *_ in entries] == ["k0", "k1", "k2"]
@@ -212,14 +212,14 @@ def test_scan_op_over_rpc():
         # resuming from next_cursor yields the rest exactly once
         rest_cursor, rest = yield from ep.call(
             daemons[0].node, SERVICE, ("scan", (next_cursor, 3, True)),
-            req_size=request_size("scan", (next_cursor, 3, True)),
+            *command_cost("scan", (next_cursor, 3, True)),
         )
         assert rest_cursor == 0
         assert [k for k, *_ in rest] == ["k3", "k4"]
         # keys-only mode nulls the values (cheap cleanup walks)
         _, lean = yield from ep.call(
             daemons[0].node, SERVICE, ("scan", (0, 5, False)),
-            req_size=request_size("scan", (0, 5, False)),
+            *command_cost("scan", (0, 5, False)),
         )
         assert all(v is None for _, v, *_ in lean)
         return True
@@ -231,8 +231,11 @@ def test_wire_sizes_charge_key_bytes_not_characters():
     """A non-ASCII key costs its UTF-8 length on the wire, request and
     reply; an ASCII key costs what it always did."""
     from repro.memcached.daemon import (
-        COPY_PER_BYTE, KEY_WIRE_OVERHEAD, VALUE_WIRE_OVERHEAD, SERVICE, request_size,
+        COPY_PER_BYTE, KEY_WIRE_OVERHEAD, VALUE_WIRE_OVERHEAD, SERVICE, command_cost,
     )
+
+    def request_size(op, payload):
+        return command_cost(op, payload)[0]
     from repro.net.rpc import RpcCall
 
     assert request_size("get_multi", ["ab", "é", "文x"]) == (2 + 2 + 4) + 3 * KEY_WIRE_OVERHEAD

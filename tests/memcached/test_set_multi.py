@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memcached import McError, MemcacheClient, MemcachedDaemon, MemcachedEngine, PAGE_SIZE
-from repro.memcached.daemon import request_size
+from repro.memcached.daemon import command_cost
 from repro.memcached.engine import ITEM_OVERHEAD, Item, McTooLarge, key_nbytes
 from repro.memcached.slabs import SlabAllocator
 from repro.memcached.tenancy import TenantArbiter, TenantSpec
@@ -194,6 +194,10 @@ def test_delete_multi_legs_run_together():
 def test_an_empty_set_multi_sizes_to_zero():
     """Sized in one pass over the items: no items, no bytes, as an empty
     get_multi or delete_multi."""
+
+    def request_size(op, payload):
+        return command_cost(op, payload)[0]
+
     assert request_size("set_multi", []) == 0
     assert request_size("get_multi", []) == request_size("delete_multi", []) == 0
     # Σ key bytes (UTF-8) + 24 B framing per item + Σ value bytes.

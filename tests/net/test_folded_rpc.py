@@ -24,7 +24,7 @@ from repro import TestbedConfig, build_gluster_testbed
 from repro.gluster.server import SERVICE as GLUSTER
 from repro.gluster.server import request_size as gluster_request_size
 from repro.memcached import MemcachedDaemon
-from repro.memcached.daemon import COPY_PER_BYTE, SERVICE, command_cpu, request_size
+from repro.memcached.daemon import COPY_PER_BYTE, SERVICE, command_cost
 from repro.net import HEADER_SIZE, IPOIB, Endpoint, Network, Node, RpcCall, RpcUnavailable
 from repro.obs.trace import SimTracer
 from repro.sim import RandomStreams, Simulator
@@ -37,10 +37,10 @@ def reference_call(ep, daemon, op, payload):
     """The MCD round trip as its own bookings: request, command CPU,
     handler, copy CPU, response."""
     net, node, dst = ep.net, ep.node, daemon.node
-    req_size = request_size(op, payload)
+    req_size, cpu = command_cost(op, payload)
     yield net.transfer(node, dst, HEADER_SIZE + req_size)
-    yield dst.cpu.run(command_cpu((op, payload)))
-    reply, resp_size = daemon._serve(RpcCall(node, dst, SERVICE, (op, payload), req_size))
+    yield dst.cpu.run(cpu)
+    reply, resp_size = daemon._serve(RpcCall(node, dst, SERVICE, (op, payload), req_size, cpu))
     if resp_size and op in ("get_multi", "scan"):
         yield dst.cpu.run(COPY_PER_BYTE * resp_size)
     yield net.transfer(dst, node, HEADER_SIZE + resp_size)
@@ -48,7 +48,7 @@ def reference_call(ep, daemon, op, payload):
 
 
 def folded_call(ep, daemon, op, payload):
-    return ep.call(daemon.node, SERVICE, (op, payload), request_size(op, payload))
+    return ep.call(daemon.node, SERVICE, (op, payload), *command_cost(op, payload))
 
 
 def _mcd_pair(cores, tracer=None):
@@ -288,7 +288,8 @@ def test_a_reply_to_a_killed_client_books_the_copy_on_the_mcd_cpu():
     sim.run(until=sim.process(folded_call(ep, daemon, "set_multi", value)))
     cpu = daemon.node.cpu
     busy, jobs = cpu.busy_time, cpu.jobs
-    req_size = HEADER_SIZE + request_size("get_multi", ["big"])
+    req_bytes, command_cpu = command_cost("get_multi", ["big"])
+    req_size = HEADER_SIZE + req_bytes
     caught = _call_outcome(sim, ep, daemon, "get_multi", ["big"])
 
     def killer():
@@ -304,7 +305,7 @@ def test_a_reply_to_a_killed_client_books_the_copy_on_the_mcd_cpu():
     resp_bytes = 512 * KiB + 40 + len("big")
     assert cpu.jobs == jobs + 2
     want = (
-        (p.cpu_recv + p.cpu_per_byte * req_size + command_cpu(("get_multi", ["big"])))
+        (p.cpu_recv + p.cpu_per_byte * req_size + command_cpu)
         + (p.cpu_send + p.cpu_per_byte * (HEADER_SIZE + resp_bytes) + COPY_PER_BYTE * resp_bytes)
     )
     assert math.isclose(cpu.busy_time - busy, want, rel_tol=1e-9)
@@ -329,6 +330,6 @@ def test_traced_call_books_the_command_cpu_to_the_mcd_tier():
     spans = {s.name: s for s in daemon.tracer.spans}
     mcd, req = spans["mcd.get_multi"], spans["net.req.memcached"]
     assert mcd.tier == "mcd" and mcd.end == req.end
-    assert math.isclose(mcd.duration, command_cpu(("get_multi", keys)), rel_tol=1e-9)
+    assert math.isclose(mcd.duration, command_cost("get_multi", keys)[1], rel_tol=1e-9)
     assert req.child_time == mcd.duration
     assert math.isclose(req.exclusive + mcd.duration, req.duration, rel_tol=1e-12)

@@ -31,7 +31,7 @@ from repro import Observability, TestbedConfig, build_gluster_testbed
 from repro.core.config import IMCaConfig
 from repro.memcached import McError, MemcacheClient, MemcachedDaemon
 from repro.memcached.client import HealthPolicy
-from repro.memcached.daemon import SERVICE, request_size
+from repro.memcached.daemon import SERVICE, command_cost
 from repro.net import IPOIB, Endpoint, Network, Node, RpcError, RpcUnavailable
 from repro.sim import Simulator
 from repro.sim.process import departure
@@ -116,7 +116,7 @@ class WaitingClient(MemcacheClient):
         process: on timeout the call is abandoned, not cancelled."""
         call = self.endpoint.call(
             self.membership.members[idx].daemon.node, SERVICE, (op, payload),
-            request_size(op, payload),
+            *command_cost(op, payload),
         )
         if self.health.timeout is None:
             return (yield from call)

@@ -129,27 +129,29 @@ def test_loss_draws_are_seed_deterministic():
 # --------------------------------------------------------------------------- #
 # RPC: a leg's deadline, and retries
 # --------------------------------------------------------------------------- #
-def leg_call(sim, cep, dst, service, timeout, errors):
-    """One :class:`TimedLeg` with *timeout*, joined: its reply, or None
-    when it failed or missed its deadline."""
+def leg_call(sim, cep, dst, service, timeout, errors, recv_cpu=0.0):
+    """One :class:`TimedLeg` with *timeout* whose request costs *dst*
+    *recv_cpu* on arrival, joined: its reply, or None when it failed or
+    missed its deadline."""
     join = Join(sim, 1)
-    TimedLeg(cep, dst, service, None, 0, join, 0, "leg", sim.active_process, errors,
+    TimedLeg(cep, dst, service, None, 0, recv_cpu, join, 0, "leg", sim.active_process, errors,
              timeout=timeout)
     (reply,) = yield join
     return reply
 
 
-def _deadline_run(register, timeout):
-    """Run one leg with *timeout* against the service *register* sets
-    up; returns (landing instant, reply, errors, endpoint stats, when the
-    handler ran, messages sent)."""
+def _deadline_run(register, timeout, recv_cpu=0.0):
+    """Run one leg with *timeout*, costing *recv_cpu* on arrival,
+    against the service *register* sets up; returns (landing instant,
+    reply, errors, endpoint stats, when the handler ran, messages
+    sent)."""
     sim, net, client, server, cep, sep = make_pair()
     ran = []
     register(sep, lambda: ran.append(sim.now))
     seen, errors = [], Counter()
 
     def proc():
-        reply = yield from leg_call(sim, cep, server, "svc", timeout, errors)
+        reply = yield from leg_call(sim, cep, server, "svc", timeout, errors, recv_cpu)
         seen.append((sim.now, reply))
 
     sim.process(proc())
@@ -163,14 +165,14 @@ def _slow_request(sep, note):
         note()
         return "late", 16
 
-    sep.register("svc", handler, arrival_cpu=lambda args: 0.05)
+    sep.register("svc", handler)
 
 
 def test_slow_call_times_out_at_the_deadline():
     """The request cannot arrive by the deadline: the leg lands None at
     it with one ``timeouts``, and the request still runs on the server
     (at-least-once) and its response is still sent."""
-    when, reply, errors, stats, ran, messages = _deadline_run(_slow_request, 0.002)
+    when, reply, errors, stats, ran, messages = _deadline_run(_slow_request, 0.002, 0.05)
     assert (when, reply) == (pytest.approx(0.002), None)
     assert stats["timeouts"] == 1 and errors == {"errors": 1}
     assert len(ran) == 1 and ran[0] > 0.05 and messages == 2
@@ -200,9 +202,9 @@ def test_fast_call_with_deadline_succeeds():
             note()
             return "fast", 16
 
-        sep.register("svc", handler, arrival_cpu=lambda args: 5 * USEC)
+        sep.register("svc", handler)
 
-    when, reply, errors, stats, ran, messages = _deadline_run(register, 0.01)
+    when, reply, errors, stats, ran, messages = _deadline_run(register, 0.01, 5 * USEC)
     assert reply == "fast" and ran[0] < when < 0.01
     assert "timeouts" not in stats and errors == {}
 

@@ -1,76 +1,8 @@
-"""Tests for measurement probes and deterministic random streams."""
+"""Tests for deterministic random streams."""
 
 import numpy as np
-import pytest
 
-from repro.sim import Metrics, RandomStreams, Simulator, Tracer
-
-
-# -- Tracer -------------------------------------------------------------------
-def test_tracer_disabled_by_default():
-    sim = Simulator()
-    tracer = Tracer(sim)
-    tracer.log("src", "tag", {"x": 1})
-    assert tracer.records == []
-
-
-def test_tracer_records_with_time():
-    sim = Simulator()
-    tracer = Tracer(sim, enabled=True)
-
-    def proc(sim):
-        tracer.log("disk", "seek", 42)
-        yield sim.timeout(1.5)
-        tracer.log("disk", "read", 43)
-
-    sim.process(proc(sim))
-    sim.run()
-    assert len(tracer.records) == 2
-    assert tracer.records[0].time == 0.0
-    assert tracer.records[1].time == 1.5
-    assert tracer.records[1].payload == 43
-
-
-def test_tracer_filter():
-    sim = Simulator()
-    tracer = Tracer(sim, enabled=True)
-    tracer.log("a", "x")
-    tracer.log("a", "y")
-    tracer.log("b", "x")
-    assert len(tracer.filter(source="a")) == 2
-    assert len(tracer.filter(tag="x")) == 2
-    assert len(tracer.filter(source="b", tag="x")) == 1
-
-
-def test_tracer_limit():
-    sim = Simulator()
-    tracer = Tracer(sim, enabled=True, limit=3)
-    for i in range(10):
-        tracer.log("s", "t", i)
-    assert len(tracer.records) == 3
-
-
-# -- Metrics -----------------------------------------------------------------------
-def test_metrics_counters_and_timers():
-    m = Metrics()
-    m.count("ops")
-    m.count("ops", 2)
-    m.observe("latency", 0.5)
-    m.observe("latency", 1.5)
-    assert m.counters.get("ops") == 3
-    assert m.timer("latency").mean == pytest.approx(1.0)
-
-
-def test_metrics_series_and_merge():
-    a, b = Metrics(), Metrics()
-    a.sample("queue", 0.0, 1.0)
-    b.sample("queue", 1.0, 2.0)
-    b.count("hits", 5)
-    b.observe("lat", 3.0)
-    a.merge(b)
-    assert a.series["queue"] == [(0.0, 1.0), (1.0, 2.0)]
-    assert a.counters.get("hits") == 5
-    assert a.timer("lat").n == 1
+from repro.sim import RandomStreams
 
 
 # -- RandomStreams -------------------------------------------------------------------

@@ -24,6 +24,9 @@ refresh), the close that purges the file's 32 pushed blocks in one
 ``delete_multi``, and the open that follows (nothing left to purge; one ``:stat`` push) — so
 a refactor of the store or purge path cannot add frames unseen.
 
+A stat hit and a warm read enter no ``Counter`` frame at all: what they
+count are tallies, plain attributes folded in when a counter is read.
+
 The brick path is budgeted alone on a NoCache testbed whose page cache
 holds one 64 KiB file: a 16 KiB read of an evicted file, whose disk
 wake resumes one frame per layer, then the same read again.
@@ -38,6 +41,7 @@ import sys
 import repro
 from repro import TestbedConfig, build_gluster_testbed
 from repro.core.config import IMCaConfig
+from repro.util.stats import Counter
 from repro.util.units import KiB, MiB
 
 _SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
@@ -59,19 +63,30 @@ BUDGET = {
     # message's ``transfer`` called ``delivery_time`` (two messages); 43
     # while ``assemble_blocks`` worked out the read's cover a second time
     # (``BlockMapper.cover``) instead of walking the found values in
-    # cover order.
-    "warm_read_2k": 42,
+    # cover order; 42 while its counts were seven ``Counter.inc`` calls
+    # (``blocks_requested``, ``calls``, ``cmd_get``, ``get_hits``,
+    # ``hits``, ``misses``, ``read_hits``; tallies now), the leg was
+    # priced by ``request_size`` and, at the MCD, ``command_cpu`` (one
+    # ``command_cost`` now), and the hot tier's gate was a
+    # ``_hot_for`` call; 33 while the leg's healthy answer half was a
+    # call of ``Endpoint._answer`` rather than the handler's, in line.
+    "warm_read_2k": 32,
     # 107, 97, 96, 86, 83, 77: the last three also paid 3 calls per
     # extra block (``KeyCache.data_key``, ``Crc32Selector.select``,
     # ``memcache_hash``) before the covering keys were one slice and
     # each key's owner was memoised.  45 with ``delivery_time``, 43 with
-    # the second ``cover``.
-    "warm_read_16k": 42,
+    # the second ``cover``, 42 with seven ``Counter.inc``, two pricing
+    # calls and ``_hot_for``, 33 with ``_answer``.
+    "warm_read_16k": 32,
     # 82, 72, 71 (no _stat_scalar / _get_scalar wrapper frames), 61, 47,
     # 42 (the key's route was ``_read_route`` + ``select`` +
     # ``memcache_hash``; it is one memo probe), 40 while each of its
-    # two messages' ``transfer`` called ``delivery_time``.
-    "stat_hit": 38,
+    # two messages' ``transfer`` called ``delivery_time``.  38 while it
+    # booked five ``Counter.inc`` (``calls``, ``cmd_get``, ``get_hits``,
+    # ``hits``, ``stat_hits``), its get was priced twice
+    # (``request_size``, ``command_cpu``) and it asked ``_hot_for``; 31
+    # while its call's healthy answer half was ``Endpoint._answer``.
+    "stat_hit": 30,
     # 169 and 298 while each pushed block was a scalar store at every
     # layer (``KeyCache.data_key``, ``block_index``, ``owners``,
     # ``engine.set`` → ``_check_key``, ``_store``, ``_total_size``,
@@ -93,9 +108,15 @@ BUDGET = {
     # makes ``owners``'s epoch check and mode test once
     # (``_sole_batches``, +1) and the loop does the rest inline.  A miss
     # now enters ``assemble_blocks`` (+1), which stops at the first
-    # absent block, in place of the read's own presence probe.
-    "cold_read_2k": 141,
-    "cold_read_16k": 141,
+    # absent block, in place of the read's own presence probe.  141
+    # while ten of its counts were ``Counter.inc`` calls (three RPCs'
+    # ``calls``, the engine's get and miss counts, the client's
+    # ``hits``/``misses``, ``blocks_requested``, ``read_misses``), each
+    # MCD RPC was priced twice (``request_size`` and ``command_cpu``:
+    # four calls, two now) and the hot tier's gate was ``_hot_for``.
+    # 128 while each of its three RPCs entered ``Endpoint._answer``.
+    "cold_read_2k": 125,
+    "cold_read_16k": 125,
     # Before every mutation walked one owner list: 358 / 663 / 149.
     # Routing a key was ``_window_targets`` + ``_replicas_for`` +
     # ``_idx_for`` + ``select``; it is ``owners`` + ``select``.
@@ -131,21 +152,28 @@ BUDGET = {
     # stored item paid ``_total_size`` → ``key_nbytes``, ``class_for``
     # and ``alloc_in`` (three stores in the write, one in the open) and
     # each pushed or purged key an ``owners`` (two pushed blocks, 32
-    # purged keys); a batch pays one ``_sole_batches``.
-    "write_4k": 209,
+    # purged keys); a batch pays one ``_sole_batches``.  209 / 165 / 111
+    # while each RPC's ``calls`` (3 / 2 / 2 RPCs) and the close's and
+    # the open's own ``closes`` / ``opens`` were ``Counter.inc`` calls
+    # and each MCD RPC was priced by ``request_size`` and
+    # ``command_cpu`` (2 / 1 / 1 MCD RPCs).  204 / 161 / 107 while each
+    # RPC's healthy answer half was an ``Endpoint._answer`` frame.
+    "write_4k": 201,
     # 272 while the purge asked ``KeyCache.data_key`` and
     # ``block_index`` once per purged block (64 calls for 32); the
     # purge index holds block indices and the keys are one
     # ``data_keys`` slice of the path's key list.
-    "close": 165,
-    "open": 111,
+    "close": 159,
+    "open": 105,
     # NoCache, the brick path alone.  89 / 60 while the fop resumed a
     # ``ClientProtocol`` frame, a ``_charge`` frame and (on the disk
     # wake) ``LocalFS._wait``, the wait was a ``Timeout`` and the page
     # cache booked a ``Counter.inc`` per page.  58 / 43 while each of the
-    # two messages' ``transfer`` called ``delivery_time``.
-    "uncached_read_16k_page_miss": 56,
-    "uncached_read_16k_page_hit": 41,
+    # two messages' ``transfer`` called ``delivery_time``.  56 / 41
+    # while the brick RPC's ``calls`` was a ``Counter.inc``, 55 / 40
+    # while its answer half was an ``Endpoint._answer`` frame.
+    "uncached_read_16k_page_miss": 54,
+    "uncached_read_16k_page_hit": 39,
 }
 #: (warm_read_16k - warm_read_2k) / 7: what one more cached block costs
 #: (3 before the covering keys were a slice and owners memoised).
@@ -180,6 +208,26 @@ def _count_calls(sim, op_gen):
         sys.setprofile(None)
     assert done.triggered
     return calls, done.value
+
+
+def _counter_frames(sim, op_gen):
+    """Run *op_gen* to completion on *sim*; the ``Counter.inc`` and
+    ``Counter.values`` frames entered meanwhile."""
+    codes = {Counter.inc.__code__, Counter.values.fget.__code__}
+    frames = []
+
+    def profiler(frame, event, _arg):
+        if event == "call" and frame.f_code in codes:
+            frames.append(frame.f_code.co_qualname)
+
+    done = sim.process(op_gen)
+    sys.setprofile(profiler)
+    try:
+        sim.run()
+    finally:
+        sys.setprofile(None)
+    assert done.triggered
+    return frames
 
 
 def _warm_testbed():
@@ -229,6 +277,19 @@ def test_warm_read_costs_its_call_budget_and_at_most_four_calls_per_extra_block(
     assert extra // 7 <= 4, spent
     assert extra // 7 == PER_EXTRA_BLOCK, spent
     assert spent == _budget_for(spent)
+
+
+def test_a_stat_hit_and_a_warm_read_enter_no_counter_frame():
+    """Their counts are tallies: plain attributes, folded into their
+    counters only when those are read."""
+    tb, fd = _warm_testbed()
+    sim, client = tb.sim, tb.clients[0]
+    hits = tb.cm_stats()
+    assert _counter_frames(sim, client.stat("/warm")) == []
+    assert _counter_frames(sim, client.read(fd, 16 * KiB, 16 * KiB)) == []
+    after = tb.cm_stats()
+    assert after["stat_hits"] == hits.get("stat_hits", 0) + 1
+    assert after["read_hits"] == hits.get("read_hits", 0) + 1
 
 
 def test_write_close_and_open_cost_their_call_budgets():

@@ -160,6 +160,21 @@ GUARDS = [
         "ReadResult.same_content went; only a test called the helper.",
         "a cached read and a block push pay per batch",
     ),
+    Guard(
+        r"sim\.monito[r]|\bTraceRecor[d]\b|from repro\.sim import[^\n]*\b(Tracer|Metric[s])\b",
+        EVERYWHERE,
+        "One tracer and one metrics bag, both in obs/: the kernel's own "
+        "tracer, its record type and its metrics bag had no caller outside "
+        "their tests.",
+        "a cache RPC pays its fixed cost once",
+    ),
+    Guard(
+        r"arrival_cp[u]|ArrivalCp[u]|_UNREGISTERE[D]|\brequest_size\(op|command_cp[u]\(",
+        ("src", "examples", "benchmarks"),
+        "A memcached command is priced once, by its caller (command_cost): "
+        "no arrival-CPU declaration on the service, no second pricing pass.",
+        "a cache RPC pays its fixed cost once",
+    ),
 ]
 
 
