@@ -23,9 +23,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.obs.oplog import DEFAULT_OPLOG_LIMIT, OpLog
+from repro.obs.oplog import OpLog
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import DEFAULT_SPAN_LIMIT, NULL_TRACER, SimTracer
+from repro.obs.trace import NULL_TRACER, SimTracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -37,7 +37,9 @@ class Observability:
     Create with ``trace=True`` to request span tracing; the tracer is
     instantiated lazily by :meth:`bind` because it needs the simulator,
     which the testbed builder creates.  ``sample_interval`` (seconds of
-    sim time) opts into the time-series sampler process.
+    sim time) opts into the time-series sampler process.  The tracer
+    keeps at most ``DEFAULT_SPAN_LIMIT`` spans and the op log
+    ``DEFAULT_OPLOG_LIMIT`` records.
     """
 
     def __init__(
@@ -45,9 +47,7 @@ class Observability:
         name: str = "obs",
         *,
         trace: bool = False,
-        trace_limit: int = DEFAULT_SPAN_LIMIT,
         oplog: bool = False,
-        oplog_limit: int = DEFAULT_OPLOG_LIMIT,
         sample_interval: Optional[float] = None,
     ) -> None:
         self.name = name
@@ -55,9 +55,8 @@ class Observability:
         # The oplog is populated from the span stack, so layer 2
         # implies layer 1.
         self.trace_requested = trace or oplog
-        self.trace_limit = trace_limit
         #: Per-op lifecycle log (observability layer 2), or None.
-        self.oplog: Optional[OpLog] = OpLog(oplog_limit) if oplog else None
+        self.oplog: Optional[OpLog] = OpLog() if oplog else None
         self.sample_interval = sample_interval
         self.tracer = NULL_TRACER
         #: Samplers started by the testbed builder (see cluster.py).
@@ -75,7 +74,7 @@ class Observability:
                 if self.tracer.sim is not sim:
                     raise ValueError("Observability already bound to another simulator")
             else:
-                self.tracer = SimTracer(sim, limit=self.trace_limit, oplog=self.oplog)
+                self.tracer = SimTracer(sim, oplog=self.oplog)
         # Stations only pay for their statistics (busy time, jobs,
         # waits) when someone can observe them; a fully disabled bundle
         # turns them off for every station of this simulator.

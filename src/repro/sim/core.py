@@ -14,15 +14,7 @@ from math import inf
 from typing import Any, Iterable
 
 from repro.sim.errors import EmptySchedule, StopSimulation
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    NORMAL,
-    PENDING,
-    STOP,
-    Timeout,
-)
+from repro.sim.events import AllOf, Event, NORMAL, PENDING, STOP, Timeout
 from repro.sim.process import Join, NO_EVENT, Process, ProcessGenerator, Strand
 
 
@@ -128,9 +120,6 @@ class Simulator:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------------
     def _schedule(

@@ -89,13 +89,6 @@ class Event:
         """Mark a failed event as handled so the engine won't re-raise."""
         self._defused = True
 
-    # -- composition ----------------------------------------------------
-    def __and__(self, other: "Event") -> "Condition":
-        return AllOf(self.sim, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return AnyOf(self.sim, [self, other])
-
     def __repr__(self) -> str:  # pragma: no cover
         state = (
             "pending"
@@ -120,44 +113,33 @@ class Timeout(Event):
         sim._schedule(self, NORMAL, delay)
 
 
-class Condition(Event):
-    """An event that triggers from the states of a set of sub-events.
+class AllOf(Event):
+    """Triggers when *all* sub-events have triggered OK.
 
-    ``evaluate(events, count)`` decides when: it receives the full list
-    and the number already triggered OK.
+    Its value is a dict of sub-event -> value in creation order.  The
+    first sub-event to fail fails it with its exception (and is
+    defused); a later failure is left unhandled, as for any event.
     """
 
-    __slots__ = ("_events", "_count", "_evaluate")
+    __slots__ = ("_events", "_count")
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        evaluate: Callable[[list[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
+    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
         self._events = list(events)
         self._count = 0
-        self._evaluate = evaluate
 
         for ev in self._events:
             if ev.sim is not sim:
                 raise ValueError("events from different simulators")
 
         if not self._events:
-            self.succeed(self._collect())
+            self.succeed({})
             return
         for ev in self._events:
             if ev.callbacks is None:  # already processed
                 self._check(ev)
             else:
                 ev.callbacks.append(self._check)
-
-    def _collect(self) -> dict[Event, Any]:
-        """Values of all triggered-OK sub-events, in creation order."""
-        return ConditionValue(
-            {ev: ev._value for ev in self._events if ev.triggered and ev._ok}
-        )
 
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
@@ -167,31 +149,5 @@ class Condition(Event):
             self.fail(event._value)
             return
         self._count += 1
-        if self._evaluate(self._events, self._count):
-            self.succeed(self._collect())
-
-
-class ConditionValue(dict):
-    """Mapping of sub-event -> value for a fired :class:`Condition`."""
-
-    def first(self) -> Any:
-        """Value of the first (creation-order) fired sub-event."""
-        return next(iter(self.values()))
-
-
-class AllOf(Condition):
-    """Triggers when *all* sub-events have triggered OK."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, lambda evs, n: n == len(evs), events)
-
-
-class AnyOf(Condition):
-    """Triggers when *any* sub-event has triggered OK."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, lambda evs, n: n >= 1, events)
+        if self._count == len(self._events):
+            self.succeed({ev: ev._value for ev in self._events})

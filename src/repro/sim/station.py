@@ -5,7 +5,8 @@ A :class:`FifoStation` models a work-conserving FIFO service centre with
 service threads).  Because every job's service demand is known when it
 arrives, the start/completion times can be computed *analytically* at
 reservation time — one heap event per visit instead of the
-request/hold/release triple of a :class:`~repro.sim.resources.Resource`.
+request/hold/release triple of an event-driven resource (the reference
+in ``tests/sim/reference_station.py``).
 This is the standard flow-level optimisation that keeps paper-scale
 workloads (millions of operations) tractable in pure Python.
 

@@ -1,15 +1,14 @@
-"""Message-passing stores (mailboxes / queues) for sim processes.
+"""A mailbox for sim processes.
 
-:class:`Store` is an unbounded-or-bounded FIFO of arbitrary items;
-``put`` and ``get`` return events.  :class:`FilterStore` lets getters
-wait for items matching a predicate (used e.g. to match RPC replies to
-request ids).
+:class:`Store` is an unbounded FIFO of arbitrary items; ``put`` and
+``get`` return events.  SMCache's update threads drain one under
+``threaded_updates``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.events import Event
 
@@ -18,80 +17,32 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Store:
-    """FIFO item store with blocking put (when bounded) and get."""
+    """Unbounded FIFO item store: ``put`` never blocks, ``get`` waits
+    for an item."""
 
-    def __init__(self, sim: "Simulator", capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.capacity = capacity
         self.items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Any, Event]] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
     def put(self, item: Any) -> Event:
+        # The put's event is scheduled before the getter it serves.
         ev = Event(self.sim)
-        self._putters.append((item, ev))
-        self._settle()
+        self.items.append(item)
+        ev.succeed(item)
+        self._serve()
         return ev
 
     def get(self) -> Event:
         ev = Event(self.sim)
         self._getters.append(ev)
-        self._settle()
+        self._serve()
         return ev
-
-    # -- internals -------------------------------------------------------
-    def _admit(self) -> None:
-        while self._putters and len(self.items) < self.capacity:
-            item, ev = self._putters.popleft()
-            self.items.append(item)
-            ev.succeed(item)
 
     def _serve(self) -> None:
         while self._getters and self.items:
             ev = self._getters.popleft()
             ev.succeed(self.items.popleft())
-
-    def _settle(self) -> None:
-        # Admit then serve, repeatedly, until stable: serving frees
-        # capacity which may admit further putters.
-        while True:
-            before = (len(self.items), len(self._putters), len(self._getters))
-            self._admit()
-            self._serve()
-            if before == (len(self.items), len(self._putters), len(self._getters)):
-                break
-
-
-class FilterStore(Store):
-    """Store whose getters can demand items satisfying a predicate."""
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf")) -> None:
-        super().__init__(sim, capacity)
-        self._filters: dict[Event, Callable[[Any], bool]] = {}
-
-    def get(self, filter: Callable[[Any], bool] | None = None) -> Event:  # noqa: A002
-        ev = Event(self.sim)
-        self._filters[ev] = filter or (lambda item: True)
-        self._getters.append(ev)
-        self._settle()
-        return ev
-
-    def _serve(self) -> None:
-        served = True
-        while served:
-            served = False
-            for ev in list(self._getters):
-                pred = self._filters[ev]
-                for idx, item in enumerate(self.items):
-                    if pred(item):
-                        del self.items[idx]
-                        self._getters.remove(ev)
-                        del self._filters[ev]
-                        ev.succeed(item)
-                        served = True
-                        break

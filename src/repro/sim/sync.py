@@ -1,10 +1,9 @@
-"""Synchronisation primitives built on events.
+"""A cyclic barrier built on events.
 
 The paper's multi-client benchmarks are barrier-structured: "the
 latency test starts with a barrier among all the processes ... each
 record size is separated by a barrier" (§5.4).  :class:`Barrier`
-reproduces that structure; :class:`Lock` and :class:`CountdownLatch`
-serve the Lustre lock-manager and harness plumbing.
+reproduces that structure for the workloads and ``repro bench``.
 """
 
 from __future__ import annotations
@@ -41,57 +40,3 @@ class Barrier:
             ev.succeed(self.generation)
             self.generation += 1
         return ev
-
-
-class Lock:
-    """A simple FIFO mutex: ``yield lock.acquire()`` ... ``lock.release()``."""
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        self._locked = False
-        self._waiters: list[Event] = []
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
-    def acquire(self) -> Event:
-        ev = Event(self.sim)
-        if not self._locked:
-            self._locked = True
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if not self._locked:
-            raise RuntimeError("release of an unlocked Lock")
-        if self._waiters:
-            self._waiters.pop(0).succeed()
-        else:
-            self._locked = False
-
-
-class CountdownLatch:
-    """Fires its event once :meth:`count_down` has been called N times."""
-
-    def __init__(self, sim: "Simulator", count: int) -> None:
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        self.sim = sim
-        self._count = count
-        self.event = Event(sim)
-        if count == 0:
-            self.event.succeed(0)
-
-    @property
-    def remaining(self) -> int:
-        return self._count
-
-    def count_down(self, by: int = 1) -> None:
-        if self._count <= 0:
-            raise RuntimeError("latch already open")
-        self._count -= by
-        if self._count <= 0:
-            self.event.succeed(0)

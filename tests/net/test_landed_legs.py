@@ -34,6 +34,7 @@ from repro.memcached.client import HealthPolicy
 from repro.memcached.daemon import SERVICE, command_cost
 from repro.net import IPOIB, Endpoint, Network, Node, RpcError, RpcUnavailable
 from repro.sim import Simulator
+from repro.sim.events import PENDING, Event
 from repro.sim.process import departure
 from repro.util import KiB, MiB
 
@@ -48,6 +49,33 @@ def _waiting_fork(self, op, legs, name, errors=None):
     return self.endpoint.net.sim.gather(
         [WaitingClient._strand(self, idx, op, payload) for idx, payload in legs], name=name
     )
+
+
+class _Race(Event):
+    """The any-of condition the kernel had when these twins were pinned,
+    kept here as it was, since the reference's entry counts depend on how
+    it schedules: one entry when the first child triggers OK (valued with
+    the children triggered OK so far) or fails (its failure, defused)."""
+
+    __slots__ = ("_events",)
+
+    def __init__(self, sim, events):
+        super().__init__(sim)
+        self._events = list(events)
+        for ev in self._events:
+            if ev.callbacks is None:  # already processed
+                self._check(ev)
+            else:
+                ev.callbacks.append(self._check)
+
+    def _check(self, event):
+        if self._value is not PENDING:
+            return
+        if not event._ok:
+            event._defused = True
+            self.fail(event._value)
+            return
+        self.succeed({ev: ev._value for ev in self._events if ev.triggered and ev._ok})
 
 
 def _defuse_failure(event):
@@ -123,7 +151,7 @@ class WaitingClient(MemcacheClient):
         sim = self.endpoint.net.sim
         proc = sim.process(call, name=f"rpc.{SERVICE}")
         deadline = sim.at(departure(sim) + self.health.timeout)
-        yield sim.any_of((proc, deadline))
+        yield _Race(sim, (proc, deadline))
         if proc.triggered:
             if proc.ok:
                 return proc.value

@@ -154,8 +154,9 @@ def test_truncated_trace_export_warns_once(tmp_path, monkeypatch):
 
     import repro.obs.export as export
 
-    obs = Observability("t", trace=True, trace_limit=3)
+    obs = Observability("t", trace=True)
     tb = build_gluster_testbed(TestbedConfig(num_clients=2, num_mcds=1), obs=obs)
+    tb.obs.tracer.limit = 3
 
     def wl(c, path):
         fd = yield from c.create(path)

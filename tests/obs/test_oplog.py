@@ -10,8 +10,10 @@ from repro.obs.export import metrics_fingerprint
 
 
 def _oplogged_run(oplog_limit=None):
-    kw = {"oplog_limit": oplog_limit} if oplog_limit else {}
-    obs = Observability("t", oplog=True, **kw)
+    obs = Observability("t", oplog=True)
+    if oplog_limit:
+        # The tracer takes the bundle's log when the builder binds it.
+        obs.oplog = OpLog(oplog_limit)
     tb = build_gluster_testbed(TestbedConfig(num_clients=2, num_mcds=1), obs=obs)
 
     def wl(c, path):

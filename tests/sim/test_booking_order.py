@@ -5,7 +5,7 @@ that is earliest free then.  A visit booked ahead of its arrival
 therefore outranks every visit booked later, even one that arrives
 first, and can hold a server idle until it arrives (ROADMAP item 1).
 The reference here is an event-driven c-server FIFO — one process per
-job, a :class:`~repro.sim.resources.Resource` granting servers in
+job, a ``Resource`` (``reference_station.py``) granting servers in
 arrival order — fed the same jobs.
 
 The mix is the one an MCD's CPU sees: an 8-core station about 90% busy,
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import FifoStation, RandomStreams, Simulator
-from repro.sim.resources import Resource
+from tests.sim.reference_station import Resource
 
 US = 1e-6
 SERVERS = 8

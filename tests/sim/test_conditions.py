@@ -1,4 +1,4 @@
-"""Tests for AllOf / AnyOf condition events and operators."""
+"""Tests for the AllOf condition event."""
 
 import pytest
 
@@ -18,40 +18,6 @@ def test_all_of_waits_for_all():
     sim.process(proc(sim))
     sim.run()
     assert got == [(3, ["a", "b"])]
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    got = []
-
-    def proc(sim):
-        t1 = sim.timeout(1, value="fast")
-        t2 = sim.timeout(3, value="slow")
-        result = yield sim.any_of([t1, t2])
-        got.append((sim.now, result.first()))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert got == [(1, "fast")]
-
-
-def test_and_or_operators():
-    sim = Simulator()
-    got = []
-
-    def proc(sim):
-        a = sim.timeout(1, value=1)
-        b = sim.timeout(2, value=2)
-        r = yield a & b
-        got.append(("and", sim.now, len(r)))
-        c = sim.timeout(1, value=3)
-        d = sim.timeout(5, value=4)
-        r = yield c | d
-        got.append(("or", sim.now, r.first()))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert got == [("and", 2, 2), ("or", 3, 3)]
 
 
 def test_empty_all_of_fires_immediately():
@@ -124,3 +90,47 @@ def test_condition_value_preserves_creation_order():
     sim.run()
     # creation order, not completion order
     assert got == [["slow", "fast"]]
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_all_of_mints_one_entry_in_the_last_childs_instant(k):
+    """K pending children cost the condition exactly one entry of its
+    own, booked when the last child fires and run in its instant."""
+    sim = Simulator()
+    children = [sim.timeout(i + 1, value=i) for i in range(k)]
+    seq = sim._seq
+    cond = sim.all_of(children)
+    fired = []
+    cond.callbacks.append(lambda ev: fired.append(sim.now))
+    sim.run()
+    assert sim._seq - seq == 1
+    assert fired == [float(k)]
+    assert cond.value == {child: i for i, child in enumerate(children)}
+
+
+def test_a_failing_child_fails_all_of_and_a_later_failure_surfaces():
+    """The first failing child fails the condition in its own instant
+    and is defused; the condition ignores a later failure, which stays
+    its sender's to handle."""
+    sim = Simulator()
+    a, b, c = sim.event(), sim.event(), sim.event()
+    caught = []
+
+    def waiter():
+        try:
+            yield sim.all_of([a, b, c])
+        except KeyError as exc:
+            caught.append((sim.now, exc.args[0]))
+
+    def driver():
+        yield sim.timeout(1)
+        a.fail(KeyError("first"))
+        yield sim.timeout(1)
+        b.fail(ValueError("later"))
+
+    sim.process(waiter())
+    sim.process(driver())
+    with pytest.raises(ValueError, match="later"):
+        sim.run()
+    assert caught == [(1.0, "first")]
+    assert a._defused and not b._defused

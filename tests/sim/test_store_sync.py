@@ -1,8 +1,8 @@
-"""Tests for Store/FilterStore and Barrier/Lock/CountdownLatch."""
+"""Tests for Store and Barrier."""
 
 import pytest
 
-from repro.sim import Barrier, CountdownLatch, FilterStore, Lock, Simulator, Store
+from repro.sim import Barrier, Simulator, Store
 
 
 def test_store_fifo():
@@ -45,74 +45,30 @@ def test_store_get_before_put_blocks():
     assert got == [(5, "x")]
 
 
-def test_bounded_store_blocks_putter():
+def test_a_put_is_scheduled_before_the_getter_it_serves():
+    """A put's event takes its entry before the parked getter's, so the
+    putter resumes first in the instant; one entry each."""
     sim = Simulator()
-    store = Store(sim, capacity=1)
-    events = []
+    store = Store(sim)
+    order = []
 
-    def producer(sim, store):
-        yield store.put("a")
-        events.append(("put-a", sim.now))
-        yield store.put("b")
-        events.append(("put-b", sim.now))
-
-    def consumer(sim, store):
-        yield sim.timeout(4)
+    def consumer():
         item = yield store.get()
-        events.append((f"got-{item}", sim.now))
+        order.append(("got", item, sim.now))
 
-    sim.process(producer(sim, store))
-    sim.process(consumer(sim, store))
+    def producer():
+        yield sim.timeout(2)
+        seq = sim._seq
+        put = store.put("x")
+        assert sim._seq - seq == 2
+        yield put
+        order.append(("put", sim.now))
+
+    sim.process(consumer())
+    sim.process(producer())
     sim.run()
-    assert events == [("put-a", 0), ("got-a", 4), ("put-b", 4)]
-
-
-def test_store_capacity_validation():
-    with pytest.raises(ValueError):
-        Store(Simulator(), capacity=0)
-
-
-def test_filter_store_matches_predicate():
-    sim = Simulator()
-    store = FilterStore(sim)
-    got = []
-
-    def consumer(sim, store):
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
-
-    def producer(sim, store):
-        for v in (1, 3, 4, 5):
-            yield sim.timeout(1)
-            yield store.put(v)
-
-    sim.process(consumer(sim, store))
-    sim.process(producer(sim, store))
-    sim.run()
-    assert got == [4]
-    assert list(store.items) == [1, 3, 5]
-
-
-def test_filter_store_multiple_waiters_distinct_filters():
-    sim = Simulator()
-    store = FilterStore(sim)
-    got = {}
-
-    def consumer(sim, store, key):
-        item = yield store.get(lambda x, key=key: x[0] == key)
-        got[key] = (sim.now, item)
-
-    def producer(sim, store):
-        yield sim.timeout(1)
-        yield store.put(("b", 2))
-        yield sim.timeout(1)
-        yield store.put(("a", 1))
-
-    sim.process(consumer(sim, store, "a"))
-    sim.process(consumer(sim, store, "b"))
-    sim.process(producer(sim, store))
-    sim.run()
-    assert got == {"b": (1, ("b", 2)), "a": (2, ("a", 1))}
+    assert order == [("put", 2), ("got", "x", 2)]
+    assert len(store) == 0
 
 
 def test_barrier_releases_all_at_last_arrival():
@@ -151,57 +107,3 @@ def test_barrier_is_cyclic():
 def test_barrier_validation():
     with pytest.raises(ValueError):
         Barrier(Simulator(), parties=0)
-
-
-def test_lock_mutual_exclusion():
-    sim = Simulator()
-    lock = Lock(sim)
-    inside = 0
-    max_inside = 0
-
-    def critical(sim, lock):
-        nonlocal inside, max_inside
-        yield lock.acquire()
-        inside += 1
-        max_inside = max(max_inside, inside)
-        yield sim.timeout(1)
-        inside -= 1
-        lock.release()
-
-    for _ in range(5):
-        sim.process(critical(sim, lock))
-    sim.run()
-    assert max_inside == 1
-    assert sim.now == 5
-    assert not lock.locked
-
-
-def test_lock_release_unlocked_raises():
-    with pytest.raises(RuntimeError):
-        Lock(Simulator()).release()
-
-
-def test_countdown_latch():
-    sim = Simulator()
-    latch = CountdownLatch(sim, 3)
-    got = []
-
-    def waiter(sim, latch):
-        yield latch.event
-        got.append(sim.now)
-
-    def worker(sim, latch, delay):
-        yield sim.timeout(delay)
-        latch.count_down()
-
-    sim.process(waiter(sim, latch))
-    for d in (1, 2, 7):
-        sim.process(worker(sim, latch, d))
-    sim.run()
-    assert got == [7]
-
-
-def test_countdown_latch_zero_is_open():
-    sim = Simulator()
-    latch = CountdownLatch(sim, 0)
-    assert latch.event.triggered

@@ -175,6 +175,35 @@ GUARDS = [
         "no arrival-CPU declaration on the service, no second pricing pass.",
         "a cache RPC pays its fixed cost once",
     ),
+    Guard(
+        r"PriorityResourc[e]|\bContaine[r]\b|repro\.sim\.resource[s]|sim/resources\.p[y]",
+        EVERYWHERE,
+        "The model's stations are analytic FIFOs; the event-driven pool they "
+        "are measured against lives in tests/sim/reference_station.py, and "
+        "the priority pool and the bulk level had no caller.",
+        "shrink sim/ to the kernel the model runs",
+    ),
+    Guard(
+        r"FilterStor[e]|Store\([^)]*capacit[y]",
+        EVERYWHERE,
+        "The one mailbox (SMCache's update queue) is an unbounded FIFO: no "
+        "bounded mode and no predicate getters.",
+        "shrink sim/ to the kernel the model runs",
+    ),
+    Guard(
+        r"CountdownLatc[h]|from repro\.sim(\.sync)? import[^\n]*\bLoc[k]\b",
+        EVERYWHERE,
+        "The workloads' barrier is the one sync primitive; the latch and the "
+        "mutex had no caller outside their tests.",
+        "shrink sim/ to the kernel the model runs",
+    ),
+    Guard(
+        r"AnyO[f]|\ban[y]_of\(|ConditionValu[e]|class Conditio[n]\b",
+        EVERYWHERE,
+        "AllOf is the kernel's one condition: a race against a deadline is a "
+        "timed leg, and only a test-local reference keeps the old race.",
+        "shrink sim/ to the kernel the model runs",
+    ),
 ]
 
 

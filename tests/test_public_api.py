@@ -50,6 +50,20 @@ def test_subpackages_importable_standalone():
         assert importlib.import_module(mod) is not None
 
 
+def test_the_kernel_exports_what_the_model_runs():
+    """``repro.sim`` is the kernel the model runs, and nothing kept only
+    for its own tests (DESIGN §3)."""
+    import repro.sim
+
+    assert repro.sim.__all__ == [
+        "Simulator", "Event", "Timeout", "AllOf", "Process", "Join",
+        "ProcessGenerator", "Interrupt", "SimulationError", "StopSimulation",
+        "EmptySchedule", "FifoStation", "Store", "Barrier", "RandomStreams",
+    ]
+    for name in repro.sim.__all__:
+        assert getattr(repro.sim, name) is not None
+
+
 def test_every_public_module_has_docstring():
     import pkgutil
 
@@ -91,11 +105,12 @@ def test_every_setting_is_pinned():
     off its default; a new knob must show up here, in review."""
     import argparse
     import dataclasses
+    import inspect
 
     from repro.cli import build_parser
     from repro.cluster import ResilienceConfig, TestbedConfig
     from repro.core.config import IMCaConfig
-    from repro.obs import ObsRequest
+    from repro.obs import Observability, ObsRequest
 
     fields = {
         cls: [f.name for f in dataclasses.fields(cls)]
@@ -118,6 +133,10 @@ def test_every_setting_is_pinned():
         ],
         ObsRequest: ["trace", "oplog", "sample_interval", "captures"],
     }
+    # The span and op-log caps are module constants, not settings.
+    assert list(inspect.signature(Observability.__init__).parameters) == [
+        "self", "name", "trace", "oplog", "sample_interval",
+    ]
     (subcommands,) = [
         a for a in build_parser()._actions
         if isinstance(a, argparse._SubParsersAction)
