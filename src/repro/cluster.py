@@ -28,14 +28,14 @@ from repro.lustre.client import LustreClient
 from repro.lustre.mds import MetadataServer
 from repro.lustre.ost import ObjectServer
 from repro.lustre.striping import StripeLayout
-from repro.memcached.client import HealthPolicy, MemcacheClient
+from repro.memcached.client import MemcacheClient
 from repro.memcached.daemon import MemcachedDaemon
 from repro.memcached.hashing import selector as make_selector
 from repro.memcached.membership import ElasticController, McdMembership
 from repro.memcached.tenancy import TenantArbiter
 from repro.net.fabric import Network, Node
 from repro.net.profiles import profile
-from repro.net.rpc import Endpoint, RetryPolicy
+from repro.net.rpc import Endpoint, ResilienceConfig
 from repro.nfs.client import NfsClient
 from repro.nfs.server import NfsServer
 from repro.obs.context import Observability
@@ -48,33 +48,6 @@ from repro.sim.rand import RandomStreams
 from repro.storage.raid import Raid0
 from repro.util.stats import Counter
 from repro.util.units import GiB, MiB
-
-
-@dataclass
-class ResilienceConfig:
-    """Failure-handling knobs for a testbed (all default-off: a config
-    without one behaves byte-identically to the pre-fault-layer code).
-
-    MCD traffic gets a deadline per call plus health tracking (a slow or
-    dead daemon is ejected and treated as a miss), and no retries; brick
-    traffic gets a
-    deadline-free bounded-backoff retry loop (a brick holds the only
-    copy of its data, so the client stalls through a flap rather than
-    degrading).  All jitter/loss randomness derives from ``seed`` via
-    named :class:`~repro.sim.rand.RandomStreams`.
-    """
-
-    #: Deadline for each MCD RPC (seconds); a miss counts as an error.
-    mcd_timeout: float = 2e-3
-    # -- MCD health tracking ------------------------------------------------
-    eject_after: int = 2
-    cooldown: float = 0.02
-    #: Master seed for jitter and message-loss streams.
-    seed: int = 0xFA17
-
-    def __post_init__(self) -> None:
-        if self.mcd_timeout <= 0:
-            raise ValueError("mcd_timeout must be > 0")
 
 
 @dataclass
@@ -100,8 +73,9 @@ class TestbedConfig:
     #: moving MCD traffic to native RDMA.
     mcd_transport: Optional[str] = None
     imca: IMCaConfig = field(default_factory=IMCaConfig)
-    #: Failure handling (timeouts/retries/health tracking); ``None``
-    #: keeps the historical fail-fast behaviour byte-identically.
+    #: Failure handling: MCD deadlines and health tracking, brick
+    #: retries (:class:`ResilienceConfig`); ``None``: every RPC is one
+    #: attempt and a failed MCD call is a miss.
     resilience: Optional[ResilienceConfig] = None
 
     # -- Lustre ------------------------------------------------------------------
@@ -306,18 +280,6 @@ class GlusterTestbed:
         return reg
 
 
-#: Retry budget for brick fops under a :class:`ResilienceConfig` (must
-#: ride out a server flap).
-SERVER_RETRIES = 10
-#: Backoff between brick retries under a :class:`ResilienceConfig`: the
-#: first sleep, its growth per attempt, its cap, and the seeded jitter
-#: fraction added on top.
-RETRY_BACKOFF = 2e-4
-RETRY_BACKOFF_FACTOR = 2.0
-RETRY_MAX_BACKOFF = 5e-3
-RETRY_JITTER = 0.1
-
-
 def build_gluster_testbed(
     cfg: Optional[TestbedConfig] = None, obs: Optional[Observability] = None
 ) -> GlusterTestbed:
@@ -340,28 +302,16 @@ def build_gluster_testbed(
         else Network(sim, profile(cfg.mcd_transport), name="cache-net")
     )
 
-    # Failure handling (opt-in; absent = historical fail-fast timing).
+    # Failure handling (opt-in): MCD health rides each cache client; the
+    # brick gets no deadline — a loaded disk legitimately takes tens of
+    # milliseconds, and a dead brick fails fast at the fabric anyway —
+    # but retries with jittered backoff to ride out a flap.
     res = cfg.resilience
     streams: Optional[RandomStreams] = None
-    mcd_health: Optional[HealthPolicy] = None
-    server_retry: Optional[RetryPolicy] = None
+    jitter = None
     if res is not None:
         streams = RandomStreams(res.seed)
-        jitter_rng = streams.stream("rpc.jitter")
-        mcd_health = HealthPolicy(
-            eject_after=res.eject_after, cooldown=res.cooldown, timeout=res.mcd_timeout
-        )
-        # No deadline for brick fops: a loaded disk legitimately takes
-        # tens of milliseconds, and a dead brick fails fast at the
-        # fabric anyway.  The retry loop is what rides out a flap.
-        server_retry = RetryPolicy(
-            max_retries=SERVER_RETRIES,
-            backoff=RETRY_BACKOFF,
-            backoff_factor=RETRY_BACKOFF_FACTOR,
-            max_backoff=RETRY_MAX_BACKOFF,
-            jitter=RETRY_JITTER,
-            rng=jitter_rng,
-        )
+        jitter = streams.stream("rpc.jitter")
         net.loss_rng = streams.stream("net.loss")
         if cache_net is not net:
             cache_net.loss_rng = streams.stream("cachenet.loss")
@@ -411,7 +361,7 @@ def build_gluster_testbed(
         # stampede the same replica first.
         mc = MemcacheClient(
             Endpoint(cache_net, snode, tracer=tracer), mcds,
-            select, health=mcd_health,
+            select, resilience=res,
             replicas=cfg.imca.replicas, rr_seed=0,
             membership=membership,
         )
@@ -429,13 +379,13 @@ def build_gluster_testbed(
     for i in range(cfg.num_clients):
         cnode = Node(sim, f"client{i}")
         ep = Endpoint(net, cnode, tracer=tracer)
-        protocol = ClientProtocol(ep, server, retry=server_retry)
+        protocol = ClientProtocol(ep, server, jitter)
         stack: list[Xlator] = []
         cmcache: Optional[CMCacheXlator] = None
         if use_imca:
             mc_ep = ep if cache_net is net else Endpoint(cache_net, cnode, tracer=tracer)
             mc = MemcacheClient(
-                mc_ep, mcds, select, health=mcd_health,
+                mc_ep, mcds, select, resilience=res,
                 replicas=cfg.imca.replicas, rr_seed=1 + i,
                 membership=membership,
             )

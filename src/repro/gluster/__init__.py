@@ -6,9 +6,9 @@ one server brick (§5.1):
 * client: FUSE entry -> [CMCache] -> protocol/client
 * server: protocol service -> [SMCache] -> storage/posix -> LocalFS
 
-io-cache (the client-side cache of the §1 coherency anti-pattern) and
-io-stats (a measurement probe) are translators a test or an ablation
-can put into a client stack; the default testbed builds neither.
+io-cache (the client-side cache of the §1 coherency anti-pattern) is a
+translator an ablation can put into a client stack; the default testbed
+does not build it.
 
 The IMCa translators live in :mod:`repro.core` and plug into these
 stacks exactly as §4.1 describes.
@@ -24,7 +24,6 @@ from repro.gluster.costs import (
     STAT_WIRE,
 )
 from repro.gluster.iocache import IoCacheXlator
-from repro.gluster.iostats import IoStatsXlator
 from repro.gluster.protocol import ClientProtocol
 from repro.gluster.server import GlusterServer, PosixXlator, SERVICE
 from repro.gluster.xlator import FOPS, Xlator
@@ -37,7 +36,6 @@ __all__ = [
     "PosixXlator",
     "ClientProtocol",
     "IoCacheXlator",
-    "IoStatsXlator",
     "BadFd",
     "SERVICE",
     "FUSE_OP_CPU",

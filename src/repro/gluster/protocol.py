@@ -1,19 +1,22 @@
 """protocol/client translator: winds fops over the network to a brick.
 
-With a :class:`~repro.net.rpc.RetryPolicy` the connection rides out
-server flaps: a dead brick fails fast at the fabric and the fop is
-retried with backoff until the brick returns (or the budget runs out,
-at which point the error surfaces to the application — a brick is the
-*only* copy of its data, unlike an MCD, so there is no degraded path).
+Given a jitter stream — a testbed with a
+:class:`~repro.net.rpc.ResilienceConfig` passes its ``rpc.jitter`` — the
+connection rides out server flaps: a dead brick fails fast at the
+fabric and the fop is retried with seeded backoff
+(:meth:`~repro.net.rpc.Endpoint.call_retry`) until the brick returns or
+the retries run out.  Then the error surfaces to the application: a
+brick is the *only* copy of its data, unlike an MCD, so there is no
+degraded path.  Without one every fop is a single attempt.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Any, Generator
 
 from repro.gluster.server import GlusterServer, SERVICE, request_size
 from repro.gluster.xlator import Xlator
-from repro.net.rpc import Endpoint, RetryPolicy
+from repro.net.rpc import Endpoint
 
 
 class ClientProtocol(Xlator):
@@ -24,17 +27,17 @@ class ClientProtocol(Xlator):
         self,
         endpoint: Endpoint,
         server: GlusterServer,
-        retry: Optional[RetryPolicy] = None,
+        jitter: Any = None,
     ) -> None:
         super().__init__(f"client-protocol/{server.node.name}")
         self.endpoint = endpoint
         self.server = server
-        self.retry = retry
+        #: The retry backoff's jitter stream; None: no retries.
+        self.jitter = jitter
 
     def _call(self, fop: str, args: tuple) -> Generator:
         return self.endpoint.call_retry(
-            self.server.node, SERVICE, (fop, args),
-            req_size=request_size(fop, args), policy=self.retry,
+            self.server.node, SERVICE, (fop, args), request_size(fop, args), self.jitter
         )
 
     def lookup(self, path):

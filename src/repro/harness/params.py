@@ -234,7 +234,6 @@ PARAMS: dict[str, dict[str, dict]] = {
             deg_files=4,
             deg_file_size=8 * KiB,
             deg_rounds=6,
-            mcd_timeout=2e-3,
             cooldown=2e-3,
             seed=0x5407,
         ),
@@ -257,7 +256,6 @@ PARAMS: dict[str, dict[str, dict]] = {
             deg_files=6,
             deg_file_size=16 * KiB,
             deg_rounds=12,
-            mcd_timeout=2e-3,
             cooldown=2e-3,
             seed=0x5407,
         ),
@@ -280,7 +278,6 @@ PARAMS: dict[str, dict[str, dict]] = {
             deg_files=8,
             deg_file_size=32 * KiB,
             deg_rounds=24,
-            mcd_timeout=2e-3,
             cooldown=2e-3,
             seed=0x5407,
         ),
@@ -313,7 +310,6 @@ PARAMS: dict[str, dict[str, dict]] = {
             ft_rounds=4,
             ft_readahead=4,
             ft_hot_bytes=128 * KiB,
-            mcd_timeout=2e-3,
             cooldown=2e-3,
             seed=0x8EAD,
         ),
@@ -336,7 +332,6 @@ PARAMS: dict[str, dict[str, dict]] = {
             ft_rounds=8,
             ft_readahead=4,
             ft_hot_bytes=128 * KiB,
-            mcd_timeout=2e-3,
             cooldown=2e-3,
             seed=0x8EAD,
         ),
@@ -359,7 +354,6 @@ PARAMS: dict[str, dict[str, dict]] = {
             ft_rounds=16,
             ft_readahead=8,
             ft_hot_bytes=256 * KiB,
-            mcd_timeout=2e-3,
             cooldown=2e-3,
             seed=0x8EAD,
         ),
@@ -381,7 +375,6 @@ PARAMS: dict[str, dict[str, dict]] = {
             window=0.012,
             rates=[0.0, 200.0, 800.0],
             mean_downtime=1.5e-3,
-            mcd_timeout=2e-3,
             cooldown=2e-3,
             seed=0xC405,
             all_dead_slack=0.25,
@@ -409,7 +402,6 @@ PARAMS: dict[str, dict[str, dict]] = {
             window=0.05,
             rates=[0.0, 100.0, 300.0, 1000.0],
             mean_downtime=2e-3,
-            mcd_timeout=2e-3,
             cooldown=3e-3,
             seed=0xC405,
             all_dead_slack=0.20,
@@ -434,7 +426,6 @@ PARAMS: dict[str, dict[str, dict]] = {
             window=0.2,
             rates=[0.0, 100.0, 300.0, 1000.0, 3000.0],
             mean_downtime=2e-3,
-            mcd_timeout=2e-3,
             cooldown=3e-3,
             seed=0xC405,
             all_dead_slack=0.20,
@@ -467,7 +458,6 @@ PARAMS: dict[str, dict[str, dict]] = {
             file_size=16 * KiB,
             record_size=2 * KiB,
             mcd_memory=32 * MiB,
-            mcd_timeout=2e-3,
             cooldown=2e-3,
             seed=0xFA57,
             chaos_window=0.02,
@@ -485,7 +475,6 @@ PARAMS: dict[str, dict[str, dict]] = {
             file_size=16 * KiB,
             record_size=2 * KiB,
             mcd_memory=32 * MiB,
-            mcd_timeout=2e-3,
             cooldown=2e-3,
             seed=0xFA57,
             chaos_window=0.04,
@@ -503,7 +492,6 @@ PARAMS: dict[str, dict[str, dict]] = {
             file_size=32 * KiB,
             record_size=2 * KiB,
             mcd_memory=64 * MiB,
-            mcd_timeout=2e-3,
             cooldown=2e-3,
             seed=0xFA57,
             chaos_window=0.12,
@@ -636,7 +624,6 @@ PARAMS: dict[str, dict[str, dict]] = {
             window_rounds=0.6,
             migrate_batch=32,
             migrate_interval=1e-5,
-            mcd_timeout=2e-3,
             cooldown=2e-3,
             chaos_rate=400.0,
             mean_downtime=1.5e-3,
@@ -657,7 +644,6 @@ PARAMS: dict[str, dict[str, dict]] = {
             window_rounds=0.6,
             migrate_batch=32,
             migrate_interval=1e-5,
-            mcd_timeout=2e-3,
             cooldown=3e-3,
             chaos_rate=300.0,
             mean_downtime=2e-3,
@@ -678,7 +664,6 @@ PARAMS: dict[str, dict[str, dict]] = {
             window_rounds=0.6,
             migrate_batch=64,
             migrate_interval=1e-5,
-            mcd_timeout=2e-3,
             cooldown=3e-3,
             chaos_rate=300.0,
             mean_downtime=2e-3,

@@ -69,19 +69,13 @@ def testbed(
 ):
     """A GlusterFS+IMCa testbed sized from the parameter dict *p*
     (*clients*/*mcds* override ``p["num_clients"]``/``p["num_mcds"]``).
-    *resilient* arms the fail-fast MCD policy every fault experiment
-    uses — one attempt, eject after two failures, ``p``'s timeout,
-    cooldown and seed; a cache-off testbed (``mcds=0``) has no bank to
-    protect and gets none."""
+    *resilient* arms the failure handling every fault experiment uses,
+    with ``p``'s cooldown and seed; a cache-off testbed (``mcds=0``) has
+    no bank to protect and gets none."""
     num_mcds = p["num_mcds"] if mcds is None else mcds
     resilience = None
     if resilient and num_mcds:
-        resilience = ResilienceConfig(
-            mcd_timeout=p["mcd_timeout"],
-            cooldown=p["cooldown"],
-            eject_after=2,
-            seed=p["seed"],
-        )
+        resilience = ResilienceConfig(cooldown=p["cooldown"], seed=p["seed"])
     return build_gluster_testbed(
         TestbedConfig(
             num_clients=p["num_clients"] if clients is None else clients,

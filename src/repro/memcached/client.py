@@ -6,12 +6,14 @@ the §5.5 striping experiment) and degrades gracefully when daemons die:
 a failed server makes gets miss and stores no-ops, never an error —
 "IMCa can transparently account for failures in MCDs" (§4.4).
 
-With a :class:`HealthPolicy` the client also *tracks* daemon health:
-after ``eject_after`` consecutive RPC errors a server is ejected and
-skipped outright (zero simulated cost — the fast degraded path), then
-re-probed after ``cooldown``.  Rejoin mandates a purge (``flush_all``),
-and readmits only when it answers, so a daemon that merely blinked —
-recovered without a cold restart — can never serve pre-crash data.
+Under a testbed's :class:`~repro.net.rpc.ResilienceConfig` the client
+also *tracks* daemon health: every RPC has a :data:`MCD_TIMEOUT`
+deadline, and after :data:`EJECT_AFTER` consecutive RPC errors a server
+is ejected and skipped outright (zero simulated cost — the fast
+degraded path), then re-probed after the config's ``cooldown``.
+Rejoin mandates a purge (``flush_all``), and readmits only when it
+answers, so a daemon that merely blinked — recovered without a cold
+restart — can never serve pre-crash data.
 
 Every key has an **owner list** (:meth:`MemcacheClient.owners`):
 ``[primary, *others]``, by stable node id, over the bank's
@@ -40,7 +42,7 @@ books the response and *lands* the reply on the join, so K legs cost
 K + 1 scheduler entries: one per request and the join's.  A mutation
 with a single leg runs in the caller's frame and mints no join entry,
 which costs the same 2; ``get_multi`` always joins (for span
-attribution).  Under a :class:`HealthPolicy` every MCD RPC is a leg
+attribution).  Under a resilience config every MCD RPC is a leg
 that wakes when its outcome is known, to book it (:class:`_TrackedLeg`).
 
 The key is the only routing input: a data key names its block, so no
@@ -66,7 +68,6 @@ crossing runs ahead").
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Generator, Mapping, Optional
 
@@ -79,34 +80,22 @@ from repro.memcached.hashing import (
     ServerSelector,
 )
 from repro.memcached.membership import LIVE, McdMembership
-from repro.net.rpc import Endpoint, Leg, RpcError, RpcUnavailable, TimedLeg
+from repro.net.rpc import (
+    Endpoint, Leg, ResilienceConfig, RpcError, RpcUnavailable, TimedLeg,
+)
 from repro.sim.events import Event
 from repro.sim.process import Join, departure
 from repro.util.stats import Counter, Tally
 
 
-@dataclass
-class HealthPolicy:
-    """Client-side MCD health tracking knobs.
-
-    ``timeout`` (optional) gives every MCD RPC a deadline
-    (:class:`~repro.net.rpc.TimedLeg`): one that misses it counts as
-    one error.  The probe that readmits a server always wipes it first
-    (the coherence guarantee): cold-start semantics even when the
-    daemon recovered with its memory intact.
-    """
-
-    eject_after: int = 3
-    cooldown: float = 0.02
-    timeout: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.eject_after < 1:
-            raise ValueError(f"eject_after must be >= 1: {self.eject_after}")
-        if self.cooldown < 0:
-            raise ValueError(f"cooldown must be >= 0: {self.cooldown}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0: {self.timeout}")
+#: Under a resilience config: each MCD RPC's deadline in seconds, from
+#: when its request may leave (a missed one counts as an error) ...
+MCD_TIMEOUT = 2e-3
+#: ... and the consecutive errors that eject a daemon.  The probe that
+#: readmits it after the cooldown always wipes it first (the coherence
+#: guarantee): cold-start semantics even when the daemon recovered with
+#: its memory intact.
+EJECT_AFTER = 2
 
 
 class _ServerHealth:
@@ -152,7 +141,7 @@ class MemcacheClient(Tally):
         endpoint: Endpoint,
         servers: list[MemcachedDaemon],
         selector: Optional[ServerSelector] = None,
-        health: Optional[HealthPolicy] = None,
+        resilience: Optional[ResilienceConfig] = None,
         replicas: int = 1,
         rr_seed: int = 0,
         membership: Optional[McdMembership] = None,
@@ -163,7 +152,8 @@ class MemcacheClient(Tally):
             raise ValueError(f"replicas must be >= 1: {replicas}")
         self.endpoint = endpoint
         self.selector = selector or Crc32Selector()
-        self.health = health
+        #: Health tracking and MCD deadlines, when not None.
+        self.resilience = resilience
         self.replicas = replicas
         #: The bank, by stable node id ("server index" everywhere below
         #: means node id): the shared live membership, or the static one
@@ -323,7 +313,7 @@ class MemcacheClient(Tally):
 
     def _cooling(self, idx: int) -> bool:
         """True while *idx* is ejected and not yet probeable."""
-        if self.health is None:
+        if self.resilience is None:
             return False
         h = self._health[idx]
         return h.ejected_until >= 0.0 and (
@@ -336,10 +326,10 @@ class MemcacheClient(Tally):
 
     def _call(self, idx: int, op: str, payload: Any) -> Generator:
         """One MCD RPC; raises :class:`RpcError` when it failed.  With no
-        health policy the generator returned is :meth:`Endpoint.call`'s
+        resilience config the generator returned is :meth:`Endpoint.call`'s
         own.  Under one it waits on an inline :class:`_TrackedLeg`, which
         books its error on a counter of its own: the caller books it."""
-        if self.health is None:
+        if self.resilience is None:
             req_size, cpu = command_cost(op, payload)
             return self.endpoint.call(
                 self.membership.members[idx].daemon.node, SERVICE, (op, payload), req_size, cpu
@@ -360,8 +350,8 @@ class MemcacheClient(Tally):
 
     def _note_failure(self, h: _ServerHealth) -> None:
         h.consecutive_errors += 1
-        if h.consecutive_errors >= self.health.eject_after and h.ejected_until < 0.0:
-            h.ejected_until = self.endpoint.net.sim.now + self.health.cooldown
+        if h.consecutive_errors >= EJECT_AFTER and h.ejected_until < 0.0:
+            h.ejected_until = self.endpoint.net.sim.now + self.resilience.cooldown
             h.consecutive_errors = 0
             self.stats.inc("ejections")
             if self.tracer.oplog is not None:
@@ -601,14 +591,14 @@ class MemcacheClient(Tally):
         leg order: each leg's reply, or None — booked as one ``errors``
         — for a leg whose RPC failed.  A leg is a
         :class:`~repro.net.rpc.Leg` that lands its reply on the join, or
-        under a health policy a :class:`_TrackedLeg`."""
+        under a resilience config a :class:`_TrackedLeg`."""
         sim = self.endpoint.net.sim
         legs = list(legs)
         join = Join(sim, len(legs))
         endpoint, members, errors = self.endpoint, self.membership.members, self.stats
         parent = sim._active_process
         try:
-            if self.health is None:
+            if self.resilience is None:
                 for index, (idx, payload) in enumerate(legs):
                     req_size, cpu = command_cost(op, payload)
                     Leg(
@@ -891,7 +881,8 @@ class MemcacheClient(Tally):
 
 
 class _TrackedLeg(TimedLeg):
-    """One MCD leg under a :class:`HealthPolicy`, with its deadline.
+    """One MCD leg under a resilience config, with its
+    :data:`MCD_TIMEOUT` deadline.
 
     It books its server's health when its outcome settles, never at
     booking: a response resets the error streak, a failure or a timeout
@@ -931,7 +922,7 @@ class _TrackedLeg(TimedLeg):
         TimedLeg.__init__(
             self, client.endpoint, client.membership.members[idx].daemon.node, SERVICE,
             (op, payload), *command_cost(op, payload), join, index, name, parent, errors,
-            _LEG_SPAN, timeout=client.health.timeout, inline=inline,
+            _LEG_SPAN, timeout=MCD_TIMEOUT, inline=inline,
         )
 
     def _settle(self, reply: Any, failed: bool) -> None:
@@ -944,7 +935,7 @@ class _TrackedLeg(TimedLeg):
                 h.consecutive_errors = 0
         elif failed:
             h.probing = False
-            h.ejected_until = self.sim.now + client.health.cooldown
+            h.ejected_until = self.sim.now + client.resilience.cooldown
             client.stats.inc("failed_probes")
         else:
             h.probing = False

@@ -10,7 +10,7 @@ from repro.net.profiles import GIGE, IB_RDMA, IPOIB, PROFILES, TransportProfile,
 from repro.net.rpc import (
     HEADER_SIZE,
     Endpoint,
-    RetryPolicy,
+    ResilienceConfig,
     RpcCall,
     RpcError,
     RpcUnavailable,
@@ -28,7 +28,7 @@ __all__ = [
     "IPOIB",
     "GIGE",
     "Endpoint",
-    "RetryPolicy",
+    "ResilienceConfig",
     "RpcCall",
     "RpcError",
     "RpcUnavailable",

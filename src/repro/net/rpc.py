@@ -68,39 +68,42 @@ class RpcUnavailable(RpcError):
 
 
 @dataclass
-class RetryPolicy:
-    """Bounded exponential backoff with jitter between attempts of a
-    call that failed (the fabric reported the peer dead).  ``rng`` is a
-    numpy Generator from a named :class:`~repro.sim.rand.RandomStreams`
-    stream, so the jitter sequence is deterministic and isolated from
-    every other stream.
+class ResilienceConfig:
+    """How a testbed rides out failures: MCD failures never affect
+    correctness, only hit rate (§4.4), and a brick flap stalls its
+    clients rather than failing them.
+
+    A testbed without one makes every RPC one attempt, and a failed MCD
+    call is a miss.  With one, every MCD call has a deadline
+    (:data:`~repro.memcached.client.MCD_TIMEOUT`; a missed one counts
+    as an error); a daemon that fails
+    :data:`~repro.memcached.client.EJECT_AFTER` calls in a row is
+    skipped for *cooldown* seconds, then readmitted only by a purge
+    that answers; and a brick fop that fails is retried with seeded
+    backoff (:meth:`Endpoint.call_retry`).  *seed* is the master seed
+    of the named :class:`~repro.sim.rand.RandomStreams` the backoff
+    jitter and message loss draw from.
     """
 
-    max_retries: int = 0
-    backoff: float = 0.001
-    backoff_factor: float = 2.0
-    max_backoff: float = 0.1
-    jitter: float = 0.0
-    rng: Any = None
+    #: Seconds an ejected MCD is skipped before a probe may readmit it.
+    cooldown: float = 0.02
+    seed: int = 0xFA17
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0: {self.max_retries}")
-        if self.backoff < 0 or self.max_backoff < 0:
-            raise ValueError("backoff must be >= 0")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0: {self.jitter}")
-        if self.jitter > 0 and self.rng is None:
-            raise ValueError("jitter needs an rng (see RandomStreams)")
+        if self.cooldown < 0:
+            raise ValueError(f"cooldown must be >= 0: {self.cooldown}")
 
-    def delay_for(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` (0-based)."""
-        delay = self.backoff * (self.backoff_factor ** attempt)
-        if delay > self.max_backoff:
-            delay = self.max_backoff
-        if self.jitter > 0.0:
-            delay *= 1.0 + self.jitter * float(self.rng.random())
-        return delay
+
+#: A brick fop's retries under a :class:`ResilienceConfig`, enough to
+#: ride out a server flap (:meth:`Endpoint.call_retry`).
+SERVER_RETRIES = 10
+#: The sleep before retry n: ``RETRY_BACKOFF * RETRY_BACKOFF_FACTOR**n``
+#: capped at ``RETRY_MAX_BACKOFF``, then stretched by up to
+#: ``RETRY_JITTER`` of itself by a draw from the jitter stream.
+RETRY_BACKOFF = 2e-4
+RETRY_BACKOFF_FACTOR = 2.0
+RETRY_MAX_BACKOFF = 5e-3
+RETRY_JITTER = 0.1
 
 
 @dataclass(slots=True)
@@ -263,40 +266,42 @@ class Endpoint(Tally):
         service: str,
         args: Any = None,
         req_size: int = 0,
-        policy: Optional[RetryPolicy] = None,
+        jitter: Any = None,
     ) -> Generator[Any, Any, Any]:
-        """:meth:`call` with the policy's bounded retries.
-
-        Retries an :class:`RpcError`, sleeping the policy's backoff
-        between attempts.  ``policy=None`` *is* a plain inline
-        :meth:`call` — the generator returned is that call's, so the
-        default path pays no frame for the wrapper.  Semantics are
-        at-least-once: an attempt whose response was lost has executed
-        server-side, so non-idempotent services must tolerate replays
-        (every GlusterFS fop here is idempotent or last-writer-wins).
+        """:meth:`call`, retried on an :class:`RpcError` up to
+        :data:`SERVER_RETRIES` times with the backoff the ``RETRY_*``
+        constants shape, each sleep's jitter drawn from *jitter* (a
+        testbed's ``rpc.jitter`` stream).  ``jitter=None`` *is* a plain
+        inline :meth:`call` — the generator returned is that call's, so
+        a testbed without resilience pays no frame for the wrapper.
+        Semantics are at-least-once: an attempt whose response was lost
+        has executed server-side, so non-idempotent services must
+        tolerate replays (every GlusterFS fop here is idempotent or
+        last-writer-wins).
         """
-        if policy is None:
+        if jitter is None:
             return self.call(dst, service, args, req_size)
-        return self._call_retrying(dst, service, args, req_size, policy)
+        return self._call_retrying(dst, service, args, req_size, jitter)
 
     def _call_retrying(
-        self, dst: Node, service: str, args: Any, req_size: int, policy: RetryPolicy
+        self, dst: Node, service: str, args: Any, req_size: int, jitter: Any
     ) -> Generator[Any, Any, Any]:
         sim = self.net.sim
-        attempts = policy.max_retries + 1
-        for attempt in range(attempts):
+        for attempt in range(SERVER_RETRIES + 1):
             try:
                 reply = yield from self.call(dst, service, args, req_size)
             except RpcError:
-                if attempt + 1 >= attempts:
+                if attempt == SERVER_RETRIES:
                     raise
                 self.stats.inc("retries")
                 if self.tracer.oplog is not None:
                     self.tracer.op_count("rpc_retries")
-                delay = policy.delay_for(attempt)
-                if delay > 0.0:
-                    # From ``ready`` if the attempt failed before it.
-                    yield sim.at(departure(sim) + delay)
+                delay = RETRY_BACKOFF * RETRY_BACKOFF_FACTOR**attempt
+                if delay > RETRY_MAX_BACKOFF:
+                    delay = RETRY_MAX_BACKOFF
+                delay *= 1.0 + RETRY_JITTER * float(jitter.random())
+                # From ``ready`` if the attempt failed before it.
+                yield sim.at(departure(sim) + delay)
             else:
                 return reply
 
@@ -479,16 +484,14 @@ class TimedLeg(Leg):
 
     __slots__ = ("deadline", "inline", "_open", "_reply")
 
-    def __init__(
-        self, *args: Any, timeout: Optional[float] = None, inline: bool = False
-    ) -> None:
+    def __init__(self, *args: Any, timeout: float, inline: bool = False) -> None:
         self.inline = inline
         #: Whether the outcome is still to settle.
         self._open = True
         #: The deadline still to meet: inf once an answer is due by it.
         self.deadline = inf
         Leg.__init__(self, *args)
-        if timeout is not None and self._open:
+        if self._open:
             sim = self.sim
             self.deadline = max(sim._now, self.ready) + timeout
             sim.at(self.deadline).callbacks.append(self._expire)

@@ -3,9 +3,10 @@
 Every simulated component (a CMCache translator, an SMCache translator,
 an MCD engine, the fabric) records into a :class:`ComponentMetrics`
 owned by the testbed's :class:`MetricsRegistry` instead of a private
-``Counter()`` bag.  The registry supports hierarchical dotted names
-(``cmcache.client0``), prefix aggregation (merge every ``cmcache.*``
-component into one view) and JSON-safe snapshots for the exporters.
+``Counter()`` bag, under a dotted name (``cmcache.client0``).  The
+registry hands out components and takes JSON-safe snapshots of them for
+the exporters; a testbed's ``*_stats()`` views sum counter bags with
+:func:`merged_counters`.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ class ComponentMetrics:
     def observe(self, name: str, value: float) -> None:
         self.timer(name).add(value)
 
-    def record(self, name: str, value: float) -> None:
-        self.histogram(name).add(value)
-
     def sample(self, name: str, t: float, value: float) -> None:
         self.series.setdefault(name, []).append((t, value))
 
@@ -49,26 +47,6 @@ class ComponentMetrics:
         if stats is None:
             stats = self.timers[name] = OnlineStats()
         return stats
-
-    def histogram(self, name: str) -> Histogram:
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram()
-        return hist
-
-    # -- folding -----------------------------------------------------------
-    def merge(self, other: "ComponentMetrics") -> None:
-        """Fold *other*'s instruments into this component."""
-        self.counters.merge(other.counters)
-        for name, stats in other.timers.items():
-            self.timer(name).merge(stats)
-        for name, hist in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                mine = self.histograms[name] = Histogram.like(hist)
-            mine.merge(hist)
-        for name, points in other.series.items():
-            self.series.setdefault(name, []).extend(points)
 
     def snapshot(self) -> dict:
         """JSON-safe digest of every instrument."""
@@ -105,40 +83,9 @@ class MetricsRegistry:
             comp = self.components[name] = ComponentMetrics(name)
         return comp
 
-    def matching(self, prefix: str) -> Iterable[ComponentMetrics]:
-        """Components named *prefix* exactly or under ``prefix.``."""
-        dotted = prefix + "."
-        for name in sorted(self.components):
-            if name == prefix or name.startswith(dotted):
-                yield self.components[name]
-
-    def aggregate(self, prefix: str = "") -> ComponentMetrics:
-        """Merge matching components into one fresh view.
-
-        An empty *prefix* aggregates the whole registry.  This replaces
-        the hand-rolled dict-summing loops previously scattered through
-        ``cluster.py``.
-        """
-        total = ComponentMetrics(prefix or self.name)
-        comps = self.matching(prefix) if prefix else (
-            self.components[k] for k in sorted(self.components)
-        )
-        for comp in comps:
-            total.merge(comp)
-        return total
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in, component by component."""
-        for name in sorted(other.components):
-            self.component(name).merge(other.components[name])
-
     def snapshot(self) -> dict[str, dict]:
         """``{component name: snapshot}`` for every component."""
         return {name: self.components[name].snapshot() for name in sorted(self.components)}
-
-    def counters(self, prefix: str = "") -> dict[str, int]:
-        """Aggregated plain counter dict (compat with old ``*_stats``)."""
-        return self.aggregate(prefix).counters.as_dict()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<MetricsRegistry {self.name!r} components={len(self.components)}>"

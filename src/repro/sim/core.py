@@ -194,7 +194,9 @@ class Simulator:
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the heap empties, *until* time passes, or *until*
-        event fires.  Returns the until-event's value when given one.
+        event fires.  Returns the until-event's value when given one,
+        and raises its exception when it failed (a client process that
+        raised, under ``all_of``).
         """
         stop_event: Event | None = None
         if until is None:
@@ -202,6 +204,8 @@ class Simulator:
         elif isinstance(until, Event):
             stop_event = until
             if stop_event.callbacks is None:  # already processed
+                if not stop_event._ok:
+                    raise stop_event._value
                 return stop_event._value
             stop_event.callbacks.append(self._stop_on)
         else:
@@ -229,6 +233,9 @@ class Simulator:
 
     @staticmethod
     def _stop_on(event: Event) -> None:
+        if not event._ok:
+            event._defused = True
+            raise event._value
         raise StopSimulation(event._value)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -91,20 +91,6 @@ class Histogram:
         self.counts = [0] * nbuckets
         self.stats = OnlineStats()
 
-    @classmethod
-    def like(cls, other: "Histogram") -> "Histogram":
-        """An empty histogram with *other*'s exact bucketing.
-
-        The constructor derives the bucket count from ``hi``, which is
-        not retained; cloning through it can therefore produce a
-        mergeable-looking histogram with a different bucket count.
-        ``like`` copies the bucket layout directly, so the clone always
-        merges back into (and accepts merges from) the original.
-        """
-        clone = cls(lo=other.lo, base=other.base)
-        clone.counts = [0] * len(other.counts)
-        return clone
-
     def _bucket(self, x: float) -> int:
         if x <= self.lo:
             return 0

@@ -17,7 +17,6 @@ P = dict(
     record_size=2 * KiB,
     rounds=6,
     mcd_memory=8 * MiB,
-    mcd_timeout=2e-3,
     cooldown=2e-3,
     seed=0xC405,
 )

@@ -19,7 +19,6 @@ P = dict(
     mcd_memory=8 * MiB,
     window=8e-3,
     mean_downtime=1e-3,
-    mcd_timeout=2e-3,
     cooldown=2e-3,
     seed=0xC405,
 )

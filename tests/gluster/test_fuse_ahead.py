@@ -12,17 +12,18 @@ station, and mint exactly one entry fewer for each op that sent a
 message and exactly as many for each op that sent none (a hot-cache
 hit, a skipped or failing op).  Covered: the hot cache and partial
 fills on and off, a dead MCD, a flapping server under ``resilience``
-(deadlined MCD calls run as child processes), and a client CPU held
-busy under an MCD deadline close to the round trip (the deadline runs
-from the crossing's end, when the request may leave).
+(deadlined MCD calls run as timed legs), and a client CPU held busy
+under an MCD deadline close to the round trip (the deadline runs from
+the crossing's end, when the request may leave).
 
-Spans and io-stats fops opened ahead start at ``ready``; one that closes
-before it (nothing sent) lasts nothing, as when the op slept.
+Spans and fops opened ahead start at ``ready``; one that closes before
+it (nothing sent) lasts nothing, as when the op slept.
 """
 
 import gc
 from types import MethodType
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,11 +33,12 @@ from repro.core.config import IMCaConfig
 from repro.gluster.client import GlusterClient
 from repro.gluster.costs import FUSE_OP_CPU
 from repro.gluster.iocache import IoCacheXlator
-from repro.gluster.iostats import IoStatsXlator
 from repro.gluster.protocol import ClientProtocol
 from repro.gluster.xlator import Xlator
+import repro.memcached.client as mc_client
 from repro.net.fabric import Node
 from repro.net.rpc import Endpoint
+from repro.sim.process import departure
 from repro.sim.station import FifoStation
 from repro.util.units import KiB, MiB
 
@@ -52,9 +54,11 @@ CONFIGS = {
     },
     "dead_mcd": {},
     "flapping_server_under_resilience": {"resilience": ResilienceConfig()},
-    # An uncontended warm stat's MCD round trip fits in 110 us, barely.
-    "busy_client_tight_deadline": {"resilience": ResilienceConfig(mcd_timeout=110e-6)},
+    "busy_client_tight_deadline": {"resilience": ResilienceConfig()},
 }
+#: The MCD deadline a config runs under, when not ``MCD_TIMEOUT``: an
+#: uncontended warm stat's MCD round trip fits in 110 us, barely.
+DEADLINES = {"busy_client_tight_deadline": 110e-6}
 
 
 def _waiting_crossing(self, fop):
@@ -128,6 +132,13 @@ def _apply(tb, client, kind, f, slot, nslots, fds):
 
 
 def _run(config, ops, ahead):
+    with pytest.MonkeyPatch.context() as mp:
+        if config in DEADLINES:
+            mp.setattr(mc_client, "MCD_TIMEOUT", DEADLINES[config])
+        return _run_deadlined(config, ops, ahead)
+
+
+def _run_deadlined(config, ops, ahead):
     tb = build_gluster_testbed(
         TestbedConfig(num_clients=1, num_mcds=2, mcd_memory=1 * MiB, **CONFIGS[config])
     )
@@ -256,10 +267,11 @@ def test_an_io_cache_timeout_ending_inside_the_crossing_has_ended_for_the_op():
     assert ahead[1]["revalidations"] == 2
 
 
-def test_a_deadline_runs_from_the_crossing_end():
+def test_a_deadline_runs_from_the_crossing_end(monkeypatch):
     """Queueing behind a busy client CPU spends none of an MCD call's
     budget: a warm stat behind 300 us of CPU work is the uncontended
     stat, 300 us later, with no timeout and no retry."""
+    monkeypatch.setattr(mc_client, "MCD_TIMEOUT", DEADLINES["busy_client_tight_deadline"])
     tb = build_gluster_testbed(
         TestbedConfig(num_clients=1, num_mcds=2, mcd_memory=1 * MiB,
                       **CONFIGS["busy_client_tight_deadline"])
@@ -301,7 +313,7 @@ def test_a_span_closed_ahead_of_the_crossing_lasts_nothing():
     obs = Observability(trace=True, oplog=True)
     tb = build_gluster_testbed(
         TestbedConfig(num_clients=1, num_mcds=2, mcd_memory=1 * MiB,
-                      resilience=ResilienceConfig(eject_after=2)),
+                      resilience=ResilienceConfig()),
         obs=obs,
     )
     sim, client = tb.sim, tb.clients[0]
@@ -325,15 +337,38 @@ def test_a_span_closed_ahead_of_the_crossing_lasts_nothing():
         assert all(t >= 0.0 for t in rec.tiers.values()), rec.tiers
 
 
+class _Probe(Xlator):
+    """Above the IMCa client stack: each read's and stat's time from
+    when its request may leave (``departure``) to its return."""
+
+    def __init__(self, sim):
+        super().__init__("probe")
+        self.sim = sim
+        self.took = {"read": [], "stat": []}
+
+    def _timed(self, fop, gen):
+        t0 = departure(self.sim)
+        result = yield from gen
+        self.took[fop].append(self.sim.now - t0)
+        return result
+
+    def read(self, path, offset, size):
+        return self._timed("read", self._down().read(path, offset, size))
+
+    def stat(self, path):
+        return self._timed("stat", self._down().stat(path))
+
+
 def test_a_fop_that_returns_ahead_of_the_crossing_took_nothing():
-    """io-stats above the IMCa client stack: a hot-cache hit returns
-    before the crossing ends and is timed at zero, not below."""
+    """A hot-cache hit returns before the crossing ends, so no time has
+    passed for it; the op still ends at the crossing's end, and no span
+    or op record goes negative."""
     tb = build_gluster_testbed(
         TestbedConfig(num_clients=1, num_mcds=2, mcd_memory=1 * MiB, **CONFIGS["hot_cache"]),
         obs=Observability(trace=True),
     )
     sim, client = tb.sim, tb.clients[0]
-    probe = IoStatsXlator(sim)
+    probe = _Probe(sim)
     client.stack = Xlator.build_stack([probe, client.stack])
     fds = {}
 
@@ -346,8 +381,10 @@ def test_a_fop_that_returns_ahead_of_the_crossing_took_nothing():
 
     sim.process(drive())
     sim.run()
-    assert probe.latency["read"].min == 0.0 and probe.latency["stat"].min == 0.0
-    assert probe.latency["read"].max > 0.0
+    reads, stats = probe.took["read"], probe.took["stat"]
+    assert len(reads) == len(stats) == 3
+    assert max(reads[1:]) <= 0.0 and max(stats) <= 0.0
+    assert reads[0] > 0.0  # the first read went to the MCDs
     _assert_no_negative_time(tb.obs.tracer)
 
 

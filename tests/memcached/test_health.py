@@ -1,22 +1,27 @@
-"""Client-side MCD health tracking: ejection, cooldown, purged rejoin."""
+"""Client-side MCD health tracking: ejection, cooldown, purged rejoin.
+
+A daemon is ejected after ``EJECT_AFTER`` consecutive errors (2); a test
+that needs another threshold patches the module constant.
+"""
 
 import pytest
 
+import repro.memcached.client as mc_client
 from repro.memcached import MemcacheClient, MemcachedDaemon
-from repro.memcached.client import HealthPolicy
+from repro.net import ResilienceConfig
 from repro.net import Endpoint, IPOIB, Network, Node
 from repro.sim import Simulator
 from repro.util import MiB
 
 
-def make_cluster(n_mcds=1, health=None, mem=16 * MiB):
+def make_cluster(n_mcds=1, resilience=None, mem=16 * MiB):
     sim = Simulator()
     net = Network(sim, IPOIB)
     cep = Endpoint(net, Node(sim, "client"))
     daemons = [
         MemcachedDaemon(sim, net, Node(sim, f"mcd{i}"), mem) for i in range(n_mcds)
     ]
-    client = MemcacheClient(cep, daemons, health=health)
+    client = MemcacheClient(cep, daemons, resilience=resilience)
     return sim, client, daemons
 
 
@@ -28,13 +33,12 @@ def drive(sim, gen):
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        HealthPolicy(eject_after=0)
-    with pytest.raises(ValueError):
-        HealthPolicy(cooldown=-1.0)
+        ResilienceConfig(cooldown=-1.0)
+    assert ResilienceConfig(cooldown=0.0).cooldown == 0.0
 
 
 def test_consecutive_errors_eject_the_server():
-    sim, client, (mcd,) = make_cluster(health=HealthPolicy(eject_after=2, cooldown=1.0))
+    sim, client, (mcd,) = make_cluster(resilience=ResilienceConfig(cooldown=1.0))
     mcd.kill()
 
     def proc():
@@ -44,14 +48,15 @@ def test_consecutive_errors_eject_the_server():
     drive(sim, proc())
     assert client.stats.get("ejections") == 1
     assert client.ejected(0)
-    # Only the first eject_after calls paid a network attempt; the rest
+    # Only the first EJECT_AFTER calls paid a network attempt; the rest
     # were skipped locally at zero cost (still surfacing as op errors).
     assert client.stats.get("ejected_skips") == 3
     assert client.stats.get("errors") == 5
 
 
-def test_errors_counter_resets_on_success():
-    sim, client, (mcd,) = make_cluster(health=HealthPolicy(eject_after=3, cooldown=1.0))
+def test_errors_counter_resets_on_success(monkeypatch):
+    monkeypatch.setattr(mc_client, "EJECT_AFTER", 3)
+    sim, client, (mcd,) = make_cluster(resilience=ResilienceConfig(cooldown=1.0))
 
     def proc():
         yield from client.set("k", b"v", 1)
@@ -67,11 +72,12 @@ def test_errors_counter_resets_on_success():
     assert client.stats.get("ejections", 0) == 0
 
 
-def test_rejoin_purges_and_never_serves_pre_crash_data():
+def test_rejoin_purges_and_never_serves_pre_crash_data(monkeypatch):
     """Kill an MCD mid-run, bring the *node* back with its stale engine
     intact (the worst case), and confirm the rejoin purge prevents any
     pre-crash value from being served."""
-    sim, client, (mcd,) = make_cluster(health=HealthPolicy(eject_after=1, cooldown=0.005))
+    monkeypatch.setattr(mc_client, "EJECT_AFTER", 1)
+    sim, client, (mcd,) = make_cluster(resilience=ResilienceConfig(cooldown=0.005))
     got = []
 
     def proc():
@@ -93,8 +99,9 @@ def test_rejoin_purges_and_never_serves_pre_crash_data():
     assert mcd.engine.get("k") is None
 
 
-def test_failed_probe_reejects():
-    sim, client, (mcd,) = make_cluster(health=HealthPolicy(eject_after=1, cooldown=0.005))
+def test_failed_probe_reejects(monkeypatch):
+    monkeypatch.setattr(mc_client, "EJECT_AFTER", 1)
+    sim, client, (mcd,) = make_cluster(resilience=ResilienceConfig(cooldown=0.005))
     mcd.kill()
 
     def proc():
@@ -119,7 +126,7 @@ def test_a_failed_flush_after_the_cooldown_does_not_readmit_the_server():
     still down, it fails, re-ejects the server and books no rejoin, so
     the node that comes back with its memory intact is never asked for
     its pre-crash bytes."""
-    sim, client, (mcd,) = make_cluster(health=HealthPolicy(eject_after=2, cooldown=0.005))
+    sim, client, (mcd,) = make_cluster(resilience=ResilienceConfig(cooldown=0.005))
     got = []
 
     def proc():
@@ -141,12 +148,13 @@ def test_a_failed_flush_after_the_cooldown_does_not_readmit_the_server():
     assert mcd.engine.get("k") is not None  # never purged, never read
 
 
-def test_concurrent_callers_share_one_rejoin_probe():
+def test_concurrent_callers_share_one_rejoin_probe(monkeypatch):
     """Two requests racing past an elapsed cooldown must not both run
     the half-open probe: the first sets ``probing`` and purges, the
     second skips the server until the probe settles — one purge, one
     rejoin, never two."""
-    sim, client, (mcd,) = make_cluster(health=HealthPolicy(eject_after=1, cooldown=0.005))
+    monkeypatch.setattr(mc_client, "EJECT_AFTER", 1)
+    sim, client, (mcd,) = make_cluster(resilience=ResilienceConfig(cooldown=0.005))
 
     def proc():
         yield from client.set("k", b"v", 1)
@@ -193,7 +201,7 @@ def test_kill_is_idempotent_on_dead_node():
 
 
 def test_no_health_policy_keeps_historical_fail_fast():
-    sim, client, (mcd,) = make_cluster(health=None)
+    sim, client, (mcd,) = make_cluster(resilience=None)
     mcd.kill()
 
     def proc():

@@ -7,15 +7,15 @@ value that a purge was meant to invalidate.
 
 import pytest
 
+import repro.memcached.client as mc_client
 from repro.memcached import MemcacheClient, MemcachedDaemon
-from repro.memcached.client import HealthPolicy
 from repro.memcached.hashing import Crc32Selector, ReplicatedSelector
-from repro.net import Endpoint, IPOIB, Network, Node
+from repro.net import Endpoint, IPOIB, Network, Node, ResilienceConfig
 from repro.sim import Simulator
 from repro.util import MiB
 
 
-def make_cluster(n_mcds=3, replicas=2, health=None, rr_seed=0, mem=16 * MiB):
+def make_cluster(n_mcds=3, replicas=2, resilience=None, rr_seed=0, mem=16 * MiB):
     sim = Simulator()
     net = Network(sim, IPOIB)
     cep = Endpoint(net, Node(sim, "client"))
@@ -23,7 +23,7 @@ def make_cluster(n_mcds=3, replicas=2, health=None, rr_seed=0, mem=16 * MiB):
         MemcachedDaemon(sim, net, Node(sim, f"mcd{i}"), mem) for i in range(n_mcds)
     ]
     client = MemcacheClient(
-        cep, daemons, health=health, replicas=replicas, rr_seed=rr_seed
+        cep, daemons, resilience=resilience, replicas=replicas, rr_seed=rr_seed
     )
     return sim, client, daemons
 
@@ -218,9 +218,10 @@ def test_per_key_cursors_split_every_key():
         assert all(load >= 2 for load in loads)
 
 
-def test_reads_fail_over_around_ejected_replica():
+def test_reads_fail_over_around_ejected_replica(monkeypatch):
+    monkeypatch.setattr(mc_client, "EJECT_AFTER", 1)
     sim, client, daemons = make_cluster(
-        n_mcds=3, replicas=2, health=HealthPolicy(eject_after=1, cooldown=10.0)
+        n_mcds=3, replicas=2, resilience=ResilienceConfig(cooldown=10.0)
     )
     owners = client.owners("k")
 

@@ -149,8 +149,8 @@ def test_a_bad_key_mid_batch_stores_and_books_the_items_before_it():
     sim, client, (daemon,) = small_bank(1)
     items = [("a", b"a", 1, 0, 0), ("has space", b"x", 1, 0, 0), ("b", b"b", 1, 0, 0)]
     # The malformed command fails the whole request, as it does a get.
-    failure = drive(sim, client.set_multi(items))
-    assert isinstance(failure, McError) and "whitespace" in str(failure)
+    with pytest.raises(McError, match="whitespace"):
+        drive(sim, client.set_multi(items))
     assert set(daemon.engine._items) == {"a"}
     assert daemon.engine.stats.get("cmd_set") == 1
 

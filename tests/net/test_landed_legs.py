@@ -15,12 +15,13 @@ request or response — keep their waits and book one error each; a
 handler that raises fails the join as a strand's exception would; and a
 traced warm read attributes every tier exactly as the reference.
 
-Under a health policy the reference keeps the strand path: a strand
-skips a cooling server, probes one whose cooldown is over, races each
-call against the deadline as a child process, and books its server's
-health when it wakes.  The policy's legs (``_TrackedLeg``) must equal
-it through kills, flaps, lost frames, missed deadlines and probes, with
-no more entries, and fewer with a deadline.
+Under a resilience config the reference keeps the strand path: a
+strand skips a cooling server, probes one whose cooldown is over, races
+each call against the deadline as a child process, and books its
+server's health when it wakes.  The config's legs (``_TrackedLeg``)
+must equal it through kills, flaps, lost frames, missed deadlines and
+probes, with fewer entries.  A test sets the deadline it runs under by
+patching ``MCD_TIMEOUT``.
 """
 
 import pytest
@@ -30,9 +31,11 @@ from hypothesis import strategies as st
 from repro import Observability, TestbedConfig, build_gluster_testbed
 from repro.core.config import IMCaConfig
 from repro.memcached import McError, MemcacheClient, MemcachedDaemon
-from repro.memcached.client import HealthPolicy
+import repro.memcached.client as mc_client
 from repro.memcached.daemon import SERVICE, command_cost
-from repro.net import IPOIB, Endpoint, Network, Node, RpcError, RpcUnavailable
+from repro.net import (
+    IPOIB, Endpoint, Network, Node, ResilienceConfig, RpcError, RpcUnavailable,
+)
 from repro.sim import Simulator
 from repro.sim.events import PENDING, Event
 from repro.sim.process import departure
@@ -85,7 +88,7 @@ def _defuse_failure(event):
 
 
 class WaitingClient(MemcacheClient):
-    """The strand reference.  Under a health policy an MCD RPC is a
+    """The strand reference.  Under a resilience config an MCD RPC is a
     generator in the caller's frame (a batch leg's strand, or the op's
     own): it skips a cooling server, probes one whose cooldown is over
     with a ``flush_all`` before its own call, races each call against
@@ -107,7 +110,7 @@ class WaitingClient(MemcacheClient):
         return reply
 
     def _call(self, idx, op, payload):
-        if self.health is None:
+        if self.resilience is None:
             return MemcacheClient._call(self, idx, op, payload)
         return self._call_waiting(idx, op, payload)
 
@@ -122,7 +125,7 @@ class WaitingClient(MemcacheClient):
             try:
                 yield from self._deadlined(idx, "flush_all", None)
             except RpcError:
-                h.ejected_until = self.endpoint.net.sim.now + self.health.cooldown
+                h.ejected_until = self.endpoint.net.sim.now + self.resilience.cooldown
                 self.stats.inc("failed_probes")
                 raise
             finally:
@@ -146,11 +149,9 @@ class WaitingClient(MemcacheClient):
             self.membership.members[idx].daemon.node, SERVICE, (op, payload),
             *command_cost(op, payload),
         )
-        if self.health.timeout is None:
-            return (yield from call)
         sim = self.endpoint.net.sim
         proc = sim.process(call, name=f"rpc.{SERVICE}")
-        deadline = sim.at(departure(sim) + self.health.timeout)
+        deadline = sim.at(departure(sim) + mc_client.MCD_TIMEOUT)
         yield _Race(sim, (proc, deadline))
         if proc.triggered:
             if proc.ok:
@@ -419,11 +420,12 @@ def test_a_handler_that_raises_fails_the_join_as_the_strand_does(op, arg):
 
 
 # --------------------------------------------------------------------------- #
-# under a health policy
+# under a resilience config
 # --------------------------------------------------------------------------- #
-def _policy(timeout=None):
-    """Eject on the second error in a row; probe 200 us later."""
-    return HealthPolicy(eject_after=2, cooldown=2e-4, timeout=timeout)
+def _policy():
+    """Eject on the second error in a row (``EJECT_AFTER``); probe 200 us
+    later."""
+    return ResilienceConfig(cooldown=2e-4)
 
 
 def _drive_streams(sim, mc, streams):
@@ -447,16 +449,19 @@ def _drive_streams(sim, mc, streams):
     return out
 
 
-def _policy_twins(streams, n=4, cores=1, setup=None, timeout=None):
+def _policy_twins(streams, n=4, cores=1, setup=None, timeout=mc_client.MCD_TIMEOUT):
     """*streams* on a tracked-leg bank and a strand bank under the same
-    policy: per bank, (per-stream results, state, scheduler entries)."""
+    config and deadline: per bank, (per-stream results, state, scheduler
+    entries)."""
     runs = []
-    for cls in (MemcacheClient, WaitingClient):
-        sim, mc, daemons = _bank(n, cores, cls, health=_policy(timeout))
-        if setup is not None:
-            setup(sim, mc, daemons)
-        out = _drive_streams(sim, mc, streams)
-        runs.append((out, _state(sim, mc, daemons), sim._seq))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc_client, "MCD_TIMEOUT", timeout)
+        for cls in (MemcacheClient, WaitingClient):
+            sim, mc, daemons = _bank(n, cores, cls, resilience=_policy())
+            if setup is not None:
+                setup(sim, mc, daemons)
+            out = _drive_streams(sim, mc, streams)
+            runs.append((out, _state(sim, mc, daemons), sim._seq))
     return runs
 
 
@@ -493,9 +498,9 @@ fault = st.tuples(
     st.floats(0.0, 2e-3), st.integers(0, 3),
     st.sampled_from(("kill", "restart", "fail", "recover")),
 )
-#: No deadline; deadlines that many requests and responses miss; one
-#: that only a queue misses; one nothing misses.
-timeouts = st.sampled_from((None, 30e-6, 60e-6, 120e-6, 1e-3))
+#: Deadlines that many requests and responses miss; one that only a
+#: queue misses; one nothing misses.
+timeouts = st.sampled_from((30e-6, 60e-6, 120e-6, 1e-3))
 
 
 @settings(max_examples=150, deadline=None)
@@ -532,17 +537,19 @@ def test_legs_under_a_health_policy_match_the_strands(
     assert entries <= want_entries
 
 
-def _one_batch(op, arg, setup=None, timeout=None):
-    """Twin runs of one batch over the four MCDs (after SEED); asserts
-    they agree and returns (the state, the batch's entries, the
-    strands' entries)."""
+def _one_batch(op, arg, setup=None, timeout=mc_client.MCD_TIMEOUT):
+    """Twin runs of one batch over the four MCDs (after SEED) under
+    *timeout*; asserts they agree and returns (the state, the batch's
+    entries, the strands' entries)."""
     ops = SEED + [(op, arg, 1e-3)]
     runs = []
-    for cls in (MemcacheClient, WaitingClient):
-        sim, mc, daemons = _bank(4, 1, cls, health=_policy(timeout))
-        if setup is not None:
-            setup(sim, mc, daemons)
-        runs.append((_drive(sim, mc, ops), _state(sim, mc, daemons)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc_client, "MCD_TIMEOUT", timeout)
+        for cls in (MemcacheClient, WaitingClient):
+            sim, mc, daemons = _bank(4, 1, cls, resilience=_policy())
+            if setup is not None:
+                setup(sim, mc, daemons)
+            runs.append((_drive(sim, mc, ops), _state(sim, mc, daemons)))
     (out, state), (want_out, want_state) = runs
     assert [o[:2] for o in out] == [o[:2] for o in want_out]
     # (Not the run's last instant: see the random twin.)
@@ -552,11 +559,11 @@ def _one_batch(op, arg, setup=None, timeout=None):
 
 
 #: (timeout, legs' entries, strands' entries) for a healthy batch of 4:
-#: a leg wakes at its request and at its response (or settles in the
-#: join's entry, as the last pending), and with a deadline also wakes
-#: there; a strand under a deadline also pays its child process's
-#: start and end, its deadline timer and its race.
-HEALTHY = [(None, 2 * 4 + 1, 2 * 4 + 1), (1e-3, 3 * 4 + 1, 6 * 4 + 1)]
+#: a leg wakes at its request, at its response (or settles in the
+#: join's entry, as the last pending) and at its deadline; a strand
+#: also pays its child process's start and end, its deadline timer and
+#: its race.
+HEALTHY = [(1e-3, 3 * 4 + 1, 6 * 4 + 1)]
 
 
 @pytest.mark.parametrize("timeout, entries, want", HEALTHY)
@@ -571,24 +578,23 @@ def _victim(mc, daemons):
     return daemons[mc.owners(SPREAD[2])[0]]
 
 
-@pytest.mark.parametrize("timeout", [None, 1e-3])
+@pytest.mark.parametrize("timeout", [1e-3])
 @pytest.mark.parametrize("op, arg", FAILED_OPS, ids=IDS)
 def test_a_killed_mcd_under_a_policy_books_its_error_at_the_failure(op, arg, timeout):
     """The dead leg's undeliverable request is its one wake, and its
     deadline one more (the streak moves when it fails, not when it is
     booked); the live three wake as a healthy leg does.  The dead
-    strand under a deadline pays its child's start and failure, its
-    timer and its race."""
+    strand pays its child's start and failure, its timer and its race."""
     def kill(sim, mc, daemons):
         sim.at(5e-4).callbacks.append(lambda _: _victim(mc, daemons).kill())
 
     state, got, want_got = _one_batch(op, arg, kill, timeout)
     assert state[3]["errors"] == 1 and "ejections" not in state[3]
-    assert (got, want_got) == {None: (8, 8), 1e-3: (12, 24)}[timeout]
+    assert (got, want_got) == (12, 24)
 
 
 @pytest.mark.parametrize("draws", [[0.1], [0.9, 0.1]], ids=["request", "response"])
-@pytest.mark.parametrize("timeout", [None, 1e-3])
+@pytest.mark.parametrize("timeout", [1e-3])
 def test_a_lost_frame_under_a_policy_is_one_error(draws, timeout):
     def setup(sim, mc, daemons):
         net = mc.endpoint.net
@@ -600,9 +606,7 @@ def test_a_lost_frame_under_a_policy_is_one_error(draws, timeout):
     state, got, want_got = _one_batch(*FAILED_OPS[0], setup, timeout)
     assert state[3]["errors"] == 1
     lost = {"request": 0, "response": 1}[("request", "response")[len(draws) - 1]]
-    assert (got, want_got) == {
-        None: (8 + lost, 8 + lost), 1e-3: (12 + lost, 24 + lost)
-    }[timeout]
+    assert (got, want_got) == (12 + lost, 24 + lost)
 
 
 @pytest.mark.parametrize("only_the_response", [False, True], ids=["request", "response"])
@@ -632,8 +636,10 @@ def test_a_missed_deadline_lands_none_at_it_and_the_command_still_runs(only_the_
 
 
 @pytest.mark.parametrize("recovered", [True, False], ids=["succeeds", "fails"])
-@pytest.mark.parametrize("timeout", [None, 1e-3])
-def test_a_probe_after_the_cooldown_runs_as_a_leg_before_the_real_one(recovered, timeout):
+@pytest.mark.parametrize("timeout", [1e-3])
+def test_a_probe_after_the_cooldown_runs_as_a_leg_before_the_real_one(
+    recovered, timeout, monkeypatch
+):
     """Two failed batches eject MCD 2's owner; after the cooldown the
     next batch's leg to it is a ``flush_all`` probe whose answer
     readmits it and starts the real leg (or, still down, re-ejects)."""
@@ -646,9 +652,10 @@ def test_a_probe_after_the_cooldown_runs_as_a_leg_before_the_real_one(recovered,
         if recovered:
             sim.at(1.5e-3).callbacks.append(lambda _: victim.node.recover())
 
+    monkeypatch.setattr(mc_client, "MCD_TIMEOUT", timeout)
     runs = []
     for cls in (MemcacheClient, WaitingClient):
-        sim, mc, daemons = _bank(4, 1, cls, health=_policy(timeout))
+        sim, mc, daemons = _bank(4, 1, cls, resilience=_policy())
         flap(sim, mc, daemons)
         runs.append((_drive(sim, mc, ops), _state(sim, mc, daemons)))
     (out, state), (want_out, want_state) = runs
@@ -663,24 +670,22 @@ def test_a_probe_after_the_cooldown_runs_as_a_leg_before_the_real_one(recovered,
         assert stats["failed_probes"] == 1 and "rejoins" not in stats
     # The probe batch: a probe that answers and the real leg after it
     # each wake as a healthy leg does; one sent to the dead node wakes
-    # at its failure (and its deadline).  A strand's probe is a call
-    # of its own in the strand's frame, deadline race included.
-    assert (out[3][2], want_out[3][2]) == {
-        (True, None): (11, 11), (False, None): (8, 8),
-        (True, 1e-3): (16, 31), (False, 1e-3): (12, 24),
-    }[recovered, timeout]
+    # at its failure and its deadline.  A strand's probe is a call of
+    # its own in the strand's frame, deadline race included.
+    assert (out[3][2], want_out[3][2]) == ((16, 31) if recovered else (12, 24))
 
 
-@pytest.mark.parametrize("timeout", [None, 1e-3])
-def test_a_call_outside_a_batch_is_an_inline_leg_that_costs_no_more(timeout):
+@pytest.mark.parametrize("timeout", [1e-3])
+def test_a_call_outside_a_batch_is_an_inline_leg_that_costs_no_more(timeout, monkeypatch):
     """A get, a single-owner set, two gets of a dead MCD (the second
     ejects it) and one more (skipped): the caller resumes in the entry
     the outcome comes in, as the strand's in-frame call does.  Entries
-    per op: a round trip 2 (3 with a deadline, against 6), a failure 1
-    (2, against 5), a skip 0."""
+    per op: a round trip 3 (its request, response and deadline; the
+    strand 6), a failure 2 (against 5), a skip 0."""
+    monkeypatch.setattr(mc_client, "MCD_TIMEOUT", timeout)
     runs = []
     for cls in (MemcacheClient, WaitingClient):
-        sim, mc, daemons = _bank(4, 1, cls, health=_policy(timeout))
+        sim, mc, daemons = _bank(4, 1, cls, resilience=_policy())
         log = []
 
         def proc():
@@ -701,8 +706,8 @@ def test_a_call_outside_a_batch_is_an_inline_leg_that_costs_no_more(timeout):
     assert [o[:2] for o in out] == [o[:2] for o in want_out]
     assert state[1:] == want_state[1:]
     assert state[3]["ejected_skips"] == 1 and state[3]["ejections"] == 1
-    assert [o[2] for o in out] == {None: [2, 2, 1, 1, 0], 1e-3: [3, 3, 2, 2, 0]}[timeout]
-    assert [o[2] for o in want_out] == {None: [2, 2, 1, 1, 0], 1e-3: [6, 6, 5, 5, 0]}[timeout]
+    assert [o[2] for o in out] == [3, 3, 2, 2, 0]
+    assert [o[2] for o in want_out] == [6, 6, 5, 5, 0]
 
 
 def test_health_is_booked_when_a_leg_settles_not_when_it_is_booked():

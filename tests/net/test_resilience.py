@@ -9,12 +9,12 @@ from repro.net import (
     Network,
     NetworkError,
     Node,
-    RetryPolicy,
     RpcUnavailable,
 )
+from repro.net import rpc
 from repro.net.rpc import TimedLeg
 from repro.sim import Simulator
-from repro.sim.process import Join
+from repro.sim.process import Join, departure
 from repro.sim.rand import RandomStreams
 from repro.util import USEC, Counter
 
@@ -220,6 +220,10 @@ def test_a_failure_before_the_deadline_is_a_failure_not_a_timeout():
     assert "timeouts" not in stats
 
 
+def _jitter(seed=9):
+    return RandomStreams(seed).stream("rpc.jitter")
+
+
 def test_retry_rides_through_a_server_flap():
     sim, net, client, server, cep, sep = make_pair()
 
@@ -235,11 +239,10 @@ def test_retry_rides_through_a_server_flap():
         server.recover()
 
     sim.process(revive())
-    policy = RetryPolicy(max_retries=10, backoff=1e-3, backoff_factor=2.0)
     got = []
 
     def proc():
-        reply = yield from cep.call_retry(server, "echo", policy=policy)
+        reply = yield from cep.call_retry(server, "echo", jitter=_jitter())
         got.append((sim.now, reply))
 
     sim.process(proc())
@@ -253,39 +256,69 @@ def test_retry_budget_exhaustion_reraises():
     sim, net, client, server, cep, sep = make_pair()
     sep.register("echo", lambda call: iter(()))
     server.fail()
-    policy = RetryPolicy(max_retries=2, backoff=1e-4)
     seen = []
 
     def proc():
         try:
-            yield from cep.call_retry(server, "echo", policy=policy)
+            yield from cep.call_retry(server, "echo", jitter=_jitter())
         except RpcUnavailable:
             seen.append(sim.now)
 
     sim.process(proc())
     sim.run()
     assert len(seen) == 1
-    assert cep.stats.get("retries") == 2
+    assert cep.stats.get("retries") == rpc.SERVER_RETRIES == 10
+
+
+def _old_backoff(attempt, rng, backoff=2e-4, backoff_factor=2.0, max_backoff=5e-3, jitter=0.1):
+    """The sleep before retry *attempt* as the brick retry policy object
+    computed it before the shape became module constants: its formula,
+    copied as it was, with the values the testbed built it with."""
+    delay = backoff * (backoff_factor ** attempt)
+    if delay > max_backoff:
+        delay = max_backoff
+    if jitter > 0.0:
+        delay *= 1.0 + jitter * float(rng.random())
+    return delay
 
 
 def test_backoff_schedule_and_jitter():
-    plain = RetryPolicy(max_retries=4, backoff=1e-3, backoff_factor=2.0, max_backoff=3e-3)
-    assert [plain.delay_for(i) for i in range(4)] == [1e-3, 2e-3, 3e-3, 3e-3]
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter=0.1)  # jitter requires an rng
-    rng_a = RandomStreams(9).stream("rpc.jitter")
-    rng_b = RandomStreams(9).stream("rpc.jitter")
-    a = RetryPolicy(max_retries=4, backoff=1e-3, jitter=0.2, rng=rng_a)
-    b = RetryPolicy(max_retries=4, backoff=1e-3, jitter=0.2, rng=rng_b)
-    da = [a.delay_for(i) for i in range(6)]
-    db = [b.delay_for(i) for i in range(6)]
-    assert da == db  # same seed, same jitter draws
-    assert all(1e-3 <= d <= 1e-3 * 1.2 for d in da[:1])
-    assert any(d != plain.delay_for(i) for i, d in enumerate(da[:4]))
+    """Every sleep between retries is the old policy's delay, to the
+    bit, on the same seeded ``rpc.jitter`` draws in the same order:
+    ``backoff * factor**attempt``, capped, then stretched by the draw."""
+    sim, net, client, server, cep, sep = make_pair()
+    sep.register("echo", lambda call: ("x", 16))
+    server.fail()
+    wakes = []
+    at = sim.at
+
+    def recording_at(when):
+        wakes.append((departure(sim), when))
+        return at(when)
+
+    sim.at = recording_at
+
+    def proc():
+        with pytest.raises(RpcUnavailable):
+            yield from cep.call_retry(server, "echo", jitter=_jitter(9))
+
+    sim.process(proc())
+    sim.run()
+    reference = _jitter(9)
+    assert len(wakes) == rpc.SERVER_RETRIES
+    assert [when for _, when in wakes] == [
+        t + _old_backoff(i, reference) for i, (t, _) in enumerate(wakes)
+    ]
+    sleeps = [when - t for t, when in wakes]
+    # The cap holds from the sixth retry on; every draw stretched its sleep.
+    assert all(2e-4 * 2**i < d <= 2e-4 * 2**i * 1.1 for i, d in enumerate(sleeps[:5]))
+    assert all(5e-3 < d <= 5.5e-3 for d in sleeps[5:])
 
 
 def test_no_timeout_no_policy_is_the_historical_path():
-    """Default arguments must not change healthy-path behaviour."""
+    """Without a jitter stream (a testbed without resilience)
+    ``call_retry`` is the call itself: the same generator code, the same
+    round trip, no retry."""
     sim, net, client, server, cep, sep = make_pair()
 
     def echo(call):
@@ -298,10 +331,11 @@ def test_no_timeout_no_policy_is_the_historical_path():
     def proc():
         r1 = yield from cep.call(server, "echo")
         t.append(sim.now)
-        r2 = yield from cep.call_retry(server, "echo", policy=None)
+        r2 = yield from cep.call_retry(server, "echo")
         t.append(sim.now)
         assert r1 == r2 == "x"
 
     sim.process(proc())
     sim.run()
     assert t[1] - t[0] == pytest.approx(t[0])  # identical round-trip cost
+    assert cep.call_retry(server, "echo").gi_code is cep.call(server, "echo").gi_code

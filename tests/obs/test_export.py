@@ -124,31 +124,6 @@ def test_write_oplog_jsonl_round_trip(tmp_path):
         assert d["duration"] >= 0
 
 
-def test_metrics_fingerprint_is_merge_order_invariant():
-    """The --jobs N merge folds worker registries in any completion
-    order; the fingerprint must not depend on it."""
-    from repro.obs.export import metrics_fingerprint
-    from repro.obs.registry import MetricsRegistry
-
-    def worker(seed):
-        reg = MetricsRegistry("w")
-        c = reg.component("cmcache.client0")
-        c.inc("hits", seed)
-        c.observe("lat", seed * 1e-4)
-        c.histogram("lat").add(seed * 1e-4)
-        reg.component("mcd").inc("gets", 2 * seed)
-        return reg
-
-    def merged(order):
-        total = MetricsRegistry("t")
-        for seed in order:
-            total.merge(worker(seed))
-        return metrics_fingerprint(total)
-
-    assert merged([1, 2, 3]) == merged([3, 1, 2]) == merged([2, 3, 1])
-    assert merged([1, 2, 3]) != merged([1, 2, 4])
-
-
 def test_truncated_trace_export_warns_once(tmp_path, monkeypatch):
     import warnings
 

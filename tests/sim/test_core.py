@@ -95,6 +95,27 @@ def test_run_until_event_returns_value():
     assert sim.now == 3
 
 
+def test_run_until_a_failed_event_raises_its_failure():
+    """A client that raises under ``all_of`` ends the run with its
+    exception, not with the exception as the run's value; so does an
+    until-event that had already failed."""
+    sim = Simulator()
+
+    def crashes(sim):
+        yield sim.timeout(1)
+        raise KeyError("client crashed")
+
+    def runs_on(sim):
+        yield sim.timeout(5)
+
+    procs = sim.all_of([sim.process(crashes(sim)), sim.process(runs_on(sim))])
+    with pytest.raises(KeyError, match="client crashed"):
+        sim.run(until=procs)
+    assert sim.now == 1
+    with pytest.raises(KeyError, match="client crashed"):
+        sim.run(until=procs)
+
+
 def test_run_until_event_never_fires_raises():
     sim = Simulator()
     orphan = sim.event()

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ResilienceConfig, TestbedConfig, build_gluster_testbed
 from repro.core.config import IMCaConfig
+import repro.memcached.client as mc_client
 from repro.obs import Observability, OpLog
 from repro.obs.trace import SimTracer
 from repro.sim import FifoStation, Interrupt, SimulationError, Simulator
@@ -387,7 +388,7 @@ def test_strand_spans_and_annotations_attribute_like_processes():
     assert rec.counts == {"child_events": 3}
 
 
-def test_replicated_set_oplog_counts_with_a_dead_replica():
+def test_replicated_set_oplog_counts_with_a_dead_replica(monkeypatch):
     """A replicated push fans out through ``MemcacheClient._fanout``;
     the per-replica legs run as health-tracked callback legs, and what
     they count (ejections, skipped servers) must land on the client op
@@ -398,8 +399,9 @@ def test_replicated_set_oplog_counts_with_a_dead_replica():
         num_clients=1,
         num_mcds=3,
         imca=IMCaConfig(replicas=2),
-        resilience=ResilienceConfig(eject_after=1),
+        resilience=ResilienceConfig(),
     )
+    monkeypatch.setattr(mc_client, "EJECT_AFTER", 1)
     tb = build_gluster_testbed(cfg, obs=obs)
 
     def wl(c):

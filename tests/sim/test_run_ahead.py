@@ -14,10 +14,12 @@ import pytest
 from repro.gluster.client import GlusterClient
 from repro.gluster.costs import FUSE_OP_CPU
 from repro.net import IPOIB, Network, NetworkError, Node
-from repro.net.rpc import Endpoint, RetryPolicy, TimedLeg
+from repro.net import rpc
+from repro.net.rpc import Endpoint, TimedLeg
 from repro.obs.trace import SimTracer
 from repro.sim import Simulator
 from repro.sim.process import Join
+from repro.sim.rand import RandomStreams
 from repro.util import Counter
 
 READY = 25e-6
@@ -124,12 +126,15 @@ def test_strands_and_child_processes_inherit_ready():
 
 
 @pytest.mark.parametrize("case", ["deadline", "backoff"])
-def test_a_deadline_and_a_backoff_run_from_ready(case):
+def test_a_deadline_and_a_backoff_run_from_ready(case, monkeypatch):
     """A leg's deadline and a retry's backoff start when the request may
     leave, not at op start.  *deadline*: the leg's ~101 us round trip
     fits a 110 us budget counted from READY, not one counted from 0.
-    *backoff*: the first attempt fails at once (no service yet); the
-    retry, 10 us later, finds the service that appears at READY + 5 us."""
+    *backoff*: the first attempt fails at once (no service yet); the one
+    retry, 10-11 us later, finds the service that appears at READY + 5 us."""
+    monkeypatch.setattr(rpc, "SERVER_RETRIES", 1)
+    monkeypatch.setattr(rpc, "RETRY_BACKOFF", 10e-6)
+
     def body(sim, net, nodes, log):
         caller, callee = Endpoint(net, nodes[0]), Endpoint(net, nodes[1])
 
@@ -144,8 +149,8 @@ def test_a_deadline_and_a_backoff_run_from_ready(case):
             (reply,) = yield join
         else:
             sim.at(READY + 5e-6).callbacks.append(serve)
-            policy = RetryPolicy(max_retries=1, backoff=10e-6)
-            reply = yield from caller.call_retry(nodes[1], "echo", "hi", SIZE, policy)
+            jitter = RandomStreams(1).stream("rpc.jitter")
+            reply = yield from caller.call_retry(nodes[1], "echo", "hi", SIZE, jitter)
         log.append(reply)
         log.append(sim.now)
         log.append(dict(caller.stats.values))

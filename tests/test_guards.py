@@ -204,6 +204,42 @@ GUARDS = [
         "timed leg, and only a test-local reference keeps the old race.",
         "shrink sim/ to the kernel the model runs",
     ),
+    Guard(
+        r"IoStatsXlato[r]|gluster[/.]iostat[s]",
+        EVERYWHERE,
+        "No testbed, experiment or example built the io-stats probe; a test "
+        "that times fops keeps a few-line probe of its own.",
+        "the code no run reaches deleted",
+    ),
+    Guard(
+        r"RetryPolic[y]|HealthPolic[y]|delay_fo[r]\(",
+        EVERYWHERE,
+        "ResilienceConfig (cooldown, seed) is the one failure-handling setting: "
+        "the MCD deadline, the ejection threshold and the brick retry shape are "
+        "module constants beside the code that reads them.",
+        "one resilience setting",
+    ),
+    Guard(
+        r"\beject_afte[r]=|\bmcd_timeou[t]=",
+        EVERYWHERE,
+        "Nothing moved the ejection threshold or the MCD deadline off one value: "
+        "they are memcached/client.py's EJECT_AFTER and MCD_TIMEOUT, which a test "
+        "patches, not keyword settings.",
+        "one resilience setting",
+    ),
+    Guard(
+        r"def (recor[d]|histogra[m]|matchin[g]|aggregat[e]|merg[e]|counter[s])\(",
+        ("src/repro/obs/registry.py",),
+        "Nothing folds registries or components together: a testbed's counter "
+        "views sum bags with merged_counters, and components are read as snapshots.",
+        "the code no run reaches deleted",
+    ),
+    Guard(
+        r"def lik[e]\(",
+        ("src/repro/util/stats.py",),
+        "Histogram.like cloned a layout only the registry's fold needed.",
+        "the code no run reaches deleted",
+    ),
 ]
 
 

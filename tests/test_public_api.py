@@ -128,9 +128,7 @@ def test_every_setting_is_pinned():
             "num_mcds", "mcd_memory", "mcd_transport", "imca",
             "resilience", "num_data_servers",
         ],
-        ResilienceConfig: [
-            "mcd_timeout", "eject_after", "cooldown", "seed",
-        ],
+        ResilienceConfig: ["cooldown", "seed"],
         ObsRequest: ["trace", "oplog", "sample_interval", "captures"],
     }
     # The span and op-log caps are module constants, not settings.
