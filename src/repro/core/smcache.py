@@ -164,7 +164,7 @@ class SMCacheXlator(Xlator):
     def _purge_stat(self, path: str) -> Generator:
         key = self._keys.stat_key(path)
         if key is not None:
-            yield from self.mc.delete(key)
+            yield from self.mc.delete_multi([key])
 
     # -- fops ---------------------------------------------------------------------
     def open(self, path: str) -> Generator:

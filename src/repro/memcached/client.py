@@ -1,6 +1,11 @@
 """libmemcache-style client: server selection, multi-get, failure
 transparency.
 
+It sends only what IMCa sends: CMCache's gets (``get_multi``), SMCache's
+pushes and purges (``set``, ``set_multi``, ``delete_multi``), a
+forwarding window's backfill (``add``) and the rejoin probe
+(``flush_all``).
+
 The client owns the key→server mapping (CRC32 by default, modulo for
 the §5.5 striping experiment) and degrades gracefully when daemons die:
 a failed server makes gets miss and stores no-ops, never an error —
@@ -24,17 +29,17 @@ or, while a resize's forwarding window is open, its old owners.  An
 unreplicated key outside a window — the paper's configuration — is the
 list of one.  Reads go to one owner (the primary, or a seeded
 round-robin over the live replicas; a miss inside a window consults the
-old owner and backfills the new one).  Stores, concats, touches and
-deletes reach **every** owner, because a purge that skips an owner
-leaves stale data serveable.  A bank built from a plain daemon list is
-the membership with ids ``0..n-1`` and no events.
+old owner and backfills the new one).  Stores and deletes reach
+**every** owner, because a purge that skips an owner leaves stale data
+serveable.  A bank built from a plain daemon list is the membership
+with ids ``0..n-1`` and no events.
 
 The batch ops share one shape: ``get_multi``, ``set_multi`` and
 ``delete_multi`` group their keys by owner and send **one request per
 owner**, the owners concurrently (:meth:`MemcacheClient._legs`), so a
 batch costs one round trip of simulated time however many MCDs it
-spans; a keyed mutation with several owners (:meth:`_fanout`) is the
-same legs with one payload.  A leg that fails books one ``errors`` and
+spans; a ``set`` with several owners (:meth:`_fanout`) is the same
+legs with one payload.  A leg that fails books one ``errors`` and
 answers None — it costs that owner's share and nothing else.  A leg is
 a :class:`~repro.net.rpc.Leg`: no generator, just its request booked
 and its wake minted; at the request's arrival it runs the command,
@@ -638,9 +643,7 @@ class MemcacheClient(Tally):
         raises :class:`RpcError`.  Several: :meth:`_fanout`."""
         if len(idxs) == 1:
             return self._call(idxs[0], op, payload)
-        self._book_extras(
-            len(idxs) - 1, "replica_deletes" if op == "delete" else "replica_writes"
-        )
+        self._book_extras(len(idxs) - 1, "replica_writes")
         return self._fanout(idxs, op, payload)
 
     def _book_extras(self, extra: int, replica_stat: str) -> None:
@@ -665,30 +668,6 @@ class MemcacheClient(Tally):
             return None
         return any(results)
 
-    def _mutate(
-        self, op: str, key: str, payload: Any,
-        booked: Optional[str] = None, span: Optional[str] = None,
-    ) -> Generator:
-        """The one keyed mutation: *op* reaches every owner of *key*.
-        True when at least one owner applied it (the value is serveable
-        / the key was there); False when the bank is down or refused.
-        *booked* counts the op once some owner answered."""
-        send = self._send(self.owners(key), op, payload)
-        try:
-            if span is not None and self.tracer.enabled:
-                with self.tracer.span("mcd", span):
-                    ok = yield from send
-            else:
-                ok = yield from send
-        except RpcError:
-            self.stats.inc("errors")
-            return False
-        if ok is None:
-            return False
-        if booked is not None:
-            self.stats.inc(booked)
-        return ok
-
     def set(
         self,
         key: str,
@@ -697,12 +676,13 @@ class MemcacheClient(Tally):
         flags: int = 0,
         ttl: float = 0,
     ) -> Generator:
-        """Store; False when the bank is down or rejected the item.
+        """Store on every owner of *key*; False when the bank is down or
+        rejected the item.
 
-        :meth:`_mutate`'s body in a frame of its own name, not a call to
-        it: the perf ledger attributes store time to the frame named
-        ``MemcacheClient.set``, and a wrapper frame would be walked on
-        every resume of every ``:stat`` push."""
+        The send runs in this frame, not a wrapper's: the perf ledger
+        attributes store time to the frame named ``MemcacheClient.set``,
+        and a wrapper frame would be walked on every resume of every
+        ``:stat`` push."""
         send = self._send(self.owners(key), "set", (key, value, nbytes, flags, ttl))
         try:
             if self.tracer.enabled:
@@ -765,84 +745,6 @@ class MemcacheClient(Tally):
             self.stats.inc("sets", answered)
         return stored
 
-    def append(self, key: str, value: Any, nbytes: int) -> Generator:
-        # Concats commute with the coherence invariant: whichever
-        # copies exist get the same bytes appended.
-        return self._mutate("append", key, (key, value, nbytes))
-
-    def prepend(self, key: str, value: Any, nbytes: int) -> Generator:
-        return self._mutate("prepend", key, (key, value, nbytes))
-
-    def touch(self, key: str, ttl: float) -> Generator:
-        return self._mutate("touch", key, (key, ttl))
-
-    def delete(self, key: str) -> Generator:
-        """Remove *key* from **every** owner — a skipped one would keep
-        serving the stale value."""
-        return self._mutate("delete", key, key, "deletes", "mc.delete")
-
-    def add(self, key: str, value: Any, nbytes: int, flags: int = 0, ttl: float = 0) -> Generator:
-        """Store only if absent."""
-        return self._conditional("add", key, (key, value, nbytes, flags, ttl))
-
-    def replace(
-        self, key: str, value: Any, nbytes: int, flags: int = 0, ttl: float = 0
-    ) -> Generator:
-        """Store only if present."""
-        return self._conditional("replace", key, (key, value, nbytes, flags, ttl))
-
-    def _conditional(self, op: str, key: str, payload: Any) -> Generator:
-        """add/replace resolve against the **primary**; a successful
-        store is then mirrored onto the other owners with a plain set —
-        fanning the conditional op out verbatim could leave two owners
-        holding different values (e.g. add succeeding on the empty new
-        node of a resize but not on the old one)."""
-        idxs = self.owners(key)
-        try:
-            ok = yield from self._call(idxs[0], op, payload)
-        except RpcError:
-            self.stats.inc("errors")
-            return False
-        self.stats.inc("sets")
-        if ok and len(idxs) > 1:
-            self._book_extras(len(idxs) - 1, "replica_writes")
-            yield from self._fanout(idxs[1:], "set", payload)
-        return ok
-
-    def cas(self, key: str, value: Any, nbytes: int, cas: int, flags: int = 0,
-            ttl: float = 0) -> Generator:
-        """Compare-and-swap; returns 'STORED' / 'EXISTS' / 'NOT_FOUND' /
-        'NOT_STORED' (allocation failure), or 'NOT_FOUND' when the
-        server is down."""
-        return self._primary_only("cas", key, (key, value, nbytes, cas, flags, ttl), "NOT_FOUND")
-
-    def incr(self, key: str, delta: int = 1) -> Generator:
-        """Numeric increment; None on miss or dead server."""
-        return self._primary_only("incr", key, (key, delta), None)
-
-    def decr(self, key: str, delta: int = 1) -> Generator:
-        return self._primary_only("decr", key, (key, delta), None)
-
-    def _primary_only(self, op: str, key: str, payload: Any, down: Any) -> Generator:
-        """cas/incr/decr mutate the **primary** copy only: CAS tokens
-        and counters are per-engine, so a token from one owner can never
-        match on another and fanned-out counters would drift apart.
-        The other owners' copies are therefore invalidated rather than
-        updated — a read that lands on one of them (a replica, or the
-        old owner a forward probe consults) must miss, never serve the
-        pre-mutation value.  *down* is the answer when the primary is
-        unreachable."""
-        idxs = self.owners(key)
-        try:
-            reply = yield from self._call(idxs[0], op, payload)
-        except RpcError:
-            self.stats.inc("errors")
-            return down
-        if len(idxs) > 1 and (reply == "STORED" if op == "cas" else reply is not None):
-            self._book_extras(len(idxs) - 1, "replica_deletes")
-            yield from self._fanout(idxs[1:], "delete", key)
-        return reply
-
     def delete_multi(self, keys: list[str]) -> Generator:
         """Best-effort bulk delete, batched one RPC per server (used by
         SMCache purges, which may cover every block of a file).
@@ -872,13 +774,6 @@ class MemcacheClient(Tally):
         self.stats.inc("deletes", deleted)
         return deleted
 
-    def flush_all(self) -> Generator:
-        for idx in self.membership.reachable_ids():
-            try:
-                yield from self._call(idx, "flush_all", None)
-            except RpcError:
-                self.stats.inc("errors")
-
 
 class _TrackedLeg(TimedLeg):
     """One MCD leg under a resilience config, with its
@@ -891,7 +786,7 @@ class _TrackedLeg(TimedLeg):
     After the cooldown the first leg is the half-open probe, a
     ``flush_all`` whose answer readmits the server and only then starts
     the real leg on the same join slot; a probe that fails or times out
-    re-ejects.  A ``flush_all`` op is its own probe.
+    re-ejects.
     """
 
     __slots__ = ("_client", "_idx", "_then")
@@ -914,10 +809,9 @@ class _TrackedLeg(TimedLeg):
                 TimedLeg._settle(self, None, True)
                 return
             h.probing = True
-            then = () if op == "flush_all" else (op, payload)
+            then = (op, payload)
             op, payload = "flush_all", None
-        #: None, or for a probe the ``(op, payload)`` its answer starts
-        #: (``()``: the probe is the op).
+        #: None, or for a probe the ``(op, payload)`` its answer starts.
         self._then = then
         TimedLeg.__init__(
             self, client.endpoint, client.membership.members[idx].daemon.node, SERVICE,
@@ -939,14 +833,12 @@ class _TrackedLeg(TimedLeg):
             client.stats.inc("failed_probes")
         else:
             h.probing = False
-            if then:
-                client.stats.inc("rejoin_purges")
             h.ejected_until = -1.0
             h.consecutive_errors = 0
+            client.stats.inc("rejoin_purges")
             client.stats.inc("rejoins")
-            if then:
-                self._open = False
-                _TrackedLeg(client, self._idx, *then, self._join, self._index, self.name,
-                            self.parent, self._errors, self.inline)
-                return
+            self._open = False
+            _TrackedLeg(client, self._idx, *then, self._join, self._index, self.name,
+                        self.parent, self._errors, self.inline)
+            return
         TimedLeg._settle(self, reply, failed)

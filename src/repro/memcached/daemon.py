@@ -128,7 +128,7 @@ class MemcachedDaemon:
             )
             call.reply_cpu = COPY_PER_BYTE * resp_bytes
             return reply, resp_bytes
-        if op in ("set", "add", "replace"):
+        if op in ("set", "add"):
             key, value, nbytes, flags, ttl = payload
             return getattr(eng, op)(key, value, nbytes, flags, ttl), 8
         if op == "set_multi":
@@ -138,25 +138,8 @@ class MemcachedDaemon:
             # sent one by one produce; a too-large item answers False.
             stored = eng.set_multi(payload)
             return stored, 8 * len(stored)
-        if op in ("append", "prepend"):
-            key, value, nbytes = payload
-            return getattr(eng, op)(key, value, nbytes), 8
-        if op == "cas":
-            key, value, nbytes, cas, flags, ttl = payload
-            return eng.cas(key, value, nbytes, cas, flags, ttl), 8
-        if op == "delete":
-            return eng.delete(payload), 8
         if op == "delete_multi":
             return sum(eng.delete_multi(payload)), 8
-        if op == "incr":
-            key, delta = payload
-            return eng.incr(key, delta), 8
-        if op == "decr":
-            key, delta = payload
-            return eng.decr(key, delta), 8
-        if op == "touch":
-            key, ttl = payload
-            return eng.touch(key, ttl), 8
         if op == "flush_all":
             eng.flush_all()
             return True, 8
@@ -171,8 +154,6 @@ class MemcachedDaemon:
             if resp_bytes:
                 call.reply_cpu = COPY_PER_BYTE * resp_bytes
             return (next_cursor, entries), resp_bytes
-        if op == "stats":
-            return eng.stat_dict(), 512
         raise McError(f"unknown command {op!r}")
 
 
@@ -185,17 +166,19 @@ def command_cost(op: str, payload: Any) -> tuple[int, float]:
     CMCache mints (``abspath:<offset>``, ``abspath:stat``), a ``get`` of
     1, 3 and 9 keys is charged 18, 21.3 and 22.4 B per key more than its
     encoded ``get <key>*`` line, a 2 KiB block ``set`` 7 B more, a
-    ``:stat`` set 8 B more and a ``delete`` 15 B more; a response is
-    charged about 21 B per value more than its ``VALUE`` framing
-    (``VALUE_WIRE_OVERHEAD``, 40 B).  Against a 2 KiB block that is
-    under 1.1% of the bytes.
+    ``:stat`` set 8 B more and a one-key ``delete_multi`` 15 B more than
+    its ``delete <key>`` line; a response is charged about 21 B per
+    value more than its ``VALUE`` framing (``VALUE_WIRE_OVERHEAD``,
+    40 B).  Against a 2 KiB block that is under 1.1% of the bytes.
 
     *cpu* is what the daemon spends before it can answer: the event
     loop and hash-table work per key, plus copying any value in.  The
     RPC layer charges it as part of the request's receive visit on the
     daemon's CPU (``Endpoint.call``'s *recv_cpu*).  An unknown command
-    is refused before any work.  Keys are sized as :func:`key_nbytes`
-    does, written out for a batch or a ``:stat`` push."""
+    (any outside ``get_multi``, ``set``, ``set_multi``, ``add``,
+    ``delete_multi``, ``flush_all`` and ``scan``) is refused before any
+    work, so it costs its bare framing and no CPU.  Keys are sized as :func:`key_nbytes` does, written out for a
+    batch or a ``:stat`` push."""
     if op in ("get_multi", "delete_multi"):
         n = len(payload)
         keys = "".join(payload)
@@ -204,7 +187,7 @@ def command_cost(op: str, payload: Any) -> tuple[int, float]:
             (len(keys) if keys.isascii() else len(keys.encode())) + KEY_WIRE_OVERHEAD * n,
             OP_CPU * (n or 1),
         )
-    if op in ("set", "add", "replace"):
+    if op in ("set", "add"):
         key, _value, nbytes, _flags, _ttl = payload
         return (
             (len(key) if key.isascii() else len(key.encode())) + KEY_WIRE_OVERHEAD + nbytes,
@@ -220,18 +203,8 @@ def command_cost(op: str, payload: Any) -> tuple[int, float]:
             size += (len(key) if key.isascii() else len(key.encode())) + nbytes
             cpu += OP_CPU + COPY_PER_BYTE * nbytes
         return size + KEY_WIRE_OVERHEAD * len(payload), cpu
-    if op in ("append", "prepend"):
-        key, _value, nbytes = payload
-        return key_nbytes(key) + KEY_WIRE_OVERHEAD + nbytes, OP_CPU + COPY_PER_BYTE * nbytes
-    if op == "cas":
-        key, _value, nbytes, _cas, _flags, _ttl = payload
-        return key_nbytes(key) + KEY_WIRE_OVERHEAD + nbytes, OP_CPU + COPY_PER_BYTE * nbytes
-    if op == "delete":
-        return key_nbytes(payload) + KEY_WIRE_OVERHEAD, OP_CPU
-    if op in ("incr", "decr", "touch"):
-        return key_nbytes(payload[0]) + KEY_WIRE_OVERHEAD, OP_CPU
     if op == "scan":
         return KEY_WIRE_OVERHEAD, OP_CPU * max(1, payload[1])
-    if op in ("flush_all", "stats"):
+    if op == "flush_all":
         return KEY_WIRE_OVERHEAD, OP_CPU
     return KEY_WIRE_OVERHEAD, 0.0

@@ -1,11 +1,17 @@
 """The memcached item store: hash table + per-class LRU + lazy expiry.
 
-Implements the command set the paper names (§2.2: "set, replace,
-delete, prepend and append", plus get/gets/cas/add/incr/decr/
-flush_all/stats) over the slab allocator.  Eviction is per slab class
-from the LRU tail; expiration is lazy ("objects are evicted when the
-cache is full ... or a request to fetch a data element ... and the time
-for the object in the cache has expired").
+Implements the commands IMCa sends, over the slab allocator: the
+multi-get CMCache reads with, the stores and deletes SMCache pushes and
+purges with, ``add`` (store-if-absent, for a resize's backfill and
+migration), ``flush_all`` (the rejoin probe) and ``scan`` (migration's
+cursor walk).  The rest of memcached's command set (§2.2 names
+replace, prepend, append, cas, incr and decr too) is not modelled: no
+IMCa path sends it.
+
+Eviction is per slab class from the LRU tail; expiration is lazy
+("objects are evicted when the cache is full ... or a request to fetch
+a data element ... and the time for the object in the cache has
+expired").
 
 Values are opaque Python objects with an explicit ``nbytes`` so the
 IMCa layer can cache lightweight block descriptors while memory
@@ -89,8 +95,8 @@ class Item:
     #: Owning tenant account when the engine runs with a TenantArbiter.
     tenant: Optional[TenantAccount] = field(default=None, repr=False)
     #: The client-visible :class:`McValue` of this item, built on its
-    #: first hit; whatever changes the item in place resets it
-    #: (:meth:`MemcachedEngine._delta`).
+    #: first hit.  Nothing changes an item in place (an overwrite links
+    #: a new one), so it stays valid for the item's life.
     reply: Optional[McValue] = field(default=None, repr=False, compare=False)
 
 
@@ -132,9 +138,6 @@ class MemcachedEngine(Tally):
             raise McError(f"bad key length {key_nbytes(key)}")
         if _WS_RE.search(key) is not None:
             raise McError("key contains whitespace")
-
-    def _total_size(self, key: str, nbytes: int) -> int:
-        return ITEM_OVERHEAD + key_nbytes(key) + nbytes
 
     def _detach(self, item: Item, cause: str) -> None:
         """Take *item* out of the table, its class LRU and its chunk:
@@ -209,11 +212,6 @@ class MemcachedEngine(Tally):
             return None
         return item
 
-    def _touch_lru(self, item: Item) -> None:
-        self._lru[item.slab.index].move_to_end(item.key)
-        if item.tenant is not None:
-            self.tenancy.on_touch(item, item.tenant)
-
     # -- storage commands ----------------------------------------------------
     def set_multi(self, items: Iterable[tuple[str, Any, int, int, float]]) -> list[bool]:
         """Store many ``(key, value, nbytes, flags, ttl)`` items in order:
@@ -225,16 +223,15 @@ class MemcachedEngine(Tally):
         negative size raises after the items before it are stored and
         counted.
         """
-        return self._store_all(items, command=True, strict=False)
+        return self._store_all(items, strict=False)
 
     def _store_all(
-        self, items: Iterable[tuple[str, Any, int, int, float]], *, command: bool, strict: bool
+        self, items: Iterable[tuple[str, Any, int, int, float]], *, strict: bool
     ) -> list[bool]:
-        """The one store loop (:meth:`set` and :meth:`set_multi`, and the
-        re-stores of cas, append/prepend and an incr that outgrew its
-        chunk).  *command*: the items are storage commands, validated
-        and counted in ``cmd_set``.  *strict*: a too-large item raises
-        :class:`McTooLarge` instead of answering False.
+        """The one store loop (:meth:`set` and :meth:`set_multi`): each
+        item is validated and counted in ``cmd_set``.  *strict*: a
+        too-large item raises :class:`McTooLarge` instead of answering
+        False.
 
         Per item, real memcached's order: allocate the new item *before*
         unlinking the old one, so an OOM-failed store leaves the prior
@@ -243,12 +240,13 @@ class MemcachedEngine(Tally):
         class the old chunk is freed first, which makes the allocation
         infallible and charges no eviction to a same-size overwrite (the
         common stat-refresh path).  Each item is sized, placed in its
-        class and given a chunk here: :meth:`_total_size`,
-        :meth:`SlabAllocator.class_for` and :meth:`SlabAllocator.alloc_in`
-        written out.  With no tenant arbiter and no TTL'd item in the
-        class, an OOM evicts the class's LRU tail here, its chunk passing
-        straight to the new item; otherwise :meth:`_allocate` runs the
-        expired-first reclaim walk and the arbiter's victim pick.
+        class and given a chunk here: ``ITEM_OVERHEAD`` plus the key's
+        and the value's bytes, :meth:`SlabAllocator.class_for` and
+        :meth:`SlabAllocator.alloc_in` written out.  With no tenant
+        arbiter and no TTL'd item in the class, an OOM evicts the class's
+        LRU tail here, its chunk passing straight to the new item;
+        otherwise :meth:`_allocate` runs the expired-first reclaim walk
+        and the arbiter's victim pick.
         ``cmd_set``, ``curr_items``, ``total_items``, ``bytes``,
         ``evictions`` and the allocator's ``pages_allocated`` and
         ``alloc_failures`` are booked once, in a ``finally``.
@@ -260,13 +258,12 @@ class MemcachedEngine(Tally):
         sets = linked = unlinked = nbytes_delta = evicted = pages = failures = 0
         try:
             for key, value, nbytes, flags, ttl in items:
-                if command:
-                    # `_check_key`'s plain-key scan inline.
-                    if _PLAIN_KEY_RE.fullmatch(key) is None:
-                        self._check_key(key)
-                    if nbytes < 0:
-                        raise McError("negative value size")
-                    sets += 1
+                # `_check_key`'s plain-key scan inline.
+                if _PLAIN_KEY_RE.fullmatch(key) is None:
+                    self._check_key(key)
+                if nbytes < 0:
+                    raise McError("negative value size")
+                sets += 1
                 size = ITEM_OVERHEAD + (len(key) if key.isascii() else len(key.encode())) + nbytes
                 if size > PAGE_SIZE:
                     if strict:
@@ -349,17 +346,11 @@ class MemcachedEngine(Tally):
                 slabs.stats.inc("alloc_failures", failures)
         return out
 
-    def _store(self, key: str, value: Any, nbytes: int, flags: int, ttl: float) -> bool:
-        """Re-store an already validated key, uncounted in ``cmd_set``
-        (cas, append/prepend, an incr that outgrew its chunk); raises
-        :class:`McTooLarge`."""
-        return self._store_all(((key, value, nbytes, flags, ttl),), command=False, strict=True)[0]
-
     def set(self, key: str, value: Any, nbytes: int, flags: int = 0, ttl: float = 0) -> bool:
         """Store unconditionally: the batch of one.  True (STORED) unless
         allocation fails (NOT_STORED — any existing value is left
         intact); a too-large item raises :class:`McTooLarge`."""
-        return self._store_all(((key, value, nbytes, flags, ttl),), command=True, strict=True)[0]
+        return self._store_all(((key, value, nbytes, flags, ttl),), strict=True)[0]
 
     def add(self, key: str, value: Any, nbytes: int, flags: int = 0, ttl: float = 0) -> bool:
         """Store only if absent (NOT_STORED -> False)."""
@@ -367,62 +358,6 @@ class MemcachedEngine(Tally):
         if self._live_item(key) is not None:
             return False
         return self.set(key, value, nbytes, flags, ttl)
-
-    def replace(self, key: str, value: Any, nbytes: int, flags: int = 0, ttl: float = 0) -> bool:
-        """Store only if present."""
-        self._check_key(key)
-        if self._live_item(key) is None:
-            return False
-        return self.set(key, value, nbytes, flags, ttl)
-
-    def cas(self, key: str, value: Any, nbytes: int, cas: int, flags: int = 0, ttl: float = 0) -> str:
-        """Compare-and-swap: 'STORED', 'EXISTS' (cas mismatch),
-        'NOT_FOUND', or 'NOT_STORED' (allocation failure; value intact).
-
-        Stores directly instead of delegating to :meth:`set`, so
-        ``cmd_set`` counts only storage commands and cas outcomes get
-        their own ``cas_hits``/``cas_badval``/``cas_misses`` counters —
-        the same accounting real memcached reports.
-        """
-        self._check_key(key)
-        item = self._live_item(key)
-        if item is None:
-            self.stats.inc("cas_misses")
-            return "NOT_FOUND"
-        if item.cas != cas:
-            self.stats.inc("cas_badval")
-            return "EXISTS"
-        if not self._store(key, value, nbytes, flags, ttl):
-            return "NOT_STORED"
-        self.stats.inc("cas_hits")
-        return "STORED"
-
-    def _concat(self, key: str, value: Any, nbytes: int, *, append: bool) -> bool:
-        self._check_key(key)
-        item = self._live_item(key)
-        if item is None:
-            return False
-        if isinstance(item.value, (bytes, bytearray)) and isinstance(value, (bytes, bytearray)):
-            new_value: Any = (
-                bytes(item.value) + bytes(value) if append else bytes(value) + bytes(item.value)
-            )
-        else:
-            # Opaque payloads: keep a tuple chain in concat order.
-            base = item.value if isinstance(item.value, tuple) else (item.value,)
-            extra = (value,)
-            new_value = base + extra if append else extra + base
-        new_bytes = item.nbytes + nbytes
-        flags = item.flags
-        ttl = 0.0 if item.exptime == 0 else item.exptime - self.clock()
-        # Allocate-before-unlink, like set: a failed concat answers
-        # NOT_STORED and must leave the existing value untouched.
-        return self._store(key, new_value, new_bytes, flags, ttl)
-
-    def append(self, key: str, value: Any, nbytes: int) -> bool:
-        return self._concat(key, value, nbytes, append=True)
-
-    def prepend(self, key: str, value: Any, nbytes: int) -> bool:
-        return self._concat(key, value, nbytes, append=False)
 
     # -- retrieval -------------------------------------------------------------
     def get(self, key: str) -> Optional[McValue]:
@@ -437,12 +372,12 @@ class MemcachedEngine(Tally):
         in turn is probed, lazily expired, promoted in its class LRU and
         reported to the tenant arbiter, as a run of single gets would,
         and a hit answers the item's :class:`McValue`, built on its
-        first hit and kept on the item (``Item.reply``) until the item
-        changes in place.  Only the three tallies are bumped once per
-        batch — in a ``finally``, so a bad key still counts the keys
-        before it.  A key is validated only when it misses: one that is
-        stored passed :meth:`_check_key` when it was, and a bad key is
-        never stored, so it misses and raises there.
+        first hit and kept on the item (``Item.reply``).  Only the three
+        tallies are bumped once per batch — in a ``finally``, so a bad
+        key still counts the keys before it.  A key is validated only
+        when it misses: one that is stored passed :meth:`_check_key` when
+        it was, and a bad key is never stored, so it misses and raises
+        there.
         """
         out: dict[str, McValue] = {}
         items, lru, tenancy = self._items, self._lru, self.tenancy
@@ -519,73 +454,6 @@ class MemcachedEngine(Tally):
                 stats.inc("curr_items", -unlinked)
                 stats.inc("bytes", nbytes_delta)
         return out
-
-    def touch(self, key: str, ttl: float) -> bool:
-        """Update an item's TTL without fetching it (``touch_hits``/
-        ``touch_misses``, like every other command pair)."""
-        self._check_key(key)
-        self.stats.inc("cmd_touch")
-        item = self._live_item(key)
-        if item is None:
-            self.stats.inc("touch_misses")
-            return False
-        old_ttld = item.exptime != 0
-        item.exptime = self.clock() + ttl if ttl > 0 else 0.0
-        new_ttld = item.exptime != 0
-        if old_ttld != new_ttld:
-            idx = item.slab.index
-            self._ttl_items[idx] = self._ttl_items.get(idx, 0) + (1 if new_ttld else -1)
-        self._touch_lru(item)
-        self.stats.inc("touch_hits")
-        return True
-
-    def _delta(self, key: str, delta: int, op: str) -> Optional[int]:
-        """Shared incr/decr: validate, count, mutate, recompute nbytes.
-
-        The stored value becomes the new integer and ``nbytes`` is
-        recomputed as its decimal width — real memcached stores the
-        ASCII representation, so ``incr`` can grow an item past its
-        chunk (9 -> 10 -> ... -> 1000000000), at which point memcached
-        reallocates into the next class; we do the same via the normal
-        store path (preserving TTL and flags).  In-place width changes
-        adjust the ``bytes`` stat but not slab accounting — the chunk
-        is unchanged.
-        """
-        self._check_key(key)
-        item = self._live_item(key)
-        if item is None:
-            self.stats.inc(f"{op}_misses")
-            return None
-        try:
-            current = int(item.value)
-        except (TypeError, ValueError):
-            raise McError(f"cannot {op}ement non-numeric value") from None
-        new = max(0, current + delta)
-        new_nbytes = len(str(new))
-        self.stats.inc(f"{op}_hits")
-        if self._total_size(key, new_nbytes) > item.slab.chunk_size:
-            # Numeric width outgrew the chunk: reallocate like a store.
-            ttl = 0.0 if item.exptime == 0 else item.exptime - self.clock()
-            if not self._store(key, new, new_nbytes, item.flags, ttl):
-                return None
-            return new
-        if new_nbytes != item.nbytes:
-            self.stats.inc("bytes", new_nbytes - item.nbytes)
-            item.nbytes = new_nbytes
-        item.value = new
-        item.reply = None
-        self._cas += 1
-        item.cas = self._cas
-        self._touch_lru(item)
-        return new
-
-    def incr(self, key: str, delta: int = 1) -> Optional[int]:
-        """Numeric increment; None if missing, McError if non-numeric."""
-        return self._delta(key, delta, "incr")
-
-    def decr(self, key: str, delta: int = 1) -> Optional[int]:
-        """Numeric decrement (floors at 0, like the protocol)."""
-        return self._delta(key, -delta, "decr")
 
     def flush_all(self) -> None:
         """Drop everything."""

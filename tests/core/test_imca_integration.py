@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import TestbedConfig, build_gluster_testbed
 from repro.core.config import IMCaConfig
+from repro.core.keys import stat_key
 from repro.util import KiB, MiB
 
 
@@ -255,15 +256,26 @@ def test_close_discards_data_blocks():
 
 
 def test_unlink_purges_everything():
-    tb = make()
+    """Unlink purges the blocks and the ``:stat`` key, from every owner
+    of it (here R = 2 over two MCDs)."""
+    tb = make(num_mcds=2, imca=IMCaConfig(replicas=2))
     c = tb.clients[0]
+    mc = tb.smcaches[0].mc
+    key = stat_key("/f")
+    holders = []
+
+    def held():
+        return [i for i in mc.owners(key) if key in mc.membership.daemon(i).engine._items]
 
     def w():
         fd = yield from c.create("/f")
         yield from c.write(fd, 0, 4 * KiB)
+        holders.append(held())
         yield from c.unlink("/f")
+        holders.append(held())
 
     drive(tb, w())
+    assert sorted(holders[0]) == [0, 1] and holders[1] == []
     for mcd in tb.mcds:
         assert mcd.engine.curr_items == 0
 

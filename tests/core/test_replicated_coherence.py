@@ -8,7 +8,7 @@ surface as wrong bytes some fraction of the time.
 
 from repro.cluster import TestbedConfig, build_gluster_testbed
 from repro.core.config import IMCaConfig
-from repro.core.keys import is_stat_key
+from repro.core.keys import is_stat_key, stat_key
 from repro.util import KiB
 
 
@@ -65,15 +65,27 @@ def test_overwritten_blocks_fresh_on_every_replica():
 
 
 def test_unlink_purges_every_replica_engine():
+    """Unlink purges the blocks and the ``:stat`` key from every copy:
+    both owners held the stat before, and neither holds it after."""
     tb = make()
     c = tb.clients[0]
+    mc = tb.smcaches[0].mc
+    key = stat_key("/f")
+    holders = []
+
+    def held():
+        return [i for i in mc.owners(key) if key in mc.membership.daemon(i).engine._items]
 
     def w():
         fd = yield from c.create("/f")
         yield from c.write(fd, 0, 8 * KiB)
+        holders.append(held())
         yield from c.unlink("/f")
+        holders.append(held())
 
     drive(tb, w())
+    assert len(mc.owners(key)) == 2
+    assert holders == [mc.owners(key), []]
     for mcd in tb.mcds:
         assert mcd.engine.curr_items == 0
 

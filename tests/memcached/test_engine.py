@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memcached import MAX_KEY_LEN, McError, MemcachedEngine, PAGE_SIZE
+from repro.memcached.engine import ITEM_OVERHEAD
 from repro.util import MiB
 
 
@@ -51,58 +52,12 @@ def test_add_only_if_absent():
     assert e.get("k").value == b"1"
 
 
-def test_replace_only_if_present():
-    e, _ = make_engine()
-    assert e.replace("k", b"1", 1) is False
-    e.set("k", b"1", 1)
-    assert e.replace("k", b"2", 1) is True
-    assert e.get("k").value == b"2"
-
-
-def test_append_prepend_bytes():
-    e, _ = make_engine()
-    e.set("k", b"mid", 3)
-    assert e.append("k", b"-end", 4) is True
-    assert e.prepend("k", b"start-", 6) is True
-    item = e.get("k")
-    assert item.value == b"start-mid-end"
-    assert item.nbytes == 13
-
-
-def test_append_missing_fails():
-    e, _ = make_engine()
-    assert e.append("k", b"x", 1) is False
-
-
 def test_delete():
     e, _ = make_engine()
     e.set("k", b"v", 1)
     assert e.delete("k") is True
     assert e.delete("k") is False
     assert e.get("k") is None
-
-
-def test_cas_semantics():
-    e, _ = make_engine()
-    e.set("k", b"v1", 2)
-    cas = e.get("k").cas
-    assert e.cas("k", b"v2", 2, cas) == "STORED"
-    assert e.cas("k", b"v3", 2, cas) == "EXISTS"  # stale token
-    assert e.cas("nope", b"v", 1, cas) == "NOT_FOUND"
-
-
-def test_cas_stat_accounting():
-    """cas outcomes get their own counters and never inflate cmd_set."""
-    e, _ = make_engine()
-    e.set("k", b"v1", 2)
-    cas = e.get("k").cas
-    e.cas("k", b"v2", 2, cas)       # STORED
-    e.cas("k", b"v3", 2, cas)       # EXISTS
-    e.cas("ghost", b"v", 1, 1)      # NOT_FOUND
-    assert e.stats.get("cas_hits") == 1
-    assert e.stats.get("cas_badval") == 1
-    assert e.stats.get("cas_misses") == 1
-    assert e.stats.get("cmd_set") == 1  # only the initial set
 
 
 # -- allocation-failure fidelity ------------------------------------------------
@@ -126,33 +81,6 @@ def test_same_class_overwrite_charges_no_eviction():
     assert e.get("k").value == b"b" * 10
     assert e.stats.get("evictions", 0) == 0
     assert e.curr_items == 1
-
-
-def test_cas_alloc_failure_answers_not_stored():
-    e, _ = make_engine(1 * MiB)
-    e.set("k", b"small", 16)
-    cas = e.get("k").cas
-    assert e.cas("k", b"big", PAGE_SIZE // 2, cas) == "NOT_STORED"
-    assert e.get("k").value == b"small"
-    assert e.stats.get("cas_hits", 0) == 0
-
-
-def test_failed_concat_preserves_value():
-    e, _ = make_engine(1 * MiB)
-    e.set("k", b"x", 16)
-    assert e.append("k", b"y", PAGE_SIZE // 2) is False
-    assert e.get("k").value == b"x"
-
-
-def test_incr_decr():
-    e, _ = make_engine()
-    e.set("n", 10, 2)
-    assert e.incr("n", 5) == 15
-    assert e.decr("n", 20) == 0  # clamps at zero
-    assert e.incr("absent") is None
-    e.set("s", b"abc", 3)
-    with pytest.raises(McError):
-        e.incr("s")
 
 
 def test_flush_all():
@@ -186,7 +114,8 @@ def test_key_length_limit_counts_utf8_bytes():
         with pytest.raises(McError):
             op("é" * 126)
     # The slab chunk is charged the key's bytes too.
-    assert e._total_size("é" * 125, 1) == e._total_size("e" * 250, 1)
+    assert e.set("e" * 250, b"v", 1)
+    assert e._items["é" * 125].slab is e._items["e" * 250].slab
 
 
 def test_value_size_limit_1mb():
@@ -207,16 +136,6 @@ def test_lazy_expiration_on_get():
     assert e.get("k") is None
     assert e.stats.get("expired") == 1
     assert e.curr_items == 0
-
-
-def test_touch_extends_ttl():
-    e, clock = make_engine()
-    e.set("k", b"v", 1, ttl=10.0)
-    clock.t = 8.0
-    assert e.touch("k", 10.0) is True
-    clock.t = 15.0
-    assert e.get("k") is not None
-    assert e.touch("absent", 1.0) is False
 
 
 def test_zero_ttl_never_expires():
@@ -365,7 +284,7 @@ def test_oom_reclaims_expired_mid_lru_before_evicting_live():
     unlink it (counted ``reclaimed``) instead of evicting the live LRU
     head (counted ``evictions``) — the counters stay disjoint."""
     e, clock = make_engine(1 * MiB)  # one page
-    cls = e.slabs.class_for(e._total_size("k0000", 1000))
+    cls = e.slabs.class_for(ITEM_OVERHEAD + 5 + 1000)
     cap = cls.chunks_per_page
     for i in range(cap):
         ttl = 10.0 if i == cap // 2 else 0
@@ -381,72 +300,12 @@ def test_oom_reclaims_expired_mid_lru_before_evicting_live():
 
 def test_oom_evicts_live_when_nothing_expired():
     e, _ = make_engine(1 * MiB)
-    cls = e.slabs.class_for(e._total_size("k0000", 1000))
+    cls = e.slabs.class_for(ITEM_OVERHEAD + 5 + 1000)
     for i in range(cls.chunks_per_page):
         e.set(f"k{i:04d}", None, 1000)
     e.set("newbie", None, 1000)
     assert e.stats.get("evictions") == 1
     assert e.stats.get("reclaimed") == 0
-
-
-# -- touch / incr / decr accounting and validation ---------------------------
-def test_touch_counters_and_key_validation():
-    e, _ = make_engine()
-    e.set("k", b"v", 1)
-    assert e.touch("k", 5.0) is True
-    assert e.touch("absent", 5.0) is False
-    assert e.stats.get("cmd_touch") == 2
-    assert e.stats.get("touch_hits") == 1
-    assert e.stats.get("touch_misses") == 1
-    with pytest.raises(McError):
-        e.touch("x" * (MAX_KEY_LEN + 1), 1.0)
-
-
-def test_incr_decr_counters_and_key_validation():
-    e, _ = make_engine()
-    e.set("n", 1, 1)
-    assert e.incr("n", 1) == 2
-    assert e.incr("absent") is None
-    assert e.decr("n", 1) == 1
-    assert e.decr("absent") is None
-    assert e.stats.get("incr_hits") == 1
-    assert e.stats.get("incr_misses") == 1
-    assert e.stats.get("decr_hits") == 1
-    assert e.stats.get("decr_misses") == 1
-    with pytest.raises(McError):
-        e.incr("x" * (MAX_KEY_LEN + 1))
-    with pytest.raises(McError):
-        e.decr("x" * (MAX_KEY_LEN + 1))
-
-
-def test_incr_recomputes_nbytes_on_width_change():
-    e, _ = make_engine()
-    e.set("n", 9, 1)
-    assert e.incr("n", 1) == 10
-    assert e.get("n").nbytes == 2  # len("10")
-    e.set("m", 100, 3)
-    assert e.decr("m", 1) == 99
-    assert e.get("m").nbytes == 2  # len("99")
-    e.check_invariants()  # the bytes counter followed both changes
-
-
-def test_incr_reallocates_when_numeric_width_crosses_class():
-    """A width change that overflows the current chunk re-stores the
-    item in the right class instead of lying about its size."""
-    e, _ = make_engine()
-    klen = next(
-        n for n in range(1, 512)
-        if e.slabs.class_for(e._total_size("k" * n, 1))
-        is not e.slabs.class_for(e._total_size("k" * n, 2))
-    )
-    key = "k" * klen
-    e.set(key, 9, 1)
-    old_chunk = e._items[key].slab.chunk_size
-    assert e.incr(key, 1) == 10
-    value = e.get(key)
-    assert value.value == 10 and value.nbytes == 2
-    assert e._items[key].slab.chunk_size > old_chunk
-    e.check_invariants()
 
 
 # -- scan cursor stability ----------------------------------------------------

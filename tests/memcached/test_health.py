@@ -121,11 +121,12 @@ def test_failed_probe_reejects(monkeypatch):
 
 
 def test_a_failed_flush_after_the_cooldown_does_not_readmit_the_server():
-    """A ``flush_all`` past the cooldown is the server's probe: it
-    readmits the server only when it answers.  Sent while the node is
-    still down, it fails, re-ejects the server and books no rejoin, so
-    the node that comes back with its memory intact is never asked for
-    its pre-crash bytes."""
+    """The first ``get`` past the cooldown sends the server's probe, a
+    ``flush_all``, which readmits the server only when it answers.
+    Sent while the node is still down, it fails, re-ejects the server
+    and books no rejoin, so the node that comes back with its memory
+    intact is never asked for its pre-crash bytes; the probe after the
+    next cooldown wipes them before anything is read."""
     sim, client, (mcd,) = make_cluster(resilience=ResilienceConfig(cooldown=0.005))
     got = []
 
@@ -136,16 +137,20 @@ def test_a_failed_flush_after_the_cooldown_does_not_readmit_the_server():
         yield from client.get("k")          # second error: ejected
         assert client.ejected(0)
         yield sim.timeout(0.01)
-        yield from client.flush_all()       # the probe, still down: fails
+        got.append((yield from client.get("k")))  # the probe, still down: fails
         got.append(client.ejected(0))
+        got.append(client.stats.get("rejoins", 0))
         mcd.node.recover()
-        got.append((yield from client.get("k")))
+        got.append((yield from client.get("k")))  # cooling again: skipped
+        got.append(mcd.engine._items["k"].value)  # never purged, never read
+        yield sim.timeout(0.01)
+        got.append((yield from client.get("k")))  # the probe purges first
 
     drive(sim, proc())
-    assert got == [True, None]
+    assert got == [None, True, 0, None, b"pre-crash", None]
     assert client.stats.get("failed_probes") == 1
-    assert client.stats.get("rejoins", 0) == 0
-    assert mcd.engine.get("k") is not None  # never purged, never read
+    assert client.stats.get("rejoins") == 1
+    assert "k" not in mcd.engine._items
 
 
 def test_concurrent_callers_share_one_rejoin_probe(monkeypatch):

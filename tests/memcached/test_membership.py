@@ -256,8 +256,8 @@ def test_window_writes_fan_out_and_stay_coherent():
         # a forwarded read must see the new value, not the stale copy
         v = yield from client.get(k)
         assert v.value == b"fresh"
-        ok = yield from client.delete(k)
-        assert ok
+        removed = yield from client.delete_multi([k])
+        assert removed == 1
         v = yield from client.get(k)
         assert v is None
         return moved[0]

@@ -18,7 +18,7 @@ from repro.sim import Simulator
 from repro.util import MiB
 
 MODES = ("single", "replicas", "add-window", "drain-window")
-OPS = ("set", "set_multi", "add", "replace", "append", "touch", "delete", "delete_multi")
+OPS = ("set", "set_multi", "delete_multi")
 #: Far longer than any test runs: the window stays open throughout.
 WINDOW = 10.0
 
@@ -69,11 +69,10 @@ def holders(membership, key):
     return out
 
 
-def seed(client, op, keys):
-    """Store ``b"old"`` under every key (``add`` needs them absent)."""
-    if op != "add":
-        for key in keys:
-            assert (yield from client.set(key, b"old", 3))
+def seed(client, keys):
+    """Store ``b"old"`` under every key."""
+    for key in keys:
+        assert (yield from client.set(key, b"old", 3))
 
 
 def mutate(client, op, keys):
@@ -86,16 +85,6 @@ def mutate(client, op, keys):
     if op == "set_multi":
         items = [(key, b"new", 3, 0, 0) for key in keys]
         return (yield from client.set_multi(items)), dict.fromkeys(keys, b"new")
-    if op == "add":
-        return (yield from client.add(k, b"new", 3)), {k: b"new"}
-    if op == "replace":
-        return (yield from client.replace(k, b"new", 3)), {k: b"new"}
-    if op == "append":
-        return (yield from client.append(k, b"+", 1)), {k: b"old+"}
-    if op == "touch":
-        return (yield from client.touch(k, 5.0)), {k: b"old"}
-    if op == "delete":
-        return (yield from client.delete(k)), {k: None}
     return (yield from client.delete_multi(keys)), dict.fromkeys(keys)
 
 
@@ -103,20 +92,17 @@ def mutate(client, op, keys):
 @pytest.mark.parametrize("mode", MODES)
 def test_every_owner_and_no_other_daemon_reflects_the_mutation(mode, op):
     sim, client, membership, keys = make_bank(mode)
-    drive(sim, seed(client, op, keys))
+    drive(sim, seed(client, keys))
     reply, expect = drive(sim, mutate(client, op, keys))
     assert reply == {"delete_multi": len(keys), "set_multi": set(keys)}.get(op, True)
     for key, value in expect.items():
         want = {} if value is None else dict.fromkeys(client.owners(key), value)
         assert holders(membership, key) == want
-    if op == "touch":
-        for nid in client.owners(keys[0]):
-            assert membership.daemon(nid).engine._items[keys[0]].exptime > 0
     # Extra owners are booked as what they are, never as each other.
     stats = client.stats
     if mode == "replicas":
         assert stats.get("window_writes", 0) == 0
-        deletes = {"delete": 2, "delete_multi": 2 * len(keys)}.get(op, 0)
+        deletes = 2 * len(keys) if op == "delete_multi" else 0
         assert stats.get("replica_deletes", 0) == deletes
     else:
         assert stats.get("replica_writes", 0) == stats.get("replica_deletes", 0) == 0
@@ -128,7 +114,7 @@ def test_every_owner_and_no_other_daemon_reflects_the_mutation(mode, op):
 def test_a_dead_owner_costs_its_own_copy_and_nothing_else(mode, op):
     sim, client, membership, keys = make_bank(mode)
     # Seed with everyone alive, then kill the last owner of ``keys[0]``.
-    drive(sim, seed(client, op, keys))
+    drive(sim, seed(client, keys))
     dead = {client.owners(keys[0])[-1]}
     before = {key: holders(membership, key) for key in keys}
     for nid in dead:
@@ -156,48 +142,3 @@ def test_a_dead_owner_costs_its_own_copy_and_nothing_else(mode, op):
     elif mode != "single":
         # Another owner answered, so the op reports success.
         assert reply is True
-
-
-@pytest.mark.parametrize("mode", MODES[1:])
-@pytest.mark.parametrize("op", ("add", "replace"))
-def test_conditional_store_resolves_on_the_primary_alone(mode, op):
-    """The old owner of a resize still holds the key the empty new
-    owner lacks, so ``add`` fanned out verbatim would succeed on one
-    and fail on the other; resolved on the primary and mirrored, every
-    owner ends up agreeing — also when the condition fails."""
-    sim, client, membership, keys = make_bank(mode)
-    k = keys[0]
-    primary, *others = client.owners(k)
-
-    def body():
-        # Only the non-primary owners hold the key.
-        assert (yield from client.set(k, b"old", 3))
-        membership.daemon(primary).engine.delete(k)
-        return (yield from getattr(client, op)(k, b"new", 3))
-
-    ok = drive(sim, body())
-    if op == "add":
-        assert ok is True
-        assert holders(membership, k) == dict.fromkeys([primary, *others], b"new")
-    else:
-        assert ok is False
-        assert holders(membership, k) == dict.fromkeys(others, b"old")
-
-
-@pytest.mark.parametrize("mode", MODES[1:])
-def test_primary_only_ops_invalidate_the_other_owners(mode):
-    sim, client, membership, keys = make_bank(mode)
-    k, c = keys[0], keys[1]
-    primary = client.owners(k)[0]
-
-    def body():
-        assert (yield from client.set(k, b"old", 3))
-        assert (yield from client.set(c, "41", 2))
-        token = membership.daemon(primary).engine._items[k].cas
-        verdict = yield from client.cas(k, b"new", 3, token)
-        value = yield from client.incr(c)
-        return verdict, value
-
-    assert drive(sim, body()) == ("STORED", 42)
-    assert holders(membership, k) == {primary: b"new"}
-    assert list(holders(membership, c)) == [client.owners(c)[0]]

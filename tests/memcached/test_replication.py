@@ -72,7 +72,7 @@ def test_r1_books_no_replica_counters():
     def proc():
         yield from client.set("k", b"v", 1)
         yield from client.get("k")
-        yield from client.delete("k")
+        yield from client.delete_multi(["k"])
 
     drive(sim, proc())
     for stat in ("replica_reads", "replica_writes", "replica_deletes",
@@ -103,19 +103,6 @@ def test_set_reaches_every_replica_and_only_replicas():
     assert client.stats.get("replica_writes") == 1
 
 
-def test_concat_fans_out():
-    sim, client, daemons = make_cluster(n_mcds=3, replicas=2)
-
-    def proc():
-        yield from client.set("k", b"mid", 3)
-        yield from client.append("k", b">", 1)
-        yield from client.prepend("k", b"<", 1)
-
-    drive(sim, proc())
-    for i in client.owners("k"):
-        assert daemons[i].engine._items["k"].value == b"<mid>"
-
-
 def test_write_survives_one_dead_replica():
     sim, client, daemons = make_cluster(n_mcds=3, replicas=2)
     owners = client.owners("k")
@@ -136,10 +123,10 @@ def test_delete_purges_every_replica():
 
     def proc():
         yield from client.set("k", b"v", 1)
-        ok = yield from client.delete("k")
-        return ok
+        n = yield from client.delete_multi(["k"])
+        return n
 
-    assert drive(sim, proc()) is True
+    assert drive(sim, proc()) == 1
     for mcd in daemons:
         assert "k" not in mcd.engine._items
     # The set booked its two replica legs as writes, the delete as deletes.

@@ -13,7 +13,8 @@ same items stored or deleted one command at a time would: by the
 engine's own ``set`` / ``delete`` (the batch of one), and by the scalar
 store and delete the loop replaced, kept here as the reference.  The
 loop sizes, places and allocates each item itself; the reference does
-it with ``_total_size``, ``class_for`` and ``_allocate`` → ``alloc_in``,
+it with ``class_for``, ``_allocate`` → ``alloc_in`` and the item's
+total size (``ITEM_OVERHEAD`` + key bytes + value bytes),
 so every class, answer and engine and slab counter must agree, non-ASCII
 keys and items on a class boundary included.
 """
@@ -227,7 +228,7 @@ def reference_set(e, key, value, nbytes, flags=0, ttl=0):
     if nbytes < 0:
         raise McError("negative value size")
     e.stats.inc("cmd_set")
-    cls = e.slabs.class_for(e._total_size(key, nbytes))
+    cls = e.slabs.class_for(ITEM_OVERHEAD + key_nbytes(key) + nbytes)
     if cls is None:
         raise McTooLarge(f"object too large for cache ({nbytes} bytes)")
     old = e._items.get(key)
@@ -445,7 +446,7 @@ def test_set_is_the_batch_of_one_and_still_raises_too_large():
 def test_the_store_loop_places_every_boundary_size_as_class_for_does(key):
     """Each boundary total on a fresh one-page engine, stored by the
     loop and by the reference: the same answer, the class that
-    ``class_for(_total_size(...))`` picks, and the same counters."""
+    ``class_for`` picks for the item's total size, and the same counters."""
     for total in BOUNDARY_TOTALS:
         nbytes = value_bytes(key, ("total", total))
         items = [(key, "v", nbytes, 0, 0), (key, "w", nbytes, 0, 0)]
@@ -453,7 +454,7 @@ def test_the_store_loop_places_every_boundary_size_as_class_for_does(key):
         ref, _ = make_engine(PAGE_SIZE, False)
         answer = batch.set_multi(items)
         assert answer == one_by_one(reference_set)(ref, items)
-        cls = ref.slabs.class_for(ref._total_size(key, nbytes))
+        cls = ref.slabs.class_for(ITEM_OVERHEAD + key_nbytes(key) + nbytes)
         assert answer == [cls is not None] * 2, total
         if cls is not None:
             assert batch._items[key].slab.index == cls.index

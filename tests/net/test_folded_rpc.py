@@ -107,8 +107,8 @@ command = st.one_of(
     st.tuples(st.just("set"), item),
     st.tuples(st.just("set_multi"), st.lists(item, min_size=1, max_size=5)),
     st.tuples(st.just("delete_multi"), st.lists(key, min_size=1, max_size=4, unique=True)),
-    st.tuples(st.just("incr"), st.tuples(key, st.integers(1, 10**6))),
-    st.tuples(st.just("touch"), st.tuples(key, st.sampled_from((0.0, 30.0)))),
+    st.tuples(st.just("add"), item),
+    st.tuples(st.just("flush_all"), st.none()),
     st.tuples(st.just("scan"), st.tuples(st.just(0), st.integers(1, 8), st.booleans())),
 )
 commands = st.lists(

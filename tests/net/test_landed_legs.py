@@ -115,7 +115,7 @@ class WaitingClient(MemcacheClient):
         return self._call_waiting(idx, op, payload)
 
     def _call_waiting(self, idx, op, payload):
-        assert op != "flush_all"  # (a flush is its own probe; no twin sends one)
+        assert op != "flush_all"  # (the client sends a flush only as a probe)
         h = self._health[idx]
         if h.ejected_until >= 0.0:
             if self._cooling(idx):

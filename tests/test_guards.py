@@ -27,6 +27,8 @@ FIGURE_RUNNERS = (
     "src/repro/harness/motivation.py",
 )
 MC_CLIENT = ("src/repro/memcached/client.py",)
+MC_ENGINE = ("src/repro/memcached/engine.py",)
+MC_DAEMON = ("src/repro/memcached/daemon.py",)
 
 
 @dataclass(frozen=True)
@@ -239,6 +241,30 @@ GUARDS = [
         ("src/repro/util/stats.py",),
         "Histogram.like cloned a layout only the registry's fold needed.",
         "the code no run reaches deleted",
+    ),
+    Guard(
+        r"def (appen[d]|prepen[d]|touc[h]|ad[d]|replac[e]|ca[s]|inc[r]|dec[r]|flush_al[l]"
+        r"|delet[e]|_conditiona[l]|_primary_onl[y]|_mutat[e])\(",
+        MC_CLIENT,
+        "The client sends what IMCa sends: get_multi, set, set_multi, delete_multi, "
+        "a window backfill's add and the rejoin probe's flush_all, each from the "
+        "one path that needs it; a one-key purge is a one-key delete_multi.",
+        "memcached is what IMCa sends",
+    ),
+    Guard(
+        r"def (replac[e]|ca[s]|appen[d]|prepen[d]|_conca[t]|touc[h]|inc[r]|dec[r]"
+        r"|_touch_lr[u]|_total_siz[e])\(|\b_stor[e]\(|\b_delt[a]\b|\bcomman[d]=",
+        MC_ENGINE,
+        "The engine models the commands IMCa sends; nothing changes an item in "
+        "place, and the one store loop validates and counts every item.",
+        "memcached is what IMCa sends",
+    ),
+    Guard(
+        r'"(replac[e]|appen[d]|prepen[d]|ca[s]|delet[e]|inc[r]|dec[r]|touc[h]|stat[s])"',
+        MC_DAEMON,
+        "The daemon serves and prices the commands IMCa sends; any other is an "
+        "unknown command, refused and priced as bare framing.",
+        "memcached is what IMCa sends",
     ),
 ]
 
