@@ -44,13 +44,15 @@ class BlockMapper:
 
     def align(self, offset: int, size: int) -> tuple[int, int]:
         """Smallest block-aligned ``(offset, size)`` covering the range —
-        the extra data of Fig 3."""
-        blocks = self.cover(offset, size)
-        if not blocks:
-            return (offset - offset % self.block_size, 0)
-        start = blocks[0] * self.block_size
-        end = (blocks[-1] + 1) * self.block_size
-        return start, end - start
+        the extra data of Fig 3: :meth:`cover`'s first and last blocks,
+        worked out in line."""
+        if offset < 0 or size < 0:
+            raise ValueError("negative offset/size")
+        bs = self.block_size
+        start = offset - offset % bs
+        if size == 0:
+            return start, 0
+        return start, ((offset + size - 1) // bs + 1) * bs - start
 
     def extra_bytes(self, offset: int, size: int) -> int:
         """How many bytes beyond the request the aligned fetch moves."""
@@ -73,31 +75,56 @@ class BlockValue:
     data: Optional[bytes] = None
 
 
-def split_blocks(mapper: BlockMapper, result: ReadResult, path: str) -> list[BlockValue]:
-    """Cut an (aligned) server read into per-block cache values."""
-    out: list[BlockValue] = []
+def split_blocks(
+    mapper: BlockMapper, result: ReadResult, path: str, keys: Optional[Sequence[str]] = None
+) -> list:
+    """Cut an (aligned) server read into per-block cache values.
+
+    With *keys* — one per block of the read, in block order — each
+    value comes out as the store item SMCache pushes,
+    ``(key, value, length, 0, 0)``, built as it is cut.
+
+    One pass per block.  A read whose one interval covers it all (the
+    common case: one version over the read) hands each block that
+    interval clipped to the block without filtering; otherwise each
+    block filters the read's intervals.
+    """
     bs = mapper.block_size
-    end = result.offset + result.size
-    for idx in mapper.cover(result.offset, result.size):
+    start = result.offset
+    end = start + result.size
+    if end <= start:
+        return []
+    ivs = result.intervals
+    data = result.data
+    b_start = start - start % bs
+    whole = None
+    if len(ivs) == 1:
+        s, e, v = ivs[0]
+        if s <= b_start and e >= end:
+            whole = v
+    items: list = []
+    append = items.append
+    for key in keys if keys is not None else range((end - 1) // bs - start // bs + 1):
         # `block_offset` and `min` written out: a push cuts every block.
-        b_start = idx * bs
         b_end = b_start + bs
         if b_end > end:
             b_end = end
-        if b_end <= b_start:
-            continue
-        # Each block filters every interval; a pushed read carries one.
-        ivs = [
-            (s if s > b_start else b_start, e if e < b_end else b_end, v)
-            for s, e, v in result.intervals
-            if s < b_end and e > b_start
-        ]
-        data = None
-        if result.data is not None:
-            lo = b_start - result.offset
-            data = result.data[lo : lo + (b_end - b_start)]
-        out.append(BlockValue(path, b_start, b_end - b_start, ivs, data))
-    return out
+        if whole is not None:
+            cut = [(b_start, b_end, whole)]
+        else:
+            cut = [
+                (s if s > b_start else b_start, e if e < b_end else b_end, v)
+                for s, e, v in ivs
+                if s < b_end and e > b_start
+            ]
+        length = b_end - b_start
+        bv = BlockValue(
+            path, b_start, length, cut,
+            None if data is None else data[b_start - start : b_end - start],
+        )
+        append((key, bv, length, 0, 0))
+        b_start = b_end
+    return items if keys is not None else [item[1] for item in items]
 
 
 def missing_ranges(

@@ -86,10 +86,7 @@ class _Stream:
 class CMCacheXlator(Xlator, Tally):
     """Client-side IMCa translator."""
 
-    TALLY = tuple(
-        (f"_n_{key}", key)
-        for key in ("stat_hits", "stat_misses", "blocks_requested", "read_hits", "read_misses")
-    )
+    TALLY = ("stat_hits", "stat_misses", "blocks_requested", "read_hits", "read_misses")
 
     def __init__(
         self,
@@ -303,12 +300,13 @@ class CMCacheXlator(Xlator, Tally):
 
         if self._prefetched:
             self._note_prefetch_hits(path, cover.start, blocks, file_size)
-        if (
-            file_size is not None and offset >= file_size
-            and blocks[0] is None and cover.start * self.mapper.block_size < file_size
+        if blocks[0] is None and (
+            file_size is None or offset < file_size
+            or cover.start * self.mapper.block_size < file_size
         ):
-            # A read at or past EOF is served empty only when the block
-            # EOF falls in, if it is a covering one, is cached.
+            # A miss at the first block: nothing to assemble.  (A read
+            # at or past EOF is served empty only when the block EOF
+            # falls in, if it is a covering one, is cached.)
             assembled = None
         else:
             assembled = assemble_blocks(self.mapper, blocks, offset, size, file_size=file_size)

@@ -56,6 +56,7 @@ from repro.localfs.types import ReadResult, StatBuf, slice_result
 from repro.memcached.client import MemcacheClient
 from repro.obs.registry import ComponentMetrics
 from repro.sim.store import Store
+from repro.util.stats import Tally
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -64,8 +65,13 @@ if TYPE_CHECKING:  # pragma: no cover
 UPDATE_THREADS = 2
 
 
-class SMCacheXlator(Xlator):
+class SMCacheXlator(Xlator, Tally):
     """Server-side IMCa translator."""
+
+    TALLY = (
+        "stat_pushes", "block_pushes", "purges", "purged_blocks", "read_extra_bytes",
+        "write_readbacks",
+    )
 
     def __init__(
         self,
@@ -87,7 +93,7 @@ class SMCacheXlator(Xlator):
         #: Instruments live in a registry component when the testbed has
         #: one; ``metrics`` keeps its Counter shape for existing callers.
         self.component = metrics or ComponentMetrics("smcache")
-        self.metrics = self.component.counters
+        self.metrics = self._tally(self.component.counters)
         self._queue: Optional[Store] = None
         if self.config.threaded_updates:
             self._queue = Store(sim)
@@ -115,28 +121,26 @@ class SMCacheXlator(Xlator):
         key = self._keys.stat_key(path)
         if key is None:
             return
-        self.metrics.inc("stat_pushes")
+        self._n_stat_pushes += 1
         yield from self.mc.set(key, stat.copy(), nbytes=StatBuf.WIRE_SIZE)
 
     def _push_blocks(self, path: str, result: ReadResult) -> Generator:
         if result.size == 0:
             return
-        blocks = split_blocks(self.mapper, result, path)
-        # The covering keys in one slice; blocks run on from the first.
-        first = blocks[0].block_offset // self.mapper.block_size
-        stop = first + len(blocks)
+        # The covering keys in one slice, the store items cut with them.
+        bs = self.mapper.block_size
+        first = result.offset // bs
+        stop = (result.offset + result.size - 1) // bs + 1
         keys = self._keys.data_keys(path, first, stop)
+        items = split_blocks(self.mapper, result, path, keys)
         indices = range(first, stop)
         if None in keys:
-            kept = [i for i, key in enumerate(keys) if key is not None]
-            self.metrics.inc("uncacheable", len(keys) - len(kept))
-            if not kept:
+            items = [item for item in items if item[0] is not None]
+            self.metrics.inc("uncacheable", len(keys) - len(items))
+            if not items:
                 return
-            keys = [keys[i] for i in kept]
-            blocks = [blocks[i] for i in kept]
-            indices = [first + i for i in kept]
-        items = [(key, bv, bv.length, 0, 0) for key, bv in zip(keys, blocks)]
-        self.metrics.inc("block_pushes", len(items))
+            indices = [first + i for i, key in enumerate(keys) if key is not None]
+        self._n_block_pushes += len(items)
         # Indexed in the *live* set before the request leaves, and kept
         # when a store fails or is refused: a purge that runs while the
         # push is in flight must find these blocks (deleting an absent
@@ -157,8 +161,8 @@ class SMCacheXlator(Xlator):
         indices = sorted(pushed)
         table = self._keys.data_keys(path, 0, indices[-1] + 1)
         keys = [table[i] for i in indices]
-        self.metrics.inc("purges")
-        self.metrics.inc("purged_blocks", len(keys))
+        self._n_purges += 1
+        self._n_purged_blocks += len(keys)
         yield from self.mc.delete_multi(keys)
 
     def _purge_stat(self, path: str) -> Generator:
@@ -192,9 +196,14 @@ class SMCacheXlator(Xlator):
         # Extend to block boundaries (Fig 4(a)): "the Read operation may
         # potentially require the server to read additional data".
         aoff, asize = self.mapper.align(offset, size)
-        self.metrics.inc("read_extra_bytes", asize - size)
+        self._n_read_extra_bytes += asize - size
         aligned: ReadResult = yield from self._down().read(path, aoff, asize)
         yield from self._run_update(lambda: self._push_blocks(path, aligned))
+        if aoff == offset and asize == size:
+            # The request is the aligned read: no copy to cut.  Nothing
+            # downstream changes a ReadResult, so the push and the reply
+            # can share it.
+            return aligned
         return slice_result(aligned, offset, size)
 
     def write(self, path: str, offset: int, size: int, data=None) -> Generator:
@@ -206,7 +215,7 @@ class SMCacheXlator(Xlator):
             if size > 0:
                 aoff, asize = self.mapper.align(offset, size)
                 readback: ReadResult = yield from self._down().read(path, aoff, asize)
-                self.metrics.inc("write_readbacks")
+                self._n_write_readbacks += 1
                 yield from self._push_blocks(path, readback)
             # Refresh ``:stat`` so pollers (the §4.2 producer/consumer
             # pattern) observe fresh mtimes.

@@ -29,10 +29,7 @@ class BadFd(Exception):
 class GlusterClient(Tally):
     """A mounted GlusterFS client on one node."""
 
-    TALLY = tuple(
-        (f"_n_{key}", key)
-        for key in ("creates", "opens", "reads", "writes", "stats", "unlinks", "fsyncs", "closes")
-    )
+    TALLY = ("creates", "opens", "reads", "writes", "stats", "unlinks", "fsyncs", "closes")
 
     def __init__(
         self, sim: "Simulator", node: Node, stack_top: Xlator, tracer=NULL_TRACER

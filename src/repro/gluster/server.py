@@ -24,15 +24,15 @@ from repro.net.fabric import Network, Node
 from repro.net.rpc import Endpoint, RpcCall
 from repro.obs.trace import NULL_TRACER
 from repro.sim.station import FifoStation
-from repro.util.stats import Counter
+from repro.util.stats import Counter, Tally
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
 
 #: RPC service name for the GlusterFS protocol.
 SERVICE = "gluster"
-#: The server's per-fop counter names, formatted once.
-FOP_COUNTERS = {fop: f"fop_{fop}" for fop in FOPS}
+#: The server's per-fop tally attributes (``fop_<fop>`` counts), named once.
+_FOP_TALLIES = {fop: f"_n_fop_{fop}" for fop in FOPS}
 
 
 class PosixXlator(Xlator):
@@ -87,8 +87,10 @@ class PosixXlator(Xlator):
         return None
 
 
-class GlusterServer:
+class GlusterServer(Tally):
     """One brick server: node + local FS + server-side xlator stack."""
+
+    TALLY = tuple(f"fop_{fop}" for fop in FOPS)
 
     def __init__(
         self,
@@ -107,13 +109,14 @@ class GlusterServer:
         self.io_pool = FifoStation(sim, io_threads, f"{node.name}.io")
         self.posix = PosixXlator(fs, node.cpu)
         self.stack = Xlator.build_stack([*(server_xlators or []), self.posix])
-        self.stats = Counter()
+        self.stats = self._tally(Counter())
         self.tracer = tracer
         self.endpoint.register(SERVICE, self._handle)
 
     def _handle(self, call: RpcCall) -> Generator:
         fop, args = call.args
-        self.stats.inc(FOP_COUNTERS[fop])
+        tally = _FOP_TALLIES[fop]
+        setattr(self, tally, getattr(self, tally) + 1)
         if self.tracer.enabled:
             with self.tracer.span("server", f"server.{fop}"):
                 if self.tracer.oplog is not None:

@@ -19,7 +19,7 @@ from repro.localfs.types import Inode, ReadResult, StatBuf
 from repro.obs.trace import NULL_TRACER
 from repro.oscache.lru import LruCache
 from repro.oscache.pagecache import PageCache
-from repro.util.stats import Counter
+from repro.util.stats import Counter, Tally
 from repro.util.units import KiB, MiB
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,8 +44,10 @@ META_IO_SIZE = 4 * KiB
 STORE_DATA_LIMIT = 16 * MiB
 
 
-class LocalFS:
+class LocalFS(Tally):
     """One mounted local file system instance."""
+
+    TALLY = ("meta_hits", "meta_misses", "creates", "stats", "reads", "writes", "fsyncs", "unlinks")
 
     def __init__(
         self,
@@ -76,7 +78,7 @@ class LocalFS:
         self._data_alloc = 1 << 30
         #: ino -> absolute time its last write-back reaches the device.
         self._flush_times: dict[int, float] = {}
-        self.stats = Counter()
+        self.stats = self._tally(Counter())
         self.tracer = tracer
 
     # -- helpers -----------------------------------------------------------
@@ -130,9 +132,9 @@ class LocalFS:
             self.meta_cache.put(path, True)
             return self.device.access_time(self._inode_block(ino), META_IO_SIZE, write=True)
         if self.meta_cache.get(path) is not None:
-            self.stats.inc("meta_hits")
+            self._n_meta_hits += 1
             return self.sim._now
-        self.stats.inc("meta_misses")
+        self._n_meta_misses += 1
         done = self.device.access_time(self._inode_block(ino), META_IO_SIZE)
         self.meta_cache.put(path, True)
         return done
@@ -158,7 +160,7 @@ class LocalFS:
         now = self.sim._now
         stat = StatBuf(ino=ino, mode=mode, atime=now, mtime=now, ctime=now)
         self._files[path] = Inode(stat=stat)
-        self.stats.inc("creates")
+        self._n_creates += 1
         done = self._meta_access(path, ino, write=True)
         if done > self.sim._now:
             yield from self._wait(done, "create")
@@ -174,7 +176,7 @@ class LocalFS:
 
     def stat(self, path: str) -> Generator:
         """POSIX stat: metadata read (the lookup's generator)."""
-        self.stats.inc("stats")
+        self._n_stats += 1
         return self.lookup(path)
 
     def read(self, path: str, offset: int, size: int) -> Generator:
@@ -182,7 +184,7 @@ class LocalFS:
         if offset < 0 or size < 0:
             raise ValueError("negative offset/size")
         inode = self._inode(path)
-        self.stats.inc("reads")
+        self._n_reads += 1
         stat = inode.stat
         actual = max(0, min(size, stat.size - offset))
         if actual == 0:
@@ -233,7 +235,7 @@ class LocalFS:
         if data is not None and len(data) != size:
             raise ValueError("data length mismatch")
         inode = self._inode(path)
-        self.stats.inc("writes")
+        self._n_writes += 1
         if version is None:
             version = self.next_version()
         if size:
@@ -277,7 +279,7 @@ class LocalFS:
     def fsync(self, path: str) -> Generator:
         """Block until every write-back for *path* has hit the device."""
         inode = self._inode(path)
-        self.stats.inc("fsyncs")
+        self._n_fsyncs += 1
         flushed = self._flush_times.get(inode.stat.ino, 0.0)
         if flushed > self.sim._now:
             yield from self._wait(flushed, "fsync")
@@ -308,7 +310,7 @@ class LocalFS:
     def unlink(self, path: str) -> Generator:
         """Remove a file; its pages and metadata are invalidated."""
         inode = self._inode(path)
-        self.stats.inc("unlinks")
+        self._n_unlinks += 1
         self.page_cache.invalidate_file(inode.stat.ino)
         self.meta_cache.remove(path)
         del self._files[path]

@@ -73,7 +73,8 @@ crossing runs ahead").
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain
+from itertools import chain, compress
+from operator import itemgetter
 from typing import Any, Generator, Mapping, Optional
 
 from repro.memcached.daemon import MemcachedDaemon, SERVICE, command_cost
@@ -86,7 +87,7 @@ from repro.memcached.hashing import (
 )
 from repro.memcached.membership import LIVE, McdMembership
 from repro.net.rpc import (
-    Endpoint, Leg, ResilienceConfig, RpcError, RpcUnavailable, TimedLeg,
+    Conn, Endpoint, Leg, ResilienceConfig, RpcError, RpcUnavailable, TimedLeg,
 )
 from repro.sim.events import Event
 from repro.sim.process import Join, departure
@@ -128,18 +129,17 @@ _SF_FAILED = object()
 
 #: The span a batch leg opens on a traced client.
 _LEG_SPAN = ("mcd", "mc.batch")
+#: A store item's key: ``(key, value, nbytes, flags, ttl)``.
+_ITEM_KEY = itemgetter(0)
 
 
 class MemcacheClient(Tally):
     """A client node's view of the MCD array.  Each MCD RPC is priced
     once, here (:func:`command_cost`); a ``get_multi`` books both
-    ``hits`` and ``misses``, a zero included."""
+    ``hits`` and ``misses``, and a ``delete_multi`` its ``deletes``, a
+    zero included."""
 
-    TALLY = (
-        ("_n_hits", "hits"),
-        ("_n_misses", "misses"),
-        ("_n_multi_gets", None, "hits", "misses"),
-    )
+    TALLY = ("hits", "misses", "sets", "deletes")
 
     def __init__(
         self,
@@ -180,6 +180,9 @@ class MemcacheClient(Tally):
         self._rr = rr_seed
         self._rr_by_key: dict[str, int] = {}
         self._health: dict[int, _ServerHealth] = defaultdict(_ServerHealth)
+        #: node id -> the endpoint's :class:`~repro.net.rpc.Conn` to that
+        #: daemon, resolved on first use (ids are never reused).
+        self._conns: dict[int, Conn] = {}
         #: Singleflight (DESIGN §15): every key this client is fetching
         #: right now.  The entry is None until a second caller wants the
         #: same key and swaps in the Event it parks on; the fetcher
@@ -252,16 +255,11 @@ class MemcacheClient(Tally):
             return None
         primaries = self._primaries
         batches: dict[int, list] = {}
-        for entry in entries:
-            key = entry[0] if keyed else entry
+        for key, entry in zip(map(_ITEM_KEY, entries) if keyed else entries, entries):
             idx = primaries.get(key)
             if idx is None:
                 idx = self._primary(key)
-            batch = batches.get(idx)
-            if batch is None:
-                batches[idx] = [entry]
-            else:
-                batch.append(entry)
+            batches.setdefault(idx, []).append(entry)
         return batches
 
     def _primary(self, key: str) -> int:
@@ -329,6 +327,14 @@ class MemcacheClient(Tally):
         """Whether server *idx* is currently ejected (for observers)."""
         return self._health[idx].ejected_until >= 0.0
 
+    def _conn(self, idx: int) -> Conn:
+        """The connection to daemon *idx*, resolved once."""
+        conn = self._conns.get(idx)
+        if conn is None:
+            node = self.membership.members[idx].daemon.node
+            conn = self._conns[idx] = self.endpoint.conn(node, SERVICE)
+        return conn
+
     def _call(self, idx: int, op: str, payload: Any) -> Generator:
         """One MCD RPC; raises :class:`RpcError` when it failed.  With no
         resilience config the generator returned is :meth:`Endpoint.call`'s
@@ -393,7 +399,10 @@ class MemcacheClient(Tally):
             self._note_redispersed()
         published = _SF_FAILED
         try:
-            idx = self._read_memo().get(key)
+            # `_read_memo`, written out: a stat hit is one get.
+            if self._epoch != self.membership.epoch:
+                self._resync()
+            idx = self._primaries.get(key) if self._replication is None else None
             if idx is None:
                 idx = self._read_idx(key)
             failed = False
@@ -507,7 +516,10 @@ class MemcacheClient(Tally):
         #: key -> flight for every key that rides, in key order.
         riders: dict[str, Event] = {}
         by_server: dict[int, list[str]] = {}
-        memo = self._read_memo()
+        # `_read_memo`, written out: every cached read is one multi-get.
+        if self._epoch != self.membership.epoch:
+            self._resync()
+        memo = self._primaries if self._replication is None else {}
         for key in unique:
             if key in ride:
                 # Ride the in-flight fetch instead of re-issuing it.
@@ -587,7 +599,6 @@ class MemcacheClient(Tally):
                     out[key] = payload
         self._n_hits += len(out)
         self._n_misses += len(unique) - len(out)
-        self._n_multi_gets += 1
         return out
 
     # -- legs ------------------------------------------------------------------
@@ -600,15 +611,14 @@ class MemcacheClient(Tally):
         sim = self.endpoint.net.sim
         legs = list(legs)
         join = Join(sim, len(legs))
-        endpoint, members, errors = self.endpoint, self.membership.members, self.stats
+        conns, errors = self._conns, self.stats
         parent = sim._active_process
         try:
             if self.resilience is None:
                 for index, (idx, payload) in enumerate(legs):
-                    req_size, cpu = command_cost(op, payload)
                     Leg(
-                        endpoint, members[idx].daemon.node, SERVICE, (op, payload),
-                        req_size, cpu, join, index, name, parent, errors, _LEG_SPAN,
+                        conns.get(idx) or self._conn(idx), (op, payload),
+                        *command_cost(op, payload), join, index, name, parent, errors, _LEG_SPAN,
                     )
             else:
                 for index, (idx, payload) in enumerate(legs):
@@ -695,7 +705,7 @@ class MemcacheClient(Tally):
             return False
         if ok is None:
             return False
-        self.stats.inc("sets")
+        self._n_sets += 1
         return ok
 
     def set_multi(self, items: list[tuple[str, Any, int, int, float]]) -> Generator:
@@ -730,10 +740,8 @@ class MemcacheClient(Tally):
         for (idx, batch), reply in zip(legs, replies):
             if reply is None:
                 down.add(idx)
-                continue
-            for item, ok in zip(batch, reply):
-                if ok:
-                    stored.add(item[0])
+            else:
+                stored.update(compress(map(_ITEM_KEY, batch), reply))
         # An item counts once, however many of its owners answered.
         if not down:
             answered = len(items)
@@ -742,7 +750,7 @@ class MemcacheClient(Tally):
         else:
             answered = sum(not down.issuperset(idxs) for idxs in routes)
         if answered:
-            self.stats.inc("sets", answered)
+            self._n_sets += answered
         return stored
 
     def delete_multi(self, keys: list[str]) -> Generator:
@@ -771,7 +779,7 @@ class MemcacheClient(Tally):
         else:
             replies = yield from self._legs("delete_multi", legs, "mc-multidelete")
         deleted = sum(n for n in replies[: len(primary)] if n is not None)
-        self.stats.inc("deletes", deleted)
+        self._n_deletes += deleted
         return deleted
 
 
@@ -814,9 +822,8 @@ class _TrackedLeg(TimedLeg):
         #: None, or for a probe the ``(op, payload)`` its answer starts.
         self._then = then
         TimedLeg.__init__(
-            self, client.endpoint, client.membership.members[idx].daemon.node, SERVICE,
-            (op, payload), *command_cost(op, payload), join, index, name, parent, errors,
-            _LEG_SPAN, timeout=MCD_TIMEOUT, inline=inline,
+            self, client._conn(idx), (op, payload), *command_cost(op, payload), join, index,
+            name, parent, errors, _LEG_SPAN, timeout=MCD_TIMEOUT, inline=inline,
         )
 
     def _settle(self, reply: Any, failed: bool) -> None:

@@ -10,7 +10,8 @@ which is precisely why a bank of MCDs scales past the GlusterFS server
 
 from __future__ import annotations
 
-from operator import attrgetter
+from functools import reduce
+from operator import add, attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.memcached.engine import McError, MemcachedEngine, key_nbytes
@@ -35,6 +36,12 @@ KEY_WIRE_OVERHEAD = 24
 VALUE_WIRE_OVERHEAD = 40
 
 _NBYTES = attrgetter("nbytes")
+#: A store item's key and value size: ``(key, value, nbytes, flags, ttl)``.
+_ITEM_KEY = itemgetter(0)
+_ITEM_NBYTES = itemgetter(2)
+#: A store's CPU, ``OP_CPU + COPY_PER_BYTE * nbytes``, as two C calls.
+_COPY_CPU = COPY_PER_BYTE.__mul__
+_PLUS_OP_CPU = OP_CPU.__add__
 
 
 class MemcachedDaemon:
@@ -194,15 +201,17 @@ def command_cost(op: str, payload: Any) -> tuple[int, float]:
             OP_CPU + COPY_PER_BYTE * nbytes,
         )
     if op == "set_multi":
-        # Pipelined sets: one pass over the items (an empty batch sizes
-        # to 0, as an empty get_multi does), one visit for the sum of
-        # their costs.
-        size = 0
-        cpu = 0.0
-        for key, _value, nbytes, _flags, _ttl in payload:
-            size += (len(key) if key.isascii() else len(key.encode())) + nbytes
-            cpu += OP_CPU + COPY_PER_BYTE * nbytes
-        return size + KEY_WIRE_OVERHEAD * len(payload), cpu
+        # Pipelined sets, one visit for the sum of their costs (an empty
+        # batch sizes to 0, as an empty get_multi does), summed item by
+        # item in order, in C-level passes over the items.
+        keys = "".join(map(_ITEM_KEY, payload))
+        sizes = list(map(_ITEM_NBYTES, payload))
+        return (
+            (len(keys) if keys.isascii() else len(keys.encode()))
+            + sum(sizes)
+            + KEY_WIRE_OVERHEAD * len(payload),
+            reduce(add, map(_PLUS_OP_CPU, map(_COPY_CPU, sizes)), 0.0),
+        )
     if op == "scan":
         return KEY_WIRE_OVERHEAD, OP_CPU * max(1, payload[1])
     if op == "flush_all":

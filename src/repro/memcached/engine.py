@@ -104,9 +104,8 @@ class MemcachedEngine(Tally):
     """A single daemon's item store."""
 
     TALLY = (
-        ("_n_cmd_get", "cmd_get"),
-        ("_n_get_hits", "get_hits"),
-        ("_n_get_misses", "get_misses"),
+        "cmd_get", "get_hits", "get_misses", "cmd_set", "curr_items", "total_items", "bytes",
+        "evictions", "cmd_delete",
     )
 
     def __init__(
@@ -154,8 +153,8 @@ class MemcachedEngine(Tally):
 
     def _unlink(self, item: Item, cause: str = "drop") -> None:
         self._detach(item, cause)
-        self.stats.inc("curr_items", -1)
-        self.stats.inc("bytes", -item.nbytes)
+        self._n_curr_items -= 1
+        self._n_bytes -= item.nbytes
 
     def _expired(self, item: Item) -> bool:
         return item.exptime != 0 and self.clock() >= item.exptime
@@ -187,7 +186,7 @@ class MemcachedEngine(Tally):
         if victim is None:
             victim = next(iter(lru.values()))
         self._unlink(victim, "evict")
-        self.stats.inc("evictions")
+        self._n_evictions += 1
         return True
 
     def _allocate(self, key: str, cls: SlabClass) -> bool:
@@ -213,25 +212,20 @@ class MemcachedEngine(Tally):
         return item
 
     # -- storage commands ----------------------------------------------------
-    def set_multi(self, items: Iterable[tuple[str, Any, int, int, float]]) -> list[bool]:
+    def set_multi(
+        self, items: Iterable[tuple[str, Any, int, int, float]], *, strict: bool = False
+    ) -> list[bool]:
         """Store many ``(key, value, nbytes, flags, ttl)`` items in order:
         per item, True (STORED) or False (NOT_STORED: no memory for its
-        class, or too large for any class — either fails that item alone).
+        class, or too large for any class — either fails that item
+        alone).  *strict* (:meth:`set`, the batch of one): a too-large
+        item raises :class:`McTooLarge` instead of answering False.
 
         The answers, the stored items, their LRU order and every counter
         are what a run of :meth:`set` calls leaves; a malformed key or a
         negative size raises after the items before it are stored and
-        counted.
-        """
-        return self._store_all(items, strict=False)
-
-    def _store_all(
-        self, items: Iterable[tuple[str, Any, int, int, float]], *, strict: bool
-    ) -> list[bool]:
-        """The one store loop (:meth:`set` and :meth:`set_multi`): each
-        item is validated and counted in ``cmd_set``.  *strict*: a
-        too-large item raises :class:`McTooLarge` instead of answering
-        False.
+        counted.  This is the one store loop; each item is validated and
+        counted in ``cmd_set``.
 
         Per item, real memcached's order: allocate the new item *before*
         unlinking the old one, so an OOM-failed store leaves the prior
@@ -249,13 +243,15 @@ class MemcachedEngine(Tally):
         and the arbiter's victim pick.
         ``cmd_set``, ``curr_items``, ``total_items``, ``bytes``,
         ``evictions`` and the allocator's ``pages_allocated`` and
-        ``alloc_failures`` are booked once, in a ``finally``.
+        ``alloc_failures`` are tallied once, in a ``finally``.
         """
         out: list[bool] = []
+        answer = out.append
         objects, lrus, ttl_items, tenancy = self._items, self._lru, self._ttl_items, self.tenancy
         slabs = self.slabs
         classes, chunk_sizes = slabs.classes, slabs.chunk_sizes
         sets = linked = unlinked = nbytes_delta = evicted = pages = failures = 0
+        cas, seq = self._cas, self._seq
         try:
             for key, value, nbytes, flags, ttl in items:
                 # `_check_key`'s plain-key scan inline.
@@ -268,7 +264,7 @@ class MemcachedEngine(Tally):
                 if size > PAGE_SIZE:
                     if strict:
                         raise McTooLarge(f"object too large for cache ({nbytes} bytes)")
-                    out.append(False)
+                    answer(False)
                     continue
                 cls = classes[bisect_left(chunk_sizes, size)]
                 idx = cls.index
@@ -279,9 +275,9 @@ class MemcachedEngine(Tally):
                     unlinked += 1
                     nbytes_delta -= old.nbytes
                     old = None
-                if tenancy is not None or ttl_items.get(idx):
+                if tenancy is not None or (ttl_items and ttl_items.get(idx)):
                     if not self._allocate(key, cls):
-                        out.append(False)
+                        answer(False)
                         continue
                 elif cls.free_chunks:
                     cls.free_chunks -= 1
@@ -292,65 +288,71 @@ class MemcachedEngine(Tally):
                     cls.free_chunks += PAGE_SIZE // cls.chunk_size - 1
                     cls.used_chunks += 1
                     pages += 1
-                else:
+                elif not lru:
+                    # Out of memory, and the class owns no items (all
+                    # pages belong to other classes): memcached answers
+                    # SERVER_ERROR.
                     failures += 1
-                    if not lru:
-                        # The class owns no items (all pages belong to
-                        # other classes): memcached answers SERVER_ERROR.
-                        self.stats.inc("out_of_memory")
-                        out.append(False)
-                        continue
+                    self.stats.inc("out_of_memory")
+                    answer(False)
+                    continue
+                else:
                     # Out of memory: the class's LRU tail is evicted and
                     # its chunk is the new item's (its free and the
                     # retried allocation cancel).  No arbiter and no
                     # TTL'd item in the class, so `_evict_one` would
-                    # pick the same victim.
+                    # pick the same victim.  An eviction is also an
+                    # allocation failure and an unlink: counted in the
+                    # ``finally``.
                     victim_key, victim = lru.popitem(last=False)
                     del objects[victim_key]
-                    unlinked += 1
                     nbytes_delta -= victim.nbytes
                     evicted += 1
                 if old is not None:
                     # A different class's old copy; eviction only ever
                     # takes the new item's class, so it is still there.
                     self._unlink(old, "overwrite")
-                self._cas += 1
-                self._seq += 1
-                exptime = self.clock() + ttl if ttl > 0 else 0.0
-                item = Item(key, value, nbytes, flags, exptime, self._cas, cls, self._seq)
+                cas += 1
+                seq += 1
+                if ttl > 0:
+                    exptime = self.clock() + ttl
+                    ttl_items[idx] = ttl_items.get(idx, 0) + 1
+                else:
+                    exptime = 0.0
+                item = Item(key, value, nbytes, flags, exptime, cas, cls, seq)
                 objects[key] = item
                 if lru is None:
                     lru = lrus[idx] = OrderedDict()
                 lru[key] = item
-                if exptime != 0:
-                    ttl_items[idx] = ttl_items.get(idx, 0) + 1
                 if tenancy is not None:
                     item.tenant = tenancy.on_insert(item)
                 linked += 1
                 nbytes_delta += nbytes
-                out.append(True)
+                answer(True)
         finally:
-            stats = self.stats
+            self._cas, self._seq = cas, seq
+            unlinked += evicted
+            failures += evicted
             if sets:
-                stats.inc("cmd_set", sets)
+                self._n_cmd_set += sets
             if linked or unlinked:
-                stats.inc("curr_items", linked - unlinked)
+                self._n_curr_items += linked - unlinked
                 if linked:
-                    stats.inc("total_items", linked)
-                stats.inc("bytes", nbytes_delta)
+                    self._n_total_items += linked
+                self._n_bytes += nbytes_delta
             if evicted:
-                stats.inc("evictions", evicted)
+                self._n_evictions += evicted
             if pages:
-                slabs.stats.inc("pages_allocated", pages)
+                slabs._n_pages_allocated += pages
             if failures:
-                slabs.stats.inc("alloc_failures", failures)
+                slabs._n_alloc_failures += failures
         return out
 
     def set(self, key: str, value: Any, nbytes: int, flags: int = 0, ttl: float = 0) -> bool:
         """Store unconditionally: the batch of one.  True (STORED) unless
         allocation fails (NOT_STORED — any existing value is left
         intact); a too-large item raises :class:`McTooLarge`."""
-        return self._store_all(((key, value, nbytes, flags, ttl),), strict=True)[0]
+        return self.set_multi(((key, value, nbytes, flags, ttl),), strict=True)[0]
 
     def add(self, key: str, value: Any, nbytes: int, flags: int = 0, ttl: float = 0) -> bool:
         """Store only if absent (NOT_STORED -> False)."""
@@ -407,9 +409,12 @@ class MemcachedEngine(Tally):
                     value = item.reply = McValue(item.value, item.nbytes, item.flags, item.cas)
                 out[key] = value
         finally:
-            self._n_cmd_get += hits + misses
-            self._n_get_hits += hits
-            self._n_get_misses += misses
+            if hits or misses:
+                self._n_cmd_get += hits + misses
+                if hits:
+                    self._n_get_hits += hits
+                if misses:
+                    self._n_get_misses += misses
         return out
 
     # -- mutation ----------------------------------------------------------------
@@ -447,12 +452,11 @@ class MemcachedEngine(Tally):
                 nbytes_delta -= item.nbytes
                 out.append(True)
         finally:
-            stats = self.stats
             if deletes:
-                stats.inc("cmd_delete", deletes)
+                self._n_cmd_delete += deletes
             if unlinked:
-                stats.inc("curr_items", -unlinked)
-                stats.inc("bytes", nbytes_delta)
+                self._n_curr_items -= unlinked
+                self._n_bytes += nbytes_delta
         return out
 
     def flush_all(self) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from repro.util.stats import Counter
+from repro.util.stats import Counter, Tally
 from repro.util.units import MiB
 
 
@@ -37,7 +37,7 @@ class SlabClass:
         return PAGE_SIZE // self.chunk_size
 
 
-class SlabAllocator:
+class SlabAllocator(Tally):
     """Page/chunk accounting for the item store.
 
     Tracks only sizes, not addresses — the engine stores Python values;
@@ -45,6 +45,8 @@ class SlabAllocator:
     begins*, which depends on chunk rounding and page assignment
     exactly as modelled here.
     """
+
+    TALLY = ("pages_allocated", "alloc_failures")
 
     def __init__(
         self,
@@ -72,7 +74,7 @@ class SlabAllocator:
         #: engine's store loop, which places its items itself).
         self.chunk_sizes = [c.chunk_size for c in self.classes]
         self.total_pages = 0
-        self.stats = Counter()
+        self.stats = self._tally(Counter())
 
     def class_for(self, size: int) -> SlabClass | None:
         """Smallest class whose chunk fits *size* (None if > page)."""
@@ -92,9 +94,9 @@ class SlabAllocator:
                 self.total_pages += 1
                 cls.pages += 1
                 cls.free_chunks += cls.chunks_per_page
-                self.stats.inc("pages_allocated")
+                self._n_pages_allocated += 1
             else:
-                self.stats.inc("alloc_failures")
+                self._n_alloc_failures += 1
                 return False
         cls.free_chunks -= 1
         cls.used_chunks += 1

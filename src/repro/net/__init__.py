@@ -5,10 +5,11 @@ RDMA, TCP over IPoIB (the transport GlusterFS, IMCa and Lustre use in
 §5), and Gigabit Ethernet (Fig 1) — as chained FIFO stations.
 """
 
-from repro.net.fabric import LinkImpairment, Network, NetworkError, Node
+from repro.net.fabric import Hop, LinkImpairment, Network, NetworkError, Node
 from repro.net.profiles import GIGE, IB_RDMA, IPOIB, PROFILES, TransportProfile, profile
 from repro.net.rpc import (
     HEADER_SIZE,
+    Conn,
     Endpoint,
     ResilienceConfig,
     RpcCall,
@@ -18,6 +19,7 @@ from repro.net.rpc import (
 
 __all__ = [
     "Network",
+    "Hop",
     "NetworkError",
     "LinkImpairment",
     "Node",
@@ -28,6 +30,7 @@ __all__ = [
     "IPOIB",
     "GIGE",
     "Endpoint",
+    "Conn",
     "ResilienceConfig",
     "RpcCall",
     "RpcError",

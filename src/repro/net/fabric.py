@@ -94,7 +94,7 @@ class _Nic:
 class Network(Tally):
     """A switched network running one transport profile."""
 
-    TALLY = (("_n_messages", "messages", "bytes"), ("_n_bytes", "bytes"))
+    TALLY = ("messages", "bytes")
 
     def __init__(self, sim: "Simulator", transport: TransportProfile, name: str = "net"):
         self.sim = sim
@@ -106,6 +106,8 @@ class Network(Tally):
         #: Empty on a healthy fabric; the delivery-time fast path skips
         #: the lookup entirely so healthy runs stay float-identical.
         self._impaired: dict[str, LinkImpairment] = {}
+        #: (src, dst) -> its :class:`Hop`, built on first use.
+        self._hops: dict[tuple[Node, Node], Hop] = {}
         #: RNG used for per-message loss draws (a ``numpy`` Generator
         #: from :class:`~repro.sim.rand.RandomStreams`).  Must be set
         #: before any non-zero ``loss_prob`` impairment is armed.
@@ -201,13 +203,63 @@ class Network(Tally):
         self.sim._schedule(ev, at=tx_end + wire)
         return ev
 
+    def hop(self, src: Node, dst: Node) -> "Hop":
+        """The one-way route from *src* to *dst*: built on first use,
+        then the same object.  Raises :class:`NetworkError` if either
+        node is not attached."""
+        hop = self._hops.get((src, dst))
+        if hop is None:
+            hop = self._hops[(src, dst)] = Hop(self, src, dst)
+        return hop
+
     def transfer(
         self, src: Node, dst: Node, size: int, send_cpu: float = 0.0, recv_cpu: float = 0.0
     ) -> Union[float, Event]:
-        """One-way message: returns the absolute time the last byte
-        lands in the receiver's memory (and the receiver's CPU visit,
-        *recv_cpu* included, ends), for the calling process to yield.
-        ``yield net.transfer(a, b, nbytes)``.
+        """One-way message from *src* to *dst*: :meth:`Hop.send` on the
+        pair's bound hop.  ``yield net.transfer(a, b, nbytes)``."""
+        hop = self._hops.get((src, dst))
+        if hop is None:
+            hop = self.hop(src, dst)
+        return hop.send(size, send_cpu, recv_cpu)
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"<Network {self.name} ({self.transport.name}) nodes={len(self._nics)}>"
+
+
+class Hop:
+    """One direction between two attached nodes, resolved once: the
+    four stations a message visits — the sender's CPU, its NIC's tx,
+    the receiver NIC's rx and the receiver's CPU — their free-time
+    heaps, and whether each CPU has a single core
+    (:meth:`Network.hop`).  The nodes' liveness and the network's
+    impairments are still read on every message (:meth:`send`)."""
+
+    __slots__ = (
+        "net", "sim", "src", "dst", "src_cpu", "tx", "rx", "dst_cpu",
+        "src_free", "tx_free", "rx_free", "dst_free", "src_one", "dst_one",
+    )
+
+    def __init__(self, net: Network, src: Node, dst: Node) -> None:
+        self.net = net
+        self.sim = net.sim
+        self.src = src
+        self.dst = dst
+        self.src_cpu = src.cpu
+        self.tx = net.nic(src).tx
+        self.rx = net.nic(dst).rx
+        self.dst_cpu = dst.cpu
+        # A station's heap is one list for its life.
+        self.src_free = src.cpu._free
+        self.tx_free = self.tx._free
+        self.rx_free = self.rx._free
+        self.dst_free = dst.cpu._free
+        self.src_one = src.cpu.servers == 1
+        self.dst_one = dst.cpu.servers == 1
+
+    def send(self, size: int, send_cpu: float = 0.0, recv_cpu: float = 0.0) -> Union[float, Event]:
+        """One message: returns the absolute time the last byte lands in
+        the receiver's memory (and the receiver's CPU visit, *recv_cpu*
+        included, ends), for the calling process to yield.
 
         The sender's CPU visit arrives at the message's departure: now,
         or the active runner's ``ready`` if that is later — a message
@@ -238,82 +290,78 @@ class Network(Tally):
         """
         if size < 0:
             raise ValueError("negative message size")
-        sim = self.sim
+        src, dst, net = self.src, self.dst, self.net
         if not src.alive:
             raise NetworkError(f"source {src.name} is down")
         if not dst.alive:
-            return self._undeliverable(
+            return net._undeliverable(
                 src, dst, size, send_cpu, f"destination {dst.name} is down"
             )
-        p = self.transport
+        p = net.transport
         # Profile maths inlined (same expressions as TransportProfile's
         # host_cost/serialization, so timestamps stay float-identical).
         wire = p.wire_latency
-        if self._impaired:
-            if self._drop_message(src, dst):
-                self.stats.inc("lost")
-                return self._undeliverable(
+        if net._impaired:
+            if net._drop_message(src, dst):
+                net.stats.inc("lost")
+                return net._undeliverable(
                     src, dst, size, send_cpu, f"message {src.name} -> {dst.name} lost"
                 )
-            wire += self._extra_wire(src, dst)
-        nics = self._nics
-        try:
-            tx = nics[src.name].tx
-            rx = nics[dst.name].rx
-        except KeyError as e:
-            raise NetworkError(f"{e.args[0]} not attached to {self.name}") from None
+            wire += net._extra_wire(src, dst)
         copy_cost = p.cpu_per_byte * size
         ser = size / p.bandwidth
         # `departure(sim)`, written out: a call per message would cost
         # every op in `tests/test_call_budget.py` a frame per hop.
+        sim = self.sim
         depart = sim._now
         runner = sim._active_process
         if runner is not None and runner.ready > depart:
             depart = runner.ready
 
         # Sender host CPU (protocol + copy for non-RDMA transports).
-        src_cpu = src.cpu
         send = p.cpu_send + copy_cost + send_cpu
-        free_heap = src_cpu._free
+        free_heap = self.src_free
         free = free_heap[0]
         send_start = free if free > depart else depart
         sent = send_start + send
-        if src_cpu.servers == 1:
+        if self.src_one:
             free_heap[0] = sent
         else:
             heapreplace(free_heap, sent)
 
         # Sender NIC serialisation.
-        free = tx._free[0]
+        tx_free = self.tx_free
+        free = tx_free[0]
         tx_start = free if free > sent else sent
         tx_end = tx_start + ser
-        tx._free[0] = tx_end
+        tx_free[0] = tx_end
 
         # Cut-through: the receiver NIC starts taking bytes one wire
         # latency after the first byte leaves, and finishes no earlier
         # than one wire latency after the last byte leaves.
         rx_arrival = tx_start + wire
-        free = rx._free[0]
+        rx_free = self.rx_free
+        free = rx_free[0]
         rx_start = free if free > rx_arrival else rx_arrival
         rx_end = rx_start + ser
-        rx._free[0] = rx_end
+        rx_free[0] = rx_end
         tx_end += wire
         arrival = tx_end if tx_end > rx_end else rx_end
 
         # Receiver host CPU.
-        dst_cpu = dst.cpu
         recv = p.cpu_recv + copy_cost + recv_cpu
-        free_heap = dst_cpu._free
+        free_heap = self.dst_free
         free = free_heap[0]
         recv_start = free if free > arrival else arrival
         t = recv_start + recv
-        if dst_cpu.servers == 1:
+        if self.dst_one:
             free_heap[0] = t
         else:
             heapreplace(free_heap, t)
 
         if sim.track_station_stats:
             # What `reserve` books per visit, in visit order.
+            src_cpu, tx, rx, dst_cpu = self.src_cpu, self.tx, self.rx, self.dst_cpu
             src_cpu.busy_time += send
             src_cpu.jobs += 1
             src_cpu.wait_stats.add(send_start - depart)
@@ -329,12 +377,9 @@ class Network(Tally):
 
         # Every message, observed or not: `perf/ledger.py` reads these
         # from an unobserved pass.
-        self._n_messages += 1
-        self._n_bytes += size
+        net._n_messages += 1
+        net._n_bytes += size
         # Not `t`: a delay from the departure, as `FifoStation.run` is
         # one from now (a runner that waited out its `ready` would wake
         # at that float and send from there).
         return depart + (t - depart)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Network {self.name} ({self.transport.name}) nodes={len(self._nics)}>"

@@ -32,6 +32,11 @@ handler runs when the visit ends and returns ``(reply, size)`` without
 yielding, and any CPU it leaves on :attr:`RpcCall.reply_cpu` rides the
 response's send visit: a round trip is two scheduler entries.
 
+Every call goes over a :class:`Conn`: one per (endpoint, destination,
+service), built on first use and then reused, holding what every call
+on it would otherwise look up again — the handler and the two bound
+hops (:class:`~repro.net.fabric.Hop`), each with its four stations.
+
 A caller that forks one call per peer under a join need not be a
 generator at all: a :class:`Leg` books its request at once, runs the
 handler at the request's arrival from the timed wake, books the
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Any, Callable, Generator, Optional
 
-from repro.net.fabric import Network, NetworkError, Node
+from repro.net.fabric import Hop, Network, NetworkError, Node
 from repro.obs.trace import NULL_TRACER
 from repro.sim.events import NORMAL
 from repro.sim.process import JoinChild, departure
@@ -106,14 +111,32 @@ RETRY_MAX_BACKOFF = 5e-3
 RETRY_JITTER = 0.1
 
 
+class Conn:
+    """One connection: *endpoint*'s node to *service* on *dst*, resolved
+    once (:meth:`Endpoint.conn`) — the service's handler and both
+    directions' :class:`~repro.net.fabric.Hop`: ``out`` carries the
+    requests, ``back`` the responses.  A handler not yet registered is
+    looked up again by the next request."""
+
+    __slots__ = ("endpoint", "src", "dst", "service", "handler", "out", "back")
+
+    def __init__(self, endpoint: "Endpoint", dst: Node, service: str) -> None:
+        net = endpoint.net
+        self.endpoint = endpoint
+        self.src = endpoint.node
+        self.dst = dst
+        self.service = service
+        self.handler: Optional[Callable[[Any], Any]] = dst.services.get(service)
+        self.out: Hop = net.hop(endpoint.node, dst)
+        self.back: Hop = net.hop(dst, endpoint.node)
+
+
 @dataclass(slots=True)
 class RpcCall:
-    """Handler-visible view of one in-flight call.  A :class:`Leg`
-    carries the same fields and is its own record."""
+    """Handler-visible view of one in-flight call over ``conn``.  A
+    :class:`Leg` carries the same fields and is its own record."""
 
-    src: Node
-    dst: Node
-    service: str
+    conn: Conn
     args: Any
     req_size: int
     #: Host-CPU seconds the request costs the far end on arrival.
@@ -121,8 +144,6 @@ class RpcCall:
     #: Host-CPU seconds the handler leaves for the response's send visit
     #: on its node (a reply copy).
     reply_cpu: float = 0.0
-    #: The service's handler, set by the request half.
-    handler: Optional[Callable[["RpcCall"], Any]] = None
     #: The call's open network span (``net.req``, then ``net.resp``)
     #: on a traced endpoint.
     span: Any = None
@@ -140,7 +161,7 @@ HEADER_SIZE = 96
 class Endpoint(Tally):
     """RPC endpoint binding one node to one network."""
 
-    TALLY = (("_n_calls", "calls"),)
+    TALLY = ("calls",)
 
     def __init__(self, net: Network, node: Node, tracer=NULL_TRACER) -> None:
         if not net.attached(node):
@@ -149,12 +170,23 @@ class Endpoint(Tally):
         self.node = node
         self.stats = self._tally(Counter())
         self.tracer = tracer
+        #: (dst, service) -> its :class:`Conn`, built on first use.
+        self._conns: dict[tuple[Node, str], Conn] = {}
 
     def register(self, service: str, handler: RpcHandler) -> None:
         """Serve *service* on this node."""
         if service in self.node.services:
             raise ValueError(f"service {service!r} already registered on {self.node.name}")
         self.node.services[service] = handler
+
+    def conn(self, dst: Node, service: str) -> Conn:
+        """The connection to *service* on *dst*: built on first use, then
+        the same object for every call and leg.  Raises
+        :class:`~repro.net.fabric.NetworkError` if *dst* is not attached."""
+        conn = self._conns.get((dst, service))
+        if conn is None:
+            conn = self._conns[(dst, service)] = Conn(self, dst, service)
+        return conn
 
     def call(
         self, dst: Node, service: str, args: Any = None, req_size: int = 0,
@@ -178,8 +210,12 @@ class Endpoint(Tally):
         that visit ends; if the node dies before then the call fails and
         the handler never runs.  A request that never arrives (dead
         node, lost frame) costs the far end nothing.
+
+        The call goes over the :class:`Conn` to *service* on *dst*
+        (:meth:`conn`).
         """
-        call = RpcCall(self.node, dst, service, args, req_size, recv_cpu)
+        conn = self._conns.get((dst, service)) or self.conn(dst, service)
+        call = RpcCall(conn, args, req_size, recv_cpu)
         due = self._request(call)
         try:
             yield due
@@ -187,7 +223,7 @@ class Endpoint(Tally):
             # The request could not arrive: the failing event's error.
             self._answer(call, e)
         if call.span is None and dst.alive:
-            served = call.handler(call)  # (`_answer`'s healthy case, inline)
+            served = conn.handler(call)  # (`_answer`'s healthy case, inline)
         else:
             served = self._answer(call)
         # Request delivered: the handler's reply goes back.
@@ -199,7 +235,7 @@ class Endpoint(Tally):
         if tracer.enabled:
             call.span = tracer.span("network", f"net.resp.{service}").__enter__()
         try:
-            yield self.net.transfer(dst, self.node, HEADER_SIZE + int(resp_size), call.reply_cpu)
+            yield conn.back.send(HEADER_SIZE + int(resp_size), call.reply_cpu)
         except NetworkError as e:
             # From the transfer (the replying node died in a yielding
             # handler) or from the undeliverable response's event.
@@ -211,29 +247,27 @@ class Endpoint(Tally):
     def _request(self, call) -> Any:
         """The request half of every plain call (:meth:`call`, a
         :class:`Leg`): book the request of *call* — an :class:`RpcCall`,
-        or a leg, which is its own record — from this node to
-        ``call.dst``, its ``recv_cpu`` riding its receive visit, and set
-        ``call.handler``.  Returns *due*: the float
+        or a leg, which is its own record — over ``call.conn``, its
+        ``recv_cpu`` riding its receive visit.  Returns *due*: the float
         instant that visit ends, or the event that fails once an
         undeliverable request has been charged.  Raises
         :class:`RpcUnavailable` for a service a live node does not
         serve, or a dead source (one ``errors``)."""
-        dst = call.dst
-        handler = dst.services.get(call.service)
-        if handler is None and dst.alive:
-            # (Dead and unregistered: the transfer below fails.)
-            raise RpcUnavailable(f"no service {call.service!r} on {dst.name}")
-        call.handler = handler
+        conn = call.conn
+        if conn.handler is None:
+            dst = conn.dst
+            conn.handler = dst.services.get(conn.service)
+            if conn.handler is None and dst.alive:
+                # (Dead and unregistered: the send below fails.)
+                raise RpcUnavailable(f"no service {conn.service!r} on {dst.name}")
         self._n_calls += 1
         tracer = self.tracer
         if tracer.enabled:
             # The handler is entered inside the request's span so it
             # can book its arrival CPU as a child of it.
-            call.span = tracer.span("network", f"net.req.{call.service}").__enter__()
+            call.span = tracer.span("network", f"net.req.{conn.service}").__enter__()
         try:
-            return self.net.transfer(
-                self.node, dst, HEADER_SIZE + call.req_size, 0.0, call.recv_cpu
-            )
+            return conn.out.send(HEADER_SIZE + call.req_size, 0.0, call.recv_cpu)
         except NetworkError as e:
             self._answer(call, e)
 
@@ -249,10 +283,11 @@ class Endpoint(Tally):
         span = call.span
         try:
             if failure is None:
-                if not call.dst.alive:
-                    failure = NetworkError(f"{call.dst.name} died during call")
+                dst = call.conn.dst
+                if not dst.alive:
+                    failure = NetworkError(f"{dst.name} died during call")
                 else:
-                    return call.handler(call)
+                    return call.conn.handler(call)
             self.stats.inc("errors")
             raise RpcUnavailable(str(failure)) from None
         finally:
@@ -311,9 +346,8 @@ class Leg(JoinChild):
     run as booked callbacks rather than a generator.
 
     A leg is its own call record: it carries an :class:`RpcCall`'s
-    fields (``src``, ``dst``, ``service``, ``args``, ``req_size``,
-    ``recv_cpu``, ``reply_cpu``, ``handler``, ``span``), and the handler
-    is handed the leg.  The constructor books the request (:meth:`Endpoint._request`)
+    fields (``conn``, ``args``, ``req_size``, ``recv_cpu``,
+    ``reply_cpu``, ``span``), and the handler is handed the leg.  The constructor books the request (:meth:`Endpoint._request`)
     and mints the request's timed-wake entry at once — the entry, and its
     seq, a strand yielding the same transfer would mint.  The wake runs
     :meth:`_resume` at the request's arrival: the answer half
@@ -337,17 +371,14 @@ class Leg(JoinChild):
 
     __slots__ = (
         "sim", "name", "serial", "parent", "ready", "_wake", "_join", "_index",
-        "_endpoint", "_errors", "_span",
+        "_errors", "_span",
         # The call record (:class:`RpcCall`'s fields).
-        "src", "dst", "service", "args", "req_size", "recv_cpu", "reply_cpu", "handler",
-        "span",
+        "conn", "args", "req_size", "recv_cpu", "reply_cpu", "span",
     )
 
     def __init__(
         self,
-        endpoint: Endpoint,
-        dst: Node,
-        service: str,
+        conn: Conn,
         args: Any,
         req_size: int,
         recv_cpu: float,
@@ -358,6 +389,7 @@ class Leg(JoinChild):
         errors: Counter,
         span: Optional[tuple[str, str]] = None,
     ) -> None:
+        endpoint = conn.endpoint
         sim = self.sim = endpoint.net.sim
         self.name = name
         sim._proc_seq += 1
@@ -368,17 +400,13 @@ class Leg(JoinChild):
         self._wake = 0
         self._join = join
         self._index = index
-        self._endpoint = endpoint
         self._errors = errors
         self._span = None
-        self.src = endpoint.node
-        self.dst = dst
-        self.service = service
+        self.conn = conn
         self.args = args
         self.req_size = req_size
         self.recv_cpu = recv_cpu
         self.reply_cpu = 0.0
-        self.handler = None
         self.span = None
         sim._active_process = self
         try:
@@ -404,22 +432,21 @@ class Leg(JoinChild):
         undeliverable request)."""
         sim = self.sim
         sim._active_process = self
-        endpoint = self._endpoint
+        conn = self.conn
+        endpoint = conn.endpoint
         try:
             if not event._ok:
                 event._defused = True
                 endpoint._answer(self, event._value)
-            elif self.span is None and self.dst.alive:
-                reply, resp_size = self.handler(self)  # (`_answer`, inline)
+            elif self.span is None and conn.dst.alive:
+                reply, resp_size = conn.handler(self)  # (`_answer`, inline)
             else:
                 reply, resp_size = endpoint._answer(self)
             tracer = endpoint.tracer
             if tracer.enabled:
-                self.span = tracer.span("network", f"net.resp.{self.service}").__enter__()
+                self.span = tracer.span("network", f"net.resp.{conn.service}").__enter__()
             try:
-                due = endpoint.net.transfer(
-                    self.dst, endpoint.node, HEADER_SIZE + int(resp_size), self.reply_cpu
-                )
+                due = conn.back.send(HEADER_SIZE + int(resp_size), self.reply_cpu)
             except NetworkError as e:
                 endpoint._answer(self, e)
             if due.__class__ is float:
@@ -445,7 +472,7 @@ class Leg(JoinChild):
         sim = self.sim
         sim._active_process = self
         try:
-            self._endpoint._answer(self, event._value)
+            self.conn.endpoint._answer(self, event._value)
         except RpcError:
             self._failed()
         finally:
@@ -516,7 +543,7 @@ class TimedLeg(Leg):
             if event is not None:
                 self._settle(self._reply, False)
                 return
-            endpoint = self._endpoint
+            endpoint = self.conn.endpoint
             endpoint.stats.inc("timeouts")
             if endpoint.tracer.oplog is not None:
                 endpoint.tracer.op_count("rpc_timeouts")

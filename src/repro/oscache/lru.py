@@ -5,10 +5,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Hashable, Iterator
 
-from repro.util.stats import Counter
+from repro.util.stats import Counter, Tally
 
 
-class LruCache:
+class LruCache(Tally):
     """Least-recently-used mapping with a maximum entry count.
 
     Used for the server's inode/dentry (metadata) cache and the Lustre
@@ -16,12 +16,14 @@ class LruCache:
     and evicts the coldest entry past capacity.
     """
 
+    TALLY = ("hits", "misses", "evictions")
+
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._map: OrderedDict[Hashable, Any] = OrderedDict()
-        self.stats = Counter()
+        self.stats = self._tally(Counter())
 
     def __len__(self) -> int:
         return len(self._map)
@@ -36,10 +38,10 @@ class LruCache:
         try:
             value = self._map[key]
         except KeyError:
-            self.stats.inc("misses")
+            self._n_misses += 1
             return default
         self._map.move_to_end(key)
-        self.stats.inc("hits")
+        self._n_hits += 1
         return value
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
@@ -54,7 +56,7 @@ class LruCache:
         evicted = []
         while len(self._map) > self.capacity:
             evicted.append(self._map.popitem(last=False))
-            self.stats.inc("evictions")
+            self._n_evictions += 1
         return evicted
 
     def remove(self, key: Hashable) -> bool:

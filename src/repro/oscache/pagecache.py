@@ -11,11 +11,13 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Hashable
 
-from repro.util.stats import Counter
+from repro.util.stats import Counter, Tally
 
 
-class PageCache:
+class PageCache(Tally):
     """Byte-budgeted LRU cache of (file_id, page_index) residency."""
+
+    TALLY = ("page_hits", "page_misses", "evictions")
 
     def __init__(self, capacity_bytes: int, page_size: int = 4096) -> None:
         if capacity_bytes < page_size:
@@ -26,7 +28,7 @@ class PageCache:
         self.page_size = page_size
         self.capacity_pages = capacity_bytes // page_size
         self._pages: OrderedDict[tuple[Hashable, int], None] = OrderedDict()
-        self.stats = Counter()
+        self.stats = self._tally(Counter())
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -45,11 +47,15 @@ class PageCache:
         (page-aligned, merged); an empty list means a full hit.  The
         hit and miss counts are booked once per call.
         """
+        if offset < 0 or size < 0:
+            raise ValueError("negative offset/size")
         pages = self._pages
         page_size = self.page_size
         missing: list[tuple[int, int]] = []
         hits = 0
-        span = self._page_range(offset, size)
+        # `_page_range` written out: every file-system read probes here.
+        first = offset // page_size
+        span = range(first, (offset + size - 1) // page_size + 1 if size else first)
         for page in span:
             key = (file_id, page)
             if key in pages:
@@ -62,9 +68,9 @@ class PageCache:
                 else:
                     missing.append((start, page_size))
         if hits:
-            self.stats.inc("page_hits", hits)
+            self._n_page_hits += hits
         if hits < len(span):
-            self.stats.inc("page_misses", len(span) - hits)
+            self._n_page_misses += len(span) - hits
         return missing
 
     def contains(self, file_id: Hashable, offset: int, size: int) -> bool:
@@ -89,7 +95,7 @@ class PageCache:
                 if len(pages) > capacity:
                     pages.popitem(last=False)
                     evicted += 1
-        self.stats.inc("evictions", evicted)
+        self._n_evictions += evicted
         return evicted
 
     def invalidate(self, file_id: Hashable, offset: int, size: int) -> None:

@@ -63,12 +63,7 @@ class Disk(Tally):
     time are exact.
     """
 
-    TALLY = (
-        ("_n_reads", "reads", "bytes"),
-        ("_n_writes", "writes", "bytes"),
-        ("_n_bytes", "bytes"),
-        ("_n_seeks", "seeks"),
-    )
+    TALLY = ("reads", "writes", "bytes", "seeks")
 
     def __init__(self, sim: "Simulator", profile: DiskProfile = SATA_2007, name: str = "disk"):
         self.sim = sim

@@ -23,11 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class Raid0(Tally):
     """A striped array presenting a flat logical byte space."""
 
-    TALLY = (
-        ("_n_reads", "reads", "bytes"),
-        ("_n_writes", "writes", "bytes"),
-        ("_n_bytes", "bytes"),
-    )
+    TALLY = ("reads", "writes", "bytes")
 
     def __init__(
         self,

@@ -179,8 +179,8 @@ class Counter:
     """A named bag of integer counters (hits, misses, evictions, ...).
 
     Every read — :attr:`values`, :meth:`get`, :meth:`as_dict`, ``[]``,
-    a merge — and every new key first runs the bag's ``pulls``: folds
-    that add the counts components keep outside it (:class:`Tally`)."""
+    a merge — first runs the bag's ``pulls``: folds that add the counts
+    components keep outside it (:class:`Tally`)."""
 
     __slots__ = ("_values", "pulls")
 
@@ -201,11 +201,7 @@ class Counter:
         try:
             values[name] += by
         except KeyError:
-            # A new key: fold the pending counts in first, so keys keep
-            # the order eager counting inserted them in.
-            for fold in self.pulls:
-                fold(values)
-            values[name] = values.get(name, 0) + by
+            values[name] = by
 
     def get(self, name: str, default: int = 0) -> int:
         return self.values.get(name, default)
@@ -221,32 +217,55 @@ class Counter:
         return self.get(name)
 
 
+class _Unmoved:
+    """A tally before its first count: falsy, and the first ``+=`` or
+    ``-=`` on it — of 0 too — puts its key into the counter at 0, where
+    :meth:`Counter.inc` would have put it, and leaves a plain int."""
+
+    __slots__ = ("values", "key")
+
+    def __init__(self, values: dict[str, int], key: str) -> None:
+        self.values = values
+        self.key = key
+
+    def __bool__(self) -> bool:
+        return False
+
+    def __add__(self, n: int) -> int:
+        self.values.setdefault(self.key, 0)
+        return n
+
+    def __sub__(self, n: int) -> int:
+        self.values.setdefault(self.key, 0)
+        return -n
+
+
 class Tally:
     """Hot counts kept as plain int attributes, read only when asked.
 
-    A subclass lists them in ``TALLY`` as ``(attribute, key, *zeros)``
-    and counts with ``self.<attribute> += n``, entering no frame.  Its
-    counter, when read, adds each non-zero attribute to *key* (None: to
-    none), zeroes it, and puts each of its *zeros* keys in at 0 if
-    absent, as booking a zero with :meth:`Counter.inc` did: a key
-    appears exactly when eager counting made it appear."""
+    A subclass lists its counter's tallied keys in ``TALLY`` and counts
+    key *k* with ``self._n_<k> += n``, entering no frame.  Its counter,
+    when read, adds each attribute to its key and zeroes it.  A key's
+    first count — a zero included — puts the key in the counter, at
+    the moment and in the place :meth:`Counter.inc` would have, so a
+    reader sees eager counting's keys, values and key order."""
 
     __slots__ = ()
 
-    TALLY: tuple[tuple[Optional[str], ...], ...] = ()
+    TALLY: tuple[str, ...] = ()
 
     def _tally(self, counter: Counter) -> Counter:
-        for attr, *_ in self.TALLY:
-            setattr(self, attr, 0)
+        values = counter._values
+        for key in self.TALLY:
+            setattr(self, "_n_" + key, _Unmoved(values, key))
         counter.pulls.append(self._fold)
         return counter
 
     def _fold(self, values: dict[str, int]) -> None:
-        for attr, key, *zeros in self.TALLY:
+        for key in self.TALLY:
+            attr = "_n_" + key
             n = getattr(self, attr)
             if n:
                 setattr(self, attr, 0)
-                if key is not None:
-                    values[key] = values.get(key, 0) + n
-                for zero in zeros:
-                    values.setdefault(zero, 0)
+                # (A key is missing only from a counter somebody cleared.)
+                values[key] = values.get(key, 0) + n

@@ -1,11 +1,9 @@
 """IMCa end-to-end behaviour: the CMCache/MCD/SMCache triangle."""
 
-import pytest
-
 from repro.cluster import TestbedConfig, build_gluster_testbed
 from repro.core.config import IMCaConfig
 from repro.core.keys import stat_key
-from repro.util import KiB, MiB
+from repro.util import KiB
 
 
 def make(num_clients=1, num_mcds=1, imca=None, **kw):

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.memcached import (
-    Crc32Selector,
     MemcacheClient,
     MemcachedDaemon,
     ModuloSelector,
@@ -192,7 +191,6 @@ def test_client_requires_servers():
 
 def test_scan_op_over_rpc():
     from repro.memcached.daemon import SERVICE, command_cost
-    from repro.net import Endpoint, Node as _Node
 
     sim, client, daemons = make_cluster(n_mcds=1)
 
@@ -248,7 +246,7 @@ def test_wire_sizes_charge_key_bytes_not_characters():
         yield from client.set("k", b"w", 7)
         # The handler's own (reply, resp_bytes): the copy CPU is priced
         # on the byte count it returns.
-        call = RpcCall(client.endpoint.node, daemons[0].node, SERVICE,
+        call = RpcCall(client.endpoint.conn(daemons[0].node, SERVICE),
                        ("get_multi", ["é", "k", "absent"]), 0)
         return daemons[0]._serve(call), call.reply_cpu
 

@@ -27,7 +27,7 @@ from repro.memcached.daemon import (
     command_cost,
 )
 from repro.memcached.engine import McError
-from repro.net import IPOIB, Network, Node, RpcCall
+from repro.net import IPOIB, Endpoint, Network, Node, RpcCall
 from repro.sim import Simulator
 from repro.util import MiB
 
@@ -134,7 +134,7 @@ def test_an_unknown_command_is_refused_and_priced_as_bare_framing(command):
     net = Network(sim, IPOIB)
     daemon = MemcachedDaemon(sim, net, Node(sim, "mcd"), 16 * MiB)
     daemon.engine.set("k", b"v", 1)
-    call = RpcCall(Node(sim, "client"), daemon.node, SERVICE, command, 0)
+    call = RpcCall(Endpoint(net, Node(sim, "client")).conn(daemon.node, SERVICE), command, 0)
     with pytest.raises(McError, match="unknown command"):
         daemon._serve(call)
     assert daemon.engine.stats.as_dict() == {

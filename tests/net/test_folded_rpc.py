@@ -40,7 +40,7 @@ def reference_call(ep, daemon, op, payload):
     req_size, cpu = command_cost(op, payload)
     yield net.transfer(node, dst, HEADER_SIZE + req_size)
     yield dst.cpu.run(cpu)
-    reply, resp_size = daemon._serve(RpcCall(node, dst, SERVICE, (op, payload), req_size, cpu))
+    reply, resp_size = daemon._serve(RpcCall(ep.conn(dst, SERVICE), (op, payload), req_size, cpu))
     if resp_size and op in ("get_multi", "scan"):
         yield dst.cpu.run(COPY_PER_BYTE * resp_size)
     yield net.transfer(dst, node, HEADER_SIZE + resp_size)
@@ -171,7 +171,7 @@ def reference_gluster_call(ep, server, fop, args):
     req_size = gluster_request_size(fop, args)
     yield ep.net.transfer(ep.node, server.node, HEADER_SIZE + req_size)
     reply, resp_size = yield from server._handle(
-        RpcCall(ep.node, server.node, GLUSTER, (fop, args), req_size)
+        RpcCall(ep.conn(server.node, GLUSTER), (fop, args), req_size)
     )
     yield ep.net.transfer(server.node, ep.node, HEADER_SIZE + int(resp_size))
     return reply

@@ -1,5 +1,6 @@
-"""A message hop is one pass: ``Network.transfer`` books sender CPU,
-tx, rx and receiver CPU in line, without calling
+"""A message hop is one pass: ``Network.transfer`` (its bound
+:class:`~repro.net.fabric.Hop`'s ``send``) books sender CPU, tx, rx and
+receiver CPU in line, without calling
 ``FifoStation.reserve``, and books the four stations' statistics in one
 block only while the simulator is observed.
 
@@ -155,9 +156,11 @@ def test_negative_size_is_rejected_before_any_station_is_booked():
 def test_a_healthy_unobserved_transfer_makes_no_python_call(cores):
     """The per-message pass is one frame: checks, four visits and the
     message counters written out, no helper entered (a ``heapreplace``
-    on an 8-core CPU is a C call)."""
+    on an 8-core CPU is a C call).  It is the bound hop's ``send``;
+    ``Network.transfer`` only looks the hop up."""
     sim, net, (_, a, b, _) = _fabric(IPOIB, cores, False)
-    net.transfer(a, b, 96)  # the counters' first message
+    net.transfer(a, b, 96)  # the hop's and the counters' first message
+    hop = net.hop(a, b)
     calls = []
 
     def profiler(frame, event, _arg):
@@ -167,6 +170,7 @@ def test_a_healthy_unobserved_transfer_makes_no_python_call(cores):
     sys.setprofile(profiler)
     try:
         net.transfer(a, b, 2144, 1e-6, 3e-6)
+        hop.send(2144, 1e-6, 3e-6)
     finally:
         sys.setprofile(None)
-    assert calls == ["transfer"]
+    assert calls == ["transfer", "send", "send"]

@@ -134,8 +134,8 @@ def leg_call(sim, cep, dst, service, timeout, errors, recv_cpu=0.0):
     *recv_cpu* on arrival, joined: its reply, or None when it failed or
     missed its deadline."""
     join = Join(sim, 1)
-    TimedLeg(cep, dst, service, None, 0, recv_cpu, join, 0, "leg", sim.active_process, errors,
-             timeout=timeout)
+    TimedLeg(cep.conn(dst, service), None, 0, recv_cpu, join, 0, "leg", sim.active_process,
+             errors, timeout=timeout)
     (reply,) = yield join
     return reply
 
@@ -228,7 +228,7 @@ def test_retry_rides_through_a_server_flap():
     sim, net, client, server, cep, sep = make_pair()
 
     def echo(call):
-        yield call.dst.cpu.run(5 * USEC)
+        yield call.conn.dst.cpu.run(5 * USEC)
         return "ok", 16
 
     sep.register("echo", echo)
@@ -322,7 +322,7 @@ def test_no_timeout_no_policy_is_the_historical_path():
     sim, net, client, server, cep, sep = make_pair()
 
     def echo(call):
-        yield call.dst.cpu.run(5 * USEC)
+        yield call.conn.dst.cpu.run(5 * USEC)
         return "x", 16
 
     sep.register("echo", echo)

@@ -21,7 +21,7 @@ def test_basic_call_round_trip():
     sim, net, client, server, cep, sep = make_pair()
 
     def echo(call):
-        yield call.dst.cpu.run(5 * USEC)
+        yield call.conn.dst.cpu.run(5 * USEC)
         return ("echo", call.args), 64
 
     sep.register("echo", echo)
@@ -56,7 +56,7 @@ def test_call_to_dead_server_raises_unavailable():
     sim, net, client, server, cep, sep = make_pair()
 
     def echo(call):
-        yield call.dst.cpu.run(1 * USEC)
+        yield call.conn.dst.cpu.run(1 * USEC)
         return None, 0
 
     sep.register("echo", echo)
@@ -80,7 +80,7 @@ def test_server_dying_mid_request_fails_every_call_in_flight():
     sim, net, client, server, cep, sep = make_pair()
 
     def echo(call):
-        yield call.dst.cpu.run(1 * USEC)
+        yield call.conn.dst.cpu.run(1 * USEC)
         return call.args, 0
 
     sep.register("echo", echo)
@@ -109,7 +109,7 @@ def test_duplicate_registration_rejected():
     sim, net, client, server, cep, sep = make_pair()
 
     def h(call):
-        yield call.dst.cpu.run(1e-6)
+        yield call.conn.dst.cpu.run(1e-6)
         return None, 0
 
     sep.register("svc", h)
@@ -156,7 +156,7 @@ def test_concurrent_calls_from_one_client_pipeline():
     sim, net, client, server, cep, sep = make_pair()
 
     def quick(call):
-        yield call.dst.cpu.run(1 * USEC)
+        yield call.conn.dst.cpu.run(1 * USEC)
         return call.args, 0
 
     sep.register("quick", quick)
@@ -176,7 +176,7 @@ def test_rpc_stats_counted():
     sim, net, client, server, cep, sep = make_pair()
 
     def h(call):
-        yield call.dst.cpu.run(1e-6)
+        yield call.conn.dst.cpu.run(1e-6)
         return None, 0
 
     sep.register("h", h)

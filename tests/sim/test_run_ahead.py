@@ -144,7 +144,7 @@ def test_a_deadline_and_a_backoff_run_from_ready(case, monkeypatch):
         if case == "deadline":
             serve()
             join = Join(sim, 1)
-            TimedLeg(caller, nodes[1], "echo", "hi", SIZE, 0.0, join, 0, "leg",
+            TimedLeg(caller.conn(nodes[1], "echo"), "hi", SIZE, 0.0, join, 0, "leg",
                      sim.active_process, Counter(), timeout=110e-6)
             (reply,) = yield join
         else:

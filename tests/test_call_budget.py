@@ -24,8 +24,12 @@ refresh), the close that purges the file's 32 pushed blocks in one
 ``delete_multi``, and the open that follows (nothing left to purge; one ``:stat`` push) — so
 a refactor of the store or purge path cannot add frames unseen.
 
-A stat hit and a warm read enter no ``Counter`` frame at all: what they
-count are tallies, plain attributes folded in when a counter is read.
+A stat hit, a warm read, a cold read and a 4 KiB write enter no
+``Counter`` frame at all: what they count are tallies, plain attributes
+folded in when a counter is read.  A tally's first count enters one
+frame, once (it puts the key in its counter where ``Counter.inc`` would
+have), so the warm testbed runs a stat hit and a cached read before any
+op is budgeted on it.
 
 The brick path is budgeted alone on a NoCache testbed whose page cache
 holds one 64 KiB file: a 16 KiB read of an evicted file, whose disk
@@ -70,14 +74,15 @@ BUDGET = {
     # ``command_cost`` now), and the hot tier's gate was a
     # ``_hot_for`` call; 33 while the leg's healthy answer half was a
     # call of ``Endpoint._answer`` rather than the handler's, in line.
-    "warm_read_2k": 32,
+    # 32 while ``get_multi`` asked ``_read_memo`` for the owner memo.
+    "warm_read_2k": 31,
     # 107, 97, 96, 86, 83, 77: the last three also paid 3 calls per
     # extra block (``KeyCache.data_key``, ``Crc32Selector.select``,
     # ``memcache_hash``) before the covering keys were one slice and
     # each key's owner was memoised.  45 with ``delivery_time``, 43 with
     # the second ``cover``, 42 with seven ``Counter.inc``, two pricing
-    # calls and ``_hot_for``, 33 with ``_answer``.
-    "warm_read_16k": 32,
+    # calls and ``_hot_for``, 33 with ``_answer``, 32 with ``_read_memo``.
+    "warm_read_16k": 31,
     # 82, 72, 71 (no _stat_scalar / _get_scalar wrapper frames), 61, 47,
     # 42 (the key's route was ``_read_route`` + ``select`` +
     # ``memcache_hash``; it is one memo probe), 40 while each of its
@@ -85,8 +90,9 @@ BUDGET = {
     # booked five ``Counter.inc`` (``calls``, ``cmd_get``, ``get_hits``,
     # ``hits``, ``stat_hits``), its get was priced twice
     # (``request_size``, ``command_cpu``) and it asked ``_hot_for``; 31
-    # while its call's healthy answer half was ``Endpoint._answer``.
-    "stat_hit": 30,
+    # while its call's healthy answer half was ``Endpoint._answer``.  30
+    # while its get asked ``_read_memo`` for the owner memo.
+    "stat_hit": 29,
     # 169 and 298 while each pushed block was a scalar store at every
     # layer (``KeyCache.data_key``, ``block_index``, ``owners``,
     # ``engine.set`` → ``_check_key``, ``_store``, ``_total_size``,
@@ -115,8 +121,16 @@ BUDGET = {
     # MCD RPC was priced twice (``request_size`` and ``command_cpu``:
     # four calls, two now) and the hot tier's gate was ``_hot_for``.
     # 128 while each of its three RPCs entered ``Endpoint._answer``.
-    "cold_read_2k": 125,
-    "cold_read_16k": 125,
+    # 125 while the read's counts were ``Counter.inc`` calls (the
+    # brick's ``fop_read``, ``LocalFS`` ``reads``, the page cache's hits,
+    # SMCache's ``read_extra_bytes`` and ``block_pushes``, the engine's
+    # store counts and ``sets``: tallies now), a miss entered
+    # ``assemble_blocks`` to find its first block absent, the multi-get
+    # asked ``_read_memo``, ``align`` asked ``cover``, the page cache's
+    # probe asked ``_page_range`` and the daemon's ``set_multi`` ran a
+    # ``_store_all`` frame.
+    "cold_read_2k": 108,
+    "cold_read_16k": 108,
     # Before every mutation walked one owner list: 358 / 663 / 149.
     # Routing a key was ``_window_targets`` + ``_replicas_for`` +
     # ``_idx_for`` + ``select``; it is ``owners`` + ``select``.
@@ -158,22 +172,33 @@ BUDGET = {
     # and each MCD RPC was priced by ``request_size`` and
     # ``command_cpu`` (2 / 1 / 1 MCD RPCs).  204 / 161 / 107 while each
     # RPC's healthy answer half was an ``Endpoint._answer`` frame.
-    "write_4k": 201,
+    # 201 / 159 / 105 while their counts were ``Counter.inc`` calls (21 /
+    # 7 / 9: the brick's ``fop_*``, ``LocalFS``'s and its meta cache's,
+    # the page cache's, SMCache's push and purge counts, the engine's
+    # store and delete counts, the slab allocator's, the client's
+    # ``sets``/``deletes``; tallies now) and each store batch ran a
+    # ``_store_all`` frame under ``set_multi``.
+    "write_4k": 176,
     # 272 while the purge asked ``KeyCache.data_key`` and
     # ``block_index`` once per purged block (64 calls for 32); the
     # purge index holds block indices and the keys are one
-    # ``data_keys`` slice of the path's key list.
-    "close": 159,
-    "open": 105,
+    # ``data_keys`` slice of the path's key list.  159 with the counts
+    # and store frame above.
+    "close": 152,
+    "open": 96,
     # NoCache, the brick path alone.  89 / 60 while the fop resumed a
     # ``ClientProtocol`` frame, a ``_charge`` frame and (on the disk
     # wake) ``LocalFS._wait``, the wait was a ``Timeout`` and the page
     # cache booked a ``Counter.inc`` per page.  58 / 43 while each of the
     # two messages' ``transfer`` called ``delivery_time``.  56 / 41
     # while the brick RPC's ``calls`` was a ``Counter.inc``, 55 / 40
-    # while its answer half was an ``Endpoint._answer`` frame.
+    # while its answer half was an ``Endpoint._answer`` frame.  54 / 39
+    # while ``fop_read``, ``reads`` and the page cache's counts were
+    # ``Counter.inc`` calls and the page cache's probe asked
+    # ``_page_range``; the miss is 54 still because it is this testbed's
+    # first read, so its tallies' first counts each enter one frame.
     "uncached_read_16k_page_miss": 54,
-    "uncached_read_16k_page_hit": 39,
+    "uncached_read_16k_page_hit": 36,
 }
 #: (warm_read_16k - warm_read_2k) / 7: what one more cached block costs
 #: (3 before the covering keys were a slice and owners memoised).
@@ -232,7 +257,10 @@ def _counter_frames(sim, op_gen):
 
 def _warm_testbed():
     """A 1-client, 1-MCD testbed holding ``/warm`` (64 KiB, every block
-    cached) open; returns ``(tb, fd)``."""
+    cached) open; returns ``(tb, fd)``.  It has run a stat hit and a
+    cached read too, so every op budgeted on it is past its counters'
+    first counts (a tally's first count enters one frame, once:
+    :func:`test_a_tallys_first_count_enters_one_frame_and_later_counts_none`)."""
     tb = build_gluster_testbed(
         TestbedConfig(num_clients=1, num_mcds=1, mcd_memory=8 * MiB, imca=IMCaConfig())
     )
@@ -245,6 +273,8 @@ def _warm_testbed():
         yield from client.close(fd)
         fd = yield from client.open("/warm")
         yield from client.read(fd, 0, 64 * KiB)
+        yield from client.stat("/warm")
+        yield from client.read(fd, 0, 2 * KiB)
         opened.append(fd)
 
     sim.process(warm())
@@ -290,6 +320,66 @@ def test_a_stat_hit_and_a_warm_read_enter_no_counter_frame():
     after = tb.cm_stats()
     assert after["stat_hits"] == hits.get("stat_hits", 0) + 1
     assert after["read_hits"] == hits.get("read_hits", 0) + 1
+
+
+def test_a_cold_read_and_a_write_enter_no_counter_frame():
+    """The miss and write paths count in tallies too: the brick's fops,
+    the file system's and page cache's counts, SMCache's pushes and
+    purges, the engine's and the slab allocator's store counts and the
+    client's ``sets``/``deletes``."""
+    tb, fd = _warm_testbed()
+    sim, client = tb.sim, tb.clients[0]
+
+    def reopen():
+        yield from client.close(fd)
+        return (yield from client.open("/warm"))
+
+    done = sim.process(reopen())
+    sim.run()
+    fd = done.value
+    misses, pushes = tb.cm_stats()["read_misses"], tb.sm_stats()["block_pushes"]
+    assert _counter_frames(sim, client.read(fd, 16 * KiB, 16 * KiB)) == []
+    assert _counter_frames(sim, client.write(fd, 16 * KiB, 4 * KiB)) == []
+    assert tb.cm_stats()["read_misses"] == misses + 1
+    assert tb.sm_stats()["block_pushes"] == pushes + 8 + 2
+
+
+def test_a_tallys_first_count_enters_one_frame_and_later_counts_none():
+    """A tally's first count puts its key in the counter, at 0, where
+    ``Counter.inc`` would have: one frame, once per key and component."""
+    tb = build_gluster_testbed(
+        TestbedConfig(num_clients=1, num_mcds=1, mcd_memory=8 * MiB, imca=IMCaConfig())
+    )
+    sim, client = tb.sim, tb.clients[0]
+
+    def setup():
+        fd = yield from client.create("/a")
+        yield from client.close(fd)
+
+    sim.process(setup())
+    sim.run()
+
+    def first_counts(op_gen):
+        names = []
+
+        def profiler(frame, event, _arg):
+            if event == "call" and frame.f_code.co_filename.startswith(_SRC):
+                names.append(frame.f_code.co_qualname)
+
+        sim.process(op_gen)
+        sys.setprofile(profiler)
+        try:
+            sim.run()
+        finally:
+            sys.setprofile(None)
+        return names.count("_Unmoved.__add__")
+
+    # The first stat hit: the client's ``stats``, CMCache's
+    # ``stat_hits``, the MCD client's ``hits`` and the engine's
+    # ``get_hits`` move for the first time; the second, nothing new.
+    assert first_counts(client.stat("/a")) == 4
+    assert first_counts(client.stat("/a")) == 0
+    assert tb.cm_stats()["stat_hits"] == 2
 
 
 def test_write_close_and_open_cost_their_call_budgets():

@@ -1,16 +1,17 @@
-"""Counters a healthy cached op books are plain int attributes, folded
-into their :class:`~repro.util.stats.Counter` only when it is read
-(DESIGN §7, "Counters are read only when asked").  Every reader must
-see what eager counting showed: the same keys, zero-valued ones
-included, with the same values.
+"""Counters an op books are plain int attributes, folded into their
+:class:`~repro.util.stats.Counter` only when it is read (DESIGN §7,
+"Counters are read only when asked").  Every reader must see what
+eager counting showed: the same keys, zero-valued ones included, in the
+same order, with the same values.
 
 A 2-client, 2-MCD testbed runs a fixed sequence — a stat hit and a stat
 miss, a cold and a warm read, a write and a close, singleflight
 followers on one client, one MCD killed partway and the ops after it —
-and every counter reader is compared with the dicts eager counting
-produced for the same sequence, pinned in :data:`PINNED`.  A second run
-reads every counter after every op (folding each time) and must end
-where the first did.
+and every counter reader is compared, key order included, with the
+dicts eager counting produced for the same sequence, pinned in
+:data:`PINNED`: the client, cache, MCD, slab, brick, file-system,
+page-cache and disk counters.  A second run reads every counter after
+every op (folding each time) and must end where the first did.
 """
 
 from repro import Observability, TestbedConfig, build_gluster_testbed
@@ -38,6 +39,7 @@ def _run(read_between=False):
     ]
 
     def readers():
+        fs = tb.server.fs
         return {
             "net": tb.net.stats.as_dict(),
             "endpoints": [ep.stats.as_dict() for ep in endpoints],
@@ -49,6 +51,13 @@ def _run(read_between=False):
             "mcs": [mc.stats.as_dict() for mc in mcs],
             "clients": [c.stats.as_dict() for c in tb.clients],
             "registry": tb.snapshot_metrics().snapshot(),
+            "slabs": [m.engine.slabs.stats.as_dict() for m in tb.mcds],
+            "server": tb.server.stats.as_dict(),
+            "fs": fs.stats.as_dict(),
+            "meta": fs.meta_cache.stats.as_dict(),
+            "pages": fs.page_cache.stats.as_dict(),
+            "raid": fs.device.stats.as_dict(),
+            "disks": [d.stats.as_dict() for d in fs.device.members],
         }
 
     def step(gen):
@@ -138,12 +147,73 @@ def test_a_get_multi_books_both_counts_a_zero_included():
     assert list(d.stats.as_dict().items()) == [("hits", 1), ("misses", 1), ("errors", 1)]
 
 
+def _ordered(x):
+    """*x* with every dict as its list of items: equal only in key order too."""
+    if isinstance(x, dict):
+        return [(k, _ordered(v)) for k, v in x.items()]
+    if isinstance(x, list):
+        return [_ordered(v) for v in x]
+    return x
+
+
 def test_every_counter_reader_sees_what_eager_counting_showed():
-    assert _run() == PINNED
+    assert _ordered(_run()) == _ordered(PINNED)
 
 
 def test_reading_between_ops_folds_to_the_same_counts():
-    assert _run(read_between=True) == PINNED
+    got = _run(read_between=True)
+    assert got == PINNED
+    # The registry's copied-in components take their key order from the
+    # first snapshot, which this run takes after the first op.
+    del got["registry"]
+    assert _ordered(got) == _ordered({k: v for k, v in PINNED.items() if k != "registry"})
+
+
+def test_a_push_and_a_purge_book_what_eager_counting_booked_zeros_included():
+    """A ``delete_multi`` books ``deletes`` even at 0, the engine books
+    ``curr_items`` when a batch links or unlinks even if the two cancel,
+    and a batch that only refuses books ``cmd_set`` alone: key for key,
+    in the order ``Counter.inc`` put them in."""
+    sim = Simulator()
+    net = Network(sim, IPOIB)
+    daemon = MemcachedDaemon(sim, net, Node(sim, "mcd"), 4 * MiB)
+    mc = MemcacheClient(Endpoint(net, Node(sim, "c")), [daemon])
+    engine = daemon.engine
+
+    def run(gen):
+        sim.process(gen)
+        sim.run()
+        return [
+            list(counter.as_dict().items())
+            for counter in (mc.stats, engine.stats, engine.slabs.stats)
+        ]
+
+    # Refused as too large, but answered: one ``sets``, no item linked.
+    assert run(mc.set_multi([("big", None, 2 * MiB, 0, 0)])) == [
+        [("sets", 1)], [("cmd_set", 1)], [],
+    ]
+    assert run(mc.delete_multi(["absent"])) == [
+        [("sets", 1), ("deletes", 0)], [("cmd_set", 1), ("cmd_delete", 1)], [],
+    ]
+    assert run(mc.set_multi([("k", None, 100, 0, 0)])) == [
+        [("sets", 2), ("deletes", 0)],
+        [("cmd_set", 2), ("cmd_delete", 1), ("curr_items", 1), ("total_items", 1),
+         ("bytes", 100)],
+        [("pages_allocated", 1)],
+    ]
+    # A same-class overwrite: one linked, one unlinked, a delta of 0.
+    assert run(mc.set_multi([("k", None, 100, 0, 0)])) == [
+        [("sets", 3), ("deletes", 0)],
+        [("cmd_set", 3), ("cmd_delete", 1), ("curr_items", 1), ("total_items", 2),
+         ("bytes", 100)],
+        [("pages_allocated", 1)],
+    ]
+    assert run(mc.delete_multi(["k", "absent"])) == [
+        [("sets", 3), ("deletes", 1)],
+        [("cmd_set", 3), ("cmd_delete", 3), ("curr_items", 0), ("total_items", 2),
+         ("bytes", 0)],
+        [("pages_allocated", 1)],
+    ]
 
 
 #: What every reader returned when each count was a ``Counter.inc``.
@@ -242,4 +312,16 @@ PINNED = {'net': {'messages': 155, 'bytes': 397693, 'undeliverable': 8},
                                                   'block_pushes': 92,
                                                   'purges': 7,
                                                   'purged_blocks': 68,
-                                                  'read_extra_bytes': 0}}}}
+                                                  'read_extra_bytes': 0}}},
+ 'slabs': [{'pages_allocated': 2}, {'pages_allocated': 1}],
+ 'server': {'fop_create': 3,
+            'fop_write': 3,
+            'fop_flush': 7,
+            'fop_stat': 1,
+            'fop_open': 4,
+            'fop_read': 7},
+ 'fs': {'creates': 3, 'writes': 3, 'reads': 10, 'stats': 4, 'meta_hits': 7},
+ 'meta': {'hits': 7},
+ 'pages': {'evictions': 0, 'page_hits': 46},
+ 'raid': {'writes': 6, 'bytes': 90112},
+ 'disks': [{'writes': 6, 'bytes': 90112, 'seeks': 6}, {}, {}, {}, {}, {}, {}, {}]}
